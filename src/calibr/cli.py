@@ -6,9 +6,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -89,23 +87,7 @@ def _config_from(args, keys):
     for k in keys:
         cfg[k] = getattr(args, k.replace("-", "_"), None)
     cfg["seed"] = getattr(args, "seed", None)
-    cfg["threads"] = getattr(args, "threads", None)
     return cfg
-
-
-def _threads(args):
-    t = getattr(args, "threads", None)
-    if t:
-        return int(t)
-    env = os.environ.get("CALIBR_THREADS")
-    return int(env) if env else 1
-
-
-def parallel_map(fn, items, threads):
-    if threads <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +164,8 @@ def cmd_comass(args):
     res = grassmann.comass(form, multistarts=args.multistarts,
                            max_iter=args.max_iter, tol=args.tol,
                            seed=args.seed)
-    report = {"value": res.value, "saturated": res.saturated,
+    report = {"value": res.value, "exact": res.exact,
+              "saturated": res.saturated,
               "converged": res.converged, "multistarts": res.multistarts,
               "frame": res.plane.frame}
     emit_report(report, _config_from(args, ["cal", "form", "multistarts",
@@ -364,7 +347,7 @@ def cmd_maxprinciple(args):
     return 0 if rep.ok else 1
 
 
-def _random_boundary_batch(cal, ss, count, seed, degree, threads):
+def _random_boundary_batch(cal, ss, count, seed, degree):
     from .duality import assemble_boundary_model, boundary_alternative, build_boundary_model
 
     def one(inst):
@@ -382,10 +365,10 @@ def _random_boundary_batch(cal, ss, count, seed, degree, threads):
         return (inst, res.primal, res.dual or "None", res.consistent,
                 res.boundary_tie)
 
-    return parallel_map(one, list(range(count)), threads)
+    return [one(inst) for inst in range(count)]
 
 
-def _random_jensen_batch(cal, ss, count, seed, degree, threads):
+def _random_jensen_batch(cal, ss, count, seed, degree):
     from .duality import build_jensen_model, jensen_alternative
 
     def one(inst):
@@ -397,7 +380,7 @@ def _random_jensen_batch(cal, ss, count, seed, degree, threads):
         return (inst, res.primal, res.dual or "None", res.consistent,
                 res.boundary_tie)
 
-    return parallel_map(one, list(range(count)), threads)
+    return [one(inst) for inst in range(count)]
 
 
 def cmd_duality(args):
@@ -405,7 +388,7 @@ def cmd_duality(args):
     ss = _samples_for(cal, args, count=args.count or 8)
     if args.random:
         rows = _random_boundary_batch(cal, ss, args.random, args.seed,
-                                      args.deg, _threads(args))
+                                      args.deg)
         ok = sum(1 for r in rows if r[3] or r[4])
         if args.emit_csv:
             write_csv(args.emit_csv,
@@ -435,7 +418,7 @@ def cmd_jensen(args):
     ss = _samples_for(cal, args, count=args.count or 8)
     if args.random:
         rows = _random_jensen_batch(cal, ss, args.random, args.seed,
-                                    args.deg, _threads(args))
+                                    args.deg)
         ok = sum(1 for r in rows if r[3] or r[4])
         if args.emit_csv:
             write_csv(args.emit_csv,
@@ -486,7 +469,6 @@ def build_parser():
         if cal:
             p.add_argument("--cal", help="catalogue selector or JSON path")
         p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-        p.add_argument("--threads", type=int, default=None)
         p.add_argument("--output", "-o", help="write the JSON report here")
 
     p = sub.add_parser("catalogue", help="list or dump catalogue entries")
@@ -495,7 +477,8 @@ def build_parser():
     common(p, cal=False)
     p.set_defaults(fn=cmd_catalogue)
 
-    p = sub.add_parser("comass", help="comass by multistart ascent")
+    p = sub.add_parser("comass", help="comass: closed form in degrees 1, 2, "
+                       "n-2, n-1 and n, else multistart ascent")
     p.add_argument("--form", help="JSON form spec (overrides --cal)")
     p.add_argument("--multistarts", type=int, default=200)
     p.add_argument("--max-iter", type=int, default=600)

@@ -15,10 +15,11 @@ import numpy as np
 from scipy.optimize import nnls
 
 from .calibrations import Calibration
-from .exterior import (ExteriorElement, SimplePlane, interior_product,
-                       lex_indices, pairing, wedge)
+from .exterior import (ExteriorElement, SimplePlane, hodge_star,
+                       interior_product, lex_indices, pairing, wedge)
 from .grassmann import (FormEvaluator, PlaneSampleSet, comass,
-                        constrained_extremum, polish_plane, rng_stream)
+                        constrained_extremum, polish_plane, rng_stream,
+                        skew_matrix, top_singular_plane)
 from .lp import solve_lp
 
 BOUNDARY_TOL = 1e-6
@@ -74,24 +75,12 @@ def lambda_span(samples: PlaneSampleSet, sv_cutoff=1e-8) -> LambdaSpan:
 # ---------------------------------------------------------------------------
 
 def _dominant_simple_frame(vec, n, p):
-    """For p = 2: the plane of the simple component closest to vec, via the
-    associated skew matrix's top singular plane.  Returns a SimplePlane with
-    the orientation matching vec, or None."""
-    if p != 2:
+    """For p = 2: the oriented plane of the simple component closest to vec,
+    which is the exact maximizing plane of vec read as a form; else None."""
+    if p != 2 or not np.any(vec):
         return None
-    R = np.zeros((n, n))
-    for (i, j), v in zip(lex_indices(n, 2), vec):
-        R[i - 1, j - 1] = v
-        R[j - 1, i - 1] = -v
-    u, s, vt = np.linalg.svd(R)
-    if s[0] < 1e-14:
-        return None
-    q, r = np.linalg.qr(np.column_stack([vt[0], u[:, 0]]))
-    q = q * np.sign(np.diag(r))[None, :]
-    plane = SimplePlane(q.T)
-    if plane.pvector().to_coeff_vector() @ vec < 0:
-        plane = SimplePlane(q.T[::-1].copy())
-    return plane
+    return comass(ExteriorElement.from_coeff_vector(n, p, vec,
+                                                    drop_tol=0.0)).plane
 
 
 def _augment_with_alignment(cal, planes, residual_vec, seed, round_idx,
@@ -240,6 +229,29 @@ def _coordinate_planes(n, p):
     return out
 
 
+def _normal_form(xi: ExteriorElement):
+    """Harvey-Lawson normal form of a 2-vector: xi = sum_k lam_k a_k ^ b_k
+    with lam_k > 0 and the a_k, b_k orthonormal.
+
+    Returns the unit simple atoms a_k ^ b_k and the polar form
+    sum_k a^k ^ b^k, which has comass one and pairs with xi to sum_k lam_k,
+    the mass of xi.  Each atom is the top singular plane of the skew matrix
+    X of xi, which is then deflated by lam_k (a_k b_k^T - b_k a_k^T).
+    """
+    X = skew_matrix(xi.to_coeff_vector(), xi.n)
+    sigma = np.linalg.svd(X, compute_uv=False)    # pairs lam_1, lam_1, ...
+    atoms = []
+    for _ in range(int((sigma[::2] > 1e-12 * sigma[0]).sum())):
+        a, b = top_singular_plane(X).T
+        lam = a @ X @ b
+        atoms.append(SimplePlane(np.array([a, b])).pvector())
+        X = X - lam * (np.outer(a, b) - np.outer(b, a))
+    polar = atoms[0]
+    for atom in atoms[1:]:
+        polar = polar + atom
+    return atoms, polar
+
+
 def mass_norm_estimate(xi: ExteriorElement, generator_samples: PlaneSampleSet,
                        max_rounds=25, comass_multistarts=40, seed=0,
                        dual_gap_tol=1e-9, bracket_gap_tol=1e-9):
@@ -247,30 +259,46 @@ def mass_norm_estimate(xi: ExteriorElement, generator_samples: PlaneSampleSet,
 
     Upper: min sum |c| over signed decompositions into sampled simple unit
     p-vectors (in-repo simplex), with cutting-plane augmentation driven by
-    the LP dual.  Lower: best pairing against a dictionary of forms whose
-    comass estimate is confirmed <= 1 + 1e-6.  Always upper >= lower.
+    the LP dual.  Lower: best pairing against a dictionary of forms, each
+    divided by its comass.  For p = 2 and p = n-2 (through the Hodge star)
+    the atoms and the polar form of xi's normal form are seeded, so the
+    bracket closes in the first round.
+
+    ``meta["lower_certified"]`` is True when the form behind ``lower`` had an
+    exact comass, so that ``lower`` is a certified lower bound; otherwise
+    it divides by a best-found comass and may overshoot the mass.  Raises
+    RuntimeError when ``lower`` exceeds ``upper`` beyond rounding.
     """
     if xi.norm() == 0.0:
         raise ValueError("mass norm of the zero element")
     n, p = xi.n, xi.p
-    planes = _coordinate_planes(n, p) + list(generator_samples.planes)
-    # the plane best aligned with xi is the decisive atom when xi is simple
+    xi_vec = xi.to_coeff_vector()
+    # a coordinate form has comass exactly one (Hadamard's inequality)
+    lower, certified = float(np.abs(xi_vec).max()), True
+
+    def offer(form, cm, divisor):
+        nonlocal lower, certified
+        val = pairing(form, xi) / divisor
+        if val > lower:
+            lower, certified = val, cm.exact
+
+    # the plane best aligned with xi is the decisive atom when xi is simple;
+    # the target form itself is rescaled by its own comass
     xi_unit = (1.0 / xi.norm()) * xi
     cm_xi = comass(xi_unit, multistarts=24, seed=seed)
-    planes.append(cm_xi.plane)
-    xi_vec = xi.to_coeff_vector()
+    planes = (_coordinate_planes(n, p) + list(generator_samples.planes)
+              + [cm_xi.plane])
     cols = [pl.pvector().to_coeff_vector() for pl in planes]
-    # dictionary seeds: the normalized target form (rescaled by its own
-    # comass estimate) and the dominant coordinate form (comass exactly one)
-    lower = 0.0
     if cm_xi.value > 1e-12:
-        lower = pairing(xi_unit, xi) / cm_xi.value
-    best_idx = max(xi.coeffs, key=lambda k: abs(xi.coeffs[k]))
-    sgn = 1.0 if xi.coeffs[best_idx] >= 0 else -1.0
-    coord = ExteriorElement(n, p, {best_idx: sgn})
-    cmc = comass(coord, multistarts=8, seed=seed)
-    if cmc.value <= 1.0 + 1e-6:
-        lower = max(lower, pairing(coord, xi) / max(cmc.value, 1.0))
+        offer(xi_unit, cm_xi, cm_xi.value)
+    if p == 2 or n - p == 2:
+        atoms, polar = _normal_form(xi if p == 2 else hodge_star(xi))
+        if p != 2:
+            atoms = [hodge_star(a) for a in atoms]
+            polar = hodge_star(polar)
+        cols += [a.to_coeff_vector() for a in atoms]
+        cm = comass(polar)
+        offer(polar, cm, cm.value)
     dual_comass = None
     saturated = True
     upper = np.inf
@@ -291,16 +319,17 @@ def mass_norm_estimate(xi: ExteriorElement, generator_samples: PlaneSampleSet,
                     seed=seed + round_k)
         dual_comass = cm.value
         saturated = cm.saturated
-        if dual_comass > 1e-12 and dual_comass <= 1.0 + 1e-6:
-            lower = max(lower, pairing(dual_form, xi) / max(dual_comass, 1.0))
+        if dual_comass > 1e-12:
+            offer(dual_form, cm, max(dual_comass, 1.0))
         if dual_comass <= 1.0 + dual_gap_tol:
             break
-        lower = max(lower, pairing(dual_form, xi) / dual_comass)
         cols.append(cm.plane.pvector().to_coeff_vector())
-        planes.append(cm.plane)
-    lower = min(lower, upper)
+    if lower > upper * (1.0 + 1e-12):
+        raise RuntimeError(
+            f"mass bracket inverted: lower {lower!r} > upper {upper!r}")
     return upper, lower, {"rounds": round_k + 1, "dual_comass": dual_comass,
-                          "saturated": saturated, "atoms": len(planes)}
+                          "saturated": saturated, "atoms": len(cols),
+                          "lower_certified": certified}
 
 
 # ---------------------------------------------------------------------------

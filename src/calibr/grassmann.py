@@ -7,8 +7,11 @@ re-orthonormalization.  Values of a form on the frame's plane are Pluecker
 minors dotted with the form's coefficient vector, so both evaluation and
 gradients vectorize over the lexicographic basis.
 
-Comass values reported here are best-found lower bounds with a multistart
-saturation heuristic; no global certificate is claimed.
+Comass is exact in degrees 1, 2, n-2, n-1 and n, where the mathematics gives
+a closed form (a vector norm, or the top singular value of a skew matrix,
+through the Hodge star for n-2 and n-1).  In every other degree it is a
+best-found lower bound with a multistart saturation heuristic, and no global
+certificate is claimed.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import numpy as np
 
 from .calibrations import Calibration
 from .exterior import (ExteriorElement, SimplePlane, angular_distance,
-                       lex_indices, lex_position, pairing)
+                       hodge_star, lex_indices, lex_position, pairing)
 
 DEFAULT_GTOL = 1e-12
 DEDUP_ANGLE = 1e-3
@@ -184,17 +187,81 @@ class ComassResult:
     converged: int
     multistarts: int
     values: np.ndarray = field(repr=False, default=None)
+    exact: bool = False
+
+
+def skew_matrix(vec, n) -> np.ndarray:
+    """Skew matrix A of a 2-form's lex coefficient vector, so that
+    phi(u ^ v) = u^T A v."""
+    A = np.zeros((n, n))
+    for (i, j), v in zip(lex_indices(n, 2), vec):
+        A[i - 1, j - 1] = v
+        A[j - 1, i - 1] = -v
+    return A
+
+
+def top_singular_plane(A) -> np.ndarray:
+    """Orthonormal (n, 2) frame (u, v) of the top singular pair of a skew
+    matrix A.  Skewness makes u orthogonal to v with u^T A v = sigma_max,
+    and A maps span(u, v) and its complement into themselves
+    (Harvey-Lawson normal form)."""
+    u, _, vt = np.linalg.svd(A)
+    a, b = u[:, 0], vt[0]
+    b = b - (a @ b) * a
+    return np.column_stack([a, b / np.linalg.norm(b)])
+
+
+def _top_plane(vec, n, p):
+    """Orthonormal (n, p) frame maximizing a 1-form or 2-form given by its
+    lex coefficient vector."""
+    if p == 1:
+        return (vec / np.linalg.norm(vec))[:, None]
+    return top_singular_plane(skew_matrix(vec, n))
+
+
+def _exact_frame(phi: ExteriorElement):
+    """A maximizing frame of phi in the degrees with a closed form, else
+    None.  For p = n-1 and n-2 it spans the orthogonal complement of the
+    plane maximizing *phi; the orientation is fixed by the caller."""
+    n, p = phi.n, phi.p
+    if p < 1:
+        return None
+    if p == n:
+        return np.eye(n)
+    if p <= 2:
+        return _top_plane(phi.to_coeff_vector(), n, p)
+    if n - p <= 2:
+        V = _top_plane(hodge_star(phi).to_coeff_vector(), n, n - p)
+        q, _ = np.linalg.qr(V, mode="complete")
+        return q[:, n - p:]
+    return None
 
 
 def comass(phi: ExteriorElement, multistarts=60, max_iter=600, tol=DEFAULT_GTOL,
            seed=0, step0=0.2) -> ComassResult:
-    """Best-found maximum of phi over unit simple p-vectors.
+    """Maximum of phi over unit simple p-vectors.
 
-    The value is a certified lower bound for the comass; saturation is
-    flagged when the top starts agree to 1e-6.
+    In degrees 1, 2, n-2, n-1 and n the value is exact (``exact=True``,
+    ``multistarts=0``): it is phi evaluated on the closed-form maximizing
+    plane, so it is attained, and the ascent options are unused.  In every
+    other degree it is the best value of a multistart ascent, a lower bound
+    for the comass; saturation is flagged when the top starts agree to 1e-6.
     """
     if phi.norm() == 0.0:
         raise ValueError("comass of the zero form")
+    U = _exact_frame(phi)
+    if U is None:
+        return _comass_ascent(phi, multistarts, max_iter, tol, seed, step0)
+    value = FormEvaluator(phi).value(U)
+    if value < 0.0:
+        U[:, 0] = -U[:, 0]
+        value = -value
+    return ComassResult(value, SimplePlane(U.T), True, 0, 0, np.empty(0),
+                        exact=True)
+
+
+def _comass_ascent(phi, multistarts, max_iter, tol, seed, step0):
+    """Best-found maximum of phi by multistart Stiefel ascent."""
     ev = FormEvaluator(phi)
     best_val, best_U = -np.inf, None
     vals = np.empty(multistarts)

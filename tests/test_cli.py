@@ -55,6 +55,14 @@ class TestComass:
         assert code == 0
         assert abs(json.loads(out)["report"]["value"] - 1.0) < 1e-8
 
+    def test_exact_flag(self, capsys):
+        _, out, _ = run_cli(capsys, "comass", "--cal", "omega4")
+        report = json.loads(out)["report"]
+        assert report["exact"] is True and report["multistarts"] == 0
+        _, out, _ = run_cli(capsys, "comass", "--cal", "associative",
+                            "--multistarts", "3")
+        assert json.loads(out)["report"]["exact"] is False
+
 
 class TestErrors:
     def test_malformed_json_exits_2(self, capsys, tmp_path):

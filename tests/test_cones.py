@@ -5,7 +5,8 @@ from calibr.calibrations import catalogue
 from calibr.cones import (cone_membership, contraction_boundary,
                           lambda_span, lemma_2_5_check, mass_norm_estimate,
                           positive_basis, positivity_classify)
-from calibr.exterior import ExteriorElement, pairing, simple_from_frame
+from calibr.exterior import (ExteriorElement, hodge_star, lex_indices,
+                             pairing, simple_from_frame)
 from calibr.grassmann import random_plane_set, rng_stream, sample_grassmannian
 
 
@@ -137,6 +138,54 @@ class TestMassNorm:
     def test_zero_rejected(self, gens):
         with pytest.raises(ValueError):
             mass_norm_estimate(ExteriorElement.zero(4, 2), gens)
+
+
+def _half_nuclear_norm(two):
+    """Closed-form mass of a 2-vector: half the nuclear norm of its skew
+    matrix (Harvey-Lawson normal form)."""
+    X = np.zeros((two.n, two.n))
+    for (i, j), c in two.coeffs.items():
+        X[i - 1, j - 1], X[j - 1, i - 1] = c, -c
+    return 0.5 * float(np.linalg.svd(X, compute_uv=False).sum())
+
+
+class TestMassNormClosedForm:
+    @pytest.mark.parametrize("n,p", [(4, 2), (5, 2), (5, 3)])
+    def test_one_round_exact(self, n, p):
+        rng = np.random.default_rng(10 * n + p)
+        gens = random_plane_set(n, p, count=40, seed=9)
+        for _ in range(3):
+            xi = ExteriorElement(n, p, {idx: rng.standard_normal()
+                                        for idx in lex_indices(n, p)})
+            exact = _half_nuclear_norm(xi if p == 2 else hodge_star(xi))
+            up, lo, meta = mass_norm_estimate(xi, gens)
+            assert meta["rounds"] == 1
+            assert meta["lower_certified"]
+            assert abs(up - exact) < 1e-9 * exact
+            assert abs(lo - exact) < 1e-9 * exact
+
+    def test_r6_3vector_lower_uncertified(self):
+        rng = np.random.default_rng(6)
+        xi = ExteriorElement(6, 3, {idx: rng.standard_normal()
+                                    for idx in lex_indices(6, 3)})
+        gens = random_plane_set(6, 3, count=40, seed=9)
+        up, lo, meta = mass_norm_estimate(xi, gens, max_rounds=3,
+                                          comass_multistarts=4)
+        assert not meta["lower_certified"]
+        assert up >= lo
+
+    def test_inverted_bracket_raises(self, gens, monkeypatch):
+        # a comass reported at half its value doubles the lower bound
+        import dataclasses
+        import calibr.cones
+        real = calibr.cones.comass
+
+        def halved(phi, **kwargs):
+            res = real(phi, **kwargs)
+            return dataclasses.replace(res, value=0.5 * res.value)
+        monkeypatch.setattr(calibr.cones, "comass", halved)
+        with pytest.raises(RuntimeError, match="inverted"):
+            mass_norm_estimate(e_form(1, 2) + 0.5 * e_form(1, 3), gens)
 
 
 class TestPositivity:

@@ -3,13 +3,13 @@ import pytest
 
 from calibr.calibrations import catalogue
 from calibr.exterior import (ExteriorElement, SimplePlane, angular_distance,
-                             interior_product, pairing, simple_from_frame,
-                             wedge)
-from calibr.grassmann import (FormEvaluator, comass, constrained_extremum,
-                              hyperplane_basis, polish_plane, pullback,
-                              random_frame, random_plane_set,
-                              reduce_calibration, rng_stream,
-                              sample_grassmannian)
+                             interior_product, lex_indices, pairing,
+                             simple_from_frame, wedge)
+from calibr.grassmann import (DEFAULT_GTOL, FormEvaluator, _comass_ascent,
+                              comass, constrained_extremum, hyperplane_basis,
+                              polish_plane, pullback, random_frame,
+                              random_plane_set, reduce_calibration,
+                              rng_stream, sample_grassmannian)
 
 
 def dx(n, *idx):
@@ -90,6 +90,29 @@ class TestComass:
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             comass(ExteriorElement.zero(4, 2))
+
+
+class TestExactComass:
+    @pytest.mark.parametrize("n", range(3, 8))
+    def test_matches_ascent(self, n):
+        # closed forms in degrees 1, 2, n-2, n-1 and n against 60-start ascent
+        rng = np.random.default_rng(100 + n)
+        for p in sorted({1, 2, n - 2, n - 1, n}):
+            phi = ExteriorElement(n, p, {idx: rng.standard_normal()
+                                         for idx in lex_indices(n, p)})
+            res = comass(phi)
+            ref = _comass_ascent(phi, 60, 600, DEFAULT_GTOL, 0, 0.2)
+            assert res.exact and res.saturated
+            assert res.multistarts == 0 and res.converged == 0
+            assert abs(res.value - ref.value) < 1e-10
+            # the returned plane attains the value
+            attained = pairing(phi, res.plane.pvector())
+            assert abs(attained - res.value) < 1e-12
+
+    def test_other_degrees_use_ascent(self):
+        res = comass(catalogue("associative").form, multistarts=5, seed=0)
+        assert not res.exact
+        assert res.multistarts == 5
 
 
 class TestSampling:
