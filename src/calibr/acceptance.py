@@ -21,7 +21,7 @@ from .currents import disc_mesh, graph_curve_mesh, green_check, \
 from .duality import (assemble_boundary_model, boundary_alternative,
                       build_boundary_model, build_jensen_model,
                       jensen_alternative)
-from .exterior import (ExteriorElement, derivation_extend, pairing,
+from .exterior import (ExteriorElement, derivation_tensor, pairing,
                        simple_from_frame)
 from .fields import builtin_field, quadratic_field
 from .grassmann import (angular_distance, comass, random_plane_set, rng_stream,
@@ -149,17 +149,6 @@ def criterion_3_kaehler_J_invariance(seed=DEFAULT_SEED):
 
 # -- 4 ----------------------------------------------------------------------
 
-def _derivation_pairing_matrix(form):
-    n = form.n
-    cols = []
-    for l in range(n):
-        for m in range(n):
-            E = np.zeros((n, n))
-            E[l, m] = 1.0
-            cols.append(derivation_extend(E, form).to_coeff_vector())
-    return np.array(cols)          # (n^2, C(n,p))
-
-
 def criterion_4_trace_identity(seed=DEFAULT_SEED, pairs_per_entry=10_000):
     t0 = time.time()
     worst_all = 0.0
@@ -167,15 +156,15 @@ def criterion_4_trace_identity(seed=DEFAULT_SEED, pairs_per_entry=10_000):
     for name, params in COMASS_ENTRIES:
         cal = catalogue(name, *params)
         ss = _samples(name, params, count=40, seed=seed)
-        M = _derivation_pairing_matrix(cal.form)
         n = cal.n
+        Dphi = derivation_tensor(n, cal.p) @ cal.form.to_coeff_vector()
         per_plane = int(np.ceil(pairs_per_entry / len(ss)))
         rng = rng_stream(seed, _name_key(name) % 1000)
         worst = 0.0
         checked = 0
         for pl in ss.planes:
             xi_vec = pl.pvector().to_coeff_vector()
-            G = (M @ xi_vec).reshape(n, n)
+            G = Dphi @ xi_vec
             A = rng.standard_normal((per_plane, n, n))
             A = (A + np.transpose(A, (0, 2, 1))) / 2.0
             lhs = np.einsum("kij,ij->k", A, G)

@@ -19,7 +19,7 @@ from .exterior import (ExteriorElement, SimplePlane, hodge_star,
                        interior_product, lex_indices, pairing, wedge)
 from .grassmann import (FormEvaluator, PlaneSampleSet, comass,
                         constrained_extremum, polish_plane, rng_stream,
-                        skew_matrix, top_singular_plane)
+                        skew_matrix, span_split, top_singular_plane)
 from .lp import solve_lp
 
 BOUNDARY_TOL = 1e-6
@@ -63,11 +63,8 @@ def lambda_span(samples: PlaneSampleSet, sv_cutoff=1e-8) -> LambdaSpan:
     """Orthonormal basis of span{sampled p-vectors} and its complement."""
     if len(samples) == 0:
         raise ValueError("empty sample set")
-    rows = samples.pvectors()
-    _, s, vt = np.linalg.svd(rows, full_matrices=True)
-    d = int((s > sv_cutoff * s[0]).sum())
     pl = samples.planes[0]
-    return LambdaSpan(vt[:d], vt[d:], pl.n, pl.p)
+    return LambdaSpan(*span_split(samples.pvectors(), sv_cutoff), pl.n, pl.p)
 
 
 # ---------------------------------------------------------------------------

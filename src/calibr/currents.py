@@ -20,7 +20,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .calibrations import Calibration
-from .exterior import ExteriorElement, pairing, simple_from_frame
+from .exterior import (ExteriorElement, _sorted_sign, derivation_tensor,
+                       pairing, simple_from_frame)
 from .fields import ScalarField
 from .polynomial import (PolyForm, Polynomial, integrate_over_simplex,
                          simplex_volume)
@@ -80,13 +81,7 @@ class PolyhedralCurrent:
 def _face_key(verts):
     """Canonical (sorted) vertex key and permutation sign for a face."""
     keyed = sorted(range(len(verts)), key=lambda i: verts[i].tobytes())
-    sign = 1
-    perm = list(keyed)
-    for i in range(len(perm)):
-        while perm[i] != i:
-            j = perm[i]
-            perm[i], perm[j] = perm[j], perm[i]
-            sign = -sign
+    _, sign = _sorted_sign(keyed)
     return tuple(verts[i].tobytes() for i in keyed), sign, [verts[i] for i in keyed]
 
 
@@ -183,25 +178,29 @@ class MeshedSubmanifold:
         self.p = self.simplices.shape[1] - 1
         self.cal = cal
         self.flatness_tol = flatness_tol
-        self._boundary_faces = None
+        self._counts = None
         if validate:
             self._validate_orientations()
             if cal is not None:
                 self._validate_flatness()
 
+    def _face_counts(self):
+        """Signed incidence count of every (p-1)-face, keyed by its sorted
+        vertex tuple; computed once.  Boundary faces have nonzero counts."""
+        if self._counts is None:
+            counts = {}
+            for tri in self.simplices:
+                for drop in range(self.p + 1):
+                    face = tuple(v for i, v in enumerate(tri) if i != drop)
+                    key, sign = _sorted_sign(face)
+                    counts[key] = counts.get(key, 0) + sign * (-1) ** drop
+            self._counts = counts
+        return self._counts
+
     def _validate_orientations(self):
-        counts = {}
-        for tri in self.simplices:
-            for drop in range(self.p + 1):
-                face = tuple(v for i, v in enumerate(tri) if i != drop)
-                key = tuple(sorted(face))
-                sign = _perm_sign(face) * (-1) ** drop
-                counts[key] = counts.get(key, 0) + sign
-        bad = {k: c for k, c in counts.items() if abs(c) > 1}
+        bad = [k for k, c in self._face_counts().items() if abs(c) > 1]
         if bad:
-            raise ValueError(f"inconsistent orientations on faces {list(bad)[:3]}")
-        self._boundary_faces = [
-            k for k, c in counts.items() if c != 0]
+            raise ValueError(f"inconsistent orientations on faces {bad[:3]}")
 
     def _validate_flatness(self):
         for k, tri in enumerate(self.simplices):
@@ -214,7 +213,7 @@ class MeshedSubmanifold:
 
     def boundary_vertices(self):
         out = set()
-        for face in self._boundary_faces:
+        for face, _ in self.boundary_edges():
             out.update(face)
         return sorted(out)
 
@@ -224,30 +223,11 @@ class MeshedSubmanifold:
 
     def boundary_edges(self):
         """Oriented boundary (p-1)-faces with their orientation signs."""
-        counts = {}
-        for tri in self.simplices:
-            for drop in range(self.p + 1):
-                face = tuple(v for i, v in enumerate(tri) if i != drop)
-                key = tuple(sorted(face))
-                sign = _perm_sign(face) * (-1) ** drop
-                counts[key] = counts.get(key, 0) + sign
-        return [(k, c) for k, c in counts.items() if c != 0]
+        return [(k, c) for k, c in self._face_counts().items() if c != 0]
 
     def to_current(self, multiplicity=1.0) -> PolyhedralCurrent:
         simp = [(self.vertices[tri], multiplicity) for tri in self.simplices]
         return PolyhedralCurrent(self.n, self.p, simp, validate=False)
-
-
-def _perm_sign(seq):
-    seq = list(seq)
-    sign = 1
-    for i in range(1, len(seq)):
-        j = i
-        while j > 0 and seq[j - 1] > seq[j]:
-            seq[j - 1], seq[j] = seq[j], seq[j - 1]
-            sign = -sign
-            j -= 1
-    return sign
 
 
 # ---------------------------------------------------------------------------
@@ -470,14 +450,9 @@ def _hessian_pair_poly(f: ScalarField, cal: Calibration, xi: ExteriorElement,
     origin + z.frame, as a 2D polynomial when f is polynomial, else None."""
     if f.poly is None:
         return None
-    from .exterior import derivation_extend
     n = cal.n
-    K = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            E = np.zeros((n, n))
-            E[i, j] = 1.0
-            K[i, j] = pairing(derivation_extend(E, cal.form), xi)
+    K = (derivation_tensor(n, cal.p) @ cal.form.to_coeff_vector()
+         @ xi.to_coeff_vector())
     q = Polynomial.constant(2, 0.0)
     for i in range(1, n + 1):
         for j in range(1, n + 1):

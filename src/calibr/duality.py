@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .calibrations import Calibration
-from .exterior import ExteriorElement, derivation_extend, lex_indices, pairing
+from .exterior import derivation_tensor, lex_indices, pairing
 from .grassmann import PlaneSampleSet
 from .lp import solve_lp
 from .polynomial import (PolyForm, Polynomial, integrate_over_box,
@@ -318,11 +318,15 @@ def assemble_jensen_model(model: FiniteDualityModel, K_indices, x_index):
     rows = len(model.test_family) + 1
     A = np.zeros((rows, len(atoms) + nK))
     b = np.zeros(rows)
+    # per atom, the matrix G with (H extended into phi)(xi) = <H, G>
     cal = model.calibration
+    Dphi = derivation_tensor(cal.n, cal.p) @ cal.form.to_coeff_vector()
+    G = np.array([Dphi @ pl.pvector().to_coeff_vector()
+                  for _, pl in atoms]).reshape(-1, cal.n, cal.n)
+    site_of = [i for i, _ in atoms]
     for k, f in enumerate(model.test_family):
-        for col, (i, pl) in enumerate(atoms):
-            H = f.hessian_at(model.sites[i])
-            A[k, col] = pairing(derivation_extend(H, cal.form), pl.pvector())
+        H = np.array([f.hessian_at(site) for site in model.sites])
+        A[k, :len(atoms)] = np.einsum("alm,alm->a", H[site_of], G)
         for j in range(nK):
             A[k, len(atoms) + j] = -f(K_pts[j])
         b[k] = -f(x)
@@ -350,16 +354,9 @@ def jensen_alternative(model: FiniteDualityModel, K_indices, x_index,
     # independent dual search: maximize f(x) - t with t >= f on K and the
     # dictionary Hessian pairings nonnegative, |a| <= 1 boxwise
     K = len(model.test_family)
-    fx = np.array([f(model.sites[x_index]) for f in model.test_family])
-    fK = np.array([[f(model.sites[j]) for f in model.test_family]
-                   for j in K_indices])                       # (nK, K)
-    Hmat = np.zeros((len(atoms), K))
-    cal = model.calibration
-    for k, f in enumerate(model.test_family):
-        for col, (i, pl) in enumerate(atoms):
-            H = f.hessian_at(model.sites[i])
-            Hmat[col, k] = pairing(derivation_extend(H, cal.form),
-                                   pl.pvector())
+    fx = -b[:K]
+    fK = -A[:K, len(atoms):].T                                # (nK, K)
+    Hmat = A[:K, :len(atoms)].T
     # variables: a (boxed), t (free via box), slacks
     # constraints: Hmat a - u = 0 (u >= 0);  t - fK a - v = 0 (v >= 0)
     nA, nT = K, 1

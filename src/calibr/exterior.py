@@ -51,6 +51,62 @@ def _sorted_sign(seq):
     return tuple(seq), sign
 
 
+@lru_cache(maxsize=None)
+def _lex_array(n: int, p: int) -> np.ndarray:
+    """Zero-based lex indices as a (C(n,p), p) integer array."""
+    idx = lex_indices(n, p)
+    return np.array(idx, dtype=int).reshape(len(idx), p) - 1
+
+
+def _stack_dets(S):
+    """Determinants of a (..., k, k) stack without LAPACK overhead for the
+    tiny sizes that dominate here."""
+    k = S.shape[-1]
+    if k == 1:
+        return S[..., 0, 0].copy()
+    if k == 2:
+        return S[..., 0, 0] * S[..., 1, 1] - S[..., 0, 1] * S[..., 1, 0]
+    if k == 3:
+        return (S[..., 0, 0] * (S[..., 1, 1] * S[..., 2, 2]
+                                - S[..., 1, 2] * S[..., 2, 1])
+                - S[..., 0, 1] * (S[..., 1, 0] * S[..., 2, 2]
+                                  - S[..., 1, 2] * S[..., 2, 0])
+                + S[..., 0, 2] * (S[..., 1, 0] * S[..., 2, 1]
+                                  - S[..., 1, 1] * S[..., 2, 0]))
+    return np.linalg.det(S)
+
+
+def compound(Q, p: int) -> np.ndarray:
+    """The p-th compound matrix of the (n, d) matrix Q: the (C(n,p), C(d,p))
+    array of p x p minors, rows and columns in lex order.
+
+    By Cauchy-Binet it is the matrix of the pullback along Q on Lambda^p
+    acting on coefficient row vectors, and for an (n, p) frame its single
+    column holds the Pluecker coordinates of the frame's p-vector.
+    """
+    Q = np.asarray(Q, dtype=float)
+    n, d = Q.shape
+    rows, cols = _lex_array(n, p), _lex_array(d, p)
+    return _stack_dets(Q[rows[:, None, :, None], cols[None, :, None, :]])
+
+
+@lru_cache(maxsize=None)
+def derivation_tensor(n: int, p: int) -> np.ndarray:
+    """Read-only (n, n, C(n,p), C(n,p)) array whose slice D[l, m] is the
+    matrix, on lex coefficient vectors, of the derivation of Lambda^p
+    sending dx_{l+1} to dx_{m+1} and every other dx_k to zero."""
+    pos = lex_position(n, p)
+    D = np.zeros((n, n, len(pos), len(pos)))
+    for col, idx in enumerate(lex_indices(n, p)):
+        for slot, l in enumerate(idx):
+            for m in range(1, n + 1):
+                new, sign = _sorted_sign(idx[:slot] + (m,) + idx[slot + 1:])
+                if new is not None:
+                    D[l - 1, m - 1, pos[new], col] += sign
+    D.flags.writeable = False
+    return D
+
+
 class ExteriorElement:
     """Degree-p alternating tensor over R^n with sparse coefficients."""
 
@@ -209,20 +265,9 @@ def derivation_extend(A, phi: ExteriorElement) -> ExteriorElement:
     A = np.asarray(A, dtype=float)
     if A.shape != (phi.n, phi.n):
         raise ValueError(f"dimension mismatch: A is {A.shape}, expected ({phi.n},{phi.n})")
-    out = {}
-    for idx, c in phi.coeffs.items():
-        for pos, i in enumerate(idx):
-            row = A[i - 1]
-            for l in range(1, phi.n + 1):
-                coef = row[l - 1]
-                if coef == 0.0:
-                    continue
-                new = idx[:pos] + (l,) + idx[pos + 1:]
-                sidx, sign = _sorted_sign(new)
-                if sidx is None:
-                    continue
-                out[sidx] = out.get(sidx, 0.0) + c * coef * sign
-    return ExteriorElement(phi.n, phi.p, out)
+    D = derivation_tensor(phi.n, phi.p)
+    vec = np.tensordot(A, D @ phi.to_coeff_vector(), axes=2)
+    return ExteriorElement.from_coeff_vector(phi.n, phi.p, vec)
 
 
 def pairing(alpha: ExteriorElement, xi: ExteriorElement) -> float:
@@ -279,10 +324,9 @@ class SimplePlane:
     def pvector(self) -> ExteriorElement:
         """The unit simple p-vector (Pluecker coordinates) of the plane."""
         if self._pvector is None:
-            el = ExteriorElement(self.n, 0, {(): 1.0})
-            for row in self.frame:
-                el = wedge(el, ExteriorElement.from_vector(row))
-            self._pvector = el
+            minors = compound(self.frame.T, self.p)[:, 0]
+            self._pvector = ExteriorElement.from_coeff_vector(self.n, self.p,
+                                                              minors)
         return self._pvector
 
     def span_projector(self) -> np.ndarray:

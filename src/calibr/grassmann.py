@@ -16,15 +16,14 @@ certificate is claimed.
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .calibrations import Calibration
-from .exterior import (ExteriorElement, SimplePlane, angular_distance,
-                       hodge_star, lex_indices, lex_position, pairing)
+from .exterior import (ExteriorElement, SimplePlane, _lex_array, _stack_dets,
+                       angular_distance, compound, hodge_star, interior_product,
+                       lex_indices, lex_position)
 
 DEFAULT_GTOL = 1e-12
 DEDUP_ANGLE = 1e-3
@@ -41,24 +40,6 @@ def random_frame(n, p, rng) -> np.ndarray:
     return q * np.sign(np.diag(r))[None, :]
 
 
-def _stack_dets(S):
-    """Determinants of a (..., k, k) stack without LAPACK overhead for the
-    tiny sizes that dominate here."""
-    k = S.shape[-1]
-    if k == 1:
-        return S[..., 0, 0].copy()
-    if k == 2:
-        return S[..., 0, 0] * S[..., 1, 1] - S[..., 0, 1] * S[..., 1, 0]
-    if k == 3:
-        return (S[..., 0, 0] * (S[..., 1, 1] * S[..., 2, 2]
-                                - S[..., 1, 2] * S[..., 2, 1])
-                - S[..., 0, 1] * (S[..., 1, 0] * S[..., 2, 2]
-                                  - S[..., 1, 2] * S[..., 2, 0])
-                + S[..., 0, 2] * (S[..., 1, 0] * S[..., 2, 1]
-                                  - S[..., 1, 1] * S[..., 2, 0]))
-    return np.linalg.det(S)
-
-
 class FormEvaluator:
     """Vectorized evaluation/gradient of U -> phi(col_1 ^ ... ^ col_p)."""
 
@@ -66,13 +47,11 @@ class FormEvaluator:
         self.n, self.p = phi.n, phi.p
         if self.p < 1:
             raise ValueError("FormEvaluator needs degree >= 1")
-        basis = lex_indices(self.n, self.p)
         self.phi_vec = phi.to_coeff_vector()
-        self.rows_p = np.array([[i - 1 for i in idx] for idx in basis], dtype=int)
+        self.rows_p = _lex_array(self.n, self.p)
         if self.p > 1:
             pm1 = lex_indices(self.n, self.p - 1)
-            self.rows_pm1 = np.array([[i - 1 for i in idx] for idx in pm1],
-                                     dtype=int)
+            self.rows_pm1 = _lex_array(self.n, self.p - 1)
             pos = lex_position(self.n, self.p)
             M = np.zeros((self.n, len(pm1)))
             for col, J in enumerate(pm1):
@@ -483,16 +462,17 @@ def pullback(phi: ExteriorElement, Q) -> ExteriorElement:
         raise ValueError("pullback dimension mismatch")
     if phi.p > d:
         return ExteriorElement.zero(d, min(phi.p, d))
-    out = {}
-    rows = {idx: np.array([i - 1 for i in idx]) for idx in phi.coeffs}
-    for J in itertools.combinations(range(d), phi.p):
-        colsel = np.array(J)
-        total = 0.0
-        for idx, c in phi.coeffs.items():
-            total += c * np.linalg.det(Q[rows[idx][:, None], colsel[None, :]])
-        if total != 0.0:
-            out[tuple(j + 1 for j in J)] = total
-    return ExteriorElement(d, phi.p, out)
+    return ExteriorElement.from_coeff_vector(
+        d, phi.p, phi.to_coeff_vector() @ compound(Q, phi.p))
+
+
+def span_split(rows, sv_cutoff=1e-8):
+    """Orthonormal bases (span, perp) of the row space of ``rows`` and of its
+    orthogonal complement, splitting singular values at sv_cutoff relative to
+    the largest."""
+    _, s, vt = np.linalg.svd(rows, full_matrices=True)
+    d = int((s > sv_cutoff * (s[0] if s.size else 1.0)).sum())
+    return vt[:d], vt[d:]
 
 
 def hyperplane_basis(u) -> np.ndarray:
@@ -525,17 +505,14 @@ def reduce_calibration(cal: Calibration, samples: PlaneSampleSet,
     """
     if len(samples) == 0:
         raise ValueError("empty sample set")
-    rows = np.vstack([pl.frame for pl in samples.planes])
-    _, s, vt = np.linalg.svd(rows, full_matrices=True)
-    d = int((s > sv_cutoff * s[0]).sum())
-    W = vt[:d]
+    W, perp = span_split(np.vstack([pl.frame for pl in samples.planes]),
+                         sv_cutoff)
     psi = pullback(cal.form, W.T)
-    elliptic = d == cal.n
+    elliptic = len(W) == cal.n
     witness = None
     residual = 0.0
     if not elliptic:
-        witness = vt[-1]
-        from .exterior import interior_product
+        witness = perp[-1]
         residual = max(interior_product(witness, pl.pvector()).norm()
                        for pl in samples.planes)
     return ReduceResult(W, psi, elliptic, witness, residual)

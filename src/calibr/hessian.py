@@ -18,12 +18,12 @@ import numpy as np
 
 from .calibrations import Calibration
 from .cones import LambdaSpan, lambda_span
-from .exterior import (ExteriorElement, derivation_extend, interior_product,
-                       lex_indices, pairing, wedge)
+from .exterior import (ExteriorElement, compound, derivation_extend,
+                       interior_product, lex_indices, pairing, wedge)
 from .fields import ScalarField
 from .grassmann import (FormEvaluator, PlaneSampleSet, _ascend, comass,
                         hyperplane_basis, pullback, random_frame, rng_stream,
-                        sample_grassmannian)
+                        sample_grassmannian, span_split)
 
 
 def d_phi(f: ScalarField, x, cal: Calibration) -> ExteriorElement:
@@ -272,8 +272,7 @@ def _adaptive_span_rows(cal: Calibration, tol, seed, batch=24, cap=400,
                                  random_frame(cal.n, cal.p, rng),
                                  gtol=1e-11, max_iter=400)
             if f >= cal.claimed_comass - tol:
-                rows.append(np.linalg.det(
-                    U[ev.rows_p, :]) if cal.p > 1 else U[:, 0].copy())
+                rows.append(ev.pvector_vec(U))
                 got += 1
         attempts += batch
         if rows:
@@ -281,12 +280,6 @@ def _adaptive_span_rows(cal: Calibration, tol, seed, batch=24, cap=400,
             stable = stable + 1 if new_rank == rank else 0
             rank = new_rank
     return np.array(rows)
-
-
-def _perp_basis(rows, dim_total, sv_cutoff=1e-8):
-    _, s, vt = np.linalg.svd(rows, full_matrices=True)
-    d = int((s > sv_cutoff * (s[0] if s.size else 1.0)).sum())
-    return vt[:d], vt[d:]
 
 
 @dataclass
@@ -308,7 +301,7 @@ def normality_check(cal: Calibration, trials=50, seed=0, mismatch_tol=1e-8,
     excluded from the comparison.
     """
     full_rows = _adaptive_span_rows(cal, tol=1e-9, seed=seed)
-    span_basis, perp_basis = _perp_basis(full_rows, None)
+    _, perp_basis = span_split(full_rows)
     failures = []
     degenerate = 0
     worst = 0.0
@@ -329,16 +322,9 @@ def normality_check(cal: Calibration, trials=50, seed=0, mismatch_tol=1e-8,
         if rows_w.size == 0:
             degenerate += 1
             continue
-        _, perp_w = _perp_basis(rows_w, None)         # Lambda(phi|_W)^perp
+        _, perp_w = span_split(rows_w)                # Lambda(phi|_W)^perp
         # restriction to W of the full annihilator, inside Lambda^p W
-        pulled = []
-        for row in perp_basis:
-            el = ExteriorElement.from_coeff_vector(cal.n, cal.p, row,
-                                                   drop_tol=0.0)
-            pulled.append(pullback(el, Q).to_coeff_vector())
-        pulled = np.array(pulled) if pulled else np.zeros((0, perp_w.shape[1]))
-        restr_basis, _ = _perp_basis(pulled, None) if pulled.size else \
-            (np.zeros((0, perp_w.shape[1])), None)
+        restr_basis, _ = span_split(perp_basis @ compound(Q, cal.p))
         # compare the two subspaces by their orthogonal projectors
         d1, d2 = perp_w.shape[0], restr_basis.shape[0]
         dim_amb = perp_w.shape[1]

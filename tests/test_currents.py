@@ -167,6 +167,16 @@ class TestMeshInfrastructure:
         with pytest.raises(ValueError, match="orientation"):
             MeshedSubmanifold(M.vertices, tris)
 
+    def test_unvalidated_mesh_boundary(self, omega):
+        M = disc_mesh(3, cal=omega)
+        U = MeshedSubmanifold(M.vertices, M.simplices, cal=omega,
+                              validate=False)
+        assert U.boundary_vertices() == M.boundary_vertices()
+        assert U.interior_vertices() == M.interior_vertices()
+        assert sorted(U.boundary_edges()) == sorted(M.boundary_edges())
+        assert len(U.boundary_vertices()) == 18        # the outer ring
+        assert len(U.interior_vertices()) == 1 + 6 + 12
+
     def test_flatness_validation(self, omega):
         with pytest.raises(ValueError, match="phi-value"):
             tilted_disc_mesh(3, 0.5, cal=omega, flatness_tol=1e-9)

@@ -7,9 +7,12 @@ from calibr.duality import (active_site_hull_check, assemble_boundary_model,
                             boundary_alternative, build_boundary_model,
                             build_jensen_model, form_test_family,
                             jensen_alternative, scalar_test_family)
-from calibr.exterior import SimplePlane
+from calibr.exterior import (ExteriorElement, SimplePlane, derivation_extend,
+                             pairing, wedge)
 from calibr.grassmann import rng_stream, sample_grassmannian
+from calibr.lp import solve_lp
 from calibr.polynomial import integrate_over_box
+from scipy.optimize import linprog
 
 
 @pytest.fixture(scope="module")
@@ -225,3 +228,128 @@ class TestJensenAlternative:
             if (not feas[1] and feas[2]) or (not feas[2] and feas[3]):
                 flips_wrong_way += 1
         assert flips_wrong_way == 0
+
+
+# -- the in-repo simplex against HiGHS on the criterion-8 generators ---------
+
+CRITERION_8_SEED = 1729
+
+
+def wedge_pvector(plane):
+    """The plane's p-vector as the wedge of its frame rows."""
+    xi = ExteriorElement(plane.n, 0, {(): 1.0})
+    for row in plane.frame:
+        xi = wedge(xi, ExteriorElement.from_vector(row))
+    return xi
+
+
+def boundary_matrix(model):
+    """(d beta_k)(x_i)(xi) for every test form and atom, term by term."""
+    return np.array([[pairing(beta.d().at(model.sites[i]), wedge_pvector(pl))
+                      for i, pl in model.atoms]
+                     for beta in model.test_family])
+
+
+def highs_feasible(A, b, A_ub=None, b_ub=None):
+    res = linprog(np.zeros(A.shape[1]), A_ub=A_ub, b_ub=b_ub, A_eq=A,
+                  b_eq=b, bounds=(0, None), method="highs")
+    assert res.status in (0, 2)         # solved or infeasible
+    return res.status == 0
+
+
+def simplex_feasible(A, b):
+    return solve_lp(np.zeros(A.shape[1]), A, b).status == 'optimal'
+
+
+def check_weights(A, b, w):
+    assert w.min() >= -1e-9
+    assert np.abs(A @ w - b).max() <= 1e-7 * max(1.0, np.abs(b).max())
+
+
+class TestSolverDifferential:
+    @pytest.fixture(scope="class")
+    def ss8(self, omega):
+        return sample_grassmannian(omega, tol=1e-8, count=8,
+                                   seed=CRITERION_8_SEED)
+
+    def test_plain_boundary(self, omega, ss8):
+        for inst in range(10):
+            rng = rng_stream(CRITERION_8_SEED, 8000 + inst)
+            sites = rng.uniform(-1, 1, size=(4, 4))
+            model = build_boundary_model(omega, sites, ss8, degree=1,
+                                         planes_per_site=3)
+            A = boundary_matrix(model)
+            assembled, _ = assemble_boundary_model(
+                model, np.zeros(len(model.test_family)))
+            assert np.abs(assembled - A).max() < 1e-12
+            S = A @ np.abs(rng.standard_normal(A.shape[1]))
+            if inst % 2 == 1:
+                S = S * rng.choice([-1.0, 1.0], size=len(S))
+            feasible = highs_feasible(A, S)
+            assert simplex_feasible(A, S) == feasible
+            res = boundary_alternative(model, S)
+            assert (res.primal == 'Feasible') == feasible
+            if res.weights is not None:
+                check_weights(A, S, res.weights)
+            if res.certificate is not None:
+                assert (A.T @ res.certificate).min() >= -1e-8
+                assert S @ res.certificate < 0.0
+
+    def test_lambda_boundary(self, omega, ss8):
+        for inst in range(10):
+            rng = rng_stream(CRITERION_8_SEED, 10_000 + inst)
+            sites = rng.uniform(-1, 1, size=(3, 4))
+            model = build_boundary_model(omega, sites, ss8, degree=1,
+                                         planes_per_site=3)
+            A = boundary_matrix(model)
+            m = A.shape[1]
+            S = A @ np.abs(rng.standard_normal(m))
+            phi = np.array([pairing(omega.form, wedge_pvector(pl))
+                            for _, pl in model.atoms])
+            lam_star = linprog(np.ones(m), A_eq=A, b_eq=S, bounds=(0, None),
+                               method="highs").fun
+            for lam in (0.5 * lam_star, 2.0 * lam_star):
+                feasible = highs_feasible(A, S, np.ones((1, m)), [lam])
+                # the mass bound as an equation with one slack column
+                bounded = np.block([[A, np.zeros((len(S), 1))],
+                                    [np.ones((1, m + 1))]])
+                assert simplex_feasible(bounded, np.append(S, lam)) == feasible
+                res = boundary_alternative(model, S, lam=lam)
+                assert (res.primal == 'Feasible') == feasible
+                if res.weights is not None:
+                    check_weights(A, S, res.weights)
+                    assert res.weights.sum() <= lam + 1e-7
+                if res.certificate is not None:
+                    assert (A.T @ res.certificate + phi).min() >= -1e-8
+                    assert S @ res.certificate < -lam
+
+    def test_jensen(self, omega, ss8):
+        K, x = [0, 1, 2, 3], 4
+        for inst in range(10):
+            rng = rng_stream(CRITERION_8_SEED, 9000 + inst)
+            pts = rng.uniform(-1, 1, size=(5, 4))
+            model = build_jensen_model(omega, pts, ss8, degree=2,
+                                       planes_per_site=4)
+            fam = model.test_family
+            Hmat = np.array([[pairing(derivation_extend(f.hessian_at(pts[i]),
+                                                        omega.form),
+                                      wedge_pvector(pl)) for f in fam]
+                             for i, pl in model.atoms])
+            fx = np.array([f(pts[x]) for f in fam])
+            fK = np.array([[f(pts[j]) for f in fam] for j in K])
+            A, b = assemble_jensen_model(model, K, x)
+            n_atoms = len(model.atoms)
+            scale = max(1.0, np.abs(Hmat).max())
+            assert np.abs(A[:-1, :n_atoms] - Hmat.T).max() < 1e-12 * scale
+            assert np.array_equal(A[:-1, n_atoms:], -fK.T)
+            assert np.array_equal(b[:-1], -fx)
+            feasible = highs_feasible(A, b)
+            assert simplex_feasible(A, b) == feasible
+            res = jensen_alternative(model, K, x)
+            assert (res.primal == 'Feasible') == feasible
+            if res.weights is not None:
+                check_weights(A, b, res.weights)
+            if res.dual == 'Certificate':
+                a = res.certificate
+                assert (Hmat @ a).min() >= -1e-8
+                assert fx @ a > (fK @ a).max()

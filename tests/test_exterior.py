@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from calibr.exterior import (
-    ExteriorElement, SimplePlane, angular_distance, derivation_extend,
-    form_from_json, form_to_json, hodge_star, interior_product, is_simple,
-    pairing, simple_from_frame, wedge,
+    ExteriorElement, SimplePlane, _sorted_sign, angular_distance, compound,
+    derivation_extend, derivation_tensor, form_from_json, form_to_json,
+    hodge_star, interior_product, is_simple, lex_indices, pairing,
+    simple_from_frame, wedge,
 )
 
 rng = np.random.default_rng(7)
@@ -230,3 +231,80 @@ class TestJson:
                             "terms": [{"indices": [1, 5], "coeff": 1.0}]})
         with pytest.raises(ValueError):
             form_from_json({"n": 4, "p": 2, "bogus": 1, "terms": []})
+
+
+# -- slow-path references for the Lambda^p operator layer --------------------
+
+def reference_derivation_extend(A, phi):
+    """Slot-by-slot dict loop: each dx_i in each slot goes to sum_l A_il dx_l."""
+    out = {}
+    for idx, c in phi.coeffs.items():
+        for pos, i in enumerate(idx):
+            row = A[i - 1]
+            for l in range(1, phi.n + 1):
+                coef = row[l - 1]
+                if coef == 0.0:
+                    continue
+                new = idx[:pos] + (l,) + idx[pos + 1:]
+                sidx, sign = _sorted_sign(new)
+                if sidx is None:
+                    continue
+                out[sidx] = out.get(sidx, 0.0) + c * coef * sign
+    return ExteriorElement(phi.n, phi.p, out)
+
+
+class TestCompound:
+    @pytest.mark.parametrize("n,d", [(3, 2), (4, 4), (5, 3), (7, 6), (8, 7)])
+    def test_entries_are_minors(self, n, d):
+        Q = rng.standard_normal((n, d))
+        for p in range(1, d + 1):
+            C = compound(Q, p)
+            expect = np.array([[np.linalg.det(Q[np.ix_(np.array(I) - 1,
+                                                         np.array(J) - 1)])
+                                for J in lex_indices(d, p)]
+                               for I in lex_indices(n, p)])
+            assert C.shape == expect.shape
+            assert np.abs(C - expect).max() < 1e-12
+
+    def test_degree_zero(self):
+        assert compound(rng.standard_normal((4, 3)), 0).tolist() == [[1.0]]
+
+    @pytest.mark.parametrize("n,m,d", [(4, 4, 4), (6, 5, 4), (8, 8, 7)])
+    def test_cauchy_binet(self, n, m, d):
+        A = rng.standard_normal((n, m)) / np.sqrt(m)
+        B = rng.standard_normal((m, d)) / np.sqrt(d)
+        for p in range(1, min(m, d) + 1):
+            lhs = compound(A @ B, p)
+            rhs = compound(A, p) @ compound(B, p)
+            assert np.abs(lhs - rhs).max() < 1e-12
+
+    def test_pvector_is_simple_column(self):
+        F = np.linalg.qr(rng.standard_normal((6, 3)))[0]
+        xi = SimplePlane(F.T).pvector()
+        # equal up to the DROP_TOL clean-up of the ExteriorElement
+        assert np.abs(xi.to_coeff_vector() - compound(F, 3)[:, 0]).max() \
+            <= 1e-14
+        assert abs(xi.norm() - 1.0) < 1e-12 and is_simple(xi)
+
+
+class TestDerivationTensor:
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_matches_dict_loop(self, n):
+        for p in range(n + 1):
+            phi = random_element(n, p, rng)
+            A = rng.standard_normal((n, n))
+            fast = derivation_extend(A, phi).to_coeff_vector()
+            slow = reference_derivation_extend(A, phi).to_coeff_vector()
+            assert np.abs(fast - slow).max() < 1e-12
+
+    def test_slices_are_elementary_derivations(self):
+        D = derivation_tensor(5, 2)
+        assert D.shape == (5, 5, 10, 10) and not D.flags.writeable
+        phi = random_element(5, 2, rng)
+        for l in range(5):
+            for m in range(5):
+                E = np.zeros((5, 5))
+                E[l, m] = 1.0
+                expect = reference_derivation_extend(E, phi).to_coeff_vector()
+                assert np.abs(D[l, m] @ phi.to_coeff_vector()
+                              - expect).max() < 1e-12

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from calibr.acceptance import COMASS_ENTRIES
 from calibr.calibrations import catalogue
 from calibr.exterior import (ExteriorElement, SimplePlane, angular_distance,
                              interior_product, lex_indices, pairing,
@@ -265,6 +266,44 @@ class TestPullbackAndReduce:
         ss = sample_grassmannian(cal, count=30, seed=3)
         red = reduce_calibration(cal, ss)
         assert red.elliptic
+
+
+def reference_pullback(phi, Q):
+    """Per-minor determinant loop: sum over phi's terms of c * det(Q[I, J])."""
+    n, d = Q.shape
+    out = {}
+    for J in lex_indices(d, phi.p):
+        cols = np.array(J) - 1
+        total = sum(c * np.linalg.det(Q[np.ix_(np.array(I) - 1, cols)])
+                    for I, c in phi.coeffs.items())
+        if total != 0.0:
+            out[J] = total
+    return ExteriorElement(d, phi.p, out)
+
+
+class TestPullbackReference:
+    @pytest.mark.parametrize("name,params", COMASS_ENTRIES)
+    def test_catalogue_forms(self, name, params):
+        cal = catalogue(name, *params)
+        rng = np.random.default_rng(31)
+        Qs = [hyperplane_basis(rng.standard_normal(cal.n)),
+              rng.standard_normal((cal.n, cal.n)) / np.sqrt(cal.n),
+              rng.standard_normal((cal.n, cal.p)) / np.sqrt(cal.n)]
+        for Q in Qs:
+            fast = pullback(cal.form, Q)
+            slow = reference_pullback(cal.form, Q)
+            assert fast.allclose(slow, tol=1e-12)
+
+    def test_random_forms(self):
+        rng = np.random.default_rng(37)
+        for n in range(2, 8):
+            for p in range(1, n + 1):
+                phi = ExteriorElement.from_coeff_vector(
+                    n, p, rng.standard_normal(len(lex_indices(n, p))))
+                for d in range(p, n + 2):
+                    Q = rng.standard_normal((n, d)) / np.sqrt(d)
+                    assert pullback(phi, Q).allclose(
+                        reference_pullback(phi, Q), tol=1e-12)
 
 
 class TestSymbolIdentity:
