@@ -73,6 +73,20 @@ def _stack_dets(S):
                                   - S[..., 1, 2] * S[..., 2, 0])
                 + S[..., 0, 2] * (S[..., 1, 0] * S[..., 2, 1]
                                   - S[..., 1, 1] * S[..., 2, 0]))
+    if k == 4:
+        # first-row expansion; the 3x3 cofactors share the six 2x2 minors
+        # of the last two rows
+        a, b, c = S[..., 1, :], S[..., 2, :], S[..., 3, :]
+        m = {(i, j): b[..., i] * c[..., j] - b[..., j] * c[..., i]
+             for i in range(4) for j in range(i + 1, 4)}
+        return (S[..., 0, 0] * (a[..., 1] * m[2, 3] - a[..., 2] * m[1, 3]
+                                + a[..., 3] * m[1, 2])
+                - S[..., 0, 1] * (a[..., 0] * m[2, 3] - a[..., 2] * m[0, 3]
+                                  + a[..., 3] * m[0, 2])
+                + S[..., 0, 2] * (a[..., 0] * m[1, 3] - a[..., 1] * m[0, 3]
+                                  + a[..., 3] * m[0, 1])
+                - S[..., 0, 3] * (a[..., 0] * m[1, 2] - a[..., 1] * m[0, 2]
+                                  + a[..., 2] * m[0, 1]))
     return np.linalg.det(S)
 
 

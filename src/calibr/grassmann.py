@@ -16,6 +16,7 @@ certificate is claimed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,7 +52,6 @@ class FormEvaluator:
         self.rows_p = _lex_array(self.n, self.p)
         if self.p > 1:
             pm1 = lex_indices(self.n, self.p - 1)
-            self.rows_pm1 = _lex_array(self.n, self.p - 1)
             pos = lex_position(self.n, self.p)
             M = np.zeros((self.n, len(pm1)))
             for col, J in enumerate(pm1):
@@ -62,13 +62,17 @@ class FormEvaluator:
                     sign = (-1.0) ** sum(1 for j in J if j < i)
                     key = tuple(sorted(J + (i,)))
                     M[i - 1, col] = sign * self.phi_vec[pos[key]]
-            self.contract = M
-            self.keep_cols = [np.array([c for c in range(self.p) if c != k],
-                                       dtype=int)
-                              for k in range(self.p)]
-        else:
-            self.rows_pm1 = None
-            self.contract = None
+            # column k of the gradient is (-1)^k M @ (the (p-1)-minors of
+            # U without column k)
+            self.contract_t = M.T
+            self.signs = ((-1.0) ** np.arange(self.p))[:, None]
+            keep = np.array([[c for c in range(self.p) if c != k]
+                             for k in range(self.p)], dtype=int)
+            # index arrays selecting, for every k, the (p-1) x (p-1)
+            # submatrices of U on rows J (lex (p-1)-tuples), columns != k
+            self.cofactor_rows = _lex_array(self.n, self.p - 1)[None, :, :,
+                                                                 None]
+            self.cofactor_cols = keep[:, None, None, :]
 
     def pvector_vec(self, U) -> np.ndarray:
         """Pluecker coordinate vector of the frame's unit p-vector."""
@@ -80,82 +84,136 @@ class FormEvaluator:
         return float(self.phi_vec @ self.pvector_vec(U))
 
     def value_and_grad(self, U):
+        """phi on the frame's plane and its gradient in the frame's entries.
+
+        U is one (n, p) frame, giving (float, (n, p) array), or an (S, n, p)
+        stack, giving ((S,) array, (S, n, p) array).  The value is read off
+        the gradient: phi is linear in the first column, so
+        phi(U) = sum_i U[i, 0] G[i, 0].
+        """
+        Us = U[None] if U.ndim == 2 else U
         if self.p == 1:
-            return float(self.phi_vec @ U[:, 0]), self.phi_vec[:, None].copy()
-        val = float(self.phi_vec @ self.pvector_vec(U))
-        G = np.empty((self.n, self.p))
-        for k in range(self.p):
-            sub = U[self.rows_pm1[:, :, None], self.keep_cols[k][None, None, :]]
-            eta = _stack_dets(sub)
-            G[:, k] = ((-1.0) ** k) * (self.contract @ eta)
-        return val, G
+            G = np.repeat(self.phi_vec[None, :, None], len(Us), axis=0)
+        else:
+            eta = _stack_dets(Us[:, self.cofactor_rows, self.cofactor_cols])
+            G = ((eta @ self.contract_t) * self.signs).transpose(0, 2, 1)
+        # stacked matmuls, so that a frame gets the same bits in any stack
+        f = (Us[:, None, :, 0] @ G[:, :, :1])[:, 0, 0]
+        if U.ndim == 2:
+            return float(f[0]), G[0]
+        return f, G
+
+
+def _fnorm(T):
+    """Frobenius norm of every matrix of a stack."""
+    return np.sqrt((T * T).sum(axis=(1, 2)))
 
 
 def _retract(U):
-    p = U.shape[1]
+    """Re-orthonormalize every frame of an (S, n, p) stack, keeping its
+    orientation."""
+    p = U.shape[-1]
     if p <= 3:
-        # modified Gram-Schmidt keeps the orientation and beats QR on the
-        # tiny frames used everywhere here
-        Q = U.copy()
+        # modified Gram-Schmidt beats QR on the tiny frames used here; the
+        # (S, 1, n) @ (S, n, 1) products sum as the dot of one pair would
+        Q = np.empty_like(U)
         for k in range(p):
-            v = Q[:, k]
+            v = U[:, :, k:k + 1]
             for j in range(k):
-                v = v - (Q[:, j] @ v) * Q[:, j]
-            Q[:, k] = v / np.sqrt(v @ v)
+                q = Q[:, :, j:j + 1]
+                v = v - (q.transpose(0, 2, 1) @ v) * q
+            Q[:, :, k:k + 1] = v / np.sqrt(v.transpose(0, 2, 1) @ v)
         return Q
     q, r = np.linalg.qr(U)
-    return q * np.sign(np.diag(r))[None, :]
+    return q * np.sign(np.diagonal(r, axis1=1, axis2=2))[:, None, :]
 
 
 def _tangent(U, G):
-    UtG = U.T @ G
-    return G - U @ ((UtG + UtG.T) / 2.0)
+    """Projection of G onto the Stiefel tangent space at U, frame by frame."""
+    UtG = U.transpose(0, 2, 1) @ G
+    return G - U @ ((UtG + UtG.transpose(0, 2, 1)) / 2.0)
 
 
-def _ascend(value_and_grad, U, gtol=DEFAULT_GTOL, max_iter=600, step0=0.2):
-    """Projected-gradient ascent with backtracking; returns (U, f, gnorm, iters).
+def _ascend_batch(value_and_grad, U, gtol=DEFAULT_GTOL, max_iter=600,
+                  step0=0.2):
+    """Projected-gradient ascent with backtracking from every frame of an
+    (S, n, p) stack; returns per-start arrays (U, f, gnorm, iters).
 
-    Near a maximizer the Armijo test drowns in floating-point rounding, so a
-    second stage drives the tangent-gradient norm down directly.
+    value_and_grad maps an (S', n, p) stack to ((S',) values, gradients).
+    Every start runs its own line search, with its own step, backtracking
+    count, stage and iteration cap; each round evaluates one trial frame for
+    every start still running, in one call on the stack of trials, and a
+    start that finishes leaves the stack.  Near a maximizer the Armijo test
+    drowns in floating-point rounding, so a second stage drives the
+    tangent-gradient norm down directly.
     """
+    U = np.array(U, dtype=float)
+    S = len(U)
+    out = (np.empty_like(U), np.empty(S), np.empty(S), np.empty(S, int))
+    idx = np.arange(S)
     f, G = value_and_grad(U)
-    step = step0
-    it = 0
-    while it < max_iter:
-        it += 1
-        T = _tangent(U, G)
-        gnorm = float(np.sqrt((T * T).sum()))
-        if gnorm <= gtol:
-            return U, f, gnorm, it
-        accepted = False
-        for _ in range(50):
-            if step * gnorm * gnorm < 1e-13 * max(1.0, abs(f)):
-                break  # improvement below rounding: switch to stage 2
-            U_new = _retract(U + step * T)
-            f_new, G_new = value_and_grad(U_new)
-            if f_new >= f + 1e-4 * step * gnorm * gnorm:
-                U, f, G = U_new, f_new, G_new
-                step = min(step * 1.8, 4.0)
-                accepted = True
-                break
-            step *= 0.4
-        if not accepted:
-            break
-    # stage 2: monotone gradient-norm descent with step halving
     T = _tangent(U, G)
-    gnorm = float(np.sqrt((T * T).sum()))
-    step = max(step, 1e-3)
-    while it < max_iter and gnorm > gtol and step > 1e-8:
-        it += 1
-        U_new = _retract(U + step * T)
-        f_new, G_new = value_and_grad(U_new)
-        T_new = _tangent(U_new, G_new)
-        g_new = float(np.sqrt((T_new * T_new).sum()))
-        if g_new < gnorm:
-            U, f, G, T, gnorm = U_new, f_new, G_new, T_new, g_new
+    g = _fnorm(T)
+    step = np.full(S, float(step0))
+    it = np.zeros(S, int)
+    backtracks = np.zeros(S, int)   # rejected trials in this outer iteration
+    stage2 = np.zeros(S, bool)
+    accept = np.ones(S, bool)       # the first outer iteration starts now
+    while len(idx):
+        # settle what needs no evaluation: an accepted stage-1 start begins
+        # an outer iteration or stops; a stage-1 start whose improvement
+        # would be below rounding, or that ran out of backtracking, enters
+        # stage 2; a stage-2 start continues or stops.  In the common round
+        # none of this happens and accepted starts just count an iteration.
+        tiny = step * g * g < 1e-13 * np.maximum(1.0, np.abs(f))
+        if not np.count_nonzero(stage2 | tiny | (g <= gtol)
+                                | (it >= max_iter) | (backtracks >= 50)):
+            it += accept
         else:
-            step *= 0.5
-    return U, f, gnorm, it
+            outer = accept & ~stage2
+            go = outer & (it < max_iter)
+            it += go
+            done = go & (g <= gtol)
+            enter2 = (outer & ~go) | (backtracks >= 50) | (
+                tiny & ~(stage2 | done))
+            step = np.where(enter2, np.maximum(step, 1e-3), step)
+            stage2 = stage2 | enter2
+            more = stage2 & (it < max_iter) & (g > gtol) & (step > 1e-8)
+            it += more
+            done |= stage2 & ~more
+            if np.count_nonzero(done):
+                for o, a in zip(out, (U, f, g, it)):
+                    o[idx[done]] = a[done]
+                live = ~done
+                idx, U, f, G, T, g, step, it, backtracks, stage2 = (
+                    a[live] for a in (idx, U, f, G, T, g, step, it,
+                                      backtracks, stage2))
+                if not len(idx):
+                    break
+        # one trial per running start
+        U_try = _retract(U + step[:, None, None] * T)
+        f_try, G_try = value_and_grad(U_try)
+        T_try = _tangent(U_try, G_try)
+        g_try = _fnorm(T_try)
+        accept = f_try >= f + 1e-4 * step * g * g
+        step_next = np.where(accept, np.minimum(step * 1.8, 4.0), step * 0.4)
+        if np.count_nonzero(stage2):
+            accept = np.where(stage2, g_try < g, accept)
+            step_next = np.where(stage2, np.where(accept, step, step * 0.5),
+                                 step_next)
+        step = step_next
+        backtracks = np.where(accept | stage2, 0, backtracks + 1)
+        accepted = np.count_nonzero(accept)
+        if accepted == len(accept):
+            U, G, T, f, g = U_try, G_try, T_try, f_try, g_try
+        elif accepted:
+            a3 = accept[:, None, None]
+            U = np.where(a3, U_try, U)
+            G = np.where(a3, G_try, G)
+            T = np.where(a3, T_try, T)
+            f = np.where(accept, f_try, f)
+            g = np.where(accept, g_try, g)
+    return out
 
 
 @dataclass
@@ -167,6 +225,7 @@ class ComassResult:
     multistarts: int
     values: np.ndarray = field(repr=False, default=None)
     exact: bool = False
+    capped: int = 0     # starts stopped by max_iter short of convergence
 
 
 def skew_matrix(vec, n) -> np.ndarray:
@@ -239,35 +298,38 @@ def comass(phi: ExteriorElement, multistarts=60, max_iter=600, tol=DEFAULT_GTOL,
                         exact=True)
 
 
+def _random_frames(n, p, seed, keys) -> np.ndarray:
+    """(len(keys), n, p) stack of the frames random_frame draws from the
+    streams (seed, key)."""
+    return np.array([random_frame(n, p, rng_stream(seed, k)) for k in keys])
+
+
+def _capped(g, iters, gtol, max_iter):
+    """Which starts stopped at max_iter short of convergence."""
+    return (iters >= max_iter) & (g > max(gtol, 1e-9))
+
+
 def _comass_ascent(phi, multistarts, max_iter, tol, seed, step0):
     """Best-found maximum of phi by multistart Stiefel ascent."""
     ev = FormEvaluator(phi)
-    best_val, best_U = -np.inf, None
-    vals = np.empty(multistarts)
-    converged = 0
-    for k in range(multistarts):
-        rng = rng_stream(seed, k)
-        U0 = random_frame(ev.n, ev.p, rng)
-        U, f, g, _ = _ascend(ev.value_and_grad, U0, gtol=tol,
-                             max_iter=max_iter, step0=step0)
-        vals[k] = f
-        if g <= max(tol, 1e-9):
-            converged += 1
-        if f > best_val:
-            best_val, best_U = f, U
+    U, vals, g, iters = _ascend_batch(
+        ev.value_and_grad, _random_frames(ev.n, ev.p, seed, range(multistarts)),
+        gtol=tol, max_iter=max_iter, step0=step0)
+    best = int(np.argmax(vals))
     topk = np.sort(vals)[-min(5, multistarts):]
     saturated = bool(topk.max() - topk.min() < 1e-6)
-    return ComassResult(best_val, SimplePlane(best_U.T), saturated,
-                        converged, multistarts, vals)
+    return ComassResult(float(vals[best]), SimplePlane(U[best].T), saturated,
+                        int((g <= max(tol, 1e-9)).sum()), multistarts, vals,
+                        capped=int(_capped(g, iters, tol, max_iter).sum()))
 
 
 def polish_plane(phi: ExteriorElement, plane: SimplePlane, gtol=1e-13,
                  max_iter=300) -> tuple[SimplePlane, float]:
     """Re-converge a plane onto the maximizer manifold of phi."""
     ev = FormEvaluator(phi)
-    U, f, _, _ = _ascend(ev.value_and_grad, plane.frame.T.copy(),
-                         gtol=gtol, max_iter=max_iter, step0=0.05)
-    return SimplePlane(U.T), f
+    U, f, _, _ = _ascend_batch(ev.value_and_grad, plane.frame.T[None],
+                               gtol=gtol, max_iter=max_iter, step0=0.05)
+    return SimplePlane(U[0].T), float(f[0])
 
 
 # ---------------------------------------------------------------------------
@@ -286,6 +348,7 @@ class PlaneSampleSet:
     requested: int = 0
     calibration: str = ""
     exhausted: bool = False
+    capped: int = 0     # attempts stopped by max_iter short of convergence
 
     def __len__(self):
         return len(self.planes)
@@ -320,27 +383,39 @@ def sample_grassmannian(cal: Calibration, tol=1e-6, count=50, seed=0,
         max_attempts = max(8 * count, 160)
     kept, values = [], []
     best = -np.inf
-    attempts = 0
-    for k in range(max_attempts):
-        attempts += 1
-        rng = rng_stream(seed, k)
-        U0 = random_frame(ev.n, ev.p, rng)
-        U, f, g, _ = _ascend(ev.value_and_grad, U0, gtol=gtol,
-                             max_iter=max_iter)
-        best = max(best, f)
-        if f > cal.claimed_comass + 1e-4:
-            raise ValueError(
-                f"comass confirmation failure: found phi(xi) = {f:.8f} above "
-                f"claimed comass {cal.claimed_comass}")
-        if f < cal.claimed_comass - tol:
-            continue
-        plane = SimplePlane(U.T)
-        if _is_duplicate(plane, kept, dedup_angle):
-            continue
-        kept.append(plane)
-        values.append(f)
-        if len(kept) >= count:
-            break
+    attempts = capped = 0
+    need = max(count, 1)    # the first plane is kept whatever the count
+    while len(kept) < need and attempts < max_attempts:
+        # ascend the next streams together, as many as should fill the
+        # sample at the kept rate seen so far; the results are taken in
+        # stream order, so the sample stops at the same attempt as a
+        # one-start-at-a-time loop and ascents past it are discarded
+        rate = (len(kept) + 1) / (attempts + 1)
+        size = min(math.ceil((need - len(kept)) / rate),
+                   max_attempts - attempts)
+        chunk = _ascend_batch(
+            ev.value_and_grad,
+            _random_frames(ev.n, ev.p, seed, range(attempts, attempts + size)),
+            gtol=gtol, max_iter=max_iter)
+        for U, f, stopped in zip(chunk[0], chunk[1],
+                                 _capped(chunk[2], chunk[3], gtol, max_iter)):
+            attempts += 1
+            capped += int(stopped)
+            f = float(f)
+            best = max(best, f)
+            if f > cal.claimed_comass + 1e-4:
+                raise ValueError(
+                    f"comass confirmation failure: found phi(xi) = {f:.8f} "
+                    f"above claimed comass {cal.claimed_comass}")
+            if f < cal.claimed_comass - tol:
+                continue
+            plane = SimplePlane(U.T)
+            if _is_duplicate(plane, kept, dedup_angle):
+                continue
+            kept.append(plane)
+            values.append(f)
+            if len(kept) >= need:
+                break
     if best < cal.claimed_comass - 1e-4:
         raise ValueError(
             f"comass confirmation failure: best value {best:.8f} never "
@@ -348,7 +423,7 @@ def sample_grassmannian(cal: Calibration, tol=1e-6, count=50, seed=0,
     return PlaneSampleSet(kept, values, tol, seed, attempts,
                           dedup_angle=dedup_angle, requested=count,
                           calibration=cal.name,
-                          exhausted=len(kept) < count)
+                          exhausted=len(kept) < count, capped=capped)
 
 
 def random_plane_set(n, p, count=80, seed=0) -> PlaneSampleSet:
@@ -372,6 +447,7 @@ class ExtremumResult:
     plane: SimplePlane
     phi_value: float
     mode: str
+    stranded: int = 0   # penalty starts dropped as off G(phi)
 
 
 def constrained_extremum(alpha: ExteriorElement, cal: Calibration,
@@ -403,51 +479,58 @@ def constrained_extremum(alpha: ExteriorElement, cal: Calibration,
         feas_tol = 1e-6
 
     def polish(U):
-        return _ascend(ev_phi.value_and_grad, U, gtol=1e-13, max_iter=60,
-                       step0=0.05)[:2]
+        return _ascend_batch(ev_phi.value_and_grad, U, gtol=1e-13,
+                             max_iter=60, step0=0.05)[:2]
 
-    # phase 1: the penalty ladder on every start
-    candidates = []
-    for U in starts:
-        for rho in rho_schedule:
-            def vg(U, rho=rho):
-                fa, Ga = ev_a.value_and_grad(U)
-                fp, Gp = ev_phi.value_and_grad(U)
-                return sgn * fa + rho * (fp - 1.0), sgn * Ga + rho * Gp
-            U, _, _, _ = _ascend(vg, U, gtol=gtol, max_iter=max_iter)
-        U, fphi = polish(U)
-        if fphi < 1.0 - feas_tol:
-            continue  # stranded off G(phi), e.g. on a reversed component
-        candidates.append((sgn * ev_a.value(U), U, fphi))
-    if not candidates:
+    # phase 1: the penalty ladder, each rung on every start at once
+    U = np.array(starts)
+    for rho in rho_schedule:
+        def vg(U, rho=rho):
+            fa, Ga = ev_a.value_and_grad(U)
+            fp, Gp = ev_phi.value_and_grad(U)
+            return sgn * fa + rho * (fp - 1.0), sgn * Ga + rho * Gp
+        U = _ascend_batch(vg, U, gtol=gtol, max_iter=max_iter)[0]
+    U, fphi = polish(U)
+    # starts stranded off G(phi), e.g. on a reversed component, are dropped
+    on = fphi >= 1.0 - feas_tol
+    if not on.any():
         raise RuntimeError("no penalty start landed on the phi-Grassmannian")
-    candidates.sort(key=lambda c: -c[0])
+    candidates = sorted(((sgn * ev_a.value(Uk), Uk, float(fk))
+                         for Uk, fk in zip(U[on], fphi[on])),
+                        key=lambda c: -c[0])
 
-    # phase 2: refine the leading candidates tangentially; a projected
-    # alpha-step with the phi-polish as retraction sharpens the stiff
-    # high-rho endgame
+    # phase 2: refine the leading candidates tangentially, side by side; a
+    # projected alpha-step with the phi-polish as retraction sharpens the
+    # stiff high-rho endgame.  A candidate stops when its step underflows
+    # or its tangential alpha-gradient vanishes.
+    U = np.array([c[1] for c in candidates[:3]])
+    fphi = np.array([c[2] for c in candidates[:3]])
+    val = np.array([ev_a.value(Uk) for Uk in U])
+    step = np.full(len(U), 0.05)
+    live = np.ones(len(U), bool)
+    for _ in range(150):
+        live &= step >= 1e-10
+        k = np.flatnonzero(live)
+        if k.size:
+            T = _tangent(U[k], sgn * ev_a.value_and_grad(U[k])[1])
+            moving = _fnorm(T) >= 1e-13
+            live[k[~moving]] = False
+            k, T = k[moving], T[moving]
+        if not k.size:
+            break
+        U_try, fphi_try = polish(_retract(U[k] + step[k, None, None] * T))
+        val_try = np.array([ev_a.value(Uk) for Uk in U_try])
+        ok = (sgn * (val_try - val[k]) > 0) & (fphi_try >= 1.0 - feas_tol)
+        kept = k[ok]
+        U[kept], val[kept], fphi[kept] = U_try[ok], val_try[ok], fphi_try[ok]
+        step[k] = np.where(ok, np.minimum(step[k] * 1.4, 0.5), step[k] * 0.5)
     best_val = -np.inf if mode == "max" else np.inf
     best_plane, best_phi = None, None
-    for _, U, fphi in candidates[:3]:
-        val = ev_a.value(U)
-        step = 0.05
-        for _ in range(150):
-            if step < 1e-10:
-                break
-            _, G = ev_a.value_and_grad(U)
-            T = _tangent(U, sgn * G)
-            if float(np.sqrt((T * T).sum())) < 1e-13:
-                break
-            U_try, fphi_try = polish(_retract(U + step * T))
-            val_try = ev_a.value(U_try)
-            if sgn * (val_try - val) > 0 and fphi_try >= 1.0 - feas_tol:
-                U, val, fphi = U_try, val_try, fphi_try
-                step = min(step * 1.4, 0.5)
-            else:
-                step *= 0.5
-        if (mode == "max" and val > best_val) or (mode == "min" and val < best_val):
-            best_val, best_plane, best_phi = val, SimplePlane(U.T), fphi
-    return ExtremumResult(best_val, best_plane, best_phi, mode)
+    for Uk, v, fp in zip(U, val, fphi):
+        if (mode == "max" and v > best_val) or (mode == "min" and v < best_val):
+            best_val, best_plane, best_phi = float(v), SimplePlane(Uk.T), fp
+    return ExtremumResult(best_val, best_plane, float(best_phi), mode,
+                          stranded=int((~on).sum()))
 
 
 # ---------------------------------------------------------------------------

@@ -21,9 +21,9 @@ from .cones import LambdaSpan, lambda_span
 from .exterior import (ExteriorElement, compound, derivation_extend,
                        interior_product, lex_indices, pairing, wedge)
 from .fields import ScalarField
-from .grassmann import (FormEvaluator, PlaneSampleSet, _ascend, comass,
-                        hyperplane_basis, pullback, random_frame, rng_stream,
-                        sample_grassmannian, span_split)
+from .grassmann import (FormEvaluator, PlaneSampleSet, _ascend_batch,
+                        _random_frames, comass, hyperplane_basis, pullback,
+                        rng_stream, span_split)
 
 
 def d_phi(f: ScalarField, x, cal: Calibration) -> ExteriorElement:
@@ -201,26 +201,28 @@ def phi_flat_check(f: ScalarField, x, cal: Calibration,
         v = U.T @ ghat
         return float(v @ v)
 
+    def on_tangential(U):
+        return (1.0 - ev_phi.value(U)) < max(10 * samples.tolerance, 1e-9) \
+            and tangency(U) < tangency_tol ** 2
+
+    def normal_part(U):
+        """|U^T ghat|^2 for every frame of a stack, and its gradient."""
+        v = ghat @ U
+        return (v * v).sum(axis=1), 2.0 * ghat[None, :, None] * v[:, None, :]
+
     # phase A: find tangential phi-planes by minimizing the joint defect
     def defect_vg(U):
         fp, Gp = ev_phi.value_and_grad(U)
-        v = U.T @ ghat
-        val = -(1.0 - fp) - (v @ v)
-        G = Gp - 2.0 * np.outer(ghat, v)
-        return val, G
+        vv, Gv = normal_part(U)
+        return -(1.0 - fp) - vv, Gp - Gv
 
-    starts = [pl.frame.T.copy() for pl in samples.planes]
-    for k in range(6):
-        starts.append(random_frame(n, p, rng_stream(seed, 600 + k)))
-    tangential = []
-    best_defect = np.inf
-    for U0 in starts:
-        U, val, _, _ = _ascend(defect_vg, U0, gtol=1e-12, max_iter=max_iter)
-        defect = -val
-        best_defect = min(best_defect, defect)
-        if (1.0 - ev_phi.value(U)) < max(10 * samples.tolerance, 1e-9) \
-                and tangency(U) < tangency_tol ** 2:
-            tangential.append(U)
+    starts = np.concatenate([
+        np.array([pl.frame.T for pl in samples.planes]).reshape(-1, n, p),
+        _random_frames(n, p, seed, range(600, 606))])
+    Us, vals, _, _ = _ascend_batch(defect_vg, starts, gtol=1e-12,
+                                   max_iter=max_iter)
+    best_defect = float(np.min(-vals))
+    tangential = [U for U in Us if on_tangential(U)]
     if not tangential:
         return FlatReport(True, 0.0, None, True, best_defect)
     if ev_H is None:
@@ -230,22 +232,20 @@ def phi_flat_check(f: ScalarField, x, cal: Calibration,
     # phase B: extremize the Hessian pairing within the tangential family
     worst_val, worst_U = 0.0, tangential[0]
     for sgn in (+1.0, -1.0):
-        for U0 in tangential:
-            U = U0.copy()
-            for rho in (1e3, 1e5, 1e7):
-                def vg(U, rho=rho, sgn=sgn):
-                    fH, GH = ev_H.value_and_grad(U)
-                    fp, Gp = ev_phi.value_and_grad(U)
-                    v = U.T @ ghat
-                    val = sgn * fH + rho * ((fp - 1.0) - (v @ v))
-                    G = sgn * GH + rho * (Gp - 2.0 * np.outer(ghat, v))
-                    return val, G
-                U, _, _, _ = _ascend(vg, U, gtol=1e-12, max_iter=max_iter)
-            if (1.0 - ev_phi.value(U)) < max(10 * samples.tolerance, 1e-9) \
-                    and tangency(U) < tangency_tol ** 2:
-                val = ev_H.value(U)
+        U = np.array(tangential)
+        for rho in (1e3, 1e5, 1e7):
+            def vg(U, rho=rho, sgn=sgn):
+                fH, GH = ev_H.value_and_grad(U)
+                fp, Gp = ev_phi.value_and_grad(U)
+                vv, Gv = normal_part(U)
+                return (sgn * fH + rho * ((fp - 1.0) - vv),
+                        sgn * GH + rho * (Gp - Gv))
+            U = _ascend_batch(vg, U, gtol=1e-12, max_iter=max_iter)[0]
+        for Uk in U:
+            if on_tangential(Uk):
+                val = ev_H.value(Uk)
                 if abs(val) > abs(worst_val):
-                    worst_val, worst_U = val, U
+                    worst_val, worst_U = val, Uk
     from .exterior import SimplePlane
     return FlatReport(abs(worst_val) <= tol, worst_val,
                       SimplePlane(worst_U.T), False, tangency(worst_U))
@@ -265,15 +265,12 @@ def _adaptive_span_rows(cal: Calibration, tol, seed, batch=24, cap=400,
     attempts = 0
     ev = FormEvaluator(cal.form)
     while attempts < cap and stable < patience:
-        got = 0
-        for k in range(batch):
-            rng = rng_stream(seed, 3000 + attempts + k)
-            U, f, g, _ = _ascend(ev.value_and_grad,
-                                 random_frame(cal.n, cal.p, rng),
-                                 gtol=1e-11, max_iter=400)
-            if f >= cal.claimed_comass - tol:
-                rows.append(ev.pvector_vec(U))
-                got += 1
+        keys = range(3000 + attempts, 3000 + attempts + batch)
+        Us, fs, _, _ = _ascend_batch(
+            ev.value_and_grad, _random_frames(cal.n, cal.p, seed, keys),
+            gtol=1e-11, max_iter=400)
+        rows.extend(ev.pvector_vec(U)
+                    for U in Us[fs >= cal.claimed_comass - tol])
         attempts += batch
         if rows:
             new_rank = np.linalg.matrix_rank(np.array(rows), tol=1e-8)

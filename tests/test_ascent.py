@@ -1,0 +1,236 @@
+"""The batched Stiefel-ascent engine against the one-start-at-a-time loop it
+replaced, kept here as the reference."""
+
+import numpy as np
+import pytest
+
+from calibr.acceptance import COMASS_ENTRIES
+from calibr.calibrations import CATALOGUE_SPECS, catalogue
+from calibr.exterior import ExteriorElement, SimplePlane, lex_indices
+from calibr.grassmann import (DEFAULT_GTOL, DEDUP_ANGLE, FormEvaluator,
+                              _ascend_batch, _is_duplicate, comass,
+                              constrained_extremum, random_frame, rng_stream,
+                              sample_grassmannian)
+
+
+def ref_retract(U):
+    p = U.shape[1]
+    if p <= 3:
+        Q = U.copy()
+        for k in range(p):
+            v = Q[:, k]
+            for j in range(k):
+                v = v - (Q[:, j] @ v) * Q[:, j]
+            Q[:, k] = v / np.sqrt(v @ v)
+        return Q
+    q, r = np.linalg.qr(U)
+    return q * np.sign(np.diag(r))[None, :]
+
+
+def ref_tangent(U, G):
+    UtG = U.T @ G
+    return G - U @ ((UtG + UtG.T) / 2.0)
+
+
+def ref_ascend(value_and_grad, U, gtol=DEFAULT_GTOL, max_iter=600, step0=0.2):
+    """Single-frame projected-gradient ascent: the reference loop."""
+    f, G = value_and_grad(U)
+    step = step0
+    it = 0
+    while it < max_iter:
+        it += 1
+        T = ref_tangent(U, G)
+        gnorm = float(np.sqrt((T * T).sum()))
+        if gnorm <= gtol:
+            return U, f, gnorm, it
+        accepted = False
+        for _ in range(50):
+            if step * gnorm * gnorm < 1e-13 * max(1.0, abs(f)):
+                break
+            U_new = ref_retract(U + step * T)
+            f_new, G_new = value_and_grad(U_new)
+            if f_new >= f + 1e-4 * step * gnorm * gnorm:
+                U, f, G = U_new, f_new, G_new
+                step = min(step * 1.8, 4.0)
+                accepted = True
+                break
+            step *= 0.4
+        if not accepted:
+            break
+    T = ref_tangent(U, G)
+    gnorm = float(np.sqrt((T * T).sum()))
+    step = max(step, 1e-3)
+    while it < max_iter and gnorm > gtol and step > 1e-8:
+        it += 1
+        U_new = ref_retract(U + step * T)
+        f_new, G_new = value_and_grad(U_new)
+        T_new = ref_tangent(U_new, G_new)
+        g_new = float(np.sqrt((T_new * T_new).sum()))
+        if g_new < gnorm:
+            U, f, G, T, gnorm = U_new, f_new, G_new, T_new, g_new
+        else:
+            step *= 0.5
+    return U, f, gnorm, it
+
+
+def ref_sample(cal, tol=1e-6, count=50, seed=0, gtol=DEFAULT_GTOL,
+               max_iter=600):
+    """One start at a time, deduplicated as it goes."""
+    ev = FormEvaluator(cal.form)
+    kept, values, attempts = [], [], 0
+    for k in range(max(8 * count, 160)):
+        attempts += 1
+        U, f, _, _ = ref_ascend(ev.value_and_grad,
+                                random_frame(ev.n, ev.p, rng_stream(seed, k)),
+                                gtol=gtol, max_iter=max_iter)
+        if f < cal.claimed_comass - tol:
+            continue
+        plane = SimplePlane(U.T)
+        if _is_duplicate(plane, kept, DEDUP_ANGLE):
+            continue
+        kept.append(plane)
+        values.append(f)
+        if len(kept) >= count:
+            break
+    return kept, values, attempts
+
+
+def starts(n, p, count, seed=0):
+    return np.array([random_frame(n, p, rng_stream(seed, k))
+                     for k in range(count)])
+
+
+def check_against_reference(vg, U0, step0, max_iter, gtol=DEFAULT_GTOL):
+    """vg takes one frame or a stack, as FormEvaluator.value_and_grad does."""
+    conv = max(gtol, 1e-9)
+    ref = [ref_ascend(vg, U.copy(), gtol=gtol, max_iter=max_iter,
+                      step0=step0) for U in U0]
+    ref_f = np.array([r[1] for r in ref])
+    ref_ok = np.array([r[2] <= conv for r in ref])
+    ref_it = np.array([r[3] for r in ref])
+    stacked = {}
+    for size in (1, 7, len(U0)):
+        _, f, g, it = _ascend_batch(vg, U0[:size], gtol=gtol,
+                                    max_iter=max_iter, step0=step0)
+        assert np.abs(f - ref_f[:size]).max() < 1e-12
+        assert np.array_equal(g <= conv, ref_ok[:size])
+        # the engine does the loop's floating-point operations, so every
+        # start takes the same steps, stage switch included
+        assert np.array_equal(it, ref_it[:size])
+        stacked[size] = f
+    # a start gives the same result alone as inside the stack
+    for k in (0, len(U0) // 2, len(U0) - 1):
+        _, f, _, _ = _ascend_batch(vg, U0[k:k + 1], gtol=gtol,
+                                   max_iter=max_iter, step0=step0)
+        assert abs(f[0] - stacked[len(U0)][k]) < 1e-12
+
+
+class TestEngineAgainstLoop:
+    @pytest.mark.parametrize("name,params", CATALOGUE_SPECS)
+    @pytest.mark.parametrize("step0", [0.2, 0.05])
+    @pytest.mark.parametrize("max_iter", [3, 600])
+    def test_catalogue(self, name, params, step0, max_iter):
+        cal = catalogue(name, *params)
+        ev = FormEvaluator(cal.form)
+        check_against_reference(ev.value_and_grad, starts(cal.n, cal.p, 60),
+                                step0, max_iter)
+
+    @pytest.mark.parametrize("name,params", [("kaehler", (2, 1)),
+                                             ("associative", ()),
+                                             ("cayley", ())])
+    def test_rounding_floor(self, name, params):
+        # with gtol = 0 no start converges: each ends when its stage-2 step
+        # underflows, so the stage switch and the step floors are exercised
+        cal = catalogue(name, *params)
+        ev = FormEvaluator(cal.form)
+        check_against_reference(ev.value_and_grad, starts(cal.n, cal.p, 60),
+                                0.2, 600, gtol=0.0)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e9])
+    def test_downhill_gradient(self, scale):
+        # a gradient of the wrong sign fails every Armijo test, so each start
+        # backtracks until its step is below rounding (scale 1) or runs out
+        # of backtracking (scale 1e9), and enters stage 2 through the step
+        # floor
+        cal = catalogue("associative")
+        ev = FormEvaluator(cal.form)
+
+        def vg(U):
+            f, G = ev.value_and_grad(U)
+            return scale * f, -scale * G
+
+        check_against_reference(vg, starts(cal.n, cal.p, 60), 0.2, 600)
+
+    @pytest.mark.parametrize("name,params", [("kaehler", (2, 1)),
+                                             ("associative", ())])
+    @pytest.mark.parametrize("max_iter", [3, 250])
+    def test_penalty_closure(self, name, params, max_iter):
+        # the constrained_extremum objective: sgn * alpha + rho (phi - 1)
+        cal = catalogue(name, *params)
+        rng = np.random.default_rng(11)
+        alpha = ExteriorElement(cal.n, cal.p, {
+            idx: rng.standard_normal() for idx in lex_indices(cal.n, cal.p)})
+        ev_a, ev_phi = FormEvaluator(alpha), FormEvaluator(cal.form)
+        sgn, rho = -1.0, 1e3
+
+        def vg(U):
+            fa, Ga = ev_a.value_and_grad(U)
+            fp, Gp = ev_phi.value_and_grad(U)
+            return sgn * fa + rho * (fp - 1.0), sgn * Ga + rho * Gp
+
+        check_against_reference(vg, starts(cal.n, cal.p, 60, seed=3), 0.2,
+                                max_iter, gtol=1e-11)
+
+    def test_value_and_grad_stack(self):
+        cal = catalogue("cayley")
+        ev = FormEvaluator(cal.form)
+        U = starts(8, 4, 5)
+        f, G = ev.value_and_grad(U)
+        for k in range(5):
+            fk, Gk = ev.value_and_grad(U[k])
+            assert isinstance(fk, float) and Gk.shape == (8, 4)
+            assert abs(fk - ev.value(U[k])) < 1e-13
+            assert f[k] == fk and np.array_equal(G[k], Gk)
+
+
+class TestSamplingAgainstLoop:
+    @pytest.mark.parametrize("name,params", COMASS_ENTRIES)
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_same_planes_and_attempts(self, name, params, seed):
+        cal = catalogue(name, *params)
+        ss = sample_grassmannian(cal, count=8, seed=seed)
+        kept, values, attempts = ref_sample(cal, count=8, seed=seed)
+        assert ss.multistart_count == attempts
+        assert len(ss) == len(kept)
+        for a, b in zip(ss.planes, kept):
+            assert np.abs(a.frame - b.frame).max() < 1e-10
+        assert np.abs(np.array(ss.values) - values).max() < 1e-12
+
+
+class TestSurfacedCaps:
+    def test_comass_capped(self):
+        cal = catalogue("cayley")
+        assert comass(cal.form, multistarts=6, max_iter=2).capped == 6
+        assert comass(cal.form, multistarts=6).capped == 0
+        assert comass(catalogue("kaehler", 2, 1).form).capped == 0  # exact
+
+    def test_sample_capped(self):
+        cal = catalogue("associative")
+        assert sample_grassmannian(cal, count=3, seed=0).capped == 0
+        ss = sample_grassmannian(cal, tol=1e-2, count=3, seed=0, max_iter=10)
+        assert ss.capped == ss.multistart_count == 3
+
+    def test_volume_reversed_component_stranded(self):
+        # on O(n) the ascent cannot leave the reversed component, so the
+        # starts there are dropped, and counted
+        cal = catalogue("volume", 3)
+        ss = sample_grassmannian(cal, count=4, seed=2)
+        res = constrained_extremum(cal.form, cal, ss, "min", extra_starts=6)
+        assert abs(res.value - 1.0) < 1e-9
+        assert res.stranded > 0
+
+    def test_nothing_stranded_on_connected_grassmannian(self):
+        cal = catalogue("kaehler", 2, 1)
+        ss = sample_grassmannian(cal, count=20, seed=4)
+        res = constrained_extremum(cal.form, cal, ss, "min", starts_limit=8)
+        assert res.stranded == 0
