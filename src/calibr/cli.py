@@ -122,7 +122,11 @@ def _parse_probes(spec, n):
         axes = [np.linspace(lo, hi, k)] * n
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.column_stack([m.ravel() for m in mesh])
-    with open(spec) as fh:
+    return _load_array(spec)
+
+
+def _load_array(path):
+    with open(path) as fh:
         return np.asarray(json.load(fh), dtype=float)
 
 
@@ -347,98 +351,80 @@ def cmd_maxprinciple(args):
     return 0 if rep.ok else 1
 
 
-def _random_boundary_batch(cal, ss, count, seed, degree):
-    from .duality import assemble_boundary_model, boundary_alternative, build_boundary_model
+def _random_batch(args, cal, ss):
+    """The seeded random batch of ``duality`` (plain boundary alternatives)
+    or ``jensen`` (hull alternatives with K = sites 0-3 and x = site 4)."""
+    rows = []
+    for inst in range(args.random):
+        if args.command == "duality":
+            rng = grassmann.rng_stream(args.seed, inst)
+            sites = rng.uniform(-1, 1, size=(4, cal.n))
+            model = duality.build_boundary_model(
+                cal, sites, ss, degree=args.deg, planes_per_site=3)
+            A, _ = duality.assemble_boundary_model(
+                model, np.zeros(len(model.test_family)))
+            S = A @ np.abs(rng.standard_normal(A.shape[1]))
+            if inst % 2 == 1:
+                S = S * rng.choice([-1.0, 1.0], size=len(S))
+            res = duality.boundary_alternative(model, S)
+        else:
+            rng = grassmann.rng_stream(args.seed, 5000 + inst)
+            pts = rng.uniform(-1, 1, size=(5, cal.n))
+            model = duality.build_jensen_model(
+                cal, pts, ss, degree=args.deg, planes_per_site=4)
+            res = duality.jensen_alternative(model, [0, 1, 2, 3], 4)
+        rows.append((inst, res.primal, res.dual or "None", res.consistent,
+                     res.boundary_tie))
+    ok = sum(1 for r in rows if r[3] or r[4])
+    if args.emit_csv:
+        write_csv(args.emit_csv,
+                  ["instance", "primal", "dual", "consistent", "tie"], rows)
+    emit_report({"instances": args.random, "consistent": ok,
+                 "all_consistent": ok == args.random},
+                _config_from(args, ["cal", "deg", "random"]), args)
+    return 0 if ok == args.random else 1
 
-    def one(inst):
-        rng = grassmann.rng_stream(seed, inst)
-        sites = rng.uniform(-1, 1, size=(4, cal.n))
-        model = build_boundary_model(cal, sites, ss, degree=degree,
-                                     planes_per_site=3)
-        A, _ = assemble_boundary_model(
-            model, np.zeros(len(model.test_family)))
-        c = np.abs(rng.standard_normal(A.shape[1]))
-        S = A @ c
-        if inst % 2 == 1:
-            S = S * rng.choice([-1.0, 1.0], size=len(S))
-        res = boundary_alternative(model, S)
-        return (inst, res.primal, res.dual or "None", res.consistent,
-                res.boundary_tie)
 
-    return [one(inst) for inst in range(count)]
+def _alternative_inputs(args, *flags):
+    """Calibration and plane sample of ``duality`` or ``jensen``, once
+    --random or every flag naming an input of one alternative is given."""
+    missing = [f"--{k}" for k in flags if getattr(args, k) is None]
+    if missing and not args.random:
+        raise ValueError(f"{args.command} needs {' and '.join(missing)} "
+                         "(or --random N)")
+    cal = _load_cal(args)
+    return cal, _samples_for(cal, args, count=args.count or 8)
 
 
-def _random_jensen_batch(cal, ss, count, seed, degree):
-    from .duality import build_jensen_model, jensen_alternative
-
-    def one(inst):
-        rng = grassmann.rng_stream(seed, 5000 + inst)
-        pts = rng.uniform(-1, 1, size=(5, cal.n))
-        model = build_jensen_model(cal, pts, ss, degree=degree,
-                                   planes_per_site=4)
-        res = jensen_alternative(model, [0, 1, 2, 3], 4)
-        return (inst, res.primal, res.dual or "None", res.consistent,
-                res.boundary_tie)
-
-    return [one(inst) for inst in range(count)]
+def _emit_alternative(args, res, keys):
+    emit_report({"primal": res.primal, "dual": res.dual,
+                 "margin": res.margin, "consistent": res.consistent,
+                 "tie": res.boundary_tie, "model": res.meta},
+                _config_from(args, keys), args)
+    return 0 if res.consistent or res.boundary_tie else 1
 
 
 def cmd_duality(args):
-    cal = _load_cal(args)
-    ss = _samples_for(cal, args, count=args.count or 8)
+    cal, ss = _alternative_inputs(args, "sites", "boundary")
     if args.random:
-        rows = _random_boundary_batch(cal, ss, args.random, args.seed,
-                                      args.deg)
-        ok = sum(1 for r in rows if r[3] or r[4])
-        if args.emit_csv:
-            write_csv(args.emit_csv,
-                      ["instance", "primal", "dual", "consistent", "tie"],
-                      rows)
-        emit_report({"instances": args.random, "consistent": ok,
-                     "all_consistent": ok == args.random},
-                    _config_from(args, ["cal", "deg", "random"]), args)
-        return 0 if ok == args.random else 1
-    from .duality import boundary_alternative, build_boundary_model
-    with open(args.sites) as fh:
-        sites = np.asarray(json.load(fh), dtype=float)
-    with open(args.boundary) as fh:
-        S = np.asarray(json.load(fh), dtype=float)
-    model = build_boundary_model(cal, sites, ss, degree=args.deg)
-    res = boundary_alternative(model, S, lam=args.lam)
-    emit_report({"primal": res.primal, "dual": res.dual,
-                 "margin": res.margin, "consistent": res.consistent,
-                 "tie": res.boundary_tie, "model": res.meta},
-                _config_from(args, ["cal", "sites", "boundary", "deg",
-                                    "lam"]), args)
-    return 0 if res.consistent or res.boundary_tie else 1
+        return _random_batch(args, cal, ss)
+    sites, S = _load_array(args.sites), _load_array(args.boundary)
+    model = duality.build_boundary_model(cal, sites, ss, degree=args.deg)
+    return _emit_alternative(
+        args, duality.boundary_alternative(model, S, lam=args.lam),
+        ["cal", "sites", "boundary", "deg", "lam"])
 
 
 def cmd_jensen(args):
-    cal = _load_cal(args)
-    ss = _samples_for(cal, args, count=args.count or 8)
+    cal, ss = _alternative_inputs(args, "sites", "K", "x")
     if args.random:
-        rows = _random_jensen_batch(cal, ss, args.random, args.seed,
-                                    args.deg)
-        ok = sum(1 for r in rows if r[3] or r[4])
-        if args.emit_csv:
-            write_csv(args.emit_csv,
-                      ["instance", "primal", "dual", "consistent", "tie"],
-                      rows)
-        emit_report({"instances": args.random, "consistent": ok,
-                     "all_consistent": ok == args.random},
-                    _config_from(args, ["cal", "deg", "random"]), args)
-        return 0 if ok == args.random else 1
-    from .duality import build_jensen_model, jensen_alternative
-    with open(args.sites) as fh:
-        sites = np.asarray(json.load(fh), dtype=float)
+        return _random_batch(args, cal, ss)
+    model = duality.build_jensen_model(cal, _load_array(args.sites), ss,
+                                       degree=args.deg)
     K = [int(v) for v in args.K.split(",")]
-    model = build_jensen_model(cal, sites, ss, degree=args.deg)
-    res = jensen_alternative(model, K, args.x)
-    emit_report({"primal": res.primal, "dual": res.dual,
-                 "margin": res.margin, "consistent": res.consistent,
-                 "tie": res.boundary_tie, "model": res.meta},
-                _config_from(args, ["cal", "sites", "K", "x", "deg"]), args)
-    return 0 if res.consistent or res.boundary_tie else 1
+    return _emit_alternative(
+        args, duality.jensen_alternative(model, K, args.x),
+        ["cal", "sites", "K", "x", "deg"])
 
 
 def cmd_verify_all(args):

@@ -15,11 +15,12 @@ the calibration: finitely many atoms have finite mass a priori.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .calibrations import Calibration
-from .exterior import derivation_tensor, lex_indices, pairing
+from .exterior import DROP_TOL, derivation_tensor, lex_indices, lex_position
 from .grassmann import PlaneSampleSet
 from .lp import solve_lp
 from .polynomial import (PolyForm, Polynomial, integrate_over_box,
@@ -32,13 +33,6 @@ FEAS_TOL = 1e-7
 # ---------------------------------------------------------------------------
 # model assembly
 # ---------------------------------------------------------------------------
-
-def _site_box(sites, pad=0.5):
-    sites = np.asarray(sites, dtype=float)
-    lo = sites.min(axis=0) - pad
-    hi = sites.max(axis=0) + pad
-    return lo, hi
-
 
 def _orthonormalize_polys(polys, lo, hi):
     """Gram-Schmidt in L2 of the box; drops near-dependent members."""
@@ -88,6 +82,16 @@ class FiniteDualityModel:
         return [(i, pl) for i, planes in enumerate(self.dictionary)
                 for pl in planes]
 
+    @cached_property
+    def _atom_table(self):
+        """Site index and Pluecker coefficient vector of every atom, in
+        ``atoms`` order; built once, so the dictionary is fixed after it."""
+        atoms = self.atoms
+        cal = self.calibration
+        site_of = np.array([i for i, _ in atoms], dtype=int)
+        X = np.array([pl.pvector().to_coeff_vector() for _, pl in atoms])
+        return site_of, X.reshape(len(atoms), len(lex_indices(cal.n, cal.p)))
+
     def describe(self):
         return {"kind": self.kind, "degree": self.degree,
                 "sites": len(self.sites),
@@ -96,43 +100,38 @@ class FiniteDualityModel:
                 "calibration": self.calibration.name}
 
 
-def _make_dictionary(sites, samples, planes_per_site, dictionary,
-                     extra_planes):
-    if dictionary is not None:
-        if len(dictionary) != len(sites):
-            raise ValueError("dictionary must list planes per site")
-        return [list(pl) for pl in dictionary]
-    per = planes_per_site or len(samples.planes)
-    base = list(samples.planes[:per]) + list(extra_planes or [])
-    return [list(base) for _ in range(len(sites))]
+def _build_model(kind, cal, sites, samples, degree, planes_per_site, pad,
+                 dictionary, extra_planes):
+    sites = np.atleast_2d(np.asarray(sites, dtype=float))
+    lo, hi = sites.min(axis=0) - pad, sites.max(axis=0) + pad
+    if kind == "boundary":
+        family = form_test_family(cal.n, cal.p, degree, lo, hi)
+    else:
+        family = scalar_test_family(cal.n, degree, lo, hi)
+    if dictionary is None:
+        per = planes_per_site or len(samples.planes)
+        dictionary = [list(samples.planes[:per]) + list(extra_planes or [])
+                      ] * len(sites)
+    elif len(dictionary) != len(sites):
+        raise ValueError("dictionary must list planes per site")
+    model = FiniteDualityModel(cal, sites, [list(pl) for pl in dictionary],
+                               family, kind, degree)
+    _check_family_rank(model)
+    return model
 
 
 def build_boundary_model(cal: Calibration, sites, samples: PlaneSampleSet,
                          degree=2, planes_per_site=None, pad=0.5,
                          dictionary=None, extra_planes=None) -> FiniteDualityModel:
-    sites = np.atleast_2d(np.asarray(sites, dtype=float))
-    lo, hi = _site_box(sites, pad)
-    family = form_test_family(cal.n, cal.p, degree, lo, hi)
-    dictionary = _make_dictionary(sites, samples, planes_per_site,
-                                  dictionary, extra_planes)
-    model = FiniteDualityModel(cal, sites, dictionary, family, "boundary",
-                               degree)
-    _check_family_rank(model)
-    return model
+    return _build_model("boundary", cal, sites, samples, degree,
+                        planes_per_site, pad, dictionary, extra_planes)
 
 
 def build_jensen_model(cal: Calibration, sites, samples: PlaneSampleSet,
                        degree=2, planes_per_site=None, pad=0.5,
                        dictionary=None, extra_planes=None) -> FiniteDualityModel:
-    sites = np.atleast_2d(np.asarray(sites, dtype=float))
-    lo, hi = _site_box(sites, pad)
-    family = scalar_test_family(cal.n, degree, lo, hi)
-    dictionary = _make_dictionary(sites, samples, planes_per_site,
-                                  dictionary, extra_planes)
-    model = FiniteDualityModel(cal, sites, dictionary, family, "jensen",
-                               degree)
-    _check_family_rank(model)
-    return model
+    return _build_model("jensen", cal, sites, samples, degree,
+                        planes_per_site, pad, dictionary, extra_planes)
 
 
 def _family_coeff_matrix(model):
@@ -160,6 +159,29 @@ def _check_family_rank(model):
 # assembled LP data
 # ---------------------------------------------------------------------------
 
+def _pair_rows(F, X):
+    """Pairings sum_j F[..., j] X[..., j] added in lex order, the order in
+    which ``exterior.pairing`` adds p-vectors and one-component test forms,
+    so each entry equals the term-by-term pairing bit for bit (an einsum or
+    BLAS contraction may fuse or reorder the sum)."""
+    out = np.zeros(np.broadcast_shapes(F.shape[:-1], X.shape[:-1]))
+    for j in range(F.shape[-1]):
+        out += F[..., j] * X[..., j]
+    return out
+
+
+def _frozen_differentials(model, sites):
+    """(family, sites, C(n,p)) coefficients of each d beta_k frozen at each
+    site, entries at most DROP_TOL dropped as ``PolyForm.at`` drops them."""
+    pos = lex_position(model.calibration.n, model.calibration.p)
+    F = np.zeros((len(model.test_family), len(sites), len(pos)))
+    for k, beta in enumerate(model.test_family):
+        for idx, poly in beta.d().comps.items():
+            F[k, :, pos[idx]] = [poly(x) for x in sites]
+    F[~(np.abs(F) > DROP_TOL)] = 0.0
+    return F
+
+
 def assemble_boundary_model(model: FiniteDualityModel, S_values):
     """Constraint matrix A[k, atom] = (d beta_k)(x_i)(xi_ij) and the
     right-hand side of functional values S(beta_k)."""
@@ -168,24 +190,16 @@ def assemble_boundary_model(model: FiniteDualityModel, S_values):
     S_values = np.asarray(S_values, dtype=float)
     if S_values.shape != (len(model.test_family),):
         raise ValueError("S must supply one value per test form")
-    atoms = model.atoms
-    A = np.zeros((len(model.test_family), len(atoms)))
-    for k, beta in enumerate(model.test_family):
-        dbeta = beta.d()
-        for col, (i, pl) in enumerate(atoms):
-            frozen = dbeta.at(model.sites[i])
-            A[k, col] = pairing(frozen, pl.pvector())
-    return A, S_values
+    site_of, X = model._atom_table
+    F = _frozen_differentials(model, model.sites)
+    return _pair_rows(F[:, site_of], X), S_values
 
 
 def atom_boundary_values(model: FiniteDualityModel, site_index, plane):
     """S(beta_k) for the boundary of a single unit atom at a site: the
     calibrated analogue of d beta evaluated on the plane there."""
-    out = np.zeros(len(model.test_family))
-    x = model.sites[site_index]
-    for k, beta in enumerate(model.test_family):
-        out[k] = pairing(beta.d().at(x), plane.pvector())
-    return out
+    F = _frozen_differentials(model, model.sites[[site_index]])
+    return _pair_rows(F[:, 0], plane.pvector().to_coeff_vector())
 
 
 @dataclass
@@ -200,29 +214,33 @@ class AlternativeResult:
     meta: dict = field(default_factory=dict)
 
 
-def _dual_separation_boundary(A, s, phi_values=None, lam=None):
-    """Search for coefficients a with A^T a >= 0 (or >= -phi/lam in the
-    mass-bounded variant) and s.a as negative as possible; box-normalized."""
-    K, m = A.shape
-    # variables: a (free, boxed in [-1, 1] via shift)
-    lower = -np.ones(K)
-    upper = np.ones(K)
-    if lam is None:
-        # min s.a  s.t.  A^T a >= 0
-        rhs = np.zeros(m)
-    else:
-        # min s.a  s.t.  A^T a >= -phi(xi)/1 scaled by lambda later
-        rhs = -np.asarray(phi_values, dtype=float)
-    # slack form: A^T a - t = rhs, t >= 0
-    Aeq = np.hstack([A.T, -np.eye(m)])
-    c = np.concatenate([s, np.zeros(m)])
-    res = solve_lp(c, Aeq, rhs,
+def _separation(M, c, lower, upper, n_cert, margin_tol):
+    """The box-normalized dual search of both models: min c.v subject to
+    M v >= 0 and lower <= v <= upper, in slack form [M, -I] (v, t) = 0 with
+    t >= 0.  The first n_cert coordinates of v are the certificate; its
+    margin is -c.v over their norm.  Returns (certificate or None,
+    have_cert, margin or None, tie)."""
+    m = M.shape[0]
+    res = solve_lp(np.concatenate([c, np.zeros(m)]),
+                   np.hstack([M, -np.eye(m)]), np.zeros(m),
                    lower=np.concatenate([lower, np.zeros(m)]),
                    upper=np.concatenate([upper, np.full(m, np.inf)]))
     if res.status != 'optimal':
-        return None, None
-    a = res.x[:K]
-    return a, res.obj
+        return None, False, None, False
+    a = res.x[:n_cert]
+    rel = -res.obj / max(np.linalg.norm(a), 1e-300)
+    if rel > margin_tol:
+        return a, True, rel, False
+    return a, False, None, rel > 1e-9
+
+
+def _verified(A, b, weights):
+    """The primal weights, or None when A w misses b by more than FEAS_TOL
+    relative to b."""
+    if weights is None:
+        return None
+    tol = FEAS_TOL * max(1.0, np.abs(b).max())
+    return None if np.abs(A @ weights - b).max() > tol else weights
 
 
 def boundary_alternative(model: FiniteDualityModel, S_values, lam=None,
@@ -237,42 +255,32 @@ def boundary_alternative(model: FiniteDualityModel, S_values, lam=None,
     instances.
     """
     A, s = assemble_boundary_model(model, S_values)
-    m = A.shape[1]
+    K, m = A.shape
     meta = model.describe()
-    phi_vals = np.array([pairing(model.calibration.form, pl.pvector())
-                         for _, pl in model.atoms])
     if lam is None:
         primal = solve_lp(np.zeros(m), A, s)
-        feasible = primal.status == 'optimal'
-        weights = primal.x if feasible else None
-        a, val = _dual_separation_boundary(A, s)
-        rel = (-val / max(np.linalg.norm(a), 1e-300)) if a is not None else 0.0
-        have_cert = rel > margin_tol
-        margin = rel if have_cert else None
-        tie = not have_cert and rel > 1e-9
+        weights = primal.x if primal.status == 'optimal' else None
+        a, have_cert, margin, tie = _separation(
+            A.T, s, -np.ones(K), np.ones(K), K, margin_tol)
     else:
         # minimum-mass LP decides both sides at once
         minmass = solve_lp(np.ones(m), A, s)
+        weights = None
         if minmass.status == 'optimal':
             lam_star = minmass.obj
             meta["lambda_threshold"] = lam_star
-            feasible = lam_star <= lam + FEAS_TOL
-            weights = minmass.x if feasible else None
-            if feasible:
-                a, val, have_cert, margin, tie = None, None, False, None, False
+            if lam_star <= lam + FEAS_TOL:
+                weights = minmass.x
+                a, have_cert, margin, tie = None, False, None, False
             else:
                 # dual of the min-mass LP: y with A^T y <= 1, s.y = lam*
-                y = minmass.y
-                a = -y
+                a = -minmass.y
                 val = s @ a          # equals -lam_star
                 have_cert = val < -(lam + margin_tol)
                 margin = -(val + lam) if have_cert else None
                 tie = not have_cert
         else:
-            feasible = False
-            weights = None
-            y = minmass.y            # Farkas certificate from phase 1
-            a = -y
+            a = -minmass.y           # Farkas certificate from phase 1
             val = float(s @ a)
             have_cert = val < -1e-12
             # any scaling passes below -lam, so report the raw margin
@@ -280,16 +288,13 @@ def boundary_alternative(model: FiniteDualityModel, S_values, lam=None,
             tie = not have_cert
         meta["lambda"] = lam
     # verify the sides against their definitions before reporting
-    if feasible and weights is not None:
-        recon = A @ weights
-        if np.abs(recon - s).max() > FEAS_TOL * max(1.0, np.abs(s).max()):
-            feasible = False
-            weights = None
+    weights = _verified(A, s, weights)
     if have_cert:
-        slack = A.T @ a
-        floor = 0.0 if lam is None else -phi_vals
-        if (slack - floor).min() < -1e-8:
+        floor = 0.0 if lam is None else -_pair_rows(
+            model.calibration.form.to_coeff_vector(), model._atom_table[1])
+        if (A.T @ a - floor).min() < -1e-8:
             have_cert = False
+    feasible = weights is not None
     consistent = feasible != have_cert and not tie
     return AlternativeResult(
         'Feasible' if feasible else 'Infeasible', weights,
@@ -311,26 +316,23 @@ def assemble_jensen_model(model: FiniteDualityModel, K_indices, x_index):
         raise ValueError("x must not be a K site")
     if not len(K_indices):
         raise ValueError("K must be nonempty")
-    atoms = model.atoms
-    nK = len(K_indices)
-    K_pts = model.sites[list(K_indices)]
-    x = model.sites[x_index]
+    if not all(0 <= i < len(model.sites) for i in [*K_indices, x_index]):
+        raise ValueError(f"K and x must index the {len(model.sites)} sites")
+    site_of, X = model._atom_table
+    m = len(site_of)
     rows = len(model.test_family) + 1
-    A = np.zeros((rows, len(atoms) + nK))
+    A = np.zeros((rows, m + len(K_indices)))
     b = np.zeros(rows)
     # per atom, the matrix G with (H extended into phi)(xi) = <H, G>
     cal = model.calibration
     Dphi = derivation_tensor(cal.n, cal.p) @ cal.form.to_coeff_vector()
-    G = np.array([Dphi @ pl.pvector().to_coeff_vector()
-                  for _, pl in atoms]).reshape(-1, cal.n, cal.n)
-    site_of = [i for i, _ in atoms]
+    G = np.array([Dphi @ xi for xi in X]).reshape(-1, cal.n, cal.n)
     for k, f in enumerate(model.test_family):
         H = np.array([f.hessian_at(site) for site in model.sites])
-        A[k, :len(atoms)] = np.einsum("alm,alm->a", H[site_of], G)
-        for j in range(nK):
-            A[k, len(atoms) + j] = -f(K_pts[j])
-        b[k] = -f(x)
-    A[-1, len(atoms):] = 1.0
+        A[k, :m] = np.einsum("alm,alm->a", H[site_of], G)
+        A[k, m:] = [-f(model.sites[j]) for j in K_indices]
+        b[k] = -f(model.sites[x_index])
+    A[-1, m:] = 1.0
     b[-1] = 1.0
     return A, b
 
@@ -345,57 +347,24 @@ def jensen_alternative(model: FiniteDualityModel, K_indices, x_index,
     strictly separating x from K.
     """
     A, b = assemble_jensen_model(model, K_indices, x_index)
-    atoms = model.atoms
-    nK = len(K_indices)
     primal = solve_lp(np.zeros(A.shape[1]), A, b)
-    feasible = primal.status == 'optimal'
-    weights = primal.x if feasible else None
+    weights = _verified(A, b, primal.x if primal.status == 'optimal'
+                        else None)
 
-    # independent dual search: maximize f(x) - t with t >= f on K and the
-    # dictionary Hessian pairings nonnegative, |a| <= 1 boxwise
+    # independent dual search over (a, t), |a| <= 1 boxwise: maximize
+    # f(x) - t with the dictionary Hessian pairings of a nonnegative and
+    # t >= f on K, i.e. Hmat a >= 0 and t - fK a >= 0
     K = len(model.test_family)
-    fx = -b[:K]
-    fK = -A[:K, len(atoms):].T                                # (nK, K)
-    Hmat = A[:K, :len(atoms)].T
-    # variables: a (boxed), t (free via box), slacks
-    # constraints: Hmat a - u = 0 (u >= 0);  t - fK a - v = 0 (v >= 0)
-    nA, nT = K, 1
+    n_atoms = A.shape[1] - len(K_indices)
     big = 1e6
-    ncols = nA + nT + len(atoms) + nK
-    Aeq = np.zeros((len(atoms) + nK, ncols))
-    Aeq[:len(atoms), :nA] = Hmat
-    Aeq[:len(atoms), nA + nT:nA + nT + len(atoms)] = -np.eye(len(atoms))
-    Aeq[len(atoms):, :nA] = -fK
-    Aeq[len(atoms):, nA] = 1.0
-    Aeq[len(atoms):, nA + nT + len(atoms):] = -np.eye(nK)
-    c = np.zeros(ncols)
-    c[:nA] = -fx          # maximize fx.a - t  ==  min -fx.a + t
-    c[nA] = 1.0
-    lower = np.concatenate([-np.ones(nA), [-big], np.zeros(len(atoms) + nK)])
-    upper = np.concatenate([np.ones(nA), [big],
-                            np.full(len(atoms) + nK, np.inf)])
-    dual = solve_lp(c, Aeq, np.zeros(len(atoms) + nK), lower=lower,
-                    upper=upper)
-    have_cert = False
-    margin = None
-    a = None
-    tie = False
-    if dual.status == 'optimal':
-        a = dual.x[:nA]
-        sep = -dual.obj                        # f(x) - max_K f
-        rel = sep / max(np.linalg.norm(a), 1e-300)
-        if rel > margin_tol:
-            have_cert = True
-            margin = rel
-        elif rel > 1e-9:
-            tie = True
-    # verify the feasible side reproduces its constraints
-    if feasible and weights is not None:
-        if np.abs(A @ weights - b).max() > FEAS_TOL * max(1.0, np.abs(b).max()):
-            feasible = False
-            weights = None
+    M = np.block([[A[:K, :n_atoms].T, np.zeros((n_atoms, 1))],
+                  [A[:K, n_atoms:].T, np.ones((len(K_indices), 1))]])
+    a, have_cert, margin, tie = _separation(
+        M, np.append(b[:K], 1.0), np.append(-np.ones(K), -big),
+        np.append(np.ones(K), big), K, margin_tol)
     meta = model.describe()
     meta.update({"K_sites": list(K_indices), "x": int(x_index)})
+    feasible = weights is not None
     consistent = feasible != have_cert and not tie
     return AlternativeResult(
         'Feasible' if feasible else 'Infeasible', weights,
@@ -410,9 +379,9 @@ def active_site_hull_check(model: FiniteDualityModel, K_indices, x_index,
     actually uses must sit at a site the dual cannot separate from K."""
     if result.primal != 'Feasible' or result.weights is None:
         return {"applicable": False}
-    atoms = model.atoms
-    active_sites = sorted({atoms[c][0] for c in range(len(atoms))
-                           if result.weights[c] > weight_tol})
+    site_of = model._atom_table[0]
+    active = result.weights[:len(site_of)] > weight_tol
+    active_sites = sorted(set(site_of[active].tolist()))
     offenders = []
     for i in active_sites:
         if i == x_index or i in K_indices:

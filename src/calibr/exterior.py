@@ -171,7 +171,11 @@ class ExteriorElement:
         basis = lex_indices(n, p)
         if vec.size != len(basis):
             raise ValueError(f"coefficient vector has size {vec.size}, expected {len(basis)}")
-        return cls(n, p, {basis[k]: vec[k] for k in range(vec.size)}, drop_tol=drop_tol)
+        # lex tuples need none of __init__'s index checks
+        out = cls(n, p)
+        out.coeffs = {idx: c for idx, c in zip(basis, vec.reshape(-1).tolist())
+                      if abs(c) > drop_tol}
+        return out
 
     # -- linear structure ---------------------------------------------------
 

@@ -84,6 +84,17 @@ class TestErrors:
         assert code == 2
         assert "increasing" in err
 
+    @pytest.mark.parametrize("argv, missing", [
+        (["duality"], "--sites and --boundary"),
+        (["duality", "--sites", "s.json"], "--boundary"),
+        (["jensen"], "--sites and --K and --x"),
+        (["jensen", "--sites", "s.json", "--K", "0,1"], "--x"),
+    ])
+    def test_missing_inputs_exit_2(self, capsys, argv, missing):
+        code, out, err = run_cli(capsys, *argv, "--cal", "omega4")
+        assert code == 2 and out == ""
+        assert err == f"error: {argv[0]} needs {missing} (or --random N)\n"
+
     def test_unknown_flag_rejected(self, capsys):
         with pytest.raises(SystemExit):
             main(["comass", "--cal", "omega4", "--bogus-flag", "1"])

@@ -197,6 +197,14 @@ class TestJensenAlternative:
         with pytest.raises(ValueError, match="K site"):
             jensen_alternative(model, [0, 1], 1)
 
+    @pytest.mark.parametrize("K, x", [([0, 2], 1), ([0, -1], 1), ([0], 2)])
+    def test_site_index_out_of_range_rejected(self, omega, ss, K, x):
+        pts = np.array([[0.0, 0, 0, 0], [1.0, 1, 1, 1]])
+        model = build_jensen_model(omega, pts, ss, degree=1,
+                                   planes_per_site=2)
+        with pytest.raises(ValueError, match="index the 2 sites"):
+            assemble_jensen_model(model, K, x)
+
     def test_random_instances_consistent(self, omega, ss):
         ties = consistent = 0
         N = 30
@@ -353,3 +361,61 @@ class TestSolverDifferential:
                 a = res.certificate
                 assert (Hmat @ a).min() >= -1e-8
                 assert fx @ a > (fK @ a).max()
+
+    def test_jensen_feasible(self, omega, ss8):
+        # no criterion-8 Jensen stream is feasible; with the x1y1 complex
+        # line in the dictionary the centre of this diamond is
+        K, x = [0, 1, 2, 3], 4
+        pts = 0.5 * np.array([[1, 0, 0, 0], [-1, 0, 0, 0], [0, 1, 0, 0],
+                              [0, -1, 0, 0], [0.0, 0, 0, 0]])
+        model = build_jensen_model(omega, pts, ss8, degree=2,
+                                   planes_per_site=4,
+                                   extra_planes=[SimplePlane(np.eye(4)[:2])])
+        fam = model.test_family
+        Hmat = np.array([[pairing(derivation_extend(f.hessian_at(pts[i]),
+                                                    omega.form),
+                                  wedge_pvector(pl)) for f in fam]
+                         for i, pl in model.atoms])
+        fx = np.array([f(pts[x]) for f in fam])
+        fK = np.array([[f(pts[j]) for f in fam] for j in K])
+        independent = np.block([[Hmat.T, -fK.T],
+                                [np.zeros((1, len(Hmat))), np.ones((1, 4))]])
+        rhs = np.append(-fx, 1.0)
+        A, b = assemble_jensen_model(model, K, x)
+        scale = max(1.0, np.abs(A).max())
+        assert np.abs(A - independent).max() < 1e-12 * scale
+        highs = linprog(np.zeros(A.shape[1]), A_eq=A, b_eq=b,
+                        bounds=(0, None), method="highs")
+        assert highs.status == 0
+        check_weights(independent, rhs, highs.x)
+        assert simplex_feasible(A, b)
+        res = jensen_alternative(model, K, x)
+        assert res.primal == 'Feasible' and res.dual is None
+        assert res.consistent
+        check_weights(independent, rhs, res.weights)
+
+
+class TestAtomTable:
+    def test_atom_values_are_matrix_columns(self, omega, ss):
+        rng = rng_stream(6, 0)
+        model = build_boundary_model(omega, rng.uniform(-1, 1, size=(3, 4)),
+                                     ss, degree=2, planes_per_site=4)
+        A, _ = assemble_boundary_model(model,
+                                       np.zeros(len(model.test_family)))
+        for col, (i, pl) in enumerate(model.atoms):
+            assert np.array_equal(atom_boundary_values(model, i, pl),
+                                  A[:, col])
+
+    def test_uneven_dictionary(self, omega, ss):
+        # every criterion-8 model lists the same planes at each site, so
+        # these uneven lists are what exercise the atom table's site index
+        planes = list(ss.planes)
+        dictionary = [planes[:1], planes[1:4], [],
+                      planes[::2] + [SimplePlane(np.eye(4)[:2])]]
+        sites = rng_stream(6, 1).uniform(-1, 1, size=(4, 4))
+        model = build_boundary_model(omega, sites, ss, degree=2,
+                                     dictionary=dictionary)
+        A, _ = assemble_boundary_model(model,
+                                       np.zeros(len(model.test_family)))
+        assert A.shape[1] == sum(len(pl) for pl in dictionary)
+        assert np.abs(A - boundary_matrix(model)).max() < 1e-12

@@ -7,6 +7,7 @@ from calibr.exterior import (
     hodge_star, interior_product, is_simple, lex_indices, pairing,
     simple_from_frame, wedge,
 )
+from calibr.exterior import DROP_TOL
 
 rng = np.random.default_rng(7)
 
@@ -231,6 +232,30 @@ class TestJson:
                             "terms": [{"indices": [1, 5], "coeff": 1.0}]})
         with pytest.raises(ValueError):
             form_from_json({"n": 4, "p": 2, "bogus": 1, "terms": []})
+
+
+class TestFromCoeffVector:
+    @pytest.mark.parametrize("n", range(3, 9))
+    @pytest.mark.parametrize("drop_tol", [None, 0.0])
+    def test_matches_init_route(self, n, drop_tol):
+        tol = DROP_TOL if drop_tol is None else drop_tol
+        kw = {} if drop_tol is None else {"drop_tol": drop_tol}
+        edge = [tol, -tol, np.nextafter(tol, 1.0), -np.nextafter(tol, 1.0),
+                0.0, -0.0]
+        for p in range(n + 1):
+            basis = lex_indices(n, p)
+            vec = rng.standard_normal(len(basis))
+            vec[rng.permutation(len(basis))[:len(edge)]] = edge[:len(basis)]
+            fast = ExteriorElement.from_coeff_vector(n, p, vec, **kw)
+            slow = ExteriorElement(n, p, {basis[k]: vec[k]
+                                          for k in range(len(basis))}, **kw)
+            assert (fast.n, fast.p) == (slow.n, slow.p)
+            assert list(fast.coeffs.items()) == list(slow.coeffs.items())
+            assert all(type(c) is float for c in fast.coeffs.values())
+
+    def test_rejects_wrong_size(self):
+        with pytest.raises(ValueError, match="size"):
+            ExteriorElement.from_coeff_vector(4, 2, np.ones(5))
 
 
 # -- slow-path references for the Lambda^p operator layer --------------------
