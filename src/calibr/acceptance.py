@@ -16,8 +16,7 @@ import numpy as np
 from .calibrations import catalogue, complex_structure
 from .cones import mass_norm_estimate
 from .currents import disc_mesh, graph_curve_mesh, green_check, \
-    restriction_subharmonicity, tilted_disc_mesh, calibration_gap, \
-    tangent_pvector
+    restriction_subharmonicity, tilted_disc_mesh, calibration_gap
 from .duality import (assemble_boundary_model, boundary_alternative,
                       build_boundary_model, build_jensen_model,
                       jensen_alternative)
@@ -226,12 +225,10 @@ def criterion_5_symbol_projection(seed=DEFAULT_SEED, total_pairs=10_000):
 def criterion_6_wirtinger(seed=DEFAULT_SEED):
     t0 = time.time()
     omega = catalogue("kaehler", 2, 1)
-    M = disc_mesh(12, cal=omega)
-    per_simplex_worst = 0.0
-    for tri in M.simplices:
-        xi, vol = tangent_pvector(M.vertices[tri])
-        per_simplex_worst = max(per_simplex_worst,
-                                abs(vol - vol * pairing(omega.form, xi)))
+    T = disc_mesh(12, cal=omega).to_current()
+    vol = T._volumes
+    per_simplex_worst = float(np.abs(
+        vol - vol * (T._tangents @ omega.form.to_coeff_vector())).max())
     tilt_rows = []
     tilt_ok = True
     for theta in (0.1, 0.5, 1.0):
@@ -465,26 +462,19 @@ CRITERIA = [
     criterion_12_mass_bracket,
 ]
 
+# smaller instance counts for quick smoke runs; other criteria run in full
+_QUICK_KWARGS = {
+    criterion_1_catalogue_comass: {"multistarts": 40},
+    criterion_4_trace_identity: {"pairs_per_entry": 1000},
+    criterion_5_symbol_projection: {"total_pairs": 1000},
+    criterion_8_farkas: {"boundary_count": 20, "jensen_count": 20,
+                         "mono_count": 5},
+    criterion_10_normality: {"trials": 8},
+}
+
 
 def run_all(quick=False, seed=DEFAULT_SEED):
     """Run every criterion; quick mode shrinks instance counts for smoke
     runs and is not the acceptance gate."""
-    results = []
-    for fn in CRITERIA:
-        if quick:
-            kwargs = {}
-            if fn is criterion_1_catalogue_comass:
-                kwargs = {"multistarts": 40}
-            elif fn is criterion_4_trace_identity:
-                kwargs = {"pairs_per_entry": 1000}
-            elif fn is criterion_5_symbol_projection:
-                kwargs = {"total_pairs": 1000}
-            elif fn is criterion_8_farkas:
-                kwargs = {"boundary_count": 20, "jensen_count": 20,
-                          "mono_count": 5}
-            elif fn is criterion_10_normality:
-                kwargs = {"trials": 8}
-            results.append(fn(seed=seed, **kwargs))
-        else:
-            results.append(fn(seed=seed))
-    return results
+    return [fn(seed=seed, **(_QUICK_KWARGS.get(fn, {}) if quick else {}))
+            for fn in CRITERIA]

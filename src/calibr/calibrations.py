@@ -2,8 +2,7 @@
 
 Coefficient tables for the exceptional forms come from the standard
 literature conventions; none is trusted blindly — the test suite confirms
-every catalogue entry against the comass optimizer before release, and the
-``verify_comass`` helper re-runs that confirmation on demand.
+every catalogue entry against the comass optimizer before release.
 """
 
 from __future__ import annotations

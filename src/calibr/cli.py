@@ -311,13 +311,10 @@ def cmd_current_check(args):
               "violations": len(pos["violations"]),
               "boundary_simplices": len(currents.boundary(T))}
     if args.emit_csv:
-        rows = []
-        for k, (verts, mult) in enumerate(T.simplices):
-            xi, vol = currents.tangent_pvector(verts)
-            from .exterior import pairing
-            rows.append([k, vol, mult, pairing(cal.form, xi)])
+        phi = T._tangents @ cal.form.to_coeff_vector()
         write_csv(args.emit_csv, ["simplex", "volume", "mult", "phi_value"],
-                  rows)
+                  zip(range(len(T)), T._volumes.tolist(), T._mults.tolist(),
+                      phi.tolist()))
         report["csv"] = args.emit_csv
     emit_report(report, _config_from(args, ["cal", "mesh"]), args)
     return 0 if pos["positive"] else 1

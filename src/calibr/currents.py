@@ -20,11 +20,12 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .calibrations import Calibration
-from .exterior import (ExteriorElement, _sorted_sign, derivation_tensor,
-                       pairing, simple_from_frame)
+from .exterior import (ExteriorElement, _lex_array, _sorted_sign, _stack_dets,
+                       derivation_tensor, lex_indices, pairing,
+                       simple_from_frame)
 from .fields import ScalarField
-from .polynomial import (PolyForm, Polynomial, integrate_over_simplex,
-                         simplex_volume)
+from .polynomial import (PolyForm, Polynomial, _simplex_mean,
+                         integrate_over_simplex, simplex_volume)
 
 VOLUME_TOL = 1e-12
 
@@ -33,36 +34,61 @@ VOLUME_TOL = 1e-12
 # polyhedral currents
 # ---------------------------------------------------------------------------
 
+def _simplex_geometry(V):
+    """Unit tangent p-vectors, as (N, C(n,p)) lex coefficient rows, and
+    p-volumes of an (N, p+1, n) stack of ordered simplices.  The rows are
+    the p x p minors of each edge frame over |e1 ^ .. ^ ep| (zero for a
+    degenerate simplex); the volumes equal ``simplex_volume``'s bit for bit.
+    """
+    V = np.asarray(V, dtype=float)
+    N, p1, n = V.shape
+    p = p1 - 1
+    E = V[:, 1:] - V[:, :1]
+    gram = E @ E.transpose(0, 2, 1)
+    vols = np.sqrt(np.maximum(np.linalg.det(gram), 0.0)) / math.factorial(p)
+    minors = _stack_dets(E[:, :, _lex_array(n, p)].transpose(0, 2, 1, 3))
+    norms = np.linalg.norm(minors, axis=1, keepdims=True)
+    return minors / np.where(norms > 0.0, norms, 1.0), vols
+
+
 def tangent_pvector(verts) -> tuple:
     """(unit simple p-vector, p-volume) of an ordered simplex."""
     verts = np.asarray(verts, dtype=float)
-    edges = verts[1:] - verts[0]
-    vol = simplex_volume(verts)
-    if vol <= 0.0:
+    xi, vol = _simplex_geometry(verts[None])
+    if vol[0] <= 0.0:
         raise ValueError("degenerate simplex")
-    _, xi = simple_from_frame(edges)
-    return xi, vol
+    return (ExteriorElement.from_coeff_vector(verts.shape[1], len(verts) - 1,
+                                              xi[0]), float(vol[0]))
 
 
 class PolyhedralCurrent:
-    """Weighted oriented p-simplices in R^n."""
+    """Weighted oriented p-simplices in R^n; the tangents, volumes and
+    multiplicities of the kept simplices are arrays in ``simplices`` order."""
 
     def __init__(self, n, p, simplices, validate=True):
         self.n = int(n)
         self.p = int(p)
-        clean = []
-        for k, (verts, mult) in enumerate(simplices):
-            verts = np.asarray(verts, dtype=float)
-            if verts.shape != (self.p + 1, self.n):
-                raise ValueError(f"simplex {k}: expected {(self.p+1, self.n)} "
-                                 f"vertex array, got {verts.shape}")
-            mult = float(mult)
-            if mult == 0.0:
-                continue
-            if simplex_volume(verts) <= VOLUME_TOL:
-                raise ValueError(f"simplex {k} is degenerate")
-            clean.append((verts, mult))
-        self.simplices = clean
+        shape = (self.p + 1, self.n)
+        verts, mults = [], []
+        for v, mult in simplices:
+            verts.append(np.asarray(v, dtype=float))
+            if verts[-1].shape != shape:
+                break
+            mults.append(float(mult))
+        # zero multiplicities are dropped unchecked; a degenerate simplex is
+        # reported before a later misshapen one
+        mults = np.array(mults)
+        keep = np.flatnonzero(mults)
+        self._tangents, self._volumes = _simplex_geometry(
+            np.reshape(verts[:len(mults)], (-1, *shape))[keep])
+        self._mults = mults[keep]
+        degenerate = keep[self._volumes <= VOLUME_TOL]
+        if degenerate.size:
+            raise ValueError(f"simplex {degenerate[0]} is degenerate")
+        if len(verts) > len(mults):
+            raise ValueError(f"simplex {len(mults)}: expected {shape} "
+                             f"vertex array, got {verts[-1].shape}")
+        self.simplices = [(verts[k], mults[k].item()) for k in keep]
         if validate and self.p >= 2 and self.simplices:
             bb = boundary(boundary(self))
             if bb.simplices:
@@ -72,10 +98,6 @@ class PolyhedralCurrent:
 
     def __len__(self):
         return len(self.simplices)
-
-    def tangents(self):
-        """Per-simplex (unit p-vector, volume, multiplicity)."""
-        return [tangent_pvector(v) + (m,) for v, m in self.simplices]
 
 
 def _face_key(verts):
@@ -109,7 +131,7 @@ def boundary(T: PolyhedralCurrent) -> PolyhedralCurrent:
 
 def mass(T: PolyhedralCurrent) -> float:
     """Total variation: weighted p-volume."""
-    return sum(abs(m) * simplex_volume(v) for v, m in T.simplices)
+    return float(np.abs(T._mults) @ T._volumes)
 
 
 def evaluate(T: PolyhedralCurrent, alpha, quadrature_order=None) -> float:
@@ -120,35 +142,33 @@ def evaluate(T: PolyhedralCurrent, alpha, quadrature_order=None) -> float:
     via the exact barycentric moment formula (exact to machine precision at
     any polynomial degree, hence for every degree <= quadrature_order).
     """
+    if not isinstance(alpha, (ExteriorElement, PolyForm)):
+        raise TypeError("alpha must be an ExteriorElement or a PolyForm")
+    if alpha.p != T.p or alpha.n != T.n:
+        raise ValueError("form degree/dimension mismatch")
+    weights = T._mults * T._volumes
     if isinstance(alpha, ExteriorElement):
-        if alpha.p != T.p or alpha.n != T.n:
-            raise ValueError("form degree/dimension mismatch")
-        total = 0.0
-        for verts, mult in T.simplices:
-            xi, vol = tangent_pvector(verts)
-            total += mult * vol * pairing(alpha, xi)
-        return total
-    if isinstance(alpha, PolyForm):
-        if alpha.p != T.p or alpha.n != T.n:
-            raise ValueError("form degree/dimension mismatch")
-        total = 0.0
-        for verts, mult in T.simplices:
-            xi, _ = tangent_pvector(verts)
-            q = alpha.pair_with(xi)
-            total += mult * integrate_over_simplex(q, verts)
-        return total
-    raise TypeError("alpha must be an ExteriorElement or a PolyForm")
+        return float(weights @ (T._tangents @ alpha.to_coeff_vector()))
+    # the coefficient polynomial alpha(tangent) of every simplex at once,
+    # over the monomials of alpha; each simplex then averages its own
+    monos = list(dict.fromkeys(e for q in alpha.comps.values()
+                               for e in q.terms))
+    zero = Polynomial(T.n)
+    rows = (T._tangents @ np.array(
+        [[alpha.comps.get(idx, zero).terms.get(e, 0.0) for e in monos]
+         for idx in lex_indices(T.n, T.p)])).tolist()
+    means = [_simplex_mean(Polynomial(T.n, dict(zip(monos, row))), verts)
+             for row, (verts, _) in zip(rows, T.simplices)]
+    return float(weights @ np.array(means))
 
 
 def phi_positive_check(T: PolyhedralCurrent, cal: Calibration, tol=1e-9):
     """Positive iff every positively weighted tangent is a phi-plane and no
     multiplicity is negative; violations come back with their phi-values."""
-    violations = []
-    for k, (verts, mult) in enumerate(T.simplices):
-        xi, _ = tangent_pvector(verts)
-        val = pairing(cal.form, xi)
-        if mult < 0.0 or val < 1.0 - tol:
-            violations.append({"index": k, "phi": val, "multiplicity": mult})
+    vals = T._tangents @ cal.form.to_coeff_vector()
+    bad = np.flatnonzero((T._mults < 0.0) | (vals < 1.0 - tol))
+    violations = [{"index": k, "phi": vals[k].item(),
+                   "multiplicity": T._mults[k].item()} for k in bad.tolist()]
     return {"positive": not violations, "violations": violations}
 
 
@@ -203,13 +223,16 @@ class MeshedSubmanifold:
             raise ValueError(f"inconsistent orientations on faces {bad[:3]}")
 
     def _validate_flatness(self):
-        for k, tri in enumerate(self.simplices):
-            xi, _ = tangent_pvector(self.vertices[tri])
-            val = pairing(self.cal.form, xi)
-            if val < 1.0 - self.flatness_tol:
-                raise ValueError(
-                    f"simplex {k} tangent has phi-value {val:.6f}, below "
-                    f"1 - {self.flatness_tol:g}")
+        xi, vols = _simplex_geometry(self.vertices[self.simplices])
+        vals = xi @ self.cal.form.to_coeff_vector()
+        bad = np.flatnonzero((vols <= 0.0) | (vals < 1.0 - self.flatness_tol))
+        if bad.size:
+            k = bad[0]
+            if vols[k] <= 0.0:
+                raise ValueError("degenerate simplex")
+            raise ValueError(
+                f"simplex {k} tangent has phi-value {vals[k]:.6f}, below "
+                f"1 - {self.flatness_tol:g}")
 
     def boundary_vertices(self):
         out = set()
@@ -390,27 +413,19 @@ def cotan_laplacian(vertices, triangles):
     """Sparse stiffness matrix L with (Lu)_i = sum_j w_ij (u_i - u_j) and
     barycentric lumped vertex areas."""
     V = np.asarray(vertices, dtype=float)
+    T = np.asarray(triangles, dtype=int).reshape(-1, 3)
     nv = len(V)
-    rows, cols, vals = [], [], []
-    areas = np.zeros(nv)
-    for tri in triangles:
-        i, j, k = (int(t) for t in tri)
-        pts = V[[i, j, k]]
-        area = simplex_volume(pts)
-        for a in (i, j, k):
-            areas[a] += area / 3.0
-        for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
-            # cotangent at vertex c of the angle opposite edge (a, b)
-            u = V[a] - V[c]
-            v = V[b] - V[c]
-            cross = np.linalg.norm(np.cross(u, v)) if V.shape[1] == 3 else \
-                math.sqrt(max((u @ u) * (v @ v) - (u @ v) ** 2, 0.0))
-            cot = (u @ v) / max(cross, 1e-300)
-            w = 0.5 * cot
-            rows += [a, b, a, b]
-            cols += [b, a, a, b]
-            vals += [-w, -w, w, w]
-    L = sp.csr_matrix((vals, (rows, cols)), shape=(nv, nv))
+    _, area = _simplex_geometry(V[T])
+    areas = np.bincount(T.ravel(), np.repeat(area / 3.0, 3), minlength=nv)
+    # the angle at corner C = T[s+2] faces the edge (A, B) = (T[s], T[s+1]);
+    # at every corner |u ^ v| is twice the triangle's area
+    A, B, C = T, np.roll(T, -1, axis=1), np.roll(T, -2, axis=1)
+    u, v = V[A] - V[C], V[B] - V[C]
+    w = 0.5 * (u * v).sum(axis=2) / np.maximum(2.0 * area, 1e-300)[:, None]
+    L = sp.csr_matrix((np.concatenate([-w, -w, w, w], axis=None),
+                       (np.concatenate([A, B, A, B], axis=None),
+                        np.concatenate([B, A, A, B], axis=None))),
+                      shape=(nv, nv))
     return L, areas
 
 
@@ -429,10 +444,11 @@ def discrete_laplacian_values(M: MeshedSubmanifold, f: ScalarField):
 # ---------------------------------------------------------------------------
 
 def _plane_coordinates(M: MeshedSubmanifold, tol=1e-9):
-    """Orthonormal 2-frame of the mesh plane and the 2D vertex coordinates;
-    raises when the mesh is not flat inside one plane."""
+    """Orthonormal 2-frame of the mesh plane, its unit 2-vector oriented by
+    the first simplex, and the 2D vertex coordinates; raises when the mesh
+    is not flat inside one plane."""
     tri0 = M.vertices[M.simplices[0]]
-    plane, _ = simple_from_frame(tri0[1:] - tri0[0])
+    plane, xi = simple_from_frame(tri0[1:] - tri0[0])
     frame = plane.frame                       # (2, n) rows
     origin = M.vertices[0]
     rel = M.vertices - origin
@@ -441,7 +457,7 @@ def _plane_coordinates(M: MeshedSubmanifold, tol=1e-9):
     off = np.abs(rel - recon).max()
     if off > tol * max(1.0, np.abs(M.vertices).max()):
         raise ValueError(f"mesh leaves its plane by {off:.2e}")
-    return frame, coords
+    return frame, xi, coords
 
 
 def _hessian_pair_poly(f: ScalarField, cal: Calibration, xi: ExteriorElement,
@@ -557,7 +573,7 @@ def green_check(M: MeshedSubmanifold, x_index: int, tests, cal: Calibration,
     derivative, and for each test f compares the current paired with the
     second-order operator of f against the measure-minus-Dirac evaluation.
     """
-    frame, coords = _plane_coordinates(M)
+    frame, xi_M, coords = _plane_coordinates(M)
     interior = M.interior_vertices()
     if x_index not in interior:
         raise ValueError(f"vertex {x_index} is not interior")
@@ -601,10 +617,6 @@ def green_check(M: MeshedSubmanifold, x_index: int, tests, cal: Calibration,
         ring = sorted({int(v) for tri in M.simplices if x_index in tri
                        for v in tri if v != x_index})
         H_vals[x_index] = float(np.mean(H_vals[ring]))
-
-    # orientation of the plane: the mesh tangent p-vector
-    tri0 = M.vertices[M.simplices[0]]
-    xi_M, _ = tangent_pvector(tri0)
 
     residuals = {}
     for f in tests:
@@ -698,15 +710,12 @@ def max_principle_check(M: MeshedSubmanifold, f: ScalarField, mode: str,
         fv = np.array([f(v) for v in M.vertices])
         spread = float(fv.max() - fv.min())
         pre_ok = spread <= 1e-9 * max(1.0, np.abs(fv).max())
-        worst = 0.0
-        for face, sign in M.boundary_edges():
-            a, b = face
-            tang = M.vertices[b] - M.vertices[a]
-            tang = tang / np.linalg.norm(tang)
-            mid = 0.5 * (M.vertices[a] + M.vertices[b])
-            val = pairing(d_phi(f, mid, cal),
-                          ExteriorElement.from_vector(tang))
-            worst = max(worst, abs(val))
+        faces = M.vertices[np.array([face for face, _ in M.boundary_edges()],
+                                    dtype=int).reshape(-1, M.p)]
+        tangents, _ = _simplex_geometry(faces)
+        worst = max((abs(float(d_phi(f, v.mean(axis=0), cal).to_coeff_vector()
+                               @ t)) for v, t in zip(faces, tangents)),
+                    default=0.0)
         return MeshReport(worst <= 1e-9, pre_ok,
                           {"value_spread_on_M": spread},
                           {"worst_boundary_pairing": worst})

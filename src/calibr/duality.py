@@ -75,7 +75,6 @@ class FiniteDualityModel:
     test_family: list                      # PolyForm or Polynomial members
     kind: str                              # 'boundary' | 'jensen'
     degree: int
-    tolerances: dict = field(default_factory=dict)
 
     @property
     def atoms(self):
@@ -243,6 +242,12 @@ def _verified(A, b, weights):
     return None if np.abs(A @ weights - b).max() > tol else weights
 
 
+def _meta(model, margin_tol):
+    """The model's description and the tolerances the alternative used."""
+    return {**model.describe(),
+            "tolerances": {"margin_tol": margin_tol, "feas_tol": FEAS_TOL}}
+
+
 def boundary_alternative(model: FiniteDualityModel, S_values, lam=None,
                          margin_tol=MARGIN_TOL) -> AlternativeResult:
     """Exact finite alternative for the boundary model.
@@ -256,7 +261,7 @@ def boundary_alternative(model: FiniteDualityModel, S_values, lam=None,
     """
     A, s = assemble_boundary_model(model, S_values)
     K, m = A.shape
-    meta = model.describe()
+    meta = _meta(model, margin_tol)
     if lam is None:
         primal = solve_lp(np.zeros(m), A, s)
         weights = primal.x if primal.status == 'optimal' else None
@@ -362,7 +367,7 @@ def jensen_alternative(model: FiniteDualityModel, K_indices, x_index,
     a, have_cert, margin, tie = _separation(
         M, np.append(b[:K], 1.0), np.append(-np.ones(K), -big),
         np.append(np.ones(K), big), K, margin_tol)
-    meta = model.describe()
+    meta = _meta(model, margin_tol)
     meta.update({"K_sites": list(K_indices), "x": int(x_index)})
     feasible = weights is not None
     consistent = feasible != have_cert and not tie

@@ -138,6 +138,18 @@ def quadratic_field(A, name=None) -> ScalarField:
                        validate=False)
 
 
+# name: (the x_i^2 coefficients in coordinate order, one float for all of
+# them; zeros are dropped), minimum n
+_DIAGONAL_QUADRATICS = {
+    "normsq": (1.0, 0),
+    "half_normsq": (0.5, 0),
+    "neg_normsq": (-1.0, 0),
+    "abs_z1_sq": ((1.0, 1.0), 2),
+    "re_z1_sq": ((1.0, -1.0), 2),
+    "neg_x3_sq": ((0.0, 0.0, -1.0), 3),
+}
+
+
 def builtin_field(name: str, n: int) -> ScalarField:
     """Named fields for the CLI and tests.
 
@@ -145,45 +157,18 @@ def builtin_field(name: str, n: int) -> ScalarField:
     x1^2 + y1^2 in coordinates 1 and 2.
     """
     key = name.strip().lower()
-    if key in ("normsq", "norm_sq"):
-        poly = Polynomial(n, {tuple(2 * (i == j) for j in range(n)): 1.0
-                              for i in range(n)})
-        return ScalarField.from_polynomial(poly, "normsq")
-    if key == "half_normsq":
-        poly = Polynomial(n, {tuple(2 * (i == j) for j in range(n)): 0.5
-                              for i in range(n)})
-        return ScalarField.from_polynomial(poly, "half_normsq")
-    if key == "neg_normsq":
-        poly = Polynomial(n, {tuple(2 * (i == j) for j in range(n)): -1.0
-                              for i in range(n)})
-        return ScalarField.from_polynomial(poly, "neg_normsq")
+    key = "normsq" if key == "norm_sq" else key
+    if key in _DIAGONAL_QUADRATICS:
+        coeffs, min_n = _DIAGONAL_QUADRATICS[key]
+        if n < min_n:
+            raise ValueError(f"{key} needs n >= {min_n}")
+        if isinstance(coeffs, float):
+            coeffs = (coeffs,) * n
+        poly = Polynomial(n, {tuple(2 * (i == j) for j in range(n)): c
+                              for i, c in enumerate(coeffs)})
+        return ScalarField.from_polynomial(poly, key)
     if key == "re_z1":
         return ScalarField.from_polynomial(Polynomial.coordinate(n, 1), "re_z1")
-    if key == "abs_z1_sq":
-        if n < 2:
-            raise ValueError("abs_z1_sq needs n >= 2")
-        e1 = [0] * n
-        e1[0] = 2
-        e2 = [0] * n
-        e2[1] = 2
-        poly = Polynomial(n, {tuple(e1): 1.0, tuple(e2): 1.0})
-        return ScalarField.from_polynomial(poly, "abs_z1_sq")
-    if key == "re_z1_sq":
-        if n < 2:
-            raise ValueError("re_z1_sq needs n >= 2")
-        e1 = [0] * n
-        e1[0] = 2
-        e2 = [0] * n
-        e2[1] = 2
-        poly = Polynomial(n, {tuple(e1): 1.0, tuple(e2): -1.0})
-        return ScalarField.from_polynomial(poly, "re_z1_sq")
-    if key == "neg_x3_sq":
-        if n < 3:
-            raise ValueError("neg_x3_sq needs n >= 3")
-        e = [0] * n
-        e[2] = 2
-        return ScalarField.from_polynomial(Polynomial(n, {tuple(e): -1.0}),
-                                           "neg_x3_sq")
     if key.startswith("coord:"):
         i = int(key.split(":", 1)[1])
         return ScalarField.from_polynomial(Polynomial.coordinate(n, i),

@@ -357,9 +357,6 @@ class PlaneSampleSet:
         """Rows of Pluecker coefficient vectors, one per plane."""
         return np.array([pl.pvector().to_coeff_vector() for pl in self.planes])
 
-    def frames(self) -> np.ndarray:
-        return np.array([pl.frame for pl in self.planes])
-
 
 def _is_duplicate(plane, kept, dedup_angle):
     for other in kept:

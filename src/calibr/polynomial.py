@@ -187,16 +187,21 @@ def integrate_over_simplex(poly: Polynomial, vertices) -> float:
     Substitutes x = sum_i lambda_i v_i and applies the Dirichlet moment
     formula; exact for every polynomial degree.
     """
-    V = np.asarray(vertices, dtype=float)
-    p = V.shape[0] - 1
-    vol = simplex_volume(V)
+    vol = simplex_volume(vertices)
     if vol == 0.0:
         return 0.0
+    return _simplex_mean(poly, vertices) * vol
+
+
+def _simplex_mean(poly: Polynomial, vertices) -> float:
+    """Mean value of a polynomial over a geometric simplex: substitutes
+    x = sum_i lambda_i v_i and applies the Dirichlet moment formula."""
+    V = np.asarray(vertices, dtype=float)
     in_lambda = poly.substitute_linear(V)  # (p+1) barycentric variables
     total = 0.0
     for exps, c in in_lambda.terms.items():
-        total += c * _bary_moment(exps, p)
-    return total * vol
+        total += c * _bary_moment(exps, V.shape[0] - 1)
+    return total
 
 
 def integrate_over_box(poly: Polynomial, lo, hi) -> float:
@@ -235,18 +240,6 @@ class PolyForm:
                 clean[idx] = clean.get(idx, Polynomial.constant(n, 0.0)) + poly
         self.comps = {k: v for k, v in clean.items() if v.terms}
 
-    @classmethod
-    def from_constant(cls, el: ExteriorElement):
-        return cls(el.n, el.p,
-                   {idx: Polynomial.constant(el.n, c) for idx, c in el.coeffs.items()})
-
-    @classmethod
-    def monomial_form(cls, n, p, idx, exps, c=1.0):
-        return cls(n, p, {tuple(idx): Polynomial.monomial(n, exps, c)})
-
-    def degree_bound(self):
-        return max((poly.degree() for poly in self.comps.values()), default=0)
-
     def __add__(self, other):
         out = dict(self.comps)
         for k, v in other.comps.items():
@@ -278,15 +271,6 @@ class PolyForm:
         """Freeze coefficients at the point x."""
         return ExteriorElement(self.n, self.p,
                                {idx: poly(x) for idx, poly in self.comps.items()})
-
-    def pair_with(self, xi: ExteriorElement) -> Polynomial:
-        """The scalar polynomial x -> (self at x)(xi) for a constant p-vector."""
-        out = Polynomial.constant(self.n, 0.0)
-        for idx, poly in self.comps.items():
-            c = xi.coeffs.get(idx, 0.0)
-            if c:
-                out = out + poly * c
-        return out
 
 
 def monomial_exponents(n, max_degree, include_constant=True):

@@ -172,6 +172,23 @@ class TestSubcommands:
         rep = json.loads(out)["report"]
         assert rep["positive"] is True and abs(rep["gap"]) < 1e-10
 
+    def test_current_check_csv(self, capsys, tmp_path):
+        from calibr.currents import disc_mesh, write_mesh
+        mesh, csv = tmp_path / "disc.mesh", tmp_path / "simplices.csv"
+        M = disc_mesh(5)
+        write_mesh(mesh, M)
+        code, out, _ = run_cli(capsys, "current-check", "--mesh", str(mesh),
+                               "--cal", "omega4", "--emit-csv", str(csv))
+        assert code == 0
+        rep = json.loads(out)["report"]
+        lines = csv.read_text().strip().splitlines()
+        assert lines[0] == "simplex,volume,mult,phi_value"
+        rows = np.array([[float(v) for v in ln.split(",")]
+                         for ln in lines[1:]])
+        assert rows[:, 0].tolist() == list(range(len(M.simplices)))
+        assert abs(rows[:, 1].sum() - rep["mass"]) <= 1e-12
+        assert np.abs(rows[:, 3] - 1.0).max() <= 1e-12
+
     def test_duality_random_batch(self, capsys, tmp_path):
         csv = tmp_path / "batch.csv"
         code, out, _ = run_cli(capsys, "duality", "--cal", "omega4",

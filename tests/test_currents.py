@@ -317,3 +317,154 @@ class TestRestriction:
         L, areas = cotan_laplacian(M.vertices, M.simplices)
         assert np.abs(np.asarray(L.sum(axis=1)).ravel()).max() < 1e-12
         assert abs(areas.sum() - mass(M.to_current())) < 1e-12
+
+
+# -- the per-simplex routes the batched geometry replaced, kept as references
+
+def qr_tangent(verts):
+    """Unit p-vector of an ordered simplex through the QR of its edges."""
+    from calibr.exterior import simple_from_frame
+    _, xi = simple_from_frame(verts[1:] - verts[0])
+    return xi.to_coeff_vector()
+
+
+def loop_cotan_laplacian(vertices, triangles):
+    """Cotangent stiffness and lumped areas, one triangle at a time."""
+    import scipy.sparse as sp
+    from calibr.polynomial import simplex_volume
+    V = np.asarray(vertices, dtype=float)
+    nv = len(V)
+    rows, cols, vals = [], [], []
+    areas = np.zeros(nv)
+    for tri in triangles:
+        i, j, k = (int(t) for t in tri)
+        area = simplex_volume(V[[i, j, k]])
+        for a in (i, j, k):
+            areas[a] += area / 3.0
+        for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
+            u = V[a] - V[c]
+            v = V[b] - V[c]
+            cross = np.linalg.norm(np.cross(u, v)) if V.shape[1] == 3 else \
+                math.sqrt(max((u @ u) * (v @ v) - (u @ v) ** 2, 0.0))
+            w = 0.5 * (u @ v) / max(cross, 1e-300)
+            rows += [a, b, a, b]
+            cols += [b, a, a, b]
+            vals += [-w, -w, w, w]
+    return sp.csr_matrix((vals, (rows, cols)), shape=(nv, nv)), areas
+
+
+def random_current(n, p, count, seed):
+    rng = np.random.default_rng([n, p, seed])
+    return PolyhedralCurrent(n, p, [(rng.standard_normal((p + 1, n)),
+                                     float(rng.choice([-2.0, 0.5, 1.0])))
+                                    for _ in range(count)])
+
+
+class TestBatchedGeometry:
+    @pytest.mark.parametrize("n,p", [(n, p) for n in (3, 4, 5)
+                                     for p in (1, 2, 3)])
+    def test_against_per_simplex_routes(self, n, p):
+        from calibr.polynomial import simplex_volume
+        T = random_current(n, p, 40, seed=1)
+        for S in (T, boundary(T)):
+            vols = [simplex_volume(v) for v, _ in S.simplices]
+            assert S._volumes.tolist() == vols            # bit for bit
+            assert S._mults.tolist() == [m for _, m in S.simplices]
+            if S.p == 0:                                  # points
+                assert S._tangents.tolist() == [[1.0]] * len(S)
+                continue
+            ref = np.array([qr_tangent(v) for v, _ in S.simplices])
+            assert np.abs(S._tangents - ref).max() <= 1e-14
+
+    def test_mass_evaluate_positivity_against_simplex_loop(self, omega):
+        from calibr.exterior import ExteriorElement
+        from calibr.polynomial import integrate_over_simplex, simplex_volume
+        rng = np.random.default_rng(11)
+        T = random_current(4, 2, 30, seed=2)
+        const = ExteriorElement.from_coeff_vector(4, 2, rng.standard_normal(6))
+        alpha = PolyForm(4, 2, {idx: Polynomial(4, {
+            tuple(rng.integers(0, 3, size=4)): rng.standard_normal()
+            for _ in range(3)}) for idx in ((1, 2), (1, 4), (3, 4))})
+        xis = [qr_tangent(v) for v, _ in T.simplices]
+        lex = [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
+        want_mass = sum(abs(m) * simplex_volume(v) for v, m in T.simplices)
+        want_const = sum(m * simplex_volume(v) * (xi @ const.to_coeff_vector())
+                         for (v, m), xi in zip(T.simplices, xis))
+        want_poly = sum(m * integrate_over_simplex(sum(
+            (float(xi[lex.index(idx)]) * q for idx, q in alpha.comps.items()),
+            Polynomial(4)), v) for (v, m), xi in zip(T.simplices, xis))
+        assert abs(mass(T) - want_mass) <= 1e-12 * want_mass
+        assert abs(evaluate(T, const) - want_const) <= 1e-12 * want_mass
+        assert abs(evaluate(T, alpha) - want_poly) <= 1e-12 * max(
+            1.0, abs(want_poly))
+        omega_vec = omega.form.to_coeff_vector()
+        bad = [k for k, ((_, m), xi) in enumerate(zip(T.simplices, xis))
+               if m < 0 or xi @ omega_vec < 1.0 - 1e-9]
+        got = phi_positive_check(T, omega)["violations"]
+        assert [v["index"] for v in got] == bad and bad
+        assert all(type(v["phi"]) is float and type(v["multiplicity"]) is float
+                   for v in got)
+
+    def test_volumes_bitwise_on_a_large_mesh(self, omega):
+        from calibr.polynomial import simplex_volume
+        T = graph_curve_mesh(30).to_current()            # 5,400 triangles
+        assert T._volumes.tolist() == [simplex_volume(v)
+                                       for v, _ in T.simplices]
+
+    def test_tangent_pvector_is_the_one_simplex_view(self):
+        rng = np.random.default_rng(5)
+        for n, p in ((3, 1), (4, 2), (5, 3), (6, 4)):
+            verts = rng.standard_normal((p + 1, n))
+            xi, vol = tangent_pvector(verts)
+            assert xi.n == n and xi.p == p and isinstance(vol, float)
+            assert np.abs(xi.to_coeff_vector()
+                          - qr_tangent(verts)).max() <= 1e-14
+
+    @pytest.mark.parametrize("make", [
+        lambda: cap_mesh(6, 0.4, n=3), lambda: disc_mesh(6),
+        lambda: tilted_disc_mesh(5, 0.8), lambda: graph_curve_mesh(6),
+        lambda: disc_mesh(4, n=5)])
+    def test_cotan_against_triangle_loop(self, make):
+        M = make()
+        L, areas = cotan_laplacian(M.vertices, M.simplices)
+        L_ref, areas_ref = loop_cotan_laplacian(M.vertices, M.simplices)
+        assert areas.tolist() == areas_ref.tolist()      # bit for bit
+        assert np.abs((L - L_ref).toarray()).max() <= 1e-14
+
+    def test_degenerate_index_counts_zero_multiplicities(self):
+        good = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        flat = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
+        # a degenerate simplex of multiplicity zero is accepted and dropped
+        T = PolyhedralCurrent(2, 2, [(flat, 0.0), (good, 1.0)])
+        assert len(T) == 1 and T.simplices[0][1] == 1.0
+        with pytest.raises(ValueError, match=r"^simplex 2 is degenerate$"):
+            PolyhedralCurrent(2, 2, [(flat, 0.0), (good, 1.0), (flat, 3.0),
+                                     (flat, 1.0)])
+
+    def test_first_offending_entry_is_reported(self):
+        good = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        flat = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
+        with pytest.raises(ValueError, match=r"^simplex 1 is degenerate$"):
+            PolyhedralCurrent(2, 2, [(good, 1.0), (flat, 1.0), (good[:2], 1)])
+        with pytest.raises(ValueError, match=r"^simplex 1: expected \(3, 2\) "
+                           r"vertex array, got \(2, 2\)$"):
+            PolyhedralCurrent(2, 2, [(good, 1.0), (good[:2], 1), (flat, 1.0)])
+
+    def test_empty_and_zero_dimensional_currents(self):
+        T = PolyhedralCurrent(3, 2, [])
+        assert mass(T) == 0.0 and len(T) == 0
+        seg = PolyhedralCurrent(3, 1, [(np.array([[0.0, 0, 0],
+                                                  [0.0, 3.0, 4.0]]), 2.0)])
+        assert mass(seg) == 10.0
+        ends = boundary(seg)
+        assert ends._volumes.tolist() == [1.0, 1.0]
+        assert sorted(ends._mults.tolist()) == [-2.0, 2.0]
+
+    def test_flat_mesh_reports_first_bent_simplex(self, omega):
+        M = disc_mesh(3)
+        verts = M.vertices.copy()
+        verts[M.simplices[4][0], 2] = 0.3          # lift one vertex
+        bent = [k for k, t in enumerate(M.simplices)
+                if M.simplices[4][0] in t]
+        with pytest.raises(ValueError, match=f"^simplex {bent[0]} tangent"):
+            MeshedSubmanifold(verts, M.simplices, cal=omega)

@@ -419,3 +419,25 @@ class TestAtomTable:
                                        np.zeros(len(model.test_family)))
         assert A.shape[1] == sum(len(pl) for pl in dictionary)
         assert np.abs(A - boundary_matrix(model)).max() < 1e-12
+
+
+class TestReportedTolerances:
+    def test_both_alternatives_echo_their_tolerances(self, omega, ss):
+        from calibr.duality import FEAS_TOL, MARGIN_TOL
+        sq = np.array([[1, 1, 0, 0], [-1, 1, 0, 0], [-1, -1, 0, 0],
+                       [1, -1, 0, 0], [0.0, 0, 0, 0]])
+        bmodel = build_boundary_model(omega, sq[:3], ss, degree=1,
+                                      planes_per_site=3)
+        S = atom_boundary_values(bmodel, 1, bmodel.dictionary[1][0])
+        jmodel = build_jensen_model(omega, sq, ss, degree=2,
+                                    planes_per_site=4)
+        for margin_tol in (MARGIN_TOL, 1e-4):
+            want = {"margin_tol": margin_tol, "feas_tol": FEAS_TOL}
+            for res in (boundary_alternative(bmodel, S, margin_tol=margin_tol),
+                        boundary_alternative(bmodel, S, lam=0.5,
+                                             margin_tol=margin_tol),
+                        jensen_alternative(jmodel, [0, 1, 2, 3], 4,
+                                           margin_tol=margin_tol)):
+                assert res.meta["tolerances"] == want
+                assert res.meta["kind"] in ("boundary", "jensen")
+        assert not hasattr(bmodel, "tolerances")

@@ -60,6 +60,39 @@ class TestScalarField:
             {"exps": [0, 1, 0], "coeff": -2.0}]})
         assert f(np.array([2.0, 1.0, 0.0])) == 2.0
 
+    @pytest.mark.parametrize("name,field_name,terms", [
+        ("normsq", "normsq", [((2, 0, 0, 0), 1.0), ((0, 2, 0, 0), 1.0),
+                              ((0, 0, 2, 0), 1.0), ((0, 0, 0, 2), 1.0)]),
+        ("norm_sq", "normsq", [((2, 0, 0, 0), 1.0), ((0, 2, 0, 0), 1.0),
+                               ((0, 0, 2, 0), 1.0), ((0, 0, 0, 2), 1.0)]),
+        ("half_normsq", "half_normsq", [
+            ((2, 0, 0, 0), 0.5), ((0, 2, 0, 0), 0.5),
+            ((0, 0, 2, 0), 0.5), ((0, 0, 0, 2), 0.5)]),
+        ("neg_normsq", "neg_normsq", [
+            ((2, 0, 0, 0), -1.0), ((0, 2, 0, 0), -1.0),
+            ((0, 0, 2, 0), -1.0), ((0, 0, 0, 2), -1.0)]),
+        ("re_z1", "re_z1", [((1, 0, 0, 0), 1.0)]),
+        ("abs_z1_sq", "abs_z1_sq", [((2, 0, 0, 0), 1.0), ((0, 2, 0, 0), 1.0)]),
+        ("re_z1_sq", "re_z1_sq", [((2, 0, 0, 0), 1.0), ((0, 2, 0, 0), -1.0)]),
+        ("neg_x3_sq", "neg_x3_sq", [((0, 0, 2, 0), -1.0)]),
+        ("coord:3", "coord:3", [((0, 0, 1, 0), 1.0)]),
+    ])
+    def test_builtin_terms(self, name, field_name, terms):
+        f = builtin_field(name, 4)
+        assert f.name == field_name
+        assert list(f.poly.terms.items()) == terms       # insertion order too
+
+    @pytest.mark.parametrize("name,n,k", [
+        ("abs_z1_sq", 1, 2), ("re_z1_sq", 1, 2), ("neg_x3_sq", 2, 3)])
+    def test_builtin_dimension_errors(self, name, n, k):
+        with pytest.raises(ValueError, match=f"^{name} needs n >= {k}$"):
+            builtin_field(name, n)
+        assert builtin_field(name, k).n == k
+
+    def test_unknown_builtin(self):
+        with pytest.raises(ValueError, match="unknown builtin field 'nope'"):
+            builtin_field("nope", 4)
+
     def test_compose_chain_rule(self):
         f = builtin_field("half_normsq", 3)
         g = compose(f, math.exp, math.exp, math.exp)
