@@ -21,11 +21,10 @@ import scipy.sparse.linalg as spla
 
 from .calibrations import Calibration
 from .exterior import (ExteriorElement, _lex_array, _sorted_sign, _stack_dets,
-                       derivation_tensor, lex_indices, pairing,
-                       simple_from_frame)
+                       derivation_tensor, lex_indices, simple_from_frame)
 from .fields import ScalarField
-from .polynomial import (PolyForm, Polynomial, _simplex_mean,
-                         integrate_over_simplex, simplex_volume)
+from .polynomial import (PolyForm, Polynomial, monomial_exponents,
+                         simplex_monomial_means)
 
 VOLUME_TOL = 1e-12
 
@@ -62,8 +61,9 @@ def tangent_pvector(verts) -> tuple:
 
 
 class PolyhedralCurrent:
-    """Weighted oriented p-simplices in R^n; the tangents, volumes and
-    multiplicities of the kept simplices are arrays in ``simplices`` order."""
+    """Weighted oriented p-simplices in R^n; the vertices, tangents, volumes
+    and multiplicities of the kept simplices are arrays in ``simplices``
+    order."""
 
     def __init__(self, n, p, simplices, validate=True):
         self.n = int(n)
@@ -79,8 +79,8 @@ class PolyhedralCurrent:
         # reported before a later misshapen one
         mults = np.array(mults)
         keep = np.flatnonzero(mults)
-        self._tangents, self._volumes = _simplex_geometry(
-            np.reshape(verts[:len(mults)], (-1, *shape))[keep])
+        self._vertices = np.reshape(verts[:len(mults)], (-1, *shape))[keep]
+        self._tangents, self._volumes = _simplex_geometry(self._vertices)
         self._mults = mults[keep]
         degenerate = keep[self._volumes <= VOLUME_TOL]
         if degenerate.size:
@@ -139,8 +139,8 @@ def evaluate(T: PolyhedralCurrent, alpha, quadrature_order=None) -> float:
     alpha(tangent) against p-volume, times multiplicities.
 
     Constant forms integrate in closed form; polynomial-coefficient forms
-    via the exact barycentric moment formula (exact to machine precision at
-    any polynomial degree, hence for every degree <= quadrature_order).
+    through the monomial means of every simplex (exact to machine precision
+    at any polynomial degree, hence for every degree <= quadrature_order).
     """
     if not isinstance(alpha, (ExteriorElement, PolyForm)):
         raise TypeError("alpha must be an ExteriorElement or a PolyForm")
@@ -149,17 +149,16 @@ def evaluate(T: PolyhedralCurrent, alpha, quadrature_order=None) -> float:
     weights = T._mults * T._volumes
     if isinstance(alpha, ExteriorElement):
         return float(weights @ (T._tangents @ alpha.to_coeff_vector()))
-    # the coefficient polynomial alpha(tangent) of every simplex at once,
-    # over the monomials of alpha; each simplex then averages its own
+    # the coefficients of alpha(tangent) over the monomials of alpha, times
+    # the monomials' means, for every simplex at once
     monos = list(dict.fromkeys(e for q in alpha.comps.values()
                                for e in q.terms))
     zero = Polynomial(T.n)
-    rows = (T._tangents @ np.array(
+    rows = T._tangents @ np.array(
         [[alpha.comps.get(idx, zero).terms.get(e, 0.0) for e in monos]
-         for idx in lex_indices(T.n, T.p)])).tolist()
-    means = [_simplex_mean(Polynomial(T.n, dict(zip(monos, row))), verts)
-             for row, (verts, _) in zip(rows, T.simplices)]
-    return float(weights @ np.array(means))
+         for idx in lex_indices(T.n, T.p)])
+    means = simplex_monomial_means(T._vertices, monos)
+    return float(weights @ (rows * means).sum(axis=1))
 
 
 def phi_positive_check(T: PolyhedralCurrent, cal: Calibration, tol=1e-9):
@@ -463,9 +462,9 @@ def _plane_coordinates(M: MeshedSubmanifold, tol=1e-9):
 def _hessian_pair_poly(f: ScalarField, cal: Calibration, xi: ExteriorElement,
                        frame, origin):
     """The scalar z -> (Hess f extended into phi)(xi) at ambient point
-    origin + z.frame, as a 2D polynomial when f is polynomial, else None."""
+    origin + z.frame, as a 2D polynomial; f must be polynomial."""
     if f.poly is None:
-        return None
+        raise ValueError(f"test field {f.name!r} is not polynomial")
     n = cal.n
     K = (derivation_tensor(n, cal.p) @ cal.form.to_coeff_vector()
          @ xi.to_coeff_vector())
@@ -484,73 +483,48 @@ def _hessian_pair_poly(f: ScalarField, cal: Calibration, xi: ExteriorElement,
 _GAUSS_T, _GAUSS_W = np.polynomial.legendre.leggauss(24)
 
 
-def _log_radial_integral(R, coeffs):
-    """int_0^R (-1/(2 pi)) log(r) * (sum_k c_k r^k) * r dr, exactly."""
-    total = 0.0
-    for k, c in enumerate(coeffs):
-        if c == 0.0:
-            continue
-        kk = k + 2
-        total += c * (R ** kk) * (math.log(R) / kk - 1.0 / kk ** 2)
-    return -total / (2.0 * math.pi)
+def _log_moments(P, degree):
+    """Integrals of -(1/2pi) log|w| w^alpha over all triangles of the
+    (N, 3, 2) stack P of pole-centred vertices, summed, for the alpha of
+    ``monomial_exponents(2, degree)``.
 
-
-def _fan_log_integral(x, a, b, qfun, qdeg):
-    """Signed integral of -(1/2pi) log|z - x| q(z) over the triangle (x,a,b).
-
-    Angular Gauss rule, radial part exact per monomial; sign follows the
-    orientation of (x, a, b).
+    Each triangle is the signed fan of sectors (0, a, b) over its oriented
+    edges.  A sector takes a 24-node angular Gauss rule; along the ray
+    w = r u, w^alpha = u^alpha r^|alpha| and the radial integral up to the
+    chord is exact.  A sliver sector (the pole on the line through a and b)
+    contributes zero.
     """
-    a = a - x
-    b = b - x
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
-    cross = a[0] * b[1] - a[1] * b[0]
-    if abs(cross) <= 1e-13 * (na * nb + 1e-300):
-        return 0.0                      # degenerate sliver: zero sector
-    alpha = math.atan2(a[1], a[0])
-    beta = math.atan2(b[1], b[0])
-    delta = beta - alpha
-    while delta <= -math.pi:
-        delta += 2 * math.pi
-    while delta > math.pi:
-        delta -= 2 * math.pi
-    # distance from x to the chord line through a, b
-    d = abs(cross) / np.linalg.norm(b - a)
-    nrm = np.array([-(b - a)[1], (b - a)[0]])
-    nrm /= np.linalg.norm(nrm)
-    if nrm @ a < 0:
-        nrm = -nrm
-    R_cap = 2.0 * max(na, nb)           # R never exceeds the chord reach
-    rad_nodes = np.cos(np.pi * (2 * np.arange(qdeg + 1) + 1) / (2 * (qdeg + 1)))
-    total = 0.0
-    for t, w in zip(_GAUSS_T, _GAUSS_W):
-        theta = alpha + delta * (t + 1) / 2.0
-        u = np.array([math.cos(theta), math.sin(theta)])
-        R = min(d / max(nrm @ u, 1e-300), R_cap)
-        # radial polynomial coefficients of q along the ray, by interpolation
-        if qdeg == 0:
-            coeffs = [qfun(x)]
-        else:
-            rs = R * (rad_nodes + 1.0) / 2.0
-            vals = [qfun(x + r * u) for r in rs]
-            coeffs = np.polynomial.polynomial.polyfit(rs, vals, qdeg)
-        total += w * _log_radial_integral(R, np.atleast_1d(coeffs))
-    return total * (delta / 2.0)
-
-
-def _triangle_log_integral(zx, tri, qfun, qdeg):
-    """Integral of -(1/2pi) log|z - zx| q(z) over a positively oriented
-    triangle, via the signed fan decomposition from zx."""
-    a, b, c = tri
-    return (_fan_log_integral(zx, a, b, qfun, qdeg)
-            + _fan_log_integral(zx, b, c, qfun, qdeg)
-            + _fan_log_integral(zx, c, a, qfun, qdeg))
-
-
-def _affine_from_vertex_values(tri, vals):
-    A = np.column_stack([np.ones(3), tri])
-    coef = np.linalg.solve(A, vals)
-    return Polynomial(2, {(0, 0): coef[0], (1, 0): coef[1], (0, 1): coef[2]})
+    a = P.reshape(-1, 2)
+    b = np.roll(P, -1, axis=1).reshape(-1, 2)
+    na, nb = np.linalg.norm(a, axis=1), np.linalg.norm(b, axis=1)
+    cross = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
+    keep = np.abs(cross) > 1e-13 * (na * nb + 1e-300)
+    a, b, na, nb, cross = a[keep], b[keep], na[keep], nb[keep], cross[keep]
+    alpha = np.arctan2(a[:, 1], a[:, 0])
+    delta = np.arctan2(b[:, 1], b[:, 0]) - alpha
+    delta = np.where(delta <= -math.pi, delta + 2 * math.pi, delta)
+    delta = np.where(delta > math.pi, delta - 2 * math.pi, delta)
+    # distance from the pole to the chord line, and the chord's unit normal
+    # pointing away from the pole
+    e = b - a
+    ne = np.linalg.norm(e, axis=1)
+    d = np.abs(cross) / ne
+    nrm = np.column_stack([-e[:, 1], e[:, 0]]) / ne[:, None]
+    nrm[(nrm * a).sum(axis=1) < 0] *= -1.0
+    R_cap = 2.0 * np.maximum(na, nb)          # R never exceeds the chord reach
+    theta = alpha[:, None] + delta[:, None] * (_GAUSS_T + 1.0) / 2.0
+    u1, u2 = np.cos(theta), np.sin(theta)
+    R = np.minimum(d[:, None] / np.maximum(nrm[:, :1] * u1 + nrm[:, 1:] * u2,
+                                           1e-300), R_cap[:, None])
+    logR = np.log(R)
+    weight = (delta / 2.0)[:, None] * _GAUSS_W
+    out = []
+    for k in range(degree + 1):
+        kk = k + 2
+        radial = weight * R ** kk * (logR / kk - 1.0 / kk ** 2)
+        out += [np.sum(radial * u1 ** i * u2 ** (k - i))
+                for i in range(k, -1, -1)]
+    return -np.array(out) / (2.0 * math.pi)
 
 
 @dataclass
@@ -563,15 +537,17 @@ class GreenResult:
     meta: dict = field(default_factory=dict)
 
 
-def green_check(M: MeshedSubmanifold, x_index: int, tests, cal: Calibration,
-                qdeg=4) -> GreenResult:
+def green_check(M: MeshedSubmanifold, x_index: int, tests,
+                cal: Calibration) -> GreenResult:
     """Residuals of the weak Poisson-Jensen identity on a flat meshed disc.
 
     Builds the nonnegative Green's function vanishing on the boundary (exact
     log profile on the round disc centered at x, discrete cotangent solve
     otherwise), the harmonic measure from the discrete boundary normal
-    derivative, and for each test f compares the current paired with the
-    second-order operator of f against the measure-minus-Dirac evaluation.
+    derivative, and for each polynomial test f compares the current paired
+    with the second-order operator of f against the measure-minus-Dirac
+    evaluation.  The pairing is the dot product of that operator's
+    coefficients about x with one table of log-kernel moments.
     """
     frame, xi_M, coords = _plane_coordinates(M)
     interior = M.interior_vertices()
@@ -581,6 +557,8 @@ def green_check(M: MeshedSubmanifold, x_index: int, tests, cal: Calibration,
     if not boundary_idx:
         raise ValueError("mesh has no boundary")
     zx = coords[x_index]
+    qs = [_hessian_pair_poly(f, cal, xi_M, frame, M.vertices[0] + zx @ frame)
+          for f in tests]
     r_bnd = np.linalg.norm(coords[boundary_idx] - zx[None, :], axis=1)
     exact_disc = bool(np.abs(r_bnd - 1.0).max() < 1e-9)
 
@@ -605,45 +583,34 @@ def green_check(M: MeshedSubmanifold, x_index: int, tests, cal: Calibration,
     mu = np.maximum(mu, 0.0)
     mu = mu / mu.sum()
 
-    # split G = S + H with S the log profile; in exact mode H = 0
-    S_vals = np.zeros(len(M.vertices))
-    r_all = np.linalg.norm(coords - zx[None, :], axis=1)
-    nz = r_all > 1e-300
-    S_vals[nz] = -np.log(r_all[nz]) / (2.0 * math.pi)
-    if exact_disc:
-        H_vals = np.zeros(len(M.vertices))
-    else:
+    # moments of w^alpha, w = z - x, against G = S + H with S the log
+    # profile; in exact mode H = 0
+    degree = max((q.degree() for q in qs), default=0)
+    exps = monomial_exponents(2, degree)
+    P = coords[M.simplices] - zx
+    moments = _log_moments(P, degree)
+    if not exact_disc:
+        S_vals = np.zeros(len(M.vertices))
+        r_all = np.linalg.norm(coords - zx[None, :], axis=1)
+        nz = r_all > 1e-300
+        S_vals[nz] = -np.log(r_all[nz]) / (2.0 * math.pi)
         H_vals = G - S_vals
         ring = sorted({int(v) for tri in M.simplices if x_index in tri
                        for v in tri if v != x_index})
         H_vals[x_index] = float(np.mean(H_vals[ring]))
+        # smooth remainder: the P1 interpolant h = c0 + c1 w1 + c2 w2 of H
+        # times w^alpha, from the means of w^alpha, w1 w^alpha and w2 w^alpha
+        A = np.concatenate([np.ones(P.shape[:2] + (1,)), P], axis=2)
+        c = np.linalg.solve(A, H_vals[M.simplices][..., None])[..., 0]
+        shifted = [(i + s, j + t) for s, t in ((0, 0), (1, 0), (0, 1))
+                   for i, j in exps]
+        means = simplex_monomial_means(P, shifted).reshape(len(P), 3, -1)
+        _, area = _simplex_geometry(P)
+        moments = moments + np.einsum("t,ts,tsm->m", area, c, means)
 
     residuals = {}
-    for f in tests:
-        q_poly = _hessian_pair_poly(f, cal, xi_M, frame, M.vertices[0])
-        if q_poly is not None:
-            def qfun(z, q=q_poly):
-                return q(z)
-            qdeg_f = min(qdeg, max(q_poly.degree(), 0))
-        else:
-            from .hessian import hessian_form
-            def qfun(z, f=f):
-                x_amb = M.vertices[0] + z @ frame
-                return pairing(hessian_form(f, x_amb, cal, cross_check=False),
-                               xi_M)
-            qdeg_f = qdeg
-        total = 0.0
-        for tri_idx in M.simplices:
-            tri = coords[tri_idx]
-            # smooth remainder: P1 interpolant times q, integrated exactly
-            if not exact_disc:
-                h_aff = _affine_from_vertex_values(tri, H_vals[tri_idx])
-                if q_poly is not None:
-                    total += integrate_over_simplex(h_aff * q_poly, tri)
-                else:
-                    mid = tri.mean(axis=0)
-                    total += h_aff(mid) * qfun(mid) * simplex_volume(tri)
-            total += _triangle_log_integral(zx, tri, qfun, qdeg_f)
+    for f, q in zip(tests, qs):
+        total = np.array([q.terms.get(e, 0.0) for e in exps]) @ moments
         rhs_val = sum(w * f(M.vertices[j])
                       for w, j in zip(mu, boundary_idx)) - f(M.vertices[x_index])
         residuals[f.name] = abs(total - rhs_val)

@@ -91,6 +91,15 @@ class FiniteDualityModel:
         X = np.array([pl.pvector().to_coeff_vector() for _, pl in atoms])
         return site_of, X.reshape(len(atoms), len(lex_indices(cal.n, cal.p)))
 
+    @cached_property
+    def _boundary_matrix(self):
+        """A[k, atom] = (d beta_k)(x_i)(xi_ij) of a boundary model, from the
+        atom table; assembled once and read-only."""
+        site_of, X = self._atom_table
+        A = _pair_rows(_frozen_differentials(self, self.sites)[:, site_of], X)
+        A.flags.writeable = False
+        return A
+
     def describe(self):
         return {"kind": self.kind, "degree": self.degree,
                 "sites": len(self.sites),
@@ -182,16 +191,15 @@ def _frozen_differentials(model, sites):
 
 
 def assemble_boundary_model(model: FiniteDualityModel, S_values):
-    """Constraint matrix A[k, atom] = (d beta_k)(x_i)(xi_ij) and the
-    right-hand side of functional values S(beta_k)."""
+    """Constraint matrix A[k, atom] = (d beta_k)(x_i)(xi_ij), cached
+    read-only on the model, and the right-hand side of functional values
+    S(beta_k)."""
     if model.kind != "boundary":
         raise ValueError("not a boundary model")
     S_values = np.asarray(S_values, dtype=float)
     if S_values.shape != (len(model.test_family),):
         raise ValueError("S must supply one value per test form")
-    site_of, X = model._atom_table
-    F = _frozen_differentials(model, model.sites)
-    return _pair_rows(F[:, site_of], X), S_values
+    return model._boundary_matrix, S_values
 
 
 def atom_boundary_values(model: FiniteDualityModel, site_index, plane):

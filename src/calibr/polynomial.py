@@ -2,7 +2,7 @@
 
 Polynomials power the test families of the finite duality models, the
 built-in scalar fields, and the exact integration of forms over simplices
-(barycentric moment formula, exact for any polynomial degree).
+(a collapsed Gauss rule exact up to the degree present).
 """
 
 from __future__ import annotations
@@ -160,13 +160,35 @@ class Polynomial:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _bary_moment(exps, p):
-    """Integral of prod lambda_i^{e_i} over the standard p-simplex, relative
-    to its p-volume: p! * prod(e_i!) / (p + sum e_i)!."""
-    num = math.factorial(p)
-    for e in exps:
-        num *= math.factorial(e)
-    return num / math.factorial(p + sum(exps))
+def _collapsed_rule(p, degree):
+    """Barycentric nodes (K, p+1) and weights (K,), summing to one, of the
+    collapsed Gauss-Legendre rule on the p-simplex that is exact up to the
+    given total degree.  The Duffy map lambda_0 = 1 - t_1,
+    lambda_k = t_1 .. t_k (1 - t_{k+1}), lambda_p = t_1 .. t_p has Jacobian
+    prod t_k^(p-k), so a degree-d polynomial has degree <= d + p - 1 in
+    each t_k."""
+    t, w = np.polynomial.legendre.leggauss(max(1, -(-(degree + p) // 2)))
+    K = len(t) ** p
+    T = np.array(list(itertools.product((t + 1) / 2, repeat=p))).reshape(K, p)
+    W = np.array(list(itertools.product(w / 2, repeat=p))).reshape(K, p)
+    W = math.factorial(p) * np.prod(W * T ** np.arange(p - 1, -1, -1), axis=1)
+    ones = np.ones((K, 1))
+    lam = np.hstack([ones, np.cumprod(T, axis=1)]) * np.hstack([1.0 - T, ones])
+    return lam, W
+
+
+def simplex_monomial_means(V, exps):
+    """(N, M) mean values of the monomials x^e, e in exps, over each simplex
+    of an (N, p+1, n) vertex stack, from one collapsed rule exact up to the
+    highest degree in exps."""
+    V = np.asarray(V, dtype=float)
+    E = np.asarray(exps, dtype=int).reshape(-1, V.shape[2])
+    lam, w = _collapsed_rule(V.shape[1] - 1, int(E.sum(axis=1).max(initial=0)))
+    X = lam @ V                                   # (N, K, n) nodes
+    vals = np.ones(X.shape[:2] + (len(E),))
+    for j, e in enumerate(E.T):
+        vals *= X[..., j, None] ** e
+    return w @ vals
 
 
 def simplex_volume(vertices):
@@ -182,26 +204,14 @@ def simplex_volume(vertices):
 
 
 def integrate_over_simplex(poly: Polynomial, vertices) -> float:
-    """Exact integral of a polynomial over a geometric simplex in R^n.
-
-    Substitutes x = sum_i lambda_i v_i and applies the Dirichlet moment
-    formula; exact for every polynomial degree.
-    """
+    """Exact integral of a polynomial over a geometric simplex in R^n: the
+    one-simplex view of ``simplex_monomial_means`` times the volume."""
     vol = simplex_volume(vertices)
     if vol == 0.0:
         return 0.0
-    return _simplex_mean(poly, vertices) * vol
-
-
-def _simplex_mean(poly: Polynomial, vertices) -> float:
-    """Mean value of a polynomial over a geometric simplex: substitutes
-    x = sum_i lambda_i v_i and applies the Dirichlet moment formula."""
-    V = np.asarray(vertices, dtype=float)
-    in_lambda = poly.substitute_linear(V)  # (p+1) barycentric variables
-    total = 0.0
-    for exps, c in in_lambda.terms.items():
-        total += c * _bary_moment(exps, V.shape[0] - 1)
-    return total
+    means = simplex_monomial_means(np.asarray(vertices, dtype=float)[None],
+                                   list(poly.terms))[0]
+    return float(np.fromiter(poly.terms.values(), float) @ means * vol)
 
 
 def integrate_over_box(poly: Polynomial, lo, hi) -> float:

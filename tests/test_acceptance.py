@@ -61,3 +61,10 @@ def test_criterion_11_restriction_subharmonic():
 
 def test_criterion_12_mass_bracket():
     _report(acceptance.criterion_12_mass_bracket())
+
+
+def test_criterion_4_reports_the_pairs_it_checked():
+    result = acceptance.criterion_4_trace_identity(pairs_per_entry=30)
+    assert result.passed
+    assert [row["pairs"] for row in result.details["rows"]] == [30] * 8
+    assert result.summary.startswith("240 pairs over 8 entries, worst gap ")

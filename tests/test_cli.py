@@ -199,6 +199,22 @@ class TestSubcommands:
         assert rep["all_consistent"] is True
         assert len(csv.read_text().strip().splitlines()) == 7
 
+    def test_duality_random_batch_assembles_each_model_once(
+            self, capsys, monkeypatch):
+        from calibr import duality
+        calls = []
+        frozen = duality._frozen_differentials
+
+        def counted(model, sites):
+            calls.append(len(sites))
+            return frozen(model, sites)
+
+        monkeypatch.setattr(duality, "_frozen_differentials", counted)
+        code, _, _ = run_cli(capsys, "duality", "--cal", "omega4",
+                             "--random", "10", "--seed", "7")
+        assert code == 0
+        assert calls == [4] * 10
+
     def test_jensen_random_batch(self, capsys):
         code, out, _ = run_cli(capsys, "jensen", "--cal", "omega4",
                                "--random", "4", "--deg", "2", "--seed", "7")

@@ -468,3 +468,255 @@ class TestBatchedGeometry:
                 if M.simplices[4][0] in t]
         with pytest.raises(ValueError, match=f"^simplex {bent[0]} tangent"):
             MeshedSubmanifold(verts, M.simplices, cal=omega)
+
+
+# -- the scalar routes the array kernels replaced, kept as references
+
+def dirichlet_mean(poly, vertices):
+    """Mean of a polynomial over a simplex: substitute x = sum_i lambda_i v_i
+    and apply the Dirichlet moment formula p! prod e_i! / (p + |e|)!."""
+    V = np.asarray(vertices, dtype=float)
+    p = V.shape[0] - 1
+    total = 0.0
+    for exps, c in poly.substitute_linear(V).terms.items():
+        num = math.factorial(p)
+        for e in exps:
+            num *= math.factorial(e)
+        total += c * num / math.factorial(p + sum(exps))
+    return total
+
+
+GAUSS_24 = np.polynomial.legendre.leggauss(24)
+
+
+def log_radial_integral(R, coeffs):
+    """int_0^R (-1/(2 pi)) log(r) * (sum_k c_k r^k) * r dr, exactly."""
+    total = 0.0
+    for k, c in enumerate(coeffs):
+        if c == 0.0:
+            continue
+        kk = k + 2
+        total += c * (R ** kk) * (math.log(R) / kk - 1.0 / kk ** 2)
+    return -total / (2.0 * math.pi)
+
+
+def fan_log_integral(x, a, b, qfun, qdeg):
+    """Signed integral of -(1/2pi) log|z - x| q(z) over the triangle
+    (x, a, b): 24-node angular Gauss rule, q along each ray from a degree
+    qdeg fit at Chebyshev nodes, radial part exact per power."""
+    a = a - x
+    b = b - x
+    na, nb = np.linalg.norm(a), np.linalg.norm(b)
+    cross = a[0] * b[1] - a[1] * b[0]
+    if abs(cross) <= 1e-13 * (na * nb + 1e-300):
+        return 0.0
+    alpha = math.atan2(a[1], a[0])
+    delta = math.atan2(b[1], b[0]) - alpha
+    while delta <= -math.pi:
+        delta += 2 * math.pi
+    while delta > math.pi:
+        delta -= 2 * math.pi
+    d = abs(cross) / np.linalg.norm(b - a)
+    nrm = np.array([-(b - a)[1], (b - a)[0]])
+    nrm /= np.linalg.norm(nrm)
+    if nrm @ a < 0:
+        nrm = -nrm
+    R_cap = 2.0 * max(na, nb)
+    rad_nodes = np.cos(np.pi * (2 * np.arange(qdeg + 1) + 1) / (2 * (qdeg + 1)))
+    total = 0.0
+    for t, w in zip(*GAUSS_24):
+        theta = alpha + delta * (t + 1) / 2.0
+        u = np.array([math.cos(theta), math.sin(theta)])
+        R = min(d / max(nrm @ u, 1e-300), R_cap)
+        if qdeg == 0:
+            coeffs = [qfun(x)]
+        else:
+            rs = R * (rad_nodes + 1.0) / 2.0
+            coeffs = np.polynomial.polynomial.polyfit(
+                rs, [qfun(x + r * u) for r in rs], qdeg)
+        total += w * log_radial_integral(R, np.atleast_1d(coeffs))
+    return total * (delta / 2.0)
+
+
+def triangle_log_integral(zx, tri, qfun, qdeg):
+    a, b, c = tri
+    return (fan_log_integral(zx, a, b, qfun, qdeg)
+            + fan_log_integral(zx, b, c, qfun, qdeg)
+            + fan_log_integral(zx, c, a, qfun, qdeg))
+
+
+def loop_green_check(M, x_index, tests, cal, qdeg=4):
+    """``green_check`` one field and one triangle at a time: q from the
+    Hessian pairing about mesh vertex 0, the log kernel by the scalar fan,
+    the P1 remainder by ``dirichlet_mean``.  Returns (residuals, mu,
+    green_values, meta)."""
+    import scipy.sparse.linalg as spla
+    from calibr.currents import _hessian_pair_poly, _plane_coordinates
+    from calibr.polynomial import simplex_volume
+    frame, xi_M, coords = _plane_coordinates(M)
+    interior = M.interior_vertices()
+    boundary_idx = M.boundary_vertices()
+    zx = coords[x_index]
+    r_bnd = np.linalg.norm(coords[boundary_idx] - zx[None, :], axis=1)
+    exact_disc = bool(np.abs(r_bnd - 1.0).max() < 1e-9)
+    L, _ = cotan_laplacian(M.vertices, M.simplices)
+    rhs = np.zeros(len(interior))
+    rhs[interior.index(x_index)] = 1.0
+    G = np.zeros(len(M.vertices))
+    G[interior] = spla.spsolve(L[interior, :][:, interior].tocsc(), rhs)
+    flux = np.asarray(L @ G).ravel()
+    mu = np.array([-flux[j] for j in boundary_idx])
+    meta = {"mu_min": float(mu.min()), "mu_sum": float(mu.sum()),
+            "green_min": float(G.min())}
+    mu = np.maximum(mu, 0.0)
+    mu = mu / mu.sum()
+    r_all = np.linalg.norm(coords - zx[None, :], axis=1)
+    S_vals = np.zeros(len(M.vertices))
+    S_vals[r_all > 1e-300] = -np.log(r_all[r_all > 1e-300]) / (2.0 * math.pi)
+    H_vals = G - S_vals
+    ring = sorted({int(v) for tri in M.simplices if x_index in tri
+                   for v in tri if v != x_index})
+    H_vals[x_index] = float(np.mean(H_vals[ring]))
+    residuals = {}
+    for f in tests:
+        q = _hessian_pair_poly(f, cal, xi_M, frame, M.vertices[0])
+        qdeg_f = min(qdeg, max(q.degree(), 0))
+        total = 0.0
+        for tri_idx in M.simplices:
+            tri = coords[tri_idx]
+            if not exact_disc:
+                A = np.column_stack([np.ones(3), tri])
+                c = np.linalg.solve(A, H_vals[tri_idx])
+                h = Polynomial(2, {(0, 0): c[0], (1, 0): c[1], (0, 1): c[2]})
+                total += dirichlet_mean(h * q, tri) * simplex_volume(tri)
+            total += triangle_log_integral(zx, tri, q, qdeg_f)
+        rhs_val = sum(w * f(M.vertices[j])
+                      for w, j in zip(mu, boundary_idx)) - f(M.vertices[x_index])
+        residuals[f.name] = abs(total - rhs_val)
+    return residuals, mu, G, meta
+
+
+def poly_field(rng, degree, name, n=4):
+    """Twelve random monomials up to the degree plus one of top degree."""
+    from calibr.polynomial import monomial_exponents
+    exps = monomial_exponents(n, degree)
+    terms = {exps[k]: float(rng.standard_normal())
+             for k in rng.choice(len(exps), size=12, replace=False)}
+    top = [e for e in exps if sum(e) == degree]
+    terms[top[rng.integers(len(top))]] = 1.0
+    return ScalarField.from_polynomial(Polynomial(n, terms), name)
+
+
+class TestArrayKernels:
+    @pytest.mark.parametrize("n,p", [(1, 1), (3, 1), (2, 2), (4, 2), (5, 2),
+                                     (3, 3), (4, 3), (4, 0)])
+    def test_monomial_means_against_dirichlet(self, n, p):
+        from calibr.polynomial import (integrate_over_simplex,
+                                       monomial_exponents,
+                                       simplex_monomial_means, simplex_volume)
+        rng = np.random.default_rng([n, p])
+        V = rng.standard_normal((5, p + 1, n))
+        exps = monomial_exponents(n, 6 if n <= 3 else 4)
+        got = simplex_monomial_means(V, exps)
+        want = np.array([[dirichlet_mean(Polynomial.monomial(n, e), v)
+                          for e in exps] for v in V])
+        assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+        poly = Polynomial(n, {e: rng.standard_normal() for e in exps[::3]})
+        for v in V:
+            assert abs(integrate_over_simplex(poly, v)
+                       - dirichlet_mean(poly, v) * simplex_volume(v)) <= 1e-12
+
+    @pytest.mark.parametrize("n,p", [(3, 1), (4, 1), (4, 2), (5, 2), (4, 3),
+                                     (5, 3)])
+    def test_evaluate_against_simplex_loop(self, n, p):
+        from calibr.exterior import lex_indices
+        from calibr.polynomial import monomial_exponents
+        rng = np.random.default_rng([n, p, 7])
+        T = random_current(n, p, 12, seed=4)
+        for degree in (0, 1, 2, 4, 6):
+            exps = monomial_exponents(n, degree)
+            alpha = PolyForm(n, p, {idx: Polynomial(n, {
+                exps[k]: float(rng.standard_normal())
+                for k in rng.choice(len(exps), size=min(5, len(exps)),
+                                    replace=False)})
+                for idx in lex_indices(n, p)})
+            want = sum(m * dirichlet_mean(sum(
+                (float(x) * alpha.comps[idx]
+                 for x, idx in zip(xi, lex_indices(n, p))), Polynomial(n)),
+                v) * vol for (v, m), xi, vol in zip(T.simplices, T._tangents,
+                                                     T._volumes))
+            assert abs(evaluate(T, alpha) - want) <= 1e-12 * max(1.0,
+                                                                 abs(want))
+
+    @pytest.mark.parametrize("m,x", [(20, 7), (40, 0), (40, 1000)])
+    def test_log_moments_against_scalar_fans(self, omega, m, x):
+        from calibr.currents import _log_moments
+        from calibr.polynomial import monomial_exponents
+        M = disc_mesh(m, cal=omega)
+        coords = M.vertices[:, :2]
+        tris = M.simplices[::m * 20]
+        if x:                     # keep the triangles at the pole in
+            tris = np.vstack([M.simplices[[x in t for t in M.simplices]],
+                              tris])
+        got = _log_moments(coords[tris] - coords[x], 3)
+        for e, val in zip(monomial_exponents(2, 3), got):
+            def q(z, e=e):
+                w = z - coords[x]
+                return w[0] ** e[0] * w[1] ** e[1]
+            want = sum(triangle_log_integral(coords[x], coords[t], q, sum(e))
+                       for t in tris)
+            assert abs(val - want) <= 1e-13, e
+
+    @pytest.mark.parametrize("m,x", [(8, 0), (12, 0), (8, 4)])
+    def test_green_check_against_scalar_route(self, omega, m, x):
+        tests = [builtin_field(nm, 4) for nm in
+                 ("re_z1", "abs_z1_sq", "re_z1_sq", "normsq")]
+        M = disc_mesh(m, cal=omega)
+        res = green_check(M, x, tests, omega)
+        residuals, mu, G, meta = loop_green_check(M, x, tests, omega)
+        assert res.exact_disc == (x == 0)
+        assert res.mu.tobytes() == mu.tobytes()
+        assert res.green_values.tobytes() == G.tobytes()
+        assert res.meta == meta
+        for name, r in residuals.items():
+            assert abs(res.residuals[name] - r) <= 1e-12
+
+    @pytest.mark.parametrize("x", [0, 3, 10])
+    def test_high_degree_fields_against_scalar_route(self, omega, x):
+        rng = np.random.default_rng(42)
+        tests = [poly_field(rng, 4, "d4"), poly_field(rng, 6, "d6")]
+        M = disc_mesh(3, cal=omega)
+        res = green_check(M, x, tests, omega)
+        residuals, mu, G, meta = loop_green_check(M, x, tests, omega)
+        assert res.mu.tobytes() == mu.tobytes() and res.meta == meta
+        for name, r in residuals.items():
+            assert abs(res.residuals[name] - r) <= 1e-12
+
+    def test_tilted_plane_against_scalar_route(self, omega):
+        rng = np.random.default_rng(5)
+        tests = [poly_field(rng, 4, "d4"), builtin_field("abs_z1_sq", 4)]
+        M = tilted_disc_mesh(3, 0.5)
+        for x in (0, 5):
+            res = green_check(M, x, tests, omega)
+            residuals, _, _, _ = loop_green_check(M, x, tests, omega)
+            for name, r in residuals.items():
+                assert abs(res.residuals[name] - r) <= 1e-12
+
+    def test_non_polynomial_field_rejected(self, omega):
+        f = ScalarField(4, lambda x: float(np.sin(x[0])), name="sin_x1")
+        with pytest.raises(ValueError, match="'sin_x1' is not polynomial"):
+            green_check(disc_mesh(4, cal=omega), 0,
+                        [builtin_field("re_z1", 4), f], omega)
+
+    def test_pole_at_a_triangle_vertex_warns_nothing(self, omega):
+        import warnings
+        rng = np.random.default_rng(1)
+        tests = [builtin_field("normsq", 4), poly_field(rng, 4, "d4")]
+        M = disc_mesh(6, cal=omega)
+        with warnings.catch_warnings(), np.errstate(divide="raise",
+                                                    over="raise",
+                                                    invalid="raise"):
+            warnings.simplefilter("error")
+            for x in (0, 1, 40):
+                res = green_check(M, x, tests, omega)
+                assert all(np.isfinite(v) for v in res.residuals.values())

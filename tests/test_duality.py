@@ -421,6 +421,19 @@ class TestAtomTable:
         assert np.abs(A - boundary_matrix(model)).max() < 1e-12
 
 
+    def test_boundary_matrix_is_assembled_once(self, omega, ss):
+        rng = rng_stream(6, 2)
+        model = build_boundary_model(omega, rng.uniform(-1, 1, size=(3, 4)),
+                                     ss, degree=1, planes_per_site=3)
+        K = len(model.test_family)
+        A, _ = assemble_boundary_model(model, np.zeros(K))
+        B, s = assemble_boundary_model(model, np.ones(K))
+        assert B is A and s.tolist() == [1.0] * K
+        assert np.array_equal(A, boundary_matrix(model))
+        with pytest.raises(ValueError, match="read-only"):
+            A[0, 0] = 1.0
+
+
 class TestReportedTolerances:
     def test_both_alternatives_echo_their_tolerances(self, omega, ss):
         from calibr.duality import FEAS_TOL, MARGIN_TOL
