@@ -205,15 +205,27 @@ class MeshedSubmanifold:
 
     def _face_counts(self):
         """Signed incidence count of every (p-1)-face, keyed by its sorted
-        vertex tuple; computed once.  Boundary faces have nonzero counts."""
+        vertex tuple in first-seen order (None for a face with a repeated
+        vertex); computed once, in one array pass.  Boundary faces have
+        nonzero counts."""
         if self._counts is None:
-            counts = {}
-            for tri in self.simplices:
-                for drop in range(self.p + 1):
-                    face = tuple(v for i, v in enumerate(tri) if i != drop)
-                    key, sign = _sorted_sign(face)
-                    counts[key] = counts.get(key, 0) + sign * (-1) ** drop
-            self._counts = counts
+            q, N = self.p + 1, len(self.simplices)
+            # faces in (simplex, dropped vertex) order, signed (-1)^drop
+            keep = np.nonzero(~np.eye(q, dtype=bool))[1]
+            F = self.simplices[:, keep].reshape(N * q, q - 1)
+            a, b = np.triu_indices(q - 1, 1)
+            flips = (F[:, a] > F[:, b]).sum(axis=1) + np.tile(np.arange(q), N)
+            sign = 1 - 2 * (flips % 2)
+            F = np.sort(F, axis=1)
+            repeated = (F[:, 1:] == F[:, :-1]).any(axis=1)
+            F[repeated], sign[repeated] = -1, 0
+            keys, first, inv = np.unique(F, axis=0, return_index=True,
+                                         return_inverse=True)
+            counts = np.bincount(inv.ravel(), weights=sign,
+                                 minlength=len(keys)).astype(int)
+            self._counts = {
+                None if repeated[first[i]] else tuple(keys[i].tolist()):
+                int(counts[i]) for i in np.argsort(first)}
         return self._counts
 
     def _validate_orientations(self):

@@ -24,7 +24,7 @@ from .exterior import DROP_TOL, derivation_tensor, lex_indices, lex_position
 from .grassmann import PlaneSampleSet
 from .lp import solve_lp
 from .polynomial import (PolyForm, Polynomial, integrate_over_box,
-                         monomial_exponents)
+                         monomial_exponents, values_and_hessians)
 
 MARGIN_TOL = 1e-6
 FEAS_TOL = 1e-7
@@ -100,6 +100,21 @@ class FiniteDualityModel:
         A.flags.writeable = False
         return A
 
+    @cached_property
+    def _jensen_table(self):
+        """Site values (K, sites) of every family member and the
+        second-order rows (K, atoms) of a Jensen model: each member's
+        Hessian at the atom's site paired with the atom's matrix G, where
+        (H extended into phi)(xi) = <H, G>.  Built once and read-only."""
+        site_of, X = self._atom_table
+        cal = self.calibration
+        vals, H = values_and_hessians(self.test_family, self.sites)
+        Dphi = derivation_tensor(cal.n, cal.p) @ cal.form.to_coeff_vector()
+        G = np.array([Dphi @ xi for xi in X]).reshape(-1, cal.n, cal.n)
+        rows = np.array([np.einsum("alm,alm->a", Hk[site_of], G) for Hk in H])
+        vals.flags.writeable = rows.flags.writeable = False
+        return vals, rows
+
     def describe(self):
         return {"kind": self.kind, "degree": self.degree,
                 "sites": len(self.sites),
@@ -111,6 +126,9 @@ class FiniteDualityModel:
 def _build_model(kind, cal, sites, samples, degree, planes_per_site, pad,
                  dictionary, extra_planes):
     sites = np.atleast_2d(np.asarray(sites, dtype=float))
+    if sites.ndim != 2 or sites.shape[1] != cal.n or not len(sites):
+        raise ValueError(f"sites must be a (k, {cal.n}) array for "
+                         f"{cal.name}, got shape {sites.shape}")
     lo, hi = sites.min(axis=0) - pad, sites.max(axis=0) + pad
     if kind == "boundary":
         family = form_test_family(cal.n, cal.p, degree, lo, hi)
@@ -183,9 +201,11 @@ def _frozen_differentials(model, sites):
     site, entries at most DROP_TOL dropped as ``PolyForm.at`` drops them."""
     pos = lex_position(model.calibration.n, model.calibration.p)
     F = np.zeros((len(model.test_family), len(sites), len(pos)))
-    for k, beta in enumerate(model.test_family):
-        for idx, poly in beta.d().comps.items():
-            F[k, :, pos[idx]] = [poly(x) for x in sites]
+    comps = [(k, pos[idx], poly) for k, beta in enumerate(model.test_family)
+             for idx, poly in beta.d().comps.items()]
+    if comps:
+        k, j, polys = zip(*comps)
+        F[k, :, j] = values_and_hessians(polys, sites)[0]
     F[~(np.abs(F) > DROP_TOL)] = 0.0
     return F
 
@@ -322,7 +342,8 @@ def boundary_alternative(model: FiniteDualityModel, S_values, lam=None,
 def assemble_jensen_model(model: FiniteDualityModel, K_indices, x_index):
     """Rows: one per family member f_k (atom columns carry the second-order
     operator of f_k on the plane; measure columns carry -f_k at the K sites)
-    plus the probability-normalization row."""
+    plus the probability-normalization row, sliced from the model's cached
+    table."""
     if model.kind != "jensen":
         raise ValueError("not a jensen model")
     if x_index in K_indices:
@@ -331,23 +352,13 @@ def assemble_jensen_model(model: FiniteDualityModel, K_indices, x_index):
         raise ValueError("K must be nonempty")
     if not all(0 <= i < len(model.sites) for i in [*K_indices, x_index]):
         raise ValueError(f"K and x must index the {len(model.sites)} sites")
-    site_of, X = model._atom_table
-    m = len(site_of)
-    rows = len(model.test_family) + 1
-    A = np.zeros((rows, m + len(K_indices)))
-    b = np.zeros(rows)
-    # per atom, the matrix G with (H extended into phi)(xi) = <H, G>
-    cal = model.calibration
-    Dphi = derivation_tensor(cal.n, cal.p) @ cal.form.to_coeff_vector()
-    G = np.array([Dphi @ xi for xi in X]).reshape(-1, cal.n, cal.n)
-    for k, f in enumerate(model.test_family):
-        H = np.array([f.hessian_at(site) for site in model.sites])
-        A[k, :m] = np.einsum("alm,alm->a", H[site_of], G)
-        A[k, m:] = [-f(model.sites[j]) for j in K_indices]
-        b[k] = -f(model.sites[x_index])
+    vals, hess_rows = model._jensen_table
+    K, m = hess_rows.shape
+    A = np.zeros((K + 1, m + len(K_indices)))
+    A[:K, :m] = hess_rows
+    A[:K, m:] = -vals[:, list(K_indices)]
     A[-1, m:] = 1.0
-    b[-1] = 1.0
-    return A, b
+    return A, np.append(-vals[:, x_index], 1.0)
 
 
 def jensen_alternative(model: FiniteDualityModel, K_indices, x_index,

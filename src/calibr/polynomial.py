@@ -82,7 +82,7 @@ class Polynomial:
         return self * -1.0
 
     def __call__(self, x):
-        x = np.asarray(x, dtype=float)
+        x = _as_points(x, self.n, 1)
         total = 0.0
         for exps, c in self.terms.items():
             v = c
@@ -153,6 +153,58 @@ class Polynomial:
             mono = "*".join(f"x{i+1}^{e}" for i, e in enumerate(exps) if e)
             bits.append(f"{c:g}{'*' + mono if mono else ''}")
         return "Polynomial(" + " + ".join(bits) + ")"
+
+
+def _as_points(X, n, ndim):
+    """X as a float array of ndim dimensions whose last axis has length n."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim != ndim or X.shape[-1] != n:
+        raise ValueError(f"points must have {n} coordinates, got an array "
+                         f"of shape {X.shape}")
+    return X
+
+
+def values_and_hessians(polys, X):
+    """Values (K, P) and Hessians (K, P, n, n) of K polynomials in n
+    variables at the rows of a (P, n) point stack, in one pass over term
+    positions.  Each polynomial's terms are summed in its own order and a
+    term's factors multiplied in coordinate order, from the powers ``f(x)``
+    takes, so every value equals ``f(x)`` and every Hessian entry
+    ``hessian_at(x)`` bit for bit."""
+    n = polys[0].n
+    X = _as_points(X, n, 2)
+    K, P, R = len(polys), len(X), max((len(f.terms) for f in polys), default=0)
+    C, E = np.zeros((K, R)), np.zeros((K, R, n), dtype=int)
+    for k, f in enumerate(polys):
+        if f.terms:
+            C[k, :len(f.terms)] = list(f.terms.values())
+            E[k, :len(f.terms)] = list(f.terms)
+    # pw[l, e] = x_l ** e by the scalar power f(x) uses: numpy's array
+    # power can differ from it in the last bit
+    pw = np.ones((n, int(E.max(initial=0)) + 1, P))
+    for l in range(n):
+        for e in range(1, pw.shape[1]):
+            pw[l, e] = [x ** e for x in X[:, l]]
+    I, J = np.triu_indices(n)
+    unit = np.eye(n, dtype=int)
+    vals, hess = np.zeros((K, P)), np.zeros((K, len(I), P))
+    for r in range(R):
+        e = E[:, r]
+        v = C[:, r, None]
+        for l in range(n):
+            v = v * pw[l, e[:, l]]
+        vals += v
+        # d/dx_i then d/dx_j of the term, i <= j, as hessian_at takes them
+        ei, ej = e[:, I], e[:, J] - (I == J)
+        live = (ei > 0) & (ej > 0)
+        h = np.where(live, (C[:, r, None] * ei) * ej, 0.0)[..., None]
+        e2 = np.where(live[..., None], e[:, None] - unit[I] - unit[J], 0)
+        for l in range(n):
+            h = h * pw[l, e2[..., l]]
+        hess += h
+    H = np.empty((K, P, n, n))
+    H[:, :, I, J] = H[:, :, J, I] = hess.transpose(0, 2, 1)
+    return vals, H
 
 
 # ---------------------------------------------------------------------------

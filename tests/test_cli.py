@@ -95,6 +95,22 @@ class TestErrors:
         assert code == 2 and out == ""
         assert err == f"error: {argv[0]} needs {missing} (or --random N)\n"
 
+    @pytest.mark.parametrize("argv", [
+        ["duality", "--boundary", "S.json"],
+        ["jensen", "--K", "0,1,2,3", "--x", "4"],
+    ])
+    @pytest.mark.parametrize("width", [3, 5])
+    def test_sites_of_the_wrong_dimension_exit_2(self, capsys, tmp_path,
+                                                 monkeypatch, argv, width):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sites.json").write_text(json.dumps(
+            np.random.default_rng(width).uniform(-1, 1, (5, width)).tolist()))
+        (tmp_path / "S.json").write_text(json.dumps([0.0] * 20))
+        code, out, err = run_cli(capsys, *argv, "--cal", "omega4",
+                                 "--sites", "sites.json")
+        assert code == 2 and out == ""
+        assert err.startswith("error: sites must be a (k, 4) array")
+
     def test_unknown_flag_rejected(self, capsys):
         with pytest.raises(SystemExit):
             main(["comass", "--cal", "omega4", "--bogus-flag", "1"])

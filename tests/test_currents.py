@@ -11,6 +11,7 @@ from calibr.currents import (MeshedSubmanifold, PolyhedralCurrent, boundary,
                              max_principle_check, phi_positive_check,
                              read_mesh, restriction_subharmonicity,
                              tangent_pvector, tilted_disc_mesh, write_mesh)
+from calibr.exterior import _sorted_sign
 from calibr.fields import ScalarField, builtin_field
 from calibr.grassmann import sample_grassmannian
 from calibr.polynomial import PolyForm, Polynomial
@@ -195,6 +196,24 @@ class TestMeshInfrastructure:
         with pytest.raises(ValueError, match="vertex"):
             read_mesh(bad)
 
+    @pytest.mark.parametrize("mesh", [
+        lambda: disc_mesh(8), lambda: disc_mesh(12), lambda: disc_mesh(40),
+        lambda: tilted_disc_mesh(8, 0.3), lambda: tilted_disc_mesh(12, 1.1)])
+    def test_face_counts_match_the_loop(self, mesh):
+        M = mesh()
+        counts, want = M._face_counts(), loop_face_counts(M)
+        assert counts == want and list(counts) == list(want)
+        assert all(type(c) is int for c in counts.values())
+
+    def test_face_counts_of_repeated_vertices_and_other_degrees(self):
+        gen = np.random.default_rng(3)
+        for p in (0, 1, 2, 3):
+            M = MeshedSubmanifold(gen.standard_normal((6, 4)),
+                                  gen.integers(0, 6, size=(40, p + 1)),
+                                  validate=False)
+            counts, want = M._face_counts(), loop_face_counts(M)
+            assert counts == want and list(counts) == list(want)
+
     def test_graph_mesh_is_holomorphic(self, omega):
         M = graph_curve_mesh(10, cal=omega, flatness_tol=5e-2)
         # tangents approach complex lines as the mesh refines
@@ -320,6 +339,17 @@ class TestRestriction:
 
 
 # -- the per-simplex routes the batched geometry replaced, kept as references
+
+def loop_face_counts(M):
+    """The former per-(simplex, face) dict loop of ``_face_counts``."""
+    counts = {}
+    for tri in M.simplices:
+        for drop in range(M.p + 1):
+            face = tuple(v for i, v in enumerate(tri) if i != drop)
+            key, sign = _sorted_sign(face)
+            counts[key] = counts.get(key, 0) + sign * (-1) ** drop
+    return counts
+
 
 def qr_tangent(verts):
     """Unit p-vector of an ordered simplex through the QR of its edges."""

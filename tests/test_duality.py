@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from calibr.duality import (active_site_hull_check, assemble_boundary_model,
                             build_jensen_model, form_test_family,
                             jensen_alternative, scalar_test_family)
 from calibr.exterior import (ExteriorElement, SimplePlane, derivation_extend,
-                             pairing, wedge)
+                             derivation_tensor, pairing, wedge)
 from calibr.grassmann import rng_stream, sample_grassmannian
 from calibr.lp import solve_lp
 from calibr.polynomial import integrate_over_box
@@ -258,6 +260,24 @@ def boundary_matrix(model):
                      for beta in model.test_family])
 
 
+def loop_jensen_model(model, K_indices, x_index):
+    """The former per-member Jensen assembly: hessian_at and __call__ at
+    every site, paired with each atom's G in the same einsum."""
+    site_of, X = model._atom_table
+    m, cal = len(site_of), model.calibration
+    A = np.zeros((len(model.test_family) + 1, m + len(K_indices)))
+    b = np.zeros(len(A))
+    Dphi = derivation_tensor(cal.n, cal.p) @ cal.form.to_coeff_vector()
+    G = np.array([Dphi @ xi for xi in X]).reshape(-1, cal.n, cal.n)
+    for k, f in enumerate(model.test_family):
+        H = np.array([f.hessian_at(site) for site in model.sites])
+        A[k, :m] = np.einsum("alm,alm->a", H[site_of], G)
+        A[k, m:] = [-f(model.sites[j]) for j in K_indices]
+        b[k] = -f(model.sites[x_index])
+    A[-1, m:] = b[-1] = 1.0
+    return A, b
+
+
 def highs_feasible(A, b, A_ub=None, b_ub=None):
     res = linprog(np.zeros(A.shape[1]), A_ub=A_ub, b_ub=b_ub, A_eq=A,
                   b_eq=b, bounds=(0, None), method="highs")
@@ -333,10 +353,10 @@ class TestSolverDifferential:
 
     def test_jensen(self, omega, ss8):
         K, x = [0, 1, 2, 3], 4
-        for inst in range(10):
+        for inst, degree in itertools.product(range(10), (2, 3)):
             rng = rng_stream(CRITERION_8_SEED, 9000 + inst)
             pts = rng.uniform(-1, 1, size=(5, 4))
-            model = build_jensen_model(omega, pts, ss8, degree=2,
+            model = build_jensen_model(omega, pts, ss8, degree=degree,
                                        planes_per_site=4)
             fam = model.test_family
             Hmat = np.array([[pairing(derivation_extend(f.hessian_at(pts[i]),
@@ -432,6 +452,49 @@ class TestAtomTable:
         assert np.array_equal(A, boundary_matrix(model))
         with pytest.raises(ValueError, match="read-only"):
             A[0, 0] = 1.0
+
+
+class TestJensenTable:
+    def test_table_is_read_only(self, omega, ss):
+        pts = rng_stream(6, 3).uniform(-1, 1, size=(5, 4))
+        model = build_jensen_model(omega, pts, ss, degree=2,
+                                   planes_per_site=3)
+        vals, rows = model._jensen_table
+        assert model._jensen_table[0] is vals
+        assert vals.shape == (len(model.test_family), 5)
+        assert rows.shape == (len(model.test_family), len(model.atoms))
+        for table in (vals, rows):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0, 0] = 1.0
+        A, b = assemble_jensen_model(model, [0, 1], 2)
+        A0, b0 = A.copy(), b.copy()
+        A[:], b[:] = 7.0, 7.0             # the assembled copy is the caller's
+        A, b = assemble_jensen_model(model, [0, 1], 2)
+        assert np.array_equal(A, A0) and np.array_equal(b, b0)
+
+    def test_repeated_assembly_matches_fresh_models(self, omega, ss):
+        pts = rng_stream(6, 4).uniform(-1, 1, size=(6, 4))
+        dictionary = [list(ss.planes[:k + 1]) for k in range(6)]
+        model = build_jensen_model(omega, pts, ss, degree=3,
+                                   dictionary=dictionary)
+        for K, x in (([0, 1, 2, 3], 4), ([5], 0), ([4, 2, 1], 3),
+                     ([0, 1, 2, 3], 5), ([3, 3], 1)):
+            fresh = build_jensen_model(omega, pts, ss, degree=3,
+                                       dictionary=dictionary)
+            A, b = assemble_jensen_model(model, K, x)
+            A0, b0 = assemble_jensen_model(fresh, K, x)
+            A1, b1 = loop_jensen_model(fresh, K, x)
+            assert np.array_equal(A, A0) and np.array_equal(b, b0)
+            assert np.array_equal(A, A1) and np.array_equal(b, b1)
+
+    @pytest.mark.parametrize("build", [build_boundary_model,
+                                       build_jensen_model])
+    @pytest.mark.parametrize("width", [3, 5])
+    def test_sites_of_the_wrong_dimension_rejected(self, omega, ss, build,
+                                                   width):
+        sites = rng_stream(6, 5).uniform(-1, 1, size=(5, width))
+        with pytest.raises(ValueError, match=r"\(k, 4\) array"):
+            build(omega, sites, ss, degree=1, planes_per_site=2)
 
 
 class TestReportedTolerances:
