@@ -95,6 +95,8 @@ def _config_from(args, keys):
 # ---------------------------------------------------------------------------
 
 def _load_cal(args):
+    if args.cal is None:
+        raise ValueError(f"{args.command} needs --cal")
     return calibrations.resolve(args.cal)
 
 

@@ -18,8 +18,8 @@ from .calibrations import Calibration
 from .exterior import (ExteriorElement, SimplePlane, hodge_star,
                        interior_product, lex_indices, pairing, wedge)
 from .grassmann import (FormEvaluator, PlaneSampleSet, comass,
-                        constrained_extremum, polish_plane, rng_stream,
-                        skew_matrix, span_split, top_singular_plane)
+                        constrained_extremum, polish_plane, skew_matrix,
+                        span_split, top_singular_plane)
 from .lp import solve_lp
 
 BOUNDARY_TOL = 1e-6
@@ -106,46 +106,19 @@ def _augment_with_alignment(cal, planes, residual_vec, seed, round_idx,
     return res.plane
 
 
-def _member_margin(xi_vec, atom_matrix, span: LambdaSpan, seed=0):
-    """Relative-interior radius proxy: minimize <a, xi> over unit forms a in
-    the span that are nonnegative on every sampled plane (penalty scheme)."""
-    k = span.dim
-    c0 = span.basis @ xi_vec
-    C = span.basis @ atom_matrix          # (k, num_atoms)
-    if k == 1:
-        vals = [s * c0[0] for s in (1.0, -1.0) if np.all(s * C[0] >= -1e-12)]
-        return max(0.0, min(vals)) if vals else 0.0
-    best = np.inf
-    for trial in range(6):
-        rng = rng_stream(seed, 7000 + trial)
-        w = rng.standard_normal(k)
-        w /= np.linalg.norm(w)
-        for rho in (1e2, 1e3, 1e4, 1e5, 1e6):
-            step = 0.2
-            for _ in range(300):
-                viol = np.minimum(w @ C, 0.0)
-                g = c0 + 2.0 * rho * (C @ viol)
-                g -= (g @ w) * w
-                gn = np.linalg.norm(g)
-                if gn < 1e-12:
-                    break
-                w_new = w - step * g
-                w_new /= np.linalg.norm(w_new)
-                f_old = w @ c0 + rho * (viol @ viol)
-                viol_new = np.minimum(w_new @ C, 0.0)
-                f_new = w_new @ c0 + rho * (viol_new @ viol_new)
-                if f_new < f_old:
-                    w = w_new
-                    step = min(step * 1.5, 1.0)
-                else:
-                    step *= 0.5
-                    if step < 1e-10:
-                        break
-        if np.all(w @ C >= -1e-8):
-            best = min(best, float(w @ c0))
-    if not np.isfinite(best):
-        return 0.0
-    return max(best, 0.0)
+def _member_margin(atom_matrix, coeffs):
+    """Largest minimum atom weight over nonnegative decompositions of
+    atom_matrix @ coeffs: one LP in span coordinates, max t subject to
+    C (d + t 1) = C coeffs, d, t >= 0.  Feasible at d = coeffs, bounded as
+    phi is near one on every atom, and positive exactly on the relative
+    interior of the atoms' cone (Rockafellar, Convex Analysis, Thm 6.9)."""
+    basis, _ = span_split(atom_matrix.T)
+    C = basis @ atom_matrix                         # (k, num_atoms)
+    res = solve_lp(np.append(np.zeros(C.shape[1]), -1.0),
+                   np.column_stack([C, C.sum(axis=1)]), C @ coeffs)
+    if res.status != 'optimal':
+        raise RuntimeError(f"membership LP failed with status {res.status}")
+    return -res.obj
 
 
 def cone_membership(xi: ExteriorElement, cal: Calibration,
@@ -154,8 +127,11 @@ def cone_membership(xi: ExteriorElement, cal: Calibration,
                     seed=0) -> ConeReport:
     """Nonnegative decomposition of xi over sampled phi-planes.
 
-    Outside when the augmented least-squares residual stays above tol;
-    members are split Interior/Boundary by a dual relative-interior probe.
+    Outside when the augmented least-squares residual stays above tol, with
+    margin minus the relative residual.  A member's margin is the largest
+    minimum atom weight relative to |xi|, Interior above boundary_tol: exact
+    for the cone of the sampled and augmented atoms (meta["planes"]) only,
+    so a sum of three sampled associative planes can read Boundary.
     """
     if xi.n != cal.n or xi.p != cal.p:
         raise ValueError("degree/dimension mismatch between xi and calibration")
@@ -204,10 +180,7 @@ def cone_membership(xi: ExteriorElement, cal: Calibration,
         active = [(float(c), pl) for c, pl in zip(coeffs, planes) if c > 1e-12]
         certificate = {"weights": [c for c, _ in active],
                        "planes": [pl for _, pl in active]}
-    span = lambda_span(PlaneSampleSet(planes, [1.0] * len(planes),
-                                      tolerance=1e-6, seed=seed,
-                                      multistart_count=0))
-    margin = _member_margin(xi_vec, A, span, seed=seed)
+    margin = _member_margin(A, coeffs / scale)
     status = "Boundary" if abs(margin) <= boundary_tol else "Interior"
     return ConeReport(status, margin, certificate, tolerances, None, meta)
 

@@ -96,6 +96,28 @@ class TestErrors:
         assert err == f"error: {argv[0]} needs {missing} (or --random N)\n"
 
     @pytest.mark.parametrize("argv", [
+        ["comass"],
+        ["gsample"],
+        ["reduce"],
+        ["positivity", "--form", "f.json"],
+        ["lemma25", "--pvector", "xi.json"],
+        ["psh", "--field", "builtin:normsq", "--probes", "grid:-1..1:2"],
+        ["modd", "--field", "builtin:normsq", "--point", "0,0,0,0"],
+        ["flat", "--field", "builtin:normsq", "--point", "0,0,0,0"],
+        ["normality"],
+        ["current-check", "--mesh", "builtin:disc:2"],
+        ["green", "--mesh", "builtin:disc:2"],
+        ["maxprinciple", "--mesh", "builtin:disc:2",
+         "--field", "builtin:normsq"],
+        ["duality", "--random", "2"],
+        ["jensen", "--random", "2"],
+    ])
+    def test_missing_cal_exits_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == f"error: {argv[0]} needs --cal\n"
+
+    @pytest.mark.parametrize("argv", [
         ["duality", "--boundary", "S.json"],
         ["jensen", "--K", "0,1,2,3", "--x", "4"],
     ])

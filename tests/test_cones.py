@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from calibr.calibrations import catalogue
 from calibr.cones import (cone_membership, contraction_boundary,
@@ -8,6 +9,7 @@ from calibr.cones import (cone_membership, contraction_boundary,
 from calibr.exterior import (ExteriorElement, hodge_star, lex_indices,
                              pairing, simple_from_frame)
 from calibr.grassmann import random_plane_set, rng_stream, sample_grassmannian
+from calibr.lp import solve_lp
 
 
 @pytest.fixture(scope="module")
@@ -101,6 +103,44 @@ class TestConeMembership:
                 assert rep.status == "Outside"
                 outsiders += 1
         assert outsiders >= 5  # random planes are generically not calibrated
+
+    @pytest.mark.parametrize("make_xi, status, lo, hi", [
+        (lambda ss: e_form(1, 2) + e_form(3, 4), "Interior", 1e-3, np.inf),
+        (lambda ss: 0.5 * (ss.planes[0].pvector() + ss.planes[1].pvector()),
+         "Interior", 1e-6, np.inf),
+        (lambda ss: ss.planes[0].pvector(), "Boundary", -1e-6, 1e-6),
+    ], ids=["e12+e34", "midpoint", "atom"])
+    def test_relative_interior_split(self, omega, ss_omega, make_xi, status,
+                                     lo, hi):
+        # strictly positive combinations of every atom are the relative
+        # interior of the atoms' cone; a single atom spans an extreme ray
+        rep = cone_membership(make_xi(ss_omega), omega, ss_omega)
+        assert rep.status == status
+        assert lo <= rep.margin <= hi
+
+    @pytest.mark.parametrize("picks", [(0,), (0, 1), (2, 3, 5), range(40)])
+    def test_margin_matches_highs(self, omega, ss_omega, picks):
+        xi = ExteriorElement.zero(4, 2)
+        for k in picks:
+            xi = xi + (1.0 + 0.1 * k) * ss_omega.planes[k].pvector()
+        rep = cone_membership(xi, omega, ss_omega)
+        A = np.column_stack([pl.pvector().to_coeff_vector()
+                             for pl in rep.meta["planes"]])
+        recon = A @ rep.meta["weights"]
+        # max t subject to A (d + t 1) = recon, d >= 0, t >= 0
+        m = A.shape[1]
+        c = np.append(np.zeros(m), -1.0)
+        A_eq = np.column_stack([A, A.sum(axis=1)])
+        ref = linprog(c, A_eq=A_eq, b_eq=recon, bounds=(0, None),
+                      method="highs")
+        assert ref.status == 0
+        scale = xi.norm()
+        assert abs(rep.margin - (-ref.fun) / scale) <= 1e-9
+        res = solve_lp(c, A_eq, recon)
+        assert res.status == "optimal"
+        weights = res.x[:m] + res.x[m]
+        assert weights.min() >= rep.margin * scale - 1e-9
+        assert np.abs(A @ weights - recon).max() <= 1e-9
 
     def test_mismatch_rejected(self, omega, ss_omega):
         with pytest.raises(ValueError):
@@ -278,6 +318,12 @@ class TestLemma25:
         assert rep.agree
         lo, up = rep.mass_bracket
         assert lo <= 1.0 + 2e-5 and up >= 1.0 - 2e-5
+
+    def test_kaehler_centre_interior(self, omega, ss_omega, gens):
+        xi = 0.5 * (e_form(1, 2) + e_form(3, 4))
+        rep = lemma_2_5_check(xi, omega, ss_omega, gens)
+        assert all(v[0] for v in rep.conditions.values())
+        assert rep.conditions["cone_membership"][1] > 0.0
 
     def test_low_pairing_all_fail(self, lam, ss_lam, gens):
         rep = lemma_2_5_check(e_form(3, 4), lam, ss_lam, gens)
