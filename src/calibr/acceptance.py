@@ -20,8 +20,8 @@ from .currents import disc_mesh, graph_curve_mesh, green_check, \
 from .duality import (assemble_boundary_model, boundary_alternative,
                       build_boundary_model, build_jensen_model,
                       jensen_alternative)
-from .exterior import (ExteriorElement, derivation_tensor, pairing,
-                       simple_from_frame)
+from .exterior import (ExteriorElement, SimplePlane, derivation_tensor,
+                       pairing, simple_from_frame)
 from .fields import builtin_field, quadratic_field
 from .grassmann import (angular_distance, comass, random_plane_set, rng_stream,
                         reduce_calibration, sample_grassmannian)
@@ -112,7 +112,6 @@ def criterion_2_lambda_collapse(seed=DEFAULT_SEED):
     def run():
         cal = catalogue("lambda_example", 0.5)
         ss = sample_grassmannian(cal, tol=1e-6, count=50, seed=seed)
-        from .exterior import SimplePlane
         target = SimplePlane(np.eye(4)[:2])
         thetas = [angular_distance(pl, target)[0] for pl in ss.planes]
         oriented = [angular_distance(pl, target)[1] for pl in ss.planes]

@@ -20,9 +20,11 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .calibrations import Calibration
+from .cones import lambda_span
 from .exterior import (ExteriorElement, _lex_array, _sorted_sign, _stack_dets,
                        derivation_tensor, lex_indices, simple_from_frame)
 from .fields import ScalarField
+from .hessian import d_phi, pluriharmonic_mod_d_residual, psh_classify
 from .polynomial import (PolyForm, Polynomial, monomial_exponents,
                          simplex_monomial_means)
 
@@ -134,13 +136,12 @@ def mass(T: PolyhedralCurrent) -> float:
     return float(np.abs(T._mults) @ T._volumes)
 
 
-def evaluate(T: PolyhedralCurrent, alpha, quadrature_order=None) -> float:
+def evaluate(T: PolyhedralCurrent, alpha) -> float:
     """Integrate alpha over the current: sum of per-simplex integrals of
     alpha(tangent) against p-volume, times multiplicities.
 
     Constant forms integrate in closed form; polynomial-coefficient forms
-    through the monomial means of every simplex (exact to machine precision
-    at any polynomial degree, hence for every degree <= quadrature_order).
+    through the monomial means of every simplex, exact at any degree.
     """
     if not isinstance(alpha, (ExteriorElement, PolyForm)):
         raise TypeError("alpha must be an ExteriorElement or a PolyForm")
@@ -648,14 +649,12 @@ def max_principle_check(M: MeshedSubmanifold, f: ScalarField, mode: str,
     pluriharmonic mod d near the mesh); mode='lemma58': for f constant on M,
     the first-order operator annihilates all boundary tangents."""
     if mode == "bounds":
-        from .hessian import pluriharmonic_mod_d_residual
         pre_info = {}
         pre_ok = True
         if samples is None:
             pre_ok = False
             pre_info["reason"] = "no samples supplied for the mod-d check"
         else:
-            from .cones import lambda_span
             span = lambda_span(samples)
             idx = np.linspace(0, len(M.vertices) - 1, probe_count).astype(int)
             residuals = []
@@ -685,7 +684,6 @@ def max_principle_check(M: MeshedSubmanifold, f: ScalarField, mode: str,
                           {"boundary_range": (float(lo), float(hi)),
                            "slack": (worst_low, worst_high)})
     if mode == "lemma58":
-        from .hessian import d_phi
         fv = np.array([f(v) for v in M.vertices])
         spread = float(fv.max() - fv.min())
         pre_ok = spread <= 1e-9 * max(1.0, np.abs(fv).max())
@@ -709,7 +707,6 @@ def restriction_subharmonicity(M: MeshedSubmanifold, f: ScalarField,
     pre_info = {}
     pre_ok = True
     if samples is not None:
-        from .hessian import psh_classify
         idx = np.linspace(0, len(M.vertices) - 1, probe_count).astype(int)
         marks = psh_classify(f, [M.vertices[i] for i in idx], cal, samples,
                              starts_limit=8, extra_starts=2)

@@ -18,13 +18,14 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
 from .calibrations import Calibration
 from .exterior import DROP_TOL, derivation_tensor, lex_indices, lex_position
 from .grassmann import PlaneSampleSet
 from .lp import solve_lp
-from .polynomial import (PolyForm, Polynomial, integrate_over_box,
-                         monomial_exponents, values_and_hessians)
+from .polynomial import (PolyForm, Polynomial, monomial_exponents,
+                         values_and_hessians)
 
 MARGIN_TOL = 1e-6
 FEAS_TOL = 1e-7
@@ -34,24 +35,27 @@ FEAS_TOL = 1e-7
 # model assembly
 # ---------------------------------------------------------------------------
 
-def _orthonormalize_polys(polys, lo, hi):
-    """Gram-Schmidt in L2 of the box; drops near-dependent members."""
-    out = []
-    for p in polys:
-        q = p
-        for b in out:
-            q = q - integrate_over_box(q * b, lo, hi) * b
-        nrm = integrate_over_box(q * q, lo, hi)
-        if nrm > 1e-18:
-            out.append((1.0 / np.sqrt(nrm)) * q)
-    return out
+def _orthonormal_family(n, degree, lo, hi, include_constant):
+    """Monomials of total degree <= degree (the constant when asked) made
+    orthonormal in L2 of the box [lo, hi] as Gram-Schmidt in graded-lex
+    order makes them: the rows of inv(L), L L^T = M the closed-form moment
+    matrix (Golub-Van Loan, Matrix Computations, 5.2)."""
+    exps = monomial_exponents(n, degree, include_constant)
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    if not exps:
+        raise ValueError(f"a test family of degree {degree} has no member")
+    if not (hi > lo).all():
+        raise ValueError(f"the test box needs hi > lo, got {lo} and {hi}")
+    E = np.array(exps)
+    S = E[:, None] + E[None] + 1                  # (m, m, n) powers
+    M = np.prod((hi ** S - lo ** S) / S, axis=2)
+    C = solve_triangular(np.linalg.cholesky(M), np.eye(len(E)), lower=True)
+    return [Polynomial(n, dict(zip(exps, row))) for row in C]
 
 
 def scalar_test_family(n, degree, lo, hi):
     """Orthonormalized nonconstant monomials up to the given total degree."""
-    polys = [Polynomial.monomial(n, e)
-             for e in monomial_exponents(n, degree, include_constant=False)]
-    return _orthonormalize_polys(polys, lo, hi)
+    return _orthonormal_family(n, degree, lo, hi, include_constant=False)
 
 
 def form_test_family(n, p, degree, lo, hi):
@@ -60,9 +64,7 @@ def form_test_family(n, p, degree, lo, hi):
     Forms with distinct dx_I are orthogonal already, so orthonormalizing
     the scalar factors suffices.
     """
-    polys = _orthonormalize_polys(
-        [Polynomial.monomial(n, e) for e in monomial_exponents(n, degree)],
-        lo, hi)
+    polys = _orthonormal_family(n, degree, lo, hi, include_constant=True)
     return [PolyForm(n, p - 1, {idx: poly})
             for idx in lex_indices(n, p - 1) for poly in polys]
 

@@ -18,12 +18,13 @@ import numpy as np
 
 from .calibrations import Calibration
 from .cones import LambdaSpan, lambda_span
-from .exterior import (ExteriorElement, compound, derivation_extend,
-                       interior_product, lex_indices, pairing, wedge)
+from .exterior import (ExteriorElement, SimplePlane, compound,
+                       derivation_extend, interior_product, lex_indices,
+                       pairing, wedge)
 from .fields import ScalarField
 from .grassmann import (FormEvaluator, PlaneSampleSet, _ascend_batch,
-                        _random_frames, comass, hyperplane_basis, pullback,
-                        rng_stream, span_split)
+                        _random_frames, comass, constrained_extremum,
+                        hyperplane_basis, pullback, rng_stream, span_split)
 
 
 def d_phi(f: ScalarField, x, cal: Calibration) -> ExteriorElement:
@@ -96,7 +97,6 @@ def psh_classify(f: ScalarField, points, cal: Calibration,
                  samples: PlaneSampleSet, tol=1e-8,
                  **extremum_opts) -> list:
     """Per point: minimum of the form-valued Hessian over refined samples."""
-    from .grassmann import constrained_extremum
     if len(samples) == 0:
         raise ValueError("empty sample set")
     out = []
@@ -226,7 +226,6 @@ def phi_flat_check(f: ScalarField, x, cal: Calibration,
     if not tangential:
         return FlatReport(True, 0.0, None, True, best_defect)
     if ev_H is None:
-        from .exterior import SimplePlane
         return FlatReport(True, 0.0, SimplePlane(tangential[0].T), False, 0.0)
 
     # phase B: extremize the Hessian pairing within the tangential family
@@ -246,7 +245,6 @@ def phi_flat_check(f: ScalarField, x, cal: Calibration,
                 val = ev_H.value(Uk)
                 if abs(val) > abs(worst_val):
                     worst_val, worst_U = val, Uk
-    from .exterior import SimplePlane
     return FlatReport(abs(worst_val) <= tol, worst_val,
                       SimplePlane(worst_U.T), False, tangency(worst_U))
 

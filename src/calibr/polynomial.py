@@ -325,9 +325,11 @@ class PolyForm:
                 sidx, sign = _sorted_sign((i,) + idx)
                 if sidx is None:
                     continue
-                acc = out.get(sidx, Polynomial.constant(self.n, 0.0))
-                out[sidx] = acc + sign * dp
-        return PolyForm(self.n, self.p + 1, out)
+                terms = out.setdefault(sidx, {})
+                for k, c in dp.terms.items():
+                    terms[k] = terms.get(k, 0.0) + sign * c
+        return PolyForm(self.n, self.p + 1,
+                        {idx: Polynomial(self.n, t) for idx, t in out.items()})
 
     def at(self, x) -> ExteriorElement:
         """Freeze coefficients at the point x."""

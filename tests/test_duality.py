@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from calibr.calibrations import catalogue
+from calibr.cli import main
 from calibr.duality import (active_site_hull_check, assemble_boundary_model,
                             assemble_jensen_model, atom_boundary_values,
                             boundary_alternative, build_boundary_model,
@@ -13,7 +14,7 @@ from calibr.exterior import (ExteriorElement, SimplePlane, derivation_extend,
                              derivation_tensor, pairing, wedge)
 from calibr.grassmann import rng_stream, sample_grassmannian
 from calibr.lp import solve_lp
-from calibr.polynomial import integrate_over_box
+from calibr.polynomial import Polynomial, integrate_over_box, monomial_exponents
 from scipy.optimize import linprog
 
 
@@ -517,3 +518,63 @@ class TestReportedTolerances:
                 assert res.meta["tolerances"] == want
                 assert res.meta["kind"] in ("boundary", "jensen")
         assert not hasattr(bmodel, "tolerances")
+
+
+def gram_schmidt_family(polys, lo, hi):
+    """Reference: modified Gram-Schmidt over Polynomial products, each inner
+    product integrated exactly over the box."""
+    out = []
+    for p in polys:
+        q = p
+        for b in out:
+            q = q - integrate_over_box(q * b, lo, hi) * b
+        out.append((1.0 / np.sqrt(integrate_over_box(q * q, lo, hi))) * q)
+    return out
+
+
+class TestOrthonormalFamily:
+    @pytest.mark.parametrize("lo, hi", [(-1.5, 1.5), (0.5, 1.5)])
+    @pytest.mark.parametrize("degree", [1, 2, 3])
+    @pytest.mark.parametrize("form", [False, True])
+    def test_matches_gram_schmidt(self, lo, hi, degree, form):
+        lo, hi = np.full(4, lo), np.full(4, hi)
+        exps = monomial_exponents(4, degree, include_constant=form)
+        ref = gram_schmidt_family([Polynomial.monomial(4, e) for e in exps],
+                                  lo, hi)
+        if form:
+            fam = form_test_family(4, 2, degree, lo, hi)
+            assert len(fam) == 4 * len(exps)
+            assert [list(f.comps) for f in fam] == [
+                [(i,)] for i in range(1, 5) for _ in exps]
+            fam = [f.comps[(k // len(exps) + 1,)] for k, f in enumerate(fam)]
+        else:
+            fam = scalar_test_family(4, degree, lo, hi)
+        X = rng_stream(10, degree).uniform(lo, hi, size=(20, 4))
+        for k, f in enumerate(fam):
+            g = ref[k % len(ref)]
+            assert max(abs(f(x) - g(x)) for x in X) <= 1e-9
+        fam = fam[:len(ref)]
+        gram = np.array([[integrate_over_box(f * g, lo, hi) for g in fam]
+                         for f in fam])
+        assert np.abs(gram - np.eye(len(fam))).max() <= 1e-10
+
+    @pytest.mark.parametrize("command, kw, match", [
+        ("jensen", {"degree": 0}, "degree 0 has no member"),
+        ("duality", {"degree": -1}, "degree -1 has no member"),
+        ("jensen", {"sites": np.zeros((1, 4)), "pad": 0.0}, "hi > lo"),
+        ("duality", {"sites": np.zeros((1, 4)), "pad": 0.0}, "hi > lo"),
+    ], ids=["jensen-degree-0", "duality-degree-minus-1", "jensen-flat-box",
+            "duality-flat-box"])
+    def test_empty_or_flat_family_rejected(self, omega, ss, capsys, command,
+                                           kw, match):
+        build = {"jensen": build_jensen_model,
+                 "duality": build_boundary_model}[command]
+        kw = {"sites": rng_stream(6, 6).uniform(-1, 1, size=(5, 4)), **kw}
+        with pytest.raises(ValueError, match=match):
+            build(omega, kw.pop("sites"), ss, **kw)
+        if "degree" in kw:
+            code = main([command, "--cal", "omega4", "--random", "2",
+                         "--deg", str(kw["degree"])])
+            out, err = capsys.readouterr()
+            assert code == 2 and out == ""
+            assert err.startswith("error: ") and match in err
