@@ -494,6 +494,7 @@ def _hessian_pair_poly(f: ScalarField, cal: Calibration, xi: ExteriorElement,
 
 
 _GAUSS_T, _GAUSS_W = np.polynomial.legendre.leggauss(24)
+FAN_BLOCK = 8192          # sectors per pass of the log-kernel moments
 
 
 def _log_moments(P, degree):
@@ -502,13 +503,22 @@ def _log_moments(P, degree):
     ``monomial_exponents(2, degree)``.
 
     Each triangle is the signed fan of sectors (0, a, b) over its oriented
-    edges.  A sector takes a 24-node angular Gauss rule; along the ray
-    w = r u, w^alpha = u^alpha r^|alpha| and the radial integral up to the
-    chord is exact.  A sliver sector (the pole on the line through a and b)
+    edges, taken FAN_BLOCK sectors at a time so that memory stays bounded.
+    A sector takes a 24-node angular Gauss rule; along the ray w = r u,
+    w^alpha = u^alpha r^|alpha| and the radial integral up to the chord is
+    exact.  A sliver sector (the pole on the line through a and b)
     contributes zero.
     """
     a = P.reshape(-1, 2)
     b = np.roll(P, -1, axis=1).reshape(-1, 2)
+    out = np.zeros((degree + 1) * (degree + 2) // 2)
+    for s in range(0, len(a), FAN_BLOCK):
+        out += _sector_moments(a[s:s + FAN_BLOCK], b[s:s + FAN_BLOCK], degree)
+    return -out / (2.0 * math.pi)
+
+
+def _sector_moments(a, b, degree):
+    """Unnormalized log-kernel moments of the sectors (0, a, b), summed."""
     na, nb = np.linalg.norm(a, axis=1), np.linalg.norm(b, axis=1)
     cross = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
     keep = np.abs(cross) > 1e-13 * (na * nb + 1e-300)
@@ -537,7 +547,7 @@ def _log_moments(P, degree):
         radial = weight * R ** kk * (logR / kk - 1.0 / kk ** 2)
         out += [np.sum(radial * u1 ** i * u2 ** (k - i))
                 for i in range(k, -1, -1)]
-    return -np.array(out) / (2.0 * math.pi)
+    return np.array(out)
 
 
 @dataclass

@@ -15,17 +15,17 @@ the calibration: finitely many atoms have finite mass a priori.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
+from math import comb
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .calibrations import Calibration
-from .exterior import DROP_TOL, derivation_tensor, lex_indices, lex_position
+from .exterior import (DROP_TOL, _sorted_sign, derivation_tensor, lex_indices,
+                       lex_position)
 from .grassmann import PlaneSampleSet
 from .lp import solve_lp
-from .polynomial import (PolyForm, Polynomial, monomial_exponents,
-                         values_and_hessians)
+from .polynomial import legendre_tables, monomial_exponents
 
 MARGIN_TOL = 1e-6
 FEAS_TOL = 1e-7
@@ -35,38 +35,17 @@ FEAS_TOL = 1e-7
 # model assembly
 # ---------------------------------------------------------------------------
 
-def _orthonormal_family(n, degree, lo, hi, include_constant):
-    """Monomials of total degree <= degree (the constant when asked) made
-    orthonormal in L2 of the box [lo, hi] as Gram-Schmidt in graded-lex
-    order makes them: the rows of inv(L), L L^T = M the closed-form moment
-    matrix (Golub-Van Loan, Matrix Computations, 5.2)."""
-    exps = monomial_exponents(n, degree, include_constant)
-    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-    if not exps:
+def _family(kind, n, p, degree):
+    """Member labels of a test family: each alpha of per-axis Legendre
+    degrees with total degree <= degree, in graded-lex order (the constant
+    only for boundary models), and for boundary models each alpha times
+    every dx_J, J in lex order (the (p-1)-forms alpha dx_J)."""
+    alphas = monomial_exponents(n, degree, include_constant=kind == "boundary")
+    if not alphas:
         raise ValueError(f"a test family of degree {degree} has no member")
-    if not (hi > lo).all():
-        raise ValueError(f"the test box needs hi > lo, got {lo} and {hi}")
-    E = np.array(exps)
-    S = E[:, None] + E[None] + 1                  # (m, m, n) powers
-    M = np.prod((hi ** S - lo ** S) / S, axis=2)
-    C = solve_triangular(np.linalg.cholesky(M), np.eye(len(E)), lower=True)
-    return [Polynomial(n, dict(zip(exps, row))) for row in C]
-
-
-def scalar_test_family(n, degree, lo, hi):
-    """Orthonormalized nonconstant monomials up to the given total degree."""
-    return _orthonormal_family(n, degree, lo, hi, include_constant=False)
-
-
-def form_test_family(n, p, degree, lo, hi):
-    """(p-1)-forms with orthonormalized polynomial coefficients.
-
-    Forms with distinct dx_I are orthogonal already, so orthonormalizing
-    the scalar factors suffices.
-    """
-    polys = _orthonormal_family(n, degree, lo, hi, include_constant=True)
-    return [PolyForm(n, p - 1, {idx: poly})
-            for idx in lex_indices(n, p - 1) for poly in polys]
+    if kind == "jensen":
+        return alphas
+    return [(a, J) for J in lex_indices(n, p - 1) for a in alphas]
 
 
 @dataclass
@@ -74,9 +53,10 @@ class FiniteDualityModel:
     calibration: Calibration
     sites: np.ndarray                      # (num_sites, n)
     dictionary: list                       # per site: list of SimplePlane
-    test_family: list                      # PolyForm or Polynomial members
+    test_family: list                      # alpha, or (alpha, J), labels
     kind: str                              # 'boundary' | 'jensen'
     degree: int
+    box: tuple                             # (lo, hi) of the test box
 
     @property
     def atoms(self):
@@ -92,6 +72,22 @@ class FiniteDualityModel:
         site_of = np.array([i for i, _ in atoms], dtype=int)
         X = np.array([pl.pvector().to_coeff_vector() for _, pl in atoms])
         return site_of, X.reshape(len(atoms), len(lex_indices(cal.n, cal.p)))
+
+    @cached_property
+    def _alphas(self):
+        """(members, n) per-axis Legendre degrees of the scalar factors."""
+        return np.array(list(dict.fromkeys(
+            m if self.kind == "jensen" else m[0] for m in self.test_family)))
+
+    def _derivatives(self, sites, orders):
+        """(len(orders), members, len(sites)) derivatives of the scalar
+        factors at the sites, of per-axis orders given by each row of
+        orders: products, in axis order, of one table entry per axis."""
+        T = legendre_tables(sites, *self.box, self.degree)
+        out = np.ones((len(orders), len(self._alphas), len(sites)))
+        for l in range(T.shape[1]):
+            out = out * T[orders[:, l, None], l, self._alphas[:, l]]
+        return out
 
     @cached_property
     def _boundary_matrix(self):
@@ -110,7 +106,12 @@ class FiniteDualityModel:
         (H extended into phi)(xi) = <H, G>.  Built once and read-only."""
         site_of, X = self._atom_table
         cal = self.calibration
-        vals, H = values_and_hessians(self.test_family, self.sites)
+        n, P = cal.n, len(self.sites)
+        I, J = np.triu_indices(n)
+        E = np.eye(n, dtype=int)
+        D = self._derivatives(self.sites, np.vstack([0 * E[0], E[I] + E[J]]))
+        vals, H = D[0], np.empty((len(D[0]), P, n, n))
+        H[:, :, I, J] = H[:, :, J, I] = D[1:].transpose(1, 2, 0)
         Dphi = derivation_tensor(cal.n, cal.p) @ cal.form.to_coeff_vector()
         G = np.array([Dphi @ xi for xi in X]).reshape(-1, cal.n, cal.n)
         rows = np.array([np.einsum("alm,alm->a", Hk[site_of], G) for Hk in H])
@@ -132,20 +133,17 @@ def _build_model(kind, cal, sites, samples, degree, planes_per_site, pad,
         raise ValueError(f"sites must be a (k, {cal.n}) array for "
                          f"{cal.name}, got shape {sites.shape}")
     lo, hi = sites.min(axis=0) - pad, sites.max(axis=0) + pad
-    if kind == "boundary":
-        family = form_test_family(cal.n, cal.p, degree, lo, hi)
-    else:
-        family = scalar_test_family(cal.n, degree, lo, hi)
+    family = _family(kind, cal.n, cal.p, degree)
+    if not (hi > lo).all():
+        raise ValueError(f"the test box needs hi > lo, got {lo} and {hi}")
     if dictionary is None:
         per = planes_per_site or len(samples.planes)
         dictionary = [list(samples.planes[:per]) + list(extra_planes or [])
                       ] * len(sites)
     elif len(dictionary) != len(sites):
         raise ValueError("dictionary must list planes per site")
-    model = FiniteDualityModel(cal, sites, [list(pl) for pl in dictionary],
-                               family, kind, degree)
-    _check_family_rank(model)
-    return model
+    return FiniteDualityModel(cal, sites, [list(pl) for pl in dictionary],
+                              family, kind, degree, (lo, hi))
 
 
 def build_boundary_model(cal: Calibration, sites, samples: PlaneSampleSet,
@@ -160,27 +158,6 @@ def build_jensen_model(cal: Calibration, sites, samples: PlaneSampleSet,
                        dictionary=None, extra_planes=None) -> FiniteDualityModel:
     return _build_model("jensen", cal, sites, samples, degree,
                         planes_per_site, pad, dictionary, extra_planes)
-
-
-def _family_coeff_matrix(model):
-    if isinstance(model.test_family[0], Polynomial):
-        keys = sorted({k for m in model.test_family for k in m.terms})
-        return np.array([[m.terms.get(k, 0.0) for k in keys]
-                         for m in model.test_family])
-    keys = sorted({(idx, k) for m in model.test_family
-                   for idx, poly in m.comps.items() for k in poly.terms})
-    zero = Polynomial.constant(model.calibration.n, 0.0)
-    return np.array([[m.comps.get(idx, zero).terms.get(k, 0.0)
-                      for idx, k in keys] for m in model.test_family])
-
-
-def _check_family_rank(model):
-    mat = _family_coeff_matrix(model)
-    rank = np.linalg.matrix_rank(mat, tol=1e-10)
-    if rank != len(model.test_family):
-        raise ValueError(
-            f"test family is rank-deficient: rank {rank} of "
-            f"{len(model.test_family)}")
 
 
 # ---------------------------------------------------------------------------
@@ -198,16 +175,29 @@ def _pair_rows(F, X):
     return out
 
 
+@lru_cache(maxsize=None)
+def _wedge_table(n, p):
+    """Arrays (J position, i - 1, position of the sorted i u J, sign) over
+    every dx_i ^ dx_J in Lambda^p with i not in J, J in lex order: the fixed
+    map from the gradient of a factor f to the differential of f dx_J."""
+    pos = lex_position(n, p)
+    rows = [(j, i - 1, pos[idx], sign)
+            for j, J in enumerate(lex_indices(n, p - 1))
+            for i in range(1, n + 1)
+            for idx, sign in [_sorted_sign((i,) + J)] if idx is not None]
+    return tuple(np.array(col) for col in zip(*rows))
+
+
 def _frozen_differentials(model, sites):
     """(family, sites, C(n,p)) coefficients of each d beta_k frozen at each
-    site, entries at most DROP_TOL dropped as ``PolyForm.at`` drops them."""
-    pos = lex_position(model.calibration.n, model.calibration.p)
-    F = np.zeros((len(model.test_family), len(sites), len(pos)))
-    comps = [(k, pos[idx], poly) for k, beta in enumerate(model.test_family)
-             for idx, poly in beta.d().comps.items()]
-    if comps:
-        k, j, polys = zip(*comps)
-        F[k, :, j] = values_and_hessians(polys, sites)[0]
+    site, the gradient table placed by the wedge table, entries at most
+    DROP_TOL dropped as ``ExteriorElement`` drops them."""
+    n, p = model.calibration.n, model.calibration.p
+    grads = model._derivatives(sites, np.eye(n, dtype=int))
+    j, i, c, sign = _wedge_table(n, p)
+    F = np.zeros((comb(n, p - 1),) + grads.shape[1:] + (comb(n, p),))
+    F[j, :, :, c] = sign[:, None, None] * grads[i]
+    F = F.reshape(-1, len(sites), F.shape[-1])
     F[~(np.abs(F) > DROP_TOL)] = 0.0
     return F
 
@@ -248,19 +238,19 @@ def _separation(M, c, lower, upper, n_cert, margin_tol):
     M v >= 0 and lower <= v <= upper, in slack form [M, -I] (v, t) = 0 with
     t >= 0.  The first n_cert coordinates of v are the certificate; its
     margin is -c.v over their norm.  Returns (certificate or None,
-    have_cert, margin or None, tie)."""
+    have_cert, margin or None, tie, LP status)."""
     m = M.shape[0]
     res = solve_lp(np.concatenate([c, np.zeros(m)]),
                    np.hstack([M, -np.eye(m)]), np.zeros(m),
                    lower=np.concatenate([lower, np.zeros(m)]),
                    upper=np.concatenate([upper, np.full(m, np.inf)]))
     if res.status != 'optimal':
-        return None, False, None, False
+        return None, False, None, False, res.status
     a = res.x[:n_cert]
     rel = -res.obj / max(np.linalg.norm(a), 1e-300)
     if rel > margin_tol:
-        return a, True, rel, False
-    return a, False, None, rel > 1e-9
+        return a, True, rel, False, res.status
+    return a, False, None, rel > 1e-9, res.status
 
 
 def _verified(A, b, weights):
@@ -287,7 +277,7 @@ def boundary_alternative(model: FiniteDualityModel, S_values, lam=None,
     nonnegative on every atom (shifted by phi in the bounded variant) yet
     pairs strictly negatively (below -lam) with S.  Exactly one side should
     succeed; ties within the margin tolerance are flagged as boundary
-    instances.
+    instances.  ``meta["lp_status"]`` holds the status of each LP solved.
     """
     A, s = assemble_boundary_model(model, S_values)
     K, m = A.shape
@@ -295,18 +285,21 @@ def boundary_alternative(model: FiniteDualityModel, S_values, lam=None,
     if lam is None:
         primal = solve_lp(np.zeros(m), A, s)
         weights = primal.x if primal.status == 'optimal' else None
-        a, have_cert, margin, tie = _separation(
+        a, have_cert, margin, tie, status = _separation(
             A.T, s, -np.ones(K), np.ones(K), K, margin_tol)
+        meta["lp_status"] = {"primal": primal.status, "separation": status}
     else:
-        # minimum-mass LP decides both sides at once
+        # minimum-mass LP decides both sides at once; a status other than
+        # optimal or infeasible decides neither
         minmass = solve_lp(np.ones(m), A, s)
+        meta["lp_status"] = {"min_mass": minmass.status}
         weights = None
+        a, have_cert, margin, tie = None, False, None, False
         if minmass.status == 'optimal':
             lam_star = minmass.obj
             meta["lambda_threshold"] = lam_star
             if lam_star <= lam + FEAS_TOL:
                 weights = minmass.x
-                a, have_cert, margin, tie = None, False, None, False
             else:
                 # dual of the min-mass LP: y with A^T y <= 1, s.y = lam*
                 a = -minmass.y
@@ -314,7 +307,7 @@ def boundary_alternative(model: FiniteDualityModel, S_values, lam=None,
                 have_cert = val < -(lam + margin_tol)
                 margin = -(val + lam) if have_cert else None
                 tie = not have_cert
-        else:
+        elif minmass.status == 'infeasible':
             a = -minmass.y           # Farkas certificate from phase 1
             val = float(s @ a)
             have_cert = val < -1e-12
@@ -370,7 +363,8 @@ def jensen_alternative(model: FiniteDualityModel, K_indices, x_index,
     Primal: atom weights and a probability measure on the K sites solving
     the finite Poisson-Jensen system for every family member.  Dual: a
     member of the family span, finitely plurisubharmonic on the dictionary,
-    strictly separating x from K.
+    strictly separating x from K.  ``meta["lp_status"]`` holds the status of
+    each LP solved.
     """
     A, b = assemble_jensen_model(model, K_indices, x_index)
     primal = solve_lp(np.zeros(A.shape[1]), A, b)
@@ -385,11 +379,12 @@ def jensen_alternative(model: FiniteDualityModel, K_indices, x_index,
     big = 1e6
     M = np.block([[A[:K, :n_atoms].T, np.zeros((n_atoms, 1))],
                   [A[:K, n_atoms:].T, np.ones((len(K_indices), 1))]])
-    a, have_cert, margin, tie = _separation(
+    a, have_cert, margin, tie, status = _separation(
         M, np.append(b[:K], 1.0), np.append(-np.ones(K), -big),
         np.append(np.ones(K), big), K, margin_tol)
     meta = _meta(model, margin_tol)
-    meta.update({"K_sites": list(K_indices), "x": int(x_index)})
+    meta.update({"K_sites": list(K_indices), "x": int(x_index),
+                 "lp_status": {"primal": primal.status, "separation": status}})
     feasible = weights is not None
     consistent = feasible != have_cert and not tie
     return AlternativeResult(

@@ -1,8 +1,9 @@
 """Sparse multivariate polynomials and polynomial-coefficient forms.
 
-Polynomials power the test families of the finite duality models, the
-built-in scalar fields, and the exact integration of forms over simplices
-(a collapsed Gauss rule exact up to the degree present).
+Polynomials power the built-in scalar fields and the exact integration of
+forms over simplices (a collapsed Gauss rule exact up to the degree
+present); Legendre tables power the test families of the finite duality
+models.
 """
 
 from __future__ import annotations
@@ -164,47 +165,21 @@ def _as_points(X, n, ndim):
     return X
 
 
-def values_and_hessians(polys, X):
-    """Values (K, P) and Hessians (K, P, n, n) of K polynomials in n
-    variables at the rows of a (P, n) point stack, in one pass over term
-    positions.  Each polynomial's terms are summed in its own order and a
-    term's factors multiplied in coordinate order, from the powers ``f(x)``
-    takes, so every value equals ``f(x)`` and every Hessian entry
-    ``hessian_at(x)`` bit for bit."""
-    n = polys[0].n
-    X = _as_points(X, n, 2)
-    K, P, R = len(polys), len(X), max((len(f.terms) for f in polys), default=0)
-    C, E = np.zeros((K, R)), np.zeros((K, R, n), dtype=int)
-    for k, f in enumerate(polys):
-        if f.terms:
-            C[k, :len(f.terms)] = list(f.terms.values())
-            E[k, :len(f.terms)] = list(f.terms)
-    # pw[l, e] = x_l ** e by the scalar power f(x) uses: numpy's array
-    # power can differ from it in the last bit
-    pw = np.ones((n, int(E.max(initial=0)) + 1, P))
-    for l in range(n):
-        for e in range(1, pw.shape[1]):
-            pw[l, e] = [x ** e for x in X[:, l]]
-    I, J = np.triu_indices(n)
-    unit = np.eye(n, dtype=int)
-    vals, hess = np.zeros((K, P)), np.zeros((K, len(I), P))
-    for r in range(R):
-        e = E[:, r]
-        v = C[:, r, None]
-        for l in range(n):
-            v = v * pw[l, e[:, l]]
-        vals += v
-        # d/dx_i then d/dx_j of the term, i <= j, as hessian_at takes them
-        ei, ej = e[:, I], e[:, J] - (I == J)
-        live = (ei > 0) & (ej > 0)
-        h = np.where(live, (C[:, r, None] * ei) * ej, 0.0)[..., None]
-        e2 = np.where(live[..., None], e[:, None] - unit[I] - unit[J], 0)
-        for l in range(n):
-            h = h * pw[l, e2[..., l]]
-        hess += h
-    H = np.empty((K, P, n, n))
-    H[:, :, I, J] = H[:, :, J, I] = hess.transpose(0, 2, 1)
-    return vals, H
+def legendre_tables(X, lo, hi, degree):
+    """(3, n, degree+1, P) values and first and second derivatives in x_l
+    of q_k = sqrt((2k+1)/(hi_l-lo_l)) P_k(t), t = (2x_l-lo_l-hi_l)/(hi_l-lo_l),
+    for each axis l, Legendre degree k and row x of a (P, n) point stack.
+    Products over the axes of one q each are orthonormal in L2 of the box
+    [lo, hi] (Dunkl-Xu, Orthogonal Polynomials of Several Variables)."""
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    X = _as_points(X, len(lo), 2)
+    w = hi - lo
+    t = (2.0 * X - lo - hi) / w
+    leg = np.polynomial.legendre
+    T = np.array([leg.legval(t, leg.legder(np.eye(degree + 1), o))
+                  * (2.0 / w) ** o for o in range(3)])   # (3, k, P, n)
+    T *= np.sqrt((2 * np.arange(degree + 1)[:, None] + 1) / w)[:, None]
+    return T.transpose(0, 3, 1, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -3,18 +3,22 @@ import itertools
 import numpy as np
 import pytest
 
+from calibr import duality
 from calibr.calibrations import catalogue
 from calibr.cli import main
-from calibr.duality import (active_site_hull_check, assemble_boundary_model,
+from calibr.duality import (FiniteDualityModel, _family,
+                            active_site_hull_check, assemble_boundary_model,
                             assemble_jensen_model, atom_boundary_values,
                             boundary_alternative, build_boundary_model,
-                            build_jensen_model, form_test_family,
-                            jensen_alternative, scalar_test_family)
-from calibr.exterior import (ExteriorElement, SimplePlane, derivation_extend,
-                             derivation_tensor, pairing, wedge)
+                            build_jensen_model, jensen_alternative)
+from calibr.exterior import (ExteriorElement, SimplePlane, _sorted_sign,
+                             derivation_extend, derivation_tensor, pairing,
+                             wedge)
 from calibr.grassmann import rng_stream, sample_grassmannian
-from calibr.lp import solve_lp
-from calibr.polynomial import Polynomial, integrate_over_box, monomial_exponents
+from calibr.lp import LPResult, solve_lp
+from calibr.polynomial import (PolyForm, Polynomial, integrate_over_box,
+                               legendre_tables, monomial_exponents)
+from numpy.polynomial.legendre import leg2poly, leggauss
 from scipy.optimize import linprog
 
 
@@ -38,29 +42,109 @@ def ss_lam(lam):
     return sample_grassmannian(lam, tol=1e-8, count=4, seed=5)
 
 
+def family_model(cal, kind, degree, lo, hi):
+    """A model with no atoms whose test family lives on the box [lo, hi]."""
+    return FiniteDualityModel(cal, np.zeros((1, cal.n)), [[]],
+                              _family(kind, cal.n, cal.p, degree), kind,
+                              degree, (np.asarray(lo), np.asarray(hi)))
+
+
+def quadrature_gram(model):
+    """Gram matrix in L2 of the model's box of the family's scalar factors,
+    from their own tables at the nodes of the tensor Gauss-Legendre rule
+    exact up to twice the family degree per axis."""
+    lo, hi = model.box
+    t, w = leggauss(model.degree + 1)
+    nodes = lo + np.outer(t + 1.0, hi - lo) / 2.0
+    weights = np.outer(w, hi - lo) / 2.0
+    X = np.array(list(itertools.product(*nodes.T)))
+    W = np.prod(list(itertools.product(*weights.T)), axis=1)
+    V = model._derivatives(X, np.zeros((1, len(lo)), dtype=int))[0]
+    return (V * W) @ V.T
+
+
+def table_entry(T, alpha, orders, q):
+    """Derivative of per-axis orders of the member alpha at point q: the
+    product, in axis order, of one entry per axis of the tables T."""
+    v = 1.0
+    for l, (k, o) in enumerate(zip(alpha, orders)):
+        v = v * T[o, l, k, q]
+    return v
+
+
+def member_polynomial(alpha, lo, hi):
+    """The member alpha rebuilt as a Polynomial: per axis the normalized
+    Legendre series (leg2poly) in t with t = (2x - lo - hi)/(hi - lo)
+    substituted, multiplied over the axes."""
+    n = len(alpha)
+    f = Polynomial.constant(n, 1.0)
+    for l, k in enumerate(alpha):
+        w = hi[l] - lo[l]
+        coef = np.sqrt((2 * k + 1) / w) * leg2poly(np.eye(k + 1)[k])
+        M = np.zeros((n, 1))
+        M[l, 0] = 2.0 / w
+        f = f * Polynomial(1, {(e,): c for e, c in enumerate(coef)}
+                           ).substitute_linear(M, [-(lo[l] + hi[l]) / w])
+    return f
+
+
 class TestFamilies:
     def test_scalar_family_orthonormal(self):
         lo, hi = np.array([-1.0] * 2), np.array([1.0] * 2)
-        fam = scalar_test_family(2, 2, lo, hi)
-        assert len(fam) == 5            # nonconstant monomials up to deg 2
-        for i, p in enumerate(fam):
-            for j, q in enumerate(fam):
-                ip = integrate_over_box(p * q, lo, hi)
-                assert abs(ip - (1.0 if i == j else 0.0)) < 1e-10
+        model = family_model(catalogue("kaehler", 1, 1), "jensen", 2, lo, hi)
+        assert len(model.test_family) == 5   # nonconstant members to deg 2
+        gram = quadrature_gram(model)
+        assert np.abs(gram - np.eye(5)).max() < 1e-10
 
-    def test_form_family_size(self):
-        lo, hi = np.array([-1.0] * 4), np.array([1.0] * 4)
-        fam = form_test_family(4, 2, 1, lo, hi)
-        assert len(fam) == 4 * 5        # C(4,1) x monomials deg <= 1
+    def test_form_family_size(self, omega, ss):
+        model = build_boundary_model(omega, np.zeros((2, 4)), ss, degree=1,
+                                     planes_per_site=3)
+        assert len(model.test_family) == 4 * 5  # C(4,1) x degrees <= 1
+        assert model.test_family[:6] == [
+            ((0, 0, 0, 0), (1,)), ((1, 0, 0, 0), (1,)), ((0, 1, 0, 0), (1,)),
+            ((0, 0, 1, 0), (1,)), ((0, 0, 0, 1), (1,)), ((0, 0, 0, 0), (2,))]
 
-    def test_rank_check_fires(self, omega, ss):
-        from calibr.duality import FiniteDualityModel, _check_family_rank
-        from calibr.polynomial import Polynomial
-        fam = [Polynomial.coordinate(4, 1), Polynomial.coordinate(4, 1)]
-        model = FiniteDualityModel(omega, np.zeros((1, 4)),
-                                   [list(ss.planes[:2])], fam, "jensen", 1)
-        with pytest.raises(ValueError, match="rank"):
-            _check_family_rank(model)
+    @pytest.mark.parametrize("centre", [0.0, 3.0, 10.0])
+    def test_gram_is_the_identity_off_centre(self, omega, centre):
+        # monomials orthonormalized on [c-1, c+1]^4 missed the identity by
+        # 1.9e-10 at c = 3 and 1.7e-7 at c = 10
+        model = family_model(omega, "boundary", 3, np.full(4, centre - 1.0),
+                             np.full(4, centre + 1.0))
+        gram = quadrature_gram(model)
+        assert gram.shape == (35, 35)
+        assert np.abs(gram - np.eye(35)).max() <= 1e-12
+
+    @pytest.mark.parametrize("degree", [1, 2, 3])
+    def test_tables_match_polynomial_reconstruction(self, omega, degree):
+        lo, hi = np.array([-1.5, 0.2, -0.7, 1.0]), np.array([1.0, 2.2, 0.1,
+                                                             1.9])
+        model = family_model(omega, "boundary", degree, lo, hi)
+        X = rng_stream(11, degree).uniform(lo, hi, size=(6, 4))
+        E = np.eye(4, dtype=int)
+        I, J = np.triu_indices(4)
+        D = model._derivatives(X, np.vstack([0 * E[0], E, E[I] + E[J]]))
+        for k, alpha in enumerate(model._alphas):
+            f = member_polynomial(alpha, lo, hi)
+            want = np.array([[f(x)] + list(f.gradient_at(x))
+                             + list(f.hessian_at(x)[I, J]) for x in X]).T
+            scale = max(1.0, np.abs(want).max())
+            assert np.abs(D[:, k] - want).max() <= 1e-12 * scale
+
+    def test_models_build_no_polynomial(self, omega, ss, monkeypatch):
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("a Polynomial was built")
+
+        sites = rng_stream(11, 9).uniform(-1, 1, size=(5, 4))
+        monkeypatch.setattr(Polynomial, "__init__", refuse)
+        boundary = build_boundary_model(omega, sites[:3], ss, degree=2,
+                                        planes_per_site=3)
+        jensen = build_jensen_model(omega, sites, ss, degree=3,
+                                    planes_per_site=3)
+        S = atom_boundary_values(boundary, 1, boundary.dictionary[1][0])
+        for res in (boundary_alternative(boundary, S),
+                    boundary_alternative(boundary, S, lam=2.0),
+                    jensen_alternative(jensen, [0, 1, 2, 3], 4)):
+            assert res.consistent
 
 
 class TestBoundaryAlternative:
@@ -151,6 +235,32 @@ class TestBoundaryAlternative:
             elif res.consistent:
                 consistent += 1
         assert consistent == N - ties
+
+    def test_lp_status_reported(self, omega, ss, monkeypatch):
+        sites = rng_stream(1, 4).uniform(-1, 1, size=(5, 4))
+        bmodel = build_boundary_model(omega, sites[:3], ss, degree=1,
+                                      planes_per_site=3)
+        jmodel = build_jensen_model(omega, sites, ss, degree=2,
+                                    planes_per_site=3)
+        S = atom_boundary_values(bmodel, 0, bmodel.dictionary[0][0])
+        res = boundary_alternative(bmodel, S)
+        assert res.meta["lp_status"] == {"primal": "optimal",
+                                         "separation": "optimal"}
+        res = boundary_alternative(bmodel, S, lam=2.0)
+        assert res.meta["lp_status"] == {"min_mass": "optimal"}
+        # a capped LP decides neither side: reported, not a TypeError
+        monkeypatch.setattr(duality, "solve_lp",
+                            lambda *args, **kw: LPResult('maxiter'))
+        for res, status in (
+                (boundary_alternative(bmodel, S),
+                 {"primal": "maxiter", "separation": "maxiter"}),
+                (boundary_alternative(bmodel, S, lam=2.0),
+                 {"min_mass": "maxiter"}),
+                (jensen_alternative(jmodel, [0, 1, 2, 3], 4),
+                 {"primal": "maxiter", "separation": "maxiter"})):
+            assert res.meta["lp_status"] == status
+            assert res.primal == 'Infeasible' and res.dual is None
+            assert not res.consistent and not res.boundary_tie
 
 
 class TestJensenAlternative:
@@ -255,26 +365,86 @@ def wedge_pvector(plane):
 
 
 def boundary_matrix(model):
-    """(d beta_k)(x_i)(xi) for every test form and atom, term by term."""
-    return np.array([[pairing(beta.d().at(model.sites[i]), wedge_pvector(pl))
+    """(d beta_k)(x_i)(xi) for every test form and atom, term by term: each
+    d(f dx_J) frozen as an ExteriorElement from a per-member loop over the
+    model's Legendre tables."""
+    n = model.calibration.n
+    T = legendre_tables(model.sites, *model.box, model.degree)
+    E = np.eye(n, dtype=int)
+
+    def frozen(alpha, J, q):
+        comps = {}
+        for i in range(1, n + 1):
+            idx, sign = _sorted_sign((i,) + J)
+            if idx is not None:
+                comps[idx] = sign * table_entry(T, alpha, E[i - 1], q)
+        return ExteriorElement(n, len(J) + 1, comps)
+
+    return np.array([[pairing(frozen(alpha, J, i), wedge_pvector(pl))
                       for i, pl in model.atoms]
-                     for beta in model.test_family])
+                     for alpha, J in model.test_family])
+
+
+def poly_boundary_matrix(model):
+    """The same pairings from each member rebuilt as a PolyForm, with the
+    symbolic d."""
+    n, p = model.calibration.n, model.calibration.p
+    return np.array([[pairing(PolyForm(n, p - 1, {J: member_polynomial(
+        alpha, *model.box)}).d().at(model.sites[i]), wedge_pvector(pl))
+                      for i, pl in model.atoms]
+                     for alpha, J in model.test_family])
+
+
+def table_jensen_refs(model, K_indices, x_index):
+    """Per-member loops over the model's Legendre tables: each member's
+    Hessian (sites, n, n) and its values at x and at the K sites."""
+    n = model.calibration.n
+    T = legendre_tables(model.sites, *model.box, model.degree)
+    E = np.eye(n, dtype=int)
+    H = [np.array([[[table_entry(T, alpha, E[l] + E[m], q)
+                     for m in range(n)] for l in range(n)]
+                   for q in range(len(model.sites))])
+         for alpha in model.test_family]
+    fx = np.array([table_entry(T, alpha, 0 * E[0], x_index)
+                   for alpha in model.test_family])
+    fK = np.array([[table_entry(T, alpha, 0 * E[0], j)
+                    for alpha in model.test_family] for j in K_indices])
+    return H, fx, fK
+
+
+def poly_jensen_refs(model, K_indices, x_index):
+    """The same from each member rebuilt as a Polynomial: hessian_at and
+    __call__."""
+    fam = [member_polynomial(alpha, *model.box) for alpha in model.test_family]
+    H = [np.array([f.hessian_at(site) for site in model.sites]) for f in fam]
+    fx = np.array([f(model.sites[x_index]) for f in fam])
+    fK = np.array([[f(model.sites[j]) for f in fam] for j in K_indices])
+    return H, fx, fK
+
+
+def hessian_pairings(model, H):
+    """(atoms, members) pairings of each member's Hessian, extended into
+    phi at the atom's site, with the atom's p-vector."""
+    return np.array([[pairing(derivation_extend(Hk[i], model.calibration.form),
+                              wedge_pvector(pl)) for Hk in H]
+                     for i, pl in model.atoms])
 
 
 def loop_jensen_model(model, K_indices, x_index):
-    """The former per-member Jensen assembly: hessian_at and __call__ at
-    every site, paired with each atom's G in the same einsum."""
+    """The per-member Jensen assembly: Hessians and values from a loop over
+    the model's Legendre tables, paired with each atom's G in the same
+    einsum."""
     site_of, X = model._atom_table
     m, cal = len(site_of), model.calibration
     A = np.zeros((len(model.test_family) + 1, m + len(K_indices)))
     b = np.zeros(len(A))
     Dphi = derivation_tensor(cal.n, cal.p) @ cal.form.to_coeff_vector()
     G = np.array([Dphi @ xi for xi in X]).reshape(-1, cal.n, cal.n)
-    for k, f in enumerate(model.test_family):
-        H = np.array([f.hessian_at(site) for site in model.sites])
-        A[k, :m] = np.einsum("alm,alm->a", H[site_of], G)
-        A[k, m:] = [-f(model.sites[j]) for j in K_indices]
-        b[k] = -f(model.sites[x_index])
+    H, fx, fK = table_jensen_refs(model, K_indices, x_index)
+    for k in range(len(model.test_family)):
+        A[k, :m] = np.einsum("alm,alm->a", H[k][site_of], G)
+        A[k, m:] = -fK[:, k]
+        b[k] = -fx[k]
     A[-1, m:] = b[-1] = 1.0
     return A, b
 
@@ -311,6 +481,9 @@ class TestSolverDifferential:
             assembled, _ = assemble_boundary_model(
                 model, np.zeros(len(model.test_family)))
             assert np.abs(assembled - A).max() < 1e-12
+            scale = max(1.0, np.abs(A).max())
+            assert np.abs(poly_boundary_matrix(model) - A).max() \
+                < 1e-12 * scale
             S = A @ np.abs(rng.standard_normal(A.shape[1]))
             if inst % 2 == 1:
                 S = S * rng.choice([-1.0, 1.0], size=len(S))
@@ -359,19 +532,20 @@ class TestSolverDifferential:
             pts = rng.uniform(-1, 1, size=(5, 4))
             model = build_jensen_model(omega, pts, ss8, degree=degree,
                                        planes_per_site=4)
-            fam = model.test_family
-            Hmat = np.array([[pairing(derivation_extend(f.hessian_at(pts[i]),
-                                                        omega.form),
-                                      wedge_pvector(pl)) for f in fam]
-                             for i, pl in model.atoms])
-            fx = np.array([f(pts[x]) for f in fam])
-            fK = np.array([[f(pts[j]) for f in fam] for j in K])
+            H, fx, fK = table_jensen_refs(model, K, x)
+            Hmat = hessian_pairings(model, H)
             A, b = assemble_jensen_model(model, K, x)
             n_atoms = len(model.atoms)
             scale = max(1.0, np.abs(Hmat).max())
             assert np.abs(A[:-1, :n_atoms] - Hmat.T).max() < 1e-12 * scale
             assert np.array_equal(A[:-1, n_atoms:], -fK.T)
             assert np.array_equal(b[:-1], -fx)
+            H, px, pK = poly_jensen_refs(model, K, x)
+            scale = max(1.0, np.abs(fK).max(), np.abs(fx).max())
+            assert np.abs(hessian_pairings(model, H) - Hmat).max() \
+                < 1e-12 * max(1.0, np.abs(Hmat).max())
+            assert np.abs(px - fx).max() < 1e-12 * scale
+            assert np.abs(pK - fK).max() < 1e-12 * scale
             feasible = highs_feasible(A, b)
             assert simplex_feasible(A, b) == feasible
             res = jensen_alternative(model, K, x)
@@ -392,13 +566,14 @@ class TestSolverDifferential:
         model = build_jensen_model(omega, pts, ss8, degree=2,
                                    planes_per_site=4,
                                    extra_planes=[SimplePlane(np.eye(4)[:2])])
-        fam = model.test_family
-        Hmat = np.array([[pairing(derivation_extend(f.hessian_at(pts[i]),
-                                                    omega.form),
-                                  wedge_pvector(pl)) for f in fam]
-                         for i, pl in model.atoms])
-        fx = np.array([f(pts[x]) for f in fam])
-        fK = np.array([[f(pts[j]) for f in fam] for j in K])
+        H, fx, fK = table_jensen_refs(model, K, x)
+        Hmat = hessian_pairings(model, H)
+        H, px, pK = poly_jensen_refs(model, K, x)
+        scale = max(1.0, np.abs(Hmat).max())
+        assert np.abs(hessian_pairings(model, H) - Hmat).max() < 1e-12 * scale
+        scale = max(1.0, np.abs(fK).max(), np.abs(fx).max())
+        assert np.abs(px - fx).max() < 1e-12 * scale
+        assert np.abs(pK - fK).max() < 1e-12 * scale
         independent = np.block([[Hmat.T, -fK.T],
                                 [np.zeros((1, len(Hmat))), np.ones((1, 4))]])
         rhs = np.append(-fx, 1.0)
@@ -440,6 +615,8 @@ class TestAtomTable:
                                        np.zeros(len(model.test_family)))
         assert A.shape[1] == sum(len(pl) for pl in dictionary)
         assert np.abs(A - boundary_matrix(model)).max() < 1e-12
+        scale = max(1.0, np.abs(A).max())
+        assert np.abs(A - poly_boundary_matrix(model)).max() < 1e-12 * scale
 
 
     def test_boundary_matrix_is_assembled_once(self, omega, ss):
@@ -536,24 +713,32 @@ class TestOrthonormalFamily:
     @pytest.mark.parametrize("lo, hi", [(-1.5, 1.5), (0.5, 1.5)])
     @pytest.mark.parametrize("degree", [1, 2, 3])
     @pytest.mark.parametrize("form", [False, True])
-    def test_matches_gram_schmidt(self, lo, hi, degree, form):
+    def test_matches_gram_schmidt(self, omega, lo, hi, degree, form):
+        # Gram-Schmidt of graded-lex monomials from the constant on gives the
+        # Legendre products themselves; without the constant the two
+        # families span the same space modulo constants
         lo, hi = np.full(4, lo), np.full(4, hi)
         exps = monomial_exponents(4, degree, include_constant=form)
         ref = gram_schmidt_family([Polynomial.monomial(4, e) for e in exps],
                                   lo, hi)
+        model = family_model(omega, "boundary" if form else "jensen", degree,
+                             lo, hi)
         if form:
-            fam = form_test_family(4, 2, degree, lo, hi)
-            assert len(fam) == 4 * len(exps)
-            assert [list(f.comps) for f in fam] == [
-                [(i,)] for i in range(1, 5) for _ in exps]
-            fam = [f.comps[(k // len(exps) + 1,)] for k, f in enumerate(fam)]
+            assert len(model.test_family) == 4 * len(exps)
+            assert [J for _, J in model.test_family] == [
+                (i,) for i in range(1, 5) for _ in exps]
+        assert [tuple(a) for a in model._alphas] == exps
+        X = rng_stream(10, degree).uniform(lo, hi,
+                                           size=(2 * len(exps) + 20, 4))
+        vals = model._derivatives(X, np.zeros((1, 4), dtype=int))[0]
+        want = np.array([[g(x) for x in X] for g in ref])
+        if form:
+            assert np.abs(vals - want).max() <= 1e-9
         else:
-            fam = scalar_test_family(4, degree, lo, hi)
-        X = rng_stream(10, degree).uniform(lo, hi, size=(20, 4))
-        for k, f in enumerate(fam):
-            g = ref[k % len(ref)]
-            assert max(abs(f(x) - g(x)) for x in X) <= 1e-9
-        fam = fam[:len(ref)]
+            basis = np.column_stack([np.ones(len(X)), vals.T])
+            coef = np.linalg.lstsq(basis, want.T, rcond=None)[0]
+            assert np.abs(basis @ coef - want.T).max() <= 1e-9
+        fam = [member_polynomial(a, lo, hi) for a in model._alphas]
         gram = np.array([[integrate_over_box(f * g, lo, hi) for g in fam]
                          for f in fam])
         assert np.abs(gram - np.eye(len(fam))).max() <= 1e-10

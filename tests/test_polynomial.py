@@ -3,7 +3,7 @@ import pytest
 
 from calibr.polynomial import (
     PolyForm, Polynomial, integrate_over_box, integrate_over_simplex,
-    monomial_exponents, simplex_volume, values_and_hessians,
+    legendre_tables, monomial_exponents, simplex_volume,
 )
 
 rng = np.random.default_rng(11)
@@ -49,33 +49,8 @@ class TestPolynomial:
 
     @pytest.mark.parametrize("shape", [(2, 2), (1, 4), (3,), (1, 1, 3)])
     def test_point_stack_of_the_wrong_shape_rejected(self, shape):
-        f = Polynomial(3, {(1, 0, 0): 1.0, (0, 0, 2): 5.0})
         with pytest.raises(ValueError, match="3 coordinates"):
-            values_and_hessians([f], np.ones(shape))
-
-
-class TestValuesAndHessians:
-    """The array kernel against ``__call__`` and ``hessian_at``, bit for
-    bit, on random sparse polynomials of mixed sizes and degrees."""
-
-    @pytest.mark.parametrize("n, degree", [(1, 3), (2, 4), (3, 5), (4, 2),
-                                           (4, 3), (6, 3)])
-    def test_bit_identical_to_the_scalar_routes(self, n, degree):
-        gen = np.random.default_rng(100 * n + degree)
-        exps = monomial_exponents(n, degree)
-        polys = [Polynomial(n, {exps[i]: gen.standard_normal()
-                                * 10.0 ** gen.integers(-3, 4)
-                                for i in gen.permutation(len(exps))[:size]})
-                 for size in (0, 1, len(exps) // 2, len(exps))]
-        X = gen.uniform(-3.0, 3.0, size=(7, n))
-        X[0] = 0.0
-        vals, H = values_and_hessians(polys, X)
-        assert vals.shape == (4, 7) and H.shape == (4, 7, n, n)
-        want_vals = np.array([[f(x) for x in X] for f in polys])
-        want_H = np.array([[f.hessian_at(x) for x in X] for f in polys])
-        assert np.array_equal(vals, want_vals)
-        assert np.array_equal(H, want_H)
-        assert np.array_equal(np.signbit(H), np.signbit(want_H))
+            legendre_tables(np.ones(shape), np.zeros(3), np.ones(3), 2)
 
 
 class TestSimplexIntegration:
