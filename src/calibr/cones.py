@@ -236,7 +236,9 @@ def mass_norm_estimate(xi: ExteriorElement, generator_samples: PlaneSampleSet,
 
     ``meta["lower_certified"]`` is True when the form behind ``lower`` had an
     exact comass, so that ``lower`` is a certified lower bound; otherwise
-    it divides by a best-found comass and may overshoot the mass.  Raises
+    it divides by a best-found comass and may overshoot the mass.
+    ``meta["capped"]`` is True when the loop stopped at ``max_rounds`` with
+    the bracket still wider than ``bracket_gap_tol``.  Raises
     RuntimeError when ``lower`` exceeds ``upper`` beyond rounding.
     """
     if xi.norm() == 0.0:
@@ -272,6 +274,7 @@ def mass_norm_estimate(xi: ExteriorElement, generator_samples: PlaneSampleSet,
     dual_comass = None
     saturated = True
     upper = np.inf
+    capped = False
     for round_k in range(max_rounds):
         A = np.column_stack(cols)
         m = A.shape[1]
@@ -294,12 +297,14 @@ def mass_norm_estimate(xi: ExteriorElement, generator_samples: PlaneSampleSet,
         if dual_comass <= 1.0 + dual_gap_tol:
             break
         cols.append(cm.plane.pvector().to_coeff_vector())
+    else:
+        capped = True
     if lower > upper * (1.0 + 1e-12):
         raise RuntimeError(
             f"mass bracket inverted: lower {lower!r} > upper {upper!r}")
     return upper, lower, {"rounds": round_k + 1, "dual_comass": dual_comass,
                           "saturated": saturated, "atoms": len(cols),
-                          "lower_certified": certified}
+                          "lower_certified": certified, "capped": capped}
 
 
 # ---------------------------------------------------------------------------

@@ -214,6 +214,21 @@ class TestMassNormClosedForm:
         assert not meta["lower_certified"]
         assert up >= lo
 
+    def test_round_cap_reported(self, gens):
+        # an R^6 3-vector leaves at the cap with the bracket open; an R^4
+        # 2-vector closes it in the first round
+        rng = np.random.default_rng(6)
+        xi = ExteriorElement(6, 3, {idx: rng.standard_normal()
+                                    for idx in lex_indices(6, 3)})
+        up, lo, meta = mass_norm_estimate(
+            xi, random_plane_set(6, 3, count=40, seed=9), max_rounds=2,
+            comass_multistarts=4)
+        assert meta["capped"] and meta["rounds"] == 2
+        assert up - lo > 1e-9 * up
+        up, lo, meta = mass_norm_estimate(e_form(1, 2) + 0.5 * e_form(3, 4),
+                                          gens, max_rounds=2)
+        assert not meta["capped"] and meta["rounds"] == 1
+
     def test_inverted_bracket_raises(self, gens, monkeypatch):
         # a comass reported at half its value doubles the lower bound
         import dataclasses

@@ -2,7 +2,15 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from calibr.lp import solve_lp
+from calibr import cones, duality
+from calibr.calibrations import catalogue
+from calibr.cones import mass_norm_estimate
+from calibr.duality import (assemble_boundary_model, boundary_alternative,
+                            build_boundary_model, build_jensen_model,
+                            jensen_alternative)
+from calibr.exterior import ExteriorElement, lex_indices
+from calibr.grassmann import random_plane_set, rng_stream, sample_grassmannian
+from calibr.lp import FEAS_TOL, LPResult, solve_lp
 
 rng = np.random.default_rng(3)
 
@@ -91,3 +99,338 @@ class TestAgainstScipy:
         ref = linprog(c, A_eq=A, b_eq=b, bounds=[(0, None)] * 7, method="highs")
         assert ours.status == 'optimal'
         assert abs(ours.obj - ref.fun) < 1e-8
+
+
+# -- the Bland simplex the revised simplex replaced, kept as the reference ---
+
+class BlandTableau:
+    """Bland's smallest eligible index for both entering and leaving
+    variables, per-variable status as 'B', 'L', 'U'."""
+
+    def __init__(self, A, c, l, u, basis, status, x):
+        self.A = A
+        self.c = c
+        self.l = l
+        self.u = u
+        self.basis = basis          # list of variable indices, length m
+        self.status = status        # per-variable: 'B', 'L', 'U'
+        self.x = x
+        self.m, self.nv = A.shape
+        self.b = A @ x              # fixed right-hand side
+
+    def duals(self):
+        B = self.A[:, self.basis]
+        return np.linalg.solve(B.T, self.c[self.basis])
+
+    def _refresh_basics(self):
+        """Recompute basic values from the nonbasic bounds (drift control)."""
+        rhs = self.b.copy()
+        for j in range(self.nv):
+            if self.status[j] == 'L':
+                self.x[j] = self.l[j]
+            elif self.status[j] == 'U':
+                self.x[j] = self.u[j]
+            if self.status[j] != 'B':
+                rhs -= self.A[:, j] * self.x[j]
+        B = self.A[:, self.basis]
+        xb = np.linalg.solve(B, rhs)
+        for k, j in enumerate(self.basis):
+            self.x[j] = xb[k]
+
+    def iterate(self, tol, max_iter):
+        it = 0
+        while it < max_iter:
+            it += 1
+            if it % 64 == 0:
+                self._refresh_basics()
+            y = self.duals()
+            z = self.c - y @ self.A
+            entering = -1
+            direction = 0.0
+            for j in range(self.nv):     # Bland: smallest eligible index
+                if self.status[j] == 'L' and z[j] < -tol:
+                    entering, direction = j, 1.0
+                    break
+                if self.status[j] == 'U' and z[j] > tol:
+                    entering, direction = j, -1.0
+                    break
+            if entering < 0:
+                self._refresh_basics()
+                return 'optimal', it
+            B = self.A[:, self.basis]
+            d = np.linalg.solve(B, self.A[:, entering]) * direction
+
+            # ratio test: collect the blocking step for every basic variable
+            span = self.u[entering] - self.l[entering]
+            ratios = np.full(self.m, np.inf)
+            hits_lower = np.zeros(self.m, dtype=bool)
+            for k in range(self.m):
+                jb = self.basis[k]
+                if d[k] > tol:
+                    ratios[k] = (self.x[jb] - self.l[jb]) / d[k]
+                    hits_lower[k] = True
+                elif d[k] < -tol:
+                    ratios[k] = (self.u[jb] - self.x[jb]) / (-d[k])
+            t_min = min(float(ratios.min()), span)
+            if not np.isfinite(t_min):
+                return 'unbounded', it
+            t_min = max(t_min, 0.0)
+            # Bland leaving rule: among blockers at the minimum ratio, the
+            # basic variable with the smallest index leaves
+            leave = -1
+            for k in range(self.m):
+                if ratios[k] <= t_min + 1e-12:
+                    if leave < 0 or self.basis[k] < self.basis[leave]:
+                        leave = k
+            if leave >= 0 and ratios[leave] > span:
+                leave = -1            # the entering bound flip wins
+
+            self.x[entering] += direction * t_min
+            for k in range(self.m):
+                self.x[self.basis[k]] -= d[k] * t_min
+            if leave < 0:
+                self.status[entering] = 'U' if self.status[entering] == 'L' else 'L'
+                self.x[entering] = (self.u[entering] if self.status[entering] == 'U'
+                                    else self.l[entering])
+            else:
+                out = self.basis[leave]
+                self.x[out] = self.l[out] if hits_lower[leave] else self.u[out]
+                self.status[out] = 'L' if hits_lower[leave] else 'U'
+                self.basis[leave] = entering
+                self.status[entering] = 'B'
+        return 'maxiter', it
+
+
+def bland_solve_lp(c, A, b, lower=None, upper=None, tol=FEAS_TOL, max_iter=None):
+    """Two-phase bounded-variable primal simplex with Bland's rule at every
+    pivot and two dense solves per pivot.
+
+    Returns an LPResult.  ``y`` holds the equality-row multipliers: for an
+    optimal solve these are the LP duals; for an infeasible one they are the
+    phase-1 duals, i.e. a Farkas certificate (y.A <= 0 on variables at their
+    lower bound zero, y.b > 0).
+    """
+    A = np.atleast_2d(np.asarray(A, dtype=float))
+    m, n = A.shape
+    b = np.asarray(b, dtype=float).reshape(m)
+    c = np.asarray(c, dtype=float).reshape(n)
+    l = np.zeros(n) if lower is None else np.asarray(lower, dtype=float).reshape(n)
+    u = np.full(n, np.inf) if upper is None else np.asarray(upper, dtype=float).reshape(n)
+    if not np.all(np.isfinite(l)):
+        raise ValueError("lower bounds must be finite")
+    if np.any(u < l):
+        raise ValueError("upper bound below lower bound")
+    if max_iter is None:
+        max_iter = 200 * (n + m + 10)
+
+    # start all structural variables at their lower bound
+    x0 = l.copy()
+    r = b - A @ x0
+    signs = np.where(r >= 0, 1.0, -1.0)
+    A1 = np.hstack([A, np.diag(signs)])
+    l1 = np.concatenate([l, np.zeros(m)])
+    u1 = np.concatenate([u, np.full(m, np.inf)])
+    c1 = np.concatenate([np.zeros(n), np.ones(m)])
+    x1 = np.concatenate([x0, np.abs(r)])
+    basis = list(range(n, n + m))
+    status = ['L'] * n + ['B'] * m
+
+    tab = BlandTableau(A1, c1, l1, u1, basis, status, x1)
+    st, it1 = tab.iterate(tol, max_iter)
+    phase1 = float(c1 @ tab.x)
+    if st == 'maxiter':
+        return LPResult('maxiter', iterations=it1, phase1_obj=phase1)
+    if phase1 > tol * max(1.0, float(np.abs(b).max(initial=0.0))):
+        y = tab.duals()
+        return LPResult('infeasible', y=y, phase1_obj=phase1, iterations=it1)
+
+    # phase 2: freeze the artificials at zero via zero-width bounds
+    tab.u[n:] = 0.0
+    tab.x[n:] = np.clip(tab.x[n:], 0.0, 0.0)
+    tab.c = np.concatenate([c, np.zeros(m)])
+    for j in range(n, n + m):
+        if tab.status[j] != 'B':
+            tab.status[j] = 'L'
+    st, it2 = tab.iterate(tol, max_iter)
+    x = tab.x[:n].copy()
+    obj = float(c @ x)
+    if st == 'unbounded':
+        return LPResult('unbounded', x=x, obj=obj, iterations=it1 + it2,
+                        phase1_obj=phase1)
+    if st == 'maxiter':
+        return LPResult('maxiter', x=x, obj=obj, iterations=it1 + it2,
+                        phase1_obj=phase1)
+    return LPResult('optimal', x=x, obj=obj, y=tab.duals(),
+                    iterations=it1 + it2, phase1_obj=phase1)
+
+
+# -- differential tests: the revised simplex against the reference and HiGHS -
+
+HIGHS_STATUS = {0: 'optimal', 2: 'infeasible', 3: 'unbounded'}
+
+
+def check_farkas(y, A, b, upper):
+    """y proves A x = b, 0 <= x <= upper infeasible: y.A <= 0 on the columns
+    without an upper bound and y.b above the largest y.A x over the box."""
+    yA = y @ A
+    free = np.isinf(upper)
+    assert yA[free].max(initial=-np.inf) <= 1e-9 * max(1.0, np.abs(yA).max())
+    assert y @ b > np.maximum(yA[~free], 0.0) @ upper[~free]
+
+
+def check_three_ways(c, A, b, lower=None, upper=None):
+    """The revised simplex agrees with the reference and with HiGHS on the
+    status and the objective (1e-9 relative); its x solves A x = b within
+    the bounds and its meta splits the iterations by phase."""
+    new = solve_lp(c, A, b, lower=lower, upper=upper)
+    ref = bland_solve_lp(c, A, b, lower=lower, upper=upper)
+    n = A.shape[1]
+    lo = np.zeros(n) if lower is None else np.asarray(lower, dtype=float)
+    up = np.full(n, np.inf) if upper is None else np.asarray(upper, dtype=float)
+    highs = linprog(c, A_eq=A, b_eq=b, method="highs",
+                    bounds=[(l, None if np.isinf(u) else u)
+                            for l, u in zip(lo, up)])
+    assert new.status == ref.status == HIGHS_STATUS[highs.status]
+    assert new.iterations == (new.meta["phase1_iterations"]
+                              + new.meta["phase2_iterations"])
+    assert 0 <= new.meta["bland_pivots"] <= new.iterations
+    if new.status == 'optimal':
+        for obj in (ref.obj, highs.fun):
+            assert abs(new.obj - obj) <= 1e-9 * max(1.0, abs(obj))
+        assert np.abs(A @ new.x - b).max() <= 1e-9 * max(1.0, np.abs(b).max())
+        assert (new.x >= lo - FEAS_TOL).all() and (new.x <= up + FEAS_TOL).all()
+    if new.status == 'infeasible' and lower is None:
+        check_farkas(new.y, A, b, up)
+    return new, ref
+
+
+def random_lp(seed):
+    """m <= 40 rows, n <= 200 columns.  Even seeds bound every variable
+    above, odd ones leave them unbounded above; the right-hand side comes
+    from a point in the box, moved far off it for seeds 0 mod 3 (often
+    infeasible); the cost is dual feasible (bounded below) except for
+    seeds 1 mod 4."""
+    r = np.random.default_rng(seed)
+    m = int(r.integers(1, 41))
+    n = int(r.integers(m + 1, 201))
+    A = r.standard_normal((m, n))
+    c = A.T @ r.standard_normal(m) + r.uniform(0.0, 1.0, n)
+    if seed % 4 == 1:
+        c = r.standard_normal(n)
+    upper = r.uniform(0.5, 3.0, n) if seed % 2 == 0 else None
+    point = r.uniform(0.0, 0.5, n)
+    b = A @ point
+    if seed % 3 == 0:
+        b += n * r.standard_normal(m)
+    return c, A, b, upper
+
+
+def recorded_lps(monkeypatch, module, run):
+    """Every LP the calls in run() hand to module.solve_lp."""
+    lps = []
+
+    def record(c, A, b, lower=None, upper=None, **kwargs):
+        lps.append((c, A, b, lower, upper))
+        return solve_lp(c, A, b, lower=lower, upper=upper, **kwargs)
+    monkeypatch.setattr(module, "solve_lp", record)
+    run()
+    monkeypatch.undo()
+    return lps
+
+
+class TestRevisedSimplexDifferential:
+    @pytest.mark.parametrize("seed", range(24))
+    def test_random_lps(self, seed):
+        c, A, b, upper = random_lp(seed)
+        check_three_ways(c, A, b, upper=upper)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_zero_right_hand_side(self, seed):
+        # every basis of the start is degenerate
+        c, A, _, upper = random_lp(100 + seed)
+        check_three_ways(c, A, np.zeros(len(A)), upper=upper)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_infeasible_certificate(self, seed):
+        # columns turned so that y.A <= 0 for a hidden y with y.b > 0
+        r = np.random.default_rng(200 + seed)
+        m, n = int(r.integers(2, 30)), int(r.integers(5, 120))
+        y = r.standard_normal(m)
+        A = r.standard_normal((m, n))
+        A[:, y @ A > 0] *= -1.0
+        b = r.standard_normal(m)
+        b += (1.0 - y @ b) * y / (y @ y)            # y.b = 1
+        new, _ = check_three_ways(r.standard_normal(n), A, b)
+        assert new.status == 'infeasible'
+        assert (new.y @ A).max() <= 1e-9 and new.y @ b > 0.0
+
+    def test_mass_lps_match_the_reference(self, monkeypatch):
+        # the [A, -A] mass LPs of an R^6 3-vector, round by round: the same
+        # objectives and the same duals, so comass prices the same forms
+        gens = random_plane_set(6, 3, count=40, seed=1729)
+        rng = rng_stream(1729, 6)
+        xi = ExteriorElement(6, 3, {idx: rng.standard_normal()
+                                    for idx in lex_indices(6, 3)})
+        lps = recorded_lps(monkeypatch, cones, lambda: mass_norm_estimate(
+            xi, gens, max_rounds=10, comass_multistarts=4))
+        assert len(lps) == 10
+        pivots = np.zeros(2, dtype=int)
+        for c, A, b, _, _ in lps:
+            new, ref = check_three_ways(c, A, b)
+            assert new.status == 'optimal'
+            assert abs(new.obj - ref.obj) <= 1e-12 * abs(ref.obj)
+            assert np.abs(new.y - ref.y).max() <= 1e-12 * np.abs(ref.y).max()
+            pivots += (new.iterations, ref.iterations)
+        assert pivots[0] < pivots[1]
+
+    def test_criterion_8_streams(self, monkeypatch):
+        # the primal, separation and min-mass LPs of the boundary (plain
+        # and lambda) and Jensen alternatives at the criterion-8 seed
+        omega = catalogue("kaehler", 2, 1)
+        ss = sample_grassmannian(omega, tol=1e-8, count=8, seed=1729)
+
+        def streams():
+            for inst in range(6):
+                rng = rng_stream(1729, 8000 + inst)
+                model = build_boundary_model(omega, rng.uniform(-1, 1, (4, 4)),
+                                             ss, degree=1, planes_per_site=3)
+                A, _ = assemble_boundary_model(
+                    model, np.zeros(len(model.test_family)))
+                S = A @ np.abs(rng.standard_normal(A.shape[1]))
+                if inst % 2 == 1:
+                    S = S * rng.choice([-1.0, 1.0], size=len(S))
+                boundary_alternative(model, S)
+                boundary_alternative(model, S, lam=0.5 * np.abs(S).sum())
+                rng = rng_stream(1729, 9000 + inst)
+                model = build_jensen_model(omega, rng.uniform(-1, 1, (5, 4)),
+                                           ss, degree=2, planes_per_site=4)
+                jensen_alternative(model, [0, 1, 2, 3], 4)
+        lps = recorded_lps(monkeypatch, duality, streams)
+        statuses = set()
+        for c, A, b, lower, upper in lps:
+            new, _ = check_three_ways(c, A, b, lower=lower, upper=upper)
+            statuses.add(new.status)
+        assert statuses == {'optimal', 'infeasible'}
+
+
+class TestPricing:
+    @pytest.mark.parametrize("example", ["beale", "chvatal"])
+    def test_fallback_ends_degenerate_cycles(self, example):
+        # Beale's and Chvatal's cycling examples (Chvatal, Linear
+        # Programming, ch. 3): the fallback prices some pivots and the
+        # solve ends optimal; with Dantzig's rule alone the two-phase
+        # solve of Chvatal's example cycles until max_iter
+        if example == "beale":
+            A = np.array([[0.25, -8.0, -1.0, 9.0, 1.0, 0.0, 0.0],
+                          [0.5, -12.0, -0.5, 3.0, 0.0, 1.0, 0.0],
+                          [0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0]])
+            c = np.array([-0.75, 150.0, -0.02, 6.0, 0.0, 0.0, 0.0])
+        else:
+            A = np.array([[0.5, -5.5, -2.5, 9.0, 1.0, 0.0, 0.0],
+                          [0.5, -1.5, -0.5, 1.0, 0.0, 1.0, 0.0],
+                          [1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0]])
+            c = -np.array([10.0, -57.0, -9.0, -24.0, 0.0, 0.0, 0.0])
+        b = np.array([0.0, 0.0, 1.0])
+        new, _ = check_three_ways(c, A, b)
+        assert new.status == 'optimal'
+        assert new.meta["bland_pivots"] > 0
