@@ -213,7 +213,7 @@ def cmd_positivity(args):
     ss = _samples_for(cal, args)
     rep = cones.positivity_classify(alpha, cal, ss, tol=args.tol)
     report = {"status": rep.status, "margin": rep.margin,
-              "tolerances": rep.tolerances,
+              "exact": rep.meta["exact"], "tolerances": rep.tolerances,
               "sample_count": rep.meta.get("sample_count")}
     if rep.witness is not None:
         report["witness_frame"] = rep.witness.frame
@@ -228,7 +228,7 @@ def cmd_lemma25(args):
     gens = grassmann.random_plane_set(cal.n, cal.p, count=args.generators,
                                       seed=args.seed)
     rep = cones.lemma_2_5_check(xi, cal, ss, gens, seed=args.seed)
-    report = {"agree": rep.agree,
+    report = {"agree": rep.agree, "exact": rep.meta["membership"]["exact"],
               "mass_bracket": list(rep.mass_bracket),
               "conditions": {k: {"holds": v[0], "margin": v[1]}
                              for k, v in rep.conditions.items()}}

@@ -1,10 +1,12 @@
 """Convex geometry of the positivity cones attached to a calibration.
 
-All cone queries run against a finite sample of the phi-Grassmannian with
-local augmentation; every report carries the sample count and tolerances,
-because the exact cones are only approximated from below by their sampled
-surrogates.  Linear programs go through the in-repo bounded-variable simplex
-(`calibr.lp`); the nonnegative least-squares subproblems use scipy's NNLS.
+Cone queries on a Kaehler form in degree 2 or codegree 2 are exact (one
+eigendecomposition, `grassmann.kaehler_structure`).  All others run against
+a finite sample of the phi-Grassmannian with local augmentation, which
+approximates the exact cones from below; every report carries the sample
+count, the tolerances and ``meta["exact"]``.  Linear programs go through
+the in-repo bounded-variable simplex (`calibr.lp`); the nonnegative
+least-squares subproblems use scipy's NNLS.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ from .calibrations import Calibration
 from .exterior import (ExteriorElement, SimplePlane, hodge_star,
                        interior_product, lex_indices, pairing, wedge)
 from .grassmann import (FormEvaluator, PlaneSampleSet, comass,
-                        constrained_extremum, polish_plane, skew_matrix,
+                        constrained_extremum, kaehler_plane,
+                        kaehler_structure, polish_plane, skew_matrix,
                         span_split, top_singular_plane)
 from .lp import solve_lp
 
@@ -125,13 +128,18 @@ def cone_membership(xi: ExteriorElement, cal: Calibration,
                     samples: PlaneSampleSet, tol=1e-6,
                     boundary_tol=BOUNDARY_TOL, max_rounds=20,
                     seed=0) -> ConeReport:
-    """Nonnegative decomposition of xi over sampled phi-planes.
+    """Nonnegative decomposition of xi over phi-planes.
 
-    Outside when the augmented least-squares residual stays above tol, with
-    margin minus the relative residual.  A member's margin is the largest
-    minimum atom weight relative to |xi|, Interior above boundary_tol: exact
-    for the cone of the sampled and augmented atoms (meta["planes"]) only,
-    so a sum of three sampled associative planes can read Boundary.
+    On a Kaehler form the atoms are `_kaehler_atoms` and the report is
+    exact; otherwise they are the sampled planes, augmented by aligning
+    ascents.  Outside when the relative residual exceeds tol, with margin
+    minus it, ``meta["separating_form"]`` -r/|r| for the residual r (it
+    pairs negatively with xi, nonnegatively with every atom) and
+    ``meta["separating_min"]`` its `constrained_extremum` minimum over
+    G(phi).  A member's margin is the largest minimum atom weight relative
+    to |xi|, Interior above boundary_tol: exact for the cone of the atoms
+    (meta["planes"]) only, so a sum of three sampled associative planes can
+    read Boundary.
     """
     if xi.n != cal.n or xi.p != cal.p:
         raise ValueError("degree/dimension mismatch between xi and calibration")
@@ -139,6 +147,61 @@ def cone_membership(xi: ExteriorElement, cal: Calibration,
         raise ValueError("empty sample set")
     xi_vec = xi.to_coeff_vector()
     scale = max(np.linalg.norm(xi_vec), 1e-300)
+    J = kaehler_structure(cal.form)
+    if J is None:
+        planes, coeffs, res = _sampled_membership(xi, xi_vec, scale, cal,
+                                                  samples, tol, max_rounds,
+                                                  seed)
+    else:
+        planes, coeffs = _kaehler_atoms(xi, cal, J)
+    A = np.column_stack([pl.pvector().to_coeff_vector() for pl in planes])
+    r = xi_vec - A @ coeffs
+    residual = (res if J is None else np.linalg.norm(r)) / scale
+    tolerances = {"membership_tol": tol, "boundary_tol": boundary_tol}
+    meta = {"sample_count": len(samples), "atom_count": len(planes),
+            "residual": residual, "planes": planes,
+            "weights": coeffs, "exact": J is not None}
+    if residual > tol:
+        sep = ExteriorElement.from_coeff_vector(
+            cal.n, cal.p, -r / np.linalg.norm(r), drop_tol=0.0)
+        meta["separating_form"] = sep
+        meta["separating_min"] = constrained_extremum(
+            sep, cal, samples, "min", seed=seed, starts_limit=8)
+        return ConeReport("Outside", -residual, None, tolerances, None, meta)
+    certificate = None
+    if residual <= 1e-8:
+        active = [(float(c), pl) for c, pl in zip(coeffs, planes) if c > 1e-12]
+        certificate = {"weights": [c for c, _ in active],
+                       "planes": [pl for _, pl in active]}
+    margin = (coeffs.min() / scale if J is not None
+              else _member_margin(A, coeffs / scale))
+    status = "Boundary" if abs(margin) <= boundary_tol else "Interior"
+    return ConeReport(status, margin, certificate, tolerances, None, meta)
+
+
+def _kaehler_atoms(xi, cal, J):
+    """The n/2 orthogonal eigen-lines u ^ Ju of S = sym(X J) as phi-planes,
+    and their eigenvalues clipped at zero, X the skew matrix of xi (of *xi
+    in codegree 2).  xi is a sum of complex lines iff X J is symmetric
+    positive semidefinite (Harvey-Knapp 1974); S commutes with J, so the
+    weighted lines are the nearest point of the cone to xi."""
+    n = cal.n
+    x = xi if cal.p == 2 else hodge_star(xi)
+    P = skew_matrix(x.to_coeff_vector(), n) @ J
+    S = (P + P.T) / 2.0
+    # on the +i eigenspace of J (projector Pi) S has the n/2 eigenvalues of
+    # the lines, with z = (u - iJu)/sqrt 2; the rest is shifted below them
+    Pi = (np.eye(n) - 1j * J) / 2.0
+    lam, Z = np.linalg.eigh(S @ Pi - (np.abs(S).sum() + 1.0) * Pi.conj())
+    U = np.sqrt(2.0) * Z[:, n // 2:].real
+    return ([SimplePlane(kaehler_plane(u, J, cal.form).T) for u in U.T],
+            np.maximum(lam[n // 2:], 0.0))
+
+
+def _sampled_membership(xi, xi_vec, scale, cal, samples, tol, max_rounds,
+                        seed):
+    """Atoms, NNLS weights and residual norm of xi over the sampled planes,
+    augmented by aligning ascents until the residual stalls."""
     planes = list(samples.planes)
     # when the target is close to a single phi-plane, that plane (found by
     # aligning with xi and polishing onto the Grassmannian) is the one atom
@@ -168,21 +231,7 @@ def cone_membership(xi: ExteriorElement, cal: Calibration,
         stagnant = stagnant + 1 if res > 0.995 * res_prev else 0
         if stagnant >= 3:
             break
-    residual = res / scale
-    tolerances = {"membership_tol": tol, "boundary_tol": boundary_tol}
-    meta = {"sample_count": len(samples), "atom_count": len(planes),
-            "residual": residual, "planes": planes,
-            "weights": coeffs}
-    if residual > tol:
-        return ConeReport("Outside", -residual, None, tolerances, None, meta)
-    certificate = None
-    if residual <= 1e-8:
-        active = [(float(c), pl) for c, pl in zip(coeffs, planes) if c > 1e-12]
-        certificate = {"weights": [c for c, _ in active],
-                       "planes": [pl for _, pl in active]}
-    margin = _member_margin(A, coeffs / scale)
-    status = "Boundary" if abs(margin) <= boundary_tol else "Interior"
-    return ConeReport(status, margin, certificate, tolerances, None, meta)
+    return planes, coeffs, res
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +292,8 @@ def mass_norm_estimate(xi: ExteriorElement, generator_samples: PlaneSampleSet,
     """
     if xi.norm() == 0.0:
         raise ValueError("mass norm of the zero element")
+    if max_rounds < 1:
+        raise ValueError(f"max_rounds must be at least 1, got {max_rounds}")
     n, p = xi.n, xi.p
     xi_vec = xi.to_coeff_vector()
     # a coordinate form has comass exactly one (Hadamard's inequality)
@@ -315,16 +366,18 @@ def positivity_classify(alpha: ExteriorElement, cal: Calibration,
                         samples: PlaneSampleSet, tol=BOUNDARY_TOL,
                         **extremum_opts) -> ConeReport:
     """Classify alpha against the polar cone: margin is min alpha over the
-    sampled (and refined) phi-Grassmannian."""
+    phi-Grassmannian (`constrained_extremum`), exact for a Kaehler form
+    (``meta["exact"]``) and best-found from the sampled planes otherwise."""
     if alpha.n != cal.n or alpha.p != cal.p:
         raise ValueError("degree/dimension mismatch between alpha and calibration")
     if alpha.norm() == 0.0:
         return ConeReport("Boundary", 0.0, None, {"tol": tol}, None,
-                          {"sample_count": len(samples)})
+                          {"sample_count": len(samples), "exact": True})
     res = constrained_extremum(alpha, cal, samples, "min", **extremum_opts)
     margin = res.value
     tolerances = {"tol": tol}
-    meta = {"sample_count": len(samples), "witness_phi": res.phi_value}
+    meta = {"sample_count": len(samples), "witness_phi": res.phi_value,
+            "exact": res.exact}
     if margin > tol:
         return ConeReport("Interior", margin, None, tolerances, res.plane, meta)
     if margin < -tol:
@@ -347,7 +400,7 @@ def contraction_boundary(e, cal: Calibration, samples: PlaneSampleSet,
         phi_e = interior_product(e, wedge(e_form, cal.form))
     if phi_e.norm() == 0.0:
         report = ConeReport("Boundary", 0.0, None, {"tol": tol}, None,
-                            {"sample_count": len(samples)})
+                            {"sample_count": len(samples), "exact": True})
         max_proj = 1.0  # zero contraction only happens when e is tangential
     else:
         report = positivity_classify(phi_e, cal, samples, tol=tol,

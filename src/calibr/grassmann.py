@@ -11,7 +11,8 @@ Comass is exact in degrees 1, 2, n-2, n-1 and n, where the mathematics gives
 a closed form (a vector norm, or the top singular value of a skew matrix,
 through the Hodge star for n-2 and n-1).  In every other degree it is a
 best-found lower bound with a multistart saturation heuristic, and no global
-certificate is claimed.
+certificate is claimed.  Constrained extrema over G(phi) are exact (one
+eigendecomposition) for Kaehler forms in degree 2 and codegree 2.
 """
 
 from __future__ import annotations
@@ -445,6 +446,30 @@ class ExtremumResult:
     phi_value: float
     mode: str
     stranded: int = 0   # penalty starts dropped as off G(phi)
+    exact: bool = False
+
+
+def kaehler_structure(phi: ExteriorElement):
+    """J = -W when phi, or *phi in codegree 2, is a 2-form with orthogonal
+    skew matrix W: a Kaehler form, whose G(phi) is the complex lines v ^ Jv
+    (their orthogonal complements in codegree 2).  Else None."""
+    n, p = phi.n, phi.p
+    if p < 2 or 2 not in (p, n - p):
+        return None
+    W = skew_matrix((phi if p == 2 else hodge_star(phi)).to_coeff_vector(), n)
+    return -W if np.abs(W @ W.T - np.eye(n)).max() <= 1e-12 else None
+
+
+def kaehler_plane(u, J, phi: ExteriorElement) -> np.ndarray:
+    """(n, p) frame of the phi-plane of the complex line u ^ Ju: the line
+    for p = 2, else its orthogonal complement, oriented so that phi > 0."""
+    U = np.column_stack([u, J @ u])
+    if phi.p == 2:
+        return U
+    U = np.linalg.qr(U, mode="complete")[0][:, 2:]
+    if FormEvaluator(phi).value(U) < 0.0:
+        U[:, 0] = -U[:, 0]
+    return U
 
 
 def constrained_extremum(alpha: ExteriorElement, cal: Calibration,
@@ -452,12 +477,35 @@ def constrained_extremum(alpha: ExteriorElement, cal: Calibration,
                          rho_schedule=(1e3, 1e5, 1e7),
                          extra_starts=6, seed=1, gtol=1e-11,
                          max_iter=250, starts_limit=None) -> ExtremumResult:
-    """Extremize alpha over the phi-Grassmannian by an increasing-penalty
-    scheme, evaluating the result on a re-polished phi-plane."""
+    """Extremize alpha over the phi-Grassmannian.
+
+    For a Kaehler form (`kaehler_structure`) alpha(u ^ Ju) = u^T A J u, A the
+    skew matrix of alpha (of *alpha in codegree 2), so the extremum is an
+    end eigenvalue of sym(A J), attained on its eigenvector's plane
+    (``exact=True``; the ascent options have nothing to tune).  Otherwise a
+    penalty ascent from the sampled planes (`_penalty_extremum`)."""
     if len(samples) == 0:
         raise ValueError("empty sample set")
     if mode not in ("min", "max"):
         raise ValueError(f"mode must be 'min' or 'max', got {mode!r}")
+    J = kaehler_structure(cal.form)
+    if J is None:
+        return _penalty_extremum(alpha, cal, samples, mode, rho_schedule,
+                                 extra_starts, seed, gtol, max_iter,
+                                 starts_limit)
+    a = alpha if cal.p == 2 else hodge_star(alpha)
+    AJ = skew_matrix(a.to_coeff_vector(), cal.n) @ J
+    V = np.linalg.eigh((AJ + AJ.T) / 2.0)[1]
+    U = kaehler_plane(V[:, 0 if mode == "min" else -1], J, cal.form)
+    return ExtremumResult(FormEvaluator(alpha).value(U), SimplePlane(U.T),
+                          FormEvaluator(cal.form).value(U), mode, exact=True)
+
+
+def _penalty_extremum(alpha, cal, samples, mode,
+                      rho_schedule=(1e3, 1e5, 1e7), extra_starts=6, seed=1,
+                      gtol=1e-11, max_iter=250, starts_limit=None):
+    """Best-found extremum of alpha over G(phi) by an increasing-penalty
+    scheme, evaluating the result on a re-polished phi-plane."""
     sgn = 1.0 if mode == "max" else -1.0
     ev_a = FormEvaluator(alpha)
     ev_phi = FormEvaluator(cal.form)

@@ -96,7 +96,8 @@ class PshPoint:
 def psh_classify(f: ScalarField, points, cal: Calibration,
                  samples: PlaneSampleSet, tol=1e-8,
                  **extremum_opts) -> list:
-    """Per point: minimum of the form-valued Hessian over refined samples."""
+    """Per point: minimum of the form-valued Hessian over G(phi), by
+    `constrained_extremum` (exact for Kaehler forms)."""
     if len(samples) == 0:
         raise ValueError("empty sample set")
     out = []
