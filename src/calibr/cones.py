@@ -20,12 +20,13 @@ from .calibrations import Calibration
 from .exterior import (ExteriorElement, SimplePlane, hodge_star,
                        interior_product, lex_indices, pairing, wedge)
 from .grassmann import (FormEvaluator, PlaneSampleSet, comass,
-                        constrained_extremum, kaehler_plane,
+                        constrained_extremum, kaehler_matrix, kaehler_plane,
                         kaehler_structure, polish_plane, skew_matrix,
                         span_split, top_singular_plane)
 from .lp import solve_lp
 
 BOUNDARY_TOL = 1e-6
+SEPARATION_STARTS = 8   # sampled starts of the separating_min ascent
 
 
 @dataclass
@@ -136,10 +137,10 @@ def cone_membership(xi: ExteriorElement, cal: Calibration,
     minus it, ``meta["separating_form"]`` -r/|r| for the residual r (it
     pairs negatively with xi, nonnegatively with every atom) and
     ``meta["separating_min"]`` its `constrained_extremum` minimum over
-    G(phi).  A member's margin is the largest minimum atom weight relative
-    to |xi|, Interior above boundary_tol: exact for the cone of the atoms
-    (meta["planes"]) only, so a sum of three sampled associative planes can
-    read Boundary.
+    G(phi), one more penalty ascent off the Kaehler route.  A member's
+    margin is the largest minimum atom weight relative to |xi|, Interior
+    above boundary_tol: exact for the cone of the atoms (meta["planes"])
+    only, so a sum of three sampled associative planes can read Boundary.
     """
     if xi.n != cal.n or xi.p != cal.p:
         raise ValueError("degree/dimension mismatch between xi and calibration")
@@ -166,7 +167,8 @@ def cone_membership(xi: ExteriorElement, cal: Calibration,
             cal.n, cal.p, -r / np.linalg.norm(r), drop_tol=0.0)
         meta["separating_form"] = sep
         meta["separating_min"] = constrained_extremum(
-            sep, cal, samples, "min", seed=seed, starts_limit=8)
+            sep, cal, samples, "min", seed=seed,
+            starts_limit=SEPARATION_STARTS)
         return ConeReport("Outside", -residual, None, tolerances, None, meta)
     certificate = None
     if residual <= 1e-8:
@@ -180,15 +182,13 @@ def cone_membership(xi: ExteriorElement, cal: Calibration,
 
 
 def _kaehler_atoms(xi, cal, J):
-    """The n/2 orthogonal eigen-lines u ^ Ju of S = sym(X J) as phi-planes,
-    and their eigenvalues clipped at zero, X the skew matrix of xi (of *xi
-    in codegree 2).  xi is a sum of complex lines iff X J is symmetric
-    positive semidefinite (Harvey-Knapp 1974); S commutes with J, so the
-    weighted lines are the nearest point of the cone to xi."""
+    """The n/2 orthogonal eigen-lines u ^ Ju of S = `kaehler_matrix`
+    sym(X J) as phi-planes, and their eigenvalues clipped at zero.  xi is a
+    sum of complex lines iff X J is symmetric positive semidefinite
+    (Harvey-Knapp 1974); S commutes with J, so the weighted lines are the
+    nearest point of the cone to xi."""
     n = cal.n
-    x = xi if cal.p == 2 else hodge_star(xi)
-    P = skew_matrix(x.to_coeff_vector(), n) @ J
-    S = (P + P.T) / 2.0
+    S = kaehler_matrix(xi, J)
     # on the +i eigenspace of J (projector Pi) S has the n/2 eigenvalues of
     # the lines, with z = (u - iJu)/sqrt 2; the rest is shifted below them
     Pi = (np.eye(n) - 1j * J) / 2.0

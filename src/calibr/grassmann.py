@@ -456,8 +456,20 @@ def kaehler_structure(phi: ExteriorElement):
     n, p = phi.n, phi.p
     if p < 2 or 2 not in (p, n - p):
         return None
-    W = skew_matrix((phi if p == 2 else hodge_star(phi)).to_coeff_vector(), n)
+    W = _degree_two_skew(phi)
     return -W if np.abs(W @ W.T - np.eye(n)).max() <= 1e-12 else None
+
+
+def _degree_two_skew(x: ExteriorElement) -> np.ndarray:
+    x = x if x.p == 2 else hodge_star(x)   # codegree 2 through the star
+    return skew_matrix(x.to_coeff_vector(), x.n)
+
+
+def kaehler_matrix(x: ExteriorElement, J) -> np.ndarray:
+    """sym(X J), X the skew matrix of x (of *x in codegree 2): x pairs with
+    the complex line u ^ Ju (its complement) to u^T sym(X J) u."""
+    P = _degree_two_skew(x) @ J
+    return (P + P.T) / 2.0
 
 
 def kaehler_plane(u, J, phi: ExteriorElement) -> np.ndarray:
@@ -479,9 +491,8 @@ def constrained_extremum(alpha: ExteriorElement, cal: Calibration,
                          max_iter=250, starts_limit=None) -> ExtremumResult:
     """Extremize alpha over the phi-Grassmannian.
 
-    For a Kaehler form (`kaehler_structure`) alpha(u ^ Ju) = u^T A J u, A the
-    skew matrix of alpha (of *alpha in codegree 2), so the extremum is an
-    end eigenvalue of sym(A J), attained on its eigenvector's plane
+    For a Kaehler form (`kaehler_structure`) the extremum is an end
+    eigenvalue of `kaehler_matrix`, attained on its eigenvector's plane
     (``exact=True``; the ascent options have nothing to tune).  Otherwise a
     penalty ascent from the sampled planes (`_penalty_extremum`)."""
     if len(samples) == 0:
@@ -493,9 +504,7 @@ def constrained_extremum(alpha: ExteriorElement, cal: Calibration,
         return _penalty_extremum(alpha, cal, samples, mode, rho_schedule,
                                  extra_starts, seed, gtol, max_iter,
                                  starts_limit)
-    a = alpha if cal.p == 2 else hodge_star(alpha)
-    AJ = skew_matrix(a.to_coeff_vector(), cal.n) @ J
-    V = np.linalg.eigh((AJ + AJ.T) / 2.0)[1]
+    V = np.linalg.eigh(kaehler_matrix(alpha, J))[1]
     U = kaehler_plane(V[:, 0 if mode == "min" else -1], J, cal.form)
     return ExtremumResult(FormEvaluator(alpha).value(U), SimplePlane(U.T),
                           FormEvaluator(cal.form).value(U), mode, exact=True)

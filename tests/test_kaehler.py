@@ -10,14 +10,16 @@ import pytest
 import calibr.cones
 import calibr.grassmann
 from calibr.calibrations import catalogue, complex_structure
+from scipy.optimize import linprog
+
 from calibr.cli import main
 from calibr.cones import cone_membership, mass_norm_estimate
 from calibr.exterior import (ExteriorElement, SimplePlane, form_to_json,
-                             hodge_star, lex_indices, pairing)
+                             lex_indices, pairing, simple_from_frame)
 from calibr.grassmann import (FormEvaluator, _penalty_extremum,
-                              constrained_extremum, kaehler_plane,
-                              kaehler_structure, random_plane_set,
-                              sample_grassmannian, skew_matrix)
+                              constrained_extremum, kaehler_matrix,
+                              kaehler_plane, kaehler_structure,
+                              random_plane_set, sample_grassmannian)
 
 KAEHLER = [(2, 1), (3, 1), (3, 2)]
 
@@ -31,9 +33,15 @@ def min_over_lines(alpha, m):
     """min of alpha over the complex lines of C^m (over their complements
     for a (2m-2)-form): lambda_min(sym(A J)) with J from
     `complex_structure`."""
-    a = alpha if alpha.p == 2 else hodge_star(alpha)
-    AJ = skew_matrix(a.to_coeff_vector(), alpha.n) @ complex_structure(m)
-    return float(np.linalg.eigvalsh((AJ + AJ.T) / 2.0)[0])
+    return float(np.linalg.eigvalsh(
+        kaehler_matrix(alpha, complex_structure(m)))[0])
+
+
+def force_sampled_route(monkeypatch):
+    """Send every later cone query down the penalty and sampled routes,
+    which it takes once kaehler_structure finds nothing."""
+    for mod in (calibr.cones, calibr.grassmann):
+        monkeypatch.setattr(mod, "kaehler_structure", lambda phi: None)
 
 
 def complex_plane(cal, v):
@@ -115,11 +123,9 @@ class TestExtremumAgainstPenalty:
 
 class TestMembershipAgainstSampled:
     def verdicts(self, cal, xs, ss, monkeypatch):
-        """Reports on the exact route, then on the sampled route, which
-        every cone query takes once kaehler_structure finds nothing."""
+        """Reports on the exact route, then on the sampled route."""
         exact = [cone_membership(xi, cal, ss, seed=3) for xi in xs]
-        for mod in (calibr.cones, calibr.grassmann):
-            monkeypatch.setattr(mod, "kaehler_structure", lambda phi: None)
+        force_sampled_route(monkeypatch)
         sampled = [cone_membership(xi, cal, ss, seed=3) for xi in xs]
         return exact, sampled
 
@@ -161,9 +167,7 @@ class TestMembershipAgainstSampled:
             assert rep.status == "Interior" and rep.meta["exact"]
             assert len(rep.meta["planes"]) == nc
             self.check_certificate(cal, xi, rep)
-            x = xi if cal.p == 2 else hodge_star(xi)
-            P = skew_matrix(x.to_coeff_vector(), cal.n) @ complex_structure(nc)
-            lam_min = np.linalg.eigvalsh((P + P.T) / 2.0)[0]
+            lam_min = min_over_lines(xi, nc)
             assert abs(rep.margin - lam_min / xi.norm()) < 1e-12
         exact, sampled = self.verdicts(cal, [non_member(cal, rng)], ss,
                                        monkeypatch)
@@ -183,6 +187,73 @@ class TestMembershipAgainstSampled:
         sep = exact[1].meta["separating_form"]
         assert (sep - ExteriorElement.basis(2, (1, 2))).norm() < 1e-12
         assert abs(exact[1].meta["separating_min"].value - 1.0) < 1e-12
+
+
+class TestSampledRouteOnOmega:
+    """The sampled membership LP and the penalty ascent on kaehler(2,1),
+    checked as tests/test_cones.py and tests/test_ascent.py checked them
+    before omega took the exact route."""
+
+    @pytest.fixture(scope="class")
+    def omega(self):
+        return catalogue("kaehler", 2, 1)
+
+    @pytest.fixture(scope="class")
+    def ss_omega(self, omega):
+        return sample_grassmannian(omega, tol=1e-6, count=40, seed=5)
+
+    @pytest.mark.parametrize("picks", [(0,), (0, 1), (2, 3, 5), range(40)])
+    def test_margin_matches_highs(self, omega, ss_omega, picks, monkeypatch):
+        force_sampled_route(monkeypatch)
+        xi = ExteriorElement.zero(4, 2)
+        for k in picks:
+            xi = xi + (1.0 + 0.1 * k) * ss_omega.planes[k].pvector()
+        rep = cone_membership(xi, omega, ss_omega)
+        assert not rep.meta["exact"]
+        A = np.column_stack([pl.pvector().to_coeff_vector()
+                             for pl in rep.meta["planes"]])
+        recon = A @ rep.meta["weights"]
+        # max t subject to A (d + t 1) = recon, d >= 0, t >= 0
+        m = A.shape[1]
+        c = np.append(np.zeros(m), -1.0)
+        ref = linprog(c, A_eq=np.column_stack([A, A.sum(axis=1)]),
+                      b_eq=recon, bounds=(0, None), method="highs")
+        assert ref.status == 0
+        assert abs(rep.margin - (-ref.fun) / xi.norm()) <= 1e-9
+
+    @pytest.mark.parametrize("make_xi, status, lo, hi", [
+        (lambda ss: ExteriorElement(4, 2, {(1, 2): 1.0, (3, 4): 1.0}),
+         "Interior", 1e-3, np.inf),
+        (lambda ss: 0.5 * (ss.planes[0].pvector() + ss.planes[1].pvector()),
+         "Interior", 1e-6, np.inf),
+        (lambda ss: ss.planes[0].pvector(), "Boundary", -1e-6, 1e-6),
+    ], ids=["e12+e34", "midpoint", "atom"])
+    def test_relative_interior_split(self, omega, ss_omega, make_xi, status,
+                                     lo, hi, monkeypatch):
+        force_sampled_route(monkeypatch)
+        rep = cone_membership(make_xi(ss_omega), omega, ss_omega)
+        assert not rep.meta["exact"]
+        assert rep.status == status
+        assert lo <= rep.margin <= hi
+
+    def test_random_simple_verdicts(self, omega, ss_omega, monkeypatch):
+        # eq. 2.4: a unit simple 2-vector is a member iff phi(xi) is 1
+        rng = np.random.default_rng(31)
+        xs = [simple_from_frame(rng.standard_normal((2, 4)))[1]
+              for _ in range(3)]
+        exact = [cone_membership(xi, omega, ss_omega) for xi in xs]
+        force_sampled_route(monkeypatch)
+        for xi, ex in zip(xs, exact):
+            sm = cone_membership(xi, omega, ss_omega)
+            member = abs(pairing(omega.form, xi) - 1.0) <= 1e-6
+            assert (sm.status != "Outside") == (ex.status != "Outside") \
+                == member
+
+    def test_nothing_stranded(self, omega):
+        ss = sample_grassmannian(omega, count=20, seed=4)
+        res = _penalty_extremum(omega.form, omega, ss, "min", starts_limit=8)
+        assert res.stranded == 0 and not res.exact
+        assert abs(res.value - 1.0) < 1e-9
 
 
 class TestSeparatingForm:
