@@ -2,11 +2,12 @@
 
 Cone queries on a Kaehler form in degree 2 or codegree 2 are exact (one
 eigendecomposition, `grassmann.kaehler_structure`).  All others run against
-a finite sample of the phi-Grassmannian with local augmentation, which
-approximates the exact cones from below; every report carries the sample
-count, the tolerances and ``meta["exact"]``.  Linear programs go through
-the in-repo bounded-variable simplex (`calibr.lp`); the nonnegative
-least-squares subproblems use scipy's NNLS.
+a finite sample of the phi-Grassmannian, grown for cone membership by
+column generation (each round prices the NNLS residual with one penalty
+ascent over G(phi)), which approximates the exact cones from below; every
+report carries the sample count, the tolerances and ``meta["exact"]``.
+Linear programs go through the in-repo bounded-variable simplex
+(`calibr.lp`); the nonnegative least-squares subproblems use scipy's NNLS.
 """
 
 from __future__ import annotations
@@ -19,14 +20,14 @@ from scipy.optimize import nnls
 from .calibrations import Calibration
 from .exterior import (ExteriorElement, SimplePlane, hodge_star,
                        interior_product, lex_indices, pairing, wedge)
-from .grassmann import (FormEvaluator, PlaneSampleSet, comass,
-                        constrained_extremum, kaehler_matrix, kaehler_plane,
-                        kaehler_structure, polish_plane, skew_matrix,
-                        span_split, top_singular_plane)
+from .grassmann import (PlaneSampleSet, comass, constrained_extremum,
+                        kaehler_matrix, kaehler_plane, kaehler_structure,
+                        polish_plane, skew_matrix, span_split,
+                        top_singular_plane)
 from .lp import solve_lp
 
 BOUNDARY_TOL = 1e-6
-SEPARATION_STARTS = 8   # sampled starts of the separating_min ascent
+SEPARATION_STARTS = 8   # sampled starts of each pricing ascent
 
 
 @dataclass
@@ -75,41 +76,6 @@ def lambda_span(samples: PlaneSampleSet, sv_cutoff=1e-8) -> LambdaSpan:
 # membership in the positivity cone of p-vectors
 # ---------------------------------------------------------------------------
 
-def _dominant_simple_frame(vec, n, p):
-    """For p = 2: the oriented plane of the simple component closest to vec,
-    which is the exact maximizing plane of vec read as a form; else None."""
-    if p != 2 or not np.any(vec):
-        return None
-    return comass(ExteriorElement.from_coeff_vector(n, p, vec,
-                                                    drop_tol=0.0)).plane
-
-
-def _augment_with_alignment(cal, planes, residual_vec, seed, round_idx,
-                            target_vec=None):
-    """Find a phi-plane best aligned with the residual direction."""
-    n, p = cal.n, cal.p
-    r = ExteriorElement.from_coeff_vector(n, p, residual_vec, drop_tol=0.0)
-    nrm = r.norm()
-    if nrm == 0.0:
-        return None
-    r = (1.0 / nrm) * r
-    ev_r = FormEvaluator(r)
-    scored = sorted(planes, key=lambda pl: -ev_r.value(pl.frame.T))[:4]
-    extra = _dominant_simple_frame(residual_vec, n, p)
-    if extra is not None:
-        scored = scored + [extra]
-    if target_vec is not None:
-        tgt = _dominant_simple_frame(target_vec, n, p)
-        if tgt is not None:
-            scored = scored + [tgt]
-    seed_set = PlaneSampleSet(scored, [1.0] * len(scored),
-                              tolerance=1e-6, seed=seed, multistart_count=0)
-    res = constrained_extremum(r, cal, seed_set, "max", extra_starts=2,
-                               rho_schedule=(1e3, 1e6), max_iter=150,
-                               seed=seed + round_idx)
-    return res.plane
-
-
 def _member_margin(atom_matrix, coeffs):
     """Largest minimum atom weight over nonnegative decompositions of
     atom_matrix @ coeffs: one LP in span coordinates, max t subject to
@@ -132,15 +98,18 @@ def cone_membership(xi: ExteriorElement, cal: Calibration,
     """Nonnegative decomposition of xi over phi-planes.
 
     On a Kaehler form the atoms are `_kaehler_atoms` and the report is
-    exact; otherwise they are the sampled planes, augmented by aligning
-    ascents.  Outside when the relative residual exceeds tol, with margin
-    minus it, ``meta["separating_form"]`` -r/|r| for the residual r (it
-    pairs negatively with xi, nonnegatively with every atom) and
-    ``meta["separating_min"]`` its `constrained_extremum` minimum over
-    G(phi), one more penalty ascent off the Kaehler route.  A member's
-    margin is the largest minimum atom weight relative to |xi|, Interior
-    above boundary_tol: exact for the cone of the atoms (meta["planes"])
-    only, so a sum of three sampled associative planes can read Boundary.
+    exact; otherwise they are the sampled planes grown by column generation
+    (`_sampled_membership`).  Outside when the relative residual exceeds
+    tol, with margin minus it, ``meta["separating_form"]`` -r/|r| for the
+    residual r (it pairs negatively with xi, nonnegatively with every atom)
+    and ``meta["separating_min"]`` its `constrained_extremum` minimum over
+    G(phi): exact on the Kaehler route, the loop's last pricing otherwise,
+    a separation certificate when it is nonnegative.  ``meta["capped"]`` is
+    True when the loop stopped at ``max_rounds`` or on a stalled residual
+    while that pricing was still negative.  A member's margin is the
+    largest minimum atom weight relative to |xi|, Interior above
+    boundary_tol: exact for the cone of the atoms (meta["planes"]) only, so
+    a sum of three sampled associative planes can read Boundary.
     """
     if xi.n != cal.n or xi.p != cal.p:
         raise ValueError("degree/dimension mismatch between xi and calibration")
@@ -150,25 +119,25 @@ def cone_membership(xi: ExteriorElement, cal: Calibration,
     scale = max(np.linalg.norm(xi_vec), 1e-300)
     J = kaehler_structure(cal.form)
     if J is None:
-        planes, coeffs, res = _sampled_membership(xi, xi_vec, scale, cal,
-                                                  samples, tol, max_rounds,
-                                                  seed)
+        planes, coeffs, res, pricing, capped = _sampled_membership(
+            xi, xi_vec, scale, cal, samples, tol, max_rounds, seed)
     else:
         planes, coeffs = _kaehler_atoms(xi, cal, J)
+        capped = False
     A = np.column_stack([pl.pvector().to_coeff_vector() for pl in planes])
     r = xi_vec - A @ coeffs
     residual = (res if J is None else np.linalg.norm(r)) / scale
     tolerances = {"membership_tol": tol, "boundary_tol": boundary_tol}
     meta = {"sample_count": len(samples), "atom_count": len(planes),
             "residual": residual, "planes": planes,
-            "weights": coeffs, "exact": J is not None}
+            "weights": coeffs, "exact": J is not None, "capped": capped}
     if residual > tol:
         sep = ExteriorElement.from_coeff_vector(
             cal.n, cal.p, -r / np.linalg.norm(r), drop_tol=0.0)
         meta["separating_form"] = sep
-        meta["separating_min"] = constrained_extremum(
-            sep, cal, samples, "min", seed=seed,
-            starts_limit=SEPARATION_STARTS)
+        meta["separating_min"] = (pricing if J is None else
+                                  constrained_extremum(sep, cal, samples,
+                                                       "min"))
         return ConeReport("Outside", -residual, None, tolerances, None, meta)
     certificate = None
     if residual <= 1e-8:
@@ -200,8 +169,16 @@ def _kaehler_atoms(xi, cal, J):
 
 def _sampled_membership(xi, xi_vec, scale, cal, samples, tol, max_rounds,
                         seed):
-    """Atoms, NNLS weights and residual norm of xi over the sampled planes,
-    augmented by aligning ascents until the residual stalls."""
+    """Column generation over the sampled planes.  Each round solves NNLS
+    over the atoms and prices the residual r = xi - A c with one ascent of
+    -r/|r| over G(phi); the priced plane joins the atoms while it pairs
+    positively with r.  Stops on a vanishing residual, a nonnegative
+    pricing (which then separates xi from the cone), ``max_rounds`` added
+    planes or three rounds that shrink the residual by under 0.5%.
+
+    Returns the atoms, the NNLS weights, the residual norm, the last
+    pricing (None when the residual vanished before any) and whether a cap
+    or a stall ended the loop with that pricing still negative."""
     planes = list(samples.planes)
     # when the target is close to a single phi-plane, that plane (found by
     # aligning with xi and polishing onto the Grassmannian) is the one atom
@@ -212,26 +189,28 @@ def _sampled_membership(xi, xi_vec, scale, cal, samples, tol, max_rounds,
         planes.append(polished)
     A = np.column_stack([pl.pvector().to_coeff_vector() for pl in planes])
     coeffs, res = nnls(A, xi_vec)
-    stagnant = 0
-    for round_k in range(max_rounds):
+    pricing, stagnant = None, 0
+    for round_k in range(max_rounds + 1):
         if res <= 1e-10 * scale:
             break
         r = xi_vec - A @ coeffs
-        new_plane = _augment_with_alignment(cal, planes, r, seed, round_k,
-                                            target_vec=xi_vec if round_k == 0 else None)
-        if new_plane is None:
-            break
-        col = new_plane.pvector().to_coeff_vector()
+        pricing = constrained_extremum(
+            ExteriorElement.from_coeff_vector(
+                cal.n, cal.p, -r / np.linalg.norm(r), drop_tol=0.0),
+            cal, samples, "min", seed=seed + round_k,
+            starts_limit=SEPARATION_STARTS, extra_starts=2,
+            rho_schedule=(1e3, 1e6), max_iter=150)
+        col = pricing.plane.pvector().to_coeff_vector()
         if col @ r <= 1e-12 * scale * np.linalg.norm(r):
-            break  # residual points away from the whole sampled cone
-        planes.append(new_plane)
+            break  # no phi-plane pairs positively with the residual
+        if round_k == max_rounds or stagnant >= 3:
+            return planes, coeffs, res, pricing, True
+        planes.append(pricing.plane)
         A = np.column_stack([A, col])
         res_prev = res
         coeffs, res = nnls(A, xi_vec)
         stagnant = stagnant + 1 if res > 0.995 * res_prev else 0
-        if stagnant >= 3:
-            break
-    return planes, coeffs, res
+    return planes, coeffs, res, pricing, False
 
 
 # ---------------------------------------------------------------------------

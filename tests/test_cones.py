@@ -88,6 +88,21 @@ class TestConeMembership:
         assert rep.status == "Outside"
         assert rep.margin < -0.5
 
+    def test_calibrated_plane_off_the_sample(self):
+        # e123 is associative but no sampled plane: the polished comass
+        # plane of xi, added before the column generation, carries it
+        cal = catalogue("associative")
+        ss = sample_grassmannian(cal, count=20, seed=5)
+        xi = ExteriorElement.basis(7, (1, 2, 3))
+        assert min((pl.pvector() - xi).norm() for pl in ss.planes) > 1e-3
+        rep = cone_membership(xi, cal, ss)
+        assert rep.status != "Outside" and not rep.meta["exact"]
+        recon = ExteriorElement.zero(7, 3)
+        for w, pl in zip(rep.certificate["weights"],
+                         rep.certificate["planes"]):
+            recon = recon + w * pl.pvector()
+        assert (recon - xi).norm() < 1e-10
+
     def test_eq_2_4_random_simple(self, omega, ss_omega):
         # a unit simple 2-vector is a member iff phi(xi) is 1
         rng = np.random.default_rng(31)

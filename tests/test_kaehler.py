@@ -292,6 +292,35 @@ class TestSeparatingForm:
         # G(phi) is the single plane e12, where sep vanishes
         assert abs(rep.meta["separating_min"].value) < 1e-8
 
+    def test_sampled_route_against_lines(self, monkeypatch):
+        # the loop's last pricing is the separating_min; on omega it must
+        # match the exact minimum over complex lines
+        cal = catalogue("kaehler", 2, 1)
+        ss = sample_grassmannian(cal, count=10, seed=5)
+        rng = np.random.default_rng(9)
+        xs = [non_member(cal, rng) for _ in range(3)]
+        force_sampled_route(monkeypatch)
+        for xi in xs:
+            rep = cone_membership(xi, cal, ss)
+            assert rep.status == "Outside" and not rep.meta["exact"]
+            sep = rep.meta["separating_form"]
+            assert pairing(sep, xi) < 0.0
+            for pl in rep.meta["planes"]:
+                assert pairing(sep, pl.pvector()) >= -1e-12
+            assert abs(rep.meta["separating_min"].value
+                       - min_over_lines(sep, 2)) < 1e-6
+
+    def test_round_cap_reported(self, monkeypatch):
+        cal = catalogue("kaehler", 2, 1)
+        ss = sample_grassmannian(cal, count=10, seed=5)
+        xi = non_member(cal, np.random.default_rng(9))
+        assert cone_membership(xi, cal, ss, max_rounds=0).meta["capped"] \
+            is False
+        force_sampled_route(monkeypatch)
+        rep = cone_membership(xi, cal, ss, max_rounds=0)
+        assert rep.status == "Outside" and rep.meta["capped"] is True
+        assert rep.meta["separating_min"].value < 0.0
+
 
 class TestExactLabel:
     def test_positivity_meta(self):
