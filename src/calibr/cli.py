@@ -64,10 +64,11 @@ def _format_json(obj, indent=0):
     return json.dumps(obj)
 
 
-def emit_report(report: dict, config: dict, args):
-    payload = {"config": _jsonable(config), "report": _jsonable(report)}
+def emit_report(report: dict, args):
+    payload = {"config": _jsonable(_config_from(args)),
+               "report": _jsonable(report)}
     text = _format_json(payload) + "\n"
-    if getattr(args, "output", None):
+    if args.output:
         with open(args.output, "w") as fh:
             fh.write(text)
     else:
@@ -82,11 +83,11 @@ def write_csv(path, header, rows):
                               for v in row) + "\n")
 
 
-def _config_from(args, keys):
+def _config_from(args):
+    """Every parsed argument in parser order, less the output paths."""
     cfg = {"subcommand": args.command}
-    for k in keys:
-        cfg[k] = getattr(args, k.replace("-", "_"), None)
-    cfg["seed"] = getattr(args, "seed", None)
+    cfg.update((k, v) for k, v in vars(args).items()
+               if k not in ("command", "fn", "output", "emit_csv"))
     return cfg
 
 
@@ -132,11 +133,9 @@ def _load_array(path):
         return np.asarray(json.load(fh), dtype=float)
 
 
-def _samples_for(cal, args, count=None):
+def _samples_for(cal, args):
     return grassmann.sample_grassmannian(
-        cal, tol=getattr(args, "tol", 1e-6) or 1e-6,
-        count=count or getattr(args, "count", 40) or 40,
-        seed=args.seed)
+        cal, tol=getattr(args, "tol", 1e-6), count=args.count, seed=args.seed)
 
 
 def _load_mesh(spec, cal=None, flatness_tol=1e-9):
@@ -150,19 +149,15 @@ def _load_mesh(spec, cal=None, flatness_tol=1e-9):
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns (report, exit code); main emits the report
 # ---------------------------------------------------------------------------
 
 def cmd_catalogue(args):
     if args.dump:
-        cal = calibrations.resolve(args.dump)
-        emit_report(cal.to_json(), _config_from(args, ["dump"]), args)
-        return 0
+        return calibrations.resolve(args.dump).to_json(), 0
     rows = calibrations.list_catalogue()
-    emit_report({"entries": [{"name": nm, "n": n, "p": p, "terms": t}
-                             for nm, n, p, t in rows]},
-                _config_from(args, []), args)
-    return 0
+    return {"entries": [{"name": nm, "n": n, "p": p, "terms": t}
+                        for nm, n, p, t in rows]}, 0
 
 
 def cmd_comass(args):
@@ -170,13 +165,10 @@ def cmd_comass(args):
     res = grassmann.comass(form, multistarts=args.multistarts,
                            max_iter=args.max_iter, tol=args.tol,
                            seed=args.seed)
-    report = {"value": res.value, "exact": res.exact,
-              "saturated": res.saturated,
-              "converged": res.converged, "multistarts": res.multistarts,
-              "frame": res.plane.frame}
-    emit_report(report, _config_from(args, ["cal", "form", "multistarts",
-                                            "max_iter", "tol"]), args)
-    return 0
+    return {"value": res.value, "exact": res.exact,
+            "saturated": res.saturated,
+            "converged": res.converged, "multistarts": res.multistarts,
+            "frame": res.plane.frame}, 0
 
 
 def cmd_gsample(args):
@@ -192,19 +184,16 @@ def cmd_gsample(args):
                 for pl, v in zip(ss.planes, ss.values)]
         write_csv(args.emit_csv, header + ["phi_value"], rows)
         report["csv"] = args.emit_csv
-    emit_report(report, _config_from(args, ["cal", "tol", "count"]), args)
-    return 0
+    return report, 0
 
 
 def cmd_reduce(args):
     cal = _load_cal(args)
-    ss = _samples_for(cal, args)
-    res = grassmann.reduce_calibration(cal, ss)
-    report = {"dim_W": res.W.shape[0], "elliptic": res.elliptic,
-              "psi": form_to_json(res.psi), "W_rows": res.W,
-              "witness": res.witness, "witness_residual": res.witness_residual}
-    emit_report(report, _config_from(args, ["cal", "count", "tol"]), args)
-    return 0
+    res = grassmann.reduce_calibration(cal, _samples_for(cal, args))
+    return {"dim_W": res.W.shape[0], "elliptic": res.elliptic,
+            "psi": form_to_json(res.psi), "W_rows": res.W,
+            "witness": res.witness,
+            "witness_residual": res.witness_residual}, 0
 
 
 def cmd_positivity(args):
@@ -217,8 +206,7 @@ def cmd_positivity(args):
               "sample_count": rep.meta.get("sample_count")}
     if rep.witness is not None:
         report["witness_frame"] = rep.witness.frame
-    emit_report(report, _config_from(args, ["cal", "form", "tol"]), args)
-    return 0 if rep.status != "Outside" else 1
+    return report, 0 if rep.status != "Outside" else 1
 
 
 def cmd_lemma25(args):
@@ -232,9 +220,7 @@ def cmd_lemma25(args):
               "mass_bracket": list(rep.mass_bracket),
               "conditions": {k: {"holds": v[0], "margin": v[1]}
                              for k, v in rep.conditions.items()}}
-    emit_report(report, _config_from(args, ["cal", "pvector", "generators"]),
-                args)
-    return 0 if rep.agree else 1
+    return report, 0 if rep.agree else 1
 
 
 def cmd_massnorm(args):
@@ -242,9 +228,7 @@ def cmd_massnorm(args):
     gens = grassmann.random_plane_set(xi.n, xi.p, count=args.generators,
                                       seed=args.seed)
     upper, lower, meta = cones.mass_norm_estimate(xi, gens, seed=args.seed)
-    emit_report({"upper": upper, "lower": lower, **meta},
-                _config_from(args, ["pvector", "generators"]), args)
-    return 0
+    return {"upper": upper, "lower": lower, **meta}, 0
 
 
 def cmd_psh(args):
@@ -254,29 +238,22 @@ def cmd_psh(args):
     ss = _samples_for(cal, args)
     marks = hessian.psh_classify(f, probes, cal, ss, tol=args.tol,
                                  starts_limit=10, extra_starts=2)
-    statuses = [m.status for m in marks]
-    report = {"field": f.name,
-              "points": [{"x": probes[i], "status": m.status,
-                          "margin": m.margin}
-                         for i, m in enumerate(marks)],
-              "all_psh": all(s != "NotPsh" for s in statuses)}
-    emit_report(report, _config_from(args, ["cal", "field", "probes", "tol"]),
-                args)
-    return 0 if report["all_psh"] else 1
+    all_psh = all(m.status != "NotPsh" for m in marks)
+    return {"field": f.name,
+            "points": [{"x": x, "status": m.status, "margin": m.margin}
+                       for x, m in zip(probes, marks)],
+            "all_psh": all_psh}, 0 if all_psh else 1
 
 
 def cmd_modd(args):
     cal = _load_cal(args)
     f = _load_field(args.field, cal.n)
     x = np.array([float(v) for v in args.point.split(",")])
-    ss = _samples_for(cal, args)
-    res = hessian.pluriharmonic_mod_d_residual(f, x, cal, samples=ss)
-    emit_report({"residual": res.residual,
-                 "gradient_norm": res.gradient_norm,
-                 "alpha_fit": form_to_json(res.alpha_fit),
-                 "sigma_fit": form_to_json(res.sigma_fit)},
-                _config_from(args, ["cal", "field", "point"]), args)
-    return 0
+    res = hessian.pluriharmonic_mod_d_residual(
+        f, x, cal, samples=_samples_for(cal, args))
+    return {"residual": res.residual, "gradient_norm": res.gradient_norm,
+            "alpha_fit": form_to_json(res.alpha_fit),
+            "sigma_fit": form_to_json(res.sigma_fit)}, 0
 
 
 def cmd_flat(args):
@@ -285,21 +262,17 @@ def cmd_flat(args):
     x = np.array([float(v) for v in args.point.split(",")])
     ss = _samples_for(cal, args)
     rep = hessian.phi_flat_check(f, x, cal, ss, tol=args.tol, seed=args.seed)
-    emit_report({"flat": rep.flat, "worst_value": rep.worst_value,
-                 "vacuous": rep.vacuous},
-                _config_from(args, ["cal", "field", "point", "tol"]), args)
-    return 0 if rep.flat else 1
+    return {"flat": rep.flat, "worst_value": rep.worst_value,
+            "vacuous": rep.vacuous}, 0 if rep.flat else 1
 
 
 def cmd_normality(args):
     cal = _load_cal(args)
     rep = hessian.normality_check(cal, trials=args.trials, seed=args.seed)
-    emit_report({"normal": rep.normal, "trials": rep.trials,
-                 "degenerate": rep.degenerate,
-                 "worst_mismatch": rep.worst_mismatch,
-                 "failures": len(rep.failures)},
-                _config_from(args, ["cal", "trials"]), args)
-    return 0 if rep.normal else 1
+    return {"normal": rep.normal, "trials": rep.trials,
+            "degenerate": rep.degenerate,
+            "worst_mismatch": rep.worst_mismatch,
+            "failures": len(rep.failures)}, 0 if rep.normal else 1
 
 
 def cmd_current_check(args):
@@ -318,8 +291,7 @@ def cmd_current_check(args):
                   zip(range(len(T)), T._volumes.tolist(), T._mults.tolist(),
                       phi.tolist()))
         report["csv"] = args.emit_csv
-    emit_report(report, _config_from(args, ["cal", "mesh"]), args)
-    return 0 if pos["positive"] else 1
+    return report, 0 if pos["positive"] else 1
 
 
 def cmd_green(args):
@@ -330,12 +302,8 @@ def cmd_green(args):
     else:
         tests = [_load_field(t, cal.n) for t in args.tests.split(";")]
     res = currents.green_check(M, args.x_index, tests, cal)
-    report = {"exact_disc": res.exact_disc,
-              "residuals": res.residuals,
-              "mu_sum": res.meta["mu_sum"], "mu_min": res.meta["mu_min"]}
-    emit_report(report, _config_from(args, ["cal", "mesh", "x_index",
-                                            "tests"]), args)
-    return 0
+    return {"exact_disc": res.exact_disc, "residuals": res.residuals,
+            "mu_sum": res.meta["mu_sum"], "mu_min": res.meta["mu_min"]}, 0
 
 
 def cmd_maxprinciple(args):
@@ -344,10 +312,8 @@ def cmd_maxprinciple(args):
     f = _load_field(args.field, cal.n)
     ss = _samples_for(cal, args) if args.mode == "bounds" else None
     rep = currents.max_principle_check(M, f, args.mode, cal, samples=ss)
-    emit_report({"ok": rep.ok, "precondition_ok": rep.precondition_ok,
-                 "details": rep.details},
-                _config_from(args, ["cal", "mesh", "field", "mode"]), args)
-    return 0 if rep.ok else 1
+    return {"ok": rep.ok, "precondition_ok": rep.precondition_ok,
+            "details": rep.details}, 0 if rep.ok else 1
 
 
 def _random_batch(args, cal, ss):
@@ -378,10 +344,9 @@ def _random_batch(args, cal, ss):
     if args.emit_csv:
         write_csv(args.emit_csv,
                   ["instance", "primal", "dual", "consistent", "tie"], rows)
-    emit_report({"instances": args.random, "consistent": ok,
-                 "all_consistent": ok == args.random},
-                _config_from(args, ["cal", "deg", "random"]), args)
-    return 0 if ok == args.random else 1
+    report = {"instances": args.random, "consistent": ok,
+              "all_consistent": ok == args.random}
+    return report, 0 if ok == args.random else 1
 
 
 def _alternative_inputs(args, *flags):
@@ -392,15 +357,14 @@ def _alternative_inputs(args, *flags):
         raise ValueError(f"{args.command} needs {' and '.join(missing)} "
                          "(or --random N)")
     cal = _load_cal(args)
-    return cal, _samples_for(cal, args, count=args.count or 8)
+    return cal, _samples_for(cal, args)
 
 
-def _emit_alternative(args, res, keys):
-    emit_report({"primal": res.primal, "dual": res.dual,
-                 "margin": res.margin, "consistent": res.consistent,
-                 "tie": res.boundary_tie, "model": res.meta},
-                _config_from(args, keys), args)
-    return 0 if res.consistent or res.boundary_tie else 1
+def _alternative_report(res):
+    report = {"primal": res.primal, "dual": res.dual,
+              "margin": res.margin, "consistent": res.consistent,
+              "tie": res.boundary_tie, "model": res.meta}
+    return report, 0 if res.consistent or res.boundary_tie else 1
 
 
 def cmd_duality(args):
@@ -409,9 +373,8 @@ def cmd_duality(args):
         return _random_batch(args, cal, ss)
     sites, S = _load_array(args.sites), _load_array(args.boundary)
     model = duality.build_boundary_model(cal, sites, ss, degree=args.deg)
-    return _emit_alternative(
-        args, duality.boundary_alternative(model, S, lam=args.lam),
-        ["cal", "sites", "boundary", "deg", "lam"])
+    return _alternative_report(
+        duality.boundary_alternative(model, S, lam=args.lam))
 
 
 def cmd_jensen(args):
@@ -421,12 +384,11 @@ def cmd_jensen(args):
     model = duality.build_jensen_model(cal, _load_array(args.sites), ss,
                                        degree=args.deg)
     K = [int(v) for v in args.K.split(",")]
-    return _emit_alternative(
-        args, duality.jensen_alternative(model, K, args.x),
-        ["cal", "sites", "K", "x", "deg"])
+    return _alternative_report(duality.jensen_alternative(model, K, args.x))
 
 
 def cmd_verify_all(args):
+    """Prints one line per criterion; the only handler with no report."""
     from . import acceptance
     results = acceptance.run_all(quick=args.quick, seed=args.seed)
     all_ok = True
@@ -436,8 +398,7 @@ def cmd_verify_all(args):
         all_ok = all_ok and res.passed
     total = sum(r.seconds for r in results)
     print(f"{'PASS' if all_ok else 'FAIL'} - total {total:.1f}s")
-    return 0 if all_ok else 1
-
+    return None, 0 if all_ok else 1
 
 # ---------------------------------------------------------------------------
 # parser
@@ -562,7 +523,7 @@ def build_parser():
     p.add_argument("--deg", type=int, default=2)
     p.add_argument("--lam", "--lambda", dest="lam", type=float, default=None)
     p.add_argument("--random", type=int, default=None)
-    p.add_argument("--count", type=int, default=None)
+    p.add_argument("--count", type=int, default=8)
     p.add_argument("--emit-csv")
     common(p)
     p.set_defaults(fn=cmd_duality)
@@ -573,7 +534,7 @@ def build_parser():
     p.add_argument("--x", type=int, default=None)
     p.add_argument("--deg", type=int, default=2)
     p.add_argument("--random", type=int, default=None)
-    p.add_argument("--count", type=int, default=None)
+    p.add_argument("--count", type=int, default=8)
     p.add_argument("--emit-csv")
     common(p)
     p.set_defaults(fn=cmd_jensen)
@@ -590,7 +551,10 @@ def main(argv=None):
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        return args.fn(args)
+        report, code = args.fn(args)
+        if report is not None:
+            emit_report(report, args)
+        return code
     except (ValueError, OSError, json.JSONDecodeError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 2

@@ -377,13 +377,11 @@ def contraction_boundary(e, cal: Calibration, samples: PlaneSampleSet,
         phi_e = ExteriorElement.zero(cal.n, cal.p)  # e ^ phi vanishes
     else:
         phi_e = interior_product(e, wedge(e_form, cal.form))
+    report = positivity_classify(phi_e, cal, samples, tol=tol,
+                                 **extremum_opts)
     if phi_e.norm() == 0.0:
-        report = ConeReport("Boundary", 0.0, None, {"tol": tol}, None,
-                            {"sample_count": len(samples), "exact": True})
         max_proj = 1.0  # zero contraction only happens when e is tangential
     else:
-        report = positivity_classify(phi_e, cal, samples, tol=tol,
-                                     **extremum_opts)
         sym = wedge(e_form, interior_product(e, cal.form))
         res = constrained_extremum(sym, cal, samples, "max", **extremum_opts)
         max_proj = float(np.linalg.norm(res.plane.frame @ e) ** 2)

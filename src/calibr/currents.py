@@ -21,7 +21,7 @@ import scipy.sparse.linalg as spla
 
 from .calibrations import Calibration
 from .cones import lambda_span
-from .exterior import (ExteriorElement, _lex_array, _sorted_sign, _stack_dets,
+from .exterior import (ExteriorElement, _lex_array, _stack_dets,
                        derivation_tensor, lex_indices, simple_from_frame)
 from .fields import ScalarField
 from .hessian import d_phi, pluriharmonic_mod_d_residual, psh_classify
@@ -102,33 +102,47 @@ class PolyhedralCurrent:
         return len(self.simplices)
 
 
-def _face_key(verts):
-    """Canonical (sorted) vertex key and permutation sign for a face."""
-    keyed = sorted(range(len(verts)), key=lambda i: verts[i].tobytes())
-    _, sign = _sorted_sign(keyed)
-    return tuple(verts[i].tobytes() for i in keyed), sign, [verts[i] for i in keyed]
+def _signed_faces(S, weights):
+    """The (p-1)-faces of the (N, p+1) vertex-index simplices S as sorted
+    index rows in first-seen order, each with the total over its incidences
+    of the simplex's weight times the orientation sign, and whether it has a
+    repeated vertex (then its row is -1 and its total 0); one array pass."""
+    N, q = S.shape
+    # faces in (simplex, dropped vertex) order, signed (-1)^drop
+    keep = np.nonzero(~np.eye(q, dtype=bool))[1]
+    F = S[:, keep].reshape(N * q, q - 1)
+    a, b = np.triu_indices(q - 1, 1)
+    flips = (F[:, a] > F[:, b]).sum(axis=1) + np.tile(np.arange(q), N)
+    sign = 1 - 2 * (flips % 2)
+    F = np.sort(F, axis=1)
+    repeated = (F[:, 1:] == F[:, :-1]).any(axis=1)
+    F[repeated], sign[repeated] = -1, 0
+    keys, first, inv = np.unique(F, axis=0, return_index=True,
+                                 return_inverse=True)
+    totals = np.bincount(inv.ravel(), weights=sign * np.repeat(weights, q),
+                         minlength=len(keys))
+    order = np.argsort(first)
+    return keys[order], totals[order], repeated[first[order]]
 
 
 def boundary(T: PolyhedralCurrent) -> PolyhedralCurrent:
     """Alternating-sign faces with multiplicities, cancelled exactly.
 
-    Cancellation keys on exact vertex coordinates, so shared faces must be
-    built from identical floats (all built-in generators guarantee this).
+    Cancellation keys on exact vertex coordinates (-0.0 and 0.0 are one),
+    so shared faces must be built from equal floats (all built-in
+    generators guarantee this).
     """
     if T.p == 0:
         raise ValueError("boundary of a 0-current")
-    acc = {}
-    store = {}
-    for verts, mult in T.simplices:
-        for drop in range(T.p + 1):
-            face = [verts[i] for i in range(T.p + 1) if i != drop]
-            key, sign, canon = _face_key(face)
-            contrib = mult * sign * (-1) ** drop
-            acc[key] = acc.get(key, 0.0) + contrib
-            store[key] = canon
-    simplices = [(np.array(store[k]), m) for k, m in acc.items()
-                 if abs(m) > 1e-13]
-    return PolyhedralCurrent(T.n, T.p - 1, simplices, validate=False)
+    # vertex ids in the byte order of the coordinates, with -0.0 read as 0.0
+    V = T._vertices.reshape(-1, T.n) + 0.0
+    _, first, ids = np.unique(V.view(np.dtype((np.void, V.itemsize * T.n))),
+                              return_index=True, return_inverse=True)
+    faces, mults, _ = _signed_faces(ids.reshape(-1, T.p + 1), T._mults)
+    keep = np.abs(mults) > 1e-13
+    return PolyhedralCurrent(T.n, T.p - 1,
+                             zip(V[first][faces[keep]], mults[keep]),
+                             validate=False)
 
 
 def mass(T: PolyhedralCurrent) -> float:
@@ -207,26 +221,13 @@ class MeshedSubmanifold:
     def _face_counts(self):
         """Signed incidence count of every (p-1)-face, keyed by its sorted
         vertex tuple in first-seen order (None for a face with a repeated
-        vertex); computed once, in one array pass.  Boundary faces have
-        nonzero counts."""
+        vertex); computed once.  Boundary faces have nonzero counts."""
         if self._counts is None:
-            q, N = self.p + 1, len(self.simplices)
-            # faces in (simplex, dropped vertex) order, signed (-1)^drop
-            keep = np.nonzero(~np.eye(q, dtype=bool))[1]
-            F = self.simplices[:, keep].reshape(N * q, q - 1)
-            a, b = np.triu_indices(q - 1, 1)
-            flips = (F[:, a] > F[:, b]).sum(axis=1) + np.tile(np.arange(q), N)
-            sign = 1 - 2 * (flips % 2)
-            F = np.sort(F, axis=1)
-            repeated = (F[:, 1:] == F[:, :-1]).any(axis=1)
-            F[repeated], sign[repeated] = -1, 0
-            keys, first, inv = np.unique(F, axis=0, return_index=True,
-                                         return_inverse=True)
-            counts = np.bincount(inv.ravel(), weights=sign,
-                                 minlength=len(keys)).astype(int)
-            self._counts = {
-                None if repeated[first[i]] else tuple(keys[i].tolist()):
-                int(counts[i]) for i in np.argsort(first)}
+            faces, counts, repeated = _signed_faces(
+                self.simplices, np.ones(len(self.simplices)))
+            self._counts = {None if r else tuple(f): int(c) for f, c, r in
+                            zip(faces.tolist(), counts.tolist(),
+                                repeated.tolist())}
         return self._counts
 
     def _validate_orientations(self):

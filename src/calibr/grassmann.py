@@ -620,7 +620,8 @@ def hyperplane_basis(u) -> np.ndarray:
     n = u.size
     M = np.column_stack([u, np.eye(n)])
     q, r = np.linalg.qr(M)
-    q = q * np.sign(np.diag(r)[:n])[None, :]
+    # a pivot of exactly 0 (u on a coordinate axis) keeps its column
+    q = q * np.where(np.diag(r)[:n] < 0, -1.0, 1.0)[None, :]
     return q[:, 1:n]
 
 

@@ -17,14 +17,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .calibrations import Calibration
-from .cones import LambdaSpan, lambda_span
+from .cones import LambdaSpan, lambda_span, positivity_classify
 from .exterior import (ExteriorElement, SimplePlane, compound,
                        derivation_extend, interior_product, lex_indices,
                        pairing, wedge)
 from .fields import ScalarField
 from .grassmann import (FormEvaluator, PlaneSampleSet, _ascend_batch,
-                        _random_frames, comass, constrained_extremum,
-                        hyperplane_basis, pullback, rng_stream, span_split)
+                        _random_frames, comass, hyperplane_basis, pullback,
+                        rng_stream, span_split)
 
 
 def d_phi(f: ScalarField, x, cal: Calibration) -> ExteriorElement:
@@ -93,26 +93,25 @@ class PshPoint:
     witness: object = None
 
 
+_PSH_STATUS = {"Interior": "StrictlyPsh", "Boundary": "Psh",
+               "Outside": "NotPsh"}
+
+
 def psh_classify(f: ScalarField, points, cal: Calibration,
                  samples: PlaneSampleSet, tol=1e-8,
                  **extremum_opts) -> list:
-    """Per point: minimum of the form-valued Hessian over G(phi), by
-    `constrained_extremum` (exact for Kaehler forms)."""
+    """Per point: the form-valued Hessian classified against the polar cone
+    by `positivity_classify` (exact for Kaehler forms); Interior, Boundary
+    and Outside read StrictlyPsh, Psh and NotPsh."""
     if len(samples) == 0:
         raise ValueError("empty sample set")
     out = []
     for x in points:
-        H = hessian_form(f, x, cal, cross_check=False)
-        if H.norm() == 0.0:
-            out.append(PshPoint("Psh", 0.0))
-            continue
-        res = constrained_extremum(H, cal, samples, "min", **extremum_opts)
-        if res.value > tol:
-            out.append(PshPoint("StrictlyPsh", res.value))
-        elif res.value >= -tol:
-            out.append(PshPoint("Psh", res.value))
-        else:
-            out.append(PshPoint("NotPsh", res.value, res.plane))
+        rep = positivity_classify(hessian_form(f, x, cal, cross_check=False),
+                                  cal, samples, tol=tol, **extremum_opts)
+        status = _PSH_STATUS[rep.status]
+        out.append(PshPoint(status, rep.margin,
+                            rep.witness if status == "NotPsh" else None))
     return out
 
 

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from calibr.cli import main
+from calibr.cli import build_parser, main
 from calibr.calibrations import catalogue
 from calibr.exterior import form_to_json
 
@@ -267,6 +267,43 @@ class TestSubcommands:
         assert out == ""
         data = json.loads(out_path.read_text())
         assert abs(data["report"]["value"] - 1.0) < 1e-9
+
+
+class TestConfigEcho:
+    def test_modd_echoes_count_and_tol(self, capsys):
+        code, out, _ = run_cli(capsys, "modd", "--cal", "associative",
+                               "--field", "builtin:normsq",
+                               "--point", "1,0.5,0,0,0.2,0,0", "--count", "3")
+        assert code == 0
+        cfg = json.loads(out)["config"]
+        assert cfg["count"] == 3 and cfg["tol"] == 1e-06
+
+    def test_duality_echoes_its_default_count(self, capsys):
+        code, out, _ = run_cli(capsys, "duality", "--cal", "omega4",
+                               "--random", "2")
+        assert code == 0
+        assert json.loads(out)["config"]["count"] == 8
+
+    @pytest.mark.parametrize("argv", [
+        ["catalogue", "--list"],
+        ["comass", "--cal", "omega4", "--max-iter", "7"],
+        ["gsample", "--cal", "lambda:0.5", "--count", "4",
+         "--emit-csv", "planes.csv"],
+        ["green", "--cal", "omega4", "--mesh", "builtin:disc:4",
+         "-o", "report.json"],
+    ])
+    def test_config_is_every_parsed_argument(self, capsys, tmp_path,
+                                             monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        parsed = vars(build_parser().parse_args(argv))
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        if "-o" in argv:
+            out = (tmp_path / "report.json").read_text()
+        want = {k: v for k, v in parsed.items()
+                if k not in ("command", "fn", "output", "emit_csv")}
+        cfg = json.loads(out)["config"]
+        assert list(cfg.items()) == [("subcommand", argv[0]), *want.items()]
 
 
 class TestFloatFormatting:

@@ -44,6 +44,16 @@ class TestBoundaryAndMass:
         assert len(bd) == 4
         assert abs(mass(T) - 1.0) < 1e-14
 
+    def test_diagonal_cancels_with_a_signed_zero_vertex(self):
+        # the corner (0, 0) written as (-0.0, 0.0) in the second triangle
+        T = unit_square_current()
+        _, v2, v3 = T.simplices[1][0]
+        T = PolyhedralCurrent(2, 2, [T.simplices[0], (np.array(
+            [[-0.0, 0.0], v2, v3]), 1.0)])
+        bd = boundary(T)
+        assert len(bd) == 4
+        assert sorted(bd._volumes.tolist()) == [1.0] * 4
+
     def test_negative_multiplicity_mass(self):
         v = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         T = PolyhedralCurrent(2, 2, [(v, -2.0)])

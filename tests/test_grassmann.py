@@ -234,11 +234,13 @@ class TestPullbackAndReduce:
 
     def test_hyperplane_basis(self):
         rng = np.random.default_rng(5)
-        for _ in range(5):
-            u = rng.standard_normal(6)
-            u /= np.linalg.norm(u)
+        # the coordinate axes give QR pivots of exactly 0
+        units = [rng.standard_normal(6) for _ in range(5)]
+        units += [e for n in (4, 6) for e in np.eye(n)]
+        for u in units:
+            u = u / np.linalg.norm(u)
             Q = hyperplane_basis(u)
-            assert np.allclose(Q.T @ Q, np.eye(5), atol=1e-12)
+            assert np.allclose(Q.T @ Q, np.eye(u.size - 1), atol=1e-12)
             assert np.abs(Q.T @ u).max() < 1e-12
 
     def test_lambda_reduction(self):
