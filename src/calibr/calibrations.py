@@ -109,22 +109,31 @@ _CAYLEY = {
 }
 
 
-def _quaternionic(n_quat: int) -> ExteriorElement:
-    """(wI^2 + wJ^2 + wK^2)/6 on R^{4n} with per-block coordinates
-    (x0, x1, x2, x3) for q = x0 + x1 i + x2 j + x3 k."""
+def quaternionic_structure(n_quat: int) -> tuple:
+    """(I, J, K) on R^{4n} with per-block coordinates (x0, x1, x2, x3) for
+    q = x0 + x1 i + x2 j + x3 k: orthogonal, I^2 = J^2 = K^2 = -1 and
+    IJ = K.  Each is minus the skew matrix of its Kaehler form wI, wJ, wK,
+    so that wI(v, Iv) = |v|^2."""
     n = 4 * n_quat
-    wI, wJ, wK = {}, {}, {}
+    mats = np.zeros((3, n, n))
     for b in range(n_quat):
         o = 4 * b
-        wI[(o + 1, o + 2)] = 1.0
-        wI[(o + 3, o + 4)] = 1.0
-        wJ[(o + 1, o + 3)] = 1.0
-        wJ[(o + 2, o + 4)] = -1.0
-        wK[(o + 1, o + 4)] = 1.0
-        wK[(o + 2, o + 3)] = 1.0
+        for m, (i, j), s in ((0, (0, 1), 1.0), (0, (2, 3), 1.0),
+                             (1, (0, 2), 1.0), (1, (1, 3), -1.0),
+                             (2, (0, 3), 1.0), (2, (1, 2), 1.0)):
+            mats[m, o + j, o + i] = s
+            mats[m, o + i, o + j] = -s
+    return tuple(mats)
+
+
+def _quaternionic(n_quat: int) -> ExteriorElement:
+    """(wI^2 + wJ^2 + wK^2)/6 on R^{4n}, wI, wJ, wK the Kaehler forms of
+    `quaternionic_structure`."""
+    n = 4 * n_quat
     total = ExteriorElement.zero(n, 4)
-    for w in (wI, wJ, wK):
-        el = ExteriorElement(n, 2, w)
+    for M in quaternionic_structure(n_quat):
+        el = ExteriorElement(n, 2, {(i + 1, j + 1): -M[i, j]
+                                    for i, j in zip(*np.nonzero(np.triu(M)))})
         total = total + wedge(el, el)
     return (1.0 / 6.0) * total
 

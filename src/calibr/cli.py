@@ -138,6 +138,15 @@ def _samples_for(cal, args):
         cal, tol=getattr(args, "tol", 1e-6), count=args.count, seed=args.seed)
 
 
+def _cone_samples_for(cal, args):
+    """The sample a cone query needs: none on a Kaehler form, whose exact
+    route reads no sample, else `_samples_for`."""
+    if grassmann.kaehler_structure(cal.form) is not None:
+        return grassmann.PlaneSampleSet([], [], getattr(args, "tol", 1e-6),
+                                        args.seed, 0, calibration=cal.name)
+    return _samples_for(cal, args)
+
+
 def _load_mesh(spec, cal=None, flatness_tol=1e-9):
     if spec.startswith("builtin:disc:"):
         m = int(spec.rsplit(":", 1)[1])
@@ -199,7 +208,7 @@ def cmd_reduce(args):
 def cmd_positivity(args):
     cal = _load_cal(args)
     alpha = _load_form(args.form)
-    ss = _samples_for(cal, args)
+    ss = _cone_samples_for(cal, args)
     rep = cones.positivity_classify(alpha, cal, ss, tol=args.tol)
     report = {"status": rep.status, "margin": rep.margin,
               "exact": rep.meta["exact"], "tolerances": rep.tolerances,
@@ -212,7 +221,7 @@ def cmd_positivity(args):
 def cmd_lemma25(args):
     cal = _load_cal(args)
     xi = _load_form(args.pvector)
-    ss = _samples_for(cal, args)
+    ss = _cone_samples_for(cal, args)
     gens = grassmann.random_plane_set(cal.n, cal.p, count=args.generators,
                                       seed=args.seed)
     rep = cones.lemma_2_5_check(xi, cal, ss, gens, seed=args.seed)
@@ -235,7 +244,7 @@ def cmd_psh(args):
     cal = _load_cal(args)
     f = _load_field(args.field, cal.n)
     probes = _parse_probes(args.probes, cal.n)
-    ss = _samples_for(cal, args)
+    ss = _cone_samples_for(cal, args)
     marks = hessian.psh_classify(f, probes, cal, ss, tol=args.tol,
                                  starts_limit=10, extra_starts=2)
     all_psh = all(m.status != "NotPsh" for m in marks)

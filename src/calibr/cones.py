@@ -97,12 +97,13 @@ def cone_membership(xi: ExteriorElement, cal: Calibration,
                     seed=0) -> ConeReport:
     """Nonnegative decomposition of xi over phi-planes.
 
-    On a Kaehler form the atoms are `_kaehler_atoms` and the report is
-    exact; otherwise they are the sampled planes grown by column generation
-    (`_sampled_membership`).  Outside when the relative residual exceeds
-    tol, with margin minus it, ``meta["separating_form"]`` -r/|r| for the
-    residual r (it pairs negatively with xi, nonnegatively with every atom)
-    and ``meta["separating_min"]`` its `constrained_extremum` minimum over
+    On a Kaehler form the atoms are `_kaehler_atoms`, the report is exact
+    and the sample may be empty; otherwise they are the sampled planes
+    grown by column generation (`_sampled_membership`).  Outside when the
+    relative residual exceeds tol, with margin minus it,
+    ``meta["separating_form"]`` -r/|r| for the residual r (it pairs
+    negatively with xi, nonnegatively with every atom) and
+    ``meta["separating_min"]`` its `constrained_extremum` minimum over
     G(phi): exact on the Kaehler route, the loop's last pricing otherwise,
     a separation certificate when it is nonnegative.  ``meta["capped"]`` is
     True when the loop stopped at ``max_rounds`` or on a stalled residual
@@ -113,12 +114,12 @@ def cone_membership(xi: ExteriorElement, cal: Calibration,
     """
     if xi.n != cal.n or xi.p != cal.p:
         raise ValueError("degree/dimension mismatch between xi and calibration")
-    if len(samples) == 0:
-        raise ValueError("empty sample set")
     xi_vec = xi.to_coeff_vector()
     scale = max(np.linalg.norm(xi_vec), 1e-300)
     J = kaehler_structure(cal.form)
     if J is None:
+        if len(samples) == 0:
+            raise ValueError("empty sample set")
         planes, coeffs, res, pricing, capped = _sampled_membership(
             xi, xi_vec, scale, cal, samples, tol, max_rounds, seed)
     else:
@@ -346,7 +347,8 @@ def positivity_classify(alpha: ExteriorElement, cal: Calibration,
                         **extremum_opts) -> ConeReport:
     """Classify alpha against the polar cone: margin is min alpha over the
     phi-Grassmannian (`constrained_extremum`), exact for a Kaehler form
-    (``meta["exact"]``) and best-found from the sampled planes otherwise."""
+    (``meta["exact"]``, and the sample may be empty) and best-found from the
+    sampled planes otherwise."""
     if alpha.n != cal.n or alpha.p != cal.p:
         raise ValueError("degree/dimension mismatch between alpha and calibration")
     if alpha.norm() == 0.0:

@@ -12,20 +12,25 @@ a closed form (a vector norm, or the top singular value of a skew matrix,
 through the Hodge star for n-2 and n-1).  In every other degree it is a
 best-found lower bound with a multistart saturation heuristic, and no global
 certificate is claimed.  Constrained extrema over G(phi) are exact (one
-eigendecomposition) for Kaehler forms in degree 2 and codegree 2.
+eigendecomposition) for Kaehler forms in degree 2 and codegree 2.  For the
+Kaehler, special Lagrangian, associative, coassociative, Cayley and
+quaternionic forms `phi_structure` draws phi-planes, also those inside a
+given hyperplane, from the classical description of G(phi).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calibrations import Calibration
-from .exterior import (ExteriorElement, SimplePlane, _lex_array, _stack_dets,
-                       angular_distance, compound, hodge_star, interior_product,
-                       lex_indices, lex_position)
+from .calibrations import (Calibration, _quaternionic, _special_lagrangian,
+                           complex_structure, quaternionic_structure)
+from .exterior import (ExteriorElement, SimplePlane, _lex_array, _sorted_sign,
+                       _stack_dets, angular_distance, compound, hodge_star,
+                       interior_product, lex_indices, lex_position)
 
 DEFAULT_GTOL = 1e-12
 DEDUP_ANGLE = 1e-3
@@ -50,7 +55,6 @@ class FormEvaluator:
         if self.p < 1:
             raise ValueError("FormEvaluator needs degree >= 1")
         self.phi_vec = phi.to_coeff_vector()
-        self.rows_p = _lex_array(self.n, self.p)
         if self.p > 1:
             pm1 = lex_indices(self.n, self.p - 1)
             pos = lex_position(self.n, self.p)
@@ -77,9 +81,7 @@ class FormEvaluator:
 
     def pvector_vec(self, U) -> np.ndarray:
         """Pluecker coordinate vector of the frame's unit p-vector."""
-        if self.p == 1:
-            return U[:, 0].copy()
-        return _stack_dets(U[self.rows_p, :])
+        return _pluecker(U)
 
     def value(self, U) -> float:
         return float(self.phi_vec @ self.pvector_vec(U))
@@ -103,6 +105,12 @@ class FormEvaluator:
         if U.ndim == 2:
             return float(f[0]), G[0]
         return f, G
+
+
+def _pluecker(U) -> np.ndarray:
+    """Pluecker coordinate rows of every frame of an (..., n, p) stack."""
+    n, p = U.shape[-2:]
+    return _stack_dets(U[..., _lex_array(n, p), :])
 
 
 def _fnorm(T):
@@ -494,13 +502,14 @@ def constrained_extremum(alpha: ExteriorElement, cal: Calibration,
     For a Kaehler form (`kaehler_structure`) the extremum is an end
     eigenvalue of `kaehler_matrix`, attained on its eigenvector's plane
     (``exact=True``; the ascent options have nothing to tune).  Otherwise a
-    penalty ascent from the sampled planes (`_penalty_extremum`)."""
-    if len(samples) == 0:
-        raise ValueError("empty sample set")
+    penalty ascent from the sampled planes (`_penalty_extremum`), which
+    must not be empty; the Kaehler route reads no sample."""
     if mode not in ("min", "max"):
         raise ValueError(f"mode must be 'min' or 'max', got {mode!r}")
     J = kaehler_structure(cal.form)
     if J is None:
+        if len(samples) == 0:
+            raise ValueError("empty sample set")
         return _penalty_extremum(alpha, cal, samples, mode, rho_schedule,
                                  extra_starts, seed, gtol, max_iter,
                                  starts_limit)
@@ -585,6 +594,240 @@ def _penalty_extremum(alpha, cal, samples, mode,
             best_val, best_plane, best_phi = float(v), SimplePlane(Uk.T), fp
     return ExtremumResult(best_val, best_plane, float(best_phi), mode,
                           stranded=int((~on).sum()))
+
+
+# ---------------------------------------------------------------------------
+# G(phi) drawn from an explicit parametrization
+# ---------------------------------------------------------------------------
+
+STRUCTURE_TOL = 1e-12
+
+
+def _dense_tensor(phi: ExteriorElement) -> np.ndarray:
+    """phi's coefficients as a totally antisymmetric (n, ..., n) array."""
+    rows, vec = _lex_array(phi.n, phi.p), phi.to_coeff_vector()
+    T = np.zeros((phi.n,) * phi.p)
+    for perm in itertools.permutations(range(phi.p)):
+        T[tuple(rows[:, perm].T)] = _sorted_sign(perm)[1] * vec
+    return T
+
+
+def _g2_tensor(phi: ExteriorElement):
+    """phi's tensor when it satisfies the G2 contraction identity: the
+    defect sum_k phi_ijk phi_abk - (d_ia d_jb - d_ib d_ja) is totally
+    antisymmetric (it is then *phi).  The identity makes (u x v)_k =
+    phi(u, v, e_k) a cross product of R^7, so phi is an associative form in
+    some orthonormal coordinates.  Else None."""
+    if (phi.n, phi.p) != (7, 3):
+        return None
+    T, eye = _dense_tensor(phi), np.eye(7)
+    D = (np.einsum("ijk,abk->ijab", T, T) - np.einsum("ia,jb->ijab", eye, eye)
+         + np.einsum("ib,ja->ijab", eye, eye))
+    return T if np.abs(D + D.transpose(0, 2, 1, 3)).max() <= STRUCTURE_TOL \
+        else None
+
+
+def _spin7_tensor(phi: ExteriorElement):
+    """phi's tensor when it satisfies the Spin(7) identity
+    sum_ab phi_ijab phi_klab = 6 (d_ik d_jl - d_il d_jk) + 4 phi_ijkl
+    (Karigiannis, "Flows of Spin(7)-structures", 2008), so that phi is a
+    Cayley form in some orthonormal coordinates.  Else None."""
+    if (phi.n, phi.p) != (8, 4):
+        return None
+    T, eye = _dense_tensor(phi), np.eye(8)
+    D = (np.einsum("ijab,klab->ijkl", T, T) - 4.0 * T
+         - 6.0 * (np.einsum("ik,jl->ijkl", eye, eye)
+                  - np.einsum("il,jk->ijkl", eye, eye)))
+    return T if np.abs(D).max() <= STRUCTURE_TOL else None
+
+
+def _is_form(phi: ExteriorElement, ref: ExteriorElement) -> bool:
+    return np.abs(phi.to_coeff_vector() - ref.to_coeff_vector()).max() \
+        <= STRUCTURE_TOL
+
+
+def phi_structure(phi: ExteriorElement):
+    """G(phi) as the image of linear algebra on Haar vectors, read off phi's
+    coefficients (Harvey-Lawson, "Calibrated geometries", Acta Math. 148,
+    1982), or None:
+
+    - Kaehler (`kaehler_structure`): the complex lines v ^ Jv, or their
+      complements in codegree 2;
+    - associative (`_g2_tensor`): u ^ v ^ (u x v);
+    - coassociative, *phi associative: the complements of those;
+    - Cayley (`_spin7_tensor`): u ^ v ^ w ^ (u x v x w);
+    - special Lagrangian, phi = Re(dz1 ^ ... ^ dzm) in the `calibrations`
+      coordinates: the planes A R^m, A in SU(m);
+    - quaternionic, phi the `calibrations` form for (I, J, K) of
+      `quaternionic_structure`: the lines span{v, Iv, Jv, Kv}.
+
+    The first two identities are invariant under O(n), so they also find
+    the form in rotated coordinates; the last two match the catalogue
+    coordinates only."""
+    J = kaehler_structure(phi)
+    if J is not None:
+        return PhiStructure("kaehler", phi, J)
+    n, p = phi.n, phi.p
+    if n == 7 and p in (3, 4):
+        T = _g2_tensor(phi if p == 3 else hodge_star(phi))
+        if T is not None:
+            return PhiStructure("associative" if p == 3 else "coassociative",
+                                phi, T)
+    T = _spin7_tensor(phi)
+    if T is not None:
+        return PhiStructure("cayley", phi, T)
+    if 2 * p == n and p >= 2 and _is_form(phi, _special_lagrangian(p)):
+        return PhiStructure("special_lagrangian", phi, complex_structure(p))
+    if p == 4 and n % 4 == 0 and _is_form(phi, _quaternionic(n // 4)):
+        return PhiStructure("quaternionic", phi,
+                            *quaternionic_structure(n // 4))
+    return None
+
+
+def _unit_rows(X):
+    return X / np.linalg.norm(X, axis=-1, keepdims=True)
+
+
+def _haar_perp(rng, count, n, *constraints):
+    """count Haar unit vectors of R^n, each orthogonal to the matching rows
+    of the (count, n) constraint stacks, which are orthonormal row by
+    row."""
+    x = rng.standard_normal((count, n))
+    for c in constraints:
+        x = x - (x * c).sum(axis=1, keepdims=True) * c
+    return _unit_rows(x)
+
+
+def _cross(T, *vectors):
+    """Rows of the cross product (v_1 x ... x v_k)_l = T(v_1, ..., v_k, e_l)
+    of (count, n) stacks."""
+    out = np.tensordot(vectors[0], T, axes=(1, 0))
+    for v in vectors[1:]:
+        out = np.einsum("si,si...->s...", v, out)
+    return out
+
+
+class PhiStructure:
+    """An explicit parametrization of G(phi) (see `phi_structure`)."""
+
+    def __init__(self, kind, phi: ExteriorElement, *ops):
+        self.kind, self.ops = kind, ops
+        self.n, self.p = phi.n, phi.p
+        self._phi_vec = phi.to_coeff_vector()
+
+    def _values(self, U):
+        return _pluecker(U) @ self._phi_vec
+
+    def _complements(self, P):
+        """Frames of the orthogonal complements of the planes of the stack
+        P, each oriented so that phi is positive on it."""
+        U = np.linalg.qr(P, mode="complete")[0][:, :, P.shape[2]:]
+        U[self._values(U) < 0.0, :, 0] *= -1.0
+        return U
+
+    def draw(self, rng, count, normal=None) -> np.ndarray:
+        """(count, n, p) stack of orthonormal frames of planes of G(phi),
+        drawn from Haar vectors of rng; with a normal, of planes of G(phi)
+        inside the hyperplane normal^perp, as a (0, n, p) stack when there
+        is none.  Raises if a drawn plane misses phi = 1 or the hyperplane
+        by more than STRUCTURE_TOL."""
+        if normal is not None:
+            normal = np.asarray(normal, dtype=float)
+            normal = normal / np.linalg.norm(normal)
+            at = np.broadcast_to(normal, (count, self.n))
+        else:
+            at = None
+        U = getattr(self, "_draw_" + self.kind)(rng, count, at)
+        if U is None:
+            return np.empty((0, self.n, self.p))
+        off = np.abs(self._values(U) - 1.0).max(initial=0.0)
+        if off > STRUCTURE_TOL:
+            raise RuntimeError(f"{self.kind} draw off G(phi): |phi - 1| = "
+                               f"{off!r}")
+        if at is not None:
+            off = np.abs(normal @ U).max(initial=0.0)
+            if off > STRUCTURE_TOL:
+                raise RuntimeError(f"{self.kind} draw leaves the hyperplane "
+                                   f"by {off!r}")
+        return U
+
+    # each _draw_<kind>(rng, count, at) gets the normal repeated on count
+    # rows, or None, and returns the frames or None for no plane
+
+    def _draw_kaehler(self, rng, count, at):
+        J, = self.ops
+        if at is None:
+            v = _haar_perp(rng, count, self.n)
+        elif self.p != 2:
+            # a complement lies in at^perp when its line contains at
+            v = at
+        elif self.n > 2:
+            v = _haar_perp(rng, count, self.n, at, at @ J.T)
+        else:
+            return None
+        lines = np.stack([v, v @ J.T], axis=2)
+        return lines if self.p == 2 else self._complements(lines)
+
+    def _associative_planes(self, rng, count, u, *constraints):
+        T, = self.ops
+        v = _haar_perp(rng, count, 7, u, *constraints)
+        return np.stack([u, v, _cross(T, u, v)], axis=2)
+
+    def _draw_associative(self, rng, count, at):
+        if at is None:
+            return self._associative_planes(rng, count,
+                                            _haar_perp(rng, count, 7))
+        # u in at^perp, then v orthogonal to u, at and at x u, so that
+        # at . (u x v) = phi(u, v, at) = (at x u) . v = 0
+        u = _haar_perp(rng, count, 7, at)
+        return self._associative_planes(rng, count, u, at,
+                                        _cross(self.ops[0], at, u))
+
+    def _draw_coassociative(self, rng, count, at):
+        # complements of associative planes, through at for at^perp
+        u = _haar_perp(rng, count, 7) if at is None else at
+        return self._complements(self._associative_planes(rng, count, u))
+
+    def _draw_cayley(self, rng, count, at):
+        T, = self.ops
+        fixed = () if at is None else (at,)
+        u = _haar_perp(rng, count, 8, *fixed)
+        v = _haar_perp(rng, count, 8, u, *fixed)
+        if at is not None:
+            # at . (u x v x w) = +-(at x u x v) . w
+            fixed += (_cross(T, at, u, v),)
+        w = _haar_perp(rng, count, 8, u, v, *fixed)
+        return np.stack([u, v, w, _cross(T, u, v, w)], axis=2)
+
+    def _draw_special_lagrangian(self, rng, count, at):
+        # A in SU(m) acting on R^m, in the interleaved coordinates where
+        # z_k = x_k + i y_k; a Lagrangian plane L lies in at^perp exactly
+        # when J at lies in L (J L = L^perp), so A's first column is J at
+        J, = self.ops
+        G = rng.standard_normal((count, self.n, self.p))
+        Z = G[:, 0::2] + 1j * G[:, 1::2]
+        if at is not None:
+            Jat = at @ J.T
+            Z[:, :, 0] = Jat[:, 0::2] + 1j * Jat[:, 1::2]
+        A, R = np.linalg.qr(Z)
+        d = np.diagonal(R, axis1=1, axis2=2)
+        A = A * (d / np.abs(d))[:, None, :]          # Haar on U(m)
+        A[:, :, -1] *= np.conj(np.linalg.det(A))[:, None]
+        U = np.empty((count, self.n, self.p))
+        U[:, 0::2], U[:, 1::2] = A.real, A.imag
+        return U
+
+    def _draw_quaternionic(self, rng, count, at):
+        if at is None:
+            v = _haar_perp(rng, count, self.n)
+        elif self.n > 4:
+            # the line of v is orthogonal to at when v is orthogonal to the
+            # line of at
+            v = _haar_perp(rng, count, self.n, at,
+                           *(at @ M.T for M in self.ops))
+        else:
+            return None
+        return np.stack([v] + [v @ M.T for M in self.ops], axis=2)
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,11 @@ flatness, normality of a calibration, the operator symbol, and the reduced
 Hessian.
 
 Everything is pointwise: smooth fields enter through gradient/Hessian
-suppliers and all Grassmannian quantifiers run over (refined) plane samples,
-so results are certified relative to the sampled surrogate of G(phi).
+suppliers.  Grassmannian quantifiers run over (refined) plane samples, so
+results are certified relative to the sampled surrogate of G(phi), with
+two exceptions: cone queries on Kaehler forms are exact, and normality on
+the forms `grassmann.phi_structure` recognizes draws its planes from G(phi)
+itself.
 """
 
 from __future__ import annotations
@@ -22,9 +25,10 @@ from .exterior import (ExteriorElement, SimplePlane, compound,
                        derivation_extend, interior_product, lex_indices,
                        pairing, wedge)
 from .fields import ScalarField
-from .grassmann import (FormEvaluator, PlaneSampleSet, _ascend_batch,
-                        _random_frames, comass, hyperplane_basis, pullback,
-                        rng_stream, span_split)
+from .grassmann import (FormEvaluator, PhiStructure, PlaneSampleSet,
+                        _ascend_batch, _pluecker, _random_frames, comass,
+                        hyperplane_basis, kaehler_structure, phi_structure,
+                        pullback, rng_stream, span_split)
 
 
 def d_phi(f: ScalarField, x, cal: Calibration) -> ExteriorElement:
@@ -101,9 +105,10 @@ def psh_classify(f: ScalarField, points, cal: Calibration,
                  samples: PlaneSampleSet, tol=1e-8,
                  **extremum_opts) -> list:
     """Per point: the form-valued Hessian classified against the polar cone
-    by `positivity_classify` (exact for Kaehler forms); Interior, Boundary
-    and Outside read StrictlyPsh, Psh and NotPsh."""
-    if len(samples) == 0:
+    by `positivity_classify` (exact for Kaehler forms, which read no
+    sample); Interior, Boundary and Outside read StrictlyPsh, Psh and
+    NotPsh."""
+    if len(samples) == 0 and kaehler_structure(cal.form) is None:
         raise ValueError("empty sample set")
     out = []
     for x in points:
@@ -253,28 +258,47 @@ def phi_flat_check(f: ScalarField, x, cal: Calibration,
 # normality of a calibration
 # ---------------------------------------------------------------------------
 
-def _adaptive_span_rows(cal: Calibration, tol, seed, batch=24, cap=400,
-                        patience=2):
-    """Sample the phi-Grassmannian until the span of its p-vectors stops
-    growing; returns the row matrix of sampled p-vectors."""
+def _stable_span_rows(rows_from, batch, cap, patience=2):
+    """Collect rows_from(keys), batch after batch of stream keys, until the
+    rank of the rows has not grown for `patience` batches or `cap` keys are
+    spent; returns the row matrix."""
     rows = []
     rank = 0
     stable = 0
     attempts = 0
-    ev = FormEvaluator(cal.form)
     while attempts < cap and stable < patience:
-        keys = range(3000 + attempts, 3000 + attempts + batch)
-        Us, fs, _, _ = _ascend_batch(
-            ev.value_and_grad, _random_frames(cal.n, cal.p, seed, keys),
-            gtol=1e-11, max_iter=400)
-        rows.extend(ev.pvector_vec(U)
-                    for U in Us[fs >= cal.claimed_comass - tol])
+        rows.extend(rows_from(range(3000 + attempts, 3000 + attempts + batch)))
         attempts += batch
         if rows:
             new_rank = np.linalg.matrix_rank(np.array(rows), tol=1e-8)
             stable = stable + 1 if new_rank == rank else 0
             rank = new_rank
     return np.array(rows)
+
+
+def _adaptive_span_rows(cal: Calibration, tol, seed, batch=24, cap=400,
+                        patience=2):
+    """Sample the phi-Grassmannian by ascent until the span of its
+    p-vectors stops growing; returns the row matrix of sampled p-vectors."""
+    ev = FormEvaluator(cal.form)
+
+    def ascended(keys):
+        Us, fs, _, _ = _ascend_batch(
+            ev.value_and_grad, _random_frames(cal.n, cal.p, seed, keys),
+            gtol=1e-11, max_iter=400)
+        return [ev.pvector_vec(U) for U in Us[fs >= cal.claimed_comass - tol]]
+    return _stable_span_rows(ascended, batch, cap, patience)
+
+
+def _drawn_span_rows(structure: PhiStructure, seed, normal=None, to_w=None,
+                     batch=24, cap=400):
+    """`_stable_span_rows` on p-vectors of planes drawn from G(phi), or
+    from its planes inside normal^perp, mapped by to_w when given."""
+    def drawn(keys):
+        rows = _pluecker(structure.draw(rng_stream(seed, keys[0]), len(keys),
+                                        normal))
+        return rows if to_w is None else rows @ to_w
+    return _stable_span_rows(drawn, batch, cap)
 
 
 @dataclass
@@ -291,11 +315,20 @@ def normality_check(cal: Calibration, trials=50, seed=0, mismatch_tol=1e-8,
     """For random hyperplanes W, compare the annihilator of the restricted
     Grassmannian's span with the restriction of the full annihilator.
 
-    Hyperplanes where the restricted comass drops below one have an empty
-    restricted Grassmannian; those trials are recorded as degenerate and
-    excluded from the comparison.
+    When `phi_structure` parametrizes G(phi), both spans come from planes
+    drawn from it: the full span from G(phi), the restricted one from its
+    planes inside W.  Then the comparison is of a theorem-derived span with
+    the annihilator, and the ascent options are unused.  Otherwise both
+    spans come from multistart ascent (`_adaptive_span_rows`), and a
+    hyperplane where the restricted comass drops below one has an empty
+    restricted Grassmannian.  Trials with no phi-plane inside W are
+    recorded as degenerate and excluded from the comparison.
     """
-    full_rows = _adaptive_span_rows(cal, tol=1e-9, seed=seed)
+    structure = phi_structure(cal.form)
+    if structure is None:
+        full_rows = _adaptive_span_rows(cal, tol=1e-9, seed=seed)
+    else:
+        full_rows = _drawn_span_rows(structure, seed)
     _, perp_basis = span_split(full_rows)
     failures = []
     degenerate = 0
@@ -305,21 +338,19 @@ def normality_check(cal: Calibration, trials=50, seed=0, mismatch_tol=1e-8,
         u = rng.standard_normal(cal.n)
         u /= np.linalg.norm(u)
         Q = hyperplane_basis(u)                       # n x (n-1)
-        phi_w = pullback(cal.form, Q)
-        cm = comass(phi_w, multistarts=comass_multistarts, seed=seed + t) \
-            if phi_w.norm() > 0 else None
-        if cm is None or cm.value < 1.0 - degenerate_tol:
-            degenerate += 1
-            continue
-        restricted = Calibration(phi_w, f"{cal.name}|W", claimed_comass=cm.value)
-        rows_w = _adaptive_span_rows(restricted, tol=1e-9, seed=seed + 7 * t,
-                                     batch=16, cap=240)
+        to_w = compound(Q, cal.p)     # Lambda^p R^n -> Lambda^p W on rows
+        if structure is None:
+            rows_w = _restricted_ascent_rows(cal, Q, seed, t, degenerate_tol,
+                                             comass_multistarts)
+        else:
+            rows_w = _drawn_span_rows(structure, seed + 7 * t, u, to_w,
+                                      batch=16, cap=240)
         if rows_w.size == 0:
             degenerate += 1
             continue
         _, perp_w = span_split(rows_w)                # Lambda(phi|_W)^perp
         # restriction to W of the full annihilator, inside Lambda^p W
-        restr_basis, _ = span_split(perp_basis @ compound(Q, cal.p))
+        restr_basis, _ = span_split(perp_basis @ to_w)
         # compare the two subspaces by their orthogonal projectors
         d1, d2 = perp_w.shape[0], restr_basis.shape[0]
         dim_amb = perp_w.shape[1]
@@ -331,6 +362,21 @@ def normality_check(cal: Calibration, trials=50, seed=0, mismatch_tol=1e-8,
             failures.append({"u": u, "mismatch": mismatch,
                              "dims": (d1, d2)})
     return NormalityReport(not failures, trials, degenerate, failures, worst)
+
+
+def _restricted_ascent_rows(cal, Q, seed, t, degenerate_tol,
+                            comass_multistarts):
+    """`_adaptive_span_rows` on phi restricted to the hyperplane spanned by
+    Q's columns, in its coordinates; no rows when the restricted comass,
+    found by ascent, is below one."""
+    phi_w = pullback(cal.form, Q)
+    cm = comass(phi_w, multistarts=comass_multistarts, seed=seed + t) \
+        if phi_w.norm() > 0 else None
+    if cm is None or cm.value < 1.0 - degenerate_tol:
+        return np.empty(0)
+    restricted = Calibration(phi_w, f"{cal.name}|W", claimed_comass=cm.value)
+    return _adaptive_span_rows(restricted, tol=1e-9, seed=seed + 7 * t,
+                               batch=16, cap=240)
 
 
 # ---------------------------------------------------------------------------

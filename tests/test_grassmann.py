@@ -1,16 +1,18 @@
 import numpy as np
 import pytest
 
-from calibr.acceptance import COMASS_ENTRIES
+from calibr.acceptance import COMASS_ENTRIES, NORMAL_ENTRIES
 from calibr.calibrations import catalogue
 from calibr.exterior import (ExteriorElement, SimplePlane, angular_distance,
                              interior_product, lex_indices, pairing,
                              simple_from_frame, wedge)
-from calibr.grassmann import (DEFAULT_GTOL, FormEvaluator, _comass_ascent,
-                              comass, constrained_extremum, hyperplane_basis,
-                              polish_plane, pullback, random_frame,
-                              random_plane_set, reduce_calibration,
-                              rng_stream, sample_grassmannian)
+from calibr.grassmann import (DEFAULT_GTOL, FormEvaluator, PhiStructure,
+                              _comass_ascent, comass, constrained_extremum,
+                              hyperplane_basis, kaehler_structure,
+                              phi_structure, polish_plane, pullback,
+                              random_frame, random_plane_set,
+                              reduce_calibration, rng_stream,
+                              sample_grassmannian)
 
 
 def dx(n, *idx):
@@ -189,8 +191,10 @@ class TestConstrainedExtremum:
         assert abs(res.value - 1.0) < 1e-9
 
     def test_empty_samples_rejected(self):
+        # the penalty route starts from the sample; the Kaehler route reads
+        # none (tests/test_kaehler.py)
         from calibr.grassmann import PlaneSampleSet
-        cal = catalogue("kaehler", 2, 1)
+        cal = catalogue("lambda_example", 0.5)
         empty = PlaneSampleSet([], [], 1e-6, 0, 0)
         with pytest.raises(ValueError):
             constrained_extremum(cal.form, cal, empty, "min")
@@ -323,3 +327,71 @@ class TestSymbolIdentity:
                 lhs = pairing(sym, pl.pvector())
                 rhs = float(np.linalg.norm(pl.frame @ e) ** 2)
                 assert abs(lhs - rhs) < 1e-9
+
+
+def rotated(name, seed):
+    """The catalogue form pulled back by a random orthogonal matrix with
+    determinant -1, so that O(n), not only SO(n), is covered."""
+    phi = catalogue(name).form
+    R = random_frame(phi.n, phi.n, np.random.default_rng(seed))
+    if np.linalg.det(R) > 0:
+        R[:, 0] = -R[:, 0]
+    return pullback(phi, R)
+
+
+STRUCTURE_KINDS = ["kaehler", "kaehler", "special_lagrangian", "associative",
+                   "coassociative", "cayley", "quaternionic"]
+
+
+class TestPhiStructure:
+    @pytest.mark.parametrize("name,params,kind", [
+        (name, params, kind)
+        for (name, params), kind in zip(NORMAL_ENTRIES, STRUCTURE_KINDS)])
+    def test_detects_normal_entries(self, name, params, kind):
+        assert phi_structure(catalogue(name, *params).form).kind == kind
+
+    @pytest.mark.parametrize("name,kind", [("associative", "associative"),
+                                           ("cayley", "cayley")])
+    def test_detects_rotated_forms(self, name, kind):
+        assert phi_structure(rotated(name, 41)).kind == kind
+
+    def test_rejects_other_forms(self):
+        assoc = catalogue("associative").form
+        rng = np.random.default_rng(43)
+        for phi in (assoc + dx(7, 1, 2, 4) * 1e-6,
+                    catalogue("lambda_example", 0.5).form,
+                    ExteriorElement.from_coeff_vector(
+                        7, 3, rng.standard_normal(35))):
+            assert phi_structure(phi) is None
+
+    @pytest.mark.parametrize("phi", [
+        catalogue(name, *params).form for name, params in NORMAL_ENTRIES]
+        + [rotated("associative", 47), rotated("cayley", 53)])
+    def test_draws_lie_on_the_grassmannian(self, phi):
+        st = phi_structure(phi)
+        ev = FormEvaluator(phi)
+        normal = np.random.default_rng(59).standard_normal(phi.n)
+        normal /= np.linalg.norm(normal)
+        for at in (None, normal):
+            U = st.draw(rng_stream(61, 0), 40, at)
+            assert U.shape == (40, phi.n, phi.p)
+            gram = U.transpose(0, 2, 1) @ U
+            assert np.abs(gram - np.eye(phi.p)).max() < 1e-12
+            assert max(abs(ev.value(Uk) - 1.0) for Uk in U) < 1e-12
+            if at is not None:
+                assert np.abs(normal @ U).max() < 1e-12
+
+    def test_no_plane_inside_the_hyperplane(self):
+        # G(e12) on R^2 and G(e1234) on R^4 are single planes; none lies in
+        # a hyperplane
+        for cal in (catalogue("volume", 2), catalogue("quaternionic", 1)):
+            U = phi_structure(cal.form).draw(rng_stream(0, 0), 5,
+                                             np.ones(cal.n))
+            assert U.shape == (0, cal.n, cal.p)
+
+    def test_draw_off_the_grassmannian_raises(self):
+        # the complex lines of J are not lambda_example's planes
+        lam = catalogue("lambda_example", 0.5).form
+        J = kaehler_structure(catalogue("kaehler", 2, 1).form)
+        with pytest.raises(RuntimeError, match="off G"):
+            PhiStructure("kaehler", lam, J).draw(rng_stream(0, 0), 4)

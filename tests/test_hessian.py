@@ -3,13 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from calibr.calibrations import catalogue
+import calibr.hessian
+from calibr.acceptance import NORMAL_ENTRIES
+from calibr.calibrations import Calibration, catalogue
 from calibr.cones import lambda_span
-from calibr.exterior import ExteriorElement, pairing
+from calibr.exterior import ExteriorElement, compound, pairing
 from calibr.fields import (ScalarField, builtin_field, compose,
                            field_from_json, quadratic_field)
-from calibr.grassmann import reduce_calibration, sample_grassmannian
-from calibr.hessian import (d_phi, hessian_form, normality_check,
+from calibr.grassmann import (hyperplane_basis, phi_structure, pullback,
+                              reduce_calibration, rng_stream,
+                              sample_grassmannian, span_split)
+from calibr.hessian import (_adaptive_span_rows, _drawn_span_rows, d_phi,
+                            hessian_form, normality_check,
                             phi_flat_check, pluriharmonic_mod_d_residual,
                             psh_classify, reduced_hessian, symbol,
                             trace_check)
@@ -294,6 +299,59 @@ class TestNormality:
         rep = normality_check(lam, trials=6, seed=2)
         assert rep.degenerate == rep.trials
         assert rep.normal  # vacuously: no non-degenerate trial failed
+
+
+def projector_distance(rows_a, rows_b):
+    """Spectral distance of the orthogonal projectors onto two row spans."""
+    A, B = span_split(rows_a)[0], span_split(rows_b)[0]
+    return float(np.linalg.norm(A.T @ A - B.T @ B, 2))
+
+
+class TestNormalityAgainstAscent:
+    """The spans drawn from `phi_structure` against the ascent route, kept
+    as the reference and as the route of every unstructured form."""
+
+    @pytest.mark.parametrize("name,params,rank", [
+        (name, params, rank) for (name, params), rank
+        in zip(NORMAL_ENTRIES, (4, 9, 13, 28, 28, 63, 20))])
+    def test_full_span(self, name, params, rank):
+        cal = catalogue(name, *params)
+        drawn = _drawn_span_rows(phi_structure(cal.form), seed=11)
+        ascended = _adaptive_span_rows(cal, tol=1e-9, seed=11)
+        assert np.linalg.matrix_rank(drawn, tol=1e-8) == rank
+        assert np.linalg.matrix_rank(ascended, tol=1e-8) == rank
+        assert projector_distance(drawn, ascended) < 1e-8
+
+    @pytest.mark.parametrize("name,params", NORMAL_ENTRIES)
+    def test_restricted_span(self, name, params):
+        cal = catalogue(name, *params)
+        structure = phi_structure(cal.form)
+        for t in range(3):
+            u = rng_stream(13, t).standard_normal(cal.n)
+            u /= np.linalg.norm(u)
+            Q = hyperplane_basis(u)
+            drawn = _drawn_span_rows(structure, 17 + t, u,
+                                     compound(Q, cal.p), batch=16, cap=240)
+            restricted = Calibration(pullback(cal.form, Q), f"{cal.name}|W")
+            ascended = _adaptive_span_rows(restricted, tol=1e-9, seed=17 + t,
+                                           batch=16, cap=240)
+            assert projector_distance(drawn, ascended) < 1e-8
+
+    def test_perturbed_form_takes_the_ascent(self, monkeypatch):
+        calls = []
+        ascent = calibr.hessian._adaptive_span_rows
+
+        def spy(cal, *args, **kwargs):
+            calls.append(cal.name)
+            return ascent(cal, *args, **kwargs)
+        monkeypatch.setattr(calibr.hessian, "_adaptive_span_rows", spy)
+        assoc = catalogue("associative")
+        normality_check(assoc, trials=2, seed=3)
+        assert calls == []
+        perturbed = Calibration(
+            assoc.form + ExteriorElement(7, 3, {(1, 2, 4): 1e-6}), "perturbed")
+        normality_check(perturbed, trials=1, seed=3)
+        assert calls and calls[0] == "perturbed"
 
 
 class TestSymbolAndReduction:

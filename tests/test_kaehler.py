@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+import calibr.cli
 import calibr.cones
 import calibr.grassmann
 from calibr.calibrations import catalogue, complex_structure
@@ -16,10 +17,12 @@ from calibr.cli import main
 from calibr.cones import cone_membership, mass_norm_estimate
 from calibr.exterior import (ExteriorElement, SimplePlane, form_to_json,
                              lex_indices, pairing, simple_from_frame)
-from calibr.grassmann import (FormEvaluator, _penalty_extremum,
+from calibr.fields import builtin_field
+from calibr.grassmann import (FormEvaluator, PlaneSampleSet, _penalty_extremum,
                               constrained_extremum, kaehler_matrix,
                               kaehler_plane, kaehler_structure,
                               random_plane_set, sample_grassmannian)
+from calibr.hessian import psh_classify
 
 KAEHLER = [(2, 1), (3, 1), (3, 2)]
 
@@ -348,6 +351,71 @@ class TestExactLabel:
         assert main(["lemma25", "--pvector", str(xi), "--cal", "omega4",
                      "--count", "8"]) == 0
         assert json.loads(capsys.readouterr().out)["report"]["exact"] is True
+
+
+class TestNoSample:
+    """The exact routes read no sample, so an empty one gives the same
+    answers, and the CLI draws none for them."""
+
+    @pytest.mark.parametrize("nc,power", KAEHLER)
+    def test_cone_queries(self, nc, power):
+        cal = catalogue("kaehler", nc, power)
+        ss = sample_grassmannian(cal, count=5, seed=3)
+        empty = PlaneSampleSet([], [], 1e-6, 0, 0)
+        rng = np.random.default_rng(5)
+        alpha = random_form(cal.n, cal.p, rng)
+        for mode in ("min", "max"):
+            a = constrained_extremum(alpha, cal, ss, mode)
+            b = constrained_extremum(alpha, cal, empty, mode)
+            assert a.value == b.value
+        a = calibr.cones.positivity_classify(alpha, cal, ss)
+        b = calibr.cones.positivity_classify(alpha, cal, empty)
+        assert (a.status, a.margin) == (b.status, b.margin)
+        assert b.meta["sample_count"] == 0
+        for xi in (member(cal, rng), non_member(cal, rng)):
+            a = cone_membership(xi, cal, ss)
+            b = cone_membership(xi, cal, empty)
+            assert (a.status, a.margin) == (b.status, b.margin)
+            assert b.meta["sample_count"] == 0
+
+    def test_psh(self):
+        cal = catalogue("kaehler", 2, 1)
+        empty = PlaneSampleSet([], [], 1e-6, 0, 0)
+        marks = psh_classify(builtin_field("abs_z1_sq", 4), np.zeros((1, 4)),
+                             cal, empty)
+        assert marks[0].status == "Psh"
+        with pytest.raises(ValueError, match="empty sample"):
+            psh_classify(builtin_field("abs_z1_sq", 4), np.zeros((1, 4)),
+                         catalogue("lambda_example", 0.5), empty)
+
+    def test_cli_draws_no_sample(self, capsys, tmp_path, monkeypatch):
+        drawn = []
+        sample = calibr.grassmann.sample_grassmannian
+
+        def spy(cal, *args, **kwargs):
+            drawn.append(cal.name)
+            return sample(cal, *args, **kwargs)
+        monkeypatch.setattr(calibr.cli.grassmann, "sample_grassmannian", spy)
+        alpha = tmp_path / "alpha.json"
+        alpha.write_text(json.dumps(form_to_json(
+            ExteriorElement(4, 2, {(1, 2): 1.0, (1, 3): 0.4}))))
+        xi = tmp_path / "xi.json"
+        xi.write_text(json.dumps(form_to_json(
+            ExteriorElement(4, 2, {(1, 2): 0.5, (3, 4): 0.5}))))
+        main(["positivity", "--form", str(alpha), "--cal", "omega4"])
+        assert json.loads(capsys.readouterr().out)["report"][
+            "sample_count"] == 0
+        main(["lemma25", "--pvector", str(xi), "--cal", "omega4"])
+        main(["psh", "--cal", "omega4", "--field", "builtin:normsq",
+              "--probes", "grid:-1..1:2"])
+        capsys.readouterr()
+        assert drawn == []
+        main(["positivity", "--form", str(alpha), "--cal", "lambda:0.5",
+              "--count", "8"])
+        # G(lambda_example) is one plane, so the sample keeps one
+        assert json.loads(capsys.readouterr().out)["report"][
+            "sample_count"] == 1
+        assert drawn == ["lambda_example(0.5)"]
 
 
 def test_mass_norm_needs_a_round():
