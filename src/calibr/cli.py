@@ -269,10 +269,9 @@ def cmd_flat(args):
     cal = _load_cal(args)
     f = _load_field(args.field, cal.n)
     x = np.array([float(v) for v in args.point.split(",")])
-    ss = _samples_for(cal, args)
-    rep = hessian.phi_flat_check(f, x, cal, ss, tol=args.tol, seed=args.seed)
+    rep = hessian.phi_flat_check(f, x, cal, tol=args.tol, seed=args.seed)
     return {"flat": rep.flat, "worst_value": rep.worst_value,
-            "vacuous": rep.vacuous}, 0 if rep.flat else 1
+            "vacuous": rep.vacuous, "exact": rep.exact}, 0 if rep.flat else 1
 
 
 def cmd_normality(args):
@@ -494,7 +493,6 @@ def build_parser():
     p = sub.add_parser("flat", help="level-set flatness at a point")
     p.add_argument("--field", required=True)
     p.add_argument("--point", required=True)
-    p.add_argument("--count", type=int, default=40)
     p.add_argument("--tol", type=float, default=1e-8)
     common(p)
     p.set_defaults(fn=cmd_flat)

@@ -21,7 +21,7 @@ from .calibrations import Calibration
 from .exterior import (ExteriorElement, SimplePlane, hodge_star,
                        interior_product, lex_indices, pairing, wedge)
 from .grassmann import (PlaneSampleSet, comass, constrained_extremum,
-                        kaehler_matrix, kaehler_plane, kaehler_structure,
+                        kaehler_matrix, kaehler_planes, kaehler_structure,
                         polish_plane, skew_matrix, span_split,
                         top_singular_plane)
 from .lp import solve_lp
@@ -164,7 +164,7 @@ def _kaehler_atoms(xi, cal, J):
     Pi = (np.eye(n) - 1j * J) / 2.0
     lam, Z = np.linalg.eigh(S @ Pi - (np.abs(S).sum() + 1.0) * Pi.conj())
     U = np.sqrt(2.0) * Z[:, n // 2:].real
-    return ([SimplePlane(kaehler_plane(u, J, cal.form).T) for u in U.T],
+    return ([SimplePlane(F.T) for F in kaehler_planes(U.T, J, cal.form)],
             np.maximum(lam[n // 2:], 0.0))
 
 

@@ -9,13 +9,15 @@ gradients vectorize over the lexicographic basis.
 
 Comass is exact in degrees 1, 2, n-2, n-1 and n, where the mathematics gives
 a closed form (a vector norm, or the top singular value of a skew matrix,
-through the Hodge star for n-2 and n-1).  In every other degree it is a
+through the Hodge star for n-2 and n-1), and on the Kaehler, special
+Lagrangian, associative, coassociative, Cayley and quaternionic forms that
+`phi_structure` recognizes, whose defining identity proves comass one; there
+it is attained on a plane drawn from G(phi).  On every other form it is a
 best-found lower bound with a multistart saturation heuristic, and no global
 certificate is claimed.  Constrained extrema over G(phi) are exact (one
-eigendecomposition) for Kaehler forms in degree 2 and codegree 2.  For the
-Kaehler, special Lagrangian, associative, coassociative, Cayley and
-quaternionic forms `phi_structure` draws phi-planes, also those inside a
-given hyperplane, from the classical description of G(phi).
+eigendecomposition) for Kaehler forms in degree 2 and codegree 2, else
+best-found.  `phi_structure` also draws the phi-planes inside a given
+hyperplane.
 """
 
 from __future__ import annotations
@@ -288,17 +290,23 @@ def comass(phi: ExteriorElement, multistarts=60, max_iter=600, tol=DEFAULT_GTOL,
            seed=0, step0=0.2) -> ComassResult:
     """Maximum of phi over unit simple p-vectors.
 
-    In degrees 1, 2, n-2, n-1 and n the value is exact (``exact=True``,
-    ``multistarts=0``): it is phi evaluated on the closed-form maximizing
-    plane, so it is attained, and the ascent options are unused.  In every
-    other degree it is the best value of a multistart ascent, a lower bound
-    for the comass; saturation is flagged when the top starts agree to 1e-6.
+    In degrees 1, 2, n-2, n-1 and n, and on the forms `phi_structure`
+    recognizes, the value is exact (``exact=True``, ``multistarts=0``): it
+    is phi evaluated on the closed-form maximizing plane, or on a plane
+    drawn from G(phi), so it is attained, and the ascent options are
+    unused.  On every other form it is the best value of a multistart
+    ascent, a lower bound for the comass; saturation is flagged when the
+    top starts agree to 1e-6.
     """
     if phi.norm() == 0.0:
         raise ValueError("comass of the zero form")
     U = _exact_frame(phi)
     if U is None:
-        return _comass_ascent(phi, multistarts, max_iter, tol, seed, step0)
+        structure = phi_structure(phi)
+        if structure is None:
+            return _comass_ascent(phi, multistarts, max_iter, tol, seed,
+                                  step0)
+        U = structure.draw(rng_stream(seed, 0), 1)[0]
     value = FormEvaluator(phi).value(U)
     if value < 0.0:
         U[:, 0] = -U[:, 0]
@@ -480,15 +488,22 @@ def kaehler_matrix(x: ExteriorElement, J) -> np.ndarray:
     return (P + P.T) / 2.0
 
 
-def kaehler_plane(u, J, phi: ExteriorElement) -> np.ndarray:
-    """(n, p) frame of the phi-plane of the complex line u ^ Ju: the line
-    for p = 2, else its orthogonal complement, oriented so that phi > 0."""
-    U = np.column_stack([u, J @ u])
+def kaehler_planes(V, J, phi: ExteriorElement) -> np.ndarray:
+    """(k, n, p) frames of the phi-planes of the complex lines v ^ Jv, v the
+    k unit rows of V: the lines for p = 2, else their orthogonal
+    complements, oriented so that phi > 0."""
+    lines = np.stack([V, V @ J.T], axis=2)
     if phi.p == 2:
-        return U
-    U = np.linalg.qr(U, mode="complete")[0][:, 2:]
-    if FormEvaluator(phi).value(U) < 0.0:
-        U[:, 0] = -U[:, 0]
+        return lines
+    return _complements(lines, phi.to_coeff_vector())
+
+
+def _complements(P, phi_vec):
+    """Frames of the orthogonal complements of the planes of the stack P,
+    each oriented so that the form with coefficients phi_vec is positive on
+    it."""
+    U = np.linalg.qr(P, mode="complete")[0][:, :, P.shape[2]:]
+    U[_pluecker(U) @ phi_vec < 0.0, :, 0] *= -1.0
     return U
 
 
@@ -514,7 +529,7 @@ def constrained_extremum(alpha: ExteriorElement, cal: Calibration,
                                  extra_starts, seed, gtol, max_iter,
                                  starts_limit)
     V = np.linalg.eigh(kaehler_matrix(alpha, J))[1]
-    U = kaehler_plane(V[:, 0 if mode == "min" else -1], J, cal.form)
+    U = kaehler_planes(V[:, [0 if mode == "min" else -1]].T, J, cal.form)[0]
     return ExtremumResult(FormEvaluator(alpha).value(U), SimplePlane(U.T),
                           FormEvaluator(cal.form).value(U), mode, exact=True)
 
@@ -711,19 +726,12 @@ class PhiStructure:
     """An explicit parametrization of G(phi) (see `phi_structure`)."""
 
     def __init__(self, kind, phi: ExteriorElement, *ops):
-        self.kind, self.ops = kind, ops
+        self.kind, self.ops, self.phi = kind, ops, phi
         self.n, self.p = phi.n, phi.p
         self._phi_vec = phi.to_coeff_vector()
 
     def _values(self, U):
         return _pluecker(U) @ self._phi_vec
-
-    def _complements(self, P):
-        """Frames of the orthogonal complements of the planes of the stack
-        P, each oriented so that phi is positive on it."""
-        U = np.linalg.qr(P, mode="complete")[0][:, :, P.shape[2]:]
-        U[self._values(U) < 0.0, :, 0] *= -1.0
-        return U
 
     def draw(self, rng, count, normal=None) -> np.ndarray:
         """(count, n, p) stack of orthonormal frames of planes of G(phi),
@@ -765,8 +773,7 @@ class PhiStructure:
             v = _haar_perp(rng, count, self.n, at, at @ J.T)
         else:
             return None
-        lines = np.stack([v, v @ J.T], axis=2)
-        return lines if self.p == 2 else self._complements(lines)
+        return kaehler_planes(v, J, self.phi)
 
     def _associative_planes(self, rng, count, u, *constraints):
         T, = self.ops
@@ -786,7 +793,8 @@ class PhiStructure:
     def _draw_coassociative(self, rng, count, at):
         # complements of associative planes, through at for at^perp
         u = _haar_perp(rng, count, 7) if at is None else at
-        return self._complements(self._associative_planes(rng, count, u))
+        return _complements(self._associative_planes(rng, count, u),
+                            self._phi_vec)
 
     def _draw_cayley(self, rng, count, at):
         T, = self.ops

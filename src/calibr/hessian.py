@@ -7,15 +7,19 @@ Hessian.
 Everything is pointwise: smooth fields enter through gradient/Hessian
 suppliers.  Grassmannian quantifiers run over (refined) plane samples, so
 results are certified relative to the sampled surrogate of G(phi), with
-two exceptions: cone queries on Kaehler forms are exact, and normality on
-the forms `grassmann.phi_structure` recognizes draws its planes from G(phi)
-itself.
+these exceptions: cone queries on Kaehler forms are exact; normality on the
+forms `grassmann.phi_structure` recognizes draws its planes from G(phi)
+itself; and level-set flatness is one `constrained_extremum` on the
+calibration restricted to the tangent hyperplane, exact when that
+restriction is Kaehler (as for the coassociative form) and best-found
+otherwise; a vacuous answer is exact when `phi_structure` draws no plane
+inside the hyperplane.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,8 +31,9 @@ from .exterior import (ExteriorElement, SimplePlane, compound,
 from .fields import ScalarField
 from .grassmann import (FormEvaluator, PhiStructure, PlaneSampleSet,
                         _ascend_batch, _pluecker, _random_frames, comass,
-                        hyperplane_basis, kaehler_structure, phi_structure,
-                        pullback, rng_stream, span_split)
+                        constrained_extremum, hyperplane_basis,
+                        kaehler_structure, phi_structure, pullback,
+                        rng_stream, sample_grassmannian, span_split)
 
 
 def d_phi(f: ScalarField, x, cal: Calibration) -> ExteriorElement:
@@ -174,22 +179,31 @@ def pluriharmonic_mod_d_residual(f: ScalarField, x, cal: Calibration,
 # level-set flatness
 # ---------------------------------------------------------------------------
 
+FLAT_STARTS = 8    # tangential phi-planes seeding each flatness extremum
+
+
 @dataclass
 class FlatReport:
     flat: bool
     worst_value: float
     worst_plane: object
     vacuous: bool
-    tangency: float
+    exact: bool
 
 
-def phi_flat_check(f: ScalarField, x, cal: Calibration,
-                   samples: PlaneSampleSet, tol=1e-8, tangency_tol=1e-6,
-                   seed=0, max_iter=300) -> FlatReport:
+def phi_flat_check(f: ScalarField, x, cal: Calibration, tol=1e-8,
+                   seed=0) -> FlatReport:
     """Extremize the form-valued Hessian over phi-planes tangential to the
     level set of f through x.
 
-    Reports vacuous flatness when no tangential phi-plane exists.
+    Those are the phi-planes inside W = grad f(x)^perp, so the check is
+    `constrained_extremum` of the Hessian pulled back to W over phi
+    restricted to W, seeded with FLAT_STARTS planes inside W: drawn from
+    `phi_structure` when it parametrizes G(phi), else sampled from the
+    restricted calibration.  It is exact (``exact=True``) when phi|W is a
+    Kaehler form.  Reports vacuous flatness when no tangential phi-plane
+    exists: an empty draw, which is exact, or a restricted comass found
+    below one.
     """
     x = np.asarray(x, dtype=float)
     g = f.gradient(x)
@@ -197,61 +211,26 @@ def phi_flat_check(f: ScalarField, x, cal: Calibration,
     if gn < 1e-12:
         raise ValueError("vanishing gradient: level set undefined at x")
     ghat = g / gn
-    H = hessian_form(f, x, cal, cross_check=False)
-    ev_phi = FormEvaluator(cal.form)
-    ev_H = FormEvaluator(H) if H.norm() > 0 else None
-    n, p = cal.n, cal.p
-
-    def tangency(U):
-        v = U.T @ ghat
-        return float(v @ v)
-
-    def on_tangential(U):
-        return (1.0 - ev_phi.value(U)) < max(10 * samples.tolerance, 1e-9) \
-            and tangency(U) < tangency_tol ** 2
-
-    def normal_part(U):
-        """|U^T ghat|^2 for every frame of a stack, and its gradient."""
-        v = ghat @ U
-        return (v * v).sum(axis=1), 2.0 * ghat[None, :, None] * v[:, None, :]
-
-    # phase A: find tangential phi-planes by minimizing the joint defect
-    def defect_vg(U):
-        fp, Gp = ev_phi.value_and_grad(U)
-        vv, Gv = normal_part(U)
-        return -(1.0 - fp) - vv, Gp - Gv
-
-    starts = np.concatenate([
-        np.array([pl.frame.T for pl in samples.planes]).reshape(-1, n, p),
-        _random_frames(n, p, seed, range(600, 606))])
-    Us, vals, _, _ = _ascend_batch(defect_vg, starts, gtol=1e-12,
-                                   max_iter=max_iter)
-    best_defect = float(np.min(-vals))
-    tangential = [U for U in Us if on_tangential(U)]
-    if not tangential:
-        return FlatReport(True, 0.0, None, True, best_defect)
-    if ev_H is None:
-        return FlatReport(True, 0.0, SimplePlane(tangential[0].T), False, 0.0)
-
-    # phase B: extremize the Hessian pairing within the tangential family
-    worst_val, worst_U = 0.0, tangential[0]
-    for sgn in (+1.0, -1.0):
-        U = np.array(tangential)
-        for rho in (1e3, 1e5, 1e7):
-            def vg(U, rho=rho, sgn=sgn):
-                fH, GH = ev_H.value_and_grad(U)
-                fp, Gp = ev_phi.value_and_grad(U)
-                vv, Gv = normal_part(U)
-                return (sgn * fH + rho * ((fp - 1.0) - vv),
-                        sgn * GH + rho * (Gp - Gv))
-            U = _ascend_batch(vg, U, gtol=1e-12, max_iter=max_iter)[0]
-        for Uk in U:
-            if on_tangential(Uk):
-                val = ev_H.value(Uk)
-                if abs(val) > abs(worst_val):
-                    worst_val, worst_U = val, Uk
-    return FlatReport(abs(worst_val) <= tol, worst_val,
-                      SimplePlane(worst_U.T), False, tangency(worst_U))
+    Q = hyperplane_basis(ghat)
+    structure = phi_structure(cal.form)
+    if structure is None:
+        restricted = _restricted_calibration(cal, Q, seed)
+        starts = None if restricted is None else sample_grassmannian(
+            restricted, count=FLAT_STARTS, seed=seed)
+    else:
+        U = Q.T @ structure.draw(rng_stream(seed, 0), FLAT_STARTS, ghat)
+        restricted = Calibration(pullback(cal.form, Q), f"{cal.name}|W")
+        starts = PlaneSampleSet([SimplePlane(Uk.T) for Uk in U],
+                                [1.0] * len(U), 0.0, seed, len(U)) \
+            if len(U) else None
+    if starts is None:
+        return FlatReport(True, 0.0, None, True, structure is not None)
+    H_w = pullback(hessian_form(f, x, cal, cross_check=False), Q)
+    worst = max((constrained_extremum(H_w, restricted, starts, mode, seed=seed)
+                 for mode in ("max", "min")), key=lambda r: abs(r.value))
+    return FlatReport(abs(worst.value) <= tol, worst.value,
+                      SimplePlane(worst.plane.frame @ Q.T), False,
+                      worst.exact)
 
 
 # ---------------------------------------------------------------------------
@@ -340,8 +319,12 @@ def normality_check(cal: Calibration, trials=50, seed=0, mismatch_tol=1e-8,
         Q = hyperplane_basis(u)                       # n x (n-1)
         to_w = compound(Q, cal.p)     # Lambda^p R^n -> Lambda^p W on rows
         if structure is None:
-            rows_w = _restricted_ascent_rows(cal, Q, seed, t, degenerate_tol,
-                                             comass_multistarts)
+            restricted = _restricted_calibration(cal, Q, seed + t,
+                                                 degenerate_tol,
+                                                 comass_multistarts)
+            rows_w = np.empty(0) if restricted is None else \
+                _adaptive_span_rows(restricted, tol=1e-9, seed=seed + 7 * t,
+                                    batch=16, cap=240)
         else:
             rows_w = _drawn_span_rows(structure, seed + 7 * t, u, to_w,
                                       batch=16, cap=240)
@@ -364,19 +347,18 @@ def normality_check(cal: Calibration, trials=50, seed=0, mismatch_tol=1e-8,
     return NormalityReport(not failures, trials, degenerate, failures, worst)
 
 
-def _restricted_ascent_rows(cal, Q, seed, t, degenerate_tol,
-                            comass_multistarts):
-    """`_adaptive_span_rows` on phi restricted to the hyperplane spanned by
-    Q's columns, in its coordinates; no rows when the restricted comass,
-    found by ascent, is below one."""
+def _restricted_calibration(cal, Q, seed, degenerate_tol=1e-6,
+                            multistarts=24):
+    """phi restricted to the hyperplane spanned by Q's columns, in its
+    coordinates, as a calibration claiming its comass; None when that
+    comass is below 1 - degenerate_tol, so that no phi-plane lies in the
+    hyperplane."""
     phi_w = pullback(cal.form, Q)
-    cm = comass(phi_w, multistarts=comass_multistarts, seed=seed + t) \
+    cm = comass(phi_w, multistarts=multistarts, seed=seed) \
         if phi_w.norm() > 0 else None
     if cm is None or cm.value < 1.0 - degenerate_tol:
-        return np.empty(0)
-    restricted = Calibration(phi_w, f"{cal.name}|W", claimed_comass=cm.value)
-    return _adaptive_span_rows(restricted, tol=1e-9, seed=seed + 7 * t,
-                               batch=16, cap=240)
+        return None
+    return Calibration(phi_w, f"{cal.name}|W", claimed_comass=cm.value)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 
 from calibr.cli import build_parser, main
 from calibr.calibrations import catalogue
-from calibr.exterior import form_to_json
+from calibr.exterior import ExteriorElement, form_to_json
 
 
 def run_cli(capsys, *argv):
@@ -55,11 +55,17 @@ class TestComass:
         assert code == 0
         assert abs(json.loads(out)["report"]["value"] - 1.0) < 1e-8
 
-    def test_exact_flag(self, capsys):
-        _, out, _ = run_cli(capsys, "comass", "--cal", "omega4")
-        report = json.loads(out)["report"]
-        assert report["exact"] is True and report["multistarts"] == 0
-        _, out, _ = run_cli(capsys, "comass", "--cal", "associative",
+    def test_exact_flag(self, capsys, tmp_path):
+        for cal in ("omega4", "associative"):
+            _, out, _ = run_cli(capsys, "comass", "--cal", cal)
+            report = json.loads(out)["report"]
+            assert report["exact"] is True and report["multistarts"] == 0
+        # off the G2 identity the associative form runs the ascent
+        path = tmp_path / "form.json"
+        path.write_text(json.dumps(form_to_json(
+            catalogue("associative").form
+            + 1e-6 * ExteriorElement.basis(7, (1, 2, 4)))))
+        _, out, _ = run_cli(capsys, "comass", "--form", str(path),
                             "--multistarts", "3")
         assert json.loads(out)["report"]["exact"] is False
 

@@ -7,7 +7,8 @@ from calibr.exterior import (ExteriorElement, SimplePlane, angular_distance,
                              interior_product, lex_indices, pairing,
                              simple_from_frame, wedge)
 from calibr.grassmann import (DEFAULT_GTOL, FormEvaluator, PhiStructure,
-                              _comass_ascent, comass, constrained_extremum,
+                              _comass_ascent, _exact_frame, comass,
+                              constrained_extremum,
                               hyperplane_basis, kaehler_structure,
                               phi_structure, polish_plane, pullback,
                               random_frame, random_plane_set,
@@ -113,9 +114,28 @@ class TestExactComass:
             assert abs(attained - res.value) < 1e-12
 
     def test_other_degrees_use_ascent(self):
-        res = comass(catalogue("associative").form, multistarts=5, seed=0)
+        # off the G2 identity, so phi_structure finds nothing
+        phi = catalogue("associative").form + 1e-6 * dx(7, 1, 2, 4)
+        res = comass(phi, multistarts=5, seed=0)
         assert not res.exact
         assert res.multistarts == 5
+        assert comass(catalogue("associative").form).exact
+
+    @pytest.mark.parametrize("name,params", [
+        (name, params) for name, params in COMASS_ENTRIES
+        if _exact_frame(catalogue(name, *params).form) is None])
+    def test_structured_forms_exact(self, name, params):
+        # the catalogue forms outside the closed-form degrees are all
+        # structured: they read comass one on a drawn plane, and a 60-start
+        # ascent cross-checks the value
+        phi = catalogue(name, *params).form
+        assert phi_structure(phi) is not None
+        res = comass(phi)
+        assert res.exact and res.multistarts == 0
+        assert abs(res.value - 1.0) < 1e-12
+        assert abs(pairing(phi, res.plane.pvector()) - res.value) < 1e-12
+        ref = _comass_ascent(phi, 60, 600, DEFAULT_GTOL, 0, 0.2)
+        assert abs(ref.value - 1.0) < 1e-4
 
 
 class TestSampling:

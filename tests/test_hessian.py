@@ -10,8 +10,8 @@ from calibr.cones import lambda_span
 from calibr.exterior import ExteriorElement, compound, pairing
 from calibr.fields import (ScalarField, builtin_field, compose,
                            field_from_json, quadratic_field)
-from calibr.grassmann import (hyperplane_basis, phi_structure, pullback,
-                              reduce_calibration, rng_stream,
+from calibr.grassmann import (_pluecker, hyperplane_basis, phi_structure,
+                              pullback, reduce_calibration, rng_stream,
                               sample_grassmannian, span_split)
 from calibr.hessian import (_adaptive_span_rows, _drawn_span_rows, d_phi,
                             hessian_form, normality_check,
@@ -243,48 +243,90 @@ class TestModD:
 
 
 class TestFlat:
-    def test_linear_flat(self, omega, ss_omega):
+    def test_linear_flat(self, omega):
         rep = phi_flat_check(builtin_field("re_z1", 4),
-                             np.array([1.0, 0, 0, 0]), omega, ss_omega)
+                             np.array([1.0, 0, 0, 0]), omega)
         assert rep.flat and not rep.vacuous
 
-    def test_abs_z1_sq_flat(self, omega, ss_omega):
+    def test_abs_z1_sq_flat(self, omega):
         rep = phi_flat_check(builtin_field("abs_z1_sq", 4),
-                             np.array([1.0, 0, 0, 0]), omega, ss_omega)
+                             np.array([1.0, 0, 0, 0]), omega)
         assert rep.flat and not rep.vacuous
 
-    def test_half_normsq_not_flat(self, omega, ss_omega):
+    def test_half_normsq_not_flat(self, omega):
         # identity Hessian: trace 2 on every tangential complex line
         rep = phi_flat_check(builtin_field("half_normsq", 4),
-                             np.array([1.0, 0, 0, 0]), omega, ss_omega)
+                             np.array([1.0, 0, 0, 0]), omega)
         assert not rep.flat
         assert abs(rep.worst_value - 2.0) < 1e-6
 
-    def test_lambda_vacuous(self, lam, ss_lam):
+    def test_lambda_vacuous(self, lam):
         # gradient e1 lies inside the only plane: no tangential phi-plane
         rep = phi_flat_check(builtin_field("coord:1", 4),
-                             np.array([0.2, 0.3, 0.1, 0.4]), lam, ss_lam)
+                             np.array([0.2, 0.3, 0.1, 0.4]), lam)
         assert rep.flat and rep.vacuous
 
-    def test_vanishing_gradient_rejected(self, omega, ss_omega):
+    def test_vanishing_gradient_rejected(self, omega):
         with pytest.raises(ValueError, match="gradient"):
             phi_flat_check(builtin_field("half_normsq", 4), np.zeros(4),
-                           omega, ss_omega)
+                           omega)
 
     def test_modd_flatness_equivalence_on_normal_calibration(
-            self, omega, ss_omega, span_omega):
+            self, omega, span_omega):
         # on a normal calibration: mod-d residual small <=> level set flat
         x = np.array([1.0, 0, 0, 0])
         good = builtin_field("abs_z1_sq", 4)
         assert pluriharmonic_mod_d_residual(
             good, x, omega, span=span_omega).residual < 1e-9
-        assert phi_flat_check(good, x, omega, ss_omega).flat
+        assert phi_flat_check(good, x, omega).flat
         rng = np.random.default_rng(11)
         A = rng.standard_normal((4, 4))
         bad = quadratic_field(A + A.T)
         assert pluriharmonic_mod_d_residual(
             bad, x, omega, span=span_omega).residual > 1e-5
-        assert not phi_flat_check(bad, x, omega, ss_omega).flat
+        assert not phi_flat_check(bad, x, omega).flat
+
+    @pytest.mark.parametrize("name,params", [("kaehler", (3, 1)),
+                                             ("special_lagrangian", (3,))])
+    def test_reaches_drawn_maximum(self, name, params):
+        # no phi-plane of 20,000 drawn inside grad f(x)^perp pairs with the
+        # Hessian beyond the reported extremum, which a tangential phi-plane
+        # attains
+        cal = catalogue(name, *params)
+        rng = np.random.default_rng([0, 5])
+        B = rng.standard_normal((cal.n, cal.n))
+        x = rng.standard_normal(cal.n)
+        f = quadratic_field(B + B.T)
+        rep = phi_flat_check(f, x, cal, seed=1729)
+        assert not rep.flat and not rep.vacuous and not rep.exact
+        g = f.gradient(x)
+        U = phi_structure(cal.form).draw(np.random.default_rng(1729), 20_000,
+                                         normal=g)
+        H = hessian_form(f, x, cal, cross_check=False)
+        drawn = np.abs(_pluecker(U) @ H.to_coeff_vector()).max()
+        assert abs(rep.worst_value) >= drawn - 1e-6
+        xi = rep.worst_plane.pvector()
+        assert abs(pairing(H, xi) - rep.worst_value) < 1e-9
+        assert pairing(cal.form, xi) > 1.0 - 1e-6
+        assert np.abs(rep.worst_plane.frame @ g).max() < 1e-12
+
+    def test_coassociative_exact(self):
+        # phi restricted to a hyperplane is Kaehler in codegree 2; normsq
+        # has Hessian 2 I, which pairs with every 4-plane to 8
+        rep = phi_flat_check(builtin_field("normsq", 7),
+                             np.array([1.0, 0.5, 0, 0, 0.2, 0, 0]),
+                             catalogue("coassociative"), seed=1729)
+        assert rep.exact and not rep.flat and not rep.vacuous
+        assert abs(rep.worst_value - 8.0) < 1e-12
+
+    def test_sampled_restriction(self, lam):
+        # gradient e4 leaves the plane e12 tangential; the restricted
+        # calibration is sampled, and the Hessian diag(1, 0, 0, 1) traces
+        # to 1 on e12
+        rep = phi_flat_check(quadratic_field(np.diag([1.0, 0, 0, 1])),
+                             np.array([0.0, 0, 0, 1]), lam)
+        assert not rep.flat and not rep.vacuous and not rep.exact
+        assert abs(rep.worst_value - 1.0) < 1e-6
 
 
 class TestNormality:

@@ -20,7 +20,7 @@ from calibr.exterior import (ExteriorElement, SimplePlane, form_to_json,
 from calibr.fields import builtin_field
 from calibr.grassmann import (FormEvaluator, PlaneSampleSet, _penalty_extremum,
                               constrained_extremum, kaehler_matrix,
-                              kaehler_plane, kaehler_structure,
+                              kaehler_planes, kaehler_structure,
                               random_plane_set, sample_grassmannian)
 from calibr.hessian import psh_classify
 
@@ -50,7 +50,8 @@ def force_sampled_route(monkeypatch):
 def complex_plane(cal, v):
     v = np.asarray(v, dtype=float)
     J = kaehler_structure(cal.form)
-    return SimplePlane(kaehler_plane(v / np.linalg.norm(v), J, cal.form).T)
+    return SimplePlane(kaehler_planes((v / np.linalg.norm(v))[None], J,
+                                      cal.form)[0].T)
 
 
 def member(cal, rng):
