@@ -3,8 +3,9 @@
 Cone queries on a Kaehler form in degree 2 or codegree 2 are exact (one
 eigendecomposition, `grassmann.kaehler_structure`).  All others run against
 a finite sample of the phi-Grassmannian, grown for cone membership by
-column generation (each round prices the NNLS residual with one penalty
-ascent over G(phi)), which approximates the exact cones from below; every
+column generation (each round prices the NNLS residual with one
+constrained extremum over G(phi): sampled starts polished onto G(phi) and
+refined tangentially), which approximates the exact cones from below; every
 report carries the sample count, the tolerances and ``meta["exact"]``.
 Linear programs go through the in-repo bounded-variable simplex
 (`calibr.lp`); the nonnegative least-squares subproblems use scipy's NNLS.
@@ -27,7 +28,7 @@ from .grassmann import (PlaneSampleSet, comass, constrained_extremum,
 from .lp import solve_lp
 
 BOUNDARY_TOL = 1e-6
-SEPARATION_STARTS = 8   # sampled starts of each pricing ascent
+SEPARATION_STARTS = 8   # sampled starts of each pricing extremum
 
 
 @dataclass
@@ -199,8 +200,7 @@ def _sampled_membership(xi, xi_vec, scale, cal, samples, tol, max_rounds,
             ExteriorElement.from_coeff_vector(
                 cal.n, cal.p, -r / np.linalg.norm(r), drop_tol=0.0),
             cal, samples, "min", seed=seed + round_k,
-            starts_limit=SEPARATION_STARTS, extra_starts=2,
-            rho_schedule=(1e3, 1e6), max_iter=150)
+            starts_limit=SEPARATION_STARTS, extra_starts=2)
         col = pricing.plane.pvector().to_coeff_vector()
         if col @ r <= 1e-12 * scale * np.linalg.norm(r):
             break  # no phi-plane pairs positively with the residual

@@ -461,7 +461,7 @@ class ExtremumResult:
     plane: SimplePlane
     phi_value: float
     mode: str
-    stranded: int = 0   # penalty starts dropped as off G(phi)
+    stranded: int = 0   # starts the polish left off G(phi), dropped
     exact: bool = False
 
 
@@ -508,37 +508,35 @@ def _complements(P, phi_vec):
 
 
 def constrained_extremum(alpha: ExteriorElement, cal: Calibration,
-                         samples: PlaneSampleSet, mode: str,
-                         rho_schedule=(1e3, 1e5, 1e7),
-                         extra_starts=6, seed=1, gtol=1e-11,
-                         max_iter=250, starts_limit=None) -> ExtremumResult:
+                         samples: PlaneSampleSet, mode: str, extra_starts=6,
+                         seed=1, starts_limit=None) -> ExtremumResult:
     """Extremize alpha over the phi-Grassmannian.
 
     For a Kaehler form (`kaehler_structure`) the extremum is an end
     eigenvalue of `kaehler_matrix`, attained on its eigenvector's plane
-    (``exact=True``; the ascent options have nothing to tune).  Otherwise a
-    penalty ascent from the sampled planes (`_penalty_extremum`), which
-    must not be empty; the Kaehler route reads no sample."""
+    (``exact=True``; the start options have nothing to tune).  Otherwise the
+    sampled planes and `extra_starts` random frames are polished onto G(phi)
+    and the best of them refined tangentially (`_tangential_extremum`); the
+    sample must not be empty there, while the Kaehler route reads none."""
     if mode not in ("min", "max"):
         raise ValueError(f"mode must be 'min' or 'max', got {mode!r}")
     J = kaehler_structure(cal.form)
     if J is None:
         if len(samples) == 0:
             raise ValueError("empty sample set")
-        return _penalty_extremum(alpha, cal, samples, mode, rho_schedule,
-                                 extra_starts, seed, gtol, max_iter,
-                                 starts_limit)
+        return _tangential_extremum(alpha, cal, samples, mode, extra_starts,
+                                    seed, starts_limit)
     V = np.linalg.eigh(kaehler_matrix(alpha, J))[1]
     U = kaehler_planes(V[:, [0 if mode == "min" else -1]].T, J, cal.form)[0]
     return ExtremumResult(FormEvaluator(alpha).value(U), SimplePlane(U.T),
                           FormEvaluator(cal.form).value(U), mode, exact=True)
 
 
-def _penalty_extremum(alpha, cal, samples, mode,
-                      rho_schedule=(1e3, 1e5, 1e7), extra_starts=6, seed=1,
-                      gtol=1e-11, max_iter=250, starts_limit=None):
-    """Best-found extremum of alpha over G(phi) by an increasing-penalty
-    scheme, evaluating the result on a re-polished phi-plane."""
+def _tangential_extremum(alpha, cal, samples, mode, extra_starts=6, seed=1,
+                         starts_limit=None):
+    """Best-found extremum of alpha over G(phi): every start is polished onto
+    G(phi), and the three best are refined by tangential alpha-steps
+    retracted onto G(phi) by the same polish."""
     sgn = 1.0 if mode == "max" else -1.0
     ev_a = FormEvaluator(alpha)
     ev_phi = FormEvaluator(cal.form)
@@ -560,30 +558,20 @@ def _penalty_extremum(alpha, cal, samples, mode,
         return _ascend_batch(ev_phi.value_and_grad, U, gtol=1e-13,
                              max_iter=60, step0=0.05)[:2]
 
-    # phase 1: the penalty ladder, each rung on every start at once
-    U = np.array(starts)
-    for rho in rho_schedule:
-        def vg(U, rho=rho):
-            fa, Ga = ev_a.value_and_grad(U)
-            fp, Gp = ev_phi.value_and_grad(U)
-            return sgn * fa + rho * (fp - 1.0), sgn * Ga + rho * Gp
-        U = _ascend_batch(vg, U, gtol=gtol, max_iter=max_iter)[0]
-    U, fphi = polish(U)
+    U, fphi = polish(np.array(starts))
     # starts stranded off G(phi), e.g. on a reversed component, are dropped
     on = fphi >= 1.0 - feas_tol
     if not on.any():
-        raise RuntimeError("no penalty start landed on the phi-Grassmannian")
-    candidates = sorted(((sgn * ev_a.value(Uk), Uk, float(fk))
-                         for Uk, fk in zip(U[on], fphi[on])),
-                        key=lambda c: -c[0])
-
-    # phase 2: refine the leading candidates tangentially, side by side; a
-    # projected alpha-step with the phi-polish as retraction sharpens the
-    # stiff high-rho endgame.  A candidate stops when its step underflows
-    # or its tangential alpha-gradient vanishes.
-    U = np.array([c[1] for c in candidates[:3]])
-    fphi = np.array([c[2] for c in candidates[:3]])
+        raise RuntimeError("no start polished onto the phi-Grassmannian")
+    U, fphi = U[on], fphi[on]
     val = np.array([ev_a.value(Uk) for Uk in U])
+    lead = np.argsort(-sgn * val, kind="stable")[:3]
+    U, fphi, val = U[lead], fphi[lead], val[lead]
+
+    # refine the leading candidates tangentially, side by side: a projected
+    # alpha-step with the phi-polish as retraction moves each along G(phi).
+    # A candidate stops when its step underflows or its tangential
+    # alpha-gradient vanishes.
     step = np.full(len(U), 0.05)
     live = np.ones(len(U), bool)
     for _ in range(150):
@@ -602,13 +590,9 @@ def _penalty_extremum(alpha, cal, samples, mode,
         kept = k[ok]
         U[kept], val[kept], fphi[kept] = U_try[ok], val_try[ok], fphi_try[ok]
         step[k] = np.where(ok, np.minimum(step[k] * 1.4, 0.5), step[k] * 0.5)
-    best_val = -np.inf if mode == "max" else np.inf
-    best_plane, best_phi = None, None
-    for Uk, v, fp in zip(U, val, fphi):
-        if (mode == "max" and v > best_val) or (mode == "min" and v < best_val):
-            best_val, best_plane, best_phi = float(v), SimplePlane(Uk.T), fp
-    return ExtremumResult(best_val, best_plane, float(best_phi), mode,
-                          stranded=int((~on).sum()))
+    best = int(np.argmax(sgn * val))
+    return ExtremumResult(float(val[best]), SimplePlane(U[best].T),
+                          float(fphi[best]), mode, stranded=int((~on).sum()))
 
 
 # ---------------------------------------------------------------------------

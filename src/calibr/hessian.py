@@ -13,7 +13,8 @@ itself; and level-set flatness is one `constrained_extremum` on the
 calibration restricted to the tangent hyperplane, exact when that
 restriction is Kaehler (as for the coassociative form) and best-found
 otherwise; a vacuous answer is exact when `phi_structure` draws no plane
-inside the hyperplane.
+inside the hyperplane, when the restriction is zero, or when its comass,
+found below one, is exact.
 """
 
 from __future__ import annotations
@@ -202,8 +203,8 @@ def phi_flat_check(f: ScalarField, x, cal: Calibration, tol=1e-8,
     `phi_structure` when it parametrizes G(phi), else sampled from the
     restricted calibration.  It is exact (``exact=True``) when phi|W is a
     Kaehler form.  Reports vacuous flatness when no tangential phi-plane
-    exists: an empty draw, which is exact, or a restricted comass found
-    below one.
+    exists: an empty draw, or a restricted comass found below one; exact
+    unless that comass is a best-found ascent value.
     """
     x = np.asarray(x, dtype=float)
     g = f.gradient(x)
@@ -214,7 +215,7 @@ def phi_flat_check(f: ScalarField, x, cal: Calibration, tol=1e-8,
     Q = hyperplane_basis(ghat)
     structure = phi_structure(cal.form)
     if structure is None:
-        restricted = _restricted_calibration(cal, Q, seed)
+        restricted, vacuous_exact = _restricted_calibration(cal, Q, seed)
         starts = None if restricted is None else sample_grassmannian(
             restricted, count=FLAT_STARTS, seed=seed)
     else:
@@ -223,8 +224,9 @@ def phi_flat_check(f: ScalarField, x, cal: Calibration, tol=1e-8,
         starts = PlaneSampleSet([SimplePlane(Uk.T) for Uk in U],
                                 [1.0] * len(U), 0.0, seed, len(U)) \
             if len(U) else None
+        vacuous_exact = True
     if starts is None:
-        return FlatReport(True, 0.0, None, True, structure is not None)
+        return FlatReport(True, 0.0, None, True, vacuous_exact)
     H_w = pullback(hessian_form(f, x, cal, cross_check=False), Q)
     worst = max((constrained_extremum(H_w, restricted, starts, mode, seed=seed)
                  for mode in ("max", "min")), key=lambda r: abs(r.value))
@@ -321,7 +323,7 @@ def normality_check(cal: Calibration, trials=50, seed=0, mismatch_tol=1e-8,
         if structure is None:
             restricted = _restricted_calibration(cal, Q, seed + t,
                                                  degenerate_tol,
-                                                 comass_multistarts)
+                                                 comass_multistarts)[0]
             rows_w = np.empty(0) if restricted is None else \
                 _adaptive_span_rows(restricted, tol=1e-9, seed=seed + 7 * t,
                                     batch=16, cap=240)
@@ -350,15 +352,18 @@ def normality_check(cal: Calibration, trials=50, seed=0, mismatch_tol=1e-8,
 def _restricted_calibration(cal, Q, seed, degenerate_tol=1e-6,
                             multistarts=24):
     """phi restricted to the hyperplane spanned by Q's columns, in its
-    coordinates, as a calibration claiming its comass; None when that
-    comass is below 1 - degenerate_tol, so that no phi-plane lies in the
-    hyperplane."""
+    coordinates, as a calibration claiming its comass, and whether that
+    comass is exact; the calibration is None when the comass is below
+    1 - degenerate_tol, so that no phi-plane lies in the hyperplane (a zero
+    restriction has comass zero exactly)."""
     phi_w = pullback(cal.form, Q)
-    cm = comass(phi_w, multistarts=multistarts, seed=seed) \
-        if phi_w.norm() > 0 else None
-    if cm is None or cm.value < 1.0 - degenerate_tol:
-        return None
-    return Calibration(phi_w, f"{cal.name}|W", claimed_comass=cm.value)
+    if phi_w.norm() == 0:
+        return None, True
+    cm = comass(phi_w, multistarts=multistarts, seed=seed)
+    if cm.value < 1.0 - degenerate_tol:
+        return None, cm.exact
+    return Calibration(phi_w, f"{cal.name}|W",
+                       claimed_comass=cm.value), cm.exact
 
 
 # ---------------------------------------------------------------------------

@@ -165,7 +165,7 @@ class TestEngineAgainstLoop:
                                              ("associative", ())])
     @pytest.mark.parametrize("max_iter", [3, 250])
     def test_penalty_closure(self, name, params, max_iter):
-        # the constrained_extremum objective: sgn * alpha + rho (phi - 1)
+        # a stiff penalty objective, sgn * alpha + rho (phi - 1)
         cal = catalogue(name, *params)
         rng = np.random.default_rng(11)
         alpha = ExteriorElement(cal.n, cal.p, {

@@ -7,7 +7,7 @@ from calibr.exterior import (ExteriorElement, SimplePlane, angular_distance,
                              interior_product, lex_indices, pairing,
                              simple_from_frame, wedge)
 from calibr.grassmann import (DEFAULT_GTOL, FormEvaluator, PhiStructure,
-                              _comass_ascent, _exact_frame, comass,
+                              _comass_ascent, _exact_frame, _pluecker, comass,
                               constrained_extremum,
                               hyperplane_basis, kaehler_structure,
                               phi_structure, polish_plane, pullback,
@@ -211,13 +211,41 @@ class TestConstrainedExtremum:
         assert abs(res.value - 1.0) < 1e-9
 
     def test_empty_samples_rejected(self):
-        # the penalty route starts from the sample; the Kaehler route reads
+        # the tangential route starts from the sample; the Kaehler route reads
         # none (tests/test_kaehler.py)
         from calibr.grassmann import PlaneSampleSet
         cal = catalogue("lambda_example", 0.5)
         empty = PlaneSampleSet([], [], 1e-6, 0, 0)
         with pytest.raises(ValueError):
             constrained_extremum(cal.form, cal, empty, "min")
+
+
+class TestExtremumOnExceptionalForms:
+    """With the membership pricing options, the extremum over G(phi) of a
+    random unit form reaches at least as far as the best of 20,000 planes
+    drawn from G(phi), and is attained on G(phi)."""
+
+    @pytest.mark.parametrize("name,params", [
+        ("associative", ()), ("special_lagrangian", (3,)), ("cayley", ())])
+    @pytest.mark.parametrize("mode", ["min", "max"])
+    def test_reaches_drawn_extremum(self, name, params, mode):
+        cal = catalogue(name, *params)
+        ss = sample_grassmannian(cal, count=20, seed=5)
+        P = _pluecker(phi_structure(cal.form).draw(np.random.default_rng(5),
+                                                   20_000))
+        ev_phi = FormEvaluator(cal.form)
+        sgn = 1.0 if mode == "max" else -1.0
+        rng = np.random.default_rng(17)
+        for _ in range(3):
+            c = rng.standard_normal(P.shape[1])
+            c /= np.linalg.norm(c)
+            alpha = ExteriorElement.from_coeff_vector(cal.n, cal.p, c)
+            res = constrained_extremum(alpha, cal, ss, mode, starts_limit=8,
+                                       extra_starts=2)
+            assert not res.exact
+            assert sgn * res.value >= (sgn * (P @ c)).max()
+            assert abs(ev_phi.value(res.plane.frame.T) - 1.0) <= 1e-9
+            assert abs(res.phi_value - 1.0) <= 1e-9
 
 
 class TestFirstCousinPrinciple:

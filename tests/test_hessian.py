@@ -328,6 +328,24 @@ class TestFlat:
         assert not rep.flat and not rep.vacuous and not rep.exact
         assert abs(rep.worst_value - 1.0) < 1e-6
 
+    @pytest.mark.parametrize("name,params,x", [
+        ("lambda_example", (0.5,), [1.0, 0, 0, 0]),
+        ("volume", (3,), [1.0, 0, 0])], ids=["comass-half", "zero"])
+    def test_vacuous_exact(self, name, params, x):
+        # lambda restricts to 0.5 e34, whose comass 0.5 is a singular value;
+        # a 2-plane holds no 3-plane, so volume(3) restricts to zero
+        rep = phi_flat_check(builtin_field("normsq", len(x)), np.array(x),
+                             catalogue(name, *params))
+        assert rep.flat and rep.vacuous and rep.exact
+
+    def test_vacuous_best_found(self):
+        # e123 + 0.5 e456 restricts to 0.5 e456 on e1^perp, whose comass
+        # the ascent finds below one: vacuous, but best-found
+        cal = Calibration(ExteriorElement(7, 3, {(1, 2, 3): 1.0,
+                                                 (4, 5, 6): 0.5}), "split")
+        rep = phi_flat_check(builtin_field("normsq", 7), np.eye(7)[0], cal)
+        assert rep.flat and rep.vacuous and not rep.exact
+
 
 class TestNormality:
     def test_kaehler_quick(self, omega):

@@ -1,5 +1,5 @@
 """The exact routes for Kaehler forms in degree 2 and codegree 2, checked
-against the penalty ascent and the sampled membership they replace there,
+against the tangential ascent and the sampled membership they replace there,
 and against closed forms computed here from `complex_structure`."""
 
 import json
@@ -18,10 +18,11 @@ from calibr.cones import cone_membership, mass_norm_estimate
 from calibr.exterior import (ExteriorElement, SimplePlane, form_to_json,
                              lex_indices, pairing, simple_from_frame)
 from calibr.fields import builtin_field
-from calibr.grassmann import (FormEvaluator, PlaneSampleSet, _penalty_extremum,
-                              constrained_extremum, kaehler_matrix,
-                              kaehler_planes, kaehler_structure,
-                              random_plane_set, sample_grassmannian)
+from calibr.grassmann import (FormEvaluator, PlaneSampleSet,
+                              _tangential_extremum, constrained_extremum,
+                              kaehler_matrix, kaehler_planes,
+                              kaehler_structure, random_plane_set,
+                              sample_grassmannian)
 from calibr.hessian import psh_classify
 
 KAEHLER = [(2, 1), (3, 1), (3, 2)]
@@ -41,7 +42,7 @@ def min_over_lines(alpha, m):
 
 
 def force_sampled_route(monkeypatch):
-    """Send every later cone query down the penalty and sampled routes,
+    """Send every later cone query down the tangential and sampled routes,
     which it takes once kaehler_structure finds nothing."""
     for mod in (calibr.cones, calibr.grassmann):
         monkeypatch.setattr(mod, "kaehler_structure", lambda phi: None)
@@ -100,10 +101,10 @@ class TestExtremumAgainstPenalty:
         ss = sample_grassmannian(cal, count=20, seed=4)
         alpha = random_form(cal.n, cal.p, np.random.default_rng(7))
         exact = constrained_extremum(alpha, cal, ss, mode)
-        ref = _penalty_extremum(alpha, cal, ss, mode, starts_limit=4,
-                                extra_starts=2)
+        ref = _tangential_extremum(alpha, cal, ss, mode, starts_limit=4,
+                                   extra_starts=2)
         assert exact.exact and not ref.exact
-        # the penalty witness may sit 1e-8 off G(phi), where phi is still
+        # the polished witness may sit 1e-8 off G(phi), where phi is still
         # one to rounding, so it can beat the exact value by as much
         assert abs(exact.value - ref.value) < 1e-6
         U = exact.plane.frame.T
@@ -121,7 +122,7 @@ class TestExtremumAgainstPenalty:
         alpha = ExteriorElement(2, 2, {(1, 2): -0.7})
         res = constrained_extremum(alpha, cal, ss, mode)
         assert res.exact and res.value == -0.7 and res.phi_value == 1.0
-        ref = _penalty_extremum(alpha, cal, ss, mode)
+        ref = _tangential_extremum(alpha, cal, ss, mode)
         assert abs(res.value - ref.value) < 1e-9
 
 
@@ -194,7 +195,7 @@ class TestMembershipAgainstSampled:
 
 
 class TestSampledRouteOnOmega:
-    """The sampled membership LP and the penalty ascent on kaehler(2,1),
+    """The sampled membership LP and the tangential ascent on kaehler(2,1),
     checked as tests/test_cones.py and tests/test_ascent.py checked them
     before omega took the exact route."""
 
@@ -255,7 +256,8 @@ class TestSampledRouteOnOmega:
 
     def test_nothing_stranded(self, omega):
         ss = sample_grassmannian(omega, count=20, seed=4)
-        res = _penalty_extremum(omega.form, omega, ss, "min", starts_limit=8)
+        res = _tangential_extremum(omega.form, omega, ss, "min",
+                                   starts_limit=8)
         assert res.stranded == 0 and not res.exact
         assert abs(res.value - 1.0) < 1e-9
 
