@@ -86,13 +86,13 @@ def _timed(fn):
 
 # -- 1 ----------------------------------------------------------------------
 
-def criterion_1_catalogue_comass(seed=DEFAULT_SEED, multistarts=200):
+def criterion_1_catalogue_comass(seed=DEFAULT_SEED):
     t0 = time.time()
     rows = []
     ok = True
     for name, params in COMASS_ENTRIES:
         cal = catalogue(name, *params)
-        res = comass(cal.form, multistarts=multistarts, seed=seed)
+        res = comass(cal.form, seed=seed)
         good = 1.0 - 1e-4 <= res.value <= 1.0 + 1e-6
         ok = ok and good
         rows.append({"name": cal.name, "value": res.value,
@@ -464,7 +464,6 @@ CRITERIA = [
 
 # smaller instance counts for quick smoke runs; other criteria run in full
 _QUICK_KWARGS = {
-    criterion_1_catalogue_comass: {"multistarts": 40},
     criterion_4_trace_identity: {"pairs_per_entry": 1000},
     criterion_5_symbol_projection: {"total_pairs": 1000},
     criterion_8_farkas: {"boundary_count": 20, "jensen_count": 20,

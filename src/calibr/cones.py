@@ -19,12 +19,12 @@ import numpy as np
 from scipy.optimize import nnls
 
 from .calibrations import Calibration
-from .exterior import (ExteriorElement, SimplePlane, hodge_star,
-                       interior_product, lex_indices, pairing, wedge)
+from .exterior import (ExteriorElement, SimplePlane, _lex_array,
+                       contraction_matrix, hodge_star, interior_product,
+                       lex_indices, pairing, wedge)
 from .grassmann import (PlaneSampleSet, comass, constrained_extremum,
                         kaehler_matrix, kaehler_planes, kaehler_structure,
-                        polish_plane, skew_matrix, span_split,
-                        top_singular_plane)
+                        polish_plane, span_split, top_singular_plane)
 from .lp import solve_lp
 
 BOUNDARY_TOL = 1e-6
@@ -219,13 +219,7 @@ def _sampled_membership(xi, xi_vec, scale, cal, samples, tol, max_rounds,
 # ---------------------------------------------------------------------------
 
 def _coordinate_planes(n, p):
-    out = []
-    for idx in lex_indices(n, p):
-        frame = np.zeros((p, n))
-        for r, i in enumerate(idx):
-            frame[r, i - 1] = 1.0
-        out.append(SimplePlane(frame))
-    return out
+    return [SimplePlane(np.eye(n)[rows]) for rows in _lex_array(n, p)]
 
 
 def _normal_form(xi: ExteriorElement):
@@ -237,7 +231,7 @@ def _normal_form(xi: ExteriorElement):
     the mass of xi.  Each atom is the top singular plane of the skew matrix
     X of xi, which is then deflated by lam_k (a_k b_k^T - b_k a_k^T).
     """
-    X = skew_matrix(xi.to_coeff_vector(), xi.n)
+    X = contraction_matrix(xi.to_coeff_vector(), xi.n, 2)
     sigma = np.linalg.svd(X, compute_uv=False)    # pairs lam_1, lam_1, ...
     atoms = []
     for _ in range(int((sigma[::2] > 1e-12 * sigma[0]).sum())):

@@ -15,14 +15,12 @@ the calibration: finitely many atoms have finite mass a priori.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
-from math import comb
+from functools import cached_property
 
 import numpy as np
 
 from .calibrations import Calibration
-from .exterior import (DROP_TOL, _sorted_sign, derivation_tensor, lex_indices,
-                       lex_position)
+from .exterior import derivation_tensor, lex_indices, wedge_matrix
 from .grassmann import PlaneSampleSet
 from .lp import solve_lp
 from .polynomial import legendre_tables, monomial_exponents
@@ -175,31 +173,12 @@ def _pair_rows(F, X):
     return out
 
 
-@lru_cache(maxsize=None)
-def _wedge_table(n, p):
-    """Arrays (J position, i - 1, position of the sorted i u J, sign) over
-    every dx_i ^ dx_J in Lambda^p with i not in J, J in lex order: the fixed
-    map from the gradient of a factor f to the differential of f dx_J."""
-    pos = lex_position(n, p)
-    rows = [(j, i - 1, pos[idx], sign)
-            for j, J in enumerate(lex_indices(n, p - 1))
-            for i in range(1, n + 1)
-            for idx, sign in [_sorted_sign((i,) + J)] if idx is not None]
-    return tuple(np.array(col) for col in zip(*rows))
-
-
 def _frozen_differentials(model, sites):
-    """(family, sites, C(n,p)) coefficients of each d beta_k frozen at each
-    site, the gradient table placed by the wedge table, entries at most
-    DROP_TOL dropped as ``ExteriorElement`` drops them."""
+    """(family, sites, C(n,p)) coefficients of each d beta_k = d(f dx_J)
+    frozen at each site: the factor's gradient there wedged with dx_J."""
     n, p = model.calibration.n, model.calibration.p
-    grads = model._derivatives(sites, np.eye(n, dtype=int))
-    j, i, c, sign = _wedge_table(n, p)
-    F = np.zeros((comb(n, p - 1),) + grads.shape[1:] + (comb(n, p),))
-    F[j, :, :, c] = sign[:, None, None] * grads[i]
-    F = F.reshape(-1, len(sites), F.shape[-1])
-    F[~(np.abs(F) > DROP_TOL)] = 0.0
-    return F
+    F = wedge_matrix(model._derivatives(sites, np.eye(n, dtype=int)), n, p)
+    return F.reshape(-1, len(sites), F.shape[-1])
 
 
 def assemble_boundary_model(model: FiniteDualityModel, S_values):

@@ -5,6 +5,12 @@ Euclidean metric identifies the two, so ``pairing`` is just the dot product
 of coefficient maps.  Index tuples are 1-based and strictly increasing,
 matching the JSON interchange format.  All values are immutable after
 construction and every operation is pure.
+
+One cached table of every dx_i ^ dx_J in Lambda^p (`wedge_table`) builds
+the matrices of the two maps the calibrated operators are made of: the
+contraction of a p-form by a vector (`contraction_matrix`; for p = 2, the
+skew matrix) and the wedge with 1-forms (`wedge_matrix`).  Composed as
+dx_m ^ (e_l -| .) they give the derivations of `derivation_tensor`.
 """
 
 from __future__ import annotations
@@ -105,18 +111,53 @@ def compound(Q, p: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
+def wedge_table(n: int, p: int):
+    """Arrays (J position, i - 1, position of the sorted i u J, sign) over
+    every dx_i ^ dx_J = sign dx_{i u J} in Lambda^p, i not in J; J runs over
+    the lex (p-1)-tuples and i increases within each run of one J."""
+    pos = lex_position(n, p)
+    rows = [(j, i - 1, pos[idx], sign)
+            for j, J in enumerate(lex_indices(n, p - 1) if p else ())
+            for i in range(1, n + 1)
+            for idx, sign in [_sorted_sign((i,) + J)] if idx is not None]
+    table = np.array(rows, dtype=int).reshape(-1, 4).T
+    table.flags.writeable = False     # cached: shared by every caller
+    return tuple(table)
+
+
+def contraction_matrix(vec, n: int, p: int) -> np.ndarray:
+    """(n, C(n,p-1)) matrix M[i - 1, J] = sign * vec[i u J] of the p-form
+    phi with lex coefficients vec: v -| phi has coefficients v @ M, and for
+    p = 2 M is the skew matrix with phi(u ^ v) = u^T M v."""
+    j, i, c, sign = wedge_table(n, p)
+    M = np.zeros((n, math.comb(n, p - 1)))
+    M[i, j] = sign * np.asarray(vec, dtype=float)[c]
+    return M
+
+
+def wedge_matrix(u, n: int, p: int) -> np.ndarray:
+    """(C(n,p-1), ..., C(n,p)) array W for the 1-forms with coefficient
+    vectors u (n, ...): row J holds u ^ dx_J, so u ^ beta has coefficients
+    beta @ W, entries at most DROP_TOL dropped as ``ExteriorElement``
+    drops them."""
+    u = np.asarray(u, dtype=float)
+    j, i, c, sign = wedge_table(n, p)
+    W = np.zeros((math.comb(n, p - 1),) + u.shape[1:] + (math.comb(n, p),))
+    W[j, ..., c] = (sign * u[i].T).T
+    W[~(np.abs(W) > DROP_TOL)] = 0.0
+    return W
+
+
+@lru_cache(maxsize=None)
 def derivation_tensor(n: int, p: int) -> np.ndarray:
     """Read-only (n, n, C(n,p), C(n,p)) array whose slice D[l, m] is the
     matrix, on lex coefficient vectors, of the derivation of Lambda^p
-    sending dx_{l+1} to dx_{m+1} and every other dx_k to zero."""
-    pos = lex_position(n, p)
-    D = np.zeros((n, n, len(pos), len(pos)))
-    for col, idx in enumerate(lex_indices(n, p)):
-        for slot, l in enumerate(idx):
-            for m in range(1, n + 1):
-                new, sign = _sorted_sign(idx[:slot] + (m,) + idx[slot + 1:])
-                if new is not None:
-                    D[l - 1, m - 1, pos[new], col] += sign
+    sending dx_{l+1} to dx_{m+1} and every other dx_k to zero, that is
+    dx_{m+1} ^ (e_{l+1} -| .): it pairs the wedge table rows of each J."""
+    _, i, c, sign = (col.reshape(-1, n - p + 1) for col in wedge_table(n, p))
+    D = np.zeros((n, n, math.comb(n, p), math.comb(n, p)))
+    D[i[:, :, None], i[:, None, :], c[:, None, :], c[:, :, None]] = \
+        sign[:, :, None] * sign[:, None, :]
     D.flags.writeable = False
     return D
 

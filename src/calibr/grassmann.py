@@ -31,8 +31,8 @@ import numpy as np
 from .calibrations import (Calibration, _quaternionic, _special_lagrangian,
                            complex_structure, quaternionic_structure)
 from .exterior import (ExteriorElement, SimplePlane, _lex_array, _sorted_sign,
-                       _stack_dets, angular_distance, compound, hodge_star,
-                       interior_product, lex_indices, lex_position)
+                       _stack_dets, angular_distance, compound,
+                       contraction_matrix, hodge_star, interior_product)
 
 DEFAULT_GTOL = 1e-12
 DEDUP_ANGLE = 1e-3
@@ -58,20 +58,9 @@ class FormEvaluator:
             raise ValueError("FormEvaluator needs degree >= 1")
         self.phi_vec = phi.to_coeff_vector()
         if self.p > 1:
-            pm1 = lex_indices(self.n, self.p - 1)
-            pos = lex_position(self.n, self.p)
-            M = np.zeros((self.n, len(pm1)))
-            for col, J in enumerate(pm1):
-                setJ = set(J)
-                for i in range(1, self.n + 1):
-                    if i in setJ:
-                        continue
-                    sign = (-1.0) ** sum(1 for j in J if j < i)
-                    key = tuple(sorted(J + (i,)))
-                    M[i - 1, col] = sign * self.phi_vec[pos[key]]
             # column k of the gradient is (-1)^k M @ (the (p-1)-minors of
-            # U without column k)
-            self.contract_t = M.T
+            # U without column k), M the contraction matrix of phi
+            self.contract_t = contraction_matrix(self.phi_vec, phi.n, phi.p).T
             self.signs = ((-1.0) ** np.arange(self.p))[:, None]
             keep = np.array([[c for c in range(self.p) if c != k]
                              for k in range(self.p)], dtype=int)
@@ -239,16 +228,6 @@ class ComassResult:
     capped: int = 0     # starts stopped by max_iter short of convergence
 
 
-def skew_matrix(vec, n) -> np.ndarray:
-    """Skew matrix A of a 2-form's lex coefficient vector, so that
-    phi(u ^ v) = u^T A v."""
-    A = np.zeros((n, n))
-    for (i, j), v in zip(lex_indices(n, 2), vec):
-        A[i - 1, j - 1] = v
-        A[j - 1, i - 1] = -v
-    return A
-
-
 def top_singular_plane(A) -> np.ndarray:
     """Orthonormal (n, 2) frame (u, v) of the top singular pair of a skew
     matrix A.  Skewness makes u orthogonal to v with u^T A v = sigma_max,
@@ -265,7 +244,7 @@ def _top_plane(vec, n, p):
     lex coefficient vector."""
     if p == 1:
         return (vec / np.linalg.norm(vec))[:, None]
-    return top_singular_plane(skew_matrix(vec, n))
+    return top_singular_plane(contraction_matrix(vec, n, 2))
 
 
 def _exact_frame(phi: ExteriorElement):
@@ -478,7 +457,7 @@ def kaehler_structure(phi: ExteriorElement):
 
 def _degree_two_skew(x: ExteriorElement) -> np.ndarray:
     x = x if x.p == 2 else hodge_star(x)   # codegree 2 through the star
-    return skew_matrix(x.to_coeff_vector(), x.n)
+    return contraction_matrix(x.to_coeff_vector(), x.n, 2)
 
 
 def kaehler_matrix(x: ExteriorElement, J) -> np.ndarray:

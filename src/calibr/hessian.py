@@ -12,9 +12,11 @@ forms `grassmann.phi_structure` recognizes draws its planes from G(phi)
 itself; and level-set flatness is one `constrained_extremum` on the
 calibration restricted to the tangent hyperplane, exact when that
 restriction is Kaehler (as for the coassociative form) and best-found
-otherwise; a vacuous answer is exact when `phi_structure` draws no plane
-inside the hyperplane, when the restriction is zero, or when its comass,
-found below one, is exact.
+otherwise, or the Hessian's exact value on the one plane `phi_structure`
+draws in the hyperplane when every draw is that plane (Kaehler(2,1),
+Kaehler(3,2), quaternionic(2)); a vacuous answer is exact when no plane
+is drawn there, when the restriction is zero, or when its comass, found
+below one, is exact.
 """
 
 from __future__ import annotations
@@ -28,13 +30,13 @@ from .calibrations import Calibration
 from .cones import LambdaSpan, lambda_span, positivity_classify
 from .exterior import (ExteriorElement, SimplePlane, compound,
                        derivation_extend, interior_product, lex_indices,
-                       pairing, wedge)
+                       pairing, wedge, wedge_matrix)
 from .fields import ScalarField
-from .grassmann import (FormEvaluator, PhiStructure, PlaneSampleSet,
-                        _ascend_batch, _pluecker, _random_frames, comass,
-                        constrained_extremum, hyperplane_basis,
-                        kaehler_structure, phi_structure, pullback,
-                        rng_stream, sample_grassmannian, span_split)
+from .grassmann import (STRUCTURE_TOL, FormEvaluator, PhiStructure,
+                        PlaneSampleSet, _ascend_batch, _pluecker,
+                        _random_frames, comass, constrained_extremum,
+                        hyperplane_basis, kaehler_structure, phi_structure,
+                        pullback, rng_stream, sample_grassmannian, span_split)
 
 
 def d_phi(f: ScalarField, x, cal: Calibration) -> ExteriorElement:
@@ -155,14 +157,10 @@ def pluriharmonic_mod_d_residual(f: ScalarField, x, cal: Calibration,
     H = hessian_form(f, x, cal, cross_check=False)
     H_vec = H.to_coeff_vector()
     g = f.gradient(x)
-    df = ExteriorElement.from_vector(g)
     pm1 = lex_indices(cal.n, cal.p - 1)
-    cols = []
-    for idx in pm1:
-        beta = ExteriorElement(cal.n, cal.p - 1, {idx: 1.0})
-        cols.append(wedge(df, beta).to_coeff_vector())
-    A = np.column_stack(cols + [row for row in span.perp]) \
-        if span.perp.size else np.column_stack(cols)
+    # columns df ^ dx_J, then the annihilator; in C order, because the
+    # rounding of A @ coef depends on the layout
+    A = np.vstack([wedge_matrix(g, cal.n, cal.p), span.perp]).T.copy()
     coef, *_ = np.linalg.lstsq(A, H_vec, rcond=None)
     fit = A @ coef
     residual = float(np.linalg.norm(H_vec - fit))
@@ -181,6 +179,8 @@ def pluriharmonic_mod_d_residual(f: ScalarField, x, cal: Calibration,
 # ---------------------------------------------------------------------------
 
 FLAT_STARTS = 8    # tangential phi-planes seeding each flatness extremum
+DEGENERATE_TOL = 1e-6     # restricted comass below 1 - this: no phi-plane
+RESTRICTED_STARTS = 24    # ascent starts of an inexact restricted comass
 
 
 @dataclass
@@ -202,9 +202,11 @@ def phi_flat_check(f: ScalarField, x, cal: Calibration, tol=1e-8,
     restricted to W, seeded with FLAT_STARTS planes inside W: drawn from
     `phi_structure` when it parametrizes G(phi), else sampled from the
     restricted calibration.  It is exact (``exact=True``) when phi|W is a
-    Kaehler form.  Reports vacuous flatness when no tangential phi-plane
-    exists: an empty draw, or a restricted comass found below one; exact
-    unless that comass is a best-found ascent value.
+    Kaehler form, and when the drawn planes are all one plane, whose
+    Hessian value it then reports with no extremum.  Reports vacuous
+    flatness when no tangential phi-plane exists: an empty draw, or a
+    restricted comass found below one; exact unless that comass is a
+    best-found ascent value.
     """
     x = np.asarray(x, dtype=float)
     g = f.gradient(x)
@@ -213,13 +215,21 @@ def phi_flat_check(f: ScalarField, x, cal: Calibration, tol=1e-8,
         raise ValueError("vanishing gradient: level set undefined at x")
     ghat = g / gn
     Q = hyperplane_basis(ghat)
+    H = hessian_form(f, x, cal, cross_check=False)
     structure = phi_structure(cal.form)
     if structure is None:
         restricted, vacuous_exact = _restricted_calibration(cal, Q, seed)
         starts = None if restricted is None else sample_grassmannian(
             restricted, count=FLAT_STARTS, seed=seed)
     else:
-        U = Q.T @ structure.draw(rng_stream(seed, 0), FLAT_STARTS, ghat)
+        V = structure.draw(rng_stream(seed, 0), FLAT_STARTS, ghat)
+        rows = _pluecker(V)
+        if len(V) and np.abs(rows - rows[0]).max() <= STRUCTURE_TOL:
+            # every draw is one plane, so G(phi|W) is that plane
+            value = float(H.to_coeff_vector() @ rows[0])
+            return FlatReport(abs(value) <= tol, value, SimplePlane(V[0].T),
+                              False, True)
+        U = Q.T @ V
         restricted = Calibration(pullback(cal.form, Q), f"{cal.name}|W")
         starts = PlaneSampleSet([SimplePlane(Uk.T) for Uk in U],
                                 [1.0] * len(U), 0.0, seed, len(U)) \
@@ -227,7 +237,7 @@ def phi_flat_check(f: ScalarField, x, cal: Calibration, tol=1e-8,
         vacuous_exact = True
     if starts is None:
         return FlatReport(True, 0.0, None, True, vacuous_exact)
-    H_w = pullback(hessian_form(f, x, cal, cross_check=False), Q)
+    H_w = pullback(H, Q)
     worst = max((constrained_extremum(H_w, restricted, starts, mode, seed=seed)
                  for mode in ("max", "min")), key=lambda r: abs(r.value))
     return FlatReport(abs(worst.value) <= tol, worst.value,
@@ -291,17 +301,17 @@ class NormalityReport:
     worst_mismatch: float
 
 
-def normality_check(cal: Calibration, trials=50, seed=0, mismatch_tol=1e-8,
-                    degenerate_tol=1e-6, comass_multistarts=24) -> NormalityReport:
+def normality_check(cal: Calibration, trials=50, seed=0,
+                    mismatch_tol=1e-8) -> NormalityReport:
     """For random hyperplanes W, compare the annihilator of the restricted
     Grassmannian's span with the restriction of the full annihilator.
 
     When `phi_structure` parametrizes G(phi), both spans come from planes
     drawn from it: the full span from G(phi), the restricted one from its
     planes inside W.  Then the comparison is of a theorem-derived span with
-    the annihilator, and the ascent options are unused.  Otherwise both
-    spans come from multistart ascent (`_adaptive_span_rows`), and a
-    hyperplane where the restricted comass drops below one has an empty
+    the annihilator, with no ascent.  Otherwise both spans come from
+    multistart ascent (`_adaptive_span_rows`), and a hyperplane where the
+    restricted comass drops below 1 - DEGENERATE_TOL has an empty
     restricted Grassmannian.  Trials with no phi-plane inside W are
     recorded as degenerate and excluded from the comparison.
     """
@@ -321,9 +331,7 @@ def normality_check(cal: Calibration, trials=50, seed=0, mismatch_tol=1e-8,
         Q = hyperplane_basis(u)                       # n x (n-1)
         to_w = compound(Q, cal.p)     # Lambda^p R^n -> Lambda^p W on rows
         if structure is None:
-            restricted = _restricted_calibration(cal, Q, seed + t,
-                                                 degenerate_tol,
-                                                 comass_multistarts)[0]
+            restricted = _restricted_calibration(cal, Q, seed + t)[0]
             rows_w = np.empty(0) if restricted is None else \
                 _adaptive_span_rows(restricted, tol=1e-9, seed=seed + 7 * t,
                                     batch=16, cap=240)
@@ -349,18 +357,17 @@ def normality_check(cal: Calibration, trials=50, seed=0, mismatch_tol=1e-8,
     return NormalityReport(not failures, trials, degenerate, failures, worst)
 
 
-def _restricted_calibration(cal, Q, seed, degenerate_tol=1e-6,
-                            multistarts=24):
+def _restricted_calibration(cal, Q, seed):
     """phi restricted to the hyperplane spanned by Q's columns, in its
     coordinates, as a calibration claiming its comass, and whether that
     comass is exact; the calibration is None when the comass is below
-    1 - degenerate_tol, so that no phi-plane lies in the hyperplane (a zero
+    1 - DEGENERATE_TOL, so that no phi-plane lies in the hyperplane (a zero
     restriction has comass zero exactly)."""
     phi_w = pullback(cal.form, Q)
     if phi_w.norm() == 0:
         return None, True
-    cm = comass(phi_w, multistarts=multistarts, seed=seed)
-    if cm.value < 1.0 - degenerate_tol:
+    cm = comass(phi_w, multistarts=RESTRICTED_STARTS, seed=seed)
+    if cm.value < 1.0 - DEGENERATE_TOL:
         return None, cm.exact
     return Calibration(phi_w, f"{cal.name}|W",
                        claimed_comass=cm.value), cm.exact

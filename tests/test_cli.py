@@ -275,6 +275,96 @@ class TestSubcommands:
         assert abs(data["report"]["value"] - 1.0) < 1e-9
 
 
+class TestFlat:
+    @pytest.mark.parametrize("cal,point,value", [
+        ("omega4", "1,0.5,0,0.2", 4.0),
+        ("kaehler:3,2", "1,0.5,0,0,0.2,0", 8.0),
+        ("quaternionic:2", "1,0.5,0,0,0.2,0,0,0.1", 8.0)])
+    def test_single_plane_exact(self, capsys, cal, point, value):
+        # one phi-plane lies in the hyperplane; normsq has Hessian 2 I,
+        # which pairs with every p-plane to 2p
+        code, out, _ = run_cli(capsys, "flat", "--cal", cal, "--field",
+                               "builtin:normsq", "--point", point)
+        rep = json.loads(out)["report"]
+        assert code == 1
+        assert rep["exact"] is True and rep["flat"] is False
+        assert abs(rep["worst_value"] - value) < 1e-12
+
+
+class TestMaxPrinciple:
+    def test_bounds(self, capsys):
+        # Re z1 is pluriharmonic: its values on the disc lie within the
+        # boundary range
+        code, out, _ = run_cli(capsys, "maxprinciple", "--cal", "omega4",
+                               "--mesh", "builtin:disc:6",
+                               "--field", "builtin:re_z1")
+        rep = json.loads(out)["report"]
+        assert code == 0
+        assert rep["ok"] is True and rep["precondition_ok"] is True
+
+    def test_lemma58_exits_1(self, capsys):
+        code, out, _ = run_cli(capsys, "maxprinciple", "--cal", "omega4",
+                               "--mesh", "builtin:disc:6",
+                               "--field", "builtin:re_z1",
+                               "--mode", "lemma58")
+        assert code == 1
+        assert json.loads(out)["report"]["ok"] is False
+
+
+def write_json(path, data):
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def run_alternative(capsys, *argv):
+    """Run an explicit duality or jensen alternative; its verdict must be
+    consistent and its model must carry tolerances and LP statuses."""
+    code, out, _ = run_cli(capsys, *argv)
+    rep = json.loads(out)["report"]
+    kind = {"duality": "boundary", "jensen": "jensen"}[argv[0]]
+    assert code == 0 and rep["consistent"] is True
+    assert (rep["primal"] == "Feasible") != (rep["dual"] == "Certificate")
+    assert rep["model"]["kind"] == kind
+    assert set(rep["model"]["tolerances"]) == {"margin_tol", "feas_tol"}
+    assert rep["model"]["lp_status"]
+    return rep
+
+
+class TestExplicitAlternatives:
+    # omega4 at degree 2: 4 dx_J times the 15 monomials of degree <= 2
+    FAMILY = 60
+
+    @pytest.fixture
+    def sites(self, tmp_path):
+        rng = np.random.default_rng(41)
+        return write_json(tmp_path / "sites.json",
+                          rng.uniform(-1, 1, (4, 4)).tolist())
+
+    @pytest.mark.parametrize("lam", [None, "0.5"])
+    @pytest.mark.parametrize("boundary", ["zero", "random"])
+    def test_duality(self, capsys, tmp_path, sites, lam, boundary):
+        S = np.zeros(self.FAMILY) if boundary == "zero" else \
+            np.random.default_rng(42).standard_normal(self.FAMILY)
+        argv = ["duality", "--cal", "omega4", "--sites", sites, "--boundary",
+                write_json(tmp_path / "S.json", S.tolist())]
+        if lam:
+            argv += ["--lam", lam]
+        rep = run_alternative(capsys, *argv)
+        assert rep["model"]["family_size"] == self.FAMILY
+        assert rep["model"].get("lambda") == (float(lam) if lam else None)
+        if boundary == "zero":
+            assert rep["primal"] == "Feasible"
+
+    def test_jensen(self, capsys, tmp_path):
+        rng = np.random.default_rng(43)
+        pts = write_json(tmp_path / "pts.json",
+                         rng.uniform(-1, 1, (5, 4)).tolist())
+        rep = run_alternative(capsys, "jensen", "--cal", "omega4", "--sites",
+                              pts, "--K", "0,1,2,3", "--x", "4")
+        assert rep["model"]["K_sites"] == [0, 1, 2, 3]
+        assert rep["model"]["x"] == 4
+
+
 class TestConfigEcho:
     def test_modd_echoes_count_and_tol(self, capsys):
         code, out, _ = run_cli(capsys, "modd", "--cal", "associative",

@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
+from calibr.calibrations import CATALOGUE_SPECS, catalogue
 from calibr.exterior import (
     ExteriorElement, SimplePlane, _sorted_sign, angular_distance, compound,
-    derivation_extend, derivation_tensor, form_from_json, form_to_json,
-    hodge_star, interior_product, is_simple, lex_indices, pairing,
-    simple_from_frame, wedge,
+    contraction_matrix, derivation_extend, derivation_tensor, form_from_json,
+    form_to_json, hodge_star, interior_product, is_simple, lex_indices,
+    lex_position, pairing, simple_from_frame, wedge, wedge_matrix,
 )
 from calibr.exterior import DROP_TOL
+from calibr.grassmann import FormEvaluator
 
 rng = np.random.default_rng(7)
 
@@ -333,3 +335,110 @@ class TestDerivationTensor:
                 expect = reference_derivation_extend(E, phi).to_coeff_vector()
                 assert np.abs(D[l, m] @ phi.to_coeff_vector()
                               - expect).max() < 1e-12
+
+
+# -- the index loops the wedge table replaced, kept as references -----------
+
+def reference_contraction(phi_vec, n, p):
+    """FormEvaluator's contraction loop: M[i, J] = sign phi[i u J]."""
+    pm1 = lex_indices(n, p - 1)
+    pos = lex_position(n, p)
+    M = np.zeros((n, len(pm1)))
+    for col, J in enumerate(pm1):
+        setJ = set(J)
+        for i in range(1, n + 1):
+            if i in setJ:
+                continue
+            sign = (-1.0) ** sum(1 for j in J if j < i)
+            key = tuple(sorted(J + (i,)))
+            M[i - 1, col] = sign * phi_vec[pos[key]]
+    return M
+
+
+def reference_skew_matrix(vec, n):
+    """Skew matrix A of a 2-form, phi(u ^ v) = u^T A v."""
+    A = np.zeros((n, n))
+    for (i, j), v in zip(lex_indices(n, 2), vec):
+        A[i - 1, j - 1] = v
+        A[j - 1, i - 1] = -v
+    return A
+
+
+def reference_derivation_tensor(n, p):
+    """Slot replacement: dx_l in each slot of each dx_I goes to dx_m."""
+    pos = lex_position(n, p)
+    D = np.zeros((n, n, len(pos), len(pos)))
+    for col, idx in enumerate(lex_indices(n, p)):
+        for slot, l in enumerate(idx):
+            for m in range(1, n + 1):
+                new, sign = _sorted_sign(idx[:slot] + (m,) + idx[slot + 1:])
+                if new is not None:
+                    D[l - 1, m - 1, pos[new], col] += sign
+    return D
+
+
+def reference_wedge_columns(g, n, p):
+    """The mod-d columns df ^ dx_J, one ExteriorElement wedge per J."""
+    df = ExteriorElement.from_vector(g)
+    return np.column_stack([
+        wedge(df, ExteriorElement(n, p - 1, {J: 1.0})).to_coeff_vector()
+        for J in lex_indices(n, p - 1)])
+
+
+def sparse_vector(size, rng):
+    """Gaussian entries with about 40% exact zeros, a signed zero and an
+    entry below DROP_TOL."""
+    v = rng.standard_normal(size)
+    v[rng.random(size) < 0.4] = 0.0
+    v[rng.integers(size)] = -0.0
+    v[rng.integers(size)] = 0.5 * DROP_TOL
+    return v
+
+
+def same_bytes(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestWedgeTableAgainstLoops:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_random_forms(self, n):
+        r = np.random.default_rng([19, n])
+        for p in range(n + 1):
+            assert same_bytes(derivation_tensor(n, p),
+                              reference_derivation_tensor(n, p))
+            if p == 0:
+                continue
+            vec = sparse_vector(len(lex_indices(n, p)), r)
+            assert same_bytes(contraction_matrix(vec, n, p),
+                              reference_contraction(vec, n, p))
+            g = sparse_vector(n, r)
+            assert same_bytes(wedge_matrix(g, n, p).T,
+                              reference_wedge_columns(g, n, p))
+            G = np.array([[g, -g], [0.0 * g, 2.0 * g]])
+            assert same_bytes(
+                wedge_matrix(np.moveaxis(G, -1, 0), n, p),
+                np.moveaxis(np.array([[wedge_matrix(h, n, p) for h in row]
+                                      for row in G]), 2, 0))
+            if p == 2:
+                assert same_bytes(contraction_matrix(vec, n, 2),
+                                  reference_skew_matrix(vec, n))
+            if p > 1:
+                phi = ExteriorElement.from_coeff_vector(n, p, vec)
+                assert same_bytes(FormEvaluator(phi).contract_t,
+                                  reference_contraction(
+                                      phi.to_coeff_vector(), n, p).T)
+
+    @pytest.mark.parametrize("name,params", CATALOGUE_SPECS,
+                             ids=[f"{n}{p}" for n, p in CATALOGUE_SPECS])
+    def test_catalogue(self, name, params):
+        cal = catalogue(name, *params)
+        n, p, vec = cal.n, cal.p, cal.form.to_coeff_vector()
+        M = reference_contraction(vec, n, p)
+        assert same_bytes(contraction_matrix(vec, n, p), M)
+        assert same_bytes(FormEvaluator(cal.form).contract_t, M.T)
+        if p == 2:
+            assert same_bytes(contraction_matrix(vec, n, 2),
+                              reference_skew_matrix(vec, n))
+        g = sparse_vector(n, np.random.default_rng(n))
+        assert same_bytes(wedge_matrix(g, n, p).T,
+                          reference_wedge_columns(g, n, p))

@@ -7,7 +7,8 @@ import calibr.hessian
 from calibr.acceptance import NORMAL_ENTRIES
 from calibr.calibrations import Calibration, catalogue
 from calibr.cones import lambda_span
-from calibr.exterior import ExteriorElement, compound, pairing
+from calibr.exterior import (ExteriorElement, compound, lex_indices,
+                             pairing, wedge)
 from calibr.fields import (ScalarField, builtin_field, compose,
                            field_from_json, quadratic_field)
 from calibr.grassmann import (_pluecker, hyperplane_basis, phi_structure,
@@ -230,6 +231,26 @@ class TestModD:
             f, np.array([0.7, -0.3, 0.4, 0.2]), omega, span=span_omega)
         assert r.residual > 1e-5   # 10x the declared tolerance
 
+    @pytest.mark.parametrize("name,params,x", [
+        ("kaehler", (2, 1), [1.0, 0.5, 0, 0]),
+        ("associative", (), [1.0, 0.5, 0, 0, 0.2, 0, 0])])
+    def test_bits_of_the_per_index_wedge_columns(self, name, params, x):
+        # the fit over the columns df ^ dx_J built one wedge at a time
+        cal = catalogue(name, *params)
+        span = lambda_span(sample_grassmannian(cal, count=8, seed=1729))
+        f, x = builtin_field("normsq", cal.n), np.array(x)
+        df = ExteriorElement.from_vector(f.gradient(x))
+        pm1 = lex_indices(cal.n, cal.p - 1)
+        A = np.column_stack(
+            [wedge(df, ExteriorElement(cal.n, cal.p - 1, {J: 1.0}))
+             .to_coeff_vector() for J in pm1] + list(span.perp))
+        H = hessian_form(f, x, cal, cross_check=False).to_coeff_vector()
+        coef = np.linalg.lstsq(A, H, rcond=None)[0]
+        r = pluriharmonic_mod_d_residual(f, x, cal, span=span)
+        assert r.residual == float(np.linalg.norm(H - A @ coef))
+        assert r.alpha_fit.coeffs == ExteriorElement(
+            cal.n, cal.p - 1, dict(zip(pm1, coef))).coeffs
+
     def test_reparametrization_invariance(self, omega, span_omega):
         # chi(t) = t^3 + t has chi' never zero
         f = builtin_field("abs_z1_sq", 4)
@@ -318,6 +339,28 @@ class TestFlat:
                              catalogue("coassociative"), seed=1729)
         assert rep.exact and not rep.flat and not rep.vacuous
         assert abs(rep.worst_value - 8.0) < 1e-12
+
+    @pytest.mark.parametrize("name,params", [("kaehler", (2, 1)),
+                                             ("kaehler", (3, 2)),
+                                             ("quaternionic", (2,))])
+    def test_single_plane_exact(self, name, params):
+        # G(phi) holds one plane inside grad f(x)^perp (a complex or
+        # quaternionic line, or its complement), so flatness reads the
+        # Hessian on it, exactly
+        cal = catalogue(name, *params)
+        rng = np.random.default_rng([0, 5, 0])
+        B = rng.standard_normal((cal.n, cal.n))
+        x = rng.standard_normal(cal.n)
+        f = quadratic_field(B + B.T)
+        rep = phi_flat_check(f, x, cal, seed=1729)
+        assert rep.exact and not rep.flat and not rep.vacuous
+        U = phi_structure(cal.form).draw(np.random.default_rng(3), 1,
+                                         normal=f.gradient(x))
+        H = hessian_form(f, x, cal, cross_check=False)
+        assert abs(rep.worst_value - (_pluecker(U) @ H.to_coeff_vector())[0]) \
+            < 1e-10
+        assert abs(pairing(H, rep.worst_plane.pvector()) - rep.worst_value) \
+            < 1e-12
 
     def test_sampled_restriction(self, lam):
         # gradient e4 leaves the plane e12 tangential; the restricted
