@@ -20,10 +20,10 @@ from .currents import disc_mesh, graph_curve_mesh, green_check, \
 from .duality import (assemble_boundary_model, boundary_alternative,
                       build_boundary_model, build_jensen_model,
                       jensen_alternative)
-from .exterior import (ExteriorElement, SimplePlane, derivation_tensor,
-                       pairing, simple_from_frame)
+from .exterior import (ExteriorElement, SimplePlane, angular_distance,
+                       derivation_tensor, pairing, simple_from_frame)
 from .fields import builtin_field, quadratic_field
-from .grassmann import (angular_distance, comass, random_plane_set, rng_stream,
+from .grassmann import (comass, random_plane_set, rng_stream,
                         reduce_calibration, sample_grassmannian)
 from .hessian import normality_check, symbol, trace_check
 
@@ -64,7 +64,7 @@ _SAMPLE_CACHE = {}
 
 
 def _samples(name, params, count=40, seed=DEFAULT_SEED, tol=1e-6):
-    key = (name, params, count, seed)
+    key = (name, params, count, seed, tol)
     if key not in _SAMPLE_CACHE:
         cal = catalogue(name, *params)
         _SAMPLE_CACHE[key] = sample_grassmannian(cal, tol=tol, count=count,

@@ -186,7 +186,7 @@ def cmd_gsample(args):
                                        seed=args.seed)
     report = {"calibration": cal.name, "requested": args.count,
               "accepted": len(ss), "exhausted": ss.exhausted,
-              "values": list(ss.values)}
+              "exact": ss.exact, "values": list(ss.values)}
     if args.emit_csv:
         header = [f"frame_{r}_{c}" for r in range(cal.p) for c in range(cal.n)]
         rows = [[*pl.frame.ravel().tolist(), v]

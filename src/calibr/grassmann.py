@@ -14,7 +14,9 @@ Lagrangian, associative, coassociative, Cayley and quaternionic forms that
 `phi_structure` recognizes, whose defining identity proves comass one; there
 it is attained on a plane drawn from G(phi).  On every other form it is a
 best-found lower bound with a multistart saturation heuristic, and no global
-certificate is claimed.  Constrained extrema over G(phi) are exact (one
+certificate is claimed.  Samples of G(phi) on those forms are planes drawn
+from it (``exact=True``), elsewhere the distinct local maximizers of a
+multistart ascent.  Constrained extrema over G(phi) are exact (one
 eigendecomposition) for Kaehler forms in degree 2 and codegree 2, else
 best-found.  `phi_structure` also draws the phi-planes inside a given
 hyperplane.
@@ -31,7 +33,7 @@ import numpy as np
 from .calibrations import (Calibration, _quaternionic, _special_lagrangian,
                            complex_structure, quaternionic_structure)
 from .exterior import (ExteriorElement, SimplePlane, _lex_array, _sorted_sign,
-                       _stack_dets, angular_distance, compound,
+                       _stack_dets, compound,
                        contraction_matrix, hodge_star, interior_product)
 
 DEFAULT_GTOL = 1e-12
@@ -345,6 +347,7 @@ class PlaneSampleSet:
     calibration: str = ""
     exhausted: bool = False
     capped: int = 0     # attempts stopped by max_iter short of convergence
+    exact: bool = False     # planes drawn from G(phi), not ascended to
 
     def __len__(self):
         return len(self.planes)
@@ -354,44 +357,79 @@ class PlaneSampleSet:
         return np.array([pl.pvector().to_coeff_vector() for pl in self.planes])
 
 
-def _is_duplicate(plane, kept, dedup_angle):
-    for other in kept:
-        theta, oriented = angular_distance(plane, other)
-        if oriented and theta <= dedup_angle:
-            return True
-    return False
+def _is_duplicate(U, kept, dedup_angle):
+    """Whether the plane of the (n, p) frame U lies within dedup_angle of a
+    plane of the (k, n, p) stack kept and has its orientation.  The largest
+    principal angle is arccos of the least singular value of U^T V, and for
+    orthonormal frames det(U^T V) is the pairing of the two p-vectors."""
+    M = U.T @ kept
+    theta = np.arccos(np.clip(np.linalg.svd(M, compute_uv=False)[:, -1],
+                              -1.0, 1.0))
+    return bool(np.any((theta <= dedup_angle) & (np.linalg.det(M) > 0.0)))
 
 
 def sample_grassmannian(cal: Calibration, tol=1e-6, count=50, seed=0,
                         dedup_angle=DEDUP_ANGLE, max_attempts=None,
                         gtol=DEFAULT_GTOL, max_iter=600) -> PlaneSampleSet:
-    """Collect deduplicated local maximizers with phi(xi) >= 1 - tol.
+    """Collect deduplicated planes with phi(xi) >= 1 - tol.
 
+    On the forms `phi_structure` recognizes the planes are drawn from G(phi)
+    (``exact=True``; ``multistart_count`` counts the planes drawn, and
+    ``gtol`` and ``max_iter`` are unused); on every other form they are
+    local maximizers of a multistart Stiefel ascent (`_sample_ascent`).
     Raises if the best value found contradicts the claimed comass by more
     than 1e-4 in either direction (comass confirmation failure).
     """
-    phi = cal.form
-    ev = FormEvaluator(phi)
+    structure = phi_structure(cal.form)
+    if structure is None:
+        return _sample_ascent(cal, tol, count, seed, dedup_angle,
+                              max_attempts, gtol, max_iter)
+
+    def draw(start, size):
+        U = structure.draw(rng_stream(seed, start), size)
+        return U, structure._values(U), np.zeros(size, dtype=bool)
+    return _collect_planes(cal, draw, tol, count, seed, dedup_angle,
+                           max_attempts, exact=True)
+
+
+def _sample_ascent(cal: Calibration, tol=1e-6, count=50, seed=0,
+                   dedup_angle=DEDUP_ANGLE, max_attempts=None,
+                   gtol=DEFAULT_GTOL, max_iter=600) -> PlaneSampleSet:
+    """`sample_grassmannian` by Stiefel ascent from the random frames of the
+    streams (seed, k), k = 0, 1, ...; ``capped`` counts the ascents stopped
+    by max_iter short of convergence."""
+    ev = FormEvaluator(cal.form)
+
+    def ascend(start, size):
+        U, f, g, iters = _ascend_batch(
+            ev.value_and_grad,
+            _random_frames(ev.n, ev.p, seed, range(start, start + size)),
+            gtol=gtol, max_iter=max_iter)
+        return U, f, _capped(g, iters, gtol, max_iter)
+    return _collect_planes(cal, ascend, tol, count, seed, dedup_angle,
+                           max_attempts)
+
+
+def _collect_planes(cal, source, tol, count, seed, dedup_angle, max_attempts,
+                    exact=False) -> PlaneSampleSet:
+    """The sampling loop: source(start, size) gives the frames, values and
+    capped flags of attempts start, ..., start + size - 1."""
     if max_attempts is None:
         max_attempts = max(8 * count, 160)
-    kept, values = [], []
+    need = max(count, 1)    # the first plane is kept whatever the count
+    kept = np.empty((need, cal.n, cal.p))
+    values = []
     best = -np.inf
     attempts = capped = 0
-    need = max(count, 1)    # the first plane is kept whatever the count
-    while len(kept) < need and attempts < max_attempts:
-        # ascend the next streams together, as many as should fill the
+    while len(values) < need and attempts < max_attempts:
+        # take the next attempts together, as many as should fill the
         # sample at the kept rate seen so far; the results are taken in
-        # stream order, so the sample stops at the same attempt as a
-        # one-start-at-a-time loop and ascents past it are discarded
-        rate = (len(kept) + 1) / (attempts + 1)
-        size = min(math.ceil((need - len(kept)) / rate),
+        # attempt order, so the sample stops at the same attempt as a
+        # one-at-a-time loop and attempts past it are discarded
+        rate = (len(values) + 1) / (attempts + 1)
+        size = min(math.ceil((need - len(values)) / rate),
                    max_attempts - attempts)
-        chunk = _ascend_batch(
-            ev.value_and_grad,
-            _random_frames(ev.n, ev.p, seed, range(attempts, attempts + size)),
-            gtol=gtol, max_iter=max_iter)
-        for U, f, stopped in zip(chunk[0], chunk[1],
-                                 _capped(chunk[2], chunk[3], gtol, max_iter)):
+        for U, f, stopped in zip(*source(attempts, size)):
             attempts += 1
             capped += int(stopped)
             f = float(f)
@@ -402,21 +440,22 @@ def sample_grassmannian(cal: Calibration, tol=1e-6, count=50, seed=0,
                     f"above claimed comass {cal.claimed_comass}")
             if f < cal.claimed_comass - tol:
                 continue
-            plane = SimplePlane(U.T)
-            if _is_duplicate(plane, kept, dedup_angle):
+            if _is_duplicate(U, kept[:len(values)], dedup_angle):
                 continue
-            kept.append(plane)
+            kept[len(values)] = U
             values.append(f)
-            if len(kept) >= need:
+            if len(values) >= need:
                 break
     if best < cal.claimed_comass - 1e-4:
         raise ValueError(
             f"comass confirmation failure: best value {best:.8f} never "
             f"reached claimed comass {cal.claimed_comass}")
-    return PlaneSampleSet(kept, values, tol, seed, attempts,
+    return PlaneSampleSet([SimplePlane(U.T) for U in kept[:len(values)]],
+                          values, tol, seed, attempts,
                           dedup_angle=dedup_angle, requested=count,
                           calibration=cal.name,
-                          exhausted=len(kept) < count, capped=capped)
+                          exhausted=len(values) < count, capped=capped,
+                          exact=exact)
 
 
 def random_plane_set(n, p, count=80, seed=0) -> PlaneSampleSet:

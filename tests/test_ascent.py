@@ -6,11 +6,12 @@ import pytest
 
 from calibr.acceptance import COMASS_ENTRIES
 from calibr.calibrations import CATALOGUE_SPECS, catalogue
-from calibr.exterior import ExteriorElement, SimplePlane, lex_indices
+from calibr.exterior import (ExteriorElement, SimplePlane, angular_distance,
+                             lex_indices)
 from calibr.grassmann import (DEFAULT_GTOL, DEDUP_ANGLE, FormEvaluator,
-                              _ascend_batch, _is_duplicate, comass,
-                              constrained_extremum, random_frame, rng_stream,
-                              sample_grassmannian)
+                              _ascend_batch, _is_duplicate, _sample_ascent,
+                              comass, constrained_extremum, random_frame,
+                              rng_stream, sample_grassmannian)
 
 
 def ref_retract(U):
@@ -73,6 +74,15 @@ def ref_ascend(value_and_grad, U, gtol=DEFAULT_GTOL, max_iter=600, step0=0.2):
     return U, f, gnorm, it
 
 
+def ref_is_duplicate(plane, kept, dedup_angle):
+    """One angular_distance per kept plane."""
+    for other in kept:
+        theta, oriented = angular_distance(plane, other)
+        if oriented and theta <= dedup_angle:
+            return True
+    return False
+
+
 def ref_sample(cal, tol=1e-6, count=50, seed=0, gtol=DEFAULT_GTOL,
                max_iter=600):
     """One start at a time, deduplicated as it goes."""
@@ -86,7 +96,7 @@ def ref_sample(cal, tol=1e-6, count=50, seed=0, gtol=DEFAULT_GTOL,
         if f < cal.claimed_comass - tol:
             continue
         plane = SimplePlane(U.T)
-        if _is_duplicate(plane, kept, DEDUP_ANGLE):
+        if ref_is_duplicate(plane, kept, DEDUP_ANGLE):
             continue
         kept.append(plane)
         values.append(f)
@@ -198,13 +208,39 @@ class TestSamplingAgainstLoop:
     @pytest.mark.parametrize("seed", [1, 2])
     def test_same_planes_and_attempts(self, name, params, seed):
         cal = catalogue(name, *params)
-        ss = sample_grassmannian(cal, count=8, seed=seed)
+        ss = _sample_ascent(cal, count=8, seed=seed)
         kept, values, attempts = ref_sample(cal, count=8, seed=seed)
         assert ss.multistart_count == attempts
         assert len(ss) == len(kept)
         for a, b in zip(ss.planes, kept):
             assert np.abs(a.frame - b.frame).max() < 1e-10
         assert np.abs(np.array(ss.values) - values).max() < 1e-12
+
+
+class TestBatchedDuplicate:
+    @pytest.mark.parametrize("n,p", [(4, 1), (4, 2), (6, 3), (7, 4), (8, 4),
+                                     (4, 4)])
+    def test_matches_pairwise_loop(self, n, p):
+        rng = rng_stream(11, n, p)
+        kept = np.array([random_frame(n, p, rng) for _ in range(6)])
+        reverse = np.ones(p)
+        reverse[0] = -1.0
+        cands = [random_frame(n, p, rng)]
+        for V in kept:
+            cands.append(V * reverse)
+            for eps in (1e-4, 1e-2):
+                q, r = np.linalg.qr(V + eps * rng.standard_normal((n, p)))
+                near = q * np.sign(np.diag(r))[None, :]
+                cands += [near, near * reverse]
+        seen = set()
+        for U in cands:
+            for k in range(len(kept) + 1):
+                want = ref_is_duplicate(SimplePlane(U.T),
+                                        [SimplePlane(V.T) for V in kept[:k]],
+                                        DEDUP_ANGLE)
+                assert _is_duplicate(U, kept[:k], DEDUP_ANGLE) == want
+                seen.add(want)
+        assert seen == {True, False}
 
 
 class TestSurfacedCaps:
@@ -222,8 +258,8 @@ class TestSurfacedCaps:
 
     def test_sample_capped(self):
         cal = catalogue("associative")
-        assert sample_grassmannian(cal, count=3, seed=0).capped == 0
-        ss = sample_grassmannian(cal, tol=1e-2, count=3, seed=0, max_iter=10)
+        assert _sample_ascent(cal, count=3, seed=0).capped == 0
+        ss = _sample_ascent(cal, tol=1e-2, count=3, seed=0, max_iter=10)
         assert ss.capped == ss.multistart_count == 3
 
     def test_volume_reversed_component_stranded(self):

@@ -7,7 +7,8 @@ from calibr.exterior import (ExteriorElement, SimplePlane, angular_distance,
                              interior_product, lex_indices, pairing,
                              simple_from_frame, wedge)
 from calibr.grassmann import (DEFAULT_GTOL, FormEvaluator, PhiStructure,
-                              _comass_ascent, _exact_frame, _pluecker, comass,
+                              _comass_ascent, _exact_frame, _pluecker,
+                              _sample_ascent, comass,
                               constrained_extremum,
                               hyperplane_basis, kaehler_structure,
                               phi_structure, polish_plane, pullback,
@@ -174,6 +175,42 @@ class TestSampling:
         bogus = Calibration(2.0 * catalogue("kaehler", 2, 1).form, "bogus")
         with pytest.raises(ValueError, match="comass confirmation"):
             sample_grassmannian(bogus, count=5, seed=0)
+
+
+STRUCTURED_ENTRIES = [e for e in COMASS_ENTRIES if e[0] != "lambda_example"]
+
+
+class TestDrawnSample:
+    @pytest.mark.parametrize("name,params", STRUCTURED_ENTRIES)
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_planes_of_g_phi(self, name, params, seed):
+        cal = catalogue(name, *params)
+        assert phi_structure(cal.form) is not None
+        ss = sample_grassmannian(cal, count=8, seed=seed)
+        assert len(ss) == 8 and ss.exact
+        assert ss.multistart_count == 8 and ss.capped == 0
+        ev = FormEvaluator(cal.form)
+        for pl, v in zip(ss.planes, ss.values):
+            assert abs(ev.value(pl.frame.T) - 1.0) <= 1e-12
+            assert abs(v - 1.0) <= 1e-12
+        for i in range(len(ss)):
+            for j in range(i + 1, len(ss)):
+                theta, oriented = angular_distance(ss.planes[i], ss.planes[j])
+                assert not (oriented and theta <= ss.dedup_angle)
+        again = sample_grassmannian(cal, count=8, seed=seed)
+        assert [pl.frame.tobytes() for pl in ss.planes] == \
+            [pl.frame.tobytes() for pl in again.planes]
+
+    def test_single_plane_exhausts_like_ascent(self):
+        # G(e12) on R^2 is one plane: every draw after the first is a
+        # duplicate, so the sample stops at max_attempts, as the ascent does
+        cal = catalogue("volume", 2)
+        ss = sample_grassmannian(cal, count=5, seed=1)
+        ref = _sample_ascent(cal, count=5, seed=1)
+        assert ss.exact and not ref.exact
+        assert len(ss) == len(ref) == 1
+        assert ss.exhausted and ref.exhausted
+        assert ss.multistart_count == ref.multistart_count
 
 
 class TestConstrainedExtremum:

@@ -19,7 +19,8 @@ from calibr.exterior import (ExteriorElement, SimplePlane, form_to_json,
                              lex_indices, pairing, simple_from_frame)
 from calibr.fields import builtin_field
 from calibr.grassmann import (FormEvaluator, PlaneSampleSet,
-                              _tangential_extremum, constrained_extremum,
+                              _sample_ascent, _tangential_extremum,
+                              constrained_extremum,
                               kaehler_matrix, kaehler_planes,
                               kaehler_structure, random_plane_set,
                               sample_grassmannian)
@@ -124,6 +125,19 @@ class TestExtremumAgainstPenalty:
         assert res.exact and res.value == -0.7 and res.phi_value == 1.0
         ref = _tangential_extremum(alpha, cal, ss, mode)
         assert abs(res.value - ref.value) < 1e-9
+
+
+class TestSampleAgainstAscent:
+    def test_ascended_planes_are_complex_lines(self):
+        # the sample of a Kaehler form is drawn as complex lines; the
+        # ascent finds them too (criterion 3 before the draw)
+        ss = _sample_ascent(catalogue("kaehler", 2, 1), count=100, seed=1729)
+        assert len(ss) == 100 and not ss.exact
+        J = complex_structure(2)
+        for pl in ss.planes:
+            sing = np.linalg.svd(pl.frame @ (pl.frame @ J.T).T,
+                                 compute_uv=False)
+            assert np.arccos(np.clip(sing.min(), -1.0, 1.0)) <= 1e-3
 
 
 class TestMembershipAgainstSampled:
