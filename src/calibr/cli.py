@@ -177,7 +177,7 @@ def cmd_comass(args):
     return {"value": res.value, "exact": res.exact,
             "saturated": res.saturated,
             "converged": res.converged, "multistarts": res.multistarts,
-            "frame": res.plane.frame}, 0
+            "capped": res.capped, "frame": res.plane.frame}, 0
 
 
 def cmd_gsample(args):

@@ -128,10 +128,12 @@ def wedge_table(n: int, p: int):
 def contraction_matrix(vec, n: int, p: int) -> np.ndarray:
     """(n, C(n,p-1)) matrix M[i - 1, J] = sign * vec[i u J] of the p-form
     phi with lex coefficients vec: v -| phi has coefficients v @ M, and for
-    p = 2 M is the skew matrix with phi(u ^ v) = u^T M v."""
+    p = 2 M is the skew matrix with phi(u ^ v) = u^T M v.  A (..., C(n,p))
+    stack of vectors gives the (..., n, C(n,p-1)) stack of their matrices."""
+    vec = np.asarray(vec, dtype=float)
     j, i, c, sign = wedge_table(n, p)
-    M = np.zeros((n, math.comb(n, p - 1)))
-    M[i, j] = sign * np.asarray(vec, dtype=float)[c]
+    M = np.zeros(vec.shape[:-1] + (n, math.comb(n, p - 1)))
+    M[..., i, j] = sign * vec[..., c]
     return M
 
 

@@ -5,7 +5,11 @@ Planes are parametrized by orthonormal p-frames (columns of U); ascent
 directions are projected to the Stiefel tangent space and steps retracted by
 re-orthonormalization.  Values of a form on the frame's plane are Pluecker
 minors dotted with the form's coefficient vector, so both evaluation and
-gradients vectorize over the lexicographic basis.
+gradients vectorize over the lexicographic basis.  The ascent takes
+projected-gradient steps with backtracking, and a safeguarded Riemannian
+Newton step wherever the Hessian on the Grassmannian is negative
+semidefinite; that Hessian is the form on the frame with two columns
+replaced, read off the (p-2)-minors of the others.
 
 Comass is exact in degrees 1, 2, n-2, n-1 and n, where the mathematics gives
 a closed form (a vector norm, or the top singular value of a skew matrix,
@@ -24,6 +28,7 @@ hyperplane.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -38,6 +43,7 @@ from .exterior import (ExteriorElement, SimplePlane, _lex_array, _sorted_sign,
 
 DEFAULT_GTOL = 1e-12
 DEDUP_ANGLE = 1e-3
+NEWTON_TOL = 1e-10
 
 
 def rng_stream(seed, *key):
@@ -99,6 +105,54 @@ class FormEvaluator:
             return float(f[0]), G[0]
         return f, G
 
+    @functools.cached_property
+    def _pair_terms(self):
+        """The column pairs b < c of a frame, the other p - 2 columns of
+        each, the sign of the permutation (b, c, others), and the tensor
+        K with K[L, i n + j] = phi(e_i ^ e_j ^ e_L), L a lex (p-2)-tuple."""
+        pairs = list(itertools.combinations(range(self.p), 2))
+        rest = np.array([[k for k in range(self.p) if k not in bc]
+                         for bc in pairs], dtype=int).reshape(len(pairs), -1)
+        sign = np.array([_sorted_sign(bc + tuple(r))[1]
+                         for bc, r in zip(pairs, rest)], dtype=float)
+        K = contraction_matrix(contraction_matrix(
+            self.phi_vec, self.n, self.p), self.n, self.p - 1)
+        return (np.array(pairs).T, rest, sign,
+                K.reshape(self.n * self.n, -1).T)
+
+    def hessian(self, U, Q):
+        """Riemannian Hessians on the Grassmannian at the frames of an
+        (S, n, p) stack, in orthonormal bases Q (S, n, m) of their planes'
+        complements: an (S, p m, p m) stack with entry ((b, a), (c, d)) for
+        the directions Q[:, a] in column b and Q[:, d] in column c.
+
+        As U^T grad = phi(U) I, the entry is phi on U with columns b and c
+        replaced by those vectors when b != c, and -phi(U) delta_ad when
+        b = c (Absil-Mahony-Sepulchre, Optimization Algorithms on Matrix
+        Manifolds, 2008, 5.5 and 6.2).  phi with x, y in columns b, c is
+        sign x^T X y, X the skew matrix of phi contracted with the (p-2)-vector
+        of the other columns.
+        """
+        S, n, p = U.shape
+        m = Q.shape[2]
+        H = np.zeros((S, p, m, p, m))
+        if p == 1:
+            f = U[:, :, 0] @ self.phi_vec
+        else:
+            (b, c), rest, sign, K = self._pair_terms
+            X = (_pluecker(U[:, :, rest].transpose(0, 2, 1, 3)) @ K).reshape(
+                S, len(sign), n, n)
+            # the first pair is (0, 1), with sign +1
+            f = (U[:, None, :, 0] @ X[:, 0] @ U[:, :, 1:2])[:, 0, 0]
+            B = sign[:, None, None, None] * (
+                Q.transpose(0, 2, 1)[:, None] @ X @ Q[:, None]).transpose(
+                    1, 0, 2, 3)
+            H[:, b, :, c] = B
+            H[:, c, :, b] = -B      # X is skew, so block (c, b) is B^T = -B
+        H = H.reshape(S, p * m, p * m)
+        H.reshape(S, -1)[:, ::p * m + 1] = -f[:, None]
+        return H
+
 
 def _pluecker(U) -> np.ndarray:
     """Pluecker coordinate rows of every frame of an (..., n, p) stack."""
@@ -136,24 +190,55 @@ def _tangent(U, G):
     return G - U @ ((UtG + UtG.transpose(0, 2, 1)) / 2.0)
 
 
-def _ascend_batch(value_and_grad, U, gtol=DEFAULT_GTOL, max_iter=600,
-                  step0=0.2):
-    """Projected-gradient ascent with backtracking from every frame of an
-    (S, n, p) stack; returns per-start arrays (U, f, gnorm, iters).
+def _newton_steps(ev, U, T):
+    """Riemannian Newton steps on the Grassmannian at the frames of an
+    (S, n, p) stack with tangent gradients T: which frames have a negative
+    semidefinite Hessian, and the (S, n, p) steps.  The step is taken in
+    the eigen-directions of clearly negative curvature only; curvature
+    within NEWTON_TOL of zero, relative to the largest, is dropped, so a
+    maximizer manifold's own directions are left alone."""
+    S, n, p = U.shape
+    Q = np.linalg.qr(U, mode="complete")[0][:, :, p:]
+    lam, V = np.linalg.eigh(ev.hessian(U, Q))
+    lead = np.abs(lam).max(axis=1, initial=0.0)
+    tol = NEWTON_TOL * lead[:, None]
+    coef = V.transpose(0, 2, 1) @ (T.transpose(0, 2, 1) @ Q).reshape(S, -1, 1)
+    coef = np.divide(coef, -lam[:, :, None], out=np.zeros_like(coef),
+                     where=(lam < -tol)[:, :, None])
+    A = (V @ coef).reshape(S, p, -1)
+    # a Hessian that vanishes, or has no entries at p = n, offers no step
+    nsd = (lam <= tol).all(axis=1) & (lead > 0.0)
+    return nsd, Q @ A.transpose(0, 2, 1)
 
-    value_and_grad maps an (S', n, p) stack to ((S',) values, gradients).
-    Every start runs its own line search, with its own step, backtracking
-    count, stage and iteration cap; each round evaluates one trial frame for
-    every start still running, in one call on the stack of trials, and a
-    start that finishes leaves the stack.  Near a maximizer the Armijo test
-    drowns in floating-point rounding, so a second stage drives the
-    tangent-gradient norm down directly.
+
+def _ascend_batch(ev, U, gtol=DEFAULT_GTOL, max_iter=600, step0=0.2):
+    """Safeguarded Riemannian Newton ascent, with projected-gradient steps
+    and backtracking as the fallback, from every frame of an (S, n, p)
+    stack; returns per-start arrays (U, f, gnorm, iters).
+
+    ev maps an (S', n, p) stack to ((S',) values, gradients) by
+    ``ev.value_and_grad`` and gives Riemannian Hessians on the Grassmannian
+    by ``ev.hessian(U, Q)``, as `FormEvaluator` does.  Every start runs its
+    own line search, with its own step, backtracking count, stage and
+    iteration cap; each round evaluates one trial frame for every start
+    still running, in one call on the stack of trials, and a start that
+    finishes leaves the stack.  Near a maximizer the Armijo test drowns in
+    floating-point rounding, so a second stage drives the tangent-gradient
+    norm down directly.
+
+    A start whose frame has just moved, and whose Hessian there is negative
+    semidefinite, first tries the eigenvalue-truncated Newton step
+    (`_newton_steps`).  The trial is kept only if it lowers the
+    tangent-gradient norm without lowering the value beyond rounding; kept,
+    it counts as an iteration.  Otherwise the start takes its gradient
+    step, with the step length and backtracking count it had, and computes
+    no Hessian again until its gradient norm has halved.
     """
     U = np.array(U, dtype=float)
     S = len(U)
     out = (np.empty_like(U), np.empty(S), np.empty(S), np.empty(S, int))
     idx = np.arange(S)
-    f, G = value_and_grad(U)
+    f, G = ev.value_and_grad(U)
     T = _tangent(U, G)
     g = _fnorm(T)
     step = np.full(S, float(step0))
@@ -161,6 +246,7 @@ def _ascend_batch(value_and_grad, U, gtol=DEFAULT_GTOL, max_iter=600,
     backtracks = np.zeros(S, int)   # rejected trials in this outer iteration
     stage2 = np.zeros(S, bool)
     accept = np.ones(S, bool)       # the first outer iteration starts now
+    recheck = np.full(S, np.inf)    # g at which to try a Newton step again
     while len(idx):
         # settle what needs no evaluation: an accepted stage-1 start begins
         # an outer iteration or stops; a stage-1 start whose improvement
@@ -187,14 +273,26 @@ def _ascend_batch(value_and_grad, U, gtol=DEFAULT_GTOL, max_iter=600,
                 for o, a in zip(out, (U, f, g, it)):
                     o[idx[done]] = a[done]
                 live = ~done
-                idx, U, f, G, T, g, step, it, backtracks, stage2 = (
-                    a[live] for a in (idx, U, f, G, T, g, step, it,
-                                      backtracks, stage2))
+                (idx, U, f, G, T, g, step, it, backtracks, stage2, accept,
+                 recheck) = (a[live] for a in (idx, U, f, G, T, g, step, it,
+                                               backtracks, stage2, accept,
+                                               recheck))
                 if not len(idx):
                     break
-        # one trial per running start
-        U_try = _retract(U + step[:, None, None] * T)
-        f_try, G_try = value_and_grad(U_try)
+        # one trial per running start: the Newton step where a frame that
+        # just moved allows one, else the gradient step.  Where the Hessian
+        # refused or the Newton trial failed, the next try waits for the
+        # gradient norm to halve
+        D = step[:, None, None] * T
+        newton = np.zeros(len(idx), bool)
+        moved = np.flatnonzero(accept & (g <= recheck))
+        if moved.size:
+            ok, D_newton = _newton_steps(ev, U[moved], T[moved])
+            newton[moved[ok]] = True
+            D[moved[ok]] = D_newton[ok]
+            recheck[moved[~ok]] = g[moved[~ok]] / 2.0
+        U_try = _retract(U + D)
+        f_try, G_try = ev.value_and_grad(U_try)
         T_try = _tangent(U_try, G_try)
         g_try = _fnorm(T_try)
         accept = f_try >= f + 1e-4 * step * g * g
@@ -203,8 +301,13 @@ def _ascend_batch(value_and_grad, U, gtol=DEFAULT_GTOL, max_iter=600,
             accept = np.where(stage2, g_try < g, accept)
             step_next = np.where(stage2, np.where(accept, step, step * 0.5),
                                  step_next)
+        if moved.size:
+            accept = np.where(newton, (g_try < g) & (
+                f_try >= f - 1e-13 * np.maximum(1.0, np.abs(f))), accept)
+            step_next = np.where(newton, step, step_next)
+            recheck = np.where(newton & ~accept, g / 2.0, recheck)
         step = step_next
-        backtracks = np.where(accept | stage2, 0, backtracks + 1)
+        backtracks = np.where(accept | stage2 | newton, 0, backtracks + 1)
         accepted = np.count_nonzero(accept)
         if accepted == len(accept):
             U, G, T, f, g = U_try, G_try, T_try, f_try, g_try
@@ -311,7 +414,7 @@ def _comass_ascent(phi, multistarts, max_iter, tol, seed, step0):
     """Best-found maximum of phi by multistart Stiefel ascent."""
     ev = FormEvaluator(phi)
     U, vals, g, iters = _ascend_batch(
-        ev.value_and_grad, _random_frames(ev.n, ev.p, seed, range(multistarts)),
+        ev, _random_frames(ev.n, ev.p, seed, range(multistarts)),
         gtol=tol, max_iter=max_iter, step0=step0)
     best = int(np.argmax(vals))
     topk = np.sort(vals)[-min(5, multistarts):]
@@ -325,7 +428,7 @@ def polish_plane(phi: ExteriorElement, plane: SimplePlane, gtol=1e-13,
                  max_iter=300) -> tuple[SimplePlane, float]:
     """Re-converge a plane onto the maximizer manifold of phi."""
     ev = FormEvaluator(phi)
-    U, f, _, _ = _ascend_batch(ev.value_and_grad, plane.frame.T[None],
+    U, f, _, _ = _ascend_batch(ev, plane.frame.T[None],
                                gtol=gtol, max_iter=max_iter, step0=0.05)
     return SimplePlane(U[0].T), float(f[0])
 
@@ -402,8 +505,7 @@ def _sample_ascent(cal: Calibration, tol=1e-6, count=50, seed=0,
 
     def ascend(start, size):
         U, f, g, iters = _ascend_batch(
-            ev.value_and_grad,
-            _random_frames(ev.n, ev.p, seed, range(start, start + size)),
+            ev, _random_frames(ev.n, ev.p, seed, range(start, start + size)),
             gtol=gtol, max_iter=max_iter)
         return U, f, _capped(g, iters, gtol, max_iter)
     return _collect_planes(cal, ascend, tol, count, seed, dedup_angle,
@@ -573,7 +675,7 @@ def _tangential_extremum(alpha, cal, samples, mode, extra_starts=6, seed=1,
         feas_tol = 1e-6
 
     def polish(U):
-        return _ascend_batch(ev_phi.value_and_grad, U, gtol=1e-13,
+        return _ascend_batch(ev_phi, U, gtol=1e-13,
                              max_iter=60, step0=0.05)[:2]
 
     U, fphi = polish(np.array(starts))

@@ -275,7 +275,7 @@ def _adaptive_span_rows(cal: Calibration, tol, seed, batch=24, cap=400,
 
     def ascended(keys):
         Us, fs, _, _ = _ascend_batch(
-            ev.value_and_grad, _random_frames(cal.n, cal.p, seed, keys),
+            ev, _random_frames(cal.n, cal.p, seed, keys),
             gtol=1e-11, max_iter=400)
         return [ev.pvector_vec(U) for U in Us[fs >= cal.claimed_comass - tol]]
     return _stable_span_rows(ascended, batch, cap, patience)

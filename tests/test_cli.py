@@ -69,6 +69,27 @@ class TestComass:
                             "--multistarts", "3")
         assert json.loads(out)["report"]["exact"] is False
 
+    def test_capped_reported(self, capsys, tmp_path):
+        # an R^7 3-form off every structure runs the ascent; the report
+        # counts the starts the iteration cap stopped short of convergence
+        path = tmp_path / "form.json"
+        path.write_text(json.dumps({"n": 7, "p": 3, "terms": [
+            {"indices": list(idx), "coeff": c} for idx, c in [
+                ((1, 2, 3), 1.0), ((1, 4, 5), 0.7), ((2, 4, 6), -0.6),
+                ((3, 5, 7), 0.5), ((1, 6, 7), 0.4), ((2, 5, 7), 0.3),
+                ((3, 4, 6), -0.8)]]}))
+        _, out, _ = run_cli(capsys, "comass", "--form", str(path),
+                            "--multistarts", "12")
+        report = json.loads(out)["report"]
+        assert report["exact"] is False and report["capped"] == 0
+        assert report["converged"] == 12
+        _, out, _ = run_cli(capsys, "comass", "--form", str(path),
+                            "--multistarts", "12", "--max-iter", "2")
+        report = json.loads(out)["report"]
+        assert report["capped"] == 12 and report["converged"] == 0
+        _, out, _ = run_cli(capsys, "comass", "--cal", "omega4")
+        assert json.loads(out)["report"]["capped"] == 0
+
 
 class TestErrors:
     def test_malformed_json_exits_2(self, capsys, tmp_path):

@@ -47,6 +47,50 @@ class TestFormEvaluator:
             fd = (ev.value(Up) - ev.value(Um)) / (2 * h)
             assert abs(fd - G[i, k]) < 1e-6
 
+    @pytest.mark.parametrize("n,p", [(4, 1), (5, 2), (6, 3), (7, 3), (8, 4)])
+    def test_hessian_entries(self, n, p):
+        # entry ((b, a), (c, d)) is phi with columns b, c of the frame
+        # replaced by q_a, q_d, and -phi(U) delta_ad when b = c
+        rng = np.random.default_rng([n, p])
+        phi = ExteriorElement.from_coeff_vector(
+            n, p, rng.standard_normal(len(lex_indices(n, p))))
+        ev = FormEvaluator(phi)
+        U = np.array([random_frame(n, p, rng) for _ in range(3)])
+        Q = np.linalg.qr(U, mode="complete")[0][:, :, p:]
+        H = ev.hessian(U, Q)
+        m = n - p
+        for s in range(3):
+            want = np.empty((p, m, p, m))
+            for b, a, c, d in np.ndindex(p, m, p, m):
+                if b == c:
+                    want[b, a, c, d] = -ev.value(U[s]) * (a == d)
+                else:
+                    V = U[s].copy()
+                    V[:, b], V[:, c] = Q[s, :, a], Q[s, :, d]
+                    want[b, a, c, d] = ev.value(V)
+            assert np.abs(H[s] - want.reshape(p * m, p * m)).max() < 1e-12
+
+    def test_hessian_along_geodesics(self):
+        # <D, Hess D> is the second derivative of phi along the Grassmann
+        # geodesic with velocity D (Edelman-Arias-Smith 1998, 2.5.1)
+        rng = np.random.default_rng(3)
+        phi = ExteriorElement.from_coeff_vector(
+            7, 3, rng.standard_normal(35))
+        ev = FormEvaluator(phi)
+        U = random_frame(7, 3, rng)
+        Q = np.linalg.qr(U, mode="complete")[0][:, 3:]
+        H = ev.hessian(U[None], Q[None])[0]
+        for _ in range(4):
+            A = rng.standard_normal((3, 4))
+            W, sig, Vt = np.linalg.svd(Q @ A.T, full_matrices=False)
+
+            def along(t):
+                return ev.value(U @ Vt.T @ np.diag(np.cos(sig * t)) @ Vt
+                                + W @ np.diag(np.sin(sig * t)) @ Vt)
+            h = 1e-3
+            d2 = (along(h) - 2 * along(0.0) + along(-h)) / h ** 2
+            assert abs(d2 - A.ravel() @ H @ A.ravel()) < 1e-4
+
 
 class TestComass:
     def test_single_plane(self):

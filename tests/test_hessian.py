@@ -11,8 +11,9 @@ from calibr.exterior import (ExteriorElement, compound, lex_indices,
                              pairing, wedge)
 from calibr.fields import (ScalarField, builtin_field, compose,
                            field_from_json, quadratic_field)
-from calibr.grassmann import (_pluecker, hyperplane_basis, phi_structure,
-                              pullback, reduce_calibration, rng_stream,
+from calibr.grassmann import (_pluecker, hyperplane_basis, kaehler_matrix,
+                              kaehler_structure, phi_structure, pullback,
+                              reduce_calibration, rng_stream,
                               sample_grassmannian, span_split)
 from calibr.hessian import (_adaptive_span_rows, _drawn_span_rows, d_phi,
                             hessian_form, normality_check,
@@ -330,6 +331,33 @@ class TestFlat:
         assert abs(pairing(H, xi) - rep.worst_value) < 1e-9
         assert pairing(cal.form, xi) > 1.0 - 1e-6
         assert np.abs(rep.worst_plane.frame @ g).max() < 1e-12
+
+    def test_kaehler_matches_complex_lines(self):
+        # on kaehler(3,1) the tangential phi-planes are the complex lines in
+        # (Cg)^perp, over which the extremum is one eigh of kaehler_matrix
+        # in a complex orthonormal basis; the best-found value must meet it
+        # from both sides, on a plane where phi = 1 to rounding
+        cal = catalogue("kaehler", 3, 1)
+        rng = np.random.default_rng([0, 5, 0])
+        B = rng.standard_normal((6, 6))
+        x = rng.standard_normal(6)
+        f = quadratic_field(B + B.T)
+        rep = phi_flat_check(f, x, cal, seed=1729)
+        J = kaehler_structure(cal.form)
+        g = f.gradient(x)
+        basis = np.column_stack([g, J @ g]) / np.linalg.norm(g)
+        for e in np.eye(6)[[0, 2]]:     # e2 = J e1 would add nothing
+            v = e - basis @ (basis.T @ e)
+            v /= np.linalg.norm(v)
+            basis = np.column_stack([basis, v, J @ v])
+        assert np.abs(basis.T @ basis - np.eye(6)).max() < 1e-12
+        Q = basis[:, 2:]
+        H = hessian_form(f, x, cal, cross_check=False)
+        lam = np.linalg.eigvalsh(kaehler_matrix(pullback(H, Q), Q.T @ J @ Q))
+        exact = max(lam, key=abs)
+        assert abs(exact - 5.806664281) < 1e-9
+        assert abs(rep.worst_value - exact) <= 1e-9
+        assert abs(pairing(cal.form, rep.worst_plane.pvector()) - 1.0) <= 1e-12
 
     def test_coassociative_exact(self):
         # phi restricted to a hyperplane is Kaehler in codegree 2; normsq
