@@ -20,8 +20,7 @@ from scipy.optimize import nnls
 
 from .calibrations import Calibration
 from .exterior import (ExteriorElement, SimplePlane, _lex_array,
-                       contraction_matrix, hodge_star, interior_product,
-                       lex_indices, pairing, wedge)
+                       contraction_matrix, hodge_star, pairing)
 from .grassmann import (PlaneSampleSet, comass, constrained_extremum,
                         kaehler_matrix, kaehler_planes, kaehler_structure,
                         polish_plane, span_split, top_singular_plane)
@@ -58,11 +57,6 @@ class LambdaSpan:
 
     def project_vec(self, vec):
         return self.basis.T @ (self.basis @ vec)
-
-    def project(self, el: ExteriorElement) -> ExteriorElement:
-        return ExteriorElement.from_coeff_vector(
-            self.n, self.p, self.project_vec(el.to_coeff_vector()),
-            drop_tol=0.0)
 
 
 def lambda_span(samples: PlaneSampleSet, sv_cutoff=1e-8) -> LambdaSpan:
@@ -360,38 +354,6 @@ def positivity_classify(alpha: ExteriorElement, cal: Calibration,
     return ConeReport("Boundary", margin, None, tolerances, res.plane, meta)
 
 
-def contraction_boundary(e, cal: Calibration, samples: PlaneSampleSet,
-                         tol=BOUNDARY_TOL, span_tol=1e-6,
-                         **extremum_opts):
-    """Classify phi_e = e -| (e ^ phi) and cross-check the span criterion:
-    phi_e sits on the cone boundary exactly when e lies in a phi-plane."""
-    e = np.asarray(e, dtype=float)
-    if abs(np.linalg.norm(e) - 1.0) > 1e-8:
-        raise ValueError("e must be a unit vector")
-    e_form = ExteriorElement.from_vector(e)
-    if cal.p == cal.n:
-        phi_e = ExteriorElement.zero(cal.n, cal.p)  # e ^ phi vanishes
-    else:
-        phi_e = interior_product(e, wedge(e_form, cal.form))
-    report = positivity_classify(phi_e, cal, samples, tol=tol,
-                                 **extremum_opts)
-    if phi_e.norm() == 0.0:
-        max_proj = 1.0  # zero contraction only happens when e is tangential
-    else:
-        sym = wedge(e_form, interior_product(e, cal.form))
-        res = constrained_extremum(sym, cal, samples, "max", **extremum_opts)
-        max_proj = float(np.linalg.norm(res.plane.frame @ e) ** 2)
-    span_boundary = bool(max_proj >= 1.0 - span_tol)
-    classified_boundary = report.status == "Boundary"
-    report.meta.update({
-        "phi_e": phi_e,
-        "span_max_projection": max_proj,
-        "span_says_boundary": span_boundary,
-        "consistent": span_boundary == classified_boundary,
-    })
-    return report
-
-
 # ---------------------------------------------------------------------------
 # the three equivalent membership conditions for unit-mass p-vectors
 # ---------------------------------------------------------------------------
@@ -441,41 +403,3 @@ def lemma_2_5_check(xi: ExteriorElement, cal: Calibration,
     agree = cond1 == cond2 == cond3
     return Lemma25Report(conditions, agree, (lower, upper),
                          {"mass": mass_meta, "membership": rep1.meta})
-
-
-# ---------------------------------------------------------------------------
-# a basis of strictly positive forms
-# ---------------------------------------------------------------------------
-
-def positive_basis(cal: Calibration, samples: PlaneSampleSet, eps=0.1,
-                   tol=BOUNDARY_TOL, min_eps=1e-6, **extremum_opts):
-    """Basis {phi + eps b_k} of strictly positive p-forms, shrinking eps by
-    halving until every member classifies Interior."""
-    base = positivity_classify(cal.form, cal, samples, tol=tol,
-                               **extremum_opts)
-    if base.status != "Interior":
-        raise ValueError(
-            f"phi itself did not classify Interior (margin {base.margin:.3e})")
-    basis_idx = lex_indices(cal.n, cal.p)
-    while eps >= min_eps:
-        members = []
-        margins = []
-        good = True
-        for idx in basis_idx:
-            cand = cal.form + ExteriorElement(cal.n, cal.p, {idx: eps})
-            rep = positivity_classify(cand, cal, samples, tol=tol,
-                                      **extremum_opts)
-            members.append(cand)
-            margins.append(rep.margin)
-            if rep.status != "Interior":
-                good = False
-                break
-        if good:
-            mat = np.array([m.to_coeff_vector() for m in members])
-            rank = np.linalg.matrix_rank(mat, tol=1e-10)
-            if rank != len(basis_idx):
-                raise RuntimeError("positive basis candidates are rank-deficient")
-            return members, eps, margins
-        eps /= 2.0
-    raise RuntimeError(
-        "eps underflow before positivity achieved; sampling likely failed")

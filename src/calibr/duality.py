@@ -370,24 +370,3 @@ def jensen_alternative(model: FiniteDualityModel, K_indices, x_index,
         'Feasible' if feasible else 'Infeasible', weights,
         'Certificate' if have_cert else None, a, margin,
         consistent, tie, meta)
-
-
-def active_site_hull_check(model: FiniteDualityModel, K_indices, x_index,
-                           result: AlternativeResult, weight_tol=1e-9,
-                           margin_tol=MARGIN_TOL):
-    """Finite shadow of the support property: every atom the feasible primal
-    actually uses must sit at a site the dual cannot separate from K."""
-    if result.primal != 'Feasible' or result.weights is None:
-        return {"applicable": False}
-    site_of = model._atom_table[0]
-    active = result.weights[:len(site_of)] > weight_tol
-    active_sites = sorted(set(site_of[active].tolist()))
-    offenders = []
-    for i in active_sites:
-        if i == x_index or i in K_indices:
-            continue
-        sub = jensen_alternative(model, K_indices, i, margin_tol=margin_tol)
-        if sub.dual == 'Certificate':
-            offenders.append(i)
-    return {"applicable": True, "active_sites": active_sites,
-            "offenders": offenders, "ok": not offenders}

@@ -23,7 +23,8 @@ from it (``exact=True``), elsewhere the distinct local maximizers of a
 multistart ascent.  Constrained extrema over G(phi) are exact (one
 eigendecomposition) for Kaehler forms in degree 2 and codegree 2, else
 best-found.  `phi_structure` also draws the phi-planes inside a given
-hyperplane.
+hyperplane.  The structure is detected once per form and kept, so every
+route that asks for it (`kaehler_structure` too) reads the same one.
 """
 
 from __future__ import annotations
@@ -35,8 +36,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calibrations import (Calibration, _quaternionic, _special_lagrangian,
-                           complex_structure, quaternionic_structure)
+from .calibrations import (Calibration, catalogue, complex_structure,
+                           quaternionic_structure)
 from .exterior import (ExteriorElement, SimplePlane, _lex_array, _sorted_sign,
                        _stack_dets, compound,
                        contraction_matrix, hodge_star, interior_product)
@@ -371,7 +372,7 @@ def _exact_frame(phi: ExteriorElement):
 
 
 def comass(phi: ExteriorElement, multistarts=60, max_iter=600, tol=DEFAULT_GTOL,
-           seed=0, step0=0.2) -> ComassResult:
+           seed=0) -> ComassResult:
     """Maximum of phi over unit simple p-vectors.
 
     In degrees 1, 2, n-2, n-1 and n, and on the forms `phi_structure`
@@ -388,8 +389,7 @@ def comass(phi: ExteriorElement, multistarts=60, max_iter=600, tol=DEFAULT_GTOL,
     if U is None:
         structure = phi_structure(phi)
         if structure is None:
-            return _comass_ascent(phi, multistarts, max_iter, tol, seed,
-                                  step0)
+            return _comass_ascent(phi, multistarts, max_iter, tol, seed)
         U = structure.draw(rng_stream(seed, 0), 1)[0]
     value = FormEvaluator(phi).value(U)
     if value < 0.0:
@@ -410,12 +410,12 @@ def _capped(g, iters, gtol, max_iter):
     return (iters >= max_iter) & (g > max(gtol, 1e-9))
 
 
-def _comass_ascent(phi, multistarts, max_iter, tol, seed, step0):
+def _comass_ascent(phi, multistarts, max_iter, tol, seed):
     """Best-found maximum of phi by multistart Stiefel ascent."""
     ev = FormEvaluator(phi)
     U, vals, g, iters = _ascend_batch(
         ev, _random_frames(ev.n, ev.p, seed, range(multistarts)),
-        gtol=tol, max_iter=max_iter, step0=step0)
+        gtol=tol, max_iter=max_iter)
     best = int(np.argmax(vals))
     topk = np.sort(vals)[-min(5, multistarts):]
     saturated = bool(topk.max() - topk.min() < 1e-6)
@@ -472,32 +472,31 @@ def _is_duplicate(U, kept, dedup_angle):
 
 
 def sample_grassmannian(cal: Calibration, tol=1e-6, count=50, seed=0,
-                        dedup_angle=DEDUP_ANGLE, max_attempts=None,
-                        gtol=DEFAULT_GTOL, max_iter=600) -> PlaneSampleSet:
-    """Collect deduplicated planes with phi(xi) >= 1 - tol.
+                        dedup_angle=DEDUP_ANGLE,
+                        max_iter=600) -> PlaneSampleSet:
+    """Collect deduplicated planes with phi(xi) >= 1 - tol, from at most
+    max(8 count, 160) attempts.
 
     On the forms `phi_structure` recognizes the planes are drawn from G(phi)
     (``exact=True``; ``multistart_count`` counts the planes drawn, and
-    ``gtol`` and ``max_iter`` are unused); on every other form they are
-    local maximizers of a multistart Stiefel ascent (`_sample_ascent`).
+    ``max_iter`` is unused); on every other form they are local maximizers
+    of a multistart Stiefel ascent (`_sample_ascent`).
     Raises if the best value found contradicts the claimed comass by more
     than 1e-4 in either direction (comass confirmation failure).
     """
     structure = phi_structure(cal.form)
     if structure is None:
-        return _sample_ascent(cal, tol, count, seed, dedup_angle,
-                              max_attempts, gtol, max_iter)
+        return _sample_ascent(cal, tol, count, seed, dedup_angle, max_iter)
 
     def draw(start, size):
         U = structure.draw(rng_stream(seed, start), size)
         return U, structure._values(U), np.zeros(size, dtype=bool)
     return _collect_planes(cal, draw, tol, count, seed, dedup_angle,
-                           max_attempts, exact=True)
+                           exact=True)
 
 
 def _sample_ascent(cal: Calibration, tol=1e-6, count=50, seed=0,
-                   dedup_angle=DEDUP_ANGLE, max_attempts=None,
-                   gtol=DEFAULT_GTOL, max_iter=600) -> PlaneSampleSet:
+                   dedup_angle=DEDUP_ANGLE, max_iter=600) -> PlaneSampleSet:
     """`sample_grassmannian` by Stiefel ascent from the random frames of the
     streams (seed, k), k = 0, 1, ...; ``capped`` counts the ascents stopped
     by max_iter short of convergence."""
@@ -506,18 +505,16 @@ def _sample_ascent(cal: Calibration, tol=1e-6, count=50, seed=0,
     def ascend(start, size):
         U, f, g, iters = _ascend_batch(
             ev, _random_frames(ev.n, ev.p, seed, range(start, start + size)),
-            gtol=gtol, max_iter=max_iter)
-        return U, f, _capped(g, iters, gtol, max_iter)
-    return _collect_planes(cal, ascend, tol, count, seed, dedup_angle,
-                           max_attempts)
+            max_iter=max_iter)
+        return U, f, _capped(g, iters, DEFAULT_GTOL, max_iter)
+    return _collect_planes(cal, ascend, tol, count, seed, dedup_angle)
 
 
-def _collect_planes(cal, source, tol, count, seed, dedup_angle, max_attempts,
+def _collect_planes(cal, source, tol, count, seed, dedup_angle,
                     exact=False) -> PlaneSampleSet:
     """The sampling loop: source(start, size) gives the frames, values and
     capped flags of attempts start, ..., start + size - 1."""
-    if max_attempts is None:
-        max_attempts = max(8 * count, 160)
+    max_attempts = max(8 * count, 160)
     need = max(count, 1)    # the first plane is kept whatever the count
     kept = np.empty((need, cal.n, cal.p))
     values = []
@@ -586,14 +583,13 @@ class ExtremumResult:
 
 
 def kaehler_structure(phi: ExteriorElement):
-    """J = -W when phi, or *phi in codegree 2, is a 2-form with orthogonal
-    skew matrix W: a Kaehler form, whose G(phi) is the complex lines v ^ Jv
-    (their orthogonal complements in codegree 2).  Else None."""
-    n, p = phi.n, phi.p
-    if p < 2 or 2 not in (p, n - p):
+    """J of `phi_structure` when it finds a Kaehler form, whose G(phi) is
+    the complex lines v ^ Jv (their orthogonal complements in codegree 2);
+    else None.  Detected once per form, and read-only."""
+    structure = phi_structure(phi)
+    if structure is None or structure.kind != "kaehler":
         return None
-    W = _degree_two_skew(phi)
-    return -W if np.abs(W @ W.T - np.eye(n)).max() <= 1e-12 else None
+    return structure.ops[0]
 
 
 def _degree_two_skew(x: ExteriorElement) -> np.ndarray:
@@ -760,9 +756,7 @@ def _spin7_tensor(phi: ExteriorElement):
     return T if np.abs(D).max() <= STRUCTURE_TOL else None
 
 
-def _is_form(phi: ExteriorElement, ref: ExteriorElement) -> bool:
-    return np.abs(phi.to_coeff_vector() - ref.to_coeff_vector()).max() \
-        <= STRUCTURE_TOL
+_STRUCTURE_CACHE_SIZE = 64    # forms whose detected structure is kept
 
 
 def phi_structure(phi: ExteriorElement):
@@ -770,7 +764,8 @@ def phi_structure(phi: ExteriorElement):
     coefficients (Harvey-Lawson, "Calibrated geometries", Acta Math. 148,
     1982), or None:
 
-    - Kaehler (`kaehler_structure`): the complex lines v ^ Jv, or their
+    - Kaehler: phi, or *phi in codegree 2, is a 2-form whose skew matrix W
+      is orthogonal; G(phi) is the complex lines v ^ Jv, J = -W, or their
       complements in codegree 2;
     - associative (`_g2_tensor`): u ^ v ^ (u x v);
     - coassociative, *phi associative: the complements of those;
@@ -780,13 +775,27 @@ def phi_structure(phi: ExteriorElement):
     - quaternionic, phi the `calibrations` form for (I, J, K) of
       `quaternionic_structure`: the lines span{v, Iv, Jv, Kv}.
 
-    The first two identities are invariant under O(n), so they also find
-    the form in rotated coordinates; the last two match the catalogue
-    coordinates only."""
-    J = kaehler_structure(phi)
-    if J is not None:
-        return PhiStructure("kaehler", phi, J)
+    The identities of the first four are invariant under O(n), so they also
+    find the form in rotated coordinates; the last two match the catalogue
+    coordinates only.  Detected once per form: the structure is kept, with
+    read-only arrays, for the last _STRUCTURE_CACHE_SIZE coefficient
+    vectors seen."""
+    return _cached_structure(phi.n, phi.p, phi.to_coeff_vector().tobytes())
+
+
+@functools.lru_cache(maxsize=_STRUCTURE_CACHE_SIZE)
+def _cached_structure(n, p, key):
+    return _detect_structure(ExteriorElement.from_coeff_vector(
+        n, p, np.frombuffer(key), drop_tol=0.0))
+
+
+def _detect_structure(phi: ExteriorElement):
+    """`phi_structure`, detected afresh."""
     n, p = phi.n, phi.p
+    if p >= 2 and 2 in (p, n - p):
+        W = _degree_two_skew(phi)
+        if np.abs(W @ W.T - np.eye(n)).max() <= STRUCTURE_TOL:
+            return PhiStructure("kaehler", phi, -W)
     if n == 7 and p in (3, 4):
         T = _g2_tensor(phi if p == 3 else hodge_star(phi))
         if T is not None:
@@ -795,12 +804,18 @@ def phi_structure(phi: ExteriorElement):
     T = _spin7_tensor(phi)
     if T is not None:
         return PhiStructure("cayley", phi, T)
-    if 2 * p == n and p >= 2 and _is_form(phi, _special_lagrangian(p)):
+    if 2 * p == n and p >= 2 and _is_form(phi, "special_lagrangian", p):
         return PhiStructure("special_lagrangian", phi, complex_structure(p))
-    if p == 4 and n % 4 == 0 and _is_form(phi, _quaternionic(n // 4)):
+    if p == 4 and n % 4 == 0 and _is_form(phi, "quaternionic", n // 4):
         return PhiStructure("quaternionic", phi,
                             *quaternionic_structure(n // 4))
     return None
+
+
+def _is_form(phi: ExteriorElement, name, m) -> bool:
+    """Whether phi is the catalogue form name(m) to STRUCTURE_TOL."""
+    ref = catalogue(name, m).form.to_coeff_vector()
+    return np.abs(phi.to_coeff_vector() - ref).max() <= STRUCTURE_TOL
 
 
 def _unit_rows(X):
@@ -833,6 +848,8 @@ class PhiStructure:
         self.kind, self.ops, self.phi = kind, ops, phi
         self.n, self.p = phi.n, phi.p
         self._phi_vec = phi.to_coeff_vector()
+        for a in ops + (self._phi_vec,):
+            a.flags.writeable = False     # cached: shared by every caller
 
     def _values(self, U):
         return _pluecker(U) @ self._phi_vec

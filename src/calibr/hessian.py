@@ -1,8 +1,7 @@
 """The differential-operator layer for constant calibrations on flat R^n:
 the first-order contraction operator, the second-order form-valued Hessian,
 plurisubharmonicity classification, pluriharmonic-mod-d residuals, level-set
-flatness, normality of a calibration, the operator symbol, and the reduced
-Hessian.
+flatness, normality of a calibration, and the operator symbol.
 
 Everything is pointwise: smooth fields enter through gradient/Hessian
 suppliers.  Grassmannian quantifiers run over (refined) plane samples, so
@@ -11,12 +10,13 @@ these exceptions: cone queries on Kaehler forms are exact; normality on the
 forms `grassmann.phi_structure` recognizes draws its planes from G(phi)
 itself; and level-set flatness is one `constrained_extremum` on the
 calibration restricted to the tangent hyperplane, exact when that
-restriction is Kaehler (as for the coassociative form) and best-found
-otherwise, or the Hessian's exact value on the one plane `phi_structure`
-draws in the hyperplane when every draw is that plane (Kaehler(2,1),
-Kaehler(3,2), quaternionic(2)); a vacuous answer is exact when no plane
-is drawn there, when the restriction is zero, or when its comass, found
-below one, is exact.
+restriction is Kaehler (as for the coassociative form, and for a Kaehler
+2-form restricted to the complex hyperplane of its tangential complex
+lines) and best-found otherwise, or the Hessian's exact value on the one
+plane `phi_structure` draws in the hyperplane when every draw is that
+plane (Kaehler(2,1), Kaehler(3,2), quaternionic(2)); a vacuous answer is
+exact when no plane is drawn there, when the restriction is zero, or when
+its comass, found below one, is exact.
 """
 
 from __future__ import annotations
@@ -201,11 +201,13 @@ def phi_flat_check(f: ScalarField, x, cal: Calibration, tol=1e-8,
     `constrained_extremum` of the Hessian pulled back to W over phi
     restricted to W, seeded with FLAT_STARTS planes inside W: drawn from
     `phi_structure` when it parametrizes G(phi), else sampled from the
-    restricted calibration.  It is exact (``exact=True``) when phi|W is a
-    Kaehler form, and when the drawn planes are all one plane, whose
-    Hessian value it then reports with no extremum.  Reports vacuous
-    flatness when no tangential phi-plane exists: an empty draw, or a
-    restricted comass found below one; exact unless that comass is a
+    restricted calibration.  For a Kaehler 2-form with structure J those
+    planes are the complex lines in span{g, Jg}^perp, and W is that complex
+    hyperplane, on which phi is Kaehler again.  It is exact (``exact=True``)
+    when phi|W is a Kaehler form, and when the drawn planes are all one
+    plane, whose Hessian value it then reports with no extremum.  Reports
+    vacuous flatness when no tangential phi-plane exists: an empty draw, or
+    a restricted comass found below one; exact unless that comass is a
     best-found ascent value.
     """
     x = np.asarray(x, dtype=float)
@@ -219,24 +221,26 @@ def phi_flat_check(f: ScalarField, x, cal: Calibration, tol=1e-8,
     structure = phi_structure(cal.form)
     if structure is None:
         restricted, vacuous_exact = _restricted_calibration(cal, Q, seed)
-        starts = None if restricted is None else sample_grassmannian(
-            restricted, count=FLAT_STARTS, seed=seed)
+        if restricted is None:
+            return FlatReport(True, 0.0, None, True, vacuous_exact)
+        starts = sample_grassmannian(restricted, count=FLAT_STARTS, seed=seed)
     else:
         V = structure.draw(rng_stream(seed, 0), FLAT_STARTS, ghat)
+        if not len(V):
+            return FlatReport(True, 0.0, None, True, True)
         rows = _pluecker(V)
-        if len(V) and np.abs(rows - rows[0]).max() <= STRUCTURE_TOL:
+        if np.abs(rows - rows[0]).max() <= STRUCTURE_TOL:
             # every draw is one plane, so G(phi|W) is that plane
             value = float(H.to_coeff_vector() @ rows[0])
             return FlatReport(abs(value) <= tol, value, SimplePlane(V[0].T),
                               False, True)
+        if structure.kind == "kaehler" and cal.p == 2:
+            # the draws are complex lines in span{g, Jg}^perp
+            Q = span_split(np.array([ghat, ghat @ structure.ops[0].T]))[1].T
         U = Q.T @ V
         restricted = Calibration(pullback(cal.form, Q), f"{cal.name}|W")
         starts = PlaneSampleSet([SimplePlane(Uk.T) for Uk in U],
-                                [1.0] * len(U), 0.0, seed, len(U)) \
-            if len(U) else None
-        vacuous_exact = True
-    if starts is None:
-        return FlatReport(True, 0.0, None, True, vacuous_exact)
+                                [1.0] * len(U), 0.0, seed, len(U))
     H_w = pullback(H, Q)
     worst = max((constrained_extremum(H_w, restricted, starts, mode, seed=seed)
                  for mode in ("max", "min")), key=lambda r: abs(r.value))
@@ -371,20 +375,3 @@ def _restricted_calibration(cal, Q, seed):
         return None, cm.exact
     return Calibration(phi_w, f"{cal.name}|W",
                        claimed_comass=cm.value), cm.exact
-
-
-# ---------------------------------------------------------------------------
-# reduced Hessian
-# ---------------------------------------------------------------------------
-
-def reduced_hessian(f: ScalarField, x, cal: Calibration,
-                    samples: PlaneSampleSet = None,
-                    span: LambdaSpan = None) -> ExteriorElement:
-    """The form-valued Hessian orthogonally projected onto the sampled span;
-    vanishing of this projection on probes is the pluriharmonicity test."""
-    if span is None:
-        if samples is None:
-            raise ValueError("need either samples or a precomputed span")
-        span = lambda_span(samples)
-    H = hessian_form(f, x, cal, cross_check=False)
-    return span.project(H)

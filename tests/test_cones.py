@@ -3,9 +3,8 @@ import pytest
 from scipy.optimize import linprog
 
 from calibr.calibrations import catalogue
-from calibr.cones import (cone_membership, contraction_boundary,
-                          lambda_span, lemma_2_5_check, mass_norm_estimate,
-                          positive_basis, positivity_classify)
+from calibr.cones import (cone_membership, lambda_span, lemma_2_5_check,
+                          mass_norm_estimate, positivity_classify)
 from calibr.exterior import (ExteriorElement, hodge_star, lex_indices,
                              pairing, simple_from_frame)
 from calibr.grassmann import random_plane_set, rng_stream, sample_grassmannian
@@ -57,9 +56,9 @@ class TestLambdaSpan:
         from calibr.exterior import lex_indices
         el = ExteriorElement(4, 2, {i: rng.standard_normal()
                                     for i in lex_indices(4, 2)})
-        once = span.project(el)
-        twice = span.project(once)
-        assert once.allclose(twice, tol=1e-12)
+        once = span.project_vec(el.to_coeff_vector())
+        twice = span.project_vec(once)
+        assert np.abs(once - twice).max() <= 1e-12
 
 
 class TestConeMembership:
@@ -299,39 +298,39 @@ class TestPositivity:
         total = sum(rep_x.certificate["weights"])
         assert pairing(alpha, xi) >= rep_a.margin * total - 1e-6
 
-
-class TestContractionBoundary:
-    def test_kaehler_direction_in_line(self, omega, ss_omega):
-        e = np.zeros(4)
-        e[0] = 1.0
-        rep = contraction_boundary(e, omega, ss_omega, starts_limit=10)
-        assert rep.status == "Boundary"
-        assert rep.meta["span_says_boundary"]
-        assert rep.meta["consistent"]
-        assert rep.meta["phi_e"].coeffs == {(3, 4): 1.0}
-
-    def test_lambda_direction_outside_spans(self, lam, ss_lam):
-        e = np.zeros(4)
-        e[2] = 1.0
-        rep = contraction_boundary(e, lam, ss_lam)
+    def test_contractions_of_phi(self, lam, ss_lam):
+        # e -| (e ^ phi) for a unit e: on the cone boundary exactly when e
+        # lies in a phi-plane (e1 on omega gives e34, as in
+        # test_boundary_form_oracle)
+        rep = positivity_classify(e_form(1, 2), lam, ss_lam)   # e = e3
         assert rep.status == "Interior"
         assert abs(rep.margin - 1.0) < 1e-9
-        assert not rep.meta["span_says_boundary"]
-        assert rep.meta["consistent"]
-        assert rep.meta["phi_e"].coeffs == {(1, 2): 1.0}
-
-    def test_volume_contraction_vanishes(self):
+        # e ^ vol vanishes
         vol = catalogue("volume", 3)
         ss = sample_grassmannian(vol, count=3, seed=1)
-        e = np.zeros(3)
-        e[0] = 1.0
-        rep = contraction_boundary(e, vol, ss)
+        rep = positivity_classify(ExteriorElement.zero(3, 3), vol, ss)
         assert rep.status == "Boundary"
         assert rep.margin == 0.0
 
-    def test_non_unit_rejected(self, omega, ss_omega):
-        with pytest.raises(ValueError):
-            contraction_boundary(np.array([2.0, 0, 0, 0]), omega, ss_omega)
+    @pytest.mark.parametrize("name,opts", [
+        ("volume", {}), ("omega", {"starts_limit": 8}), ("lam", {})])
+    def test_perturbed_phi_interior(self, name, opts, request):
+        # phi + 0.1 dx_I stays strictly positive for every I
+        if name == "volume":
+            cal = catalogue("volume", 3)
+            ss = sample_grassmannian(cal, count=3, seed=1)
+        else:
+            cal = request.getfixturevalue(name)
+            ss = request.getfixturevalue("ss_" + name)
+        for idx in lex_indices(cal.n, cal.p):
+            rep = positivity_classify(
+                cal.form + ExteriorElement(cal.n, cal.p, {idx: 0.1}), cal,
+                ss, **opts)
+            assert rep.status == "Interior"
+            assert rep.margin > 1e-6
+            if name == "lam":
+                # on the unique plane the margin is 1 + 0.1 b(plane)
+                assert rep.margin >= 1.0 - 0.1 - 1e-9
 
 
 class TestLemma25:
@@ -364,25 +363,3 @@ class TestLemma25:
         with pytest.raises(ValueError, match="mass-normalization"):
             lemma_2_5_check(3.0 * e_form(1, 2), omega, ss_omega, gens)
 
-
-class TestPositiveBasis:
-    def test_volume(self):
-        vol = catalogue("volume", 3)
-        ss = sample_grassmannian(vol, count=3, seed=1)
-        members, eps, margins = positive_basis(vol, ss)
-        assert len(members) == 1
-        assert margins[0] > 0
-
-    def test_omega_rank_and_interior(self, omega, ss_omega):
-        members, eps, margins = positive_basis(omega, ss_omega,
-                                               starts_limit=8)
-        assert len(members) == 6
-        assert min(margins) > 1e-6
-        mat = np.array([m.to_coeff_vector() for m in members])
-        assert np.linalg.matrix_rank(mat, tol=1e-10) == 6
-
-    def test_lambda_margin_bound(self, lam, ss_lam):
-        members, eps, margins = positive_basis(lam, ss_lam)
-        assert len(members) == 6
-        # on the unique plane the margin is 1 + eps * b(plane) >= 1 - eps
-        assert min(margins) >= 1.0 - eps - 1e-9

@@ -7,7 +7,7 @@ from calibr import duality
 from calibr.calibrations import catalogue
 from calibr.cli import main
 from calibr.duality import (FiniteDualityModel, _family,
-                            active_site_hull_check, assemble_boundary_model,
+                            assemble_boundary_model,
                             assemble_jensen_model, atom_boundary_values,
                             boundary_alternative, build_boundary_model,
                             build_jensen_model, jensen_alternative)
@@ -275,8 +275,6 @@ class TestJensenAlternative:
         assert res.consistent
         A, b = assemble_jensen_model(model, [0, 1, 2, 3], 4)
         assert np.abs(A @ res.weights - b).max() < 1e-7
-        chk = active_site_hull_check(model, [0, 1, 2, 3], 4, res)
-        assert chk["applicable"] and chk["ok"]
 
     def test_far_point_linear_separation(self, omega, ss):
         pts = np.array([[1, 1, 0, 0], [-1, 1, 0, 0], [-1, -1, 0, 0],

@@ -1,13 +1,18 @@
+import collections
+
 import numpy as np
 import pytest
 
+import calibr.grassmann
 from calibr.acceptance import COMASS_ENTRIES, NORMAL_ENTRIES
-from calibr.calibrations import catalogue
+from calibr.calibrations import CATALOGUE_SPECS, catalogue
+from calibr.cones import cone_membership
 from calibr.exterior import (ExteriorElement, SimplePlane, angular_distance,
                              interior_product, lex_indices, pairing,
                              simple_from_frame, wedge)
 from calibr.grassmann import (DEFAULT_GTOL, FormEvaluator, PhiStructure,
-                              _comass_ascent, _exact_frame, _pluecker,
+                              _STRUCTURE_CACHE_SIZE, _comass_ascent,
+                              _exact_frame, _pluecker,
                               _sample_ascent, comass,
                               constrained_extremum,
                               hyperplane_basis, kaehler_structure,
@@ -15,6 +20,7 @@ from calibr.grassmann import (DEFAULT_GTOL, FormEvaluator, PhiStructure,
                               random_frame, random_plane_set,
                               reduce_calibration, rng_stream,
                               sample_grassmannian)
+from calibr.hessian import normality_check
 
 
 def dx(n, *idx):
@@ -150,7 +156,7 @@ class TestExactComass:
             phi = ExteriorElement(n, p, {idx: rng.standard_normal()
                                          for idx in lex_indices(n, p)})
             res = comass(phi)
-            ref = _comass_ascent(phi, 60, 600, DEFAULT_GTOL, 0, 0.2)
+            ref = _comass_ascent(phi, 60, 600, DEFAULT_GTOL, 0)
             assert res.exact and res.saturated
             assert res.multistarts == 0 and res.converged == 0
             assert abs(res.value - ref.value) < 1e-10
@@ -179,7 +185,7 @@ class TestExactComass:
         assert res.exact and res.multistarts == 0
         assert abs(res.value - 1.0) < 1e-12
         assert abs(pairing(phi, res.plane.pvector()) - res.value) < 1e-12
-        ref = _comass_ascent(phi, 60, 600, DEFAULT_GTOL, 0, 0.2)
+        ref = _comass_ascent(phi, 60, 600, DEFAULT_GTOL, 0)
         assert abs(ref.value - 1.0) < 1e-4
 
 
@@ -524,3 +530,72 @@ class TestPhiStructure:
         J = kaehler_structure(catalogue("kaehler", 2, 1).form)
         with pytest.raises(RuntimeError, match="off G"):
             PhiStructure("kaehler", lam, J).draw(rng_stream(0, 0), 4)
+
+
+class TestStructureMemo:
+    """`phi_structure` detects each form once, and every route that asks
+    for a structure, `kaehler_structure` too, reads that detection."""
+
+    @pytest.fixture
+    def detections(self, monkeypatch):
+        """Fresh detections from here on, counted by (n, p, bytes of the
+        coefficient vector)."""
+        counts = collections.Counter()
+        detect = calibr.grassmann._detect_structure
+
+        def spy(phi):
+            counts[phi.n, phi.p, phi.to_coeff_vector().tobytes()] += 1
+            return detect(phi)
+        monkeypatch.setattr(calibr.grassmann, "_detect_structure", spy)
+        calibr.grassmann._cached_structure.cache_clear()
+        return counts
+
+    @pytest.mark.parametrize("name,params", [
+        ("quaternionic", (2,)), ("cayley", ()), ("associative", ())])
+    def test_each_form_detected_once(self, name, params, detections):
+        cal = catalogue(name, *params)
+        comass(cal.form, seed=3)
+        ss = sample_grassmannian(cal, count=4, seed=3)
+        normality_check(cal, trials=2, seed=3)
+        alpha = ExteriorElement.from_coeff_vector(
+            cal.n, cal.p, np.random.default_rng(5).standard_normal(
+                len(lex_indices(cal.n, cal.p))))
+        constrained_extremum(alpha, cal, ss, "min", extra_starts=0,
+                             starts_limit=2)
+        cone_membership(ss.planes[0].pvector(), cal, ss, seed=3)
+        key = (cal.n, cal.p, cal.form.to_coeff_vector().tobytes())
+        assert detections[key] == 1
+        # the member's own comass detects it once too, and nothing else
+        # is detected twice
+        assert max(detections.values()) == 1
+
+    def test_equal_forms_share_one_structure(self):
+        phi = catalogue("cayley").form
+        assert phi_structure(ExteriorElement(8, 4, dict(phi.coeffs))) \
+            is phi_structure(phi)
+
+    @pytest.mark.parametrize("phi", [
+        catalogue(name, *params).form for name, params in CATALOGUE_SPECS]
+        + [rotated("associative", 41), rotated("cayley", 41),
+           rotated("associative", 47), rotated("cayley", 53)])
+    def test_kaehler_structure_is_the_kaehler_kind(self, phi):
+        st = phi_structure(phi)
+        assert (kaehler_structure(phi) is not None) \
+            == (st is not None and st.kind == "kaehler")
+
+    def test_structure_is_read_only(self):
+        J = kaehler_structure(catalogue("kaehler", 3, 1).form)
+        with pytest.raises(ValueError, match="read-only"):
+            J[0, 1] = 0.0
+        for M in phi_structure(catalogue("quaternionic", 2).form).ops:
+            with pytest.raises(ValueError, match="read-only"):
+                M[0, 0] = 1.0
+
+    def test_cache_is_bounded(self):
+        rng = np.random.default_rng(17)
+        for _ in range(_STRUCTURE_CACHE_SIZE + 8):
+            phi_structure(ExteriorElement.from_coeff_vector(
+                4, 2, rng.standard_normal(6)))
+        info = calibr.grassmann._cached_structure.cache_info()
+        assert info.maxsize == _STRUCTURE_CACHE_SIZE
+        assert info.currsize == _STRUCTURE_CACHE_SIZE

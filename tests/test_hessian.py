@@ -18,8 +18,7 @@ from calibr.grassmann import (_pluecker, hyperplane_basis, kaehler_matrix,
 from calibr.hessian import (_adaptive_span_rows, _drawn_span_rows, d_phi,
                             hessian_form, normality_check,
                             phi_flat_check, pluriharmonic_mod_d_residual,
-                            psh_classify, reduced_hessian, symbol,
-                            trace_check)
+                            psh_classify, symbol, trace_check)
 from calibr.polynomial import Polynomial
 
 
@@ -320,7 +319,9 @@ class TestFlat:
         x = rng.standard_normal(cal.n)
         f = quadratic_field(B + B.T)
         rep = phi_flat_check(f, x, cal, seed=1729)
-        assert not rep.flat and not rep.vacuous and not rep.exact
+        assert not rep.flat and not rep.vacuous
+        # kaehler(3,1) restricts to a Kaehler form on span{g, Jg}^perp
+        assert rep.exact == (name == "kaehler")
         g = f.gradient(x)
         U = phi_structure(cal.form).draw(np.random.default_rng(1729), 20_000,
                                          normal=g)
@@ -357,6 +358,31 @@ class TestFlat:
         exact = max(lam, key=abs)
         assert abs(exact - 5.806664281) < 1e-9
         assert abs(rep.worst_value - exact) <= 1e-9
+        assert abs(pairing(cal.form, rep.worst_plane.pvector()) - 1.0) <= 1e-12
+
+    def test_kaehler_exact_on_the_complex_hyperplane(self):
+        # kaehler(3,1) restricted to span{g, Jg}^perp is Kaehler, so the
+        # extremum over the tangential complex lines is one eigh there; it
+        # must meet the eigvalsh value of the complex orthonormal basis
+        # built as in test_kaehler_matches_complex_lines
+        cal = catalogue("kaehler", 3, 1)
+        rng = np.random.default_rng([0, 5, 0])
+        B = rng.standard_normal((6, 6))
+        x = rng.standard_normal(6)
+        f = quadratic_field(B + B.T)
+        rep = phi_flat_check(f, x, cal, seed=1729)
+        assert rep.exact and not rep.flat and not rep.vacuous
+        J = kaehler_structure(cal.form)
+        g = f.gradient(x)
+        basis = np.column_stack([g, J @ g]) / np.linalg.norm(g)
+        for e in np.eye(6)[[0, 2]]:
+            v = e - basis @ (basis.T @ e)
+            v /= np.linalg.norm(v)
+            basis = np.column_stack([basis, v, J @ v])
+        Q = basis[:, 2:]
+        H = hessian_form(f, x, cal, cross_check=False)
+        lam = np.linalg.eigvalsh(kaehler_matrix(pullback(H, Q), Q.T @ J @ Q))
+        assert abs(rep.worst_value - max(lam, key=abs)) <= 1e-12
         assert abs(pairing(cal.form, rep.worst_plane.pvector()) - 1.0) <= 1e-12
 
     def test_coassociative_exact(self):
@@ -494,20 +520,26 @@ class TestSymbolAndReduction:
         e3[2] = 1.0
         assert symbol(e3, lam).coeffs == {(3, 4): 0.5}
 
-    def test_reduced_hessian_pluriharmonic(self, omega, span_omega):
-        rh = reduced_hessian(builtin_field("re_z1_sq", 4), np.zeros(4),
-                             omega, span=span_omega)
-        assert rh.norm() < 1e-9
+    @staticmethod
+    def projected_hessian(f, cal, span):
+        """The form-valued Hessian at 0 projected onto the sampled span."""
+        return span.project_vec(hessian_form(
+            f, np.zeros(cal.n), cal, cross_check=False).to_coeff_vector())
 
-    def test_reduced_hessian_keeps_phi(self, omega, span_omega):
-        rh = reduced_hessian(builtin_field("half_normsq", 4), np.zeros(4),
-                             omega, span=span_omega)
-        assert rh.allclose(2.0 * omega.form, tol=1e-9)
+    def test_projected_hessian_pluriharmonic(self, omega, span_omega):
+        ph = self.projected_hessian(builtin_field("re_z1_sq", 4), omega,
+                                    span_omega)
+        assert np.linalg.norm(ph) < 1e-9
 
-    def test_reduced_hessian_lambda_blind(self, lam, ss_lam):
-        rh = reduced_hessian(builtin_field("neg_x3_sq", 4), np.zeros(4),
-                             lam, samples=ss_lam)
-        assert rh.norm() < 1e-9
+    def test_projected_hessian_keeps_phi(self, omega, span_omega):
+        ph = self.projected_hessian(builtin_field("half_normsq", 4), omega,
+                                    span_omega)
+        assert np.abs(ph - 2.0 * omega.form.to_coeff_vector()).max() <= 1e-9
+
+    def test_projected_hessian_lambda_blind(self, lam, ss_lam):
+        ph = self.projected_hessian(builtin_field("neg_x3_sq", 4), lam,
+                                    lambda_span(ss_lam))
+        assert np.linalg.norm(ph) < 1e-9
 
     def test_ellipticity_coherence(self, omega, lam, ss_omega, ss_lam):
         # reduce.elliptic  <=>  min over unit u of max over samples of
