@@ -5,8 +5,8 @@ from scipy.optimize import linprog
 from calibr.calibrations import catalogue
 from calibr.cones import (cone_membership, lambda_span, lemma_2_5_check,
                           mass_norm_estimate, positivity_classify)
-from calibr.exterior import (ExteriorElement, hodge_star, lex_indices,
-                             pairing, simple_from_frame)
+from calibr.exterior import (ExteriorElement, hodge_star, interior_product,
+                             lex_indices, pairing, simple_from_frame, wedge)
 from calibr.grassmann import random_plane_set, rng_stream, sample_grassmannian
 from calibr.lp import solve_lp
 
@@ -298,20 +298,6 @@ class TestPositivity:
         total = sum(rep_x.certificate["weights"])
         assert pairing(alpha, xi) >= rep_a.margin * total - 1e-6
 
-    def test_contractions_of_phi(self, lam, ss_lam):
-        # e -| (e ^ phi) for a unit e: on the cone boundary exactly when e
-        # lies in a phi-plane (e1 on omega gives e34, as in
-        # test_boundary_form_oracle)
-        rep = positivity_classify(e_form(1, 2), lam, ss_lam)   # e = e3
-        assert rep.status == "Interior"
-        assert abs(rep.margin - 1.0) < 1e-9
-        # e ^ vol vanishes
-        vol = catalogue("volume", 3)
-        ss = sample_grassmannian(vol, count=3, seed=1)
-        rep = positivity_classify(ExteriorElement.zero(3, 3), vol, ss)
-        assert rep.status == "Boundary"
-        assert rep.margin == 0.0
-
     @pytest.mark.parametrize("name,opts", [
         ("volume", {}), ("omega", {"starts_limit": 8}), ("lam", {})])
     def test_perturbed_phi_interior(self, name, opts, request):
@@ -331,6 +317,29 @@ class TestPositivity:
             if name == "lam":
                 # on the unique plane the margin is 1 + 0.1 b(plane)
                 assert rep.margin >= 1.0 - 0.1 - 1e-9
+
+
+class TestContractionBoundary:
+    # phi_e = e -| (e ^ phi) for a unit e sits on the cone boundary exactly
+    # when e lies in a phi-plane (e1 on omega gives e34, as in
+    # TestPositivity::test_boundary_form_oracle)
+    def test_lambda_direction_outside_spans(self, lam, ss_lam):
+        e = np.zeros(4)
+        e[2] = 1.0
+        phi_e = interior_product(e, wedge(ExteriorElement.from_vector(e),
+                                          lam.form))
+        assert phi_e.coeffs == {(1, 2): 1.0}
+        rep = positivity_classify(phi_e, lam, ss_lam)
+        assert rep.status == "Interior"
+        assert abs(rep.margin - 1.0) < 1e-9
+
+    def test_volume_contraction_vanishes(self):
+        vol = catalogue("volume", 3)
+        ss = sample_grassmannian(vol, count=3, seed=1)
+        # e ^ vol vanishes in top degree, so phi_e is the zero form
+        rep = positivity_classify(ExteriorElement.zero(3, 3), vol, ss)
+        assert rep.status == "Boundary"
+        assert rep.margin == 0.0
 
 
 class TestLemma25:
