@@ -246,7 +246,10 @@ def mass_norm_estimate(xi: ExteriorElement, generator_samples: PlaneSampleSet,
 
     Upper: min sum |c| over signed decompositions into sampled simple unit
     p-vectors (in-repo simplex), with cutting-plane augmentation driven by
-    the LP dual.  Lower: best pairing against a dictionary of forms, each
+    the LP dual.  Each round adds one column, so every LP after the first
+    starts from the previous round's optimal basis, which stays feasible
+    (column generation; Chvatal, Linear Programming, ch. 8); the first is
+    solved cold.  Lower: best pairing against a dictionary of forms, each
     divided by its comass.  For p = 2 and p = n-2 (through the Hodge star)
     the atoms and the polar form of xi's normal form are seeded, so the
     bracket closes in the first round.
@@ -294,10 +297,12 @@ def mass_norm_estimate(xi: ExteriorElement, generator_samples: PlaneSampleSet,
     saturated = True
     upper = np.inf
     capped = False
+    basis = None
     for round_k in range(max_rounds):
         A = np.column_stack(cols)
         m = A.shape[1]
-        res = solve_lp(np.ones(2 * m), np.hstack([A, -A]), xi_vec)
+        res = solve_lp(np.ones(2 * m), np.hstack([A, -A]), xi_vec,
+                       basis=basis)
         if res.status != 'optimal':
             raise RuntimeError(f"mass LP failed with status {res.status}")
         upper = res.obj
@@ -316,6 +321,9 @@ def mass_norm_estimate(xi: ExteriorElement, generator_samples: PlaneSampleSet,
         if dual_comass <= 1.0 + dual_gap_tol:
             break
         cols.append(cm.plane.pvector().to_coeff_vector())
+        # the next LP is [A, a, -A, -a]: the -A columns shift by one and
+        # the artificials by two, so a basis naming one still starts cold
+        basis = res.basis + (res.basis >= m) + (res.basis >= 2 * m)
     else:
         capped = True
     if lower > upper * (1.0 + 1e-12):

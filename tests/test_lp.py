@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
@@ -8,8 +10,9 @@ from calibr.cones import mass_norm_estimate
 from calibr.duality import (assemble_boundary_model, boundary_alternative,
                             build_boundary_model, build_jensen_model,
                             jensen_alternative)
-from calibr.exterior import ExteriorElement, lex_indices
-from calibr.grassmann import random_plane_set, rng_stream, sample_grassmannian
+from calibr.exterior import ExteriorElement, SimplePlane, lex_indices
+from calibr.grassmann import (kaehler_structure, random_plane_set, rng_stream,
+                              sample_grassmannian)
 from calibr.lp import FEAS_TOL, LPResult, solve_lp
 
 rng = np.random.default_rng(3)
@@ -264,6 +267,151 @@ def bland_solve_lp(c, A, b, lower=None, upper=None, tol=FEAS_TOL, max_iter=None)
                     iterations=it1 + it2, phase1_obj=phase1)
 
 
+# -- the revised simplex before its loop was trimmed, kept as the reference --
+
+L_, U_, B_ = 0, 1, 2
+PRICE_SIGN = np.array([-1.0, 1.0, 0.0])
+
+
+class EtaTableau:
+    """The revised simplex loop before it was trimmed: bounds gathered by
+    basis at every pivot and the first basis inverse from np.linalg.inv."""
+
+    def __init__(self, A, c, l, u, basis, status, x):
+        self.A, self.c, self.l, self.u = A, c, l, u
+        self.basis = basis          # int array of variable indices, length m
+        self.status = status        # int8 array of L_, U_, B_ per variable
+        self.x = x
+        self.b = A @ x              # fixed right-hand side
+        self.Binv = np.linalg.inv(A[:, basis])
+        self.bland_pivots = 0
+
+    def duals(self):
+        return self.c[self.basis] @ self.Binv
+
+    def _refresh_basics(self):
+        """Refactor the basis inverse and recompute the basic values from
+        the nonbasic bounds (drift control)."""
+        at_l, at_u = self.status == L_, self.status == U_
+        self.x[at_l] = self.l[at_l]
+        self.x[at_u] = self.u[at_u]
+        nb = at_l | at_u
+        self.Binv = np.linalg.inv(self.A[:, self.basis])
+        self.x[self.basis] = self.Binv @ (self.b - self.A[:, nb] @ self.x[nb])
+
+    def iterate(self, tol, max_iter):
+        it = 0
+        bland = False
+        while it < max_iter:
+            it += 1
+            if it % 64 == 0:
+                self._refresh_basics()
+            z = self.c - self.duals() @ self.A
+            violation = PRICE_SIGN[self.status] * z
+            eligible = violation > tol
+            if not eligible.any():
+                self._refresh_basics()
+                return 'optimal', it
+            # argmax returns the first maximum: the smallest eligible index
+            # under Bland, the lowest index among tied violations otherwise
+            entering = int(np.argmax(eligible if bland else violation))
+            self.bland_pivots += bland
+            direction = 1.0 if self.status[entering] == L_ else -1.0
+            alpha = self.Binv @ self.A[:, entering]
+            d = alpha * direction
+
+            # ratio test: the blocking step of every basic variable, dividing
+            # only where d is clear of zero
+            xb = self.x[self.basis]
+            room = np.where(d > 0.0, xb - self.l[self.basis],
+                            self.u[self.basis] - xb)
+            size = np.abs(d)
+            ratios = np.divide(room, size, out=np.full(len(d), np.inf),
+                               where=size > tol)
+            span = self.u[entering] - self.l[entering]
+            t_min = min(float(ratios.min()), span)
+            if not math.isfinite(t_min):
+                return 'unbounded', it
+            t_min = max(t_min, 0.0)
+            bland = t_min == 0.0
+            # Bland leaving rule: among blockers at the minimum ratio, the
+            # basic variable with the smallest index leaves
+            blockers = np.flatnonzero(ratios <= t_min + 1e-12)
+            leave = -1
+            if blockers.size:
+                leave = int(blockers[np.argmin(self.basis[blockers])])
+                if ratios[leave] > span:
+                    leave = -1        # the entering bound flip wins
+
+            self.x[entering] += direction * t_min
+            self.x[self.basis] = xb - d * t_min
+            if leave < 0:
+                to_upper = self.status[entering] == L_
+                self.status[entering] = U_ if to_upper else L_
+                self.x[entering] = (self.u if to_upper else self.l)[entering]
+            else:
+                out = self.basis[leave]
+                hits_lower = d[leave] > 0.0
+                self.x[out] = (self.l if hits_lower else self.u)[out]
+                self.status[out] = L_ if hits_lower else U_
+                self.basis[leave] = entering
+                self.status[entering] = B_
+                # eta update: the new inverse maps the entering column to
+                # the unit vector of the pivot row
+                pivot_row = self.Binv[leave] / alpha[leave]
+                self.Binv -= alpha[:, None] * pivot_row
+                self.Binv[leave] = pivot_row
+        return 'maxiter', it
+
+
+def eta_solve_lp(c, A, b, lower=None, upper=None, tol=FEAS_TOL, max_iter=None):
+    """The two-phase cold solve around EtaTableau."""
+    A = np.atleast_2d(np.asarray(A, dtype=float))
+    m, n = A.shape
+    b = np.asarray(b, dtype=float).reshape(m)
+    c = np.asarray(c, dtype=float).reshape(n)
+    l = np.zeros(n) if lower is None else np.asarray(lower, dtype=float).reshape(n)
+    u = np.full(n, np.inf) if upper is None else np.asarray(upper, dtype=float).reshape(n)
+    if not np.all(np.isfinite(l)):
+        raise ValueError("lower bounds must be finite")
+    if np.any(u < l):
+        raise ValueError("upper bound below lower bound")
+    if max_iter is None:
+        max_iter = 200 * (n + m + 10)
+
+    # start all structural variables at their lower bound
+    r = b - A @ l
+    A1 = np.hstack([A, np.diag(np.where(r >= 0, 1.0, -1.0))])
+    l1 = np.concatenate([l, np.zeros(m)])
+    u1 = np.concatenate([u, np.full(m, np.inf)])
+    c1 = np.concatenate([np.zeros(n), np.ones(m)])
+    x1 = np.concatenate([l, np.abs(r)])
+    status = np.repeat(np.array([L_, B_], dtype=np.int8), [n, m])
+    tab = EtaTableau(A1, c1, l1, u1, np.arange(n, n + m), status, x1)
+    st, it1 = tab.iterate(tol, max_iter)
+    phase1 = float(c1 @ tab.x)
+    x = obj = y = None
+    it2 = 0
+    infeasible = phase1 > tol * max(1.0, float(np.abs(b).max(initial=0.0)))
+    if st != 'maxiter' and infeasible:
+        st, y = 'infeasible', tab.duals()
+    elif st != 'maxiter':
+        # phase 2: freeze the artificials at zero via zero-width bounds
+        tab.u[n:] = 0.0
+        tab.x[n:] = 0.0
+        tab.c = np.concatenate([c, np.zeros(m)])
+        tab.status[n:][tab.status[n:] != B_] = L_
+        st, it2 = tab.iterate(tol, max_iter)
+        x = tab.x[:n].copy()
+        obj = float(c @ x)
+        if st == 'optimal':
+            y = tab.duals()
+    return LPResult(st, x=x, obj=obj, y=y, phase1_obj=phase1,
+                    iterations=it1 + it2,
+                    meta={"phase1_iterations": it1, "phase2_iterations": it2,
+                          "bland_pivots": tab.bland_pivots})
+
+
 # -- differential tests: the revised simplex against the reference and HiGHS -
 
 HIGHS_STATUS = {0: 'optimal', 2: 'infeasible', 3: 'unbounded'}
@@ -278,11 +426,25 @@ def check_farkas(y, A, b, upper):
     assert y @ b > np.maximum(yA[~free], 0.0) @ upper[~free]
 
 
+def check_same_bits(new, old):
+    """Two results with the same status, iterations and meta, and the same
+    x, objective and y bit for bit (signed zeros included)."""
+    assert (new.status, new.iterations, new.meta, new.obj, new.phase1_obj) \
+        == (old.status, old.iterations, old.meta, old.obj, old.phase1_obj)
+    for a, b in ((new.x, old.x), (new.y, old.y)):
+        assert (a is None) == (b is None)
+        if a is not None:
+            assert np.array_equal(a, b)
+            assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
 def check_three_ways(c, A, b, lower=None, upper=None):
     """The revised simplex agrees with the reference and with HiGHS on the
     status and the objective (1e-9 relative); its x solves A x = b within
-    the bounds and its meta splits the iterations by phase."""
+    the bounds and its meta splits the iterations by phase.  It pivots as
+    the loop before the trim did, bit for bit."""
     new = solve_lp(c, A, b, lower=lower, upper=upper)
+    check_same_bits(new, eta_solve_lp(c, A, b, lower=lower, upper=upper))
     ref = bland_solve_lp(c, A, b, lower=lower, upper=upper)
     n = A.shape[1]
     lo = np.zeros(n) if lower is None else np.asarray(lower, dtype=float)
@@ -411,6 +573,138 @@ class TestRevisedSimplexDifferential:
             new, _ = check_three_ways(c, A, b, lower=lower, upper=upper)
             statuses.add(new.status)
         assert statuses == {'optimal', 'infeasible'}
+
+
+def highs_solve(c, A, b, upper=None):
+    return linprog(c, A_eq=A, b_eq=b, method="highs",
+                   bounds=[(0, None if upper is None or np.isinf(u) else u)
+                           for u in (np.full(len(c), np.inf) if upper is None
+                                     else upper)])
+
+
+class TestWarmStart:
+    @pytest.mark.parametrize("seed", range(24))
+    def test_appended_columns(self, seed):
+        # column generation: the final basis of an LP stays a feasible basis
+        # when columns are appended, so the warm solve skips phase 1
+        c, A, b, upper = random_lp(seed)
+        m, n = A.shape
+        r = np.random.default_rng(300 + seed)
+        A2 = np.hstack([A, r.standard_normal((m, 5))])
+        c2 = np.append(c, A2[:, n:].T @ r.standard_normal(m)
+                       + r.uniform(0.0, 1.0, 5))
+        up2 = None if upper is None else np.append(upper, np.full(5, 2.0))
+        first = solve_lp(c, A, b, upper=upper)
+        warm = solve_lp(c2, A2, b, upper=up2, basis=first.basis)
+        cold = solve_lp(c2, A2, b, upper=up2)
+        highs = highs_solve(c2, A2, b, up2)
+        assert warm.status == cold.status == HIGHS_STATUS[highs.status]
+        if warm.status == 'optimal':
+            for obj in (cold.obj, highs.fun):
+                assert abs(warm.obj - obj) <= 1e-9 * max(1.0, abs(obj))
+            assert np.abs(A2 @ warm.x - b).max() <= 1e-9 * max(
+                1.0, np.abs(b).max())
+            assert warm.x.min() >= -FEAS_TOL
+        if first.status == 'infeasible':
+            # the phase-1 basis names an artificial: a cold solve
+            check_same_bits(warm, cold)
+            assert np.array_equal(warm.basis, cold.basis)
+        elif not first.x[np.setdiff1d(np.arange(n), first.basis)].any():
+            # every nonbasic variable sat at its lower bound, zero
+            assert warm.meta["phase1_iterations"] == 0
+
+    @pytest.mark.parametrize("case", ["length", "range", "artificial",
+                                      "singular", "infeasible"])
+    def test_invalid_basis_starts_cold(self, case):
+        c, A, b, upper = random_lp(2)
+        m, n = A.shape
+        A = A.copy()
+        A[:, 1] = A[:, 0]
+        basis = np.arange(2, m + 2)
+        if case == "length":
+            basis = basis[:-1]
+        elif case == "range":
+            basis[-1] = n + m
+        elif case == "artificial":
+            basis[-1] = n
+        elif case == "singular":
+            basis[:2] = 0, 1
+        else:
+            assert np.linalg.solve(A[:, basis], b).min() < 0.0
+        warm = solve_lp(c, A, b, upper=upper, basis=basis)
+        cold = solve_lp(c, A, b, upper=upper)
+        check_same_bits(warm, cold)
+        assert np.array_equal(warm.basis, cold.basis)
+        assert cold.meta["phase1_iterations"] > 0
+
+    def test_mass_rounds_match_cold_solves(self, monkeypatch):
+        # the R^6 mass LPs of test_mass_lps_match_the_reference: each round
+        # after the first starts from the last optimal basis, reaches the
+        # cold objective and returns dual feasible multipliers
+        gens = random_plane_set(6, 3, count=40, seed=1729)
+        rng = rng_stream(1729, 6)
+        xi = ExteriorElement(6, 3, {idx: rng.standard_normal()
+                                    for idx in lex_indices(6, 3)})
+        rounds = []
+
+        def record(c, A, b, basis=None, **kwargs):
+            res = solve_lp(c, A, b, basis=basis, **kwargs)
+            rounds.append((c, A, b, basis, res))
+            return res
+        monkeypatch.setattr(cones, "solve_lp", record)
+        mass_norm_estimate(xi, gens, max_rounds=10, comass_multistarts=4)
+        assert len(rounds) == 10 and rounds[0][3] is None
+        pivots = np.zeros(2, dtype=int)
+        for c, A, b, basis, warm in rounds:
+            cold = solve_lp(c, A, b)
+            assert warm.status == cold.status == 'optimal'
+            assert abs(warm.obj - cold.obj) <= 1e-12 * abs(cold.obj)
+            assert (c - warm.y @ A).min() >= -FEAS_TOL
+            if basis is not None:
+                assert warm.meta["phase1_iterations"] == 0
+            pivots += (warm.iterations, cold.iterations)
+        assert pivots[0] < pivots[1]
+
+
+class TestSingularBasis:
+    def test_grown_jensen_dictionary(self):
+        # the Jensen model on kaehler(2,1) with 12 sites on the unit circle
+        # of the z1-line and x = (0.5, 0, 0.02, 0), every site starting from
+        # 4 sampled planes; each round adds at every site the complex line
+        # where the Hessian of the separating polynomial is most negative.
+        # Near-parallel columns pile up until, with 260 atoms, a refactor
+        # of the separation LP's basis is singular: the solve reports it
+        # and the alternative decides nothing, where LinAlgError was raised
+        omega = catalogue("kaehler", 2, 1)
+        J = kaehler_structure(omega.form)
+        samples = sample_grassmannian(omega, tol=1e-8, count=8, seed=0)
+        t = np.arange(12) * np.pi / 6
+        sites = np.vstack([np.column_stack([np.cos(t), np.sin(t),
+                                            0.0 * t, 0.0 * t]),
+                           [0.5, 0.0, 0.02, 0.0]])
+        dictionary = [list(samples.planes[:4]) for _ in sites]
+        I, K = np.triu_indices(4)
+        E = np.eye(4, dtype=int)
+        for _ in range(17):
+            model = build_jensen_model(omega, sites, samples, degree=2,
+                                       dictionary=dictionary)
+            res = jensen_alternative(model, list(range(12)), 12)
+            statuses = set(res.meta["lp_status"].values())
+            assert statuses <= {'optimal', 'infeasible', 'singular'}
+            if 'singular' in statuses:
+                assert res.certificate is None and not res.consistent
+            if res.certificate is None:
+                break
+            # Hessian entries (I, K) of the certificate at every site
+            h = np.einsum("kms,m->sk", model._derivatives(sites, E[I] + E[K]),
+                          res.certificate)
+            H = np.zeros((len(sites), 4, 4))
+            H[:, I, K] = H[:, K, I] = h
+            lam, V = np.linalg.eigh(H + J.T @ H @ J)
+            for site, (low, u) in enumerate(zip(lam[:, 0], V[:, :, 0])):
+                if low < -1e-9:
+                    dictionary[site].append(SimplePlane(np.array([u, J @ u])))
+        assert sum(map(len, dictionary)) >= 260
 
 
 class TestPricing:
