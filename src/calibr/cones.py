@@ -28,6 +28,7 @@ from .lp import solve_lp
 
 BOUNDARY_TOL = 1e-6
 SEPARATION_STARTS = 8   # sampled starts of each pricing extremum
+GAP_TOL = 1e-9      # mass loop: bracket width, or dual comass above one
 
 
 @dataclass
@@ -59,12 +60,12 @@ class LambdaSpan:
         return self.basis.T @ (self.basis @ vec)
 
 
-def lambda_span(samples: PlaneSampleSet, sv_cutoff=1e-8) -> LambdaSpan:
+def lambda_span(samples: PlaneSampleSet) -> LambdaSpan:
     """Orthonormal basis of span{sampled p-vectors} and its complement."""
     if len(samples) == 0:
         raise ValueError("empty sample set")
     pl = samples.planes[0]
-    return LambdaSpan(*span_split(samples.pvectors(), sv_cutoff), pl.n, pl.p)
+    return LambdaSpan(*span_split(samples.pvectors()), pl.n, pl.p)
 
 
 # ---------------------------------------------------------------------------
@@ -87,8 +88,7 @@ def _member_margin(atom_matrix, coeffs):
 
 
 def cone_membership(xi: ExteriorElement, cal: Calibration,
-                    samples: PlaneSampleSet, tol=1e-6,
-                    boundary_tol=BOUNDARY_TOL, max_rounds=20,
+                    samples: PlaneSampleSet, tol=1e-6, max_rounds=20,
                     seed=0) -> ConeReport:
     """Nonnegative decomposition of xi over phi-planes.
 
@@ -104,7 +104,7 @@ def cone_membership(xi: ExteriorElement, cal: Calibration,
     True when the loop stopped at ``max_rounds`` or on a stalled residual
     while that pricing was still negative.  A member's margin is the
     largest minimum atom weight relative to |xi|, Interior above
-    boundary_tol: exact for the cone of the atoms (meta["planes"]) only, so
+    BOUNDARY_TOL: exact for the cone of the atoms (meta["planes"]) only, so
     a sum of three sampled associative planes can read Boundary.
     """
     if xi.n != cal.n or xi.p != cal.p:
@@ -123,7 +123,7 @@ def cone_membership(xi: ExteriorElement, cal: Calibration,
     A = np.column_stack([pl.pvector().to_coeff_vector() for pl in planes])
     r = xi_vec - A @ coeffs
     residual = (res if J is None else np.linalg.norm(r)) / scale
-    tolerances = {"membership_tol": tol, "boundary_tol": boundary_tol}
+    tolerances = {"membership_tol": tol, "boundary_tol": BOUNDARY_TOL}
     meta = {"sample_count": len(samples), "atom_count": len(planes),
             "residual": residual, "planes": planes,
             "weights": coeffs, "exact": J is not None, "capped": capped}
@@ -142,7 +142,7 @@ def cone_membership(xi: ExteriorElement, cal: Calibration,
                        "planes": [pl for _, pl in active]}
     margin = (coeffs.min() / scale if J is not None
               else _member_margin(A, coeffs / scale))
-    status = "Boundary" if abs(margin) <= boundary_tol else "Interior"
+    status = "Boundary" if abs(margin) <= BOUNDARY_TOL else "Interior"
     return ConeReport(status, margin, certificate, tolerances, None, meta)
 
 
@@ -240,8 +240,7 @@ def _normal_form(xi: ExteriorElement):
 
 
 def mass_norm_estimate(xi: ExteriorElement, generator_samples: PlaneSampleSet,
-                       max_rounds=25, comass_multistarts=40, seed=0,
-                       dual_gap_tol=1e-9, bracket_gap_tol=1e-9):
+                       max_rounds=25, comass_multistarts=40, seed=0):
     """Bracket the mass norm of xi.
 
     Upper: min sum |c| over signed decompositions into sampled simple unit
@@ -258,7 +257,7 @@ def mass_norm_estimate(xi: ExteriorElement, generator_samples: PlaneSampleSet,
     exact comass, so that ``lower`` is a certified lower bound; otherwise
     it divides by a best-found comass and may overshoot the mass.
     ``meta["capped"]`` is True when the loop stopped at ``max_rounds`` with
-    the bracket still wider than ``bracket_gap_tol``.  Raises
+    the bracket still wider than GAP_TOL.  Raises
     RuntimeError when ``lower`` exceeds ``upper`` beyond rounding.
     """
     if xi.norm() == 0.0:
@@ -306,7 +305,7 @@ def mass_norm_estimate(xi: ExteriorElement, generator_samples: PlaneSampleSet,
         if res.status != 'optimal':
             raise RuntimeError(f"mass LP failed with status {res.status}")
         upper = res.obj
-        if upper - lower <= bracket_gap_tol * max(1.0, upper):
+        if upper - lower <= GAP_TOL * max(1.0, upper):
             break
         dual_form = ExteriorElement.from_coeff_vector(n, p, res.y,
                                                       drop_tol=0.0)
@@ -318,7 +317,7 @@ def mass_norm_estimate(xi: ExteriorElement, generator_samples: PlaneSampleSet,
         saturated = cm.saturated
         if dual_comass > 1e-12:
             offer(dual_form, cm, max(dual_comass, 1.0))
-        if dual_comass <= 1.0 + dual_gap_tol:
+        if dual_comass <= 1.0 + GAP_TOL:
             break
         cols.append(cm.plane.pvector().to_coeff_vector())
         # the next LP is [A, a, -A, -a]: the -A columns shift by one and

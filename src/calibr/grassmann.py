@@ -18,13 +18,14 @@ Lagrangian, associative, coassociative, Cayley and quaternionic forms that
 `phi_structure` recognizes, whose defining identity proves comass one; there
 it is attained on a plane drawn from G(phi).  On every other form it is a
 best-found lower bound with a multistart saturation heuristic, and no global
-certificate is claimed.  Samples of G(phi) on those forms are planes drawn
-from it (``exact=True``), elsewhere the distinct local maximizers of a
-multistart ascent.  Constrained extrema over G(phi) are exact (one
-eigendecomposition) for Kaehler forms in degree 2 and codegree 2, else
-best-found.  `phi_structure` also draws the phi-planes inside a given
-hyperplane.  The structure is detected once per form and kept, so every
-route that asks for it (`kaehler_structure` too) reads the same one.
+certificate is claimed.  Every phi-plane, of R^n or inside a hyperplane,
+comes from one source, `grassmann`: drawn from G(phi) on those forms
+(``exact=True``), elsewhere a local maximizer of a multistart ascent; a
+sample is the distinct planes it gives.  Constrained extrema over G(phi)
+are exact (one eigendecomposition) for Kaehler forms in degree 2 and
+codegree 2, else best-found.  The structure is detected once per form and
+kept, so every route that asks for it (`kaehler_structure` too) reads the
+same one.
 """
 
 from __future__ import annotations
@@ -424,12 +425,12 @@ def _comass_ascent(phi, multistarts, max_iter, tol, seed):
                         capped=int(_capped(g, iters, tol, max_iter).sum()))
 
 
-def polish_plane(phi: ExteriorElement, plane: SimplePlane, gtol=1e-13,
-                 max_iter=300) -> tuple[SimplePlane, float]:
+def polish_plane(phi: ExteriorElement,
+                 plane: SimplePlane) -> tuple[SimplePlane, float]:
     """Re-converge a plane onto the maximizer manifold of phi."""
     ev = FormEvaluator(phi)
     U, f, _, _ = _ascend_batch(ev, plane.frame.T[None],
-                               gtol=gtol, max_iter=max_iter, step0=0.05)
+                               gtol=1e-13, max_iter=300, step0=0.05)
     return SimplePlane(U[0].T), float(f[0])
 
 
@@ -471,49 +472,89 @@ def _is_duplicate(U, kept, dedup_angle):
     return bool(np.any((theta <= dedup_angle) & (np.linalg.det(M) > 0.0)))
 
 
-def sample_grassmannian(cal: Calibration, tol=1e-6, count=50, seed=0,
-                        dedup_angle=DEDUP_ANGLE,
-                        max_iter=600) -> PlaneSampleSet:
-    """Collect deduplicated planes with phi(xi) >= 1 - tol, from at most
-    max(8 count, 160) attempts.
+SAMPLE_MAX_ITER = 600     # ascent iterations of one sampling attempt
+DEGENERATE_TOL = 1e-6     # restricted comass below 1 - this: no phi-plane
+RESTRICTED_STARTS = 24    # ascent starts of an inexact restricted comass
 
-    On the forms `phi_structure` recognizes the planes are drawn from G(phi)
-    (``exact=True``; ``multistart_count`` counts the planes drawn, and
-    ``max_iter`` is unused); on every other form they are local maximizers
-    of a multistart Stiefel ascent (`_sample_ascent`).
-    Raises if the best value found contradicts the claimed comass by more
-    than 1e-4 in either direction (comass confirmation failure).
-    """
+
+@dataclass
+class PlaneSource:
+    """The phi-planes `grassmann` finds.  take(start, size) gives the
+    (size, n, p) frames in R^n, the phi-values and the capped flags of
+    attempts start, ..., start + size - 1; it is None when no phi-plane lies
+    in the hyperplane.  exact: the planes are drawn from G(phi), or it is
+    exact that there are none."""
+    take: object
+    exact: bool
+
+
+def grassmann(cal: Calibration, seed, normal=None) -> PlaneSource:
+    """The one source of phi-planes: of G(phi), or with a normal of the
+    phi-planes inside the hyperplane normal^perp.
+
+    On the forms `phi_structure` recognizes the planes are drawn from the
+    streams (seed, start) by `PhiStructure.draw`; on every other form they
+    are ascended to (`_ascent_source`).  No p-plane lies in a hyperplane of
+    R^p."""
+    if normal is not None and cal.p == cal.n:
+        return PlaneSource(None, True)
     structure = phi_structure(cal.form)
     if structure is None:
-        return _sample_ascent(cal, tol, count, seed, dedup_angle, max_iter)
+        return _ascent_source(cal, seed, normal)
 
     def draw(start, size):
-        U = structure.draw(rng_stream(seed, start), size)
-        return U, structure._values(U), np.zeros(size, dtype=bool)
-    return _collect_planes(cal, draw, tol, count, seed, dedup_angle,
-                           exact=True)
+        U, values = structure._draw(rng_stream(seed, start), size, normal)
+        return U, values, np.zeros(size, dtype=bool)
+    return PlaneSource(draw, True)
 
 
-def _sample_ascent(cal: Calibration, tol=1e-6, count=50, seed=0,
-                   dedup_angle=DEDUP_ANGLE, max_iter=600) -> PlaneSampleSet:
-    """`sample_grassmannian` by Stiefel ascent from the random frames of the
-    streams (seed, k), k = 0, 1, ...; ``capped`` counts the ascents stopped
-    by max_iter short of convergence."""
-    ev = FormEvaluator(cal.form)
+def _ascent_source(cal: Calibration, seed, normal=None,
+                   max_iter=SAMPLE_MAX_ITER) -> PlaneSource:
+    """The ascent half of `grassmann`: local maximizers of a Stiefel ascent
+    from the random frames of the streams (seed, k), of phi or, with a
+    normal, of phi restricted to the hyperplane in the coordinates of
+    `hyperplane_basis`, mapped back to R^n.  No phi-plane lies in the
+    hyperplane when the restriction is zero (exact), or when its comass is
+    below 1 - DEGENERATE_TOL (exact when that comass is)."""
+    form = cal.form
+    if normal is not None:
+        Q = hyperplane_basis(normal)
+        form = pullback(form, Q)
+        if form.norm() == 0:
+            return PlaneSource(None, True)
+        cm = comass(form, multistarts=RESTRICTED_STARTS, seed=seed)
+        if cm.value < 1.0 - DEGENERATE_TOL:
+            return PlaneSource(None, cm.exact)
+    ev = FormEvaluator(form)
 
     def ascend(start, size):
         U, f, g, iters = _ascend_batch(
             ev, _random_frames(ev.n, ev.p, seed, range(start, start + size)),
             max_iter=max_iter)
-        return U, f, _capped(g, iters, DEFAULT_GTOL, max_iter)
-    return _collect_planes(cal, ascend, tol, count, seed, dedup_angle)
+        return (U if normal is None else Q @ U, f,
+                _capped(g, iters, DEFAULT_GTOL, max_iter))
+    return PlaneSource(ascend, False)
 
 
-def _collect_planes(cal, source, tol, count, seed, dedup_angle,
-                    exact=False) -> PlaneSampleSet:
-    """The sampling loop: source(start, size) gives the frames, values and
-    capped flags of attempts start, ..., start + size - 1."""
+def sample_grassmannian(cal: Calibration, tol=1e-6, count=50,
+                        seed=0) -> PlaneSampleSet:
+    """Collect deduplicated planes with phi(xi) >= 1 - tol from the attempts
+    0, 1, ... of `grassmann`, at most max(8 count, 160) of them.
+
+    On the forms `phi_structure` recognizes the planes are drawn from G(phi)
+    (``exact=True``; ``multistart_count`` counts the planes drawn); on every
+    other form they are local maximizers of a multistart Stiefel ascent,
+    and ``capped`` counts the ascents stopped by SAMPLE_MAX_ITER short of
+    convergence.  Raises if the best value found contradicts the claimed
+    comass by more than 1e-4 in either direction (comass confirmation
+    failure).
+    """
+    return _collect_planes(cal, grassmann(cal, seed), tol, count, seed)
+
+
+def _collect_planes(cal, source: PlaneSource, tol, count,
+                    seed) -> PlaneSampleSet:
+    """The sampling loop over the attempts of source.take."""
     max_attempts = max(8 * count, 160)
     need = max(count, 1)    # the first plane is kept whatever the count
     kept = np.empty((need, cal.n, cal.p))
@@ -528,7 +569,7 @@ def _collect_planes(cal, source, tol, count, seed, dedup_angle,
         rate = (len(values) + 1) / (attempts + 1)
         size = min(math.ceil((need - len(values)) / rate),
                    max_attempts - attempts)
-        for U, f, stopped in zip(*source(attempts, size)):
+        for U, f, stopped in zip(*source.take(attempts, size)):
             attempts += 1
             capped += int(stopped)
             f = float(f)
@@ -539,7 +580,7 @@ def _collect_planes(cal, source, tol, count, seed, dedup_angle,
                     f"above claimed comass {cal.claimed_comass}")
             if f < cal.claimed_comass - tol:
                 continue
-            if _is_duplicate(U, kept[:len(values)], dedup_angle):
+            if _is_duplicate(U, kept[:len(values)], DEDUP_ANGLE):
                 continue
             kept[len(values)] = U
             values.append(f)
@@ -550,11 +591,10 @@ def _collect_planes(cal, source, tol, count, seed, dedup_angle,
             f"comass confirmation failure: best value {best:.8f} never "
             f"reached claimed comass {cal.claimed_comass}")
     return PlaneSampleSet([SimplePlane(U.T) for U in kept[:len(values)]],
-                          values, tol, seed, attempts,
-                          dedup_angle=dedup_angle, requested=count,
+                          values, tol, seed, attempts, requested=count,
                           calibration=cal.name,
                           exhausted=len(values) < count, capped=capped,
-                          exact=exact)
+                          exact=source.exact)
 
 
 def random_plane_set(n, p, count=80, seed=0) -> PlaneSampleSet:
@@ -851,25 +891,27 @@ class PhiStructure:
         for a in ops + (self._phi_vec,):
             a.flags.writeable = False     # cached: shared by every caller
 
-    def _values(self, U):
-        return _pluecker(U) @ self._phi_vec
-
     def draw(self, rng, count, normal=None) -> np.ndarray:
         """(count, n, p) stack of orthonormal frames of planes of G(phi),
         drawn from Haar vectors of rng; with a normal, of planes of G(phi)
         inside the hyperplane normal^perp, as a (0, n, p) stack when there
-        is none.  Raises if a drawn plane misses phi = 1 or the hyperplane
-        by more than STRUCTURE_TOL."""
+        is none (p = n).  Raises if a drawn plane misses phi = 1 or the
+        hyperplane by more than STRUCTURE_TOL."""
+        return self._draw(rng, count, normal)[0]
+
+    def _draw(self, rng, count, normal=None):
+        """The frames `draw` gives, and phi on each."""
         if normal is not None:
+            if self.p == self.n:
+                return np.empty((0, self.n, self.p)), np.empty(0)
             normal = np.asarray(normal, dtype=float)
             normal = normal / np.linalg.norm(normal)
             at = np.broadcast_to(normal, (count, self.n))
         else:
             at = None
         U = getattr(self, "_draw_" + self.kind)(rng, count, at)
-        if U is None:
-            return np.empty((0, self.n, self.p))
-        off = np.abs(self._values(U) - 1.0).max(initial=0.0)
+        values = _pluecker(U) @ self._phi_vec
+        off = np.abs(values - 1.0).max(initial=0.0)
         if off > STRUCTURE_TOL:
             raise RuntimeError(f"{self.kind} draw off G(phi): |phi - 1| = "
                                f"{off!r}")
@@ -878,10 +920,10 @@ class PhiStructure:
             if off > STRUCTURE_TOL:
                 raise RuntimeError(f"{self.kind} draw leaves the hyperplane "
                                    f"by {off!r}")
-        return U
+        return U, values
 
     # each _draw_<kind>(rng, count, at) gets the normal repeated on count
-    # rows, or None, and returns the frames or None for no plane
+    # rows, or None, and returns the frames
 
     def _draw_kaehler(self, rng, count, at):
         J, = self.ops
@@ -890,10 +932,8 @@ class PhiStructure:
         elif self.p != 2:
             # a complement lies in at^perp when its line contains at
             v = at
-        elif self.n > 2:
-            v = _haar_perp(rng, count, self.n, at, at @ J.T)
         else:
-            return None
+            v = _haar_perp(rng, count, self.n, at, at @ J.T)
         return kaehler_planes(v, J, self.phi)
 
     def _associative_planes(self, rng, count, u, *constraints):
@@ -949,13 +989,11 @@ class PhiStructure:
     def _draw_quaternionic(self, rng, count, at):
         if at is None:
             v = _haar_perp(rng, count, self.n)
-        elif self.n > 4:
+        else:
             # the line of v is orthogonal to at when v is orthogonal to the
             # line of at
             v = _haar_perp(rng, count, self.n, at,
                            *(at @ M.T for M in self.ops))
-        else:
-            return None
         return np.stack([v] + [v @ M.T for M in self.ops], axis=2)
 
 
@@ -975,12 +1013,15 @@ def pullback(phi: ExteriorElement, Q) -> ExteriorElement:
         d, phi.p, phi.to_coeff_vector() @ compound(Q, phi.p))
 
 
-def span_split(rows, sv_cutoff=1e-8):
+SV_CUTOFF = 1e-8
+
+
+def span_split(rows):
     """Orthonormal bases (span, perp) of the row space of ``rows`` and of its
-    orthogonal complement, splitting singular values at sv_cutoff relative to
+    orthogonal complement, splitting singular values at SV_CUTOFF relative to
     the largest."""
     _, s, vt = np.linalg.svd(rows, full_matrices=True)
-    d = int((s > sv_cutoff * (s[0] if s.size else 1.0)).sum())
+    d = int((s > SV_CUTOFF * (s[0] if s.size else 1.0)).sum())
     return vt[:d], vt[d:]
 
 
@@ -1006,8 +1047,8 @@ class ReduceResult:
     witness_residual: float
 
 
-def reduce_calibration(cal: Calibration, samples: PlaneSampleSet,
-                       sv_cutoff=1e-8) -> ReduceResult:
+def reduce_calibration(cal: Calibration,
+                       samples: PlaneSampleSet) -> ReduceResult:
     """Span of the sampled plane spans, the restricted form, and ellipticity.
 
     The caller is responsible for the samples being representative of the
@@ -1015,8 +1056,7 @@ def reduce_calibration(cal: Calibration, samples: PlaneSampleSet,
     """
     if len(samples) == 0:
         raise ValueError("empty sample set")
-    W, perp = span_split(np.vstack([pl.frame for pl in samples.planes]),
-                         sv_cutoff)
+    W, perp = span_split(np.vstack([pl.frame for pl in samples.planes]))
     psi = pullback(cal.form, W.T)
     elliptic = len(W) == cal.n
     witness = None

@@ -6,17 +6,17 @@ flatness, normality of a calibration, and the operator symbol.
 Everything is pointwise: smooth fields enter through gradient/Hessian
 suppliers.  Grassmannian quantifiers run over (refined) plane samples, so
 results are certified relative to the sampled surrogate of G(phi), with
-these exceptions: cone queries on Kaehler forms are exact; normality on the
-forms `grassmann.phi_structure` recognizes draws its planes from G(phi)
-itself; and level-set flatness is one `constrained_extremum` on the
-calibration restricted to the tangent hyperplane, exact when that
-restriction is Kaehler (as for the coassociative form, and for a Kaehler
-2-form restricted to the complex hyperplane of its tangential complex
-lines) and best-found otherwise, or the Hessian's exact value on the one
-plane `phi_structure` draws in the hyperplane when every draw is that
-plane (Kaehler(2,1), Kaehler(3,2), quaternionic(2)); a vacuous answer is
-exact when no plane is drawn there, when the restriction is zero, or when
-its comass, found below one, is exact.
+these exceptions: cone queries on Kaehler forms are exact; and normality
+and level-set flatness take their phi-planes, in R^n and inside a
+hyperplane, from the one source `grassmann.grassmann`, which draws them
+from G(phi) itself on the forms `phi_structure` recognizes.  Flatness is one
+`constrained_extremum` on the calibration restricted to the tangent
+hyperplane, exact when that restriction is Kaehler (as for the
+coassociative form, and for a Kaehler 2-form restricted to the complex
+hyperplane of its tangential complex lines) and best-found otherwise, or
+the Hessian's exact value on the one plane drawn in the hyperplane when
+every draw is that plane (Kaehler(2,1), Kaehler(3,2), quaternionic(2)); a
+vacuous answer is exact when the source says so.
 """
 
 from __future__ import annotations
@@ -32,11 +32,9 @@ from .exterior import (ExteriorElement, SimplePlane, compound,
                        derivation_extend, interior_product, lex_indices,
                        pairing, wedge, wedge_matrix)
 from .fields import ScalarField
-from .grassmann import (STRUCTURE_TOL, FormEvaluator, PhiStructure,
-                        PlaneSampleSet, _ascend_batch, _pluecker,
-                        _random_frames, comass, constrained_extremum,
-                        hyperplane_basis, kaehler_structure, phi_structure,
-                        pullback, rng_stream, sample_grassmannian, span_split)
+from .grassmann import (STRUCTURE_TOL, PlaneSampleSet, _pluecker,
+                        constrained_extremum, grassmann, hyperplane_basis,
+                        kaehler_structure, pullback, rng_stream, span_split)
 
 
 def d_phi(f: ScalarField, x, cal: Calibration) -> ExteriorElement:
@@ -179,8 +177,6 @@ def pluriharmonic_mod_d_residual(f: ScalarField, x, cal: Calibration,
 # ---------------------------------------------------------------------------
 
 FLAT_STARTS = 8    # tangential phi-planes seeding each flatness extremum
-DEGENERATE_TOL = 1e-6     # restricted comass below 1 - this: no phi-plane
-RESTRICTED_STARTS = 24    # ascent starts of an inexact restricted comass
 
 
 @dataclass
@@ -199,16 +195,14 @@ def phi_flat_check(f: ScalarField, x, cal: Calibration, tol=1e-8,
 
     Those are the phi-planes inside W = grad f(x)^perp, so the check is
     `constrained_extremum` of the Hessian pulled back to W over phi
-    restricted to W, seeded with FLAT_STARTS planes inside W: drawn from
-    `phi_structure` when it parametrizes G(phi), else sampled from the
-    restricted calibration.  For a Kaehler 2-form with structure J those
-    planes are the complex lines in span{g, Jg}^perp, and W is that complex
-    hyperplane, on which phi is Kaehler again.  It is exact (``exact=True``)
-    when phi|W is a Kaehler form, and when the drawn planes are all one
-    plane, whose Hessian value it then reports with no extremum.  Reports
-    vacuous flatness when no tangential phi-plane exists: an empty draw, or
-    a restricted comass found below one; exact unless that comass is a
-    best-found ascent value.
+    restricted to W, seeded with the first FLAT_STARTS planes `grassmann`
+    finds inside W (drawn, or ascended on phi|W).  For a Kaehler 2-form with
+    structure J those planes are the complex lines in span{g, Jg}^perp, and
+    W is that complex hyperplane, on which phi is Kaehler again.  It is
+    exact (``exact=True``) when phi|W is a Kaehler form, and when the drawn
+    planes are all one plane, whose Hessian value it then reports with no
+    extremum.  Reports vacuous flatness when no tangential phi-plane
+    exists, exact as `grassmann` says.
     """
     x = np.asarray(x, dtype=float)
     g = f.gradient(x)
@@ -216,31 +210,26 @@ def phi_flat_check(f: ScalarField, x, cal: Calibration, tol=1e-8,
     if gn < 1e-12:
         raise ValueError("vanishing gradient: level set undefined at x")
     ghat = g / gn
-    Q = hyperplane_basis(ghat)
+    source = grassmann(cal, seed, ghat)
+    if source.take is None:
+        return FlatReport(True, 0.0, None, True, source.exact)
+    V, values, _ = source.take(0, FLAT_STARTS)
     H = hessian_form(f, x, cal, cross_check=False)
-    structure = phi_structure(cal.form)
-    if structure is None:
-        restricted, vacuous_exact = _restricted_calibration(cal, Q, seed)
-        if restricted is None:
-            return FlatReport(True, 0.0, None, True, vacuous_exact)
-        starts = sample_grassmannian(restricted, count=FLAT_STARTS, seed=seed)
-    else:
-        V = structure.draw(rng_stream(seed, 0), FLAT_STARTS, ghat)
-        if not len(V):
-            return FlatReport(True, 0.0, None, True, True)
-        rows = _pluecker(V)
-        if np.abs(rows - rows[0]).max() <= STRUCTURE_TOL:
-            # every draw is one plane, so G(phi|W) is that plane
-            value = float(H.to_coeff_vector() @ rows[0])
-            return FlatReport(abs(value) <= tol, value, SimplePlane(V[0].T),
-                              False, True)
-        if structure.kind == "kaehler" and cal.p == 2:
-            # the draws are complex lines in span{g, Jg}^perp
-            Q = span_split(np.array([ghat, ghat @ structure.ops[0].T]))[1].T
-        U = Q.T @ V
-        restricted = Calibration(pullback(cal.form, Q), f"{cal.name}|W")
-        starts = PlaneSampleSet([SimplePlane(Uk.T) for Uk in U],
-                                [1.0] * len(U), 0.0, seed, len(U))
+    rows = _pluecker(V)
+    if source.exact and np.abs(rows - rows[0]).max() <= STRUCTURE_TOL:
+        # every draw is one plane, so G(phi|W) is that plane
+        value = float(H.to_coeff_vector() @ rows[0])
+        return FlatReport(abs(value) <= tol, value, SimplePlane(V[0].T),
+                          False, True)
+    Q = hyperplane_basis(ghat)
+    J = kaehler_structure(cal.form)
+    if J is not None and cal.p == 2:
+        # the draws are complex lines in span{g, Jg}^perp
+        Q = span_split(np.array([ghat, ghat @ J.T]))[1].T
+    U = Q.T @ V
+    restricted = Calibration(pullback(cal.form, Q), f"{cal.name}|W")
+    starts = PlaneSampleSet([SimplePlane(Uk.T) for Uk in U], list(values),
+                            0.0, seed, len(U))
     H_w = pullback(H, Q)
     worst = max((constrained_extremum(H_w, restricted, starts, mode, seed=seed)
                  for mode in ("max", "min")), key=lambda r: abs(r.value))
@@ -253,47 +242,28 @@ def phi_flat_check(f: ScalarField, x, cal: Calibration, tol=1e-8,
 # normality of a calibration
 # ---------------------------------------------------------------------------
 
-def _stable_span_rows(rows_from, batch, cap, patience=2):
-    """Collect rows_from(keys), batch after batch of stream keys, until the
-    rank of the rows has not grown for `patience` batches or `cap` keys are
-    spent; returns the row matrix."""
+MISMATCH_TOL = 1e-8    # projector distance above which a trial fails
+
+
+def _stable_span_rows(source, level, to_w, batch, cap, patience=2):
+    """The p-vectors of the source's planes with phi >= level - 1e-9, in
+    Lambda^p W through to_w when given, batch after batch of attempts from
+    3000 on, until their rank has not grown for `patience` batches or `cap`
+    attempts are spent; returns the row matrix."""
     rows = []
     rank = 0
     stable = 0
     attempts = 0
     while attempts < cap and stable < patience:
-        rows.extend(rows_from(range(3000 + attempts, 3000 + attempts + batch)))
+        U, f, _ = source.take(3000 + attempts, batch)
+        new = _pluecker(U[f >= level - 1e-9])
+        rows.extend(new if to_w is None else new @ to_w)
         attempts += batch
         if rows:
             new_rank = np.linalg.matrix_rank(np.array(rows), tol=1e-8)
             stable = stable + 1 if new_rank == rank else 0
             rank = new_rank
     return np.array(rows)
-
-
-def _adaptive_span_rows(cal: Calibration, tol, seed, batch=24, cap=400,
-                        patience=2):
-    """Sample the phi-Grassmannian by ascent until the span of its
-    p-vectors stops growing; returns the row matrix of sampled p-vectors."""
-    ev = FormEvaluator(cal.form)
-
-    def ascended(keys):
-        Us, fs, _, _ = _ascend_batch(
-            ev, _random_frames(cal.n, cal.p, seed, keys),
-            gtol=1e-11, max_iter=400)
-        return [ev.pvector_vec(U) for U in Us[fs >= cal.claimed_comass - tol]]
-    return _stable_span_rows(ascended, batch, cap, patience)
-
-
-def _drawn_span_rows(structure: PhiStructure, seed, normal=None, to_w=None,
-                     batch=24, cap=400):
-    """`_stable_span_rows` on p-vectors of planes drawn from G(phi), or
-    from its planes inside normal^perp, mapped by to_w when given."""
-    def drawn(keys):
-        rows = _pluecker(structure.draw(rng_stream(seed, keys[0]), len(keys),
-                                        normal))
-        return rows if to_w is None else rows @ to_w
-    return _stable_span_rows(drawn, batch, cap)
 
 
 @dataclass
@@ -305,25 +275,19 @@ class NormalityReport:
     worst_mismatch: float
 
 
-def normality_check(cal: Calibration, trials=50, seed=0,
-                    mismatch_tol=1e-8) -> NormalityReport:
+def normality_check(cal: Calibration, trials=50, seed=0) -> NormalityReport:
     """For random hyperplanes W, compare the annihilator of the restricted
     Grassmannian's span with the restriction of the full annihilator.
 
-    When `phi_structure` parametrizes G(phi), both spans come from planes
-    drawn from it: the full span from G(phi), the restricted one from its
-    planes inside W.  Then the comparison is of a theorem-derived span with
-    the annihilator, with no ascent.  Otherwise both spans come from
-    multistart ascent (`_adaptive_span_rows`), and a hyperplane where the
-    restricted comass drops below 1 - DEGENERATE_TOL has an empty
-    restricted Grassmannian.  Trials with no phi-plane inside W are
-    recorded as degenerate and excluded from the comparison.
+    Both spans are of the planes `grassmann` finds, in R^n and inside W:
+    drawn from G(phi) when `phi_structure` parametrizes it, so that the
+    comparison is of a theorem-derived span with the annihilator, with no
+    ascent; else ascended to, on phi and on phi|W.  Trials with no
+    phi-plane inside W are recorded as degenerate and excluded from the
+    comparison; a trial fails at a mismatch above MISMATCH_TOL.
     """
-    structure = phi_structure(cal.form)
-    if structure is None:
-        full_rows = _adaptive_span_rows(cal, tol=1e-9, seed=seed)
-    else:
-        full_rows = _drawn_span_rows(structure, seed)
+    level = cal.claimed_comass
+    full_rows = _stable_span_rows(grassmann(cal, seed), level, None, 24, 400)
     _, perp_basis = span_split(full_rows)
     failures = []
     degenerate = 0
@@ -334,14 +298,9 @@ def normality_check(cal: Calibration, trials=50, seed=0,
         u /= np.linalg.norm(u)
         Q = hyperplane_basis(u)                       # n x (n-1)
         to_w = compound(Q, cal.p)     # Lambda^p R^n -> Lambda^p W on rows
-        if structure is None:
-            restricted = _restricted_calibration(cal, Q, seed + t)[0]
-            rows_w = np.empty(0) if restricted is None else \
-                _adaptive_span_rows(restricted, tol=1e-9, seed=seed + 7 * t,
-                                    batch=16, cap=240)
-        else:
-            rows_w = _drawn_span_rows(structure, seed + 7 * t, u, to_w,
-                                      batch=16, cap=240)
+        source = grassmann(cal, seed + 7 * t, u)
+        rows_w = np.empty(0) if source.take is None else \
+            _stable_span_rows(source, level, to_w, 16, 240)
         if rows_w.size == 0:
             degenerate += 1
             continue
@@ -355,23 +314,7 @@ def normality_check(cal: Calibration, trials=50, seed=0,
         P2 = restr_basis.T @ restr_basis if d2 else np.zeros((dim_amb, dim_amb))
         mismatch = float(np.linalg.norm(P1 - P2, 2)) if dim_amb else 0.0
         worst = max(worst, mismatch)
-        if mismatch > mismatch_tol:
+        if mismatch > MISMATCH_TOL:
             failures.append({"u": u, "mismatch": mismatch,
                              "dims": (d1, d2)})
     return NormalityReport(not failures, trials, degenerate, failures, worst)
-
-
-def _restricted_calibration(cal, Q, seed):
-    """phi restricted to the hyperplane spanned by Q's columns, in its
-    coordinates, as a calibration claiming its comass, and whether that
-    comass is exact; the calibration is None when the comass is below
-    1 - DEGENERATE_TOL, so that no phi-plane lies in the hyperplane (a zero
-    restriction has comass zero exactly)."""
-    phi_w = pullback(cal.form, Q)
-    if phi_w.norm() == 0:
-        return None, True
-    cm = comass(phi_w, multistarts=RESTRICTED_STARTS, seed=seed)
-    if cm.value < 1.0 - DEGENERATE_TOL:
-        return None, cm.exact
-    return Calibration(phi_w, f"{cal.name}|W",
-                       claimed_comass=cm.value), cm.exact

@@ -10,10 +10,11 @@ from calibr.calibrations import CATALOGUE_SPECS, catalogue
 from calibr.exterior import (ExteriorElement, SimplePlane, angular_distance,
                              lex_indices)
 from calibr.grassmann import (DEFAULT_GTOL, DEDUP_ANGLE, FormEvaluator,
-                              _ascend_batch, _capped, _fnorm, _is_duplicate,
-                              _random_frames, _retract, _sample_ascent,
-                              _tangent, comass, constrained_extremum,
-                              random_frame, rng_stream, sample_grassmannian)
+                              _ascend_batch, _ascent_source, _capped,
+                              _collect_planes, _fnorm, _is_duplicate,
+                              _random_frames, _retract, _tangent, comass,
+                              constrained_extremum, random_frame, rng_stream,
+                              sample_grassmannian)
 
 
 def ref_retract(U):
@@ -336,7 +337,7 @@ class TestSamplingAgainstLoop:
     @pytest.mark.parametrize("seed", [1, 2])
     def test_same_planes_and_attempts(self, name, params, seed):
         cal = catalogue(name, *params)
-        ss = _sample_ascent(cal, count=8, seed=seed)
+        ss = _collect_planes(cal, _ascent_source(cal, seed), 1e-6, 8, seed)
         kept, values, attempts = ref_sample(cal, count=8, seed=seed)
         assert ss.multistart_count == attempts
         assert len(ss) == len(kept)
@@ -404,8 +405,10 @@ class TestSurfacedCaps:
 
     def test_sample_capped(self):
         cal = catalogue("associative")
-        assert _sample_ascent(cal, count=3, seed=0).capped == 0
-        ss = _sample_ascent(cal, tol=1e-2, count=3, seed=0, max_iter=5)
+        assert _collect_planes(cal, _ascent_source(cal, 0), 1e-6, 3,
+                               0).capped == 0
+        ss = _collect_planes(cal, _ascent_source(cal, 0, max_iter=5), 1e-2,
+                             3, 0)
         assert ss.capped == ss.multistart_count == 3
 
     def test_volume_reversed_component_stranded(self):

@@ -12,8 +12,8 @@ from calibr.exterior import (ExteriorElement, SimplePlane, angular_distance,
                              simple_from_frame, wedge)
 from calibr.grassmann import (DEFAULT_GTOL, FormEvaluator, PhiStructure,
                               _STRUCTURE_CACHE_SIZE, _comass_ascent,
-                              _exact_frame, _pluecker,
-                              _sample_ascent, comass,
+                              _ascent_source, _collect_planes,
+                              _exact_frame, _pluecker, comass,
                               constrained_extremum,
                               hyperplane_basis, kaehler_structure,
                               phi_structure, polish_plane, pullback,
@@ -214,7 +214,7 @@ class TestSampling:
 
     def test_dedup_distinct(self):
         cal = catalogue("kaehler", 2, 1)
-        ss = sample_grassmannian(cal, count=15, seed=9, dedup_angle=1e-3)
+        ss = sample_grassmannian(cal, count=15, seed=9)
         for i in range(len(ss)):
             for j in range(i + 1, len(ss)):
                 theta, oriented = angular_distance(ss.planes[i], ss.planes[j])
@@ -256,7 +256,7 @@ class TestDrawnSample:
         # duplicate, so the sample stops at max_attempts, as the ascent does
         cal = catalogue("volume", 2)
         ss = sample_grassmannian(cal, count=5, seed=1)
-        ref = _sample_ascent(cal, count=5, seed=1)
+        ref = _collect_planes(cal, _ascent_source(cal, 1), 1e-6, 5, 1)
         assert ss.exact and not ref.exact
         assert len(ss) == len(ref) == 1
         assert ss.exhausted and ref.exhausted

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-import calibr.hessian
+import calibr.grassmann
 from calibr.acceptance import NORMAL_ENTRIES
 from calibr.calibrations import Calibration, catalogue
 from calibr.cones import lambda_span
@@ -11,11 +11,12 @@ from calibr.exterior import (ExteriorElement, compound, lex_indices,
                              pairing, wedge)
 from calibr.fields import (ScalarField, builtin_field, compose,
                            field_from_json, quadratic_field)
-from calibr.grassmann import (_pluecker, hyperplane_basis, kaehler_matrix,
+from calibr.grassmann import (_ascent_source, _pluecker, grassmann,
+                              hyperplane_basis, kaehler_matrix,
                               kaehler_structure, phi_structure, pullback,
                               reduce_calibration, rng_stream,
                               sample_grassmannian, span_split)
-from calibr.hessian import (_adaptive_span_rows, _drawn_span_rows, d_phi,
+from calibr.hessian import (_stable_span_rows, d_phi,
                             hessian_form, normality_check,
                             phi_flat_check, pluriharmonic_mod_d_residual,
                             psh_classify, symbol, trace_check)
@@ -465,16 +466,18 @@ def projector_distance(rows_a, rows_b):
 
 
 class TestNormalityAgainstAscent:
-    """The spans drawn from `phi_structure` against the ascent route, kept
-    as the reference and as the route of every unstructured form."""
+    """The spans of the planes drawn from `phi_structure` against the ascent
+    half of `grassmann`, kept as the reference and as the route of every
+    unstructured form."""
 
     @pytest.mark.parametrize("name,params,rank", [
         (name, params, rank) for (name, params), rank
         in zip(NORMAL_ENTRIES, (4, 9, 13, 28, 28, 63, 20))])
     def test_full_span(self, name, params, rank):
         cal = catalogue(name, *params)
-        drawn = _drawn_span_rows(phi_structure(cal.form), seed=11)
-        ascended = _adaptive_span_rows(cal, tol=1e-9, seed=11)
+        drawn = _stable_span_rows(grassmann(cal, 11), 1.0, None, 24, 400)
+        ascended = _stable_span_rows(_ascent_source(cal, 11), 1.0, None, 24,
+                                     400)
         assert np.linalg.matrix_rank(drawn, tol=1e-8) == rank
         assert np.linalg.matrix_rank(ascended, tol=1e-8) == rank
         assert projector_distance(drawn, ascended) < 1e-8
@@ -482,33 +485,70 @@ class TestNormalityAgainstAscent:
     @pytest.mark.parametrize("name,params", NORMAL_ENTRIES)
     def test_restricted_span(self, name, params):
         cal = catalogue(name, *params)
-        structure = phi_structure(cal.form)
         for t in range(3):
             u = rng_stream(13, t).standard_normal(cal.n)
             u /= np.linalg.norm(u)
-            Q = hyperplane_basis(u)
-            drawn = _drawn_span_rows(structure, 17 + t, u,
-                                     compound(Q, cal.p), batch=16, cap=240)
-            restricted = Calibration(pullback(cal.form, Q), f"{cal.name}|W")
-            ascended = _adaptive_span_rows(restricted, tol=1e-9, seed=17 + t,
-                                           batch=16, cap=240)
+            to_w = compound(hyperplane_basis(u), cal.p)
+            drawn = _stable_span_rows(grassmann(cal, 17 + t, u), 1.0, to_w,
+                                      16, 240)
+            ascended = _stable_span_rows(_ascent_source(cal, 17 + t, u), 1.0,
+                                         to_w, 16, 240)
             assert projector_distance(drawn, ascended) < 1e-8
 
     def test_perturbed_form_takes_the_ascent(self, monkeypatch):
+        # sampling, normality and flatness all take the ascent half of the
+        # one source on associative + 1e-6 e124, and none on associative
         calls = []
-        ascent = calibr.hessian._adaptive_span_rows
+        ascent = calibr.grassmann._ascent_source
 
         def spy(cal, *args, **kwargs):
             calls.append(cal.name)
             return ascent(cal, *args, **kwargs)
-        monkeypatch.setattr(calibr.hessian, "_adaptive_span_rows", spy)
+        monkeypatch.setattr(calibr.grassmann, "_ascent_source", spy)
+        f = builtin_field("normsq", 7)
+        x = np.array([1.0, 0.5, 0, 0, 0.2, 0, 0])
         assoc = catalogue("associative")
-        normality_check(assoc, trials=2, seed=3)
-        assert calls == []
         perturbed = Calibration(
             assoc.form + ExteriorElement(7, 3, {(1, 2, 4): 1e-6}), "perturbed")
-        normality_check(perturbed, trials=1, seed=3)
-        assert calls and calls[0] == "perturbed"
+        for cal, route in ((assoc, []), (perturbed, ["perturbed"])):
+            for check in (lambda: sample_grassmannian(cal, count=2, seed=3),
+                          lambda: normality_check(cal, trials=1, seed=3),
+                          lambda: phi_flat_check(f, x, cal, seed=3)):
+                calls.clear()
+                check()
+                assert calls[:1] == route and set(calls) <= set(route)
+
+
+class TestSwappedSpecialLagrangian:
+    """special_lagrangian(3) with x1 and y1 swapped, which `phi_structure`
+    (matching SL in the catalogue coordinates only) does not detect: its
+    ascended planes must agree with SL(3)'s drawn ones."""
+
+    P = np.eye(6)[:, [1, 0, 2, 3, 4, 5]]
+
+    @pytest.fixture(scope="class")
+    def swapped(self):
+        sl = catalogue("special_lagrangian", 3)
+        cal = Calibration(pullback(sl.form, self.P), "swapped")
+        assert phi_structure(cal.form) is None
+        return cal
+
+    def test_normal(self, swapped):
+        rep = normality_check(swapped, trials=4, seed=1729)
+        assert rep.normal and rep.degenerate == 0
+
+    def test_flatness_matches_the_drawn_route(self, swapped):
+        rng = np.random.default_rng([0, 5])
+        B = rng.standard_normal((6, 6))
+        x = rng.standard_normal(6)
+        drawn = phi_flat_check(quadratic_field(B + B.T), x,
+                               catalogue("special_lagrangian", 3), seed=1729)
+        # f o P at P x, P swapping x1 and y1 (P = P^T = P^-1)
+        rep = phi_flat_check(quadratic_field(self.P @ (B + B.T) @ self.P),
+                             self.P @ x, swapped, seed=1729)
+        assert not rep.vacuous and not rep.exact
+        assert abs(drawn.worst_value - 4.1197731776) < 1e-9
+        assert abs(rep.worst_value - drawn.worst_value) < 1e-9
 
 
 class TestSymbolAndReduction:

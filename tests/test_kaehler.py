@@ -19,7 +19,8 @@ from calibr.exterior import (ExteriorElement, SimplePlane, form_to_json,
                              lex_indices, pairing, simple_from_frame)
 from calibr.fields import builtin_field
 from calibr.grassmann import (FormEvaluator, PlaneSampleSet,
-                              _sample_ascent, _tangential_extremum,
+                              _ascent_source, _collect_planes,
+                              _tangential_extremum,
                               constrained_extremum,
                               kaehler_matrix, kaehler_planes,
                               kaehler_structure, random_plane_set,
@@ -131,7 +132,8 @@ class TestSampleAgainstAscent:
     def test_ascended_planes_are_complex_lines(self):
         # the sample of a Kaehler form is drawn as complex lines; the
         # ascent finds them too (criterion 3 before the draw)
-        ss = _sample_ascent(catalogue("kaehler", 2, 1), count=100, seed=1729)
+        cal = catalogue("kaehler", 2, 1)
+        ss = _collect_planes(cal, _ascent_source(cal, 1729), 1e-6, 100, 1729)
         assert len(ss) == 100 and not ss.exact
         J = complex_structure(2)
         for pl in ss.planes:
