@@ -401,13 +401,12 @@ def criterion_11_restriction_subharmonic(seed=DEFAULT_SEED):
     t0 = time.time()
     omega = catalogue("kaehler", 2, 1)
     ss = _samples("kaehler", (2, 1), count=30, seed=seed)
-    M = graph_curve_mesh(16, cal=omega, flatness_tol=5e-2)
+    M = graph_curve_mesh(16, cal=omega)
     rows = []
     ok = True
     for fname in ("normsq", "abs_z1_sq"):
         f = builtin_field(fname, 4)
-        rep = restriction_subharmonicity(M, f, omega, samples=ss,
-                                         mesh_tol=1e-6)
+        rep = restriction_subharmonicity(M, f, omega, samples=ss)
         rows.append({"field": fname, "min_laplacian":
                      rep.details["min_laplacian"], "ok": rep.ok,
                      "precondition": rep.precondition_ok})

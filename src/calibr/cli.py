@@ -124,8 +124,12 @@ def _parse_probes(spec, n):
             raise ValueError(f"grid too large: {k}^{n} points")
         axes = [np.linspace(lo, hi, k)] * n
         mesh = np.meshgrid(*axes, indexing="ij")
-        return np.column_stack([m.ravel() for m in mesh])
-    return _load_array(spec)
+        probes = np.column_stack([m.ravel() for m in mesh])
+    else:
+        probes = _load_array(spec)
+    if probes.size == 0:
+        raise ValueError(f"probe set {spec!r} is empty")
+    return probes
 
 
 def _load_array(path):
@@ -147,14 +151,14 @@ def _cone_samples_for(cal, args):
     return _samples_for(cal, args)
 
 
-def _load_mesh(spec, cal=None, flatness_tol=1e-9):
+def _load_mesh(spec, cal=None):
     if spec.startswith("builtin:disc:"):
         m = int(spec.rsplit(":", 1)[1])
         return currents.disc_mesh(m, cal=cal)
     if spec.startswith("builtin:graph:"):
         m = int(spec.rsplit(":", 1)[1])
-        return currents.graph_curve_mesh(m, cal=cal, flatness_tol=5e-2)
-    return currents.read_mesh(spec, cal=cal, flatness_tol=flatness_tol)
+        return currents.graph_curve_mesh(m, cal=cal)
+    return currents.read_mesh(spec, cal=cal)
 
 
 # ---------------------------------------------------------------------------
@@ -360,6 +364,8 @@ def _random_batch(args, cal, ss):
 def _alternative_inputs(args, *flags):
     """Calibration and plane sample of ``duality`` or ``jensen``, once
     --random or every flag naming an input of one alternative is given."""
+    if args.random is not None and args.random < 1:
+        raise ValueError(f"--random must be at least 1, got {args.random}")
     missing = [f"--{k}" for k in flags if getattr(args, k) is None]
     if missing and not args.random:
         raise ValueError(f"{args.command} needs {' and '.join(missing)} "

@@ -27,6 +27,7 @@ from .grassmann import (PlaneSampleSet, comass, constrained_extremum,
 from .lp import solve_lp
 
 BOUNDARY_TOL = 1e-6
+MEMBERSHIP_TOL = 1e-6    # relative residual of a member's decomposition
 SEPARATION_STARTS = 8   # sampled starts of each pricing extremum
 GAP_TOL = 1e-9      # mass loop: bracket width, or dual comass above one
 
@@ -88,14 +89,14 @@ def _member_margin(atom_matrix, coeffs):
 
 
 def cone_membership(xi: ExteriorElement, cal: Calibration,
-                    samples: PlaneSampleSet, tol=1e-6, max_rounds=20,
+                    samples: PlaneSampleSet, max_rounds=20,
                     seed=0) -> ConeReport:
     """Nonnegative decomposition of xi over phi-planes.
 
     On a Kaehler form the atoms are `_kaehler_atoms`, the report is exact
     and the sample may be empty; otherwise they are the sampled planes
     grown by column generation (`_sampled_membership`).  Outside when the
-    relative residual exceeds tol, with margin minus it,
+    relative residual exceeds MEMBERSHIP_TOL, with margin minus it,
     ``meta["separating_form"]`` -r/|r| for the residual r (it pairs
     negatively with xi, nonnegatively with every atom) and
     ``meta["separating_min"]`` its `constrained_extremum` minimum over
@@ -116,18 +117,19 @@ def cone_membership(xi: ExteriorElement, cal: Calibration,
         if len(samples) == 0:
             raise ValueError("empty sample set")
         planes, coeffs, res, pricing, capped = _sampled_membership(
-            xi, xi_vec, scale, cal, samples, tol, max_rounds, seed)
+            xi, xi_vec, scale, cal, samples, max_rounds, seed)
     else:
         planes, coeffs = _kaehler_atoms(xi, cal, J)
         capped = False
     A = np.column_stack([pl.pvector().to_coeff_vector() for pl in planes])
     r = xi_vec - A @ coeffs
     residual = (res if J is None else np.linalg.norm(r)) / scale
-    tolerances = {"membership_tol": tol, "boundary_tol": BOUNDARY_TOL}
+    tolerances = {"membership_tol": MEMBERSHIP_TOL,
+                  "boundary_tol": BOUNDARY_TOL}
     meta = {"sample_count": len(samples), "atom_count": len(planes),
             "residual": residual, "planes": planes,
             "weights": coeffs, "exact": J is not None, "capped": capped}
-    if residual > tol:
+    if residual > MEMBERSHIP_TOL:
         sep = ExteriorElement.from_coeff_vector(
             cal.n, cal.p, -r / np.linalg.norm(r), drop_tol=0.0)
         meta["separating_form"] = sep
@@ -163,8 +165,7 @@ def _kaehler_atoms(xi, cal, J):
             np.maximum(lam[n // 2:], 0.0))
 
 
-def _sampled_membership(xi, xi_vec, scale, cal, samples, tol, max_rounds,
-                        seed):
+def _sampled_membership(xi, xi_vec, scale, cal, samples, max_rounds, seed):
     """Column generation over the sampled planes.  Each round solves NNLS
     over the atoms and prices the residual r = xi - A c with one ascent of
     -r/|r| over G(phi); the priced plane joins the atoms while it pairs
@@ -181,7 +182,7 @@ def _sampled_membership(xi, xi_vec, scale, cal, samples, tol, max_rounds,
     # that matters; add it up front
     cm_xi = comass((1.0 / scale) * xi, multistarts=8, seed=seed)
     polished, val = polish_plane(cal.form, cm_xi.plane)
-    if val >= 1.0 - max(tol, samples.tolerance):
+    if val >= 1.0 - max(MEMBERSHIP_TOL, samples.tolerance):
         planes.append(polished)
     A = np.column_stack([pl.pvector().to_coeff_vector() for pl in planes])
     coeffs, res = nnls(A, xi_vec)
@@ -376,16 +377,17 @@ class Lemma25Report:
 def lemma_2_5_check(xi: ExteriorElement, cal: Calibration,
                     samples: PlaneSampleSet,
                     generator_samples: PlaneSampleSet,
-                    tol=1e-6, bracket_tol=2e-5, seed=0) -> Lemma25Report:
+                    seed=0) -> Lemma25Report:
     """Evaluate the three equivalent conditions for a mass-normalized xi:
-    cone membership, convex-hull membership, and pairing with phi equal 1."""
+    cone membership, convex-hull membership, and pairing with phi equal 1,
+    each within MEMBERSHIP_TOL; the mass bracket must meet 1 +- 2e-5."""
     upper, lower, mass_meta = mass_norm_estimate(xi, generator_samples,
                                                  seed=seed)
-    if not (lower <= 1.0 + bracket_tol and upper >= 1.0 - bracket_tol):
+    if not (lower <= 1.0 + 2e-5 and upper >= 1.0 - 2e-5):
         raise ValueError(
             f"mass-normalization failure: bracket [{lower:.8f}, {upper:.8f}] "
             "does not contain 1")
-    rep1 = cone_membership(xi, cal, samples, tol=tol, seed=seed)
+    rep1 = cone_membership(xi, cal, samples, seed=seed)
     cond1 = rep1.status != "Outside"
 
     # convex-hull version: weights must also sum to one (weighted row trick)
@@ -397,10 +399,10 @@ def lemma_2_5_check(xi: ExteriorElement, cal: Calibration,
     A_aug = np.vstack([A, w * np.ones(A.shape[1])])
     b_aug = np.concatenate([xi_vec, [w]])
     _, res2 = nnls(A_aug, b_aug)
-    cond2 = bool(res2 <= tol * max(1.0, np.linalg.norm(xi_vec)))
+    cond2 = bool(res2 <= MEMBERSHIP_TOL * max(1.0, np.linalg.norm(xi_vec)))
 
     val = pairing(cal.form, xi)
-    cond3 = bool(abs(val - 1.0) <= tol)
+    cond3 = bool(abs(val - 1.0) <= MEMBERSHIP_TOL)
 
     conditions = {
         "cone_membership": (bool(cond1), rep1.margin),

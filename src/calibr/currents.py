@@ -29,6 +29,7 @@ from .polynomial import (PolyForm, Polynomial, monomial_exponents,
                          simplex_monomial_means)
 
 VOLUME_TOL = 1e-12
+BOUNDS_TOL = 1e-9      # maximum principle: slack past the boundary range
 
 
 # ---------------------------------------------------------------------------
@@ -176,24 +177,24 @@ def evaluate(T: PolyhedralCurrent, alpha) -> float:
     return float(weights @ (rows * means).sum(axis=1))
 
 
-def phi_positive_check(T: PolyhedralCurrent, cal: Calibration, tol=1e-9):
+def phi_positive_check(T: PolyhedralCurrent, cal: Calibration):
     """Positive iff every positively weighted tangent is a phi-plane and no
     multiplicity is negative; violations come back with their phi-values."""
     vals = T._tangents @ cal.form.to_coeff_vector()
-    bad = np.flatnonzero((T._mults < 0.0) | (vals < 1.0 - tol))
+    bad = np.flatnonzero((T._mults < 0.0) | (vals < 1.0 - 1e-9))
     violations = [{"index": k, "phi": vals[k].item(),
                    "multiplicity": T._mults[k].item()} for k in bad.tolist()]
     return {"positive": not violations, "violations": violations}
 
 
-def calibration_gap(T: PolyhedralCurrent, cal: Calibration, tol=1e-9):
+def calibration_gap(T: PolyhedralCurrent, cal: Calibration):
     """T(phi), the mass, and their gap (nonnegative by the comass bound;
     zero exactly on phi-positive currents)."""
     tphi = evaluate(T, cal.form)
     m = mass(T)
     gap = m - tphi
     return {"tphi": tphi, "mass": m, "gap": gap,
-            "positive": phi_positive_check(T, cal, tol)["positive"]}
+            "positive": phi_positive_check(T, cal)["positive"]}
 
 
 # ---------------------------------------------------------------------------
@@ -261,8 +262,8 @@ class MeshedSubmanifold:
         """Oriented boundary (p-1)-faces with their orientation signs."""
         return [(k, c) for k, c in self._face_counts().items() if c != 0]
 
-    def to_current(self, multiplicity=1.0) -> PolyhedralCurrent:
-        simp = [(self.vertices[tri], multiplicity) for tri in self.simplices]
+    def to_current(self) -> PolyhedralCurrent:
+        simp = [(self.vertices[tri], 1.0) for tri in self.simplices]
         return PolyhedralCurrent(self.n, self.p, simp, validate=False)
 
 
@@ -316,46 +317,36 @@ def hex_disc_points(m: int):
     return pts, tris
 
 
-def _embed(points2d, frame, origin=None):
-    frame = np.asarray(frame, dtype=float)
-    origin = np.zeros(frame.shape[1]) if origin is None else origin
-    return origin[None, :] + points2d @ frame
-
-
 def disc_mesh(m: int, n=4, cal: Calibration = None) -> MeshedSubmanifold:
     """Flat unit disc in the x1y1 coordinate plane of R^n, m rings."""
     pts, tris = hex_disc_points(m)
     frame = np.zeros((2, n))
     frame[0, 0] = 1.0
     frame[1, 1] = 1.0
-    return MeshedSubmanifold(_embed(pts, frame), tris, cal)
+    # adding 0.0 turns every -0.0 of the product into 0.0
+    return MeshedSubmanifold(0.0 + pts @ frame, tris, cal)
 
 
-def tilted_disc_mesh(m: int, theta: float, n=4,
-                     cal: Calibration = None, flatness_tol=1e-9):
+def tilted_disc_mesh(m: int, theta: float, cal: Calibration = None):
     """Unit disc in the plane span{e1, cos(theta) e2 + sin(theta) e3}."""
     pts, tris = hex_disc_points(m)
-    frame = np.zeros((2, n))
+    frame = np.zeros((2, 4))
     frame[0, 0] = 1.0
     frame[1, 1] = math.cos(theta)
     frame[1, 2] = math.sin(theta)
-    return MeshedSubmanifold(_embed(pts, frame), tris, cal,
-                             flatness_tol=flatness_tol)
+    return MeshedSubmanifold(0.0 + pts @ frame, tris, cal)
 
 
-def graph_curve_mesh(m: int, cal: Calibration = None, flatness_tol=5e-2,
-                     radius=1.0) -> MeshedSubmanifold:
-    """Mesh of the holomorphic graph z2 = z1^2 over the disc of the given
-    radius in C^2 (interleaved coordinates x1,y1,x2,y2)."""
+def graph_curve_mesh(m: int, cal: Calibration = None) -> MeshedSubmanifold:
+    """Mesh of the holomorphic graph z2 = z1^2 over the unit disc in C^2
+    (interleaved coordinates x1,y1,x2,y2)."""
     pts, tris = hex_disc_points(m)
-    pts = pts * radius
     u, v = pts[:, 0], pts[:, 1]
     verts = np.column_stack([u, v, u * u - v * v, 2 * u * v])
-    return MeshedSubmanifold(verts, tris, cal, flatness_tol=flatness_tol)
+    return MeshedSubmanifold(verts, tris, cal, flatness_tol=5e-2)
 
 
-def cap_mesh(m: int, height: float, n=4, cal: Calibration = None,
-             flatness_tol=np.inf) -> MeshedSubmanifold:
+def cap_mesh(m: int, height: float, n=4) -> MeshedSubmanifold:
     """Spherical cap with the unit circle of the x1y1-plane as its rim,
     bulging into coordinate 3; cap height is the apex offset.  Shares its
     rim vertices with disc_mesh(m) exactly."""
@@ -369,7 +360,7 @@ def cap_mesh(m: int, height: float, n=4, cal: Calibration = None,
     verts[:, 0] = pts[:, 0]
     verts[:, 1] = pts[:, 1]
     verts[:, 2] = lift
-    return MeshedSubmanifold(verts, tris, cal, flatness_tol=flatness_tol)
+    return MeshedSubmanifold(verts, tris)
 
 
 # ---------------------------------------------------------------------------
@@ -386,8 +377,8 @@ def write_mesh(path, M: MeshedSubmanifold):
             fh.write("s " + " ".join(str(int(i)) for i in tri) + " 1\n")
 
 
-def read_mesh(path, cal: Calibration = None, flatness_tol=1e-9):
-    verts, tris = [], []
+def read_mesh(path, cal: Calibration = None):
+    verts, tris, where = [], [], []
     with open(path) as fh:
         header = fh.readline().split()
         if len(header) != 2:
@@ -412,10 +403,14 @@ def read_mesh(path, cal: Calibration = None, flatness_tol=1e-9):
                         f"{path}:{lineno}: submanifold meshes need unit "
                         "multiplicity")
                 tris.append(idx)
+                where.append(lineno)
             else:
                 raise ValueError(f"{path}:{lineno}: unknown record '{parts[0]}'")
-    return MeshedSubmanifold(np.array(verts), np.array(tris, dtype=int),
-                             cal, flatness_tol=flatness_tol)
+    for idx, lineno in zip(tris, where):
+        if not all(0 <= i < len(verts) for i in idx):
+            raise ValueError(f"{path}:{lineno}: vertex index outside "
+                             f"[0, {len(verts)})")
+    return MeshedSubmanifold(np.array(verts), np.array(tris, dtype=int), cal)
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +451,7 @@ def discrete_laplacian_values(M: MeshedSubmanifold, f: ScalarField):
 # Green's current checks on a flat disc in a single phi-plane
 # ---------------------------------------------------------------------------
 
-def _plane_coordinates(M: MeshedSubmanifold, tol=1e-9):
+def _plane_coordinates(M: MeshedSubmanifold):
     """Orthonormal 2-frame of the mesh plane, its unit 2-vector oriented by
     the first simplex, and the 2D vertex coordinates; raises when the mesh
     is not flat inside one plane."""
@@ -468,7 +463,7 @@ def _plane_coordinates(M: MeshedSubmanifold, tol=1e-9):
     coords = rel @ frame.T
     recon = coords @ frame
     off = np.abs(rel - recon).max()
-    if off > tol * max(1.0, np.abs(M.vertices).max()):
+    if off > 1e-9 * max(1.0, np.abs(M.vertices).max()):
         raise ValueError(f"mesh leaves its plane by {off:.2e}")
     return frame, xi, coords
 
@@ -654,20 +649,18 @@ class MeshReport:
 
 
 def max_principle_check(M: MeshedSubmanifold, f: ScalarField, mode: str,
-                        cal: Calibration, samples=None, mesh_tol=1e-9,
-                        modd_tol=1e-6, probe_count=6) -> MeshReport:
+                        cal: Calibration, samples=None) -> MeshReport:
     """mode='bounds': interior values within the boundary range (requires f
     pluriharmonic mod d near the mesh); mode='lemma58': for f constant on M,
     the first-order operator annihilates all boundary tangents."""
     if mode == "bounds":
         pre_info = {}
-        pre_ok = True
         if samples is None:
             pre_ok = False
             pre_info["reason"] = "no samples supplied for the mod-d check"
         else:
             span = lambda_span(samples)
-            idx = np.linspace(0, len(M.vertices) - 1, probe_count).astype(int)
+            idx = np.linspace(0, len(M.vertices) - 1, 6).astype(int)
             residuals = []
             critical = 0
             for i in idx:
@@ -681,7 +674,7 @@ def max_principle_check(M: MeshedSubmanifold, f: ScalarField, mode: str,
                 residuals.append(r.residual)
             pre_info["modd_residuals"] = residuals
             pre_info["critical_probes"] = critical
-            pre_ok = bool(residuals) and max(residuals) <= modd_tol \
+            pre_ok = bool(residuals) and max(residuals) <= 1e-6 \
                 and critical == 0
         fv = np.array([f(v) for v in M.vertices])
         bnd = M.boundary_vertices()
@@ -689,8 +682,8 @@ def max_principle_check(M: MeshedSubmanifold, f: ScalarField, mode: str,
         lo, hi = fv[bnd].min(), fv[bnd].max()
         worst_low = float(fv[interior].min() - lo)
         worst_high = float(hi - fv[interior].max())
-        ok = bool(fv[interior].min() >= lo - mesh_tol
-                  and fv[interior].max() <= hi + mesh_tol)
+        ok = bool(fv[interior].min() >= lo - BOUNDS_TOL
+                  and fv[interior].max() <= hi + BOUNDS_TOL)
         return MeshReport(ok, pre_ok, pre_info,
                           {"boundary_range": (float(lo), float(hi)),
                            "slack": (worst_low, worst_high)})
@@ -711,14 +704,12 @@ def max_principle_check(M: MeshedSubmanifold, f: ScalarField, mode: str,
 
 
 def restriction_subharmonicity(M: MeshedSubmanifold, f: ScalarField,
-                               cal: Calibration, samples=None,
-                               mesh_tol=1e-6, probe_count=4) -> MeshReport:
-    """Discrete Laplace-Beltrami of f at interior vertices must clear
-    -mesh_tol when f is plurisubharmonic near the mesh."""
+                               cal: Calibration, samples=None) -> MeshReport:
+    """Discrete Laplace-Beltrami of f at interior vertices must clear -1e-6
+    when f is plurisubharmonic near the mesh."""
     pre_info = {}
-    pre_ok = True
     if samples is not None:
-        idx = np.linspace(0, len(M.vertices) - 1, probe_count).astype(int)
+        idx = np.linspace(0, len(M.vertices) - 1, 4).astype(int)
         marks = psh_classify(f, [M.vertices[i] for i in idx], cal, samples,
                              starts_limit=8, extra_starts=2)
         pre_info["psh_status"] = [m.status for m in marks]
@@ -727,7 +718,7 @@ def restriction_subharmonicity(M: MeshedSubmanifold, f: ScalarField,
         pre_ok = False
         pre_info["reason"] = "no samples supplied for the psh check"
     interior, lap = discrete_laplacian_values(M, f)
-    ok = bool(lap.min() >= -mesh_tol)
+    ok = bool(lap.min() >= -1e-6)
     return MeshReport(ok, pre_ok, pre_info,
                       {"min_laplacian": float(lap.min()),
                        "max_laplacian": float(lap.max()),

@@ -146,9 +146,9 @@ def _build_model(kind, cal, sites, samples, degree, planes_per_site, pad,
 
 def build_boundary_model(cal: Calibration, sites, samples: PlaneSampleSet,
                          degree=2, planes_per_site=None, pad=0.5,
-                         dictionary=None, extra_planes=None) -> FiniteDualityModel:
+                         dictionary=None) -> FiniteDualityModel:
     return _build_model("boundary", cal, sites, samples, degree,
-                        planes_per_site, pad, dictionary, extra_planes)
+                        planes_per_site, pad, dictionary, None)
 
 
 def build_jensen_model(cal: Calibration, sites, samples: PlaneSampleSet,

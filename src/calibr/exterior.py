@@ -195,12 +195,12 @@ class ExteriorElement:
         return cls(n, p, {})
 
     @classmethod
-    def basis(cls, n, indices, coeff=1.0):
+    def basis(cls, n, indices):
         """Basis element dx_{i1} ^ ... ^ dx_{ip} (indices need not be sorted)."""
         idx, sign = _sorted_sign(indices)
         if idx is None:
             return cls.zero(n, len(tuple(indices)))
-        return cls(n, len(idx), {idx: sign * coeff})
+        return cls(n, len(idx), {idx: sign})
 
     @classmethod
     def from_vector(cls, v):
@@ -250,8 +250,8 @@ class ExteriorElement:
     def norm(self):
         return math.sqrt(sum(c * c for c in self.coeffs.values()))
 
-    def is_zero(self, tol=0.0):
-        return all(abs(c) <= tol for c in self.coeffs.values())
+    def is_zero(self):
+        return all(c == 0.0 for c in self.coeffs.values())
 
     def to_coeff_vector(self):
         pos = lex_position(self.n, self.p)
@@ -363,13 +363,13 @@ class SimplePlane:
 
     __slots__ = ("frame", "_pvector")
 
-    def __init__(self, frame, tol=FRAME_TOL):
+    def __init__(self, frame):
         frame = np.asarray(frame, dtype=float)
         if frame.ndim != 2:
             raise ValueError("frame must be a (p, n) array of row vectors")
         p, n = frame.shape
         gram = frame @ frame.T
-        if not np.allclose(gram, np.eye(p), atol=tol):
+        if not np.allclose(gram, np.eye(p), atol=FRAME_TOL):
             raise ValueError("frame is not orthonormal within tolerance")
         self.frame = frame
         self._pvector = None
@@ -397,7 +397,7 @@ class SimplePlane:
         return f"SimplePlane(p={self.p}, n={self.n})"
 
 
-def simple_from_frame(frame, tol=1e-12):
+def simple_from_frame(frame):
     """Orthonormalize a spanning frame preserving orientation.
 
     Returns (SimplePlane, unit p-vector).  Raises on rank deficiency.
@@ -409,7 +409,7 @@ def simple_from_frame(frame, tol=1e-12):
     q, r = np.linalg.qr(frame.T)  # columns of q span the frame
     diag = np.diag(r)
     scale = max(np.abs(frame).max(), 1.0)
-    if np.any(np.abs(diag) <= tol * scale):
+    if np.any(np.abs(diag) <= 1e-12 * scale):
         raise ValueError("rank-deficient frame")
     # force positive diagonal so the orthonormal frame keeps the orientation
     signs = np.sign(diag)
@@ -418,8 +418,9 @@ def simple_from_frame(frame, tol=1e-12):
     return plane, plane.pvector()
 
 
-def is_simple(xi: ExteriorElement, tol=1e-10) -> bool:
-    """Pluecker criterion: (v -| xi) ^ xi = 0 for all basis vectors v."""
+def is_simple(xi: ExteriorElement) -> bool:
+    """Pluecker criterion: (v -| xi) ^ xi = 0 for all basis vectors v, up
+    to 1e-10 |xi|^2."""
     nrm2 = sum(c * c for c in xi.coeffs.values())
     if nrm2 == 0.0:
         raise ValueError("zero input")
@@ -429,7 +430,7 @@ def is_simple(xi: ExteriorElement, tol=1e-10) -> bool:
         v[i] = 1.0
         rem = wedge(interior_product(v, xi), xi)
         worst = max(worst, rem.norm())
-    return worst / nrm2 <= tol
+    return worst / nrm2 <= 1e-10
 
 
 def angular_distance(a: SimplePlane, b: SimplePlane):

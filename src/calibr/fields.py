@@ -13,17 +13,17 @@ import numpy as np
 from .polynomial import Polynomial
 
 FD_STEP = 1e-4
+VALIDATE_TOL = 1e-5     # analytic suppliers against differences, relative
 
 
 class ScalarField:
     """f: R^n -> R with gradient/hessian suppliers."""
 
-    def __init__(self, n, fn, grad=None, hess=None, h=FD_STEP, name=None,
+    def __init__(self, n, fn, grad=None, hess=None, name=None,
                  poly: Polynomial | None = None, validate=True):
         self.n = int(n)
         self.fn = fn
         self.name = name or "field"
-        self.h = float(h)
         self.poly = poly
         self._grad = grad
         self._hess = hess
@@ -40,7 +40,7 @@ class ScalarField:
         return float(self.fn(np.asarray(x, dtype=float)))
 
     def _step(self, x):
-        return self.h * max(1.0, float(np.abs(x).max()))
+        return FD_STEP * max(1.0, float(np.abs(x).max()))
 
     def _fd_gradient(self, x):
         x = np.asarray(x, dtype=float)
@@ -91,27 +91,26 @@ class ScalarField:
         h = self._step(x)
         return (self.fn(x + h * u) - 2 * self.fn(x) + self.fn(x - h * u)) / h ** 2
 
-    def _validate(self, probes=None, tol=1e-5):
-        if probes is None:
-            rng = np.random.default_rng(0)
-            probes = [np.zeros(self.n)] + [rng.standard_normal(self.n)
-                                           for _ in range(3)]
+    def _validate(self):
+        rng = np.random.default_rng(0)
+        probes = [np.zeros(self.n)] + [rng.standard_normal(self.n)
+                                       for _ in range(3)]
         for x in probes:
             if self._grad is not None:
                 ga, gf = np.asarray(self._grad(x)), self._fd_gradient(x)
                 scale = max(1.0, np.abs(ga).max())
-                if np.abs(ga - gf).max() > tol * scale:
+                if np.abs(ga - gf).max() > VALIDATE_TOL * scale:
                     raise ValueError(
                         f"analytic gradient disagrees with differences at {x}")
             if self._hess is not None:
                 Ha, Hf = np.asarray(self._hess(x)), self._fd_hessian(x)
                 scale = max(1.0, np.abs(Ha).max())
-                if np.abs(Ha - Hf).max() > tol * scale:
+                if np.abs(Ha - Hf).max() > VALIDATE_TOL * scale:
                     raise ValueError(
                         f"analytic hessian disagrees with differences at {x}")
 
 
-def compose(field: ScalarField, chi, dchi, ddchi, name=None) -> ScalarField:
+def compose(field: ScalarField, chi, dchi, ddchi) -> ScalarField:
     """chi(f) with chain-rule suppliers; chi given by value and derivatives."""
     def fn(x):
         return chi(field(x))
@@ -125,16 +124,16 @@ def compose(field: ScalarField, chi, dchi, ddchi, name=None) -> ScalarField:
         return dchi(v) * field.hessian(x) + ddchi(v) * np.outer(g, g)
 
     return ScalarField(field.n, fn, grad=grad, hess=hess,
-                       name=name or f"chi({field.name})", validate=False)
+                       name=f"chi({field.name})", validate=False)
 
 
-def quadratic_field(A, name=None) -> ScalarField:
+def quadratic_field(A) -> ScalarField:
     """f(x) = x.A.x / 2 for symmetric A."""
     A = np.asarray(A, dtype=float)
     A = (A + A.T) / 2
     n = A.shape[0]
     return ScalarField(n, lambda x: 0.5 * x @ A @ x, grad=lambda x: A @ x,
-                       hess=lambda x: A.copy(), name=name or "quadratic",
+                       hess=lambda x: A.copy(), name="quadratic",
                        validate=False)
 
 

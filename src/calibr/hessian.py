@@ -31,10 +31,12 @@ from .cones import LambdaSpan, lambda_span, positivity_classify
 from .exterior import (ExteriorElement, SimplePlane, compound,
                        derivation_extend, interior_product, lex_indices,
                        pairing, wedge, wedge_matrix)
-from .fields import ScalarField
+from .fields import FD_STEP, ScalarField
 from .grassmann import (STRUCTURE_TOL, PlaneSampleSet, _pluecker,
                         constrained_extremum, grassmann, hyperplane_basis,
                         kaehler_structure, pullback, rng_stream, span_split)
+
+CROSS_CHECK_TOL = 1e-3   # Hessian against the differenced first-order operator
 
 
 def d_phi(f: ScalarField, x, cal: Calibration) -> ExteriorElement:
@@ -42,8 +44,8 @@ def d_phi(f: ScalarField, x, cal: Calibration) -> ExteriorElement:
     return interior_product(f.gradient(x), cal.form)
 
 
-def hessian_form(f: ScalarField, x, cal: Calibration, cross_check=True,
-                 check_tol=1e-3) -> ExteriorElement:
+def hessian_form(f: ScalarField, x, cal: Calibration,
+                 cross_check=True) -> ExteriorElement:
     """Second-order operator: the Hessian extended into phi as a derivation.
 
     For constant phi this factors through the exterior derivative of the
@@ -55,7 +57,7 @@ def hessian_form(f: ScalarField, x, cal: Calibration, cross_check=True,
     H = f.hessian(x)
     out = derivation_extend(H, cal.form)
     if cross_check:
-        h = f.h * max(1.0, float(np.abs(x).max()))
+        h = f._step(x)
         fd = ExteriorElement.zero(cal.n, cal.p)
         for i in range(cal.n):
             e = np.zeros(cal.n)
@@ -65,11 +67,11 @@ def hessian_form(f: ScalarField, x, cal: Calibration, cross_check=True,
             fd = fd + wedge(ei_form, (1.0 / (2 * h)) * diff)
         gap = (out - fd).norm()
         scale = 1.0 + float(np.linalg.norm(H))
-        if gap > check_tol * scale:
+        if gap > CROSS_CHECK_TOL * scale:
             warnings.warn(
                 f"factorization cross-check gap {gap:.2e} exceeds "
-                f"{check_tol:.0e}*(1+|Hess|); finite-difference step h={f.h} "
-                "may be poorly scaled")
+                f"{CROSS_CHECK_TOL:.0e}*(1+|Hess|); finite-difference step "
+                f"h={FD_STEP} may be poorly scaled")
     return out
 
 
@@ -245,16 +247,16 @@ def phi_flat_check(f: ScalarField, x, cal: Calibration, tol=1e-8,
 MISMATCH_TOL = 1e-8    # projector distance above which a trial fails
 
 
-def _stable_span_rows(source, level, to_w, batch, cap, patience=2):
+def _stable_span_rows(source, level, to_w, batch, cap):
     """The p-vectors of the source's planes with phi >= level - 1e-9, in
     Lambda^p W through to_w when given, batch after batch of attempts from
-    3000 on, until their rank has not grown for `patience` batches or `cap`
+    3000 on, until their rank has not grown for two batches or `cap`
     attempts are spent; returns the row matrix."""
     rows = []
     rank = 0
     stable = 0
     attempts = 0
-    while attempts < cap and stable < patience:
+    while attempts < cap and stable < 2:
         U, f, _ = source.take(3000 + attempts, batch)
         new = _pluecker(U[f >= level - 1e-9])
         rows.extend(new if to_w is None else new @ to_w)
@@ -286,6 +288,8 @@ def normality_check(cal: Calibration, trials=50, seed=0) -> NormalityReport:
     phi-plane inside W are recorded as degenerate and excluded from the
     comparison; a trial fails at a mismatch above MISMATCH_TOL.
     """
+    if trials < 1:
+        raise ValueError(f"normality needs at least 1 trial, got {trials}")
     level = cal.claimed_comass
     full_rows = _stable_span_rows(grassmann(cal, seed), level, None, 24, 400)
     _, perp_basis = span_split(full_rows)

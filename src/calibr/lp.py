@@ -170,8 +170,7 @@ def _warm_tableau(c, A, b, l, u, basis, feas_tol):
     return _Tableau(A, c, l, u, basis, status, x, Binv)
 
 
-def solve_lp(c, A, b, lower=None, upper=None, tol=FEAS_TOL, max_iter=None,
-             basis=None):
+def solve_lp(c, A, b, lower=None, upper=None, basis=None):
     """Two-phase bounded-variable primal simplex.
 
     Returns an LPResult.  ``y`` holds the equality-row multipliers: for an
@@ -199,9 +198,8 @@ def solve_lp(c, A, b, lower=None, upper=None, tol=FEAS_TOL, max_iter=None,
         raise ValueError("lower bounds must be finite")
     if np.any(u < l):
         raise ValueError("upper bound below lower bound")
-    if max_iter is None:
-        max_iter = 200 * (n + m + 10)
-    feas_tol = tol * max(1.0, float(np.abs(b).max(initial=0.0)))
+    max_iter = 200 * (n + m + 10)
+    feas_tol = FEAS_TOL * max(1.0, float(np.abs(b).max(initial=0.0)))
 
     tab = None if basis is None else _warm_tableau(c, A, b, l, u, basis,
                                                    feas_tol)
@@ -219,7 +217,7 @@ def solve_lp(c, A, b, lower=None, upper=None, tol=FEAS_TOL, max_iter=None,
         status = np.repeat(np.array([_L, _B], dtype=np.int8), [n, m])
         tab = _Tableau(A1, c1, l1, u1, np.arange(n, n + m), status, x1,
                        np.diag(signs))
-        st, it1 = tab.iterate(tol, max_iter)
+        st, it1 = tab.iterate(FEAS_TOL, max_iter)
         phase1 = float(c1 @ tab.x)
         if st not in ('maxiter', 'singular'):
             st = 'infeasible' if phase1 > feas_tol else 'feasible'
@@ -234,7 +232,7 @@ def solve_lp(c, A, b, lower=None, upper=None, tol=FEAS_TOL, max_iter=None,
     if st == 'infeasible':
         y = tab.duals()
     elif st == 'feasible':
-        st, it2 = tab.iterate(tol, max_iter)
+        st, it2 = tab.iterate(FEAS_TOL, max_iter)
         x = tab.x[:n].copy()
         obj = float(c @ x)
         if st == 'optimal':

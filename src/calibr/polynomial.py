@@ -22,7 +22,7 @@ class Polynomial:
 
     __slots__ = ("n", "terms")
 
-    def __init__(self, n, terms=None, drop_tol=0.0):
+    def __init__(self, n, terms=None):
         self.n = int(n)
         clean = {}
         for exps, c in (terms or {}).items():
@@ -30,7 +30,7 @@ class Polynomial:
             if len(exps) != self.n or any(e < 0 for e in exps):
                 raise ValueError(f"bad exponent tuple {exps} for n={self.n}")
             c = float(c)
-            if c != 0.0 and abs(c) > drop_tol:
+            if abs(c) > 0.0:        # drops zeros and NaN
                 clean[exps] = clean.get(exps, 0.0) + c
         self.terms = {k: v for k, v in clean.items() if v != 0.0}
 
@@ -46,8 +46,8 @@ class Polynomial:
         return cls(n, {tuple(e): 1.0})
 
     @classmethod
-    def monomial(cls, n, exps, c=1.0):
-        return cls(n, {tuple(exps): c})
+    def monomial(cls, n, exps):
+        return cls(n, {tuple(exps): 1.0})
 
     def degree(self):
         return max((sum(e) for e in self.terms), default=0)

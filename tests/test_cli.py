@@ -160,6 +160,35 @@ class TestErrors:
         assert code == 2 and out == ""
         assert err.startswith("error: sites must be a (k, 4) array")
 
+    def test_mesh_index_out_of_range_exits_2(self, capsys, tmp_path):
+        mesh = tmp_path / "bad.mesh"
+        mesh.write_text("4 2\nv 0 0 0 0\nv 1 0 0 0\nv 0 1 0 0\ns 0 1 3 1\n")
+        code, out, err = run_cli(capsys, "current-check", "--mesh", str(mesh),
+                                 "--cal", "omega4")
+        assert code == 2 and out == ""
+        assert err == f"error: {mesh}:5: vertex index outside [0, 3)\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        (["normality", "--trials", "0"],
+         "normality needs at least 1 trial, got 0"),
+        (["psh", "--field", "builtin:normsq", "--probes", "grid:0..1:0"],
+         "probe set 'grid:0..1:0' is empty"),
+        (["psh", "--field", "builtin:normsq", "--probes", "none.json"],
+         "probe set 'none.json' is empty"),
+        (["duality", "--random", "-2"],
+         "--random must be at least 1, got -2"),
+        (["jensen", "--random", "0"],
+         "--random must be at least 1, got 0"),
+    ], ids=["normality-trials-0", "psh-empty-grid", "psh-empty-json",
+            "duality-random-minus-2", "jensen-random-0"])
+    def test_verdict_over_nothing_exits_2(self, capsys, tmp_path, monkeypatch,
+                                          argv, message):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "none.json").write_text("[]")
+        code, out, err = run_cli(capsys, *argv, "--cal", "omega4")
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
+
     def test_unknown_flag_rejected(self, capsys):
         with pytest.raises(SystemExit):
             main(["comass", "--cal", "omega4", "--bogus-flag", "1"])

@@ -109,7 +109,7 @@ class TestConeMembership:
         for _ in range(10):
             _, xi = simple_from_frame(rng.standard_normal((2, 4)))
             val = pairing(omega.form, xi)
-            rep = cone_membership(xi, omega, ss_omega, tol=1e-6)
+            rep = cone_membership(xi, omega, ss_omega)
             if abs(val - 1.0) <= 1e-6:
                 assert rep.status != "Outside"
                 members += 1

@@ -191,7 +191,7 @@ class TestMeshInfrastructure:
 
     def test_flatness_validation(self, omega):
         with pytest.raises(ValueError, match="phi-value"):
-            tilted_disc_mesh(3, 0.5, cal=omega, flatness_tol=1e-9)
+            tilted_disc_mesh(3, 0.5, cal=omega)
 
     def test_mesh_io_roundtrip(self, tmp_path, omega):
         M = disc_mesh(4, cal=omega)
@@ -205,6 +205,16 @@ class TestMeshInfrastructure:
         bad = tmp_path / "bad.mesh"
         bad.write_text("4 2\nv 1 2 3\n")
         with pytest.raises(ValueError, match="vertex"):
+            read_mesh(bad)
+
+    @pytest.mark.parametrize("index", [3, -1])
+    def test_mesh_index_out_of_range(self, tmp_path, index):
+        # a negative index must not count from the end of the vertex list
+        bad = tmp_path / "bad.mesh"
+        bad.write_text("4 2\nv 0 0 0 0\nv 1 0 0 0\nv 0 1 0 0\n"
+                       f"s 0 1 {index} 1\n")
+        with pytest.raises(ValueError,
+                           match=r"bad\.mesh:5: vertex index outside \[0, 3\)"):
             read_mesh(bad)
 
     @pytest.mark.parametrize("mesh", [
@@ -226,7 +236,7 @@ class TestMeshInfrastructure:
             assert counts == want and list(counts) == list(want)
 
     def test_graph_mesh_is_holomorphic(self, omega):
-        M = graph_curve_mesh(10, cal=omega, flatness_tol=5e-2)
+        M = graph_curve_mesh(10, cal=omega)
         # tangents approach complex lines as the mesh refines
         from calibr.exterior import pairing
         worst = min(pairing(omega.form, tangent_pvector(M.vertices[t])[0])
@@ -356,7 +366,7 @@ class TestRestriction:
         assert abs(rep.details["max_laplacian"] - 4.0) < 0.2
 
     def test_graph_mesh_subharmonic(self, omega, ss_omega):
-        M = graph_curve_mesh(12, cal=omega, flatness_tol=5e-2)
+        M = graph_curve_mesh(12, cal=omega)
         for name in ("normsq", "abs_z1_sq"):
             rep = restriction_subharmonicity(M, builtin_field(name, 4),
                                              omega, samples=ss_omega)

@@ -164,7 +164,7 @@ class TestSimpleFromFrame:
         for _ in range(10):
             frame = rng.standard_normal((3, 6))
             _, xi = simple_from_frame(frame)
-            assert is_simple(xi, tol=1e-10)
+            assert is_simple(xi)
             assert abs(xi.norm() - 1.0) < 1e-10
 
 
