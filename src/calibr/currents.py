@@ -380,32 +380,36 @@ def write_mesh(path, M: MeshedSubmanifold):
 def read_mesh(path, cal: Calibration = None):
     verts, tris, where = [], [], []
     with open(path) as fh:
-        header = fh.readline().split()
-        if len(header) != 2:
-            raise ValueError(f"{path}:1: expected header 'n p'")
-        n, p = int(header[0]), int(header[1])
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line or line.startswith("#"):
+        lines = fh.readlines() or [""]
+    for lineno, line in enumerate(lines, start=1):
+        parts = line.split()
+        try:
+            if lineno == 1:
+                if len(parts) != 2:
+                    raise ValueError("expected header 'n p'")
+                n, p = int(parts[0]), int(parts[1])
+            elif not parts or parts[0].startswith("#"):
                 continue
-            parts = line.split()
-            if parts[0] == "v":
+            elif parts[0] == "v":
                 if len(parts) != n + 1:
-                    raise ValueError(f"{path}:{lineno}: vertex needs {n} coords")
+                    raise ValueError(f"vertex needs {n} coords")
                 verts.append([float(x) for x in parts[1:]])
             elif parts[0] == "s":
                 if len(parts) != p + 3:
-                    raise ValueError(
-                        f"{path}:{lineno}: simplex needs {p + 1} indices + mult")
+                    raise ValueError(f"simplex needs {p + 1} indices + mult")
                 idx = [int(i) for i in parts[1:p + 2]]
                 if float(parts[-1]) != 1.0:
-                    raise ValueError(
-                        f"{path}:{lineno}: submanifold meshes need unit "
-                        "multiplicity")
+                    raise ValueError("submanifold meshes need unit "
+                                     "multiplicity")
                 tris.append(idx)
                 where.append(lineno)
             else:
-                raise ValueError(f"{path}:{lineno}: unknown record '{parts[0]}'")
+                raise ValueError(f"unknown record '{parts[0]}'")
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
+    for kind, found in (("vertex", verts), ("simplex", tris)):
+        if not found:
+            raise ValueError(f"{path}: no {kind} lines")
     for idx, lineno in zip(tris, where):
         if not all(0 <= i < len(verts) for i in idx):
             raise ValueError(f"{path}:{lineno}: vertex index outside "

@@ -1,9 +1,9 @@
-"""Scalar fields with gradient and Hessian suppliers, plus a name registry.
+"""Scalar fields with exact gradient and Hessian suppliers, plus a name
+registry.
 
-Analytic callbacks are used when provided (polynomial fields get them for
-free); otherwise central differences at a configurable step fill in.  When
-an analytic supplier exists it is cross-validated against the differences
-at construction time.
+Every field carries both suppliers: polynomial fields (the builtins and
+JSON fields) take them from their polynomial, and a library field passes
+them to `ScalarField`.  Nothing is differenced.
 """
 
 from __future__ import annotations
@@ -12,102 +12,32 @@ import numpy as np
 
 from .polynomial import Polynomial
 
-FD_STEP = 1e-4
-VALIDATE_TOL = 1e-5     # analytic suppliers against differences, relative
-
 
 class ScalarField:
-    """f: R^n -> R with gradient/hessian suppliers."""
+    """f: R^n -> R with its gradient and Hessian suppliers."""
 
-    def __init__(self, n, fn, grad=None, hess=None, name=None,
-                 poly: Polynomial | None = None, validate=True):
+    def __init__(self, n, fn, grad, hess, name=None,
+                 poly: Polynomial | None = None):
         self.n = int(n)
         self.fn = fn
         self.name = name or "field"
         self.poly = poly
         self._grad = grad
         self._hess = hess
-        if validate and (grad is not None or hess is not None):
-            self._validate()
 
     @classmethod
     def from_polynomial(cls, poly: Polynomial, name=None):
-        return cls(poly.n, poly.__call__, grad=poly.gradient_at,
-                   hess=poly.hessian_at, name=name or repr(poly), poly=poly,
-                   validate=False)
+        return cls(poly.n, poly.__call__, poly.gradient_at, poly.hessian_at,
+                   name=name or repr(poly), poly=poly)
 
     def __call__(self, x):
         return float(self.fn(np.asarray(x, dtype=float)))
 
-    def _step(self, x):
-        return FD_STEP * max(1.0, float(np.abs(x).max()))
-
-    def _fd_gradient(self, x):
-        x = np.asarray(x, dtype=float)
-        h = self._step(x)
-        g = np.zeros(self.n)
-        for i in range(self.n):
-            e = np.zeros(self.n)
-            e[i] = h
-            g[i] = (self.fn(x + e) - self.fn(x - e)) / (2 * h)
-        return g
-
-    def _fd_hessian(self, x):
-        x = np.asarray(x, dtype=float)
-        h = self._step(x)
-        H = np.zeros((self.n, self.n))
-        f0 = self.fn(x)
-        for i in range(self.n):
-            ei = np.zeros(self.n)
-            ei[i] = h
-            H[i, i] = (self.fn(x + ei) - 2 * f0 + self.fn(x - ei)) / h ** 2
-            for j in range(i + 1, self.n):
-                ej = np.zeros(self.n)
-                ej[j] = h
-                H[i, j] = H[j, i] = (
-                    self.fn(x + ei + ej) - self.fn(x + ei - ej)
-                    - self.fn(x - ei + ej) + self.fn(x - ei - ej)) / (4 * h ** 2)
-        return H
-
     def gradient(self, x):
-        if self._grad is not None:
-            return np.asarray(self._grad(np.asarray(x, dtype=float)),
-                              dtype=float)
-        return self._fd_gradient(x)
+        return np.asarray(self._grad(np.asarray(x, dtype=float)), dtype=float)
 
     def hessian(self, x):
-        if self._hess is not None:
-            return np.asarray(self._hess(np.asarray(x, dtype=float)),
-                              dtype=float)
-        return self._fd_hessian(x)
-
-    def second_directional(self, x, u):
-        """Second derivative along u by differences on the line (independent
-        of the assembled Hessian when no analytic supplier exists)."""
-        x = np.asarray(x, dtype=float)
-        u = np.asarray(u, dtype=float)
-        if self._hess is not None:
-            return float(u @ self.hessian(x) @ u)
-        h = self._step(x)
-        return (self.fn(x + h * u) - 2 * self.fn(x) + self.fn(x - h * u)) / h ** 2
-
-    def _validate(self):
-        rng = np.random.default_rng(0)
-        probes = [np.zeros(self.n)] + [rng.standard_normal(self.n)
-                                       for _ in range(3)]
-        for x in probes:
-            if self._grad is not None:
-                ga, gf = np.asarray(self._grad(x)), self._fd_gradient(x)
-                scale = max(1.0, np.abs(ga).max())
-                if np.abs(ga - gf).max() > VALIDATE_TOL * scale:
-                    raise ValueError(
-                        f"analytic gradient disagrees with differences at {x}")
-            if self._hess is not None:
-                Ha, Hf = np.asarray(self._hess(x)), self._fd_hessian(x)
-                scale = max(1.0, np.abs(Ha).max())
-                if np.abs(Ha - Hf).max() > VALIDATE_TOL * scale:
-                    raise ValueError(
-                        f"analytic hessian disagrees with differences at {x}")
+        return np.asarray(self._hess(np.asarray(x, dtype=float)), dtype=float)
 
 
 def compose(field: ScalarField, chi, dchi, ddchi) -> ScalarField:
@@ -123,8 +53,7 @@ def compose(field: ScalarField, chi, dchi, ddchi) -> ScalarField:
         v = field(x)
         return dchi(v) * field.hessian(x) + ddchi(v) * np.outer(g, g)
 
-    return ScalarField(field.n, fn, grad=grad, hess=hess,
-                       name=f"chi({field.name})", validate=False)
+    return ScalarField(field.n, fn, grad, hess, name=f"chi({field.name})")
 
 
 def quadratic_field(A) -> ScalarField:
@@ -132,9 +61,8 @@ def quadratic_field(A) -> ScalarField:
     A = np.asarray(A, dtype=float)
     A = (A + A.T) / 2
     n = A.shape[0]
-    return ScalarField(n, lambda x: 0.5 * x @ A @ x, grad=lambda x: A @ x,
-                       hess=lambda x: A.copy(), name="quadratic",
-                       validate=False)
+    return ScalarField(n, lambda x: 0.5 * x @ A @ x, lambda x: A @ x,
+                       lambda x: A.copy(), name="quadratic")
 
 
 # name: (the x_i^2 coefficients in coordinate order, one float for all of

@@ -3,7 +3,7 @@ the first-order contraction operator, the second-order form-valued Hessian,
 plurisubharmonicity classification, pluriharmonic-mod-d residuals, level-set
 flatness, normality of a calibration, and the operator symbol.
 
-Everything is pointwise: smooth fields enter through gradient/Hessian
+Everything is pointwise: smooth fields enter through exact gradient/Hessian
 suppliers.  Grassmannian quantifiers run over (refined) plane samples, so
 results are certified relative to the sampled surrogate of G(phi), with
 these exceptions: cone queries on Kaehler forms are exact; and normality
@@ -21,7 +21,6 @@ vacuous answer is exact when the source says so.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,12 +30,10 @@ from .cones import LambdaSpan, lambda_span, positivity_classify
 from .exterior import (ExteriorElement, SimplePlane, compound,
                        derivation_extend, interior_product, lex_indices,
                        pairing, wedge, wedge_matrix)
-from .fields import FD_STEP, ScalarField
+from .fields import ScalarField
 from .grassmann import (STRUCTURE_TOL, PlaneSampleSet, _pluecker,
                         constrained_extremum, grassmann, hyperplane_basis,
                         kaehler_structure, pullback, rng_stream, span_split)
-
-CROSS_CHECK_TOL = 1e-3   # Hessian against the differenced first-order operator
 
 
 def d_phi(f: ScalarField, x, cal: Calibration) -> ExteriorElement:
@@ -44,44 +41,20 @@ def d_phi(f: ScalarField, x, cal: Calibration) -> ExteriorElement:
     return interior_product(f.gradient(x), cal.form)
 
 
-def hessian_form(f: ScalarField, x, cal: Calibration,
-                 cross_check=True) -> ExteriorElement:
-    """Second-order operator: the Hessian extended into phi as a derivation.
-
-    For constant phi this factors through the exterior derivative of the
-    first-order operator; a finite-difference version of that factorization
-    is checked when cross_check is set and a warning raised on disagreement
-    (which indicates step-size trouble in the field's suppliers).
-    """
-    x = np.asarray(x, dtype=float)
-    H = f.hessian(x)
-    out = derivation_extend(H, cal.form)
-    if cross_check:
-        h = f._step(x)
-        fd = ExteriorElement.zero(cal.n, cal.p)
-        for i in range(cal.n):
-            e = np.zeros(cal.n)
-            e[i] = h
-            diff = d_phi(f, x + e, cal) - d_phi(f, x - e, cal)
-            ei_form = ExteriorElement.from_vector(np.eye(cal.n)[i])
-            fd = fd + wedge(ei_form, (1.0 / (2 * h)) * diff)
-        gap = (out - fd).norm()
-        scale = 1.0 + float(np.linalg.norm(H))
-        if gap > CROSS_CHECK_TOL * scale:
-            warnings.warn(
-                f"factorization cross-check gap {gap:.2e} exceeds "
-                f"{CROSS_CHECK_TOL:.0e}*(1+|Hess|); finite-difference step "
-                f"h={FD_STEP} may be poorly scaled")
-    return out
+def hessian_form(f: ScalarField, x, cal: Calibration) -> ExteriorElement:
+    """Second-order operator: the field's exact Hessian extended into phi as
+    a derivation."""
+    return derivation_extend(f.hessian(x), cal.form)
 
 
 def trace_check(f: ScalarField, x, plane, cal: Calibration):
     """Both sides of the plane-trace identity: the form-valued Hessian paired
-    with the plane versus the sum of second directional derivatives along an
-    orthonormal frame.  Returns (lhs, rhs, gap)."""
+    with the plane versus the sum of u.H.u over an orthonormal frame of it,
+    H the field's Hessian at x.  Returns (lhs, rhs, gap)."""
     xi = plane.pvector()
-    lhs = pairing(hessian_form(f, x, cal, cross_check=False), xi)
-    rhs = sum(f.second_directional(x, u) for u in plane.frame)
+    lhs = pairing(hessian_form(f, x, cal), xi)
+    H = f.hessian(x)
+    rhs = sum(float(u @ H @ u) for u in plane.frame)
     return lhs, rhs, abs(lhs - rhs)
 
 
@@ -120,8 +93,8 @@ def psh_classify(f: ScalarField, points, cal: Calibration,
         raise ValueError("empty sample set")
     out = []
     for x in points:
-        rep = positivity_classify(hessian_form(f, x, cal, cross_check=False),
-                                  cal, samples, tol=tol, **extremum_opts)
+        rep = positivity_classify(hessian_form(f, x, cal), cal, samples,
+                                  tol=tol, **extremum_opts)
         status = _PSH_STATUS[rep.status]
         out.append(PshPoint(status, rep.margin,
                             rep.witness if status == "NotPsh" else None))
@@ -154,7 +127,7 @@ def pluriharmonic_mod_d_residual(f: ScalarField, x, cal: Calibration,
             raise ValueError("need either samples or a precomputed span")
         span = lambda_span(samples)
     x = np.asarray(x, dtype=float)
-    H = hessian_form(f, x, cal, cross_check=False)
+    H = hessian_form(f, x, cal)
     H_vec = H.to_coeff_vector()
     g = f.gradient(x)
     pm1 = lex_indices(cal.n, cal.p - 1)
@@ -216,7 +189,7 @@ def phi_flat_check(f: ScalarField, x, cal: Calibration, tol=1e-8,
     if source.take is None:
         return FlatReport(True, 0.0, None, True, source.exact)
     V, values, _ = source.take(0, FLAT_STARTS)
-    H = hessian_form(f, x, cal, cross_check=False)
+    H = hessian_form(f, x, cal)
     rows = _pluecker(V)
     if source.exact and np.abs(rows - rows[0]).max() <= STRUCTURE_TOL:
         # every draw is one plane, so G(phi|W) is that plane

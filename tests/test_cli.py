@@ -168,6 +168,14 @@ class TestErrors:
         assert code == 2 and out == ""
         assert err == f"error: {mesh}:5: vertex index outside [0, 3)\n"
 
+    def test_mesh_without_simplices_exits_2(self, capsys, tmp_path):
+        mesh = tmp_path / "bad.mesh"
+        mesh.write_text("4 2\nv 0 0 0 0\nv 1 0 0 0\nv 0 1 0 0\n")
+        code, out, err = run_cli(capsys, "current-check", "--mesh", str(mesh),
+                                 "--cal", "omega4")
+        assert code == 2 and out == ""
+        assert err == f"error: {mesh}: no simplex lines\n"
+
     @pytest.mark.parametrize("argv, message", [
         (["normality", "--trials", "0"],
          "normality needs at least 1 trial, got 0"),

@@ -207,6 +207,24 @@ class TestMeshInfrastructure:
         with pytest.raises(ValueError, match="vertex"):
             read_mesh(bad)
 
+    @pytest.mark.parametrize("text,message", [
+        ("4 2\n", r"bad\.mesh: no vertex lines$"),
+        ("4 2\ns 0 1 2 1\n", r"bad\.mesh: no vertex lines$"),
+        ("4 2\nv 0 0 0 0\nv 1 0 0 0\nv 0 1 0 0\n",
+         r"bad\.mesh: no simplex lines$"),
+        ("4 x\n", r"bad\.mesh:1: invalid literal"),
+        ("4 2\nv 0 a 0 0\n", r"bad\.mesh:2: could not convert"),
+        ("4 2\nv 0 0 0 0\nv 1 0 0 0\nv 0 1 0 0\n# tri\ns 0 x 2 1\n",
+         r"bad\.mesh:6: invalid literal"),
+        ("4 2\nv 0 0 0 0\nv 1 0 0 0\nv 0 1 0 0\ns 0 1 2 z\n",
+         r"bad\.mesh:5: could not convert"),
+    ])
+    def test_mesh_missing_or_malformed_lines(self, tmp_path, text, message):
+        bad = tmp_path / "bad.mesh"
+        bad.write_text(text)
+        with pytest.raises(ValueError, match=message):
+            read_mesh(bad)
+
     @pytest.mark.parametrize("index", [3, -1])
     def test_mesh_index_out_of_range(self, tmp_path, index):
         # a negative index must not count from the end of the vertex list
@@ -774,7 +792,11 @@ class TestArrayKernels:
                 assert abs(res.residuals[name] - r) <= 1e-12
 
     def test_non_polynomial_field_rejected(self, omega):
-        f = ScalarField(4, lambda x: float(np.sin(x[0])), name="sin_x1")
+        e1 = np.eye(4)[0]
+        f = ScalarField(4, lambda x: float(np.sin(x[0])),
+                        lambda x: np.cos(x[0]) * e1,
+                        lambda x: -np.sin(x[0]) * np.outer(e1, e1),
+                        name="sin_x1")
         with pytest.raises(ValueError, match="'sin_x1' is not polynomial"):
             green_check(disc_mesh(4, cal=omega), 0,
                         [builtin_field("re_z1", 4), f], omega)
