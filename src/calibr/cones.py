@@ -8,7 +8,9 @@ constrained extremum over G(phi): sampled starts polished onto G(phi) and
 refined tangentially), which approximates the exact cones from below; every
 report carries the sample count, the tolerances and ``meta["exact"]``.
 Linear programs go through the in-repo bounded-variable simplex
-(`calibr.lp`); the nonnegative least-squares subproblems use scipy's NNLS.
+(`calibr.lp`); the nonnegative least-squares subproblems use scipy's NNLS,
+which is imported on the first call so that the exact routes never load
+scipy.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import nnls
 
 from .calibrations import Calibration
 from .exterior import (ExteriorElement, SimplePlane, _lex_array,
@@ -30,6 +31,12 @@ BOUNDARY_TOL = 1e-6
 MEMBERSHIP_TOL = 1e-6    # relative residual of a member's decomposition
 SEPARATION_STARTS = 8   # sampled starts of each pricing extremum
 GAP_TOL = 1e-9      # mass loop: bracket width, or dual comass above one
+
+
+def nnls(A, b):
+    """scipy's NNLS: (x >= 0 minimizing |A x - b|, that residual norm)."""
+    from scipy.optimize import nnls as scipy_nnls
+    return scipy_nnls(A, b)
 
 
 @dataclass

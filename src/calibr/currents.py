@@ -16,8 +16,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .calibrations import Calibration
 from .cones import lambda_span
@@ -388,6 +386,9 @@ def read_mesh(path, cal: Calibration = None):
                 if len(parts) != 2:
                     raise ValueError("expected header 'n p'")
                 n, p = int(parts[0]), int(parts[1])
+                if not 1 <= p <= n:
+                    raise ValueError(f"header needs 1 <= p <= n, got "
+                                     f"n = {n}, p = {p}")
             elif not parts or parts[0].startswith("#"):
                 continue
             elif parts[0] == "v":
@@ -424,6 +425,7 @@ def read_mesh(path, cal: Calibration = None):
 def cotan_laplacian(vertices, triangles):
     """Sparse stiffness matrix L with (Lu)_i = sum_j w_ij (u_i - u_j) and
     barycentric lumped vertex areas."""
+    import scipy.sparse as sp
     V = np.asarray(vertices, dtype=float)
     T = np.asarray(triangles, dtype=int).reshape(-1, 3)
     nv = len(V)
@@ -586,6 +588,7 @@ def green_check(M: MeshedSubmanifold, x_index: int, tests,
     exact_disc = bool(np.abs(r_bnd - 1.0).max() < 1e-9)
 
     # discrete solve: L G = delta_x with zero boundary values
+    import scipy.sparse.linalg as spla
     L, _ = cotan_laplacian(M.vertices, M.simplices)
     int_pos = {v: k for k, v in enumerate(interior)}
     L_ii = L[interior, :][:, interior]

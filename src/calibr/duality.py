@@ -361,6 +361,13 @@ def jensen_alternative(model: FiniteDualityModel, K_indices, x_index,
     a, have_cert, margin, tie, status = _separation(
         M, np.append(b[:K], 1.0), np.append(-np.ones(K), -big),
         np.append(np.ones(K), big), K, margin_tol)
+    # verify the certificate against its definition before reporting: the
+    # Hessian pairings on the atoms are nonnegative and f(x) exceeds f on K
+    if have_cert:
+        pairings = A[:K, :n_atoms].T @ a
+        separation = -b[:K] @ a + (A[:K, n_atoms:].T @ a).min()
+        if pairings.min() < -1e-8 or separation <= 0.0:
+            have_cert = False
     meta = _meta(model, margin_tol)
     meta.update({"K_sites": list(K_indices), "x": int(x_index),
                  "lp_status": {"primal": primal.status, "separation": status}})
@@ -368,5 +375,5 @@ def jensen_alternative(model: FiniteDualityModel, K_indices, x_index,
     consistent = feasible != have_cert and not tie
     return AlternativeResult(
         'Feasible' if feasible else 'Infeasible', weights,
-        'Certificate' if have_cert else None, a, margin,
-        consistent, tie, meta)
+        'Certificate' if have_cert else None,
+        a if have_cert else None, margin, consistent, tie, meta)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -175,6 +179,15 @@ class TestErrors:
                                  "--cal", "omega4")
         assert code == 2 and out == ""
         assert err == f"error: {mesh}: no simplex lines\n"
+
+    def test_mesh_header_out_of_range_exits_2(self, capsys, tmp_path):
+        mesh = tmp_path / "bad.mesh"
+        mesh.write_text("4 5\nv 0 0 0 0\ns 0 0 0 0 0 0 1\n")
+        code, out, err = run_cli(capsys, "current-check", "--mesh", str(mesh),
+                                 "--cal", "omega4")
+        assert code == 2 and out == ""
+        assert err == (f"error: {mesh}:1: header needs 1 <= p <= n, "
+                       "got n = 4, p = 5\n")
 
     @pytest.mark.parametrize("argv, message", [
         (["normality", "--trials", "0"],
@@ -469,3 +482,23 @@ class TestFloatFormatting:
         data = json.loads(out)
         v = data["report"]["value"]
         assert f"{v:.17g}" in out
+
+
+class TestImportCost:
+    def test_calibr_loads_without_scipy(self):
+        # scipy is imported inside the calls that need it (NNLS, sparse
+        # Laplace solves); loading the library and an exact subcommand
+        # must not pay for it
+        script = ("import sys\n"
+                  "import calibr.acceptance\n"
+                  "from calibr import cli\n"
+                  "code = cli.main(['comass', '--cal', 'omega4'])\n"
+                  "loaded = sorted(m for m in sys.modules\n"
+                  "                if m == 'scipy' or m.startswith('scipy.'))\n"
+                  "print(code, loaded, file=sys.stderr)\n")
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stderr == "0 []\n"

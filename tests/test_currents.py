@@ -218,6 +218,12 @@ class TestMeshInfrastructure:
          r"bad\.mesh:6: invalid literal"),
         ("4 2\nv 0 0 0 0\nv 1 0 0 0\nv 0 1 0 0\ns 0 1 2 z\n",
          r"bad\.mesh:5: could not convert"),
+        ("4 -1\nv 0 0 0 0\ns 1\n",
+         r"bad\.mesh:1: header needs 1 <= p <= n, got n = 4, p = -1$"),
+        ("0 2\nv\nv\nv\ns 0 1 2 1\n",
+         r"bad\.mesh:1: header needs 1 <= p <= n, got n = 0, p = 2$"),
+        ("4 5\nv 0 0 0 0\ns 0 0 0 0 0 0 1\n",
+         r"bad\.mesh:1: header needs 1 <= p <= n, got n = 4, p = 5$"),
     ])
     def test_mesh_missing_or_malformed_lines(self, tmp_path, text, message):
         bad = tmp_path / "bad.mesh"

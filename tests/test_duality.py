@@ -285,6 +285,36 @@ class TestJensenAlternative:
         assert res.dual == 'Certificate'
         assert res.margin > 0.1          # comfortably above the margin floor
         assert res.consistent
+        A, b = assemble_jensen_model(model, [0, 1, 2, 3], 4)
+        K, a = len(model.test_family), res.certificate
+        assert a.shape == (K,)
+        assert (A[:K, :-4].T @ a).min() >= -1e-8    # psh on the dictionary
+        # f(x) = -b.a and f at the K sites = -A_K^T a
+        assert -b[:K] @ a > (-A[:K, -4:].T @ a).max()
+
+    def test_x_at_a_K_site_has_no_certificate(self, omega, ss):
+        # x repeats site 0: the Dirac measure there solves the primal, and
+        # the separation LP's optimum is a vector that separates nothing
+        pts = np.array([[0.0, 0, 0, 0], [1.0, 1, 1, 1], [0.0, 0, 0, 0]])
+        model = build_jensen_model(omega, pts, ss, degree=2,
+                                   planes_per_site=4)
+        res = jensen_alternative(model, [0, 1], 2)
+        assert res.primal == 'Feasible' and res.consistent
+        assert res.dual is None and res.certificate is None
+
+    def test_unverified_separation_is_no_certificate(self, omega, ss,
+                                                     monkeypatch):
+        # a separation LP answer that fails the re-check is not reported
+        pts = np.array([[1, 1, 0, 0], [-1, 1, 0, 0], [-1, -1, 0, 0],
+                        [1, -1, 0, 0], [5.0, 0, 0, 0]])
+        model = build_jensen_model(omega, pts, ss, degree=2,
+                                   planes_per_site=4)
+        a = jensen_alternative(model, [0, 1, 2, 3], 4).certificate
+        monkeypatch.setattr(duality, "_separation",
+                            lambda *args: (-a, True, 1.0, False, 'optimal'))
+        res = jensen_alternative(model, [0, 1, 2, 3], 4)
+        assert res.dual is None and res.certificate is None
+        assert res.primal == 'Infeasible' and not res.consistent
 
     def test_singleton_K(self, omega, ss):
         pts = np.array([[0.0, 0, 0, 0], [1.0, 1, 1, 1]])
