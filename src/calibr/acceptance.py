@@ -193,11 +193,11 @@ def criterion_4_trace_identity(seed=DEFAULT_SEED, pairs_per_entry=10_000):
 
 # -- 5 ----------------------------------------------------------------------
 
-def criterion_5_symbol_projection(seed=DEFAULT_SEED, total_pairs=10_000):
+def criterion_5_symbol_projection(seed=DEFAULT_SEED):
     t0 = time.time()
     entries = [("kaehler", (2, 1)), ("special_lagrangian", (3,)),
                ("cayley", ()), ("lambda_example", (0.5,))]
-    per = total_pairs // len(entries)
+    per = 10_000 // len(entries)
     worst = 0.0
     count = 0
     for name, params in entries:
@@ -464,7 +464,6 @@ CRITERIA = [
 # smaller instance counts for quick smoke runs; other criteria run in full
 _QUICK_KWARGS = {
     criterion_4_trace_identity: {"pairs_per_entry": 1000},
-    criterion_5_symbol_projection: {"total_pairs": 1000},
     criterion_8_farkas: {"boundary_count": 20, "jensen_count": 20,
                          "mono_count": 5},
     criterion_10_normality: {"trials": 8},

@@ -75,24 +75,14 @@ def _kaehler_power(n_complex: int, power: int) -> ExteriorElement:
 
 
 def _special_lagrangian(n_complex: int) -> ExteriorElement:
-    """Re(dz1 ^ ... ^ dzn) in interleaved coordinates."""
+    """Re(dz1 ^ ... ^ dzn), dz_k = dx_k + i dy_k, in interleaved coordinates."""
     n = 2 * n_complex
-    # expand the product of (dx_k + i dy_k), keep the real part
-    terms = {(): (1.0, 0.0)}  # index tuple -> complex coefficient
+    re, im = ExteriorElement(n, 0, {(): 1.0}), ExteriorElement.zero(n, 0)
     for k in range(n_complex):
-        new = {}
-        for idx, (re, im) in terms.items():
-            for j, (cre, cim) in ((2 * k + 1, (re, im)),
-                                  (2 * k + 2, (-im, re))):  # * i for dy
-                new_idx = idx + (j,)
-                acc = new.get(new_idx, (0.0, 0.0))
-                new[new_idx] = (acc[0] + cre, acc[1] + cim)
-        terms = new
-    coeffs = {}
-    for idx, (re, _) in terms.items():
-        if re != 0.0:
-            coeffs[idx] = re  # indices already increasing by construction
-    return ExteriorElement(n, n_complex, coeffs)
+        dx = ExteriorElement.basis(n, (2 * k + 1,))
+        dy = ExteriorElement.basis(n, (2 * k + 2,))
+        re, im = wedge(re, dx) - wedge(im, dy), wedge(re, dy) + wedge(im, dx)
+    return re
 
 
 _ASSOCIATIVE = {

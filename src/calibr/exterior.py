@@ -1,16 +1,18 @@
 """Exact exterior algebra over R^n in the lexicographic multi-index basis.
 
-A single sparse representation serves both p-forms and p-vectors; the
-Euclidean metric identifies the two, so ``pairing`` is just the dot product
-of coefficient maps.  Index tuples are 1-based and strictly increasing,
-matching the JSON interchange format.  All values are immutable after
-construction and every operation is pure.
+An element holds one read-only vector of lex coefficients, for p-forms and
+p-vectors alike; the Euclidean metric identifies the two, so ``pairing`` is
+just the dot product of coefficient vectors.  Index tuples are 1-based and
+strictly increasing, matching the JSON interchange format.  All values are
+immutable after construction and every operation is pure.
 
-One cached table of every dx_i ^ dx_J in Lambda^p (`wedge_table`) builds
-the matrices of the two maps the calibrated operators are made of: the
-contraction of a p-form by a vector (`contraction_matrix`; for p = 2, the
-skew matrix) and the wedge with 1-forms (`wedge_matrix`).  Composed as
-dx_m ^ (e_l -| .) they give the derivations of `derivation_tensor`.
+One cached table of every dx_I ^ dx_J (`wedge_table`) places every product
+of basis elements: the exterior product (`wedge`), the Hodge star, and,
+for |I| = 1, the matrices of the two maps the calibrated operators are made
+of: the contraction of a p-form by a vector (`contraction_matrix`, which
+`interior_product` applies; for p = 2, the skew matrix) and the wedge with
+1-forms (`wedge_matrix`).  Composed as dx_m ^ (e_l -| .) they give the
+derivations of `derivation_tensor`.
 """
 
 from __future__ import annotations
@@ -111,15 +113,17 @@ def compound(Q, p: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def wedge_table(n: int, p: int):
-    """Arrays (J position, i - 1, position of the sorted i u J, sign) over
-    every dx_i ^ dx_J = sign dx_{i u J} in Lambda^p, i not in J; J runs over
-    the lex (p-1)-tuples and i increases within each run of one J."""
+def wedge_table(n: int, p: int, q: int):
+    """Arrays (J position, I position, position of the sorted I u J, sign)
+    over every dx_I ^ dx_J = sign dx_{I u J} in Lambda^p with |I| = q and I,
+    J disjoint; J runs over the lex (p-q)-tuples and I over the lex q-tuples
+    within each run of one J.  For q = 1 the I position is i - 1; for p = n
+    each I meets only its complement J, and sign dx_J is the star of dx_I."""
     pos = lex_position(n, p)
-    rows = [(j, i - 1, pos[idx], sign)
-            for j, J in enumerate(lex_indices(n, p - 1) if p else ())
-            for i in range(1, n + 1)
-            for idx, sign in [_sorted_sign((i,) + J)] if idx is not None]
+    rows = [(j, i, pos[idx], sign)
+            for j, J in enumerate(lex_indices(n, p - q) if q <= p else ())
+            for i, I in enumerate(lex_indices(n, q))
+            for idx, sign in [_sorted_sign(I + J)] if idx is not None]
     table = np.array(rows, dtype=int).reshape(-1, 4).T
     table.flags.writeable = False     # cached: shared by every caller
     return tuple(table)
@@ -131,7 +135,7 @@ def contraction_matrix(vec, n: int, p: int) -> np.ndarray:
     p = 2 M is the skew matrix with phi(u ^ v) = u^T M v.  A (..., C(n,p))
     stack of vectors gives the (..., n, C(n,p-1)) stack of their matrices."""
     vec = np.asarray(vec, dtype=float)
-    j, i, c, sign = wedge_table(n, p)
+    j, i, c, sign = wedge_table(n, p, 1)
     M = np.zeros(vec.shape[:-1] + (n, math.comb(n, p - 1)))
     M[..., i, j] = sign * vec[..., c]
     return M
@@ -143,7 +147,7 @@ def wedge_matrix(u, n: int, p: int) -> np.ndarray:
     beta @ W, entries at most DROP_TOL dropped as ``ExteriorElement``
     drops them."""
     u = np.asarray(u, dtype=float)
-    j, i, c, sign = wedge_table(n, p)
+    j, i, c, sign = wedge_table(n, p, 1)
     W = np.zeros((math.comb(n, p - 1),) + u.shape[1:] + (math.comb(n, p),))
     W[j, ..., c] = (sign * u[i].T).T
     W[~(np.abs(W) > DROP_TOL)] = 0.0
@@ -156,7 +160,8 @@ def derivation_tensor(n: int, p: int) -> np.ndarray:
     matrix, on lex coefficient vectors, of the derivation of Lambda^p
     sending dx_{l+1} to dx_{m+1} and every other dx_k to zero, that is
     dx_{m+1} ^ (e_{l+1} -| .): it pairs the wedge table rows of each J."""
-    _, i, c, sign = (col.reshape(-1, n - p + 1) for col in wedge_table(n, p))
+    _, i, c, sign = (col.reshape(-1, n - p + 1)
+                     for col in wedge_table(n, p, 1))
     D = np.zeros((n, n, math.comb(n, p), math.comb(n, p)))
     D[i[:, :, None], i[:, None, :], c[:, None, :], c[:, :, None]] = \
         sign[:, :, None] * sign[:, None, :]
@@ -165,16 +170,17 @@ def derivation_tensor(n: int, p: int) -> np.ndarray:
 
 
 class ExteriorElement:
-    """Degree-p alternating tensor over R^n with sparse coefficients."""
+    """Degree-p alternating tensor over R^n: its read-only vector ``vec`` of
+    lex coefficients, in which every entry at most DROP_TOL in size is 0.0."""
 
-    __slots__ = ("n", "p", "coeffs")
+    __slots__ = ("n", "p", "vec")
 
-    def __init__(self, n, p, coeffs=None, drop_tol=DROP_TOL):
+    def __init__(self, n, p, coeffs=None):
         if n < 0 or p < 0 or p > n:
             raise ValueError(f"invalid degree p={p} for ambient dimension n={n}")
         self.n = int(n)
         self.p = int(p)
-        clean = {}
+        vec = np.zeros(math.comb(self.n, self.p))
         for idx, c in (coeffs or {}).items():
             idx = tuple(int(i) for i in idx)
             if len(idx) != p:
@@ -184,15 +190,18 @@ class ExteriorElement:
             if any(a >= b for a, b in zip(idx, idx[1:])):
                 raise ValueError(f"index tuple {idx} is not strictly increasing")
             c = float(c)
-            if abs(c) > drop_tol:
-                clean[idx] = clean.get(idx, 0.0) + c
-        self.coeffs = {k: v for k, v in clean.items() if abs(v) > drop_tol}
+            if abs(c) > DROP_TOL:
+                vec[lex_position(self.n, self.p)[idx]] += c
+        if coeffs:
+            vec[~(np.abs(vec) > DROP_TOL)] = 0.0
+        vec.flags.writeable = False
+        self.vec = vec
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, n, p):
-        return cls(n, p, {})
+        return cls(n, p)
 
     @classmethod
     def basis(cls, n, indices):
@@ -206,19 +215,25 @@ class ExteriorElement:
     def from_vector(cls, v):
         """Degree-1 element from a coordinate vector."""
         v = np.asarray(v, dtype=float)
-        return cls(v.size, 1, {(i + 1,): float(v[i]) for i in range(v.size)})
+        return cls.from_coeff_vector(v.size, 1, v)
 
     @classmethod
     def from_coeff_vector(cls, n, p, vec, drop_tol=DROP_TOL):
-        vec = np.asarray(vec, dtype=float)
-        basis = lex_indices(n, p)
-        if vec.size != len(basis):
-            raise ValueError(f"coefficient vector has size {vec.size}, expected {len(basis)}")
-        # lex tuples need none of __init__'s index checks
+        vec = np.asarray(vec, dtype=float).reshape(-1)
+        if vec.size != math.comb(n, p):
+            raise ValueError(f"coefficient vector has size {vec.size}, "
+                             f"expected {math.comb(n, p)}")
         out = cls(n, p)
-        out.coeffs = {idx: c for idx, c in zip(basis, vec.reshape(-1).tolist())
-                      if abs(c) > drop_tol}
+        # a fresh array: entries at most drop_tol, -0.0 and NaN become 0.0
+        out.vec = np.where(np.abs(vec) > drop_tol, vec, 0.0)
+        out.vec.flags.writeable = False
         return out
+
+    @property
+    def coeffs(self):
+        """{lex index tuple: coefficient} of the nonzero entries, in lex order."""
+        return {idx: c for idx, c in zip(lex_indices(self.n, self.p),
+                                         self.vec.tolist()) if c != 0.0}
 
     # -- linear structure ---------------------------------------------------
 
@@ -229,18 +244,15 @@ class ExteriorElement:
 
     def __add__(self, other):
         self._check_same_space(other)
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out.get(k, 0.0) + v
-        return ExteriorElement(self.n, self.p, out)
+        return ExteriorElement.from_coeff_vector(self.n, self.p,
+                                                 self.vec + other.vec)
 
     def __sub__(self, other):
         return self + (-1.0) * other
 
     def __mul__(self, scalar):
-        scalar = float(scalar)
-        return ExteriorElement(self.n, self.p,
-                               {k: scalar * v for k, v in self.coeffs.items()})
+        return ExteriorElement.from_coeff_vector(self.n, self.p,
+                                                 float(scalar) * self.vec)
 
     __rmul__ = __mul__
 
@@ -248,35 +260,30 @@ class ExteriorElement:
         return self * -1.0
 
     def norm(self):
-        return math.sqrt(sum(c * c for c in self.coeffs.values()))
+        return math.sqrt(sum(c * c for c in self.vec.tolist()))
 
     def is_zero(self):
-        return all(c == 0.0 for c in self.coeffs.values())
+        return not self.vec.any()
 
     def to_coeff_vector(self):
-        pos = lex_position(self.n, self.p)
-        vec = np.zeros(len(pos))
-        for k, v in self.coeffs.items():
-            vec[pos[k]] = v
-        return vec
+        return self.vec.copy()
 
     def __repr__(self):
-        if not self.coeffs:
+        if self.is_zero():
             return f"ExteriorElement({self.n},{self.p}; 0)"
         terms = " + ".join(f"{c:g}*dx{''.join(map(str, idx))}"
-                           for idx, c in sorted(self.coeffs.items()))
+                           for idx, c in self.coeffs.items())
         return f"ExteriorElement({self.n},{self.p}; {terms})"
 
     def __eq__(self, other):
         if not isinstance(other, ExteriorElement):
             return NotImplemented
-        return (self.n, self.p, self.coeffs) == (other.n, other.p, other.coeffs)
+        return ((self.n, self.p) == (other.n, other.p)
+                and np.array_equal(self.vec, other.vec))
 
     def allclose(self, other, tol=1e-12):
         self._check_same_space(other)
-        keys = set(self.coeffs) | set(other.coeffs)
-        return all(abs(self.coeffs.get(k, 0.0) - other.coeffs.get(k, 0.0)) <= tol
-                   for k in keys)
+        return bool(np.all(np.abs(self.vec - other.vec) <= tol))
 
 
 # ---------------------------------------------------------------------------
@@ -289,14 +296,10 @@ def wedge(a: ExteriorElement, b: ExteriorElement) -> ExteriorElement:
         raise ValueError(f"dimension mismatch: {a.n} vs {b.n}")
     if a.p + b.p > a.n:
         raise ValueError(f"degree overflow: {a.p}+{b.p} > {a.n}")
-    out = {}
-    for ia, ca in a.coeffs.items():
-        for ib, cb in b.coeffs.items():
-            idx, sign = _sorted_sign(ia + ib)
-            if idx is None:
-                continue
-            out[idx] = out.get(idx, 0.0) + sign * ca * cb
-    return ExteriorElement(a.n, a.p + b.p, out)
+    j, i, c, sign = wedge_table(a.n, a.p + b.p, a.p)
+    out = np.zeros(math.comb(a.n, a.p + b.p))
+    np.add.at(out, c, sign * a.vec[i] * b.vec[j])
+    return ExteriorElement.from_coeff_vector(a.n, a.p + b.p, out)
 
 
 def interior_product(v, a: ExteriorElement) -> ExteriorElement:
@@ -306,15 +309,8 @@ def interior_product(v, a: ExteriorElement) -> ExteriorElement:
         raise ValueError(f"dimension mismatch: vector has {v.size}, element has {a.n}")
     if a.p < 1:
         raise ValueError("cannot contract a degree-0 element")
-    out = {}
-    for idx, c in a.coeffs.items():
-        for pos, i in enumerate(idx):
-            vi = v[i - 1]
-            if vi == 0.0:
-                continue
-            rest = idx[:pos] + idx[pos + 1:]
-            out[rest] = out.get(rest, 0.0) + c * vi * (-1) ** pos
-    return ExteriorElement(a.n, a.p - 1, out)
+    return ExteriorElement.from_coeff_vector(
+        a.n, a.p - 1, v.reshape(-1) @ contraction_matrix(a.vec, a.n, a.p))
 
 
 def derivation_extend(A, phi: ExteriorElement) -> ExteriorElement:
@@ -327,31 +323,23 @@ def derivation_extend(A, phi: ExteriorElement) -> ExteriorElement:
     if A.shape != (phi.n, phi.n):
         raise ValueError(f"dimension mismatch: A is {A.shape}, expected ({phi.n},{phi.n})")
     D = derivation_tensor(phi.n, phi.p)
-    vec = np.tensordot(A, D @ phi.to_coeff_vector(), axes=2)
+    vec = np.tensordot(A, D @ phi.vec, axes=2)
     return ExteriorElement.from_coeff_vector(phi.n, phi.p, vec)
 
 
 def pairing(alpha: ExteriorElement, xi: ExteriorElement) -> float:
-    """Euclidean pairing alpha(xi) under the orthonormal-basis identification."""
+    """Euclidean pairing alpha(xi) under the orthonormal-basis identification,
+    its products added in lex order."""
     if alpha.n != xi.n or alpha.p != xi.p:
         raise ValueError(
             f"mismatched spaces: ({alpha.n},{alpha.p}) vs ({xi.n},{xi.p})")
-    small, big = alpha.coeffs, xi.coeffs
-    if len(big) < len(small):
-        small, big = big, small
-    return sum(c * big.get(k, 0.0) for k, c in small.items())
+    return sum(a * b for a, b in zip(alpha.vec.tolist(), xi.vec.tolist()))
 
 
 def hodge_star(a: ExteriorElement) -> ExteriorElement:
     """Hodge dual: a ^ *b = <a,b> vol for the standard orientation."""
-    full = set(range(1, a.n + 1))
-    out = {}
-    for idx, c in a.coeffs.items():
-        comp = tuple(sorted(full - set(idx)))
-        # sign of the permutation (idx, comp) relative to (1..n)
-        inv = sum(1 for i in idx for j in comp if i > j)
-        out[comp] = out.get(comp, 0.0) + c * (-1) ** inv
-    return ExteriorElement(a.n, a.n - a.p, out)
+    _, i, _, sign = wedge_table(a.n, a.n, a.p)    # one row per complement
+    return ExteriorElement.from_coeff_vector(a.n, a.n - a.p, sign * a.vec[i])
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +409,7 @@ def simple_from_frame(frame):
 def is_simple(xi: ExteriorElement) -> bool:
     """Pluecker criterion: (v -| xi) ^ xi = 0 for all basis vectors v, up
     to 1e-10 |xi|^2."""
-    nrm2 = sum(c * c for c in xi.coeffs.values())
+    nrm2 = float(xi.vec @ xi.vec)
     if nrm2 == 0.0:
         raise ValueError("zero input")
     worst = 0.0

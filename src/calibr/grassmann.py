@@ -547,8 +547,10 @@ def sample_grassmannian(cal: Calibration, tol=1e-6, count=50,
     and ``capped`` counts the ascents stopped by SAMPLE_MAX_ITER short of
     convergence.  Raises if the best value found contradicts the claimed
     comass by more than 1e-4 in either direction (comass confirmation
-    failure).
+    failure), and when count is below 1.
     """
+    if count < 1:
+        raise ValueError(f"sample count must be at least 1, got {count}")
     return _collect_planes(cal, grassmann(cal, seed), tol, count, seed)
 
 
@@ -556,18 +558,17 @@ def _collect_planes(cal, source: PlaneSource, tol, count,
                     seed) -> PlaneSampleSet:
     """The sampling loop over the attempts of source.take."""
     max_attempts = max(8 * count, 160)
-    need = max(count, 1)    # the first plane is kept whatever the count
-    kept = np.empty((need, cal.n, cal.p))
+    kept = np.empty((count, cal.n, cal.p))
     values = []
     best = -np.inf
     attempts = capped = 0
-    while len(values) < need and attempts < max_attempts:
+    while len(values) < count and attempts < max_attempts:
         # take the next attempts together, as many as should fill the
         # sample at the kept rate seen so far; the results are taken in
         # attempt order, so the sample stops at the same attempt as a
         # one-at-a-time loop and attempts past it are discarded
         rate = (len(values) + 1) / (attempts + 1)
-        size = min(math.ceil((need - len(values)) / rate),
+        size = min(math.ceil((count - len(values)) / rate),
                    max_attempts - attempts)
         for U, f, stopped in zip(*source.take(attempts, size)):
             attempts += 1
@@ -584,7 +585,7 @@ def _collect_planes(cal, source: PlaneSource, tol, count,
                 continue
             kept[len(values)] = U
             values.append(f)
-            if len(values) >= need:
+            if len(values) >= count:
                 break
     if best < cal.claimed_comass - 1e-4:
         raise ValueError(

@@ -61,8 +61,6 @@ def trace_check(f: ScalarField, x, plane, cal: Calibration):
 def symbol(u, cal: Calibration) -> ExteriorElement:
     """The operator symbol at the covector u: u ^ (u -| phi)."""
     u = np.asarray(u, dtype=float)
-    if cal.p == cal.n:
-        return ExteriorElement.zero(cal.n, cal.p)
     return wedge(ExteriorElement.from_vector(u),
                  interior_product(u, cal.form))
 

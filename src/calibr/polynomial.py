@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .exterior import ExteriorElement, _sorted_sign, lex_indices
+from .exterior import ExteriorElement, lex_indices, lex_position, wedge_table
 
 
 class Polynomial:
@@ -290,21 +290,23 @@ class PolyForm:
     __rmul__ = __mul__
 
     def d(self) -> "PolyForm":
-        """Exterior derivative, computed symbolically."""
+        """Exterior derivative, computed symbolically; `wedge_table` places
+        each dx_i ^ dx_J, in a run of n - p rows per J."""
+        n, p = self.n, self.p
+        _, i, c, sign = (col.tolist() for col in wedge_table(n, p + 1, 1))
+        pos, basis = lex_position(n, p), lex_indices(n, p + 1)
         out = {}
         for idx, poly in self.comps.items():
-            for i in range(1, self.n + 1):
-                dp = poly.partial(i)
+            start = pos[idx] * (n - p)
+            for r in range(start, start + n - p):
+                dp = poly.partial(i[r] + 1)
                 if not dp.terms:
                     continue
-                sidx, sign = _sorted_sign((i,) + idx)
-                if sidx is None:
-                    continue
-                terms = out.setdefault(sidx, {})
-                for k, c in dp.terms.items():
-                    terms[k] = terms.get(k, 0.0) + sign * c
-        return PolyForm(self.n, self.p + 1,
-                        {idx: Polynomial(self.n, t) for idx, t in out.items()})
+                terms = out.setdefault(basis[c[r]], {})
+                for k, coef in dp.terms.items():
+                    terms[k] = terms.get(k, 0.0) + sign[r] * coef
+        return PolyForm(n, p + 1,
+                        {idx: Polynomial(n, t) for idx, t in out.items()})
 
     def at(self, x) -> ExteriorElement:
         """Freeze coefficients at the point x."""

@@ -210,6 +210,14 @@ class TestErrors:
         assert code == 2 and out == ""
         assert err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    @pytest.mark.parametrize("command", ["gsample", "reduce"])
+    def test_sample_count_below_one_exits_2(self, capsys, command, count):
+        code, out, err = run_cli(capsys, command, "--cal", "omega4",
+                                 "--count", count)
+        assert code == 2 and out == ""
+        assert "sample count must be at least 1" in err
+
     def test_unknown_flag_rejected(self, capsys):
         with pytest.raises(SystemExit):
             main(["comass", "--cal", "omega4", "--bogus-flag", "1"])
@@ -471,6 +479,44 @@ class TestConfigEcho:
                 if k not in ("command", "fn", "output", "emit_csv")}
         cfg = json.loads(out)["config"]
         assert list(cfg.items()) == [("subcommand", argv[0]), *want.items()]
+
+
+class TestTermOrder:
+    """A form's report does not depend on the order of its JSON terms."""
+
+    XI6 = {"n": 6, "p": 3, "terms": [
+        {"indices": [1, 2, 3], "coeff": 1.0},
+        {"indices": [1, 4, 5], "coeff": -0.6},
+        {"indices": [2, 4, 6], "coeff": 0.8},
+        {"indices": [3, 5, 6], "coeff": 0.5},
+        {"indices": [1, 2, 6], "coeff": -0.3},
+        {"indices": [2, 3, 4], "coeff": 0.7}]}
+    PHI7 = {"n": 7, "p": 3, "terms": [
+        {"indices": [1, 2, 3], "coeff": 1.0},
+        {"indices": [1, 4, 5], "coeff": 0.7},
+        {"indices": [2, 4, 6], "coeff": -0.6},
+        {"indices": [3, 5, 7], "coeff": 0.5},
+        {"indices": [1, 6, 7], "coeff": 0.4},
+        {"indices": [2, 5, 7], "coeff": 0.3},
+        {"indices": [3, 4, 6], "coeff": -0.8}]}
+
+    @pytest.mark.parametrize("spec, argv", [
+        (XI6, ["massnorm", "--pvector"]),
+        (PHI7, ["comass", "--form"]),
+    ], ids=["massnorm-xi6", "comass-phi7"])
+    def test_lex_ordered_copy_gives_the_same_report(self, capsys, tmp_path,
+                                                    spec, argv):
+        lex = {**spec, "terms": sorted(spec["terms"],
+                                       key=lambda t: t["indices"])}
+        assert lex["terms"] != spec["terms"]
+        outs = []
+        for name, form in (("given", spec), ("lex", lex)):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(form))
+            code, out, _ = run_cli(capsys, *argv, str(path))
+            assert code == 0
+            outs.append(out.replace(str(path), "FORM"))
+        assert outs[0] == outs[1]
 
 
 class TestFloatFormatting:

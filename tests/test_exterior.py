@@ -240,6 +240,9 @@ class TestFromCoeffVector:
     @pytest.mark.parametrize("n", range(3, 9))
     @pytest.mark.parametrize("drop_tol", [None, 0.0])
     def test_matches_init_route(self, n, drop_tol):
+        # at the default tolerance the vector route equals the dict route;
+        # at drop_tol=0.0 (the dict route has no tolerance) it keeps every
+        # nonzero entry and turns -0.0 into 0.0
         tol = DROP_TOL if drop_tol is None else drop_tol
         kw = {} if drop_tol is None else {"drop_tol": drop_tol}
         edge = [tol, -tol, np.nextafter(tol, 1.0), -np.nextafter(tol, 1.0),
@@ -249,15 +252,53 @@ class TestFromCoeffVector:
             vec = rng.standard_normal(len(basis))
             vec[rng.permutation(len(basis))[:len(edge)]] = edge[:len(basis)]
             fast = ExteriorElement.from_coeff_vector(n, p, vec, **kw)
-            slow = ExteriorElement(n, p, {basis[k]: vec[k]
-                                          for k in range(len(basis))}, **kw)
-            assert (fast.n, fast.p) == (slow.n, slow.p)
-            assert list(fast.coeffs.items()) == list(slow.coeffs.items())
+            if drop_tol is None:
+                slow = ExteriorElement(n, p, {basis[k]: vec[k]
+                                              for k in range(len(basis))})
+                want_vec, want = slow.vec, list(slow.coeffs.items())
+            else:
+                want_vec = np.where(vec != 0.0, vec, 0.0)
+                want = [(basis[k], float(vec[k])) for k in np.flatnonzero(vec)]
+            assert (fast.n, fast.p) == (n, p)
+            assert same_bytes(fast.vec, want_vec)
+            assert list(fast.coeffs.items()) == want
             assert all(type(c) is float for c in fast.coeffs.values())
+            assert not fast.vec.flags.writeable
 
     def test_rejects_wrong_size(self):
         with pytest.raises(ValueError, match="size"):
             ExteriorElement.from_coeff_vector(4, 2, np.ones(5))
+
+
+class TestOneVector:
+    def test_vector_is_read_only_and_copied_out(self):
+        vec = rng.standard_normal(10)
+        a = ExteriorElement.from_coeff_vector(5, 2, vec)
+        vec[0] = 7.0
+        assert a.vec[0] != 7.0
+        with pytest.raises(ValueError):
+            a.vec[0] = 7.0
+        out = a.to_coeff_vector()
+        out[0] = 7.0
+        assert a.vec[0] != 7.0
+
+    def test_coeffs_in_lex_order_whatever_the_insertion_order(self):
+        r = np.random.default_rng(11)
+        basis = lex_indices(6, 3)
+        vals = r.standard_normal(len(basis))
+        lex = ExteriorElement(6, 3, dict(zip(basis, vals)))
+        for _ in range(5):
+            order = r.permutation(len(basis))
+            mixed = ExteriorElement(6, 3, {basis[k]: vals[k] for k in order})
+            assert mixed == lex
+            assert list(mixed.coeffs) == list(basis)
+            assert mixed.norm() == lex.norm()
+            assert pairing(mixed, lex) == pairing(lex, lex)
+
+    def test_duplicate_indices_sum(self):
+        # distinct keys that name one index tuple
+        a = ExteriorElement(4, 2, {(1, 2): 1.0, ("1", "2"): 0.5, (3, 4): 0.0})
+        assert a.coeffs == {(1, 2): 1.5}
 
 
 # -- slow-path references for the Lambda^p operator layer --------------------
@@ -278,6 +319,43 @@ def reference_derivation_extend(A, phi):
                     continue
                 out[sidx] = out.get(sidx, 0.0) + c * coef * sign
     return ExteriorElement(phi.n, phi.p, out)
+
+
+def reference_wedge(a, b):
+    """Dict loop over every pair of terms, sorting each joined index."""
+    out = {}
+    for ia, ca in a.coeffs.items():
+        for ib, cb in b.coeffs.items():
+            idx, sign = _sorted_sign(ia + ib)
+            if idx is None:
+                continue
+            out[idx] = out.get(idx, 0.0) + sign * ca * cb
+    return ExteriorElement(a.n, a.p + b.p, out)
+
+
+def reference_interior_product(v, a):
+    """Dict loop removing each slot, signed by its position."""
+    out = {}
+    for idx, c in a.coeffs.items():
+        for pos, i in enumerate(idx):
+            vi = v[i - 1]
+            if vi == 0.0:
+                continue
+            rest = idx[:pos] + idx[pos + 1:]
+            out[rest] = out.get(rest, 0.0) + c * vi * (-1) ** pos
+    return ExteriorElement(a.n, a.p - 1, out)
+
+
+def reference_hodge_star(a):
+    """Dict loop sending each index to its complement, signed by the
+    inversions of the permutation (index, complement)."""
+    full = set(range(1, a.n + 1))
+    out = {}
+    for idx, c in a.coeffs.items():
+        comp = tuple(sorted(full - set(idx)))
+        inv = sum(1 for i in idx for j in comp if i > j)
+        out[comp] = out.get(comp, 0.0) + c * (-1) ** inv
+    return ExteriorElement(a.n, a.n - a.p, out)
 
 
 class TestCompound:
@@ -378,10 +456,10 @@ def reference_derivation_tensor(n, p):
 
 
 def reference_wedge_columns(g, n, p):
-    """The mod-d columns df ^ dx_J, one ExteriorElement wedge per J."""
+    """The mod-d columns df ^ dx_J, one reference wedge per J."""
     df = ExteriorElement.from_vector(g)
     return np.column_stack([
-        wedge(df, ExteriorElement(n, p - 1, {J: 1.0})).to_coeff_vector()
+        reference_wedge(df, ExteriorElement(n, p - 1, {J: 1.0})).vec
         for J in lex_indices(n, p - 1)])
 
 
@@ -442,3 +520,31 @@ class TestWedgeTableAgainstLoops:
         g = sparse_vector(n, np.random.default_rng(n))
         assert same_bytes(wedge_matrix(g, n, p).T,
                           reference_wedge_columns(g, n, p))
+
+
+def relative_gap(fast, slow):
+    """Largest entry gap of two elements over the reference's largest entry."""
+    return np.abs(fast.vec - slow.vec).max() / max(np.abs(slow.vec).max(),
+                                                   np.finfo(float).tiny)
+
+
+class TestOperatorsAgainstLoops:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_random_elements(self, n):
+        r = np.random.default_rng([23, n])
+
+        def element(p):
+            return ExteriorElement.from_coeff_vector(
+                n, p, sparse_vector(len(lex_indices(n, p)), r))
+
+        for p in range(n + 1):
+            a = element(p)
+            assert same_bytes(hodge_star(a).vec, reference_hodge_star(a).vec)
+            if p > 0:
+                v = sparse_vector(n, r)
+                assert relative_gap(interior_product(v, a),
+                                    reference_interior_product(v, a)) <= 1e-14
+            for q in range(n - p + 1):
+                b = element(q)
+                assert relative_gap(wedge(a, b), reference_wedge(a, b)) \
+                    <= 1e-14

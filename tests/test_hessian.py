@@ -5,10 +5,10 @@ import pytest
 
 import calibr.grassmann
 from calibr.acceptance import NORMAL_ENTRIES
-from calibr.calibrations import Calibration, catalogue
+from calibr.calibrations import CATALOGUE_SPECS, Calibration, catalogue
 from calibr.cones import lambda_span
-from calibr.exterior import (ExteriorElement, compound, lex_indices,
-                             pairing, wedge)
+from calibr.exterior import (ExteriorElement, compound, derivation_extend,
+                             lex_indices, pairing, wedge)
 from calibr.fields import (ScalarField, builtin_field, compose,
                            field_from_json, quadratic_field)
 from calibr.grassmann import (_ascent_source, _pluecker, grassmann,
@@ -546,6 +546,20 @@ class TestSymbolAndReduction:
         e3 = np.zeros(4)
         e3[2] = 1.0
         assert symbol(e3, lam).coeffs == {(3, 4): 0.5}
+
+    @pytest.mark.parametrize("name,params", CATALOGUE_SPECS,
+                             ids=[f"{n}{p}" for n, p in CATALOGUE_SPECS])
+    def test_symbol_is_rank_one_derivation(self, name, params):
+        # u ^ (u -| phi) is the derivation of u u^T, in top degree too,
+        # where it is |u|^2 vol
+        cal = catalogue(name, *params)
+        rng = np.random.default_rng([5, cal.n, cal.p])
+        for _ in range(5):
+            u = rng.standard_normal(cal.n)
+            want = derivation_extend(np.outer(u, u), cal.form)
+            assert symbol(u, cal).allclose(want, tol=1e-12)
+            if cal.p == cal.n:
+                assert abs(symbol(u, cal).vec[0] - u @ u) <= 1e-12
 
     @staticmethod
     def projected_hessian(f, cal, span):

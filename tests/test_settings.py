@@ -32,8 +32,6 @@ FORWARDED = {
         "test_empty_or_flat_family_rejected passes pad=0.0 through **kw",
     "duality.build_jensen_model.pad":
         "test_empty_or_flat_family_rejected passes pad=0.0 through **kw",
-    "exterior.ExteriorElement.__init__.drop_tol":
-        "TestFromCoeffVector passes drop_tol=0.0 through **kw",
     "fields.ScalarField.__init__.poly":
         "ScalarField.from_polynomial passes poly= to cls(...)",
 }
