@@ -143,11 +143,12 @@ def _samples_for(cal, args):
 
 
 def _cone_samples_for(cal, args):
-    """The sample a cone query needs: none on a Kaehler form, whose exact
-    route reads no sample, else `_samples_for`."""
-    if grassmann.kaehler_structure(cal.form) is not None:
-        return grassmann.PlaneSampleSet([], [], getattr(args, "tol", 1e-6),
-                                        args.seed, 0, calibration=cal.name)
+    """The sample a cone query needs: an empty one on a Kaehler form, whose
+    exact route reads no sample, else `_samples_for`.  A count below 1 goes
+    to `_samples_for` on every form, and is rejected there."""
+    if args.count >= 1 and grassmann.kaehler_structure(cal.form) is not None:
+        return grassmann.PlaneSampleSet(np.empty((0, cal.n, cal.p)), [],
+                                        args.tol, 0)
     return _samples_for(cal, args)
 
 
@@ -432,7 +433,6 @@ def build_parser():
         p.add_argument("--output", "-o", help="write the JSON report here")
 
     p = sub.add_parser("catalogue", help="list or dump catalogue entries")
-    p.add_argument("--list", action="store_true")
     p.add_argument("--dump", help="catalogue selector to dump")
     common(p, cal=False)
     p.set_defaults(fn=cmd_catalogue)

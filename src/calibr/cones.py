@@ -15,13 +15,14 @@ scipy.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .calibrations import Calibration
-from .exterior import (ExteriorElement, SimplePlane, _lex_array,
-                       contraction_matrix, hodge_star, pairing)
+from .exterior import (ExteriorElement, SimplePlane, contraction_matrix,
+                       hodge_star, pairing)
 from .grassmann import (PlaneSampleSet, comass, constrained_extremum,
                         kaehler_matrix, kaehler_planes, kaehler_structure,
                         polish_plane, span_split, top_singular_plane)
@@ -47,33 +48,6 @@ class ConeReport:
     tolerances: dict = field(default_factory=dict)
     witness: SimplePlane | None = None
     meta: dict = field(default_factory=dict)
-
-
-# ---------------------------------------------------------------------------
-# the span of the sampled Grassmannian
-# ---------------------------------------------------------------------------
-
-@dataclass
-class LambdaSpan:
-    basis: np.ndarray        # (dim, C(n,p)) orthonormal rows
-    perp: np.ndarray         # complement rows
-    n: int
-    p: int
-
-    @property
-    def dim(self):
-        return self.basis.shape[0]
-
-    def project_vec(self, vec):
-        return self.basis.T @ (self.basis @ vec)
-
-
-def lambda_span(samples: PlaneSampleSet) -> LambdaSpan:
-    """Orthonormal basis of span{sampled p-vectors} and its complement."""
-    if len(samples) == 0:
-        raise ValueError("empty sample set")
-    pl = samples.planes[0]
-    return LambdaSpan(*span_split(samples.pvectors()), pl.n, pl.p)
 
 
 # ---------------------------------------------------------------------------
@@ -123,12 +97,12 @@ def cone_membership(xi: ExteriorElement, cal: Calibration,
     if J is None:
         if len(samples) == 0:
             raise ValueError("empty sample set")
-        planes, coeffs, res, pricing, capped = _sampled_membership(
+        planes, A, coeffs, res, pricing, capped = _sampled_membership(
             xi, xi_vec, scale, cal, samples, max_rounds, seed)
     else:
         planes, coeffs = _kaehler_atoms(xi, cal, J)
+        A = np.column_stack([pl.pvector().to_coeff_vector() for pl in planes])
         capped = False
-    A = np.column_stack([pl.pvector().to_coeff_vector() for pl in planes])
     r = xi_vec - A @ coeffs
     residual = (res if J is None else np.linalg.norm(r)) / scale
     tolerances = {"membership_tol": MEMBERSHIP_TOL,
@@ -180,10 +154,12 @@ def _sampled_membership(xi, xi_vec, scale, cal, samples, max_rounds, seed):
     pricing (which then separates xi from the cone), ``max_rounds`` added
     planes or three rounds that shrink the residual by under 0.5%.
 
-    Returns the atoms, the NNLS weights, the residual norm, the last
-    pricing (None when the residual vanished before any) and whether a cap
-    or a stall ended the loop with that pricing still negative."""
+    Returns the atoms, their p-vectors as the columns of a matrix, the NNLS
+    weights, the residual norm, the last pricing (None when the residual
+    vanished before any) and whether a cap or a stall ended the loop with
+    that pricing still negative."""
     planes = list(samples.planes)
+    cols = [samples.pvectors().T]
     # when the target is close to a single phi-plane, that plane (found by
     # aligning with xi and polishing onto the Grassmannian) is the one atom
     # that matters; add it up front
@@ -191,7 +167,8 @@ def _sampled_membership(xi, xi_vec, scale, cal, samples, max_rounds, seed):
     polished, val = polish_plane(cal.form, cm_xi.plane)
     if val >= 1.0 - max(MEMBERSHIP_TOL, samples.tolerance):
         planes.append(polished)
-    A = np.column_stack([pl.pvector().to_coeff_vector() for pl in planes])
+        cols.append(polished.pvector().to_coeff_vector())
+    A = np.column_stack(cols)
     coeffs, res = nnls(A, xi_vec)
     pricing, stagnant = None, 0
     for round_k in range(max_rounds + 1):
@@ -207,22 +184,18 @@ def _sampled_membership(xi, xi_vec, scale, cal, samples, max_rounds, seed):
         if col @ r <= 1e-12 * scale * np.linalg.norm(r):
             break  # no phi-plane pairs positively with the residual
         if round_k == max_rounds or stagnant >= 3:
-            return planes, coeffs, res, pricing, True
+            return planes, A, coeffs, res, pricing, True
         planes.append(pricing.plane)
         A = np.column_stack([A, col])
         res_prev = res
         coeffs, res = nnls(A, xi_vec)
         stagnant = stagnant + 1 if res > 0.995 * res_prev else 0
-    return planes, coeffs, res, pricing, False
+    return planes, A, coeffs, res, pricing, False
 
 
 # ---------------------------------------------------------------------------
 # mass norm bracketing
 # ---------------------------------------------------------------------------
-
-def _coordinate_planes(n, p):
-    return [SimplePlane(np.eye(n)[rows]) for rows in _lex_array(n, p)]
-
 
 def _normal_form(xi: ExteriorElement):
     """Harvey-Lawson normal form of a 2-vector: xi = sum_k lam_k a_k ^ b_k
@@ -287,9 +260,9 @@ def mass_norm_estimate(xi: ExteriorElement, generator_samples: PlaneSampleSet,
     # the target form itself is rescaled by its own comass
     xi_unit = (1.0 / xi.norm()) * xi
     cm_xi = comass(xi_unit, multistarts=24, seed=seed)
-    planes = (_coordinate_planes(n, p) + list(generator_samples.planes)
-              + [cm_xi.plane])
-    cols = [pl.pvector().to_coeff_vector() for pl in planes]
+    # the coordinate planes' p-vectors are the standard basis
+    cols = [*np.eye(math.comb(n, p)), *generator_samples.pvectors(),
+            cm_xi.plane.pvector().to_coeff_vector()]
     if cm_xi.value > 1e-12:
         offer(xi_unit, cm_xi, cm_xi.value)
     if p == 2 or n - p == 2:

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .calibrations import Calibration
-from .cones import lambda_span
 from .exterior import (ExteriorElement, _lex_array, _stack_dets,
                        derivation_tensor, lex_indices, simple_from_frame)
 from .fields import ScalarField
@@ -66,7 +65,7 @@ class PolyhedralCurrent:
     and multiplicities of the kept simplices are arrays in ``simplices``
     order."""
 
-    def __init__(self, n, p, simplices, validate=True):
+    def __init__(self, n, p, simplices):
         self.n = int(n)
         self.p = int(p)
         shape = (self.p + 1, self.n)
@@ -90,12 +89,6 @@ class PolyhedralCurrent:
             raise ValueError(f"simplex {len(mults)}: expected {shape} "
                              f"vertex array, got {verts[-1].shape}")
         self.simplices = [(verts[k], mults[k].item()) for k in keep]
-        if validate and self.p >= 2 and self.simplices:
-            bb = boundary(boundary(self))
-            if bb.simplices:
-                worst = max(abs(m) for _, m in bb.simplices)
-                raise ValueError(
-                    f"boundary of boundary failed to cancel (worst {worst:g})")
 
     def __len__(self):
         return len(self.simplices)
@@ -104,8 +97,10 @@ class PolyhedralCurrent:
 def _signed_faces(S, weights):
     """The (p-1)-faces of the (N, p+1) vertex-index simplices S as sorted
     index rows in first-seen order, each with the total over its incidences
-    of the simplex's weight times the orientation sign, and whether it has a
-    repeated vertex (then its row is -1 and its total 0); one array pass."""
+    of the simplex's weight times the orientation sign, a rounding bound of
+    that total (eps times the incidence count times the sum of the
+    magnitudes added), and whether it has a repeated vertex (then its row
+    is -1 and its total and bound 0); one array pass."""
     N, q = S.shape
     # faces in (simplex, dropped vertex) order, signed (-1)^drop
     keep = np.nonzero(~np.eye(q, dtype=bool))[1]
@@ -118,18 +113,23 @@ def _signed_faces(S, weights):
     F[repeated], sign[repeated] = -1, 0
     keys, first, inv = np.unique(F, axis=0, return_index=True,
                                  return_inverse=True)
-    totals = np.bincount(inv.ravel(), weights=sign * np.repeat(weights, q),
-                         minlength=len(keys))
+    terms = sign * np.repeat(weights, q)
+    totals, magnitudes, counts = (
+        np.bincount(inv.ravel(), weights=w, minlength=len(keys))
+        for w in (terms, np.abs(terms), None))
+    bound = np.finfo(float).eps * counts * magnitudes
     order = np.argsort(first)
-    return keys[order], totals[order], repeated[first[order]]
+    return keys[order], totals[order], bound[order], repeated[first[order]]
 
 
 def boundary(T: PolyhedralCurrent) -> PolyhedralCurrent:
-    """Alternating-sign faces with multiplicities, cancelled exactly.
+    """Alternating-sign faces with multiplicities; a face whose total is
+    within the rounding bound of the multiplicities added into it cancels.
 
-    Cancellation keys on exact vertex coordinates (-0.0 and 0.0 are one),
+    Faces are matched on exact vertex coordinates (-0.0 and 0.0 are one),
     so shared faces must be built from equal floats (all built-in
-    generators guarantee this).
+    generators guarantee this).  The boundary of a boundary cancels by
+    construction of the face map.
     """
     if T.p == 0:
         raise ValueError("boundary of a 0-current")
@@ -137,11 +137,11 @@ def boundary(T: PolyhedralCurrent) -> PolyhedralCurrent:
     V = T._vertices.reshape(-1, T.n) + 0.0
     _, first, ids = np.unique(V.view(np.dtype((np.void, V.itemsize * T.n))),
                               return_index=True, return_inverse=True)
-    faces, mults, _ = _signed_faces(ids.reshape(-1, T.p + 1), T._mults)
-    keep = np.abs(mults) > 1e-13
+    faces, mults, bound, _ = _signed_faces(ids.reshape(-1, T.p + 1),
+                                           T._mults)
+    keep = np.abs(mults) > bound
     return PolyhedralCurrent(T.n, T.p - 1,
-                             zip(V[first][faces[keep]], mults[keep]),
-                             validate=False)
+                             zip(V[first][faces[keep]], mults[keep]))
 
 
 def mass(T: PolyhedralCurrent) -> float:
@@ -222,7 +222,7 @@ class MeshedSubmanifold:
         vertex tuple in first-seen order (None for a face with a repeated
         vertex); computed once.  Boundary faces have nonzero counts."""
         if self._counts is None:
-            faces, counts, repeated = _signed_faces(
+            faces, counts, _, repeated = _signed_faces(
                 self.simplices, np.ones(len(self.simplices)))
             self._counts = {None if r else tuple(f): int(c) for f, c, r in
                             zip(faces.tolist(), counts.tolist(),
@@ -262,7 +262,7 @@ class MeshedSubmanifold:
 
     def to_current(self) -> PolyhedralCurrent:
         simp = [(self.vertices[tri], 1.0) for tri in self.simplices]
-        return PolyhedralCurrent(self.n, self.p, simp, validate=False)
+        return PolyhedralCurrent(self.n, self.p, simp)
 
 
 # ---------------------------------------------------------------------------
@@ -666,13 +666,12 @@ def max_principle_check(M: MeshedSubmanifold, f: ScalarField, mode: str,
             pre_ok = False
             pre_info["reason"] = "no samples supplied for the mod-d check"
         else:
-            span = lambda_span(samples)
             idx = np.linspace(0, len(M.vertices) - 1, 6).astype(int)
             residuals = []
             critical = 0
             for i in idx:
                 r = pluriharmonic_mod_d_residual(f, M.vertices[i], cal,
-                                                 span=span)
+                                                 samples)
                 if r.gradient_norm < 1e-8:
                     # a critical point inside the mesh breaks the mod-d
                     # decomposition on any neighborhood of M

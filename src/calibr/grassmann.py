@@ -21,11 +21,11 @@ best-found lower bound with a multistart saturation heuristic, and no global
 certificate is claimed.  Every phi-plane, of R^n or inside a hyperplane,
 comes from one source, `grassmann`: drawn from G(phi) on those forms
 (``exact=True``), elsewhere a local maximizer of a multistart ascent; a
-sample is the distinct planes it gives.  Constrained extrema over G(phi)
-are exact (one eigendecomposition) for Kaehler forms in degree 2 and
-codegree 2, else best-found.  The structure is detected once per form and
-kept, so every route that asks for it (`kaehler_structure` too) reads the
-same one.
+sample is the distinct planes it gives, held as one stack of frames.
+Constrained extrema over G(phi) are exact (one eigendecomposition) for
+Kaehler forms in degree 2 and codegree 2, else best-found.  The structure
+is detected once per form and kept, so every route that asks for it
+(`kaehler_structure` too) reads the same one.
 """
 
 from __future__ import annotations
@@ -39,8 +39,8 @@ import numpy as np
 
 from .calibrations import (Calibration, catalogue, complex_structure,
                            quaternionic_structure)
-from .exterior import (ExteriorElement, SimplePlane, _lex_array, _sorted_sign,
-                       _stack_dets, compound,
+from .exterior import (DROP_TOL, ExteriorElement, SimplePlane, _lex_array,
+                       _sorted_sign, _stack_dets, compound,
                        contraction_matrix, hodge_star, interior_product)
 
 DEFAULT_GTOL = 1e-12
@@ -403,7 +403,8 @@ def comass(phi: ExteriorElement, multistarts=60, max_iter=600, tol=DEFAULT_GTOL,
 def _random_frames(n, p, seed, keys) -> np.ndarray:
     """(len(keys), n, p) stack of the frames random_frame draws from the
     streams (seed, key)."""
-    return np.array([random_frame(n, p, rng_stream(seed, k)) for k in keys])
+    return np.array([random_frame(n, p, rng_stream(seed, k))
+                     for k in keys]).reshape(-1, n, p)
 
 
 def _capped(g, iters, gtol, max_iter):
@@ -438,27 +439,53 @@ def polish_plane(phi: ExteriorElement,
 # sampling the phi-Grassmannian
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(eq=False)
 class PlaneSampleSet:
-    """Finite surrogate for the phi-Grassmannian."""
-    planes: list
+    """Finite surrogate for the phi-Grassmannian: one read-only (k, n, p)
+    stack of orthonormal column frames.  The plane views, the Pluecker rows
+    and the annihilator of their span are computed from it once."""
+    frames: np.ndarray
     values: list
     tolerance: float
-    seed: int
     multistart_count: int
-    dedup_angle: float = DEDUP_ANGLE
-    requested: int = 0
-    calibration: str = ""
     exhausted: bool = False
     capped: int = 0     # attempts stopped by max_iter short of convergence
     exact: bool = False     # planes drawn from G(phi), not ascended to
 
+    def __post_init__(self):
+        self.frames = np.asarray(self.frames, dtype=float)
+        self.frames.flags.writeable = False
+
     def __len__(self):
-        return len(self.planes)
+        return len(self.frames)
+
+    @functools.cached_property
+    def planes(self) -> tuple:
+        """The planes as `SimplePlane` views of the frames."""
+        return tuple(SimplePlane(U.T) for U in self.frames)
+
+    @functools.cached_property
+    def _pvectors(self):
+        rows = _pluecker(self.frames)
+        rows = np.where(np.abs(rows) > DROP_TOL, rows, 0.0)
+        rows.flags.writeable = False
+        return rows
 
     def pvectors(self) -> np.ndarray:
-        """Rows of Pluecker coefficient vectors, one per plane."""
-        return np.array([pl.pvector().to_coeff_vector() for pl in self.planes])
+        """Read-only rows of Pluecker coefficient vectors, one per plane,
+        masked as `ExteriorElement.from_coeff_vector` masks."""
+        return self._pvectors
+
+    @functools.cached_property
+    def _annihilator(self):
+        perp = span_split(self.pvectors())[1]
+        perp.flags.writeable = False
+        return perp
+
+    def annihilator(self) -> np.ndarray:
+        """Read-only orthonormal rows spanning the complement of the span of
+        the planes' p-vectors."""
+        return self._annihilator
 
 
 def _is_duplicate(U, kept, dedup_angle):
@@ -551,11 +578,10 @@ def sample_grassmannian(cal: Calibration, tol=1e-6, count=50,
     """
     if count < 1:
         raise ValueError(f"sample count must be at least 1, got {count}")
-    return _collect_planes(cal, grassmann(cal, seed), tol, count, seed)
+    return _collect_planes(cal, grassmann(cal, seed), tol, count)
 
 
-def _collect_planes(cal, source: PlaneSource, tol, count,
-                    seed) -> PlaneSampleSet:
+def _collect_planes(cal, source: PlaneSource, tol, count) -> PlaneSampleSet:
     """The sampling loop over the attempts of source.take."""
     max_attempts = max(8 * count, 160)
     kept = np.empty((count, cal.n, cal.p))
@@ -591,22 +617,18 @@ def _collect_planes(cal, source: PlaneSource, tol, count,
         raise ValueError(
             f"comass confirmation failure: best value {best:.8f} never "
             f"reached claimed comass {cal.claimed_comass}")
-    return PlaneSampleSet([SimplePlane(U.T) for U in kept[:len(values)]],
-                          values, tol, seed, attempts, requested=count,
-                          calibration=cal.name,
+    return PlaneSampleSet(kept[:len(values)], values, tol, attempts,
                           exhausted=len(values) < count, capped=capped,
                           exact=source.exact)
 
 
 def random_plane_set(n, p, count=80, seed=0) -> PlaneSampleSet:
-    """Uniform-ish sample of the full Grassmannian G(p, n)."""
-    planes = []
-    for k in range(count):
-        rng = rng_stream(seed, 9000 + k)
-        planes.append(SimplePlane(random_frame(n, p, rng).T))
-    return PlaneSampleSet(planes, [0.0] * count, tolerance=np.inf, seed=seed,
-                          multistart_count=count, requested=count,
-                          calibration=f"G({p},{n})")
+    """Uniform-ish sample of the full Grassmannian G(p, n), from the streams
+    (seed, 9000 + k); a count of 0 gives an empty sample."""
+    if count < 0:
+        raise ValueError(f"generator count must be at least 0, got {count}")
+    frames = _random_frames(n, p, seed, range(9000, 9000 + count))
+    return PlaneSampleSet(frames, [0.0] * count, np.inf, count)
 
 
 # ---------------------------------------------------------------------------
@@ -698,14 +720,12 @@ def _tangential_extremum(alpha, cal, samples, mode, extra_starts=6, seed=1,
     ev_a = FormEvaluator(alpha)
     ev_phi = FormEvaluator(cal.form)
 
-    starts = [pl.frame.T.copy() for pl in samples.planes]
+    starts = samples.frames
     if starts_limit is not None and len(starts) > starts_limit:
         scores = [sgn * ev_a.value(U) for U in starts]
-        order = np.argsort(scores)[::-1][:starts_limit]
-        starts = [starts[i] for i in order]
-    for k in range(extra_starts):
-        rng = rng_stream(seed, 500 + k)
-        starts.append(random_frame(ev_phi.n, ev_phi.p, rng))
+        starts = starts[np.argsort(scores)[::-1][:starts_limit]]
+    starts = np.concatenate([starts, _random_frames(
+        ev_phi.n, ev_phi.p, seed, range(500, 500 + extra_starts))])
 
     feas_tol = max(10.0 * samples.tolerance, 1e-6)
     if not np.isfinite(feas_tol):
@@ -715,7 +735,7 @@ def _tangential_extremum(alpha, cal, samples, mode, extra_starts=6, seed=1,
         return _ascend_batch(ev_phi, U, gtol=1e-13,
                              max_iter=60, step0=0.05)[:2]
 
-    U, fphi = polish(np.array(starts))
+    U, fphi = polish(starts)
     # starts stranded off G(phi), e.g. on a reversed component, are dropped
     on = fphi >= 1.0 - feas_tol
     if not on.any():
@@ -1057,7 +1077,7 @@ def reduce_calibration(cal: Calibration,
     """
     if len(samples) == 0:
         raise ValueError("empty sample set")
-    W, perp = span_split(np.vstack([pl.frame for pl in samples.planes]))
+    W, perp = span_split(samples.frames.transpose(0, 2, 1).reshape(-1, cal.n))
     psi = pullback(cal.form, W.T)
     elliptic = len(W) == cal.n
     witness = None

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calibrations import Calibration
-from .cones import LambdaSpan, lambda_span, positivity_classify
+from .cones import positivity_classify
 from .exterior import (ExteriorElement, SimplePlane, compound,
                        derivation_extend, interior_product, lex_indices,
                        pairing, wedge, wedge_matrix)
@@ -112,18 +112,17 @@ class ModDResidual:
 
 
 def pluriharmonic_mod_d_residual(f: ScalarField, x, cal: Calibration,
-                                 samples: PlaneSampleSet = None,
-                                 span: LambdaSpan = None) -> ModDResidual:
+                                 samples: PlaneSampleSet) -> ModDResidual:
     """Least-squares decomposition of the form-valued Hessian over
-    df ^ Lambda^{p-1} plus the annihilator of the sampled plane span.
+    df ^ Lambda^{p-1} plus the annihilator of the sampled plane span
+    (`PlaneSampleSet.annihilator`, computed once per sample).
 
     With a vanishing gradient the fit degenerates to the pure annihilator
     projection (documented; the caller sees gradient_norm).
     """
-    if span is None:
-        if samples is None:
-            raise ValueError("need either samples or a precomputed span")
-        span = lambda_span(samples)
+    if len(samples) == 0:
+        raise ValueError("empty sample set")
+    perp = samples.annihilator()
     x = np.asarray(x, dtype=float)
     H = hessian_form(f, x, cal)
     H_vec = H.to_coeff_vector()
@@ -131,15 +130,15 @@ def pluriharmonic_mod_d_residual(f: ScalarField, x, cal: Calibration,
     pm1 = lex_indices(cal.n, cal.p - 1)
     # columns df ^ dx_J, then the annihilator; in C order, because the
     # rounding of A @ coef depends on the layout
-    A = np.vstack([wedge_matrix(g, cal.n, cal.p), span.perp]).T.copy()
+    A = np.vstack([wedge_matrix(g, cal.n, cal.p), perp]).T.copy()
     coef, *_ = np.linalg.lstsq(A, H_vec, rcond=None)
     fit = A @ coef
     residual = float(np.linalg.norm(H_vec - fit))
     alpha = ExteriorElement(cal.n, cal.p - 1,
                             {idx: coef[k] for k, idx in enumerate(pm1)})
     sigma_vec = np.zeros_like(H_vec)
-    for j in range(span.perp.shape[0]):
-        sigma_vec += coef[len(pm1) + j] * span.perp[j]
+    for j in range(perp.shape[0]):
+        sigma_vec += coef[len(pm1) + j] * perp[j]
     sigma = ExteriorElement.from_coeff_vector(cal.n, cal.p, sigma_vec,
                                               drop_tol=0.0)
     return ModDResidual(residual, alpha, sigma, float(np.linalg.norm(g)))
@@ -201,8 +200,7 @@ def phi_flat_check(f: ScalarField, x, cal: Calibration, tol=1e-8,
         Q = span_split(np.array([ghat, ghat @ J.T]))[1].T
     U = Q.T @ V
     restricted = Calibration(pullback(cal.form, Q), f"{cal.name}|W")
-    starts = PlaneSampleSet([SimplePlane(Uk.T) for Uk in U], list(values),
-                            0.0, seed, len(U))
+    starts = PlaneSampleSet(U, list(values), 0.0, len(U))
     H_w = pullback(H, Q)
     worst = max((constrained_extremum(H_w, restricted, starts, mode, seed=seed)
                  for mode in ("max", "min")), key=lambda r: abs(r.value))

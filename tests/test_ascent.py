@@ -337,7 +337,7 @@ class TestSamplingAgainstLoop:
     @pytest.mark.parametrize("seed", [1, 2])
     def test_same_planes_and_attempts(self, name, params, seed):
         cal = catalogue(name, *params)
-        ss = _collect_planes(cal, _ascent_source(cal, seed), 1e-6, 8, seed)
+        ss = _collect_planes(cal, _ascent_source(cal, seed), 1e-6, 8)
         kept, values, attempts = ref_sample(cal, count=8, seed=seed)
         assert ss.multistart_count == attempts
         assert len(ss) == len(kept)
@@ -405,10 +405,10 @@ class TestSurfacedCaps:
 
     def test_sample_capped(self):
         cal = catalogue("associative")
-        assert _collect_planes(cal, _ascent_source(cal, 0), 1e-6, 3,
-                               0).capped == 0
+        assert _collect_planes(cal, _ascent_source(cal, 0), 1e-6,
+                               3).capped == 0
         ss = _collect_planes(cal, _ascent_source(cal, 0, max_iter=5), 1e-2,
-                             3, 0)
+                             3)
         assert ss.capped == ss.multistart_count == 3
 
     def test_volume_reversed_component_stranded(self):

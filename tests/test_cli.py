@@ -20,7 +20,7 @@ def run_cli(capsys, *argv):
 
 class TestCatalogue:
     def test_list(self, capsys):
-        code, out, _ = run_cli(capsys, "catalogue", "--list")
+        code, out, _ = run_cli(capsys, "catalogue")
         assert code == 0
         data = json.loads(out)
         names = [e["name"] for e in data["report"]["entries"]]
@@ -210,13 +210,37 @@ class TestErrors:
         assert code == 2 and out == ""
         assert err == f"error: {message}\n"
 
+    # the inputs each sampling subcommand needs besides --count; the cone
+    # queries on omega4 read no sample, and must reject the count all the same
+    COUNT_INPUTS = {"gsample": [], "reduce": [],
+                   "positivity": ["--form", "xi.json"],
+                   "lemma25": ["--pvector", "xi.json"],
+                   "psh": ["--field", "builtin:normsq",
+                           "--probes", "grid:-1..1:2"]}
+
     @pytest.mark.parametrize("count", ["0", "-3"])
-    @pytest.mark.parametrize("command", ["gsample", "reduce"])
-    def test_sample_count_below_one_exits_2(self, capsys, command, count):
+    @pytest.mark.parametrize("command", list(COUNT_INPUTS))
+    def test_sample_count_below_one_exits_2(self, capsys, tmp_path,
+                                            monkeypatch, command, count):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "xi.json").write_text(json.dumps(form_to_json(
+            ExteriorElement(4, 2, {(1, 2): 0.5, (3, 4): 0.5}))))
         code, out, err = run_cli(capsys, command, "--cal", "omega4",
-                                 "--count", count)
+                                 "--count", count, *self.COUNT_INPUTS[command])
         assert code == 2 and out == ""
-        assert "sample count must be at least 1" in err
+        assert err == f"error: sample count must be at least 1, got {count}\n"
+
+    @pytest.mark.parametrize("command", ["massnorm", "lemma25"])
+    def test_generator_count_below_zero_exits_2(self, capsys, tmp_path,
+                                                monkeypatch, command):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "xi.json").write_text(json.dumps(form_to_json(
+            ExteriorElement(4, 2, {(1, 2): 0.5, (3, 4): 0.5}))))
+        cal = ["--cal", "omega4"] if command == "lemma25" else []
+        code, out, err = run_cli(capsys, command, *cal, "--pvector",
+                                 "xi.json", "--generators", "-3")
+        assert code == 2 and out == ""
+        assert err == "error: generator count must be at least 0, got -3\n"
 
     def test_unknown_flag_rejected(self, capsys):
         with pytest.raises(SystemExit):
@@ -460,7 +484,7 @@ class TestConfigEcho:
         assert json.loads(out)["config"]["count"] == 8
 
     @pytest.mark.parametrize("argv", [
-        ["catalogue", "--list"],
+        ["catalogue"],
         ["comass", "--cal", "omega4", "--max-iter", "7"],
         ["gsample", "--cal", "lambda:0.5", "--count", "4",
          "--emit-csv", "planes.csv"],

@@ -3,11 +3,12 @@ import pytest
 from scipy.optimize import linprog
 
 from calibr.calibrations import catalogue
-from calibr.cones import (cone_membership, lambda_span, lemma_2_5_check,
+from calibr.cones import (cone_membership, lemma_2_5_check,
                           mass_norm_estimate, positivity_classify)
 from calibr.exterior import (ExteriorElement, hodge_star, interior_product,
                              lex_indices, pairing, simple_from_frame, wedge)
-from calibr.grassmann import random_plane_set, rng_stream, sample_grassmannian
+from calibr.grassmann import (random_plane_set, rng_stream,
+                              sample_grassmannian, span_split)
 from calibr.lp import solve_lp
 
 
@@ -41,24 +42,28 @@ def e_form(*idx):
 
 
 class TestLambdaSpan:
+    """The span of the sampled p-vectors, span_split(ss.pvectors())."""
+
     def test_dimensions_frozen_oracle(self, ss_omega, ss_lam):
         # explicit complex-line family has rank 4 (pre-build oracle)
-        assert lambda_span(ss_omega).dim == 4
-        assert lambda_span(ss_lam).dim == 1
+        assert len(span_split(ss_omega.pvectors())[0]) == 4
+        assert len(span_split(ss_lam.pvectors())[0]) == 1
 
     def test_volume_dimension(self):
         ss = sample_grassmannian(catalogue("volume", 3), count=3, seed=1)
-        assert lambda_span(ss).dim == 1
+        assert len(span_split(ss.pvectors())[0]) == 1
 
     def test_projection_idempotent(self, ss_omega):
-        span = lambda_span(ss_omega)
+        basis, perp = span_split(ss_omega.pvectors())
         rng = np.random.default_rng(0)
-        from calibr.exterior import lex_indices
         el = ExteriorElement(4, 2, {i: rng.standard_normal()
                                     for i in lex_indices(4, 2)})
-        once = span.project_vec(el.to_coeff_vector())
-        twice = span.project_vec(once)
+        once = basis.T @ (basis @ el.to_coeff_vector())
+        twice = basis.T @ (basis @ once)
         assert np.abs(once - twice).max() <= 1e-12
+        # the annihilator projects onto the rest
+        rest = perp.T @ (perp @ el.to_coeff_vector())
+        assert np.abs(once + rest - el.to_coeff_vector()).max() <= 1e-12
 
 
 class TestConeMembership:

@@ -68,6 +68,17 @@ class TestBoundaryAndMass:
         bb = boundary(boundary(disc_mesh(5, cal=omega).to_current()))
         assert len(bb) == 0
 
+    @pytest.mark.parametrize("low", [1e2, 1e5])
+    def test_boundary_of_boundary_large_multiplicities(self, low):
+        # the vertex totals of the second boundary cancel only up to the
+        # rounding of the multiplicities added into them
+        M = disc_mesh(4)
+        mults = np.random.default_rng(0).uniform(low, 10.0 * low,
+                                                 len(M.simplices))
+        T = PolyhedralCurrent(4, 2, zip(M.vertices[M.simplices], mults))
+        assert len(boundary(T)) == len(M.vertices) + len(M.simplices) - 1
+        assert len(boundary(boundary(T))) == 0
+
     def test_disc_mass_converges(self, omega):
         masses = [mass(disc_mesh(m, cal=omega).to_current())
                   for m in (8, 16)]
@@ -131,8 +142,7 @@ class TestPositivityAndGap:
     def test_reversed_orientation_negative(self, omega):
         M = disc_mesh(6)
         tris = M.simplices[:, [0, 2, 1]]
-        T = PolyhedralCurrent(4, 2, [(M.vertices[t], 1.0) for t in tris],
-                              validate=False)
+        T = PolyhedralCurrent(4, 2, [(M.vertices[t], 1.0) for t in tris])
         chk = phi_positive_check(T, omega)
         assert not chk["positive"]
         assert all(abs(v["phi"] + 1.0) < 1e-12 for v in chk["violations"])
@@ -159,8 +169,7 @@ class TestPositivityAndGap:
         # identical rims: the boundary of the difference cancels exactly
         diff = PolyhedralCurrent(4, 2,
                                  disc.simplices +
-                                 [(v, -mlt) for v, mlt in cap.simplices],
-                                 validate=False)
+                                 [(v, -mlt) for v, mlt in cap.simplices])
         assert len(boundary(diff)) == 0
         # meshed cap area approximates pi (1 + h^2)
         assert abs(mass(cap) - math.pi * (1 + h * h)) < 0.05

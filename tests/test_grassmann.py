@@ -10,16 +10,17 @@ from calibr.cones import cone_membership
 from calibr.exterior import (ExteriorElement, SimplePlane, angular_distance,
                              interior_product, lex_indices, pairing,
                              simple_from_frame, wedge)
-from calibr.grassmann import (DEFAULT_GTOL, FormEvaluator, PhiStructure,
+from calibr.grassmann import (DEDUP_ANGLE, DEFAULT_GTOL, FormEvaluator,
+                              PhiStructure,
                               _STRUCTURE_CACHE_SIZE, _comass_ascent,
                               _ascent_source, _collect_planes,
-                              _exact_frame, _pluecker, comass,
+                              _exact_frame, _pluecker, _random_frames, comass,
                               constrained_extremum,
                               hyperplane_basis, kaehler_structure,
                               phi_structure, polish_plane, pullback,
                               random_frame, random_plane_set,
                               reduce_calibration, rng_stream,
-                              sample_grassmannian)
+                              sample_grassmannian, span_split)
 from calibr.hessian import normality_check
 
 
@@ -246,7 +247,7 @@ class TestDrawnSample:
         for i in range(len(ss)):
             for j in range(i + 1, len(ss)):
                 theta, oriented = angular_distance(ss.planes[i], ss.planes[j])
-                assert not (oriented and theta <= ss.dedup_angle)
+                assert not (oriented and theta <= DEDUP_ANGLE)
         again = sample_grassmannian(cal, count=8, seed=seed)
         assert [pl.frame.tobytes() for pl in ss.planes] == \
             [pl.frame.tobytes() for pl in again.planes]
@@ -256,11 +257,58 @@ class TestDrawnSample:
         # duplicate, so the sample stops at max_attempts, as the ascent does
         cal = catalogue("volume", 2)
         ss = sample_grassmannian(cal, count=5, seed=1)
-        ref = _collect_planes(cal, _ascent_source(cal, 1), 1e-6, 5, 1)
+        ref = _collect_planes(cal, _ascent_source(cal, 1), 1e-6, 5)
         assert ss.exact and not ref.exact
         assert len(ss) == len(ref) == 1
         assert ss.exhausted and ref.exhausted
         assert ss.multistart_count == ref.multistart_count
+
+
+class TestPlaneStack:
+    """A sample is one read-only (k, n, p) stack of column frames; its
+    planes, Pluecker rows and annihilator are computed from the stack."""
+
+    @pytest.fixture(scope="class")
+    def ss(self):
+        return sample_grassmannian(catalogue("associative"), count=8, seed=3)
+
+    def test_read_only(self, ss):
+        assert ss.frames.shape == (8, 7, 3)
+        for arr in (ss.frames, ss.pvectors(), ss.annihilator()):
+            assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            ss.frames[0, 0, 0] = 1.0
+
+    def test_planes_are_views_of_the_frames(self, ss):
+        assert isinstance(ss.planes, tuple) and len(ss.planes) == len(ss)
+        for pl, U in zip(ss.planes, ss.frames):
+            assert np.array_equal(pl.frame, U.T)
+        assert ss.planes is ss.planes
+
+    @pytest.mark.parametrize("name,params", CATALOGUE_SPECS,
+                             ids=[f"{n}{p}" for n, p in CATALOGUE_SPECS])
+    def test_pvectors_match_the_planes_bytes(self, name, params):
+        ss = sample_grassmannian(catalogue(name, *params), count=5, seed=1729)
+        rows = np.array([pl.pvector().to_coeff_vector() for pl in ss.planes])
+        assert ss.pvectors().tobytes() == rows.tobytes()
+
+    def test_random_plane_set_is_the_random_frames(self):
+        ss = random_plane_set(6, 3, count=7, seed=9)
+        loop = np.array([random_frame(6, 3, rng_stream(9, 9000 + k))
+                         for k in range(7)])
+        assert ss.frames.tobytes() == _random_frames(
+            6, 3, 9, range(9000, 9007)).tobytes() == loop.tobytes()
+        assert len(ss) == 7 and ss.values == [0.0] * 7
+        assert random_plane_set(6, 3, count=0, seed=9).frames.shape == \
+            (0, 6, 3)
+        with pytest.raises(ValueError, match="at least 0"):
+            random_plane_set(6, 3, count=-1)
+
+    def test_annihilator_is_the_span_complement(self, ss):
+        perp = ss.annihilator()
+        assert np.array_equal(perp, span_split(ss.pvectors())[1])
+        assert perp is ss.annihilator()
+        assert np.abs(ss.pvectors() @ perp.T).max() <= 1e-12
 
 
 class TestConstrainedExtremum:
@@ -302,7 +350,7 @@ class TestConstrainedExtremum:
         # none (tests/test_kaehler.py)
         from calibr.grassmann import PlaneSampleSet
         cal = catalogue("lambda_example", 0.5)
-        empty = PlaneSampleSet([], [], 1e-6, 0, 0)
+        empty = PlaneSampleSet(np.empty((0, 4, 2)), [], 1e-6, 0)
         with pytest.raises(ValueError):
             constrained_extremum(cal.form, cal, empty, "min")
 

@@ -6,7 +6,6 @@ import pytest
 import calibr.grassmann
 from calibr.acceptance import NORMAL_ENTRIES
 from calibr.calibrations import CATALOGUE_SPECS, Calibration, catalogue
-from calibr.cones import lambda_span
 from calibr.exterior import (ExteriorElement, compound, derivation_extend,
                              lex_indices, pairing, wedge)
 from calibr.fields import (ScalarField, builtin_field, compose,
@@ -41,11 +40,6 @@ def ss_omega(omega):
 @pytest.fixture(scope="module")
 def ss_lam(lam):
     return sample_grassmannian(lam, tol=1e-6, count=5, seed=3)
-
-
-@pytest.fixture(scope="module")
-def span_omega(ss_omega):
-    return lambda_span(ss_omega)
 
 
 class TestScalarField:
@@ -190,17 +184,17 @@ class TestPsh:
 
 
 class TestModD:
-    def test_linear_residual_zero(self, omega, span_omega):
+    def test_linear_residual_zero(self, omega, ss_omega):
         r = pluriharmonic_mod_d_residual(builtin_field("re_z1", 4),
                                          np.array([1.0, 0, 0, 0]), omega,
-                                         span=span_omega)
+                                         ss_omega)
         assert r.residual < 1e-12
 
-    def test_abs_z1_sq_oracle(self, omega, span_omega):
+    def test_abs_z1_sq_oracle(self, omega, ss_omega):
         # least-squares oracle at the probe gave residual 0 (pre-build)
         r = pluriharmonic_mod_d_residual(builtin_field("abs_z1_sq", 4),
                                          np.array([1.0, 0, 0, 0]), omega,
-                                         span=span_omega)
+                                         ss_omega)
         assert r.residual < 1e-9
         # the fitted decomposition reproduces the Hessian form
         from calibr.exterior import wedge
@@ -211,12 +205,12 @@ class TestModD:
         recon = wedge(df, r.alpha_fit) + r.sigma_fit
         assert (H - recon).norm() < 1e-9
 
-    def test_generic_quadratic_nonzero(self, omega, span_omega):
+    def test_generic_quadratic_nonzero(self, omega, ss_omega):
         rng = np.random.default_rng(5)
         A = rng.standard_normal((4, 4))
         f = quadratic_field(A + A.T)
         r = pluriharmonic_mod_d_residual(
-            f, np.array([0.7, -0.3, 0.4, 0.2]), omega, span=span_omega)
+            f, np.array([0.7, -0.3, 0.4, 0.2]), omega, ss_omega)
         assert r.residual > 1e-5   # 10x the declared tolerance
 
     @pytest.mark.parametrize("name,params,x", [
@@ -225,28 +219,28 @@ class TestModD:
     def test_bits_of_the_per_index_wedge_columns(self, name, params, x):
         # the fit over the columns df ^ dx_J built one wedge at a time
         cal = catalogue(name, *params)
-        span = lambda_span(sample_grassmannian(cal, count=8, seed=1729))
+        ss = sample_grassmannian(cal, count=8, seed=1729)
         f, x = builtin_field("normsq", cal.n), np.array(x)
         df = ExteriorElement.from_vector(f.gradient(x))
         pm1 = lex_indices(cal.n, cal.p - 1)
         A = np.column_stack(
             [wedge(df, ExteriorElement(cal.n, cal.p - 1, {J: 1.0}))
-             .to_coeff_vector() for J in pm1] + list(span.perp))
+             .to_coeff_vector() for J in pm1] + list(ss.annihilator()))
         H = hessian_form(f, x, cal).to_coeff_vector()
         coef = np.linalg.lstsq(A, H, rcond=None)[0]
-        r = pluriharmonic_mod_d_residual(f, x, cal, span=span)
+        r = pluriharmonic_mod_d_residual(f, x, cal, ss)
         assert r.residual == float(np.linalg.norm(H - A @ coef))
         assert r.alpha_fit.coeffs == ExteriorElement(
             cal.n, cal.p - 1, dict(zip(pm1, coef))).coeffs
 
-    def test_reparametrization_invariance(self, omega, span_omega):
+    def test_reparametrization_invariance(self, omega, ss_omega):
         # chi(t) = t^3 + t has chi' never zero
         f = builtin_field("abs_z1_sq", 4)
         g = compose(f, lambda t: t ** 3 + t, lambda t: 3 * t * t + 1,
                     lambda t: 6 * t)
         for x in (np.array([1.0, 0, 0, 0]), np.array([0.3, 0.4, 0, 0])):
-            rf = pluriharmonic_mod_d_residual(f, x, omega, span=span_omega)
-            rg = pluriharmonic_mod_d_residual(g, x, omega, span=span_omega)
+            rf = pluriharmonic_mod_d_residual(f, x, omega, ss_omega)
+            rg = pluriharmonic_mod_d_residual(g, x, omega, ss_omega)
             assert rf.residual < 1e-9
             assert rg.residual < 1e-8
 
@@ -281,18 +275,18 @@ class TestFlat:
                            omega)
 
     def test_modd_flatness_equivalence_on_normal_calibration(
-            self, omega, span_omega):
+            self, omega, ss_omega):
         # on a normal calibration: mod-d residual small <=> level set flat
         x = np.array([1.0, 0, 0, 0])
         good = builtin_field("abs_z1_sq", 4)
         assert pluriharmonic_mod_d_residual(
-            good, x, omega, span=span_omega).residual < 1e-9
+            good, x, omega, ss_omega).residual < 1e-9
         assert phi_flat_check(good, x, omega).flat
         rng = np.random.default_rng(11)
         A = rng.standard_normal((4, 4))
         bad = quadratic_field(A + A.T)
         assert pluriharmonic_mod_d_residual(
-            bad, x, omega, span=span_omega).residual > 1e-5
+            bad, x, omega, ss_omega).residual > 1e-5
         assert not phi_flat_check(bad, x, omega).flat
 
     @pytest.mark.parametrize("name,params", [("kaehler", (3, 1)),
@@ -562,24 +556,25 @@ class TestSymbolAndReduction:
                 assert abs(symbol(u, cal).vec[0] - u @ u) <= 1e-12
 
     @staticmethod
-    def projected_hessian(f, cal, span):
+    def projected_hessian(f, cal, ss):
         """The form-valued Hessian at 0 projected onto the sampled span."""
-        return span.project_vec(hessian_form(
+        basis = span_split(ss.pvectors())[0]
+        return basis.T @ (basis @ hessian_form(
             f, np.zeros(cal.n), cal).to_coeff_vector())
 
-    def test_projected_hessian_pluriharmonic(self, omega, span_omega):
+    def test_projected_hessian_pluriharmonic(self, omega, ss_omega):
         ph = self.projected_hessian(builtin_field("re_z1_sq", 4), omega,
-                                    span_omega)
+                                    ss_omega)
         assert np.linalg.norm(ph) < 1e-9
 
-    def test_projected_hessian_keeps_phi(self, omega, span_omega):
+    def test_projected_hessian_keeps_phi(self, omega, ss_omega):
         ph = self.projected_hessian(builtin_field("half_normsq", 4), omega,
-                                    span_omega)
+                                    ss_omega)
         assert np.abs(ph - 2.0 * omega.form.to_coeff_vector()).max() <= 1e-9
 
     def test_projected_hessian_lambda_blind(self, lam, ss_lam):
         ph = self.projected_hessian(builtin_field("neg_x3_sq", 4), lam,
-                                    lambda_span(ss_lam))
+                                    ss_lam)
         assert np.linalg.norm(ph) < 1e-9
 
     def test_ellipticity_coherence(self, omega, lam, ss_omega, ss_lam):

@@ -133,7 +133,7 @@ class TestSampleAgainstAscent:
         # the sample of a Kaehler form is drawn as complex lines; the
         # ascent finds them too (criterion 3 before the draw)
         cal = catalogue("kaehler", 2, 1)
-        ss = _collect_planes(cal, _ascent_source(cal, 1729), 1e-6, 100, 1729)
+        ss = _collect_planes(cal, _ascent_source(cal, 1729), 1e-6, 100)
         assert len(ss) == 100 and not ss.exact
         J = complex_structure(2)
         for pl in ss.planes:
@@ -380,7 +380,7 @@ class TestNoSample:
     def test_cone_queries(self, nc, power):
         cal = catalogue("kaehler", nc, power)
         ss = sample_grassmannian(cal, count=5, seed=3)
-        empty = PlaneSampleSet([], [], 1e-6, 0, 0)
+        empty = PlaneSampleSet(np.empty((0, cal.n, cal.p)), [], 1e-6, 0)
         rng = np.random.default_rng(5)
         alpha = random_form(cal.n, cal.p, rng)
         for mode in ("min", "max"):
@@ -399,7 +399,7 @@ class TestNoSample:
 
     def test_psh(self):
         cal = catalogue("kaehler", 2, 1)
-        empty = PlaneSampleSet([], [], 1e-6, 0, 0)
+        empty = PlaneSampleSet(np.empty((0, 4, 2)), [], 1e-6, 0)
         marks = psh_classify(builtin_field("abs_z1_sq", 4), np.zeros((1, 4)),
                              cal, empty)
         assert marks[0].status == "Psh"
