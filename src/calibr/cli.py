@@ -144,9 +144,11 @@ def _samples_for(cal, args):
 
 def _cone_samples_for(cal, args):
     """The sample a cone query needs: an empty one on a Kaehler form, whose
-    exact route reads no sample, else `_samples_for`.  A count below 1 goes
-    to `_samples_for` on every form, and is rejected there."""
-    if args.count >= 1 and grassmann.kaehler_structure(cal.form) is not None:
+    exact route reads no sample, else `_samples_for`.  A count below 1 or a
+    tol below 0 or NaN goes to `_samples_for` on every form, and is
+    rejected there."""
+    if (args.count >= 1 and args.tol >= 0
+            and grassmann.kaehler_structure(cal.form) is not None):
         return grassmann.PlaneSampleSet(np.empty((0, cal.n, cal.p)), [],
                                         args.tol, 0)
     return _samples_for(cal, args)

@@ -324,7 +324,9 @@ def positivity_classify(alpha: ExteriorElement, cal: Calibration,
     """Classify alpha against the polar cone: margin is min alpha over the
     phi-Grassmannian (`constrained_extremum`), exact for a Kaehler form
     (``meta["exact"]``, and the sample may be empty) and best-found from the
-    sampled planes otherwise."""
+    sampled planes otherwise.  Raises when tol is negative or NaN."""
+    if not tol >= 0:
+        raise ValueError(f"tol must be at least 0, got {tol}")
     if alpha.n != cal.n or alpha.p != cal.p:
         raise ValueError("degree/dimension mismatch between alpha and calibration")
     if alpha.norm() == 0.0:

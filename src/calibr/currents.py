@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .calibrations import Calibration
-from .exterior import (ExteriorElement, _lex_array, _stack_dets,
+from .exterior import (ExteriorElement, _sort_sign, compound,
                        derivation_tensor, lex_indices, simple_from_frame)
 from .fields import ScalarField
 from .hessian import d_phi, pluriharmonic_mod_d_residual, psh_classify
@@ -40,12 +40,11 @@ def _simplex_geometry(V):
     degenerate simplex); the volumes equal ``simplex_volume``'s bit for bit.
     """
     V = np.asarray(V, dtype=float)
-    N, p1, n = V.shape
-    p = p1 - 1
+    p = V.shape[1] - 1
     E = V[:, 1:] - V[:, :1]
     gram = E @ E.transpose(0, 2, 1)
     vols = np.sqrt(np.maximum(np.linalg.det(gram), 0.0)) / math.factorial(p)
-    minors = _stack_dets(E[:, :, _lex_array(n, p)].transpose(0, 2, 1, 3))
+    minors = compound(E, p)[:, 0]
     norms = np.linalg.norm(minors, axis=1, keepdims=True)
     return minors / np.where(norms > 0.0, norms, 1.0), vols
 
@@ -104,13 +103,10 @@ def _signed_faces(S, weights):
     N, q = S.shape
     # faces in (simplex, dropped vertex) order, signed (-1)^drop
     keep = np.nonzero(~np.eye(q, dtype=bool))[1]
-    F = S[:, keep].reshape(N * q, q - 1)
-    a, b = np.triu_indices(q - 1, 1)
-    flips = (F[:, a] > F[:, b]).sum(axis=1) + np.tile(np.arange(q), N)
-    sign = 1 - 2 * (flips % 2)
-    F = np.sort(F, axis=1)
-    repeated = (F[:, 1:] == F[:, :-1]).any(axis=1)
-    F[repeated], sign[repeated] = -1, 0
+    F, sign = _sort_sign(S[:, keep].reshape(N * q, q - 1))
+    sign *= np.tile(1 - 2 * (np.arange(q) % 2), N)
+    repeated = sign == 0
+    F[repeated] = -1
     keys, first, inv = np.unique(F, axis=0, return_index=True,
                                  return_inverse=True)
     terms = sign * np.repeat(weights, q)
@@ -305,14 +301,7 @@ def hex_disc_points(m: int):
                 i2 = inner0 + (s * k + j + 1) % ni
                 o2 = outer0 + (s * (k + 1) + j + 1) % no
                 tris.append((i1, o2, i2))
-    pts = np.array(pts)
-    tris = np.array(tris, dtype=int)
-    # enforce positive orientation
-    for t in range(len(tris)):
-        a, b, c = pts[tris[t]]
-        if (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0]) < 0:
-            tris[t] = tris[t][[0, 2, 1]]
-    return pts, tris
+    return np.array(pts), np.array(tris, dtype=int)
 
 
 def disc_mesh(m: int, n=4, cal: Calibration = None) -> MeshedSubmanifold:

@@ -12,7 +12,8 @@ for |I| = 1, the matrices of the two maps the calibrated operators are made
 of: the contraction of a p-form by a vector (`contraction_matrix`, which
 `interior_product` applies; for p = 2, the skew matrix) and the wedge with
 1-forms (`wedge_matrix`).  Composed as dx_m ^ (e_l -| .) they give the
-derivations of `derivation_tensor`.
+derivations of `derivation_tensor`.  Every permutation sign in the package
+comes from `_sort_sign`, and every p x p minor from `_pluecker`.
 """
 
 from __future__ import annotations
@@ -39,24 +40,15 @@ def lex_position(n: int, p: int) -> dict:
     return {idx: k for k, idx in enumerate(lex_indices(n, p))}
 
 
-def _sorted_sign(seq):
-    """Sort a sequence of distinct ints, returning (tuple, permutation sign).
-
-    Returns (None, 0) when the sequence has a repeated index.
-    """
-    seq = list(seq)
-    sign = 1
-    # insertion sort; lengths are tiny (p <= n <= ~8)
-    for i in range(1, len(seq)):
-        j = i
-        while j > 0 and seq[j - 1] > seq[j]:
-            seq[j - 1], seq[j] = seq[j], seq[j - 1]
-            sign = -sign
-            j -= 1
-    for a, b in zip(seq, seq[1:]):
-        if a == b:
-            return None, 0
-    return tuple(seq), sign
+def _sort_sign(rows):
+    """The rows of an (N, q) integer array sorted, and the signs of the
+    permutations that sort them, by inversion parity: 0 for a row with a
+    repeated index."""
+    rows = np.asarray(rows, dtype=int)
+    a, b = np.triu_indices(rows.shape[1], 1)
+    sign = 1 - 2 * ((rows[:, a] > rows[:, b]).sum(axis=1) % 2)
+    sign[(rows[:, a] == rows[:, b]).any(axis=1)] = 0
+    return np.sort(rows, axis=1), sign
 
 
 @lru_cache(maxsize=None)
@@ -98,18 +90,25 @@ def _stack_dets(S):
     return np.linalg.det(S)
 
 
+def _pluecker(U) -> np.ndarray:
+    """Pluecker coordinate rows, the lex p x p minors, of every frame of an
+    (..., n, p) stack."""
+    n, p = U.shape[-2:]
+    return _stack_dets(U[..., _lex_array(n, p), :])
+
+
 def compound(Q, p: int) -> np.ndarray:
     """The p-th compound matrix of the (n, d) matrix Q: the (C(n,p), C(d,p))
-    array of p x p minors, rows and columns in lex order.
+    array of p x p minors, rows and columns in lex order; a (..., n, d)
+    stack gives the stack of its compounds.
 
     By Cauchy-Binet it is the matrix of the pullback along Q on Lambda^p
     acting on coefficient row vectors, and for an (n, p) frame its single
     column holds the Pluecker coordinates of the frame's p-vector.
     """
     Q = np.asarray(Q, dtype=float)
-    n, d = Q.shape
-    rows, cols = _lex_array(n, p), _lex_array(d, p)
-    return _stack_dets(Q[rows[:, None, :, None], cols[None, :, None, :]])
+    cols = Q[..., _lex_array(Q.shape[-1], p)].swapaxes(-3, -2)
+    return _pluecker(cols).swapaxes(-2, -1)
 
 
 @lru_cache(maxsize=None)
@@ -119,12 +118,14 @@ def wedge_table(n: int, p: int, q: int):
     J disjoint; J runs over the lex (p-q)-tuples and I over the lex q-tuples
     within each run of one J.  For q = 1 the I position is i - 1; for p = n
     each I meets only its complement J, and sign dx_J is the star of dx_I."""
-    pos = lex_position(n, p)
-    rows = [(j, i, pos[idx], sign)
-            for j, J in enumerate(lex_indices(n, p - q) if q <= p else ())
-            for i, I in enumerate(lex_indices(n, q))
-            for idx, sign in [_sorted_sign(I + J)] if idx is not None]
-    table = np.array(rows, dtype=int).reshape(-1, 4).T
+    I = _lex_array(n, q)
+    J = _lex_array(n, p - q) if q <= p else np.zeros((0, 0), dtype=int)
+    j, i = np.divmod(np.arange(len(J) * len(I)), len(I))
+    rows, sign = _sort_sign(np.hstack([I[i], J[j]]))
+    # lex order of the sorted tuples is the order of their base-n numerals
+    digits = n ** np.arange(rows.shape[1])[::-1]
+    c = np.searchsorted(_lex_array(n, rows.shape[1]) @ digits, rows @ digits)
+    table = np.array([j, i, c, sign])[:, sign != 0]
     table.flags.writeable = False     # cached: shared by every caller
     return tuple(table)
 
@@ -171,7 +172,10 @@ def derivation_tensor(n: int, p: int) -> np.ndarray:
 
 class ExteriorElement:
     """Degree-p alternating tensor over R^n: its read-only vector ``vec`` of
-    lex coefficients, in which every entry at most DROP_TOL in size is 0.0."""
+    lex coefficients, in which every entry at most DROP_TOL in size is 0.0,
+    except in an element built by ``from_coeff_vector`` with a smaller
+    ``drop_tol``: the separating and dual forms of `cones` and the sigma
+    fit of `pluriharmonic_mod_d_residual` keep every nonzero entry."""
 
     __slots__ = ("n", "p", "vec")
 
@@ -206,10 +210,10 @@ class ExteriorElement:
     @classmethod
     def basis(cls, n, indices):
         """Basis element dx_{i1} ^ ... ^ dx_{ip} (indices need not be sorted)."""
-        idx, sign = _sorted_sign(indices)
-        if idx is None:
-            return cls.zero(n, len(tuple(indices)))
-        return cls(n, len(idx), {idx: sign})
+        rows, sign = _sort_sign(np.reshape(tuple(indices), (1, -1)))
+        if not sign[0]:
+            return cls.zero(n, rows.shape[1])
+        return cls(n, rows.shape[1], {tuple(rows[0].tolist()): sign[0]})
 
     @classmethod
     def from_vector(cls, v):
@@ -373,9 +377,8 @@ class SimplePlane:
     def pvector(self) -> ExteriorElement:
         """The unit simple p-vector (Pluecker coordinates) of the plane."""
         if self._pvector is None:
-            minors = compound(self.frame.T, self.p)[:, 0]
-            self._pvector = ExteriorElement.from_coeff_vector(self.n, self.p,
-                                                              minors)
+            self._pvector = ExteriorElement.from_coeff_vector(
+                self.n, self.p, _pluecker(self.frame.T))
         return self._pvector
 
     def span_projector(self) -> np.ndarray:

@@ -39,9 +39,9 @@ import numpy as np
 
 from .calibrations import (Calibration, catalogue, complex_structure,
                            quaternionic_structure)
-from .exterior import (DROP_TOL, ExteriorElement, SimplePlane, _lex_array,
-                       _sorted_sign, _stack_dets, compound,
-                       contraction_matrix, hodge_star, interior_product)
+from .exterior import (DROP_TOL, ExteriorElement, SimplePlane, _pluecker,
+                       _sort_sign, compound, contraction_matrix, hodge_star,
+                       interior_product)
 
 DEFAULT_GTOL = 1e-12
 DEDUP_ANGLE = 1e-3
@@ -72,20 +72,12 @@ class FormEvaluator:
             # U without column k), M the contraction matrix of phi
             self.contract_t = contraction_matrix(self.phi_vec, phi.n, phi.p).T
             self.signs = ((-1.0) ** np.arange(self.p))[:, None]
-            keep = np.array([[c for c in range(self.p) if c != k]
-                             for k in range(self.p)], dtype=int)
-            # index arrays selecting, for every k, the (p-1) x (p-1)
-            # submatrices of U on rows J (lex (p-1)-tuples), columns != k
-            self.cofactor_rows = _lex_array(self.n, self.p - 1)[None, :, :,
-                                                                 None]
-            self.cofactor_cols = keep[:, None, None, :]
-
-    def pvector_vec(self, U) -> np.ndarray:
-        """Pluecker coordinate vector of the frame's unit p-vector."""
-        return _pluecker(U)
+            # row k: the columns of a frame other than k
+            self.keep = np.array([[c for c in range(self.p) if c != k]
+                                  for k in range(self.p)], dtype=int)
 
     def value(self, U) -> float:
-        return float(self.phi_vec @ self.pvector_vec(U))
+        return float(self.phi_vec @ _pluecker(U))
 
     def value_and_grad(self, U):
         """phi on the frame's plane and its gradient in the frame's entries.
@@ -99,7 +91,9 @@ class FormEvaluator:
         if self.p == 1:
             G = np.repeat(self.phi_vec[None, :, None], len(Us), axis=0)
         else:
-            eta = _stack_dets(Us[:, self.cofactor_rows, self.cofactor_cols])
+            # C order: the product's bits depend on the operand's layout
+            eta = np.ascontiguousarray(
+                _pluecker(Us[:, :, self.keep].transpose(0, 2, 1, 3)))
             G = ((eta @ self.contract_t) * self.signs).transpose(0, 2, 1)
         # stacked matmuls, so that a frame gets the same bits in any stack
         f = (Us[:, None, :, 0] @ G[:, :, :1])[:, 0, 0]
@@ -112,15 +106,13 @@ class FormEvaluator:
         """The column pairs b < c of a frame, the other p - 2 columns of
         each, the sign of the permutation (b, c, others), and the tensor
         K with K[L, i n + j] = phi(e_i ^ e_j ^ e_L), L a lex (p-2)-tuple."""
-        pairs = list(itertools.combinations(range(self.p), 2))
+        pairs = np.array(list(itertools.combinations(range(self.p), 2)))
         rest = np.array([[k for k in range(self.p) if k not in bc]
                          for bc in pairs], dtype=int).reshape(len(pairs), -1)
-        sign = np.array([_sorted_sign(bc + tuple(r))[1]
-                         for bc, r in zip(pairs, rest)], dtype=float)
+        sign = _sort_sign(np.hstack([pairs, rest]))[1]
         K = contraction_matrix(contraction_matrix(
             self.phi_vec, self.n, self.p), self.n, self.p - 1)
-        return (np.array(pairs).T, rest, sign,
-                K.reshape(self.n * self.n, -1).T)
+        return pairs.T, rest, sign, K.reshape(self.n * self.n, -1).T
 
     def hessian(self, U, Q):
         """Riemannian Hessians on the Grassmannian at the frames of an
@@ -154,12 +146,6 @@ class FormEvaluator:
         H = H.reshape(S, p * m, p * m)
         H.reshape(S, -1)[:, ::p * m + 1] = -f[:, None]
         return H
-
-
-def _pluecker(U) -> np.ndarray:
-    """Pluecker coordinate rows of every frame of an (..., n, p) stack."""
-    n, p = U.shape[-2:]
-    return _stack_dets(U[..., _lex_array(n, p), :])
 
 
 def _fnorm(T):
@@ -382,8 +368,11 @@ def comass(phi: ExteriorElement, multistarts=60, max_iter=600, tol=DEFAULT_GTOL,
     drawn from G(phi), so it is attained, and the ascent options are
     unused.  On every other form it is the best value of a multistart
     ascent, a lower bound for the comass; saturation is flagged when the
-    top starts agree to 1e-6.
+    top starts agree to 1e-6.  Raises when multistarts is below 1, on
+    every route.
     """
+    if multistarts < 1:
+        raise ValueError(f"multistarts must be at least 1, got {multistarts}")
     if phi.norm() == 0.0:
         raise ValueError("comass of the zero form")
     U = _exact_frame(phi)
@@ -574,10 +563,12 @@ def sample_grassmannian(cal: Calibration, tol=1e-6, count=50,
     and ``capped`` counts the ascents stopped by SAMPLE_MAX_ITER short of
     convergence.  Raises if the best value found contradicts the claimed
     comass by more than 1e-4 in either direction (comass confirmation
-    failure), and when count is below 1.
+    failure), when count is below 1 and when tol is negative or NaN.
     """
     if count < 1:
         raise ValueError(f"sample count must be at least 1, got {count}")
+    if not tol >= 0:
+        raise ValueError(f"tol must be at least 0, got {tol}")
     return _collect_planes(cal, grassmann(cal, seed), tol, count)
 
 
@@ -780,12 +771,12 @@ STRUCTURE_TOL = 1e-12
 
 
 def _dense_tensor(phi: ExteriorElement) -> np.ndarray:
-    """phi's coefficients as a totally antisymmetric (n, ..., n) array."""
-    rows, vec = _lex_array(phi.n, phi.p), phi.to_coeff_vector()
-    T = np.zeros((phi.n,) * phi.p)
-    for perm in itertools.permutations(range(phi.p)):
-        T[tuple(rows[:, perm].T)] = _sorted_sign(perm)[1] * vec
-    return T
+    """phi's coefficients as a totally antisymmetric (n, ..., n) array,
+    T[i, j, ...] = phi(e_i, e_j, ...), by p contractions."""
+    T = phi.vec
+    for q in range(phi.p, 0, -1):
+        T = contraction_matrix(T, phi.n, q)
+    return T[..., 0]
 
 
 def _g2_tensor(phi: ExteriorElement):

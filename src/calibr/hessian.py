@@ -27,13 +27,13 @@ import numpy as np
 
 from .calibrations import Calibration
 from .cones import positivity_classify
-from .exterior import (ExteriorElement, SimplePlane, compound,
+from .exterior import (ExteriorElement, SimplePlane, _pluecker, compound,
                        derivation_extend, interior_product, lex_indices,
                        pairing, wedge, wedge_matrix)
 from .fields import ScalarField
-from .grassmann import (STRUCTURE_TOL, PlaneSampleSet, _pluecker,
-                        constrained_extremum, grassmann, hyperplane_basis,
-                        kaehler_structure, pullback, rng_stream, span_split)
+from .grassmann import (STRUCTURE_TOL, PlaneSampleSet, constrained_extremum,
+                        grassmann, hyperplane_basis, kaehler_structure,
+                        pullback, rng_stream, span_split)
 
 
 def d_phi(f: ScalarField, x, cal: Calibration) -> ExteriorElement:
@@ -174,8 +174,10 @@ def phi_flat_check(f: ScalarField, x, cal: Calibration, tol=1e-8,
     exact (``exact=True``) when phi|W is a Kaehler form, and when the drawn
     planes are all one plane, whose Hessian value it then reports with no
     extremum.  Reports vacuous flatness when no tangential phi-plane
-    exists, exact as `grassmann` says.
+    exists, exact as `grassmann` says.  Raises when tol is negative or NaN.
     """
+    if not tol >= 0:
+        raise ValueError(f"tol must be at least 0, got {tol}")
     x = np.asarray(x, dtype=float)
     g = f.gradient(x)
     gn = float(np.linalg.norm(g))

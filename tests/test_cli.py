@@ -200,12 +200,43 @@ class TestErrors:
          "--random must be at least 1, got -2"),
         (["jensen", "--random", "0"],
          "--random must be at least 1, got 0"),
+        # a = -e12 + 0.8 e34 is outside; a tol below 0 read it as Interior,
+        # kept no sampled plane and never found a level set flat, and a NaN
+        # one read it as Boundary.  On omega4 the cone queries read no
+        # sample, and reject the tol all the same
+        (["positivity", "--form", "a.json", "--tol", "-2"],
+         "tol must be at least 0, got -2.0"),
+        (["positivity", "--form", "a.json", "--tol", "nan"],
+         "tol must be at least 0, got nan"),
+        (["lemma25", "--pvector", "a.json", "--tol", "-1"],
+         "tol must be at least 0, got -1.0"),
+        (["psh", "--field", "builtin:normsq", "--probes", "grid:-1..1:2",
+          "--tol", "-1"], "tol must be at least 0, got -1.0"),
+        (["gsample", "--count", "3", "--tol", "-1"],
+         "tol must be at least 0, got -1.0"),
+        (["flat", "--field", "builtin:normsq", "--point", "1,0.5,0,0.2",
+          "--tol", "-1"], "tol must be at least 0, got -1.0"),
+        # omega4 takes an exact route that starts no ascent; the R^7 form
+        # has no structure and ascends from every start
+        (["comass", "--multistarts", "0"],
+         "multistarts must be at least 1, got 0"),
+        (["comass", "--form", "phi.json", "--multistarts", "-2"],
+         "multistarts must be at least 1, got -2"),
     ], ids=["normality-trials-0", "psh-empty-grid", "psh-empty-json",
-            "duality-random-minus-2", "jensen-random-0"])
+            "duality-random-minus-2", "jensen-random-0",
+            "positivity-tol-minus-2", "positivity-tol-nan",
+            "lemma25-tol-minus-1", "psh-tol-minus-1", "gsample-tol-minus-1",
+            "flat-tol-minus-1", "comass-multistarts-0",
+            "comass-form-multistarts-minus-2"])
     def test_verdict_over_nothing_exits_2(self, capsys, tmp_path, monkeypatch,
                                           argv, message):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "none.json").write_text("[]")
+        (tmp_path / "a.json").write_text(json.dumps(form_to_json(
+            ExteriorElement(4, 2, {(1, 2): -1.0, (3, 4): 0.8}))))
+        (tmp_path / "phi.json").write_text(json.dumps(form_to_json(
+            ExteriorElement(7, 3, {(1, 2, 3): 1.0, (1, 4, 5): 0.7,
+                                   (2, 4, 6): -0.6, (3, 5, 7): 0.5}))))
         code, out, err = run_cli(capsys, *argv, "--cal", "omega4")
         assert code == 2 and out == ""
         assert err == f"error: {message}\n"

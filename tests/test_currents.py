@@ -12,10 +12,10 @@ from calibr.currents import (MeshedSubmanifold, PolyhedralCurrent, boundary,
                              max_principle_check, phi_positive_check,
                              read_mesh, restriction_subharmonicity,
                              tangent_pvector, tilted_disc_mesh, write_mesh)
-from calibr.exterior import _sorted_sign
 from calibr.fields import BUILTIN_SET1, ScalarField, builtin_field
 from calibr.grassmann import sample_grassmannian
 from calibr.polynomial import PolyForm, Polynomial
+from test_exterior import _sorted_sign
 
 
 @pytest.fixture(scope="module")
@@ -180,6 +180,14 @@ class TestMeshInfrastructure:
         pts, tris = hex_disc_points(4)
         assert len(pts) == 1 + sum(6 * k for k in range(1, 5))
         assert len(tris) == 6 * 16
+
+    @pytest.mark.parametrize("m", range(1, 13))
+    def test_hex_disc_triangles_are_positively_oriented(self, m):
+        pts, tris = hex_disc_points(m)
+        a, b, c = pts[tris[:, 0]], pts[tris[:, 1]], pts[tris[:, 2]]
+        area = ((b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1])
+                - (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0]))
+        assert len(tris) == 6 * m * m and (area > 0.0).all()
 
     def test_orientation_validation(self):
         M = disc_mesh(3)

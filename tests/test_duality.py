@@ -11,15 +11,15 @@ from calibr.duality import (FiniteDualityModel, _family,
                             assemble_jensen_model, atom_boundary_values,
                             boundary_alternative, build_boundary_model,
                             build_jensen_model, jensen_alternative)
-from calibr.exterior import (ExteriorElement, SimplePlane, _sorted_sign,
-                             derivation_extend, derivation_tensor, pairing,
-                             wedge)
+from calibr.exterior import (ExteriorElement, SimplePlane, derivation_extend,
+                             derivation_tensor, pairing, wedge)
 from calibr.grassmann import rng_stream, sample_grassmannian
 from calibr.lp import LPResult, solve_lp
 from calibr.polynomial import (PolyForm, Polynomial, integrate_over_box,
                                legendre_tables, monomial_exponents)
 from numpy.polynomial.legendre import leg2poly, leggauss
 from scipy.optimize import linprog
+from test_exterior import _sorted_sign
 
 
 @pytest.fixture(scope="module")

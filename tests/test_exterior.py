@@ -1,17 +1,41 @@
+import ast
+import itertools
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import calibr
 from calibr.calibrations import CATALOGUE_SPECS, catalogue
 from calibr.exterior import (
-    ExteriorElement, SimplePlane, _sorted_sign, angular_distance, compound,
-    contraction_matrix, derivation_extend, derivation_tensor, form_from_json,
-    form_to_json, hodge_star, interior_product, is_simple, lex_indices,
-    lex_position, pairing, simple_from_frame, wedge, wedge_matrix,
+    ExteriorElement, SimplePlane, _lex_array, _sort_sign, _stack_dets,
+    angular_distance, compound, contraction_matrix, derivation_extend,
+    derivation_tensor, form_from_json, form_to_json, hodge_star,
+    interior_product, is_simple, lex_indices, lex_position, pairing,
+    simple_from_frame, wedge, wedge_matrix, wedge_table,
 )
 from calibr.exterior import DROP_TOL
-from calibr.grassmann import FormEvaluator
+from calibr.grassmann import FormEvaluator, _dense_tensor
 
 rng = np.random.default_rng(7)
+
+
+def _sorted_sign(seq):
+    """Sort a sequence of ints, returning (tuple, permutation sign), or
+    (None, 0) when it repeats an index: the insertion sort `_sort_sign`
+    replaced, kept as the reference for it and for the dict loops below."""
+    seq = list(seq)
+    sign = 1
+    for i in range(1, len(seq)):
+        j = i
+        while j > 0 and seq[j - 1] > seq[j]:
+            seq[j - 1], seq[j] = seq[j], seq[j - 1]
+            sign = -sign
+            j -= 1
+    for a, b in zip(seq, seq[1:]):
+        if a == b:
+            return None, 0
+    return tuple(seq), sign
 
 
 def dx(n, *idx):
@@ -548,3 +572,96 @@ class TestOperatorsAgainstLoops:
                 b = element(q)
                 assert relative_gap(wedge(a, b), reference_wedge(a, b)) \
                     <= 1e-14
+
+
+# -- the sign and minor kernels against the code they replaced ----------------
+
+def reference_wedge_table(n, p, q):
+    """The former per-(I, J) loop of `wedge_table`."""
+    pos = lex_position(n, p)
+    rows = [(j, i, pos[idx], sign)
+            for j, J in enumerate(lex_indices(n, p - q) if q <= p else ())
+            for i, I in enumerate(lex_indices(n, q))
+            for idx, sign in [_sorted_sign(I + J)] if idx is not None]
+    return tuple(np.array(rows, dtype=int).reshape(-1, 4).T)
+
+
+def reference_dense_tensor(phi):
+    """The former permutation loop of `_dense_tensor`."""
+    rows, vec = _lex_array(phi.n, phi.p), phi.to_coeff_vector()
+    T = np.zeros((phi.n,) * phi.p)
+    for perm in itertools.permutations(range(phi.p)):
+        T[tuple(rows[:, perm].T)] = _sorted_sign(perm)[1] * vec
+    return T
+
+
+def reference_value_and_grad(phi, U):
+    """The former cofactor gather of `FormEvaluator.value_and_grad` on an
+    (S, n, p) stack: the (p-1)-minors indexed by lex rows J and, for each
+    k, the columns other than k."""
+    n, p = phi.n, phi.p
+    keep = np.array([[c for c in range(p) if c != k] for k in range(p)])
+    eta = _stack_dets(U[:, _lex_array(n, p - 1)[None, :, :, None],
+                        keep[:, None, None, :]])
+    G = ((eta @ contraction_matrix(phi.vec, n, p).T)
+         * ((-1.0) ** np.arange(p))[:, None]).transpose(0, 2, 1)
+    return (U[:, None, :, 0] @ G[:, :, :1])[:, 0, 0], G
+
+
+class TestSignAndMinorKernels:
+    def test_sort_sign_matches_insertion_sort(self):
+        r = np.random.default_rng(29)
+        for q in range(7):
+            rows = r.integers(0, 9, size=(300, q))     # many repeat an index
+            sorted_rows, sign = _sort_sign(rows)
+            for row, srow, s in zip(rows.tolist(), sorted_rows.tolist(),
+                                    sign.tolist()):
+                assert s == _sorted_sign(row)[1]
+                assert srow == sorted(row)
+            assert (sign == 0).any() == (q > 1)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_wedge_table_matches_loop(self, n):
+        for p in range(n + 1):
+            for q in range(p + 2):
+                table, expect = wedge_table(n, p, q), reference_wedge_table(
+                    n, p, q)
+                assert all(a.dtype == b.dtype and same_bytes(a, b)
+                           for a, b in zip(table, expect))
+
+    @pytest.mark.parametrize("name,params", CATALOGUE_SPECS,
+                             ids=[f"{n}{p}" for n, p in CATALOGUE_SPECS])
+    def test_dense_tensor_matches_permutation_loop(self, name, params):
+        phi = catalogue(name, *params).form
+        assert np.array_equal(_dense_tensor(phi), reference_dense_tensor(phi))
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_value_and_grad_bytes_match_cofactor_gather(self, n):
+        r = np.random.default_rng([31, n])
+        for p in range(2, n + 1):
+            phi = ExteriorElement.from_coeff_vector(
+                n, p, r.standard_normal(len(lex_indices(n, p))))
+            for S in (1, 4, 60):
+                U = np.linalg.qr(r.standard_normal((S, n, p)))[0]
+                f, G = FormEvaluator(phi).value_and_grad(U)
+                f_ref, G_ref = reference_value_and_grad(phi, U)
+                assert same_bytes(f, f_ref) and same_bytes(G, G_ref)
+
+    def test_compound_of_a_stack_is_the_stack_of_compounds(self):
+        Q = rng.standard_normal((5, 3, 6))
+        for p in range(4):
+            assert same_bytes(compound(Q, p),
+                              np.array([compound(q, p) for q in Q]))
+
+    def test_only_exterior_computes_signs_and_minors(self):
+        """No module but `exterior` names the determinant and lex-array
+        kernels, and none names the deleted insertion sort."""
+        for path in Path(calibr.__file__).parent.glob("*.py"):
+            names = set()
+            for node in ast.walk(ast.parse(path.read_text())):
+                names.update(getattr(node, key) for key in
+                             ("id", "attr", "name") if isinstance(
+                                 getattr(node, key, None), str))
+            assert "_sorted_sign" not in names, path.name
+            if path.name != "exterior.py":
+                assert not names & {"_stack_dets", "_lex_array"}, path.name

@@ -7,14 +7,14 @@ import calibr.grassmann
 from calibr.acceptance import COMASS_ENTRIES, NORMAL_ENTRIES
 from calibr.calibrations import CATALOGUE_SPECS, catalogue
 from calibr.cones import cone_membership
-from calibr.exterior import (ExteriorElement, SimplePlane, angular_distance,
-                             interior_product, lex_indices, pairing,
-                             simple_from_frame, wedge)
+from calibr.exterior import (ExteriorElement, SimplePlane, _pluecker,
+                             angular_distance, interior_product, lex_indices,
+                             pairing, simple_from_frame, wedge)
 from calibr.grassmann import (DEDUP_ANGLE, DEFAULT_GTOL, FormEvaluator,
                               PhiStructure,
                               _STRUCTURE_CACHE_SIZE, _comass_ascent,
                               _ascent_source, _collect_planes,
-                              _exact_frame, _pluecker, _random_frames, comass,
+                              _exact_frame, _random_frames, comass,
                               constrained_extremum,
                               hyperplane_basis, kaehler_structure,
                               phi_structure, polish_plane, pullback,

@@ -6,11 +6,11 @@ import pytest
 import calibr.grassmann
 from calibr.acceptance import NORMAL_ENTRIES
 from calibr.calibrations import CATALOGUE_SPECS, Calibration, catalogue
-from calibr.exterior import (ExteriorElement, compound, derivation_extend,
-                             lex_indices, pairing, wedge)
+from calibr.exterior import (ExteriorElement, _pluecker, compound,
+                             derivation_extend, lex_indices, pairing, wedge)
 from calibr.fields import (ScalarField, builtin_field, compose,
                            field_from_json, quadratic_field)
-from calibr.grassmann import (_ascent_source, _pluecker, grassmann,
+from calibr.grassmann import (_ascent_source, grassmann,
                               hyperplane_basis, kaehler_matrix,
                               kaehler_structure, phi_structure, pullback,
                               reduce_calibration, rng_stream,
