@@ -1,8 +1,8 @@
 """Acceptance suite: every criterion at its pinned tolerance, runnable via
 `calibr verify-all` and mirrored one-to-one by tests/test_acceptance.py.
 
-Each criterion function returns an AcceptanceResult; nothing here loosens a
-tolerance at run time.
+Each criterion function takes the seed and returns an AcceptanceResult;
+`run_criterion` times it.  Nothing here loosens a tolerance at run time.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ class AcceptanceResult:
     name: str
     passed: bool
     summary: str
-    seconds: float
+    seconds: float = 0.0    # set by run_criterion
     details: dict = field(default_factory=dict)
 
 
@@ -78,16 +78,10 @@ def _name_key(name):
     return zlib.crc32(name.encode())
 
 
-def _timed(fn):
-    t0 = time.time()
-    out = fn()
-    return out, time.time() - t0
-
-
 # -- 1 ----------------------------------------------------------------------
 
-def criterion_1_catalogue_comass(seed=DEFAULT_SEED):
-    t0 = time.time()
+def criterion_1_catalogue_comass(seed):
+    t0 = time.perf_counter()
     rows = []
     ok = True
     for name, params in COMASS_ENTRIES:
@@ -97,58 +91,53 @@ def criterion_1_catalogue_comass(seed=DEFAULT_SEED):
         ok = ok and good
         rows.append({"name": cal.name, "value": res.value,
                      "saturated": res.saturated, "ok": good})
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 120.0
     worst = max(abs(r["value"] - 1.0) for r in rows)
     return AcceptanceResult(
         "1 catalogue comass", ok,
         f"8 entries, worst |comass-1| = {worst:.2e}, {elapsed:.1f}s < 120s",
-        elapsed, {"rows": rows})
+        details={"rows": rows})
 
 
 # -- 2 ----------------------------------------------------------------------
 
-def criterion_2_lambda_collapse(seed=DEFAULT_SEED):
-    def run():
-        cal = catalogue("lambda_example", 0.5)
-        ss = sample_grassmannian(cal, tol=1e-6, count=50, seed=seed)
-        target = SimplePlane(np.eye(4)[:2])
-        thetas = [angular_distance(pl, target)[0] for pl in ss.planes]
-        oriented = [angular_distance(pl, target)[1] for pl in ss.planes]
-        ok = len(ss) == 1 and max(thetas) <= 1e-3 and all(oriented)
-        return ok, len(ss), max(thetas)
-    (ok, count, worst), dt = _timed(run)
+def criterion_2_lambda_collapse(seed):
+    cal = catalogue("lambda_example", 0.5)
+    ss = sample_grassmannian(cal, tol=1e-6, count=50, seed=seed)
+    target = SimplePlane(np.eye(4)[:2])
+    thetas = [angular_distance(pl, target)[0] for pl in ss.planes]
+    oriented = [angular_distance(pl, target)[1] for pl in ss.planes]
+    count, worst = len(ss), max(thetas)
+    ok = count == 1 and worst <= 1e-3 and all(oriented)
     return AcceptanceResult(
         "2 lambda Grassmannian collapse", ok,
         f"50 requested -> {count} plane(s), angle to x1x2-plane {worst:.1e}",
-        dt, {"count": count, "worst_angle": worst})
+        details={"count": count, "worst_angle": worst})
 
 
 # -- 3 ----------------------------------------------------------------------
 
-def criterion_3_kaehler_J_invariance(seed=DEFAULT_SEED):
-    def run():
-        ss = _samples("kaehler", (2, 1), count=100, seed=seed)
-        J = complex_structure(2)
-        worst = 0.0
-        for pl in ss.planes:
-            JF = pl.frame @ J.T
-            sing = np.linalg.svd(pl.frame @ JF.T, compute_uv=False)
-            theta = float(np.arccos(np.clip(sing.min(), -1.0, 1.0)))
-            worst = max(worst, theta)
-        return len(ss), worst
-    (count, worst), dt = _timed(run)
+def criterion_3_kaehler_J_invariance(seed):
+    ss = _samples("kaehler", (2, 1), count=100, seed=seed)
+    J = complex_structure(2)
+    worst = 0.0
+    for pl in ss.planes:
+        JF = pl.frame @ J.T
+        sing = np.linalg.svd(pl.frame @ JF.T, compute_uv=False)
+        theta = float(np.arccos(np.clip(sing.min(), -1.0, 1.0)))
+        worst = max(worst, theta)
+    count = len(ss)
     ok = count == 100 and worst <= 1e-3
     return AcceptanceResult(
         "3 Kaehler Grassmannian structure", ok,
         f"{count} planes, worst J-invariance angle {worst:.1e} <= 1e-3",
-        dt, {"count": count, "worst": worst})
+        details={"count": count, "worst": worst})
 
 
 # -- 4 ----------------------------------------------------------------------
 
-def criterion_4_trace_identity(seed=DEFAULT_SEED, pairs_per_entry=10_000):
-    t0 = time.time()
+def criterion_4_trace_identity(seed, pairs_per_entry=10_000):
     worst_all = 0.0
     rows = []
     for name, params in COMASS_ENTRIES:
@@ -182,19 +171,17 @@ def criterion_4_trace_identity(seed=DEFAULT_SEED, pairs_per_entry=10_000):
         rows.append({"name": cal.name, "worst_gap": worst,
                      "pairs": checked})
         worst_all = max(worst_all, worst)
-    dt = time.time() - t0
     ok = worst_all < 1e-9
     checked = sum(r["pairs"] for r in rows)
     return AcceptanceResult(
         "4 trace identity", ok,
         f"{checked} pairs over {len(rows)} entries, worst gap "
-        f"{worst_all:.2e} < 1e-9", dt, {"rows": rows})
+        f"{worst_all:.2e} < 1e-9", details={"rows": rows})
 
 
 # -- 5 ----------------------------------------------------------------------
 
-def criterion_5_symbol_projection(seed=DEFAULT_SEED):
-    t0 = time.time()
+def criterion_5_symbol_projection(seed):
     entries = [("kaehler", (2, 1)), ("special_lagrangian", (3,)),
                ("cayley", ()), ("lambda_example", (0.5,))]
     per = 10_000 // len(entries)
@@ -212,18 +199,16 @@ def criterion_5_symbol_projection(seed=DEFAULT_SEED):
             rhs = float(np.linalg.norm(pl.frame @ e) ** 2)
             worst = max(worst, abs(lhs - rhs))
             count += 1
-    dt = time.time() - t0
     ok = worst < 1e-9
     return AcceptanceResult(
         "5 symbol/projection identity", ok,
-        f"{count} (e, xi) pairs, worst gap {worst:.2e} < 1e-9", dt,
-        {"pairs": count, "worst": worst})
+        f"{count} (e, xi) pairs, worst gap {worst:.2e} < 1e-9",
+        details={"pairs": count, "worst": worst})
 
 
 # -- 6 ----------------------------------------------------------------------
 
-def criterion_6_wirtinger(seed=DEFAULT_SEED):
-    t0 = time.time()
+def criterion_6_wirtinger(seed):
     omega = catalogue("kaehler", 2, 1)
     T = disc_mesh(12, cal=omega).to_current()
     vol = T._volumes
@@ -238,19 +223,17 @@ def criterion_6_wirtinger(seed=DEFAULT_SEED):
         err = abs(g["gap"] - expect)
         tilt_ok = tilt_ok and err < 1e-9
         tilt_rows.append({"theta": theta, "gap": g["gap"], "err": err})
-    dt = time.time() - t0
     ok = per_simplex_worst < 1e-12 and tilt_ok
     return AcceptanceResult(
         "6 Wirtinger-type equality", ok,
         f"complex disc per-simplex gap {per_simplex_worst:.1e} < 1e-12; "
         f"tilted-disc identity within 1e-9 for theta in (0.1, 0.5, 1.0)",
-        dt, {"per_simplex": per_simplex_worst, "tilted": tilt_rows})
+        details={"per_simplex": per_simplex_worst, "tilted": tilt_rows})
 
 
 # -- 7 ----------------------------------------------------------------------
 
-def criterion_7_poisson_jensen(seed=DEFAULT_SEED):
-    t0 = time.time()
+def criterion_7_poisson_jensen(seed):
     omega = catalogue("kaehler", 2, 1)
     tests = [builtin_field(nm, 4)
              for nm in ("re_z1", "abs_z1_sq", "re_z1_sq", "normsq")]
@@ -264,25 +247,22 @@ def criterion_7_poisson_jensen(seed=DEFAULT_SEED):
         ok = ok and good
         rows.append({"field": f.name, "h=0.05": r20, "h=0.025": r40,
                      "ok": good})
-    dt = time.time() - t0
     worst = max(r["h=0.05"] for r in rows)
     return AcceptanceResult(
         "7 Poisson-Jensen weak identity", ok,
         f"worst residual at h=0.05 is {worst:.1e} < 5e-3; refinement "
-        "non-increasing", dt, {"rows": rows})
+        "non-increasing", details={"rows": rows})
 
 
 # -- 8 ----------------------------------------------------------------------
 
-def criterion_8_farkas(seed=DEFAULT_SEED, boundary_count=100,
-                       jensen_count=100, mono_count=20):
-    t0 = time.time()
+def criterion_8_farkas(seed):
     omega = catalogue("kaehler", 2, 1)
     ss = _samples("kaehler", (2, 1), count=8, seed=seed, tol=1e-8)
     ties = 0
     consistent = 0
     fails = []
-    for inst in range(boundary_count):
+    for inst in range(100):
         rng = rng_stream(seed, 8000 + inst)
         sites = rng.uniform(-1, 1, size=(4, 4))
         model = build_boundary_model(omega, sites, ss, degree=1,
@@ -301,7 +281,7 @@ def criterion_8_farkas(seed=DEFAULT_SEED, boundary_count=100,
         else:
             fails.append(("boundary", inst))
     jt = 0
-    for inst in range(jensen_count):
+    for inst in range(100):
         rng = rng_stream(seed, 9000 + inst)
         pts = rng.uniform(-1, 1, size=(5, 4))
         model = build_jensen_model(omega, pts, ss, degree=2,
@@ -314,7 +294,7 @@ def criterion_8_farkas(seed=DEFAULT_SEED, boundary_count=100,
         else:
             fails.append(("jensen", inst))
     mono_ok = 0
-    for inst in range(mono_count):
+    for inst in range(20):
         rng = rng_stream(seed, 10_000 + inst)
         sites = rng.uniform(-1, 1, size=(3, 4))
         model = build_boundary_model(omega, sites, ss, degree=1,
@@ -332,20 +312,18 @@ def criterion_8_farkas(seed=DEFAULT_SEED, boundary_count=100,
             mono_ok += 1
         else:
             fails.append(("monotone", inst))
-    dt = time.time() - t0
-    total = boundary_count + jensen_count - ties - jt
-    ok = consistent == total and mono_ok == mono_count and not fails
+    total = 200 - ties - jt
+    ok = consistent == total and mono_ok == 20 and not fails
     return AcceptanceResult(
         "8 finite Farkas alternative", ok,
         f"{consistent}/{total} consistent (ties excluded: {ties + jt}); "
-        f"lambda monotonicity {mono_ok}/{mono_count}", dt,
-        {"fails": fails, "ties": ties + jt})
+        f"lambda monotonicity {mono_ok}/20",
+        details={"fails": fails, "ties": ties + jt})
 
 
 # -- 9 ----------------------------------------------------------------------
 
-def criterion_9_reduction(seed=DEFAULT_SEED):
-    t0 = time.time()
+def criterion_9_reduction(seed):
     lam = catalogue("lambda_example", 0.5)
     ss = _samples("lambda_example", (0.5,), count=10, seed=seed)
     red = reduce_calibration(lam, ss)
@@ -365,40 +343,36 @@ def criterion_9_reduction(seed=DEFAULT_SEED):
         elliptic_rows.append({"name": cal.name, "elliptic": res.elliptic,
                               "dim_W": res.W.shape[0]})
         all_elliptic = all_elliptic and res.elliptic
-    dt = time.time() - t0
     ok = lam_ok and all_elliptic
     return AcceptanceResult(
         "9 ellipticity/reduction", ok,
         "lambda-example reduces to the x1x2-plane (non-elliptic); "
-        "kaehler/slag/associative/cayley all elliptic", dt,
-        {"lambda_ok": lam_ok, "rows": elliptic_rows})
+        "kaehler/slag/associative/cayley all elliptic",
+        details={"lambda_ok": lam_ok, "rows": elliptic_rows})
 
 
 # -- 10 ---------------------------------------------------------------------
 
-def criterion_10_normality(seed=DEFAULT_SEED, trials=50):
-    t0 = time.time()
+def criterion_10_normality(seed):
     rows = []
     ok = True
     for name, params in NORMAL_ENTRIES:
         cal = catalogue(name, *params)
-        rep = normality_check(cal, trials=trials, seed=seed)
+        rep = normality_check(cal, trials=50, seed=seed)
         rows.append({"name": cal.name, "normal": rep.normal,
                      "degenerate": rep.degenerate,
                      "worst_mismatch": rep.worst_mismatch})
         ok = ok and rep.normal
-    dt = time.time() - t0
     worst = max(r["worst_mismatch"] for r in rows)
     return AcceptanceResult(
         "10 normality", ok,
-        f"{len(rows)} entries x {trials} hyperplanes, worst subspace "
-        f"mismatch {worst:.1e} < 1e-8", dt, {"rows": rows})
+        f"{len(rows)} entries x 50 hyperplanes, worst subspace "
+        f"mismatch {worst:.1e} < 1e-8", details={"rows": rows})
 
 
 # -- 11 ---------------------------------------------------------------------
 
-def criterion_11_restriction_subharmonic(seed=DEFAULT_SEED):
-    t0 = time.time()
+def criterion_11_restriction_subharmonic(seed):
     omega = catalogue("kaehler", 2, 1)
     ss = _samples("kaehler", (2, 1), count=30, seed=seed)
     M = graph_curve_mesh(16, cal=omega)
@@ -411,18 +385,16 @@ def criterion_11_restriction_subharmonic(seed=DEFAULT_SEED):
                      rep.details["min_laplacian"], "ok": rep.ok,
                      "precondition": rep.precondition_ok})
         ok = ok and rep.ok and rep.precondition_ok
-    dt = time.time() - t0
     worst = min(r["min_laplacian"] for r in rows)
     return AcceptanceResult(
         "11 restriction subharmonicity", ok,
         f"holomorphic-graph mesh, min discrete Laplacian {worst:.2e} "
-        ">= -1e-6", dt, {"rows": rows})
+        ">= -1e-6", details={"rows": rows})
 
 
 # -- 12 ---------------------------------------------------------------------
 
-def criterion_12_mass_bracket(seed=DEFAULT_SEED):
-    t0 = time.time()
+def criterion_12_mass_bracket(seed):
     gens = random_plane_set(4, 2, count=40, seed=seed)
     e12 = ExteriorElement(4, 2, {(1, 2): 1.0})
     e34 = ExteriorElement(4, 2, {(3, 4): 1.0})
@@ -437,13 +409,12 @@ def criterion_12_mass_bracket(seed=DEFAULT_SEED):
     for k, xi in enumerate(units):
         u, l, _ = mass_norm_estimate(xi, gens, seed=seed + k)
         simple_worst = max(simple_worst, abs(u - 1.0), abs(1.0 - l))
-    dt = time.time() - t0
     ok = pair_ok and simple_worst <= 1e-8
     return AcceptanceResult(
         "12 mass-norm bracket", ok,
         f"e12+e34 in [{lo:.9f}, {up:.9f}]; simple units within "
-        f"{simple_worst:.1e} of 1", dt,
-        {"pair": (lo, up), "simple_worst": simple_worst})
+        f"{simple_worst:.1e} of 1",
+        details={"pair": (lo, up), "simple_worst": simple_worst})
 
 
 CRITERIA = [
@@ -461,17 +432,14 @@ CRITERIA = [
     criterion_12_mass_bracket,
 ]
 
-# smaller instance counts for quick smoke runs; other criteria run in full
-_QUICK_KWARGS = {
-    criterion_4_trace_identity: {"pairs_per_entry": 1000},
-    criterion_8_farkas: {"boundary_count": 20, "jensen_count": 20,
-                         "mono_count": 5},
-    criterion_10_normality: {"trials": 8},
-}
+
+def run_criterion(fn, seed=DEFAULT_SEED) -> AcceptanceResult:
+    """Run one criterion at seed; its result carries the wall time."""
+    t0 = time.perf_counter()
+    res = fn(seed)
+    res.seconds = time.perf_counter() - t0
+    return res
 
 
-def run_all(quick=False, seed=DEFAULT_SEED):
-    """Run every criterion; quick mode shrinks instance counts for smoke
-    runs and is not the acceptance gate."""
-    return [fn(seed=seed, **(_QUICK_KWARGS.get(fn, {}) if quick else {}))
-            for fn in CRITERIA]
+def run_all(seed):
+    return [run_criterion(fn, seed) for fn in CRITERIA]

@@ -407,7 +407,7 @@ def cmd_jensen(args):
 def cmd_verify_all(args):
     """Prints one line per criterion; the only handler with no report."""
     from . import acceptance
-    results = acceptance.run_all(quick=args.quick, seed=args.seed)
+    results = acceptance.run_all(args.seed)
     all_ok = True
     for res in results:
         status = "PASS" if res.passed else "FAIL"
@@ -555,8 +555,6 @@ def build_parser():
     p.set_defaults(fn=cmd_jensen)
 
     p = sub.add_parser("verify-all", help="run the acceptance suite")
-    p.add_argument("--quick", action="store_true",
-                   help="reduced instance counts (not the acceptance gate)")
     common(p, cal=False)
     p.set_defaults(fn=cmd_verify_all)
     return ap

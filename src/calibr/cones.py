@@ -363,6 +363,8 @@ def lemma_2_5_check(xi: ExteriorElement, cal: Calibration,
     """Evaluate the three equivalent conditions for a mass-normalized xi:
     cone membership, convex-hull membership, and pairing with phi equal 1,
     each within MEMBERSHIP_TOL; the mass bracket must meet 1 +- 2e-5."""
+    if xi.n != cal.n or xi.p != cal.p:
+        raise ValueError("degree/dimension mismatch between xi and calibration")
     upper, lower, mass_meta = mass_norm_estimate(xi, generator_samples,
                                                  seed=seed)
     if not (lower <= 1.0 + 2e-5 and upper >= 1.0 - 2e-5):

@@ -49,16 +49,6 @@ def _simplex_geometry(V):
     return minors / np.where(norms > 0.0, norms, 1.0), vols
 
 
-def tangent_pvector(verts) -> tuple:
-    """(unit simple p-vector, p-volume) of an ordered simplex."""
-    verts = np.asarray(verts, dtype=float)
-    xi, vol = _simplex_geometry(verts[None])
-    if vol[0] <= 0.0:
-        raise ValueError("degenerate simplex")
-    return (ExteriorElement.from_coeff_vector(verts.shape[1], len(verts) - 1,
-                                              xi[0]), float(vol[0]))
-
-
 class PolyhedralCurrent:
     """Weighted oriented p-simplices in R^n; the vertices, tangents, volumes
     and multiplicities of the kept simplices are arrays in ``simplices``

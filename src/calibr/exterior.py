@@ -381,9 +381,6 @@ class SimplePlane:
                 self.n, self.p, _pluecker(self.frame.T))
         return self._pvector
 
-    def span_projector(self) -> np.ndarray:
-        return self.frame.T @ self.frame
-
     def __repr__(self):
         return f"SimplePlane(p={self.p}, n={self.n})"
 

@@ -368,11 +368,15 @@ def comass(phi: ExteriorElement, multistarts=60, max_iter=600, tol=DEFAULT_GTOL,
     drawn from G(phi), so it is attained, and the ascent options are
     unused.  On every other form it is the best value of a multistart
     ascent, a lower bound for the comass; saturation is flagged when the
-    top starts agree to 1e-6.  Raises when multistarts is below 1, on
-    every route.
+    top starts agree to 1e-6.  Raises when multistarts or max_iter is
+    below 1, or tol is negative or NaN, on every route.
     """
     if multistarts < 1:
         raise ValueError(f"multistarts must be at least 1, got {multistarts}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+    if not tol >= 0:
+        raise ValueError(f"tol must be at least 0, got {tol}")
     if phi.norm() == 0.0:
         raise ValueError("comass of the zero form")
     U = _exact_frame(phi)

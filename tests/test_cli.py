@@ -222,12 +222,24 @@ class TestErrors:
          "multistarts must be at least 1, got 0"),
         (["comass", "--form", "phi.json", "--multistarts", "-2"],
          "multistarts must be at least 1, got -2"),
+        # a NaN tol read no start as converged, and no iteration ran at a
+        # max_iter of 0, which reported the value at a random start
+        (["comass", "--form", "phi6.json", "--multistarts", "4", "--tol",
+          "nan"], "tol must be at least 0, got nan"),
+        (["comass", "--form", "phi6.json", "--max-iter", "0"],
+         "max_iter must be at least 1, got 0"),
+        (["comass", "--max-iter", "0"], "max_iter must be at least 1, got 0"),
+        # checked before the mass bracket, which failed inside numpy
+        (["lemma25", "--pvector", "xi6.json"],
+         "degree/dimension mismatch between xi and calibration"),
     ], ids=["normality-trials-0", "psh-empty-grid", "psh-empty-json",
             "duality-random-minus-2", "jensen-random-0",
             "positivity-tol-minus-2", "positivity-tol-nan",
             "lemma25-tol-minus-1", "psh-tol-minus-1", "gsample-tol-minus-1",
             "flat-tol-minus-1", "comass-multistarts-0",
-            "comass-form-multistarts-minus-2"])
+            "comass-form-multistarts-minus-2", "comass-form-tol-nan",
+            "comass-form-max-iter-0", "comass-max-iter-0",
+            "lemma25-r6-pvector"])
     def test_verdict_over_nothing_exits_2(self, capsys, tmp_path, monkeypatch,
                                           argv, message):
         monkeypatch.chdir(tmp_path)
@@ -237,6 +249,11 @@ class TestErrors:
         (tmp_path / "phi.json").write_text(json.dumps(form_to_json(
             ExteriorElement(7, 3, {(1, 2, 3): 1.0, (1, 4, 5): 0.7,
                                    (2, 4, 6): -0.6, (3, 5, 7): 0.5}))))
+        (tmp_path / "phi6.json").write_text(json.dumps(form_to_json(
+            ExteriorElement(6, 3, {(1, 2, 3): 1.0, (1, 4, 5): -0.6,
+                                   (2, 4, 6): 0.8, (3, 5, 6): 0.5}))))
+        (tmp_path / "xi6.json").write_text(json.dumps(form_to_json(
+            ExteriorElement(6, 2, {(1, 2): 0.5, (3, 4): 0.5}))))
         code, out, err = run_cli(capsys, *argv, "--cal", "omega4")
         assert code == 2 and out == ""
         assert err == f"error: {message}\n"
@@ -276,6 +293,39 @@ class TestErrors:
     def test_unknown_flag_rejected(self, capsys):
         with pytest.raises(SystemExit):
             main(["comass", "--cal", "omega4", "--bogus-flag", "1"])
+
+
+class TestVerifyAll:
+    def test_one_line_per_criterion_timed_by_the_runner(self, capsys,
+                                                        monkeypatch):
+        from types import SimpleNamespace
+        from calibr import acceptance
+        seeds = []
+
+        def passing(seed):
+            seeds.append(seed)
+            return acceptance.AcceptanceResult("stub pass", True, "fine")
+
+        def failing(seed):
+            seeds.append(seed)
+            return acceptance.AcceptanceResult("stub fail", False, "broken")
+
+        ticks = iter([0.0, 1.5, 2.0, 2.5])
+        monkeypatch.setattr(acceptance, "CRITERIA", [passing, failing])
+        monkeypatch.setattr(acceptance, "time",
+                            SimpleNamespace(perf_counter=lambda: next(ticks)))
+        code, out, err = run_cli(capsys, "verify-all", "--seed", "7")
+        assert code == 1 and err == ""
+        assert out.splitlines() == ["PASS - stub pass: fine  [1.5s]",
+                                    "FAIL - stub fail: broken  [0.5s]",
+                                    "FAIL - total 2.0s"]
+        assert seeds == [7, 7]
+
+    def test_quick_mode_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify-all", "--quick"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --quick" in capsys.readouterr().err
 
 
 class TestSubcommands:

@@ -11,7 +11,7 @@ from calibr.currents import (MeshedSubmanifold, PolyhedralCurrent, boundary,
                              green_check, hex_disc_points, mass,
                              max_principle_check, phi_positive_check,
                              read_mesh, restriction_subharmonicity,
-                             tangent_pvector, tilted_disc_mesh, write_mesh)
+                             tilted_disc_mesh, write_mesh)
 from calibr.fields import BUILTIN_SET1, ScalarField, builtin_field
 from calibr.grassmann import sample_grassmannian
 from calibr.polynomial import PolyForm, Polynomial
@@ -279,9 +279,8 @@ class TestMeshInfrastructure:
     def test_graph_mesh_is_holomorphic(self, omega):
         M = graph_curve_mesh(10, cal=omega)
         # tangents approach complex lines as the mesh refines
-        from calibr.exterior import pairing
-        worst = min(pairing(omega.form, tangent_pvector(M.vertices[t])[0])
-                    for t in M.simplices)
+        tangents = M.to_current()._tangents
+        worst = (tangents @ omega.form.to_coeff_vector()).min()
         assert worst > 1.0 - 5e-2
 
 
@@ -522,15 +521,6 @@ class TestBatchedGeometry:
         T = graph_curve_mesh(30).to_current()            # 5,400 triangles
         assert T._volumes.tolist() == [simplex_volume(v)
                                        for v, _ in T.simplices]
-
-    def test_tangent_pvector_is_the_one_simplex_view(self):
-        rng = np.random.default_rng(5)
-        for n, p in ((3, 1), (4, 2), (5, 3), (6, 4)):
-            verts = rng.standard_normal((p + 1, n))
-            xi, vol = tangent_pvector(verts)
-            assert xi.n == n and xi.p == p and isinstance(vol, float)
-            assert np.abs(xi.to_coeff_vector()
-                          - qr_tangent(verts)).max() <= 1e-14
 
     @pytest.mark.parametrize("make", [
         lambda: cap_mesh(6, 0.4, n=3), lambda: disc_mesh(6),

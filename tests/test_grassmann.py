@@ -396,7 +396,7 @@ class TestFirstCousinPrinciple:
         P = None
         for pl in ss.planes:
             xi = pl.pvector()
-            proj = pl.span_projector()
+            proj = pl.frame.T @ pl.frame
             for _ in range(10):
                 a = proj @ rng.standard_normal(cal.n)
                 b = (np.eye(cal.n) - proj) @ rng.standard_normal(cal.n)

@@ -583,7 +583,7 @@ class TestSymbolAndReduction:
         def minmax(cal, ss):
             rng = np.random.default_rng(3)
             best = np.inf
-            P = [pl.span_projector() for pl in ss.planes]
+            P = [pl.frame.T @ pl.frame for pl in ss.planes]
             for _ in range(2000):
                 u = rng.standard_normal(cal.n)
                 u /= np.linalg.norm(u)

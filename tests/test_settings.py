@@ -16,18 +16,10 @@ expression.  Arguments passed through * or ** are not followed.
 import ast
 from pathlib import Path
 
-from calibr import acceptance
-
 ROOT = Path(__file__).resolve().parents[1]
 
 # forwarding the scan cannot follow: "module.qualname.parameter" -> reason
 FORWARDED = {
-    **{f"acceptance.{fn.__name__}.seed":
-       "run_all calls every criterion as fn(seed=seed, ...)"
-       for fn in acceptance.CRITERIA},
-    **{f"acceptance.{fn.__name__}.{name}":
-       "run_all(quick=True) passes it from _QUICK_KWARGS"
-       for fn, kwargs in acceptance._QUICK_KWARGS.items() for name in kwargs},
     "duality.build_boundary_model.pad":
         "test_empty_or_flat_family_rejected passes pad=0.0 through **kw",
     "duality.build_jensen_model.pad":
