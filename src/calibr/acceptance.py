@@ -60,16 +60,9 @@ class AcceptanceResult:
     details: dict = field(default_factory=dict)
 
 
-_SAMPLE_CACHE = {}
-
-
 def _samples(name, params, count=40, seed=DEFAULT_SEED, tol=1e-6):
-    key = (name, params, count, seed, tol)
-    if key not in _SAMPLE_CACHE:
-        cal = catalogue(name, *params)
-        _SAMPLE_CACHE[key] = sample_grassmannian(cal, tol=tol, count=count,
-                                                 seed=seed)
-    return _SAMPLE_CACHE[key]
+    return sample_grassmannian(catalogue(name, *params), tol=tol, count=count,
+                               seed=seed)
 
 
 def _name_key(name):

@@ -241,6 +241,9 @@ def mass_norm_estimate(xi: ExteriorElement, generator_samples: PlaneSampleSet,
     the bracket still wider than GAP_TOL.  Raises
     RuntimeError when ``lower`` exceeds ``upper`` beyond rounding.
     """
+    if generator_samples.frames.shape[1:] != (xi.n, xi.p):
+        raise ValueError("degree/dimension mismatch between xi and "
+                         "generator sample")
     if xi.norm() == 0.0:
         raise ValueError("mass norm of the zero element")
     if max_rounds < 1:

@@ -1,7 +1,8 @@
 """Finite Farkas-lemma models of the Hahn-Banach dualities: the boundary
 characterizations (plain and mass-bounded) and the Poisson-Jensen / hull
 equivalence, each as a primal/dual LP pair whose exact alternative is
-checked on both sides.
+checked on both sides: every alternative hands its LP answers to one verdict
+routine, ``_verdict``, which re-checks both sides and builds the report.
 
 These are explicitly labeled finite analogues, not discretizations with
 convergence guarantees: the continuum statements quantify over all
@@ -27,6 +28,7 @@ from .polynomial import legendre_tables, monomial_exponents
 
 MARGIN_TOL = 1e-6
 FEAS_TOL = 1e-7
+BOX_PAD = 0.5       # the test box is the sites' bounding box padded by this
 
 
 # ---------------------------------------------------------------------------
@@ -124,13 +126,15 @@ class FiniteDualityModel:
                 "calibration": self.calibration.name}
 
 
-def _build_model(kind, cal, sites, samples, degree, planes_per_site, pad,
+def _build_model(kind, cal, sites, samples, degree, planes_per_site,
                  dictionary, extra_planes):
     sites = np.atleast_2d(np.asarray(sites, dtype=float))
     if sites.ndim != 2 or sites.shape[1] != cal.n or not len(sites):
         raise ValueError(f"sites must be a (k, {cal.n}) array for "
                          f"{cal.name}, got shape {sites.shape}")
-    lo, hi = sites.min(axis=0) - pad, sites.max(axis=0) + pad
+    if not np.isfinite(sites).all():
+        raise ValueError("sites must be finite")
+    lo, hi = sites.min(axis=0) - BOX_PAD, sites.max(axis=0) + BOX_PAD
     family = _family(kind, cal.n, cal.p, degree)
     if not (hi > lo).all():
         raise ValueError(f"the test box needs hi > lo, got {lo} and {hi}")
@@ -145,17 +149,17 @@ def _build_model(kind, cal, sites, samples, degree, planes_per_site, pad,
 
 
 def build_boundary_model(cal: Calibration, sites, samples: PlaneSampleSet,
-                         degree=2, planes_per_site=None, pad=0.5,
+                         degree=2, planes_per_site=None,
                          dictionary=None) -> FiniteDualityModel:
     return _build_model("boundary", cal, sites, samples, degree,
-                        planes_per_site, pad, dictionary, None)
+                        planes_per_site, dictionary, None)
 
 
 def build_jensen_model(cal: Calibration, sites, samples: PlaneSampleSet,
-                       degree=2, planes_per_site=None, pad=0.5,
-                       dictionary=None, extra_planes=None) -> FiniteDualityModel:
+                       degree=2, planes_per_site=None, dictionary=None,
+                       extra_planes=None) -> FiniteDualityModel:
     return _build_model("jensen", cal, sites, samples, degree,
-                        planes_per_site, pad, dictionary, extra_planes)
+                        planes_per_site, dictionary, extra_planes)
 
 
 # ---------------------------------------------------------------------------
@@ -232,19 +236,26 @@ def _separation(M, c, lower, upper, n_cert, margin_tol):
     return a, False, None, rel > 1e-9, res.status
 
 
-def _verified(A, b, weights):
-    """The primal weights, or None when A w misses b by more than FEAS_TOL
-    relative to b."""
-    if weights is None:
-        return None
-    tol = FEAS_TOL * max(1.0, np.abs(b).max())
-    return None if np.abs(A @ weights - b).max() > tol else weights
-
-
-def _meta(model, margin_tol):
-    """The model's description and the tolerances the alternative used."""
-    return {**model.describe(),
-            "tolerances": {"margin_tol": margin_tol, "feas_tol": FEAS_TOL}}
+def _verdict(model, margin_tol, A, b, weights, candidate, certifies, meta):
+    """The reported alternative: the weights when A w meets b within
+    FEAS_TOL relative to b, the candidate (a, have_cert, margin, tie) as a
+    Certificate when ``certifies(a)`` re-checks it, consistent when exactly
+    one side stands and there is no tie; meta is the model's description,
+    the tolerances, then the path's keys."""
+    if weights is not None and (np.abs(A @ weights - b).max()
+                                > FEAS_TOL * max(1.0, np.abs(b).max())):
+        weights = None
+    a, have_cert, margin, tie = candidate
+    if have_cert and not certifies(a):
+        have_cert = False
+    feasible = weights is not None
+    meta = {**model.describe(),
+            "tolerances": {"margin_tol": margin_tol, "feas_tol": FEAS_TOL},
+            **meta}
+    return AlternativeResult(
+        'Feasible' if feasible else 'Infeasible', weights,
+        'Certificate' if have_cert else None, a if have_cert else None,
+        margin, feasible != have_cert and not tie, tie, meta)
 
 
 def boundary_alternative(model: FiniteDualityModel, S_values, lam=None,
@@ -260,18 +271,20 @@ def boundary_alternative(model: FiniteDualityModel, S_values, lam=None,
     """
     A, s = assemble_boundary_model(model, S_values)
     K, m = A.shape
-    meta = _meta(model, margin_tol)
+    # a certificate has A^T a >= 0 on the atoms, or >= -phi when bounded
+    floor = 0.0 if lam is None else -_pair_rows(
+        model.calibration.form.to_coeff_vector(), model._atom_table[1])
     if lam is None:
         primal = solve_lp(np.zeros(m), A, s)
         weights = primal.x if primal.status == 'optimal' else None
         a, have_cert, margin, tie, status = _separation(
             A.T, s, -np.ones(K), np.ones(K), K, margin_tol)
-        meta["lp_status"] = {"primal": primal.status, "separation": status}
+        meta = {"lp_status": {"primal": primal.status, "separation": status}}
     else:
         # minimum-mass LP decides both sides at once; a status other than
         # optimal or infeasible decides neither
         minmass = solve_lp(np.ones(m), A, s)
-        meta["lp_status"] = {"min_mass": minmass.status}
+        meta = {"lp_status": {"min_mass": minmass.status}}
         weights = None
         a, have_cert, margin, tie = None, False, None, False
         if minmass.status == 'optimal':
@@ -294,19 +307,9 @@ def boundary_alternative(model: FiniteDualityModel, S_values, lam=None,
             margin = -val if have_cert else None
             tie = not have_cert
         meta["lambda"] = lam
-    # verify the sides against their definitions before reporting
-    weights = _verified(A, s, weights)
-    if have_cert:
-        floor = 0.0 if lam is None else -_pair_rows(
-            model.calibration.form.to_coeff_vector(), model._atom_table[1])
-        if (A.T @ a - floor).min() < -1e-8:
-            have_cert = False
-    feasible = weights is not None
-    consistent = feasible != have_cert and not tie
-    return AlternativeResult(
-        'Feasible' if feasible else 'Infeasible', weights,
-        'Certificate' if have_cert else None,
-        a if have_cert else None, margin, consistent, tie, meta)
+    return _verdict(model, margin_tol, A, s, weights,
+                    (a, have_cert, margin, tie),
+                    lambda a: (A.T @ a - floor).min() >= -1e-8, meta)
 
 
 # ---------------------------------------------------------------------------
@@ -347,8 +350,6 @@ def jensen_alternative(model: FiniteDualityModel, K_indices, x_index,
     """
     A, b = assemble_jensen_model(model, K_indices, x_index)
     primal = solve_lp(np.zeros(A.shape[1]), A, b)
-    weights = _verified(A, b, primal.x if primal.status == 'optimal'
-                        else None)
 
     # independent dual search over (a, t), |a| <= 1 boxwise: maximize
     # f(x) - t with the dictionary Hessian pairings of a nonnegative and
@@ -361,19 +362,13 @@ def jensen_alternative(model: FiniteDualityModel, K_indices, x_index,
     a, have_cert, margin, tie, status = _separation(
         M, np.append(b[:K], 1.0), np.append(-np.ones(K), -big),
         np.append(np.ones(K), big), K, margin_tol)
-    # verify the certificate against its definition before reporting: the
-    # Hessian pairings on the atoms are nonnegative and f(x) exceeds f on K
-    if have_cert:
-        pairings = A[:K, :n_atoms].T @ a
-        separation = -b[:K] @ a + (A[:K, n_atoms:].T @ a).min()
-        if pairings.min() < -1e-8 or separation <= 0.0:
-            have_cert = False
-    meta = _meta(model, margin_tol)
-    meta.update({"K_sites": list(K_indices), "x": int(x_index),
-                 "lp_status": {"primal": primal.status, "separation": status}})
-    feasible = weights is not None
-    consistent = feasible != have_cert and not tie
-    return AlternativeResult(
-        'Feasible' if feasible else 'Infeasible', weights,
-        'Certificate' if have_cert else None,
-        a if have_cert else None, margin, consistent, tie, meta)
+
+    # a certificate is psh on the atoms and f(x) exceeds f on K
+    return _verdict(model, margin_tol, A, b,
+                    primal.x if primal.status == 'optimal' else None,
+                    (a, have_cert, margin, tie), lambda a: (
+                        (A[:K, :n_atoms].T @ a).min() >= -1e-8
+                        and -b[:K] @ a + (A[:K, n_atoms:].T @ a).min() > 0.0),
+                    {"K_sites": list(K_indices), "x": int(x_index),
+                     "lp_status": {"primal": primal.status,
+                                   "separation": status}})

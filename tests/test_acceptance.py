@@ -49,7 +49,7 @@ def test_criterion_8_farkas():
     _report(acceptance.criterion_8_farkas)
 
 
-def test_sample_cache_keys_on_tolerance():
+def test_samples_keep_their_tolerance():
     # criterion 8 samples at tol=1e-8, the others at the default 1e-6
     for tol in (1e-6, 1e-8):
         ss = acceptance._samples("kaehler", (2, 1), count=8, tol=tol)

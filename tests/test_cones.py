@@ -198,6 +198,16 @@ class TestMassNorm:
         with pytest.raises(ValueError):
             mass_norm_estimate(ExteriorElement.zero(4, 2), gens)
 
+    @pytest.mark.parametrize("xi, count", [
+        (ExteriorElement.basis(6, (1, 2)), 10),
+        (ExteriorElement.basis(4, (1,)), 10),
+        (ExteriorElement.basis(6, (1, 2)), 0)],
+        ids=["R6-2-vector", "1-vector", "empty-sample"])
+    def test_mismatch_rejected(self, xi, count):
+        gens = random_plane_set(4, 2, count=count, seed=1)
+        with pytest.raises(ValueError, match="degree/dimension mismatch"):
+            mass_norm_estimate(xi, gens, seed=1)
+
 
 def _half_nuclear_norm(two):
     """Closed-form mass of a 2-vector: half the nuclear norm of its skew

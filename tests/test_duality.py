@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -261,6 +262,42 @@ class TestBoundaryAlternative:
             assert res.meta["lp_status"] == status
             assert res.primal == 'Infeasible' and res.dual is None
             assert not res.consistent and not res.boundary_tie
+
+
+    def test_unverified_separation_is_no_certificate(self, lam, ss_lam,
+                                                     monkeypatch):
+        # a plain separation answer negative on an atom is not reported
+        sites = rng_stream(1, 1).uniform(-1, 1, size=(4, 4))
+        model = build_boundary_model(lam, sites, ss_lam, degree=2,
+                                     planes_per_site=1)
+        S = -atom_boundary_values(model, 0, model.dictionary[0][0])
+        a = boundary_alternative(model, S).certificate
+        A, _ = assemble_boundary_model(model, S)
+        assert (A.T @ -a).min() < -1e-8
+        monkeypatch.setattr(duality, "_separation",
+                            lambda *args: (-a, True, 1.0, False, 'optimal'))
+        res = boundary_alternative(model, S)
+        assert res.dual is None and res.certificate is None
+        assert res.primal == 'Infeasible' and not res.consistent
+
+    def test_unverified_min_mass_dual_is_no_certificate(self, omega, ss,
+                                                        monkeypatch):
+        # an infeasible min-mass LP whose y breaks A^T a >= -phi (a = -y) on
+        # an atom is not reported, though s.a < 0; phi <= 1 on every atom
+        sites = rng_stream(1, 2).uniform(-1, 1, size=(3, 4))
+        model = build_boundary_model(omega, sites, ss, degree=1,
+                                     planes_per_site=3)
+        S = atom_boundary_values(model, 1, model.dictionary[1][2])
+        A, _ = assemble_boundary_model(model, S)
+        y = 10.0 * S / (S @ S)
+        assert (A.T @ y).max() > 1.0 + 1e-8 and S @ y > 1e-12
+        monkeypatch.setattr(duality, "solve_lp",
+                            lambda *args, **kw: LPResult('infeasible', y=y))
+        res = boundary_alternative(model, S, lam=0.5)
+        assert res.meta["lp_status"] == {"min_mass": "infeasible"}
+        assert res.dual is None and res.certificate is None
+        assert res.primal == 'Infeasible' and not res.consistent
+        assert not res.boundary_tie
 
 
 class TestJensenAlternative:
@@ -774,20 +811,33 @@ class TestOrthonormalFamily:
     @pytest.mark.parametrize("command, kw, match", [
         ("jensen", {"degree": 0}, "degree 0 has no member"),
         ("duality", {"degree": -1}, "degree -1 has no member"),
-        ("jensen", {"sites": np.zeros((1, 4)), "pad": 0.0}, "hi > lo"),
-        ("duality", {"sites": np.zeros((1, 4)), "pad": 0.0}, "hi > lo"),
+        # padded by 0.5 the box stays flat: 1e17 + 0.5 rounds to 1e17
+        ("jensen", {"sites": np.full((2, 4), 1e17)}, "hi > lo"),
+        ("duality", {"sites": [[0.0, np.nan, 0, 0], [1, 1, 1, 1]]},
+         "sites must be finite"),
+        ("jensen", {"sites": [[0.0, 0, 0, 0], [np.inf, 1, 1, 1]]},
+         "sites must be finite"),
     ], ids=["jensen-degree-0", "duality-degree-minus-1", "jensen-flat-box",
-            "duality-flat-box"])
-    def test_empty_or_flat_family_rejected(self, omega, ss, capsys, command,
-                                           kw, match):
+            "duality-nan-site", "jensen-infinite-site"])
+    def test_empty_or_flat_family_rejected(self, omega, ss, capsys, tmp_path,
+                                           command, kw, match):
         build = {"jensen": build_jensen_model,
                  "duality": build_boundary_model}[command]
         kw = {"sites": rng_stream(6, 6).uniform(-1, 1, size=(5, 4)), **kw}
+        sites = kw.pop("sites")
         with pytest.raises(ValueError, match=match):
-            build(omega, kw.pop("sites"), ss, **kw)
+            build(omega, sites, ss, **kw)
         if "degree" in kw:
-            code = main([command, "--cal", "omega4", "--random", "2",
-                         "--deg", str(kw["degree"])])
-            out, err = capsys.readouterr()
-            assert code == 2 and out == ""
-            assert err.startswith("error: ") and match in err
+            argv = ["--random", "2", "--deg", str(kw["degree"])]
+        else:
+            # json writes NaN and Infinity, and the CLI reads them back
+            path, S = tmp_path / "sites.json", tmp_path / "S.json"
+            path.write_text(json.dumps(np.asarray(sites).tolist()))
+            S.write_text("[0.0]")
+            argv = ["--sites", str(path)] + (
+                ["--K", "0", "--x", "1"] if command == "jensen"
+                else ["--boundary", str(S)])
+        code = main([command, "--cal", "omega4", *argv])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and match in err

@@ -20,10 +20,6 @@ ROOT = Path(__file__).resolve().parents[1]
 
 # forwarding the scan cannot follow: "module.qualname.parameter" -> reason
 FORWARDED = {
-    "duality.build_boundary_model.pad":
-        "test_empty_or_flat_family_rejected passes pad=0.0 through **kw",
-    "duality.build_jensen_model.pad":
-        "test_empty_or_flat_family_rejected passes pad=0.0 through **kw",
     "fields.ScalarField.__init__.poly":
         "ScalarField.from_polynomial passes poly= to cls(...)",
 }
