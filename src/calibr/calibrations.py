@@ -222,8 +222,11 @@ def resolve(spec: str) -> Calibration:
             data = json.load(fh)
         if "form" in data:
             form = form_from_json(data["form"])
+            claimed = float(data.get("claimed_comass", 1.0))
+            if not np.isfinite(claimed):
+                raise ValueError("claimed_comass must be finite")
             return Calibration(form, data.get("name", os.path.basename(spec)),
-                               claimed_comass=float(data.get("claimed_comass", 1.0)),
+                               claimed_comass=claimed,
                                grassmannian_hint=data.get("grassmannian_hint"),
                                normal_flag=data.get("normal_flag"))
         form = form_from_json(data)

@@ -1,12 +1,13 @@
 """Convex geometry of the positivity cones attached to a calibration.
 
 Cone queries on a Kaehler form in degree 2 or codegree 2 are exact (one
-eigendecomposition, `grassmann.kaehler_structure`).  All others run against
-a finite sample of the phi-Grassmannian, grown for cone membership by
-column generation (each round prices the NNLS residual with one
-constrained extremum over G(phi): sampled starts polished onto G(phi) and
-refined tangentially), which approximates the exact cones from below; every
-report carries the sample count, the tolerances and ``meta["exact"]``.
+eigendecomposition, `grassmann.kaehler_structure`), and so is the mass norm
+wherever the comass is.  Other cone queries run against a finite sample of
+G(phi), grown for cone membership by column generation (each round prices
+the NNLS residual with one constrained extremum over G(phi): sampled starts
+polished onto G(phi) and refined tangentially), which approximates the
+exact cones from below; every report carries the sample count, the
+tolerances and ``meta["exact"]``.
 Linear programs go through the in-repo bounded-variable simplex
 (`calibr.lp`); the nonnegative least-squares subproblems use scipy's NNLS,
 which is imported on the first call so that the exact routes never load
@@ -25,7 +26,7 @@ from .exterior import (ExteriorElement, SimplePlane, contraction_matrix,
                        hodge_star, pairing)
 from .grassmann import (PlaneSampleSet, comass, constrained_extremum,
                         kaehler_matrix, kaehler_planes, kaehler_structure,
-                        polish_plane, span_split, top_singular_plane)
+                        polish_plane, span_split)
 from .lp import solve_lp
 
 BOUNDARY_TOL = 1e-6
@@ -197,42 +198,20 @@ def _sampled_membership(xi, xi_vec, scale, cal, samples, max_rounds, seed):
 # mass norm bracketing
 # ---------------------------------------------------------------------------
 
-def _normal_form(xi: ExteriorElement):
-    """Harvey-Lawson normal form of a 2-vector: xi = sum_k lam_k a_k ^ b_k
-    with lam_k > 0 and the a_k, b_k orthonormal.
-
-    Returns the unit simple atoms a_k ^ b_k and the polar form
-    sum_k a^k ^ b^k, which has comass one and pairs with xi to sum_k lam_k,
-    the mass of xi.  Each atom is the top singular plane of the skew matrix
-    X of xi, which is then deflated by lam_k (a_k b_k^T - b_k a_k^T).
-    """
-    X = contraction_matrix(xi.to_coeff_vector(), xi.n, 2)
-    sigma = np.linalg.svd(X, compute_uv=False)    # pairs lam_1, lam_1, ...
-    atoms = []
-    for _ in range(int((sigma[::2] > 1e-12 * sigma[0]).sum())):
-        a, b = top_singular_plane(X).T
-        lam = a @ X @ b
-        atoms.append(SimplePlane(np.array([a, b])).pvector())
-        X = X - lam * (np.outer(a, b) - np.outer(b, a))
-    polar = atoms[0]
-    for atom in atoms[1:]:
-        polar = polar + atom
-    return atoms, polar
-
-
 def mass_norm_estimate(xi: ExteriorElement, generator_samples: PlaneSampleSet,
                        max_rounds=25, comass_multistarts=40, seed=0):
-    """Bracket the mass norm of xi.
+    """Bracket the mass norm of xi, the dual norm of the comass.
 
-    Upper: min sum |c| over signed decompositions into sampled simple unit
-    p-vectors (in-repo simplex), with cutting-plane augmentation driven by
-    the LP dual.  Each round adds one column, so every LP after the first
-    starts from the previous round's optimal basis, which stays feasible
-    (column generation; Chvatal, Linear Programming, ch. 8); the first is
-    solved cold.  Lower: best pairing against a dictionary of forms, each
-    divided by its comass.  For p = 2 and p = n-2 (through the Hodge star)
-    the atoms and the polar form of xi's normal form are seeded, so the
-    bracket closes in the first round.
+    Where the comass is a closed form (p = 1, 2, n-2, n-1, n) so is the
+    mass, returned as both ends with ``meta["rounds"]`` 0: |xi| for p = 1,
+    n-1, n, else half the nuclear norm of the skew matrix of xi (of *xi).
+    Otherwise upper: min sum |c| over signed decompositions into sampled
+    simple unit p-vectors (in-repo simplex), with cutting-plane
+    augmentation driven by the LP dual.  Each round adds one column, so
+    every LP after the first starts from the previous round's optimal
+    basis, which stays feasible (column generation; Chvatal, Linear
+    Programming, ch. 8); the first is solved cold.  Lower: best pairing
+    against a dictionary of forms, each divided by its comass.
 
     ``meta["lower_certified"]`` is True when the form behind ``lower`` had an
     exact comass, so that ``lower`` is a certified lower bound; otherwise
@@ -249,6 +228,15 @@ def mass_norm_estimate(xi: ExteriorElement, generator_samples: PlaneSampleSet,
     if max_rounds < 1:
         raise ValueError(f"max_rounds must be at least 1, got {max_rounds}")
     n, p = xi.n, xi.p
+    if p in (1, 2, n - 2, n - 1, n):
+        mass = xi.norm()
+        if p not in (1, n - 1, n):
+            x = xi if p == 2 else hodge_star(xi)
+            mass = 0.5 * float(np.linalg.svd(contraction_matrix(
+                x.to_coeff_vector(), n, 2), compute_uv=False).sum())
+        return mass, mass, {"rounds": 0, "dual_comass": None,
+                            "saturated": True, "atoms": 0,
+                            "lower_certified": True, "capped": False}
     xi_vec = xi.to_coeff_vector()
     # a coordinate form has comass exactly one (Hadamard's inequality)
     lower, certified = float(np.abs(xi_vec).max()), True
@@ -268,14 +256,6 @@ def mass_norm_estimate(xi: ExteriorElement, generator_samples: PlaneSampleSet,
             cm_xi.plane.pvector().to_coeff_vector()]
     if cm_xi.value > 1e-12:
         offer(xi_unit, cm_xi, cm_xi.value)
-    if p == 2 or n - p == 2:
-        atoms, polar = _normal_form(xi if p == 2 else hodge_star(xi))
-        if p != 2:
-            atoms = [hodge_star(a) for a in atoms]
-            polar = hodge_star(polar)
-        cols += [a.to_coeff_vector() for a in atoms]
-        cm = comass(polar)
-        offer(polar, cm, cm.value)
     dual_comass = None
     saturated = True
     upper = np.inf
@@ -336,15 +316,11 @@ def positivity_classify(alpha: ExteriorElement, cal: Calibration,
         return ConeReport("Boundary", 0.0, None, {"tol": tol}, None,
                           {"sample_count": len(samples), "exact": True})
     res = constrained_extremum(alpha, cal, samples, "min", **extremum_opts)
-    margin = res.value
-    tolerances = {"tol": tol}
-    meta = {"sample_count": len(samples), "witness_phi": res.phi_value,
-            "exact": res.exact}
-    if margin > tol:
-        return ConeReport("Interior", margin, None, tolerances, res.plane, meta)
-    if margin < -tol:
-        return ConeReport("Outside", margin, None, tolerances, res.plane, meta)
-    return ConeReport("Boundary", margin, None, tolerances, res.plane, meta)
+    status = ("Interior" if res.value > tol else
+              "Outside" if res.value < -tol else "Boundary")
+    return ConeReport(status, res.value, None, {"tol": tol}, res.plane,
+                      {"sample_count": len(samples),
+                       "witness_phi": res.phi_value, "exact": res.exact})
 
 
 # ---------------------------------------------------------------------------

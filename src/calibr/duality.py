@@ -194,6 +194,8 @@ def assemble_boundary_model(model: FiniteDualityModel, S_values):
     S_values = np.asarray(S_values, dtype=float)
     if S_values.shape != (len(model.test_family),):
         raise ValueError("S must supply one value per test form")
+    if not np.isfinite(S_values).all():
+        raise ValueError("boundary values must be finite")
     return model._boundary_matrix, S_values
 
 
@@ -239,15 +241,15 @@ def _separation(M, c, lower, upper, n_cert, margin_tol):
 def _verdict(model, margin_tol, A, b, weights, candidate, certifies, meta):
     """The reported alternative: the weights when A w meets b within
     FEAS_TOL relative to b, the candidate (a, have_cert, margin, tie) as a
-    Certificate when ``certifies(a)`` re-checks it, consistent when exactly
-    one side stands and there is no tie; meta is the model's description,
-    the tolerances, then the path's keys."""
+    Certificate with its margin when ``certifies(a)`` re-checks it (else
+    neither), consistent when exactly one side stands and there is no tie;
+    meta is the model's description, the tolerances, then the path's keys."""
     if weights is not None and (np.abs(A @ weights - b).max()
                                 > FEAS_TOL * max(1.0, np.abs(b).max())):
         weights = None
     a, have_cert, margin, tie = candidate
     if have_cert and not certifies(a):
-        have_cert = False
+        have_cert, margin = False, None
     feasible = weights is not None
     meta = {**model.describe(),
             "tolerances": {"margin_tol": margin_tol, "feas_tol": FEAS_TOL},

@@ -466,5 +466,8 @@ def form_from_json(data) -> ExteriorElement:
             raise ValueError(f"term {k}: indices {idx} not strictly increasing")
         if idx and (idx[0] < 1 or idx[-1] > n):
             raise ValueError(f"term {k}: indices {idx} out of range [1,{n}]")
-        coeffs[idx] = coeffs.get(idx, 0.0) + float(term["coeff"])
+        c = float(term["coeff"])
+        if not math.isfinite(c):
+            raise ValueError(f"term {k}: coefficient must be finite")
+        coeffs[idx] = coeffs.get(idx, 0.0) + c
     return ExteriorElement(n, p, coeffs)

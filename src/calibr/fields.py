@@ -112,7 +112,10 @@ def field_from_json(data, n=None) -> ScalarField:
         exps = tuple(int(e) for e in term["exps"])
         if len(exps) != n:
             raise ValueError(f"term {k}: expected {n} exponents")
-        terms[exps] = terms.get(exps, 0.0) + float(term["coeff"])
+        c = float(term["coeff"])
+        if not np.isfinite(c):
+            raise ValueError(f"term {k}: coefficient must be finite")
+        terms[exps] = terms.get(exps, 0.0) + c
     return ScalarField.from_polynomial(Polynomial(n, terms),
                                        data.get("name", "poly"))
 

@@ -321,23 +321,16 @@ class ComassResult:
     capped: int = 0     # starts stopped by max_iter short of convergence
 
 
-def top_singular_plane(A) -> np.ndarray:
-    """Orthonormal (n, 2) frame (u, v) of the top singular pair of a skew
-    matrix A.  Skewness makes u orthogonal to v with u^T A v = sigma_max,
-    and A maps span(u, v) and its complement into themselves
-    (Harvey-Lawson normal form)."""
-    u, _, vt = np.linalg.svd(A)
+def _top_plane(vec, n, p):
+    """Orthonormal (n, p) frame maximizing a 1-form or 2-form given by its
+    lex coefficient vector; for a 2-form, the top singular pair (u, v) of
+    its skew matrix A, orthogonal as A is skew, with u^T A v = sigma_max."""
+    if p == 1:
+        return (vec / np.linalg.norm(vec))[:, None]
+    u, _, vt = np.linalg.svd(contraction_matrix(vec, n, 2))
     a, b = u[:, 0], vt[0]
     b = b - (a @ b) * a
     return np.column_stack([a, b / np.linalg.norm(b)])
-
-
-def _top_plane(vec, n, p):
-    """Orthonormal (n, p) frame maximizing a 1-form or 2-form given by its
-    lex coefficient vector."""
-    if p == 1:
-        return (vec / np.linalg.norm(vec))[:, None]
-    return top_singular_plane(contraction_matrix(vec, n, 2))
 
 
 def _exact_frame(phi: ExteriorElement):

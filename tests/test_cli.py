@@ -258,6 +258,41 @@ class TestErrors:
         assert code == 2 and out == ""
         assert err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("argv, message", [
+        # e12 + NaN e34 read as e12: mass 1 and comass 1
+        (["massnorm", "--pvector", "nan.json"],
+         "term 1: coefficient must be finite"),
+        (["comass", "--form", "nan.json"],
+         "term 1: coefficient must be finite"),
+        # an infinite one warned and read the comass of the zero form
+        (["comass", "--form", "inf.json"],
+         "term 1: coefficient must be finite"),
+        # x1^2 + NaN x2^2 read as x1^2, plurisubharmonic everywhere
+        (["psh", "--cal", "omega4", "--field", "field.json", "--probes",
+          "grid:-1..1:2"], "term 1: coefficient must be finite"),
+        # a NaN claimed comass turned off the comass confirmation
+        (["gsample", "--cal", "cal.json", "--count", "3"],
+         "claimed_comass must be finite"),
+    ], ids=["massnorm-nan-term", "comass-nan-term", "comass-infinite-term",
+            "psh-nan-field-term", "gsample-nan-claimed-comass"])
+    def test_non_finite_input_exits_2(self, capsys, tmp_path, monkeypatch,
+                                      argv, message):
+        # json writes NaN and Infinity, and the CLI reads them back
+        monkeypatch.chdir(tmp_path)
+        for name, c in (("nan.json", np.nan), ("inf.json", np.inf)):
+            (tmp_path / name).write_text(json.dumps({"n": 4, "p": 2, "terms": [
+                {"indices": [1, 2], "coeff": 1.0},
+                {"indices": [3, 4], "coeff": c}]}))
+        (tmp_path / "field.json").write_text(json.dumps({"n": 4, "terms": [
+            {"exps": [2, 0, 0, 0], "coeff": 1.0},
+            {"exps": [0, 2, 0, 0], "coeff": np.nan}]}))
+        (tmp_path / "cal.json").write_text(json.dumps({
+            "form": form_to_json(catalogue("kaehler", 2, 1).form),
+            "claimed_comass": np.nan}))
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
+
     # the inputs each sampling subcommand needs besides --count; the cone
     # queries on omega4 read no sample, and must reject the count all the same
     COUNT_INPUTS = {"gsample": [], "reduce": [],

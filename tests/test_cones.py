@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+import calibr.cones
 from calibr.calibrations import catalogue
 from calibr.cones import (cone_membership, lemma_2_5_check,
                           mass_norm_estimate, positivity_classify)
-from calibr.exterior import (ExteriorElement, hodge_star, interior_product,
-                             lex_indices, pairing, simple_from_frame, wedge)
-from calibr.grassmann import (random_plane_set, rng_stream,
+from calibr.exterior import (ExteriorElement, SimplePlane, contraction_matrix,
+                             hodge_star, interior_product, lex_indices,
+                             pairing, simple_from_frame, wedge)
+from calibr.grassmann import (comass, random_plane_set, rng_stream,
                               sample_grassmannian, span_split)
 from calibr.lp import solve_lp
 
@@ -218,20 +220,82 @@ def _half_nuclear_norm(two):
     return 0.5 * float(np.linalg.svd(X, compute_uv=False).sum())
 
 
+def _normal_form(xi):
+    """Harvey-Lawson normal form xi = sum_k lam_k a_k ^ b_k (through the
+    Hodge star for p = n-2): the unit simple atoms a_k ^ b_k and the polar
+    form sum_k a^k ^ b^k, of comass one, pairing with xi to its mass.  Each
+    atom is the top singular plane of the skew matrix X, which is then
+    deflated by lam_k (a_k b_k^T - b_k a_k^T).  In degrees 1, n-1 and n
+    xi is simple, and xi/|xi| is both the one atom and the polar form."""
+    n, p = xi.n, xi.p
+    if p in (1, n - 1, n):
+        unit = (1.0 / xi.norm()) * xi
+        return [unit], unit
+    two = xi if p == 2 else hodge_star(xi)
+    X = contraction_matrix(two.to_coeff_vector(), n, 2)
+    sigma = np.linalg.svd(X, compute_uv=False)    # pairs lam_1, lam_1, ...
+    atoms = []
+    for _ in range(int((sigma[::2] > 1e-12 * sigma[0]).sum())):
+        u, _, vt = np.linalg.svd(X)
+        a, b = u[:, 0], vt[0] - (u[:, 0] @ vt[0]) * u[:, 0]
+        b = b / np.linalg.norm(b)
+        lam = a @ X @ b
+        atoms.append(SimplePlane(np.array([a, b])).pvector())
+        X = X - lam * (np.outer(a, b) - np.outer(b, a))
+    polar = atoms[0]
+    for atom in atoms[1:]:
+        polar = polar + atom
+    if p != 2:
+        atoms, polar = [hodge_star(a) for a in atoms], hodge_star(polar)
+    return atoms, polar
+
+
+def _normal_form_bracket(xi, gens):
+    """The normal-form route mass_norm_estimate took before its closed form:
+    upper is the min-l1 LP over the coordinate planes, the generators and
+    the normal form's atoms, lower the polar form's pairing divided by its
+    comass."""
+    atoms, polar = _normal_form(xi)
+    A = np.column_stack([*np.eye(len(xi.to_coeff_vector())),
+                         *gens.pvectors(),
+                         *(a.to_coeff_vector() for a in atoms)])
+    res = solve_lp(np.ones(2 * A.shape[1]), np.hstack([A, -A]),
+                   xi.to_coeff_vector())
+    assert res.status == 'optimal'
+    return res.obj, pairing(polar, xi) / comass(polar).value
+
+
+def _forbidden(*args, **kwargs):
+    raise AssertionError("the closed-form route solved an LP or a comass")
+
+
 class TestMassNormClosedForm:
-    @pytest.mark.parametrize("n,p", [(4, 2), (5, 2), (5, 3)])
-    def test_one_round_exact(self, n, p):
+    @pytest.mark.parametrize("n,p", [(4, 2), (5, 2), (5, 3), (4, 1), (4, 3),
+                                     (4, 4), (6, 4)])
+    def test_one_round_exact(self, n, p, monkeypatch):
+        # the closed form, checked against the normal-form LP route and the
+        # textbook formula; it reaches neither the simplex nor a comass
         rng = np.random.default_rng(10 * n + p)
         gens = random_plane_set(n, p, count=40, seed=9)
-        for _ in range(3):
-            xi = ExteriorElement(n, p, {idx: rng.standard_normal()
-                                        for idx in lex_indices(n, p)})
-            exact = _half_nuclear_norm(xi if p == 2 else hodge_star(xi))
+        xis = [ExteriorElement(n, p, {idx: rng.standard_normal()
+                                      for idx in lex_indices(n, p)})
+               for _ in range(3)]
+        refs = [_normal_form_bracket(xi, gens) for xi in xis]
+        monkeypatch.setattr(calibr.cones, "solve_lp", _forbidden)
+        monkeypatch.setattr(calibr.cones, "comass", _forbidden)
+        for xi, (ref_up, ref_lo) in zip(xis, refs):
+            exact = (xi.norm() if p in (1, n - 1, n) else
+                     _half_nuclear_norm(xi if p == 2 else hodge_star(xi)))
             up, lo, meta = mass_norm_estimate(xi, gens)
-            assert meta["rounds"] == 1
-            assert meta["lower_certified"]
-            assert abs(up - exact) < 1e-9 * exact
-            assert abs(lo - exact) < 1e-9 * exact
+            assert meta == {"rounds": 0, "dual_comass": None,
+                            "saturated": True, "atoms": 0,
+                            "lower_certified": True, "capped": False}
+            assert list(meta) == ["rounds", "dual_comass", "saturated",
+                                  "atoms", "lower_certified", "capped"]
+            assert up == lo
+            assert abs(up - exact) <= 1e-12 * exact
+            assert abs(up - ref_up) <= 1e-9 * ref_up
+            assert abs(lo - ref_lo) <= 1e-9 * ref_lo
 
     def test_r6_3vector_lower_uncertified(self):
         rng = np.random.default_rng(6)
@@ -245,7 +309,7 @@ class TestMassNormClosedForm:
 
     def test_round_cap_reported(self, gens):
         # an R^6 3-vector leaves at the cap with the bracket open; an R^4
-        # 2-vector closes it in the first round
+        # 2-vector takes the closed form and runs no round
         rng = np.random.default_rng(6)
         xi = ExteriorElement(6, 3, {idx: rng.standard_normal()
                                     for idx in lex_indices(6, 3)})
@@ -256,20 +320,24 @@ class TestMassNormClosedForm:
         assert up - lo > 1e-9 * up
         up, lo, meta = mass_norm_estimate(e_form(1, 2) + 0.5 * e_form(3, 4),
                                           gens, max_rounds=2)
-        assert not meta["capped"] and meta["rounds"] == 1
+        assert not meta["capped"] and meta["rounds"] == 0
 
-    def test_inverted_bracket_raises(self, gens, monkeypatch):
-        # a comass reported at half its value doubles the lower bound
+    def test_inverted_bracket_raises(self, monkeypatch):
+        # a comass reported at half its value doubles the lower bound of an
+        # R^6 3-vector, which has no closed form
         import dataclasses
-        import calibr.cones
         real = calibr.cones.comass
 
         def halved(phi, **kwargs):
             res = real(phi, **kwargs)
             return dataclasses.replace(res, value=0.5 * res.value)
         monkeypatch.setattr(calibr.cones, "comass", halved)
+        rng = np.random.default_rng(6)
+        xi = ExteriorElement(6, 3, {idx: rng.standard_normal()
+                                    for idx in lex_indices(6, 3)})
         with pytest.raises(RuntimeError, match="inverted"):
-            mass_norm_estimate(e_form(1, 2) + 0.5 * e_form(1, 3), gens)
+            mass_norm_estimate(xi, random_plane_set(6, 3, count=40, seed=9),
+                               max_rounds=2, comass_multistarts=4)
 
 
 class TestPositivity:

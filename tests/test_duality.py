@@ -278,6 +278,7 @@ class TestBoundaryAlternative:
                             lambda *args: (-a, True, 1.0, False, 'optimal'))
         res = boundary_alternative(model, S)
         assert res.dual is None and res.certificate is None
+        assert res.margin is None
         assert res.primal == 'Infeasible' and not res.consistent
 
     def test_unverified_min_mass_dual_is_no_certificate(self, omega, ss,
@@ -296,6 +297,7 @@ class TestBoundaryAlternative:
         res = boundary_alternative(model, S, lam=0.5)
         assert res.meta["lp_status"] == {"min_mass": "infeasible"}
         assert res.dual is None and res.certificate is None
+        assert res.margin is None
         assert res.primal == 'Infeasible' and not res.consistent
         assert not res.boundary_tie
 
@@ -351,6 +353,7 @@ class TestJensenAlternative:
                             lambda *args: (-a, True, 1.0, False, 'optimal'))
         res = jensen_alternative(model, [0, 1, 2, 3], 4)
         assert res.dual is None and res.certificate is None
+        assert res.margin is None
         assert res.primal == 'Infeasible' and not res.consistent
 
     def test_singleton_K(self, omega, ss):
@@ -817,23 +820,34 @@ class TestOrthonormalFamily:
          "sites must be finite"),
         ("jensen", {"sites": [[0.0, 0, 0, 0], [np.inf, 1, 1, 1]]},
          "sites must be finite"),
+        # the first boundary value; a NaN one read Feasible and consistent
+        ("duality", {"boundary": np.nan}, "boundary values must be finite"),
+        ("duality", {"boundary": -np.inf}, "boundary values must be finite"),
     ], ids=["jensen-degree-0", "duality-degree-minus-1", "jensen-flat-box",
-            "duality-nan-site", "jensen-infinite-site"])
+            "duality-nan-site", "jensen-infinite-site",
+            "duality-nan-boundary", "duality-infinite-boundary"])
     def test_empty_or_flat_family_rejected(self, omega, ss, capsys, tmp_path,
                                            command, kw, match):
         build = {"jensen": build_jensen_model,
                  "duality": build_boundary_model}[command]
         kw = {"sites": rng_stream(6, 6).uniform(-1, 1, size=(5, 4)), **kw}
-        sites = kw.pop("sites")
-        with pytest.raises(ValueError, match=match):
-            build(omega, sites, ss, **kw)
+        sites, bad = kw.pop("sites"), kw.pop("boundary", None)
+        values = [0.0]
+        if bad is None:
+            with pytest.raises(ValueError, match=match):
+                build(omega, sites, ss, **kw)
+        else:
+            model = build(omega, sites, ss)
+            values = [bad] + [0.0] * (len(model.test_family) - 1)
+            with pytest.raises(ValueError, match=match):
+                assemble_boundary_model(model, values)
         if "degree" in kw:
             argv = ["--random", "2", "--deg", str(kw["degree"])]
         else:
             # json writes NaN and Infinity, and the CLI reads them back
             path, S = tmp_path / "sites.json", tmp_path / "S.json"
             path.write_text(json.dumps(np.asarray(sites).tolist()))
-            S.write_text("[0.0]")
+            S.write_text(json.dumps(values))
             argv = ["--sites", str(path)] + (
                 ["--K", "0", "--x", "1"] if command == "jensen"
                 else ["--boundary", str(S)])
