@@ -175,7 +175,8 @@ class ExteriorElement:
     lex coefficients, in which every entry at most DROP_TOL in size is 0.0,
     except in an element built by ``from_coeff_vector`` with a smaller
     ``drop_tol``: the separating and dual forms of `cones` and the sigma
-    fit of `pluriharmonic_mod_d_residual` keep every nonzero entry."""
+    fit of `pluriharmonic_mod_d_residual` keep every nonzero entry.  Both
+    constructors raise on a NaN or infinite coefficient, naming its index."""
 
     __slots__ = ("n", "p", "vec")
 
@@ -194,6 +195,9 @@ class ExteriorElement:
             if any(a >= b for a, b in zip(idx, idx[1:])):
                 raise ValueError(f"index tuple {idx} is not strictly increasing")
             c = float(c)
+            if not math.isfinite(c):
+                raise ValueError(f"coefficient of {idx} must be finite, "
+                                 f"got {c!r}")
             if abs(c) > DROP_TOL:
                 vec[lex_position(self.n, self.p)[idx]] += c
         if coeffs:
@@ -227,9 +231,14 @@ class ExteriorElement:
         if vec.size != math.comb(n, p):
             raise ValueError(f"coefficient vector has size {vec.size}, "
                              f"expected {math.comb(n, p)}")
-        out = cls(n, p)
-        # a fresh array: entries at most drop_tol, -0.0 and NaN become 0.0
-        out.vec = np.where(np.abs(vec) > drop_tol, vec, 0.0)
+        out = cls(n, p)     # checks the degree, so vec has an entry
+        mag = np.abs(vec)
+        if not mag.max() < np.inf:      # False for NaN too
+            k = int(np.flatnonzero(~np.isfinite(vec))[0])
+            raise ValueError(f"coefficient of {lex_indices(n, p)[k]} must "
+                             f"be finite, got {vec[k]!r}")
+        # a fresh array: entries at most drop_tol and -0.0 become 0.0
+        out.vec = np.where(mag > drop_tol, vec, 0.0)
         out.vec.flags.writeable = False
         return out
 

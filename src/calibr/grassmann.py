@@ -19,11 +19,13 @@ Lagrangian, associative, coassociative, Cayley and quaternionic forms that
 it is attained on a plane drawn from G(phi).  On every other form it is a
 best-found lower bound with a multistart saturation heuristic, and no global
 certificate is claimed.  Every phi-plane, of R^n or inside a hyperplane,
-comes from one source, `grassmann`: drawn from G(phi) on those forms
-(``exact=True``), elsewhere a local maximizer of a multistart ascent; a
-sample is the distinct planes it gives, held as one stack of frames.
-Constrained extrema over G(phi) are exact (one eigendecomposition) for
-Kaehler forms in degree 2 and codegree 2, else best-found.  The structure
+comes from one source, `grassmann`: drawn from G(phi) on those forms and on
+every degree-2 or codegree-2 calibration, whose G(phi) is the complex lines
+of its top singular block (``exact=True``), elsewhere a local maximizer of a
+multistart ascent; a sample is the distinct planes it gives, held as one
+stack of frames.  Constrained extrema over G(phi) are exact (one
+eigendecomposition) for Kaehler forms in degree 2 and codegree 2, whose
+block is all of R^n, else best-found.  The structure
 is detected once per form and kept, so every route that asks for it
 (`kaehler_structure` too) reads the same one.
 """
@@ -508,12 +510,15 @@ def grassmann(cal: Calibration, seed, normal=None) -> PlaneSource:
     On the forms `phi_structure` recognizes the planes are drawn from the
     streams (seed, start) by `PhiStructure.draw`; on every other form they
     are ascended to (`_ascent_source`).  No p-plane lies in a hyperplane of
-    R^p."""
+    R^p, and on a structure none lies in the hyperplanes it does not meet
+    (`PhiStructure.meets`)."""
     if normal is not None and cal.p == cal.n:
         return PlaneSource(None, True)
     structure = phi_structure(cal.form)
     if structure is None:
         return _ascent_source(cal, seed, normal)
+    if normal is not None and not structure.meets(normal):
+        return PlaneSource(None, True)
 
     def draw(start, size):
         U, values = structure._draw(rng_stream(seed, start), size, normal)
@@ -636,7 +641,9 @@ class ExtremumResult:
 def kaehler_structure(phi: ExteriorElement):
     """J of `phi_structure` when it finds a Kaehler form, whose G(phi) is
     the complex lines v ^ Jv (their orthogonal complements in codegree 2);
-    else None.  Detected once per form, and read-only."""
+    else None, also for a form Kaehler only on a proper top block
+    (``kaehler_block``), where J is no complex structure of R^n.  Detected
+    once per form, and read-only."""
     structure = phi_structure(phi)
     if structure is None or structure.kind != "kaehler":
         return None
@@ -816,6 +823,14 @@ def phi_structure(phi: ExteriorElement):
     - Kaehler: phi, or *phi in codegree 2, is a 2-form whose skew matrix W
       is orthogonal; G(phi) is the complex lines v ^ Jv, J = -W, or their
       complements in codegree 2;
+    - Kaehler on a block (``kaehler_block``): W is not orthogonal, but its
+      top singular value is 1, so phi is a calibration.  With *phi or phi
+      in the normal form sum_k lambda_k e_{2k-1} ^ e_{2k}, G(phi) is the
+      complex lines v ^ Jv, J = -W, of the span E of the pairs with
+      lambda_k = 1, or their complements in codegree 2 (Harvey-Lawson,
+      ibid.).  E is the eigenspace of W^T W for the eigenvalues within
+      STRUCTURE_TOL of 1, on which J is orthogonal; ops are J and
+      orthonormal rows spanning E;
     - associative (`_g2_tensor`): u ^ v ^ (u x v);
     - coassociative, *phi associative: the complements of those;
     - Cayley (`_spin7_tensor`): u ^ v ^ w ^ (u x v x w);
@@ -824,7 +839,7 @@ def phi_structure(phi: ExteriorElement):
     - quaternionic, phi the `calibrations` form for (I, J, K) of
       `quaternionic_structure`: the lines span{v, Iv, Jv, Kv}.
 
-    The identities of the first four are invariant under O(n), so they also
+    The identities of the first five are invariant under O(n), so they also
     find the form in rotated coordinates; the last two match the catalogue
     coordinates only.  Detected once per form: the structure is kept, with
     read-only arrays, for the last _STRUCTURE_CACHE_SIZE coefficient
@@ -845,6 +860,12 @@ def _detect_structure(phi: ExteriorElement):
         W = _degree_two_skew(phi)
         if np.abs(W @ W.T - np.eye(n)).max() <= STRUCTURE_TOL:
             return PhiStructure("kaehler", phi, -W)
+        # the eigenvalues of W^T W are the squared singular values: a top
+        # one of 1 makes phi a calibration, Kaehler on its eigenspace
+        lam, V = np.linalg.eigh(W.T @ W)
+        top = np.abs(lam - 1.0) <= STRUCTURE_TOL
+        if top[-1]:
+            return PhiStructure("kaehler_block", phi, -W, V[:, top].T)
     if n == 7 and p in (3, 4):
         T = _g2_tensor(phi if p == 3 else hodge_star(phi))
         if T is not None:
@@ -904,29 +925,45 @@ class PhiStructure:
         """(count, n, p) stack of orthonormal frames of planes of G(phi),
         drawn from Haar vectors of rng; with a normal, of planes of G(phi)
         inside the hyperplane normal^perp, as a (0, n, p) stack when there
-        is none (p = n).  Raises if a drawn plane misses phi = 1 or the
+        is none (`meets`).  Raises if a drawn plane misses phi = 1 or the
         hyperplane by more than STRUCTURE_TOL."""
         return self._draw(rng, count, normal)[0]
+
+    def meets(self, normal) -> bool:
+        """Whether a plane of G(phi) lies in the hyperplane normal^perp.
+        None does when p = n.  For a Kaehler block E (p = 2) one does when
+        dim E > 2 or normal is orthogonal to E, and a complement (codegree
+        2) does when normal lies in E, all to STRUCTURE_TOL; on the other
+        structures one always does."""
+        if self.p == self.n:
+            return False
+        if self.kind != "kaehler_block":
+            return True
+        E = self.ops[1]
+        a = np.asarray(normal, dtype=float) / np.linalg.norm(normal)
+        if self.p == 2:
+            return len(E) > 2 or np.linalg.norm(E @ a) <= STRUCTURE_TOL
+        return np.linalg.norm(a - (E @ a) @ E) <= STRUCTURE_TOL
 
     def _draw(self, rng, count, normal=None):
         """The frames `draw` gives, and phi on each."""
         if normal is not None:
-            if self.p == self.n:
-                return np.empty((0, self.n, self.p)), np.empty(0)
             normal = np.asarray(normal, dtype=float)
             normal = normal / np.linalg.norm(normal)
+            if not self.meets(normal):
+                return np.empty((0, self.n, self.p)), np.empty(0)
             at = np.broadcast_to(normal, (count, self.n))
         else:
             at = None
         U = getattr(self, "_draw_" + self.kind)(rng, count, at)
         values = _pluecker(U) @ self._phi_vec
         off = np.abs(values - 1.0).max(initial=0.0)
-        if off > STRUCTURE_TOL:
+        if not off <= STRUCTURE_TOL:        # a NaN draw fails too
             raise RuntimeError(f"{self.kind} draw off G(phi): |phi - 1| = "
                                f"{off!r}")
         if at is not None:
             off = np.abs(normal @ U).max(initial=0.0)
-            if off > STRUCTURE_TOL:
+            if not off <= STRUCTURE_TOL:
                 raise RuntimeError(f"{self.kind} draw leaves the hyperplane "
                                    f"by {off!r}")
         return U, values
@@ -943,6 +980,25 @@ class PhiStructure:
             v = at
         else:
             v = _haar_perp(rng, count, self.n, at, at @ J.T)
+        return kaehler_planes(v, J, self.phi)
+
+    def _draw_kaehler_block(self, rng, count, at):
+        # v Haar on the unit sphere of the top block E, drawn in the
+        # coordinates of its orthonormal rows
+        J, E = self.ops
+        if at is not None and self.p != 2:
+            # at lies in E (`meets`), and a complement lies in at^perp
+            # when its line contains at
+            return kaehler_planes(at, J, self.phi)
+        fixed = ()
+        # with dim E = 2, `meets` lets through only an at orthogonal to E
+        a = E @ at[0] if at is not None and len(E) > 2 else np.zeros(0)
+        if np.linalg.norm(a) > STRUCTURE_TOL:
+            # at projected to E, in E's coordinates: v ^ Jv lies in at^perp
+            # when v is orthogonal to a and Ja
+            a = a / np.linalg.norm(a)
+            fixed = (a, a @ (E @ J.T @ E.T))
+        v = _haar_perp(rng, count, len(E), *fixed) @ E
         return kaehler_planes(v, J, self.phi)
 
     def _associative_planes(self, rng, count, u, *constraints):

@@ -15,8 +15,9 @@ hyperplane, exact when that restriction is Kaehler (as for the
 coassociative form, and for a Kaehler 2-form restricted to the complex
 hyperplane of its tangential complex lines) and best-found otherwise, or
 the Hessian's exact value on the one plane drawn in the hyperplane when
-every draw is that plane (Kaehler(2,1), Kaehler(3,2), quaternionic(2)); a
-vacuous answer is exact when the source says so.
+every draw is that plane (Kaehler(2,1), Kaehler(3,2), quaternionic(2), and
+lambda_example on a hyperplane holding its plane e12); a vacuous answer is
+exact when the source says so.
 """
 
 from __future__ import annotations

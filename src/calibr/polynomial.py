@@ -18,7 +18,8 @@ from .exterior import ExteriorElement, lex_indices, lex_position, wedge_table
 
 
 class Polynomial:
-    """Polynomial in n variables, stored as {exponent tuple: coefficient}."""
+    """Polynomial in n variables, stored as {exponent tuple: coefficient};
+    raises on a NaN or infinite coefficient, naming its exponents."""
 
     __slots__ = ("n", "terms")
 
@@ -30,7 +31,10 @@ class Polynomial:
             if len(exps) != self.n or any(e < 0 for e in exps):
                 raise ValueError(f"bad exponent tuple {exps} for n={self.n}")
             c = float(c)
-            if abs(c) > 0.0:        # drops zeros and NaN
+            if not math.isfinite(c):
+                raise ValueError(f"coefficient of {exps} must be finite, "
+                                 f"got {c!r}")
+            if c != 0.0:
                 clean[exps] = clean.get(exps, 0.0) + c
         self.terms = {k: v for k, v in clean.items() if v != 0.0}
 

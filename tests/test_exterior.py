@@ -294,6 +294,23 @@ class TestFromCoeffVector:
             ExteriorElement.from_coeff_vector(4, 2, np.ones(5))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+class TestNonFiniteCoefficients:
+    """NaN used to be dropped silently and an infinity kept; both
+    constructors raise and name the first bad entry's index."""
+
+    def test_init_rejects(self, bad):
+        with pytest.raises(ValueError, match=r"\(3, 4\) must be finite"):
+            ExteriorElement(4, 2, {(1, 2): 1.0, (3, 4): bad})
+
+    @pytest.mark.parametrize("drop_tol", [DROP_TOL, 0.0])
+    def test_from_coeff_vector_rejects(self, bad, drop_tol):
+        # e23 sits at lex position 3
+        vec = np.array([1.0, 0.0, 0.5, bad, bad, 0.0])
+        with pytest.raises(ValueError, match=r"\(2, 3\) must be finite"):
+            ExteriorElement.from_coeff_vector(4, 2, vec, drop_tol=drop_tol)
+
+
 class TestOneVector:
     def test_vector_is_read_only_and_copied_out(self):
         vec = rng.standard_normal(10)

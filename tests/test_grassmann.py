@@ -5,18 +5,19 @@ import pytest
 
 import calibr.grassmann
 from calibr.acceptance import COMASS_ENTRIES, NORMAL_ENTRIES
-from calibr.calibrations import CATALOGUE_SPECS, catalogue
+from calibr.calibrations import CATALOGUE_SPECS, Calibration, catalogue
 from calibr.cones import cone_membership
 from calibr.exterior import (ExteriorElement, SimplePlane, _pluecker,
-                             angular_distance, interior_product, lex_indices,
-                             pairing, simple_from_frame, wedge)
+                             angular_distance, hodge_star, interior_product,
+                             lex_indices, pairing, simple_from_frame, wedge)
 from calibr.grassmann import (DEDUP_ANGLE, DEFAULT_GTOL, FormEvaluator,
                               PhiStructure,
                               _STRUCTURE_CACHE_SIZE, _comass_ascent,
-                              _ascent_source, _collect_planes,
+                              _ascent_source, _collect_planes, _haar_perp,
                               _exact_frame, _random_frames, comass,
                               constrained_extremum,
-                              hyperplane_basis, kaehler_structure,
+                              hyperplane_basis, kaehler_planes,
+                              kaehler_structure,
                               phi_structure, polish_plane, pullback,
                               random_frame, random_plane_set,
                               reduce_calibration, rng_stream,
@@ -542,10 +543,15 @@ class TestPhiStructure:
         assoc = catalogue("associative").form
         rng = np.random.default_rng(43)
         for phi in (assoc + dx(7, 1, 2, 4) * 1e-6,
-                    catalogue("lambda_example", 0.5).form,
                     ExteriorElement.from_coeff_vector(
                         7, 3, rng.standard_normal(35))):
             assert phi_structure(phi) is None
+
+    def test_detects_lambda_example(self):
+        # e12 + 0.5 e34: Kaehler on the top block span{e1, e2} only
+        st = phi_structure(catalogue("lambda_example", 0.5).form)
+        assert st.kind == "kaehler_block"
+        assert np.array_equal(np.abs(st.ops[1]), np.eye(4)[:2])
 
     @pytest.mark.parametrize("phi", [
         catalogue(name, *params).form for name, params in NORMAL_ENTRIES]
@@ -578,6 +584,133 @@ class TestPhiStructure:
         J = kaehler_structure(catalogue("kaehler", 2, 1).form)
         with pytest.raises(RuntimeError, match="off G"):
             PhiStructure("kaehler", lam, J).draw(rng_stream(0, 0), 4)
+        # a NaN draw fails the check too: NaN > STRUCTURE_TOL is False
+        with pytest.raises(RuntimeError, match="off G"):
+            PhiStructure("kaehler", catalogue("kaehler", 2, 1).form,
+                         np.full((4, 4), np.nan)).draw(rng_stream(0, 0), 4)
+
+
+def block_form(n, lams, seed, codegree=False):
+    """sum_k lams[k] e_{2k-1} ^ e_{2k} on R^n pulled back by a random
+    orthogonal matrix with determinant -1, or its Hodge star; and the
+    orthogonal projector onto the rotated top block, where lams is 1."""
+    phi = ExteriorElement(n, 2, {(2 * k + 1, 2 * k + 2): lam
+                                 for k, lam in enumerate(lams)})
+    R = random_frame(n, n, np.random.default_rng(seed))
+    if np.linalg.det(R) > 0:
+        R[:, 0] = -R[:, 0]
+    top = R[[i for k, lam in enumerate(lams) if lam == 1.0
+             for i in (2 * k, 2 * k + 1)]]
+    phi = pullback(phi, R)
+    return (hodge_star(phi) if codegree else phi), top.T @ top
+
+
+# (n, singular values, dim of the top block)
+BLOCK_FORMS = [(5, (1.0, 0.6), 2), (5, (1.0, 1.0), 4),
+               (6, (1.0, 0.5, 0.3), 2), (6, (0.7, 1.0, 1.0), 4)]
+
+
+class TestKaehlerBlock:
+    """Degree-2 and codegree-2 calibrations that are Kaehler on a proper
+    top block E of their skew matrix: G(phi) is the complex lines of E
+    (their complements in codegree 2), drawn from Haar vectors of E."""
+
+    @pytest.fixture(params=[(case, co) for case in BLOCK_FORMS
+                            for co in (False, True)],
+                    ids=lambda c: f"n{c[0][0]}-E{c[0][2]}"
+                    + ("-star" if c[1] else ""))
+    def block(self, request):
+        (n, lams, dim), codegree = request.param
+        phi, P = block_form(n, lams, 67 + n + dim, codegree)
+        return Calibration(phi, "block"), P, dim
+
+    def test_detected(self, block):
+        cal, P, dim = block
+        st = phi_structure(cal.form)
+        assert st.kind == "kaehler_block"
+        E = st.ops[1]
+        assert E.shape == (dim, cal.n)
+        assert np.abs(E.T @ E - P).max() < 1e-12
+        assert kaehler_structure(cal.form) is None
+
+    def test_draws_lie_on_the_grassmannian(self, block):
+        cal, P, dim = block
+        st = phi_structure(cal.form)
+        ev = FormEvaluator(cal.form)
+        rng = np.random.default_rng(71)
+        # normals a phi-plane lies orthogonal to: in degree 2 any normal
+        # when dim E > 2, else one orthogonal to E; in codegree 2 one in E
+        if cal.p == 2:
+            normals = [rng.standard_normal(cal.n) @ (np.eye(cal.n) - P)]
+            if dim > 2:
+                normals.append(rng.standard_normal(cal.n))
+        else:
+            normals = [rng.standard_normal(cal.n) @ P]
+        for at in [None] + normals:
+            U = st.draw(rng_stream(73, 0), 40, at)
+            assert U.shape == (40, cal.n, cal.p)
+            gram = U.transpose(0, 2, 1) @ U
+            assert np.abs(gram - np.eye(cal.p)).max() < 1e-12
+            assert max(abs(ev.value(Uk) - 1.0) for Uk in U) < 1e-12
+            if at is not None:
+                assert np.abs(at @ U).max() < 1e-12 * np.linalg.norm(at)
+
+    def test_no_plane_inside_the_hyperplane(self, block):
+        # a complex line of E lies in at^perp only when at is orthogonal
+        # to E or dim E > 2; a complement only when at lies in E
+        cal, P, dim = block
+        at = np.random.default_rng(79).standard_normal(cal.n)
+        if cal.p == 2 and dim > 2:
+            assert phi_structure(cal.form).meets(at)
+            return
+        assert not phi_structure(cal.form).meets(at)
+        assert phi_structure(cal.form).draw(rng_stream(0, 0), 5, at).shape \
+            == (0, cal.n, cal.p)
+        source = calibr.grassmann.grassmann(cal, 0, at)
+        assert source.take is None and source.exact
+
+    def test_span_matches_the_ascent(self, block):
+        cal, _, _ = block
+        drawn = sample_grassmannian(cal, count=12, seed=83)
+        ascended = _collect_planes(cal, _ascent_source(cal, 83), 1e-6, 12)
+        assert drawn.exact and not ascended.exact
+        A = span_split(drawn.pvectors())[0]
+        B = span_split(ascended.pvectors())[0]
+        assert len(A) == len(B)
+        assert np.linalg.norm(A.T @ A - B.T @ B, 2) < 1e-8
+
+    @pytest.mark.parametrize("codegree", [False, True])
+    def test_top_singular_value_off_one_rejected(self, codegree):
+        # scaled off a calibration, and a singular value 1 below the top
+        for n, lams, _ in BLOCK_FORMS + [(6, (1.5, 1.0, 0.2), 0)]:
+            phi = block_form(n, lams, 89, codegree)[0]
+            for scale in ((0.9, 1.0 + 1e-9, 1.5) if max(lams) == 1.0
+                          else (1.0,)):
+                assert phi_structure(scale * phi) is None
+
+    @pytest.mark.parametrize("name,params", [
+        ("kaehler", (2, 1)), ("kaehler", (3, 1)), ("kaehler", (3, 2)),
+        ("volume", (2,))])
+    def test_kaehler_draws_unchanged(self, name, params):
+        # a Kaehler form keeps its draw: v Haar on R^n (orthogonal to at
+        # and J at in degree 2, v = at in codegree 2), and no block
+        cal = catalogue(name, *params)
+        st = phi_structure(cal.form)
+        assert st.kind == "kaehler" and len(st.ops) == 1
+        J = st.ops[0]
+        at = np.random.default_rng(97).standard_normal(cal.n)
+        rng = rng_stream(101, 0)
+        assert np.array_equal(st.draw(rng_stream(101, 0), 9),
+                              kaehler_planes(_haar_perp(rng, 9, cal.n), J,
+                                             cal.form))
+        if cal.p == cal.n:
+            return
+        ats = np.broadcast_to(at / np.linalg.norm(at), (9, cal.n))
+        rng = rng_stream(103, 0)
+        v = ats if cal.p != 2 else _haar_perp(rng, 9, cal.n, ats,
+                                              ats @ J.T)
+        assert np.array_equal(st.draw(rng_stream(103, 0), 9, at),
+                              kaehler_planes(v, J, cal.form))
 
 
 class TestStructureMemo:

@@ -47,6 +47,12 @@ class TestPolynomial:
         with pytest.raises(ValueError, match="3 coordinates"):
             f(x)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_coefficient_rejected(self, bad):
+        # NaN used to be dropped silently (read as x1^2) and an infinity kept
+        with pytest.raises(ValueError, match=r"\(0, 2\) must be finite"):
+            Polynomial(2, {(2, 0): 1.0, (0, 2): bad})
+
     @pytest.mark.parametrize("shape", [(2, 2), (1, 4), (3,), (1, 1, 3)])
     def test_point_stack_of_the_wrong_shape_rejected(self, shape):
         with pytest.raises(ValueError, match="3 coordinates"):
