@@ -1,8 +1,9 @@
 """Convex geometry of the positivity cones attached to a calibration.
 
-Cone queries on a Kaehler form in degree 2 or codegree 2 are exact (one
-eigendecomposition, `grassmann.kaehler_structure`), and so is the mass norm
-wherever the comass is.  Other cone queries run against a finite sample of
+Cone queries on a Kaehler form are exact (one eigendecomposition on its top
+singular block, `grassmann.kaehler_structure`), which covers every
+calibration in degree 2 and codegree 2, and so is the mass norm wherever
+the comass is.  Other cone queries run against a finite sample of
 G(phi), grown for cone membership by column generation (each round prices
 the NNLS residual with one constrained extremum over G(phi): sampled starts
 polished onto G(phi) and refined tangentially), which approximates the
@@ -94,57 +95,61 @@ def cone_membership(xi: ExteriorElement, cal: Calibration,
         raise ValueError("degree/dimension mismatch between xi and calibration")
     xi_vec = xi.to_coeff_vector()
     scale = max(np.linalg.norm(xi_vec), 1e-300)
-    J = kaehler_structure(cal.form)
-    if J is None:
+    structure = kaehler_structure(cal.form)
+    exact = structure is not None
+    if not exact:
         if len(samples) == 0:
             raise ValueError("empty sample set")
         planes, A, coeffs, res, pricing, capped = _sampled_membership(
             xi, xi_vec, scale, cal, samples, max_rounds, seed)
     else:
-        planes, coeffs = _kaehler_atoms(xi, cal, J)
+        planes, coeffs = _kaehler_atoms(xi, cal, *structure)
         A = np.column_stack([pl.pvector().to_coeff_vector() for pl in planes])
         capped = False
     r = xi_vec - A @ coeffs
-    residual = (res if J is None else np.linalg.norm(r)) / scale
+    residual = (np.linalg.norm(r) if exact else res) / scale
     tolerances = {"membership_tol": MEMBERSHIP_TOL,
                   "boundary_tol": BOUNDARY_TOL}
     meta = {"sample_count": len(samples), "atom_count": len(planes),
             "residual": residual, "planes": planes,
-            "weights": coeffs, "exact": J is not None, "capped": capped}
+            "weights": coeffs, "exact": exact, "capped": capped}
     if residual > MEMBERSHIP_TOL:
         sep = ExteriorElement.from_coeff_vector(
             cal.n, cal.p, -r / np.linalg.norm(r), drop_tol=0.0)
         meta["separating_form"] = sep
-        meta["separating_min"] = (pricing if J is None else
-                                  constrained_extremum(sep, cal, samples,
-                                                       "min"))
+        meta["separating_min"] = (constrained_extremum(sep, cal, samples,
+                                                       "min")
+                                  if exact else pricing)
         return ConeReport("Outside", -residual, None, tolerances, None, meta)
     certificate = None
     if residual <= 1e-8:
         active = [(float(c), pl) for c, pl in zip(coeffs, planes) if c > 1e-12]
         certificate = {"weights": [c for c, _ in active],
                        "planes": [pl for _, pl in active]}
-    margin = (coeffs.min() / scale if J is not None
+    margin = (coeffs.min() / scale if exact
               else _member_margin(A, coeffs / scale))
     status = "Boundary" if abs(margin) <= BOUNDARY_TOL else "Interior"
     return ConeReport(status, margin, certificate, tolerances, None, meta)
 
 
-def _kaehler_atoms(xi, cal, J):
-    """The n/2 orthogonal eigen-lines u ^ Ju of S = `kaehler_matrix`
-    sym(X J) as phi-planes, and their eigenvalues clipped at zero.  xi is a
-    sum of complex lines iff X J is symmetric positive semidefinite
-    (Harvey-Knapp 1974); S commutes with J, so the weighted lines are the
-    nearest point of the cone to xi."""
-    n = cal.n
-    S = kaehler_matrix(xi, J)
-    # on the +i eigenspace of J (projector Pi) S has the n/2 eigenvalues of
-    # the lines, with z = (u - iJu)/sqrt 2; the rest is shifted below them
-    Pi = (np.eye(n) - 1j * J) / 2.0
+def _kaehler_atoms(xi, cal, J, E):
+    """The m/2 orthogonal eigen-lines u ^ Ju of the top block E (m = dim E)
+    for S = `kaehler_matrix` sym(X J) in E's coordinates, as phi-planes,
+    and their eigenvalues clipped at zero.  xi is a sum of complex lines of
+    E iff it lies in the lines' span and X J is symmetric positive
+    semidefinite on E (Harvey-Knapp 1974); S commutes with J_E = E J E^T,
+    and the lines' span is orthogonal to the rest of xi, so the weighted
+    lines are the nearest point of the cone to xi."""
+    m = len(E)
+    S = E @ kaehler_matrix(xi, J) @ E.T
+    # on the +i eigenspace of J_E (projector Pi) S has the m/2 eigenvalues
+    # of the lines, with z = (u - iJu)/sqrt 2; the rest is shifted below
+    Pi = (np.eye(m) - 1j * (E @ J @ E.T)) / 2.0
     lam, Z = np.linalg.eigh(S @ Pi - (np.abs(S).sum() + 1.0) * Pi.conj())
-    U = np.sqrt(2.0) * Z[:, n // 2:].real
-    return ([SimplePlane(F.T) for F in kaehler_planes(U.T, J, cal.form)],
-            np.maximum(lam[n // 2:], 0.0))
+    U = np.sqrt(2.0) * Z[:, m // 2:].real
+    return ([SimplePlane(F.T) for F in kaehler_planes(U.T @ E, J,
+                                                       cal.form)],
+            np.maximum(lam[m // 2:], 0.0))
 
 
 def _sampled_membership(xi, xi_vec, scale, cal, samples, max_rounds, seed):

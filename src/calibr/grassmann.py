@@ -16,18 +16,17 @@ a closed form (a vector norm, or the top singular value of a skew matrix,
 through the Hodge star for n-2 and n-1), and on the Kaehler, special
 Lagrangian, associative, coassociative, Cayley and quaternionic forms that
 `phi_structure` recognizes, whose defining identity proves comass one; there
-it is attained on a plane drawn from G(phi).  On every other form it is a
-best-found lower bound with a multistart saturation heuristic, and no global
-certificate is claimed.  Every phi-plane, of R^n or inside a hyperplane,
-comes from one source, `grassmann`: drawn from G(phi) on those forms and on
-every degree-2 or codegree-2 calibration, whose G(phi) is the complex lines
-of its top singular block (``exact=True``), elsewhere a local maximizer of a
-multistart ascent; a sample is the distinct planes it gives, held as one
-stack of frames.  Constrained extrema over G(phi) are exact (one
-eigendecomposition) for Kaehler forms in degree 2 and codegree 2, whose
-block is all of R^n, else best-found.  The structure
-is detected once per form and kept, so every route that asks for it
-(`kaehler_structure` too) reads the same one.
+it is attained on a plane drawn from G(phi).  Every degree-2 or codegree-2
+calibration is Kaehler on its top singular block E, whose complex lines
+are G(phi).  On every other form comass is a best-found lower bound with a
+multistart saturation heuristic, and no global certificate is claimed.
+Every phi-plane, of R^n or inside a hyperplane, comes from one source,
+`grassmann`: drawn from G(phi) on those forms (``exact=True``), elsewhere a
+local maximizer of a multistart ascent; a sample is the distinct planes it
+gives, held as one stack of frames.  Constrained extrema over G(phi) are
+exact on Kaehler forms (one eigendecomposition in the coordinates of E),
+else best-found.  The structure is detected once per form and kept, so
+every route that asks for it (`kaehler_structure` too) reads the same one.
 """
 
 from __future__ import annotations
@@ -639,15 +638,15 @@ class ExtremumResult:
 
 
 def kaehler_structure(phi: ExteriorElement):
-    """J of `phi_structure` when it finds a Kaehler form, whose G(phi) is
-    the complex lines v ^ Jv (their orthogonal complements in codegree 2);
-    else None, also for a form Kaehler only on a proper top block
-    (``kaehler_block``), where J is no complex structure of R^n.  Detected
-    once per form, and read-only."""
+    """(J, E) of `phi_structure` when it finds a Kaehler form: phi, or *phi
+    in codegree 2, is Kaehler on its top singular block E, the span of E's
+    orthonormal rows (exactly np.eye(n) when that block is R^n), and G(phi)
+    is the complex lines v ^ Jv, v in E (their orthogonal complements in
+    codegree 2); else None.  Detected once per form, and read-only."""
     structure = phi_structure(phi)
     if structure is None or structure.kind != "kaehler":
         return None
-    return structure.ops[0]
+    return structure.ops
 
 
 def _degree_two_skew(x: ExteriorElement) -> np.ndarray:
@@ -687,21 +686,24 @@ def constrained_extremum(alpha: ExteriorElement, cal: Calibration,
     """Extremize alpha over the phi-Grassmannian.
 
     For a Kaehler form (`kaehler_structure`) the extremum is an end
-    eigenvalue of `kaehler_matrix`, attained on its eigenvector's plane
-    (``exact=True``; the start options have nothing to tune).  Otherwise the
-    sampled planes and `extra_starts` random frames are polished onto G(phi)
-    and the best of them refined tangentially (`_tangential_extremum`); the
-    sample must not be empty there, while the Kaehler route reads none."""
+    eigenvalue of `kaehler_matrix` in the coordinates of the block E,
+    attained on its eigenvector's plane (``exact=True``; the start options
+    have nothing to tune).  Otherwise the sampled planes and `extra_starts`
+    random frames are polished onto G(phi) and the best of them refined
+    tangentially (`_tangential_extremum`); the sample must not be empty
+    there, while the Kaehler route reads none."""
     if mode not in ("min", "max"):
         raise ValueError(f"mode must be 'min' or 'max', got {mode!r}")
-    J = kaehler_structure(cal.form)
-    if J is None:
+    structure = kaehler_structure(cal.form)
+    if structure is None:
         if len(samples) == 0:
             raise ValueError("empty sample set")
         return _tangential_extremum(alpha, cal, samples, mode, extra_starts,
                                     seed, starts_limit)
-    V = np.linalg.eigh(kaehler_matrix(alpha, J))[1]
-    U = kaehler_planes(V[:, [0 if mode == "min" else -1]].T, J, cal.form)[0]
+    J, E = structure
+    V = np.linalg.eigh(E @ kaehler_matrix(alpha, J) @ E.T)[1]
+    U = kaehler_planes(V[:, [0 if mode == "min" else -1]].T @ E, J,
+                       cal.form)[0]
     return ExtremumResult(FormEvaluator(alpha).value(U), SimplePlane(U.T),
                           FormEvaluator(cal.form).value(U), mode, exact=True)
 
@@ -821,16 +823,13 @@ def phi_structure(phi: ExteriorElement):
     1982), or None:
 
     - Kaehler: phi, or *phi in codegree 2, is a 2-form whose skew matrix W
-      is orthogonal; G(phi) is the complex lines v ^ Jv, J = -W, or their
-      complements in codegree 2;
-    - Kaehler on a block (``kaehler_block``): W is not orthogonal, but its
-      top singular value is 1, so phi is a calibration.  With *phi or phi
-      in the normal form sum_k lambda_k e_{2k-1} ^ e_{2k}, G(phi) is the
+      has top singular value 1, so phi is a calibration.  In the normal
+      form sum_k lambda_k e_{2k-1} ^ e_{2k} of phi or *phi, G(phi) is the
       complex lines v ^ Jv, J = -W, of the span E of the pairs with
-      lambda_k = 1, or their complements in codegree 2 (Harvey-Lawson,
-      ibid.).  E is the eigenspace of W^T W for the eigenvalues within
-      STRUCTURE_TOL of 1, on which J is orthogonal; ops are J and
-      orthonormal rows spanning E;
+      lambda_k = 1, or their complements in codegree 2.  E is the
+      eigenspace of W^T W for the eigenvalues within STRUCTURE_TOL of 1, on
+      which J is orthogonal; ops are J and orthonormal rows spanning E,
+      exactly np.eye(n) when E is R^n;
     - associative (`_g2_tensor`): u ^ v ^ (u x v);
     - coassociative, *phi associative: the complements of those;
     - Cayley (`_spin7_tensor`): u ^ v ^ w ^ (u x v x w);
@@ -858,14 +857,13 @@ def _detect_structure(phi: ExteriorElement):
     n, p = phi.n, phi.p
     if p >= 2 and 2 in (p, n - p):
         W = _degree_two_skew(phi)
-        if np.abs(W @ W.T - np.eye(n)).max() <= STRUCTURE_TOL:
-            return PhiStructure("kaehler", phi, -W)
         # the eigenvalues of W^T W are the squared singular values: a top
         # one of 1 makes phi a calibration, Kaehler on its eigenspace
         lam, V = np.linalg.eigh(W.T @ W)
         top = np.abs(lam - 1.0) <= STRUCTURE_TOL
         if top[-1]:
-            return PhiStructure("kaehler_block", phi, -W, V[:, top].T)
+            return PhiStructure("kaehler", phi, -W,
+                                np.eye(n) if top.all() else V[:, top].T)
     if n == 7 and p in (3, 4):
         T = _g2_tensor(phi if p == 3 else hodge_star(phi))
         if T is not None:
@@ -931,13 +929,13 @@ class PhiStructure:
 
     def meets(self, normal) -> bool:
         """Whether a plane of G(phi) lies in the hyperplane normal^perp.
-        None does when p = n.  For a Kaehler block E (p = 2) one does when
-        dim E > 2 or normal is orthogonal to E, and a complement (codegree
-        2) does when normal lies in E, all to STRUCTURE_TOL; on the other
-        structures one always does."""
+        None does when p = n.  For a Kaehler form with block E (p = 2) one
+        does when dim E > 2 or normal is orthogonal to E, and a complement
+        (codegree 2) does when normal lies in E, all to STRUCTURE_TOL; on
+        the other structures one always does."""
         if self.p == self.n:
             return False
-        if self.kind != "kaehler_block":
+        if self.kind != "kaehler":
             return True
         E = self.ops[1]
         a = np.asarray(normal, dtype=float) / np.linalg.norm(normal)
@@ -972,17 +970,6 @@ class PhiStructure:
     # rows, or None, and returns the frames
 
     def _draw_kaehler(self, rng, count, at):
-        J, = self.ops
-        if at is None:
-            v = _haar_perp(rng, count, self.n)
-        elif self.p != 2:
-            # a complement lies in at^perp when its line contains at
-            v = at
-        else:
-            v = _haar_perp(rng, count, self.n, at, at @ J.T)
-        return kaehler_planes(v, J, self.phi)
-
-    def _draw_kaehler_block(self, rng, count, at):
         # v Haar on the unit sphere of the top block E, drawn in the
         # coordinates of its orthonormal rows
         J, E = self.ops

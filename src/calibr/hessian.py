@@ -11,9 +11,9 @@ and level-set flatness take their phi-planes, in R^n and inside a
 hyperplane, from the one source `grassmann.grassmann`, which draws them
 from G(phi) itself on the forms `phi_structure` recognizes.  Flatness is one
 `constrained_extremum` on the calibration restricted to the tangent
-hyperplane, exact when that restriction is Kaehler (as for the
-coassociative form, and for a Kaehler 2-form restricted to the complex
-hyperplane of its tangential complex lines) and best-found otherwise, or
+hyperplane, exact when that restriction is Kaehler on its top singular
+block (a 2-form or an (n-3)-form restricting to a calibration: Kaehler
+forms, special Lagrangian(3), coassociative) and best-found otherwise, or
 the Hessian's exact value on the one plane drawn in the hyperplane when
 every draw is that plane (Kaehler(2,1), Kaehler(3,2), quaternionic(2), and
 lambda_example on a hyperplane holding its plane e12); a vacuous answer is
@@ -169,10 +169,9 @@ def phi_flat_check(f: ScalarField, x, cal: Calibration, tol=1e-8,
     Those are the phi-planes inside W = grad f(x)^perp, so the check is
     `constrained_extremum` of the Hessian pulled back to W over phi
     restricted to W, seeded with the first FLAT_STARTS planes `grassmann`
-    finds inside W (drawn, or ascended on phi|W).  For a Kaehler 2-form with
-    structure J those planes are the complex lines in span{g, Jg}^perp, and
-    W is that complex hyperplane, on which phi is Kaehler again.  It is
-    exact (``exact=True``) when phi|W is a Kaehler form, and when the drawn
+    finds inside W (drawn, or ascended on phi|W).  It is exact
+    (``exact=True``) when phi|W is a Kaehler form, as it is wherever a
+    2-form or an (n-3)-form restricts to a calibration, and when the drawn
     planes are all one plane, whose Hessian value it then reports with no
     extremum.  Reports vacuous flatness when no tangential phi-plane
     exists, exact as `grassmann` says.  Raises when tol is negative or NaN.
@@ -197,10 +196,6 @@ def phi_flat_check(f: ScalarField, x, cal: Calibration, tol=1e-8,
         return FlatReport(abs(value) <= tol, value, SimplePlane(V[0].T),
                           False, True)
     Q = hyperplane_basis(ghat)
-    J = kaehler_structure(cal.form)
-    if J is not None and cal.p == 2:
-        # the draws are complex lines in span{g, Jg}^perp
-        Q = span_split(np.array([ghat, ghat @ J.T]))[1].T
     U = Q.T @ V
     restricted = Calibration(pullback(cal.form, Q), f"{cal.name}|W")
     starts = PlaneSampleSet(U, list(values), 0.0, len(U))

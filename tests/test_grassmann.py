@@ -350,8 +350,8 @@ class TestConstrainedExtremum:
         # the tangential route starts from the sample; the Kaehler route reads
         # none (tests/test_kaehler.py)
         from calibr.grassmann import PlaneSampleSet
-        cal = catalogue("lambda_example", 0.5)
-        empty = PlaneSampleSet(np.empty((0, 4, 2)), [], 1e-6, 0)
+        cal = catalogue("associative")
+        empty = PlaneSampleSet(np.empty((0, 7, 3)), [], 1e-6, 0)
         with pytest.raises(ValueError):
             constrained_extremum(cal.form, cal, empty, "min")
 
@@ -550,7 +550,7 @@ class TestPhiStructure:
     def test_detects_lambda_example(self):
         # e12 + 0.5 e34: Kaehler on the top block span{e1, e2} only
         st = phi_structure(catalogue("lambda_example", 0.5).form)
-        assert st.kind == "kaehler_block"
+        assert st.kind == "kaehler"
         assert np.array_equal(np.abs(st.ops[1]), np.eye(4)[:2])
 
     @pytest.mark.parametrize("phi", [
@@ -581,13 +581,14 @@ class TestPhiStructure:
     def test_draw_off_the_grassmannian_raises(self):
         # the complex lines of J are not lambda_example's planes
         lam = catalogue("lambda_example", 0.5).form
-        J = kaehler_structure(catalogue("kaehler", 2, 1).form)
+        J, E = kaehler_structure(catalogue("kaehler", 2, 1).form)
         with pytest.raises(RuntimeError, match="off G"):
-            PhiStructure("kaehler", lam, J).draw(rng_stream(0, 0), 4)
+            PhiStructure("kaehler", lam, J, E).draw(rng_stream(0, 0), 4)
         # a NaN draw fails the check too: NaN > STRUCTURE_TOL is False
         with pytest.raises(RuntimeError, match="off G"):
             PhiStructure("kaehler", catalogue("kaehler", 2, 1).form,
-                         np.full((4, 4), np.nan)).draw(rng_stream(0, 0), 4)
+                         np.full((4, 4), np.nan),
+                         np.eye(4)).draw(rng_stream(0, 0), 4)
 
 
 def block_form(n, lams, seed, codegree=False):
@@ -627,11 +628,11 @@ class TestKaehlerBlock:
     def test_detected(self, block):
         cal, P, dim = block
         st = phi_structure(cal.form)
-        assert st.kind == "kaehler_block"
-        E = st.ops[1]
+        assert st.kind == "kaehler"
+        J, E = kaehler_structure(cal.form)
+        assert J is st.ops[0] and E is st.ops[1]
         assert E.shape == (dim, cal.n)
         assert np.abs(E.T @ E - P).max() < 1e-12
-        assert kaehler_structure(cal.form) is None
 
     def test_draws_lie_on_the_grassmannian(self, block):
         cal, P, dim = block
@@ -692,12 +693,15 @@ class TestKaehlerBlock:
         ("kaehler", (2, 1)), ("kaehler", (3, 1)), ("kaehler", (3, 2)),
         ("volume", (2,))])
     def test_kaehler_draws_unchanged(self, name, params):
-        # a Kaehler form keeps its draw: v Haar on R^n (orthogonal to at
-        # and J at in degree 2, v = at in codegree 2), and no block
+        # a Kaehler form on all of R^n has the block E = I exactly and
+        # keeps its draw: v Haar on R^n bit for bit, and with a normal v
+        # orthogonal to at and J at in degree 2 (to rounding, as at is
+        # normalized once more in E), v = at in codegree 2
         cal = catalogue(name, *params)
         st = phi_structure(cal.form)
-        assert st.kind == "kaehler" and len(st.ops) == 1
-        J = st.ops[0]
+        assert st.kind == "kaehler"
+        J, E = st.ops
+        assert np.array_equal(E, np.eye(cal.n))
         at = np.random.default_rng(97).standard_normal(cal.n)
         rng = rng_stream(101, 0)
         assert np.array_equal(st.draw(rng_stream(101, 0), 9),
@@ -709,8 +713,8 @@ class TestKaehlerBlock:
         rng = rng_stream(103, 0)
         v = ats if cal.p != 2 else _haar_perp(rng, 9, cal.n, ats,
                                               ats @ J.T)
-        assert np.array_equal(st.draw(rng_stream(103, 0), 9, at),
-                              kaehler_planes(v, J, cal.form))
+        assert np.abs(st.draw(rng_stream(103, 0), 9, at)
+                      - kaehler_planes(v, J, cal.form)).max() <= 1e-14
 
 
 class TestStructureMemo:
@@ -765,9 +769,9 @@ class TestStructureMemo:
             == (st is not None and st.kind == "kaehler")
 
     def test_structure_is_read_only(self):
-        J = kaehler_structure(catalogue("kaehler", 3, 1).form)
-        with pytest.raises(ValueError, match="read-only"):
-            J[0, 1] = 0.0
+        for M in kaehler_structure(catalogue("kaehler", 3, 1).form):
+            with pytest.raises(ValueError, match="read-only"):
+                M[0, 1] = 0.0
         for M in phi_structure(catalogue("quaternionic", 2).form).ops:
             with pytest.raises(ValueError, match="read-only"):
                 M[0, 0] = 1.0

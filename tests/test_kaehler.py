@@ -10,22 +10,24 @@ import pytest
 import calibr.cli
 import calibr.cones
 import calibr.grassmann
-from calibr.calibrations import catalogue, complex_structure
+from calibr.calibrations import Calibration, catalogue, complex_structure
 from scipy.optimize import linprog
 
 from calibr.cli import main
 from calibr.cones import cone_membership, mass_norm_estimate
 from calibr.exterior import (ExteriorElement, SimplePlane, form_to_json,
-                             lex_indices, pairing, simple_from_frame)
-from calibr.fields import builtin_field
+                             hodge_star, lex_indices, pairing,
+                             simple_from_frame, wedge)
+from calibr.fields import builtin_field, quadratic_field
 from calibr.grassmann import (FormEvaluator, PlaneSampleSet,
                               _ascent_source, _collect_planes,
                               _tangential_extremum,
                               constrained_extremum,
                               kaehler_matrix, kaehler_planes,
-                              kaehler_structure, random_plane_set,
+                              kaehler_structure, pullback, random_plane_set,
                               sample_grassmannian)
-from calibr.hessian import psh_classify
+from calibr.hessian import phi_flat_check, psh_classify
+from test_grassmann import BLOCK_FORMS, block_form
 
 KAEHLER = [(2, 1), (3, 1), (3, 2)]
 
@@ -51,8 +53,10 @@ def force_sampled_route(monkeypatch):
 
 
 def complex_plane(cal, v):
-    v = np.asarray(v, dtype=float)
-    J = kaehler_structure(cal.form)
+    """The phi-plane of the complex line of v's projection to the top
+    block E."""
+    J, E = kaehler_structure(cal.form)
+    v = np.asarray(v, dtype=float) @ E.T @ E
     return SimplePlane(kaehler_planes((v / np.linalg.norm(v))[None], J,
                                       cal.form)[0].T)
 
@@ -75,15 +79,17 @@ def non_member(cal, rng):
 class TestDetection:
     @pytest.mark.parametrize("nc,power", KAEHLER)
     def test_structure_matches_catalogue_convention(self, nc, power):
-        J = kaehler_structure(catalogue("kaehler", nc, power).form)
+        J, E = kaehler_structure(catalogue("kaehler", nc, power).form)
         assert np.array_equal(J, complex_structure(nc))
+        assert np.array_equal(E, np.eye(2 * nc))
 
     def test_volume_two_is_kaehler(self):
-        assert np.array_equal(kaehler_structure(catalogue("volume", 2).form),
-                              complex_structure(1))
+        J, E = kaehler_structure(catalogue("volume", 2).form)
+        assert np.array_equal(J, complex_structure(1))
+        assert np.array_equal(E, np.eye(2))
 
     @pytest.mark.parametrize("name,params", [
-        ("lambda_example", (0.5,)), ("associative", ()),
+        ("cayley", ()), ("associative", ()),
         ("coassociative", ()), ("special_lagrangian", (3,)),
         ("quaternionic", (1,)), ("volume", (3,)), ("volume", (4,)),
         ("kaehler", (2, 2))])
@@ -300,9 +306,10 @@ class TestSeparatingForm:
             assert abs(rep.meta["separating_min"].value - found) < 1e-12
 
     def test_sampled_route(self):
-        cal = catalogue("lambda_example", 0.5)
+        # e124 pairs to 0 with the associative form, so it is no member
+        cal = catalogue("associative")
         ss = sample_grassmannian(cal, count=10, seed=5)
-        xi = ExteriorElement.basis(4, (3, 4))
+        xi = ExteriorElement.basis(7, (1, 2, 4))
         rep = cone_membership(xi, cal, ss)
         assert rep.status == "Outside" and not rep.meta["exact"]
         sep = rep.meta["separating_form"]
@@ -311,8 +318,8 @@ class TestSeparatingForm:
         for pl in rep.meta["planes"]:
             assert pairing(sep, pl.pvector()) >= -1e-12
         assert not rep.meta["separating_min"].exact
-        # G(phi) is the single plane e12, where sep vanishes
-        assert abs(rep.meta["separating_min"].value) < 1e-8
+        # the pricing is attained on G(phi)
+        assert abs(rep.meta["separating_min"].phi_value - 1.0) <= 1e-6
 
     def test_sampled_route_against_lines(self, monkeypatch):
         # the loop's last pricing is the separating_min; on omega it must
@@ -350,17 +357,24 @@ class TestExactLabel:
         ss = sample_grassmannian(cal, count=10, seed=5)
         alpha = random_form(4, 2, np.random.default_rng(1))
         assert calibr.cones.positivity_classify(alpha, cal, ss).meta["exact"]
-        lam = catalogue("lambda_example", 0.5)
-        ss = sample_grassmannian(lam, count=5, seed=5)
-        rep = calibr.cones.positivity_classify(alpha, lam, ss, starts_limit=4)
+        assoc = catalogue("associative")
+        ss = sample_grassmannian(assoc, count=5, seed=5)
+        alpha = random_form(7, 3, np.random.default_rng(1))
+        rep = calibr.cones.positivity_classify(alpha, assoc, ss,
+                                               starts_limit=4)
         assert rep.meta["exact"] is False
 
     def test_cli_reports(self, capsys, tmp_path):
         path = tmp_path / "alpha.json"
         path.write_text(json.dumps(form_to_json(
             ExteriorElement(4, 2, {(1, 2): 1.0, (1, 3): 0.4}))))
-        for cal, exact in (("omega4", True), ("lambda:0.5", False)):
-            main(["positivity", "--form", str(path), "--cal", cal,
+        path7 = tmp_path / "alpha7.json"
+        path7.write_text(json.dumps(form_to_json(
+            ExteriorElement(7, 3, {(1, 2, 3): 1.0, (1, 2, 4): 0.4}))))
+        for cal, form, exact in (("omega4", path, True),
+                                 ("lambda:0.5", path, True),
+                                 ("associative", path7, False)):
+            main(["positivity", "--form", str(form), "--cal", cal,
                   "--count", "8"])
             assert json.loads(capsys.readouterr().out)["report"]["exact"] \
                 is exact
@@ -404,8 +418,9 @@ class TestNoSample:
                              cal, empty)
         assert marks[0].status == "Psh"
         with pytest.raises(ValueError, match="empty sample"):
-            psh_classify(builtin_field("abs_z1_sq", 4), np.zeros((1, 4)),
-                         catalogue("lambda_example", 0.5), empty)
+            psh_classify(builtin_field("normsq", 7), np.zeros((1, 7)),
+                         catalogue("associative"),
+                         PlaneSampleSet(np.empty((0, 7, 3)), [], 1e-6, 0))
 
     def test_cli_draws_no_sample(self, capsys, tmp_path, monkeypatch):
         drawn = []
@@ -429,12 +444,110 @@ class TestNoSample:
               "--probes", "grid:-1..1:2"])
         capsys.readouterr()
         assert drawn == []
-        main(["positivity", "--form", str(alpha), "--cal", "lambda:0.5",
+        main(["positivity", "--form", str(alpha), "--cal", "lambda:0.5"])
+        capsys.readouterr()
+        assert drawn == []
+        alpha7 = tmp_path / "alpha7.json"
+        alpha7.write_text(json.dumps(form_to_json(
+            ExteriorElement(7, 3, {(1, 2, 3): 1.0, (1, 2, 4): 0.4}))))
+        main(["positivity", "--form", str(alpha7), "--cal", "associative",
               "--count", "8"])
-        # G(lambda_example) is one plane, so the sample keeps one
         assert json.loads(capsys.readouterr().out)["report"][
-            "sample_count"] == 1
-        assert drawn == ["lambda_example(0.5)"]
+            "sample_count"] == 8
+        assert drawn == ["associative"]
+
+
+class TestBlockRoutes:
+    """Calibrations Kaehler on a proper top block E take the exact routes
+    too: randomly rotated normal forms on R^5 and R^6 with dim E 2 and 4,
+    and their Hodge stars, against the tangential and sampled routes."""
+
+    @pytest.fixture(params=[(case, co) for case in BLOCK_FORMS
+                            for co in (False, True)],
+                    ids=lambda c: f"n{c[0][0]}-E{c[0][2]}"
+                    + ("-star" if c[1] else ""))
+    def block(self, request):
+        (n, lams, dim), codegree = request.param
+        phi, P = block_form(n, lams, 67 + n + dim, codegree)
+        cal = Calibration(phi, "block")
+        return cal, P, sample_grassmannian(cal, count=12, seed=5)
+
+    def test_extremum_against_the_tangential_route(self, block,
+                                                   monkeypatch):
+        cal, _, ss = block
+        c = np.random.default_rng(7).standard_normal(
+            len(lex_indices(cal.n, cal.p)))
+        alpha = ExteriorElement.from_coeff_vector(cal.n, cal.p,
+                                                  c / np.linalg.norm(c))
+        exact = [constrained_extremum(alpha, cal, ss, mode)
+                 for mode in ("min", "max")]
+        rep = calibr.cones.positivity_classify(alpha, cal, ss)
+        assert rep.meta["exact"] and rep.margin == exact[0].value
+        force_sampled_route(monkeypatch)
+        for sgn, ex in zip((-1.0, 1.0), exact):
+            ref = constrained_extremum(alpha, cal, ss, ex.mode)
+            assert ex.exact and not ref.exact
+            assert abs(ex.value - ref.value) <= 1e-7
+            # no less extreme, up to rounding where G(phi) is one plane
+            assert sgn * (ex.value - ref.value) >= -1e-12
+            U = ex.plane.frame.T
+            assert abs(FormEvaluator(cal.form).value(U) - 1.0) < 1e-12
+            assert abs(FormEvaluator(alpha).value(U) - ex.value) < 1e-12
+
+    def test_sum_of_lines_is_interior(self, block, monkeypatch):
+        cal, _, ss = block
+        xi = member(cal, np.random.default_rng(11))
+        rep = cone_membership(xi, cal, ss)
+        assert rep.status == "Interior" and rep.meta["exact"]
+        TestMembershipAgainstSampled.check_certificate(cal, xi, rep)
+        force_sampled_route(monkeypatch)
+        ref = cone_membership(xi, cal, ss, seed=3)
+        assert not ref.meta["exact"] and ref.status != "Outside"
+
+    def test_part_outside_the_block_is_outside(self, block, monkeypatch):
+        # a 2-vector w ^ v with w orthogonal to E (its star in codegree 2)
+        # is orthogonal to every phi-plane
+        cal, P, ss = block
+        rng = np.random.default_rng(13)
+        out = wedge(ExteriorElement.from_vector(
+            rng.standard_normal(cal.n) @ (np.eye(cal.n) - P)),
+            ExteriorElement.from_vector(rng.standard_normal(cal.n)))
+        xi = member(cal, rng) + (out if cal.p == 2 else hodge_star(out))
+        rep = cone_membership(xi, cal, ss)
+        assert rep.status == "Outside" and rep.meta["exact"]
+        assert rep.meta["separating_min"].exact
+        assert rep.meta["separating_min"].value >= -1e-12
+        assert pairing(rep.meta["separating_form"], xi) < 0.0
+        force_sampled_route(monkeypatch)
+        ref = cone_membership(xi, cal, ss, seed=3)
+        assert ref.status == "Outside" and not ref.meta["exact"]
+        # the sampled cone lies inside the exact one
+        assert rep.meta["residual"] <= ref.meta["residual"] + 1e-12
+
+    SWAP = np.eye(6)[:, [1, 0, 2, 3, 4, 5]]
+
+    @pytest.mark.parametrize("cal", [
+        catalogue("special_lagrangian", 3),
+        Calibration(pullback(catalogue("special_lagrangian", 3).form, SWAP),
+                    "sl3swap"),
+        Calibration(ExteriorElement(8, 2, {(1, 2): 1.0, (3, 4): 1.0,
+                                           (5, 6): 1.0, (7, 8): 0.5}),
+                    "e12+e34+e56+0.5e78")], ids=lambda cal: cal.name)
+    def test_flatness_against_the_tangential_route(self, cal, monkeypatch):
+        # special_lagrangian(3), swapped or not, restricts to a hyperplane
+        # as a codegree-2 calibration, Kaehler on a proper block
+        B = np.random.default_rng([0, 5, 0]).standard_normal((cal.n, cal.n))
+        x = np.random.default_rng(1).standard_normal(cal.n)
+        f = quadratic_field(B + B.T)
+        rep = phi_flat_check(f, x, cal, seed=1729)
+        assert rep.exact and not rep.vacuous
+        assert abs(pairing(cal.form, rep.worst_plane.pvector()) - 1.0) \
+            < 1e-12
+        force_sampled_route(monkeypatch)
+        ref = phi_flat_check(f, x, cal, seed=1729)
+        assert not ref.exact
+        assert abs(rep.worst_value - ref.worst_value) <= 1e-7
+        assert abs(rep.worst_value) >= abs(ref.worst_value) - 1e-12
 
 
 def test_mass_norm_needs_a_round():

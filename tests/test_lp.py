@@ -676,7 +676,7 @@ class TestSingularBasis:
         # of the separation LP's basis is singular: the solve reports it
         # and the alternative decides nothing, where LinAlgError was raised
         omega = catalogue("kaehler", 2, 1)
-        J = kaehler_structure(omega.form)
+        J, _ = kaehler_structure(omega.form)
         samples = sample_grassmannian(omega, tol=1e-8, count=8, seed=0)
         t = np.arange(12) * np.pi / 6
         sites = np.vstack([np.column_stack([np.cos(t), np.sin(t),
