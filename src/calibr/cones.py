@@ -9,10 +9,10 @@ the NNLS residual with one constrained extremum over G(phi): sampled starts
 polished onto G(phi) and refined tangentially), which approximates the
 exact cones from below; every report carries the sample count, the
 tolerances and ``meta["exact"]``.
-Linear programs go through the in-repo bounded-variable simplex
-(`calibr.lp`); the nonnegative least-squares subproblems use scipy's NNLS,
-which is imported on the first call so that the exact routes never load
-scipy.
+Linear programs, Lemma 2.5's hull test among them, go through the in-repo
+bounded-variable simplex (`calibr.lp`); the sampled membership's
+nonnegative least-squares subproblems use scipy's NNLS, which is imported
+on the first call so that the exact routes never load scipy.
 """
 
 from __future__ import annotations
@@ -23,11 +23,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .calibrations import Calibration
-from .exterior import (ExteriorElement, SimplePlane, contraction_matrix,
-                       hodge_star, pairing)
-from .grassmann import (PlaneSampleSet, comass, constrained_extremum,
-                        kaehler_matrix, kaehler_planes, kaehler_structure,
-                        polish_plane, span_split)
+from .exterior import ExteriorElement, SimplePlane, pairing
+from .grassmann import (PlaneSampleSet, _degree_two_skew, comass,
+                        constrained_extremum, kaehler_matrix, kaehler_planes,
+                        kaehler_structure, polish_plane, span_split)
 from .lp import solve_lp
 
 BOUNDARY_TOL = 1e-6
@@ -236,9 +235,8 @@ def mass_norm_estimate(xi: ExteriorElement, generator_samples: PlaneSampleSet,
     if p in (1, 2, n - 2, n - 1, n):
         mass = xi.norm()
         if p not in (1, n - 1, n):
-            x = xi if p == 2 else hodge_star(xi)
-            mass = 0.5 * float(np.linalg.svd(contraction_matrix(
-                x.to_coeff_vector(), n, 2), compute_uv=False).sum())
+            mass = 0.5 * float(np.linalg.svd(_degree_two_skew(xi),
+                                             compute_uv=False).sum())
         return mass, mass, {"rounds": 0, "dual_comass": None,
                             "saturated": True, "atoms": 0,
                             "lower_certified": True, "capped": False}
@@ -358,15 +356,16 @@ def lemma_2_5_check(xi: ExteriorElement, cal: Calibration,
     rep1 = cone_membership(xi, cal, samples, seed=seed)
     cond1 = rep1.status != "Outside"
 
-    # convex-hull version: weights must also sum to one (weighted row trick)
-    # over the augmented atom dictionary found during the membership solve
+    # convex-hull version: an LP over the atoms found during the membership
+    # solve, weights >= 0 summing to one; phase 1 gives the least L1 residual
     xi_vec = xi.to_coeff_vector()
     planes = rep1.meta["planes"]
     A = np.column_stack([pl.pvector().to_coeff_vector() for pl in planes])
-    w = 1e6
-    A_aug = np.vstack([A, w * np.ones(A.shape[1])])
-    b_aug = np.concatenate([xi_vec, [w]])
-    _, res2 = nnls(A_aug, b_aug)
+    hull = solve_lp(np.zeros(A.shape[1]), np.vstack([A, np.ones(A.shape[1])]),
+                    np.append(xi_vec, 1.0))
+    if hull.status in ('maxiter', 'singular'):
+        raise RuntimeError(f"hull LP failed with status {hull.status}")
+    res2 = hull.phase1_obj
     cond2 = bool(res2 <= MEMBERSHIP_TOL * max(1.0, np.linalg.norm(xi_vec)))
 
     val = pairing(cal.form, xi)

@@ -672,9 +672,9 @@ class TestFloatFormatting:
 
 class TestImportCost:
     def test_calibr_loads_without_scipy(self):
-        # scipy is imported inside the calls that need it (NNLS, sparse
-        # Laplace solves); loading the library and an exact subcommand
-        # must not pay for it
+        # scipy is imported inside the calls that need it (NNLS of sampled
+        # cone membership, sparse Laplace solves); loading the library and
+        # an exact subcommand must not pay for it
         script = ("import sys\n"
                   "import calibr.acceptance\n"
                   "from calibr import cli\n"

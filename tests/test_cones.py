@@ -445,6 +445,8 @@ class TestLemma25:
         rep = lemma_2_5_check(xi, omega, ss_omega, gens)
         assert all(v[0] for v in rep.conditions.values())
         assert rep.conditions["cone_membership"][1] > 0.0
+        # the hull LP's least L1 residual is reached exactly
+        assert rep.conditions["hull_membership"] == (True, 0.0)
 
     def test_low_pairing_all_fail(self, lam, ss_lam, gens):
         rep = lemma_2_5_check(e_form(3, 4), lam, ss_lam, gens)
