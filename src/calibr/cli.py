@@ -37,7 +37,9 @@ def _jsonable(obj):
 
 
 def _format_json(obj, indent=0):
-    """JSON with insertion-ordered keys and floats at 17 significant digits."""
+    """JSON with insertion-ordered keys and floats at 17 significant digits,
+    each with a decimal point or an exponent, so that a reader gets a float
+    for a float field whatever its value."""
     pad = " " * indent
     if isinstance(obj, dict):
         if not obj:
@@ -58,7 +60,8 @@ def _format_json(obj, indent=0):
     if obj is None:
         return "null"
     if isinstance(obj, float):
-        return f"{obj:.17g}"
+        text = f"{obj:.17g}"
+        return text if not text.lstrip("-").isdigit() else text + ".0"
     if isinstance(obj, int):
         return str(obj)
     return json.dumps(obj)

@@ -220,18 +220,21 @@ class AlternativeResult:
 
 def _separation(M, c, lower, upper, n_cert, margin_tol):
     """The box-normalized dual search of both models: min c.v subject to
-    M v >= 0 and lower <= v <= upper, in slack form [M, -I] (v, t) = 0 with
-    t >= 0.  The first n_cert coordinates of v are the certificate; its
-    margin is -c.v over their norm.  Returns (certificate or None,
-    have_cert, margin or None, tie, LP status)."""
-    m = M.shape[0]
-    res = solve_lp(np.concatenate([c, np.zeros(m)]),
-                   np.hstack([M, -np.eye(m)]), np.zeros(m),
-                   lower=np.concatenate([lower, np.zeros(m)]),
-                   upper=np.concatenate([upper, np.full(m, np.inf)]))
+    M v >= 0 and lower <= v <= upper (lower <= 0 <= upper), solved from its
+    feasible origin.  v = p - q is split at zero, p in [0, upper] and q in
+    [0, -lower], and the slack form [M, -M, -I] (p, q, t) = 0 with t >= 0
+    starts phase 2 at the slack basis -I, where every variable is 0.  The
+    first n_cert coordinates of v are the certificate; its margin is -c.v
+    over their norm.  Returns (certificate or None, have_cert, margin or
+    None, tie, LP status)."""
+    m, k = M.shape
+    res = solve_lp(np.concatenate([c, -c, np.zeros(m)]),
+                   np.hstack([M, -M, -np.eye(m)]), np.zeros(m),
+                   upper=np.concatenate([upper, -lower, np.full(m, np.inf)]),
+                   basis=np.arange(2 * k, 2 * k + m))
     if res.status != 'optimal':
         return None, False, None, False, res.status
-    a = res.x[:n_cert]
+    a = res.x[:n_cert] - res.x[k:k + n_cert]
     rel = -res.obj / max(np.linalg.norm(a), 1e-300)
     if rel > margin_tol:
         return a, True, rel, False, res.status

@@ -497,9 +497,11 @@ class PlaneSource:
     (size, n, p) frames in R^n, the phi-values and the capped flags of
     attempts start, ..., start + size - 1; it is None when no phi-plane lies
     in the hyperplane.  exact: the planes are drawn from G(phi), or it is
-    exact that there are none."""
+    exact that there are none.  single: G(phi) is one plane, so every
+    attempt gives it."""
     take: object
     exact: bool
+    single: bool = False
 
 
 def grassmann(cal: Calibration, seed, normal=None) -> PlaneSource:
@@ -522,7 +524,10 @@ def grassmann(cal: Calibration, seed, normal=None) -> PlaneSource:
     def draw(start, size):
         U, values = structure._draw(rng_stream(seed, start), size, normal)
         return U, values, np.zeros(size, dtype=bool)
-    return PlaneSource(draw, True)
+    # a Kaehler form's phi-planes are the complex lines of its top block E
+    # (their complements in codegree 2): one when dim E = 2
+    return PlaneSource(draw, True, structure.kind == "kaehler"
+                       and len(structure.ops[1]) == 2)
 
 
 def _ascent_source(cal: Calibration, seed, normal=None,
@@ -556,7 +561,8 @@ def _ascent_source(cal: Calibration, seed, normal=None,
 def sample_grassmannian(cal: Calibration, tol=1e-6, count=50,
                         seed=0) -> PlaneSampleSet:
     """Collect deduplicated planes with phi(xi) >= 1 - tol from the attempts
-    0, 1, ... of `grassmann`, at most max(8 count, 160) of them.
+    0, 1, ... of `grassmann`, at most max(8 count, 160) of them, or one when
+    G(phi) is a single plane.
 
     On the forms `phi_structure` recognizes the planes are drawn from G(phi)
     (``exact=True``; ``multistart_count`` counts the planes drawn); on every
@@ -575,7 +581,7 @@ def sample_grassmannian(cal: Calibration, tol=1e-6, count=50,
 
 def _collect_planes(cal, source: PlaneSource, tol, count) -> PlaneSampleSet:
     """The sampling loop over the attempts of source.take."""
-    max_attempts = max(8 * count, 160)
+    max_attempts = 1 if source.single else max(8 * count, 160)
     kept = np.empty((count, cal.n, cal.p))
     values = []
     best = -np.inf

@@ -106,7 +106,7 @@ class _Tableau:
             size = np.abs(d)
             ratios = np.divide(room, size, out=np.full(len(d), np.inf),
                                where=size > tol)
-            span = self.u[entering] - self.l[entering]
+            span = float(self.u[entering] - self.l[entering])
             t_min = min(float(ratios.min()), span)
             if not math.isfinite(t_min):
                 return 'unbounded', it

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from calibr import duality
+from calibr import acceptance, cli, duality
 from calibr.calibrations import catalogue
 from calibr.cli import main
 from calibr.duality import (FiniteDualityModel, _family,
@@ -657,6 +657,116 @@ class TestSolverDifferential:
         assert res.primal == 'Feasible' and res.dual is None
         assert res.consistent
         check_weights(independent, rhs, res.weights)
+
+
+# -- the separation LP from its feasible origin ------------------------------
+
+def cold_separation(M, c, lower, upper, n_cert, margin_tol):
+    """Reference: `duality._separation` solved cold, in slack form
+    [M, -I] (v, t) = 0 with every variable starting at its lower bound, as
+    it was before it started at the origin."""
+    m = M.shape[0]
+    res = solve_lp(np.concatenate([c, np.zeros(m)]),
+                   np.hstack([M, -np.eye(m)]), np.zeros(m),
+                   lower=np.concatenate([lower, np.zeros(m)]),
+                   upper=np.concatenate([upper, np.full(m, np.inf)]))
+    if res.status != 'optimal':
+        return None, False, None, False, res.status
+    a = res.x[:n_cert]
+    rel = -res.obj / max(np.linalg.norm(a), 1e-300)
+    if rel > margin_tol:
+        return a, True, rel, False, res.status
+    return a, False, None, rel > 1e-9, res.status
+
+
+def separation_solves(monkeypatch):
+    """The list that collects the LPResult of every `solve_lp` call made
+    inside `duality._separation` from now on."""
+    solves, inside = [], []
+    solve, separation = duality.solve_lp, duality._separation
+
+    def spy_solve(*args, **kwargs):
+        res = solve(*args, **kwargs)
+        if inside:
+            solves.append(res)
+        return res
+
+    def spy_separation(*args):
+        inside.append(True)
+        try:
+            return separation(*args)
+        finally:
+            inside.pop()
+    monkeypatch.setattr(duality, "solve_lp", spy_solve)
+    monkeypatch.setattr(duality, "_separation", spy_separation)
+    return solves
+
+
+def circle_model(degree):
+    """The model of `calibr jensen --cal omega4`: 16 equispaced sites on the
+    unit circle of the z1-line, then x = (1.2, 0, 0, 0), outside their hull
+    (the closed unit disc)."""
+    args = cli.build_parser().parse_args(["jensen", "--cal", "omega4"])
+    cal = cli._load_cal(args)
+    t = np.arange(16) * np.pi / 8
+    sites = np.vstack([np.column_stack([np.cos(t), np.sin(t),
+                                        np.zeros((16, 2))]),
+                       [1.2, 0.0, 0.0, 0.0]])
+    return build_jensen_model(cal, sites, cli._samples_for(cal, args),
+                              degree=degree)
+
+
+class TestOriginSeparation:
+    @pytest.mark.parametrize("degree", [2, 3, 4])
+    def test_circle_against_highs(self, monkeypatch, degree):
+        # the separation LP's optimum value, not its vertex: the margin
+        # -c.v/|a| depends on which optimal vertex the solve stops at
+        model = circle_model(degree)
+        K, x = list(range(16)), 16
+        solves = separation_solves(monkeypatch)
+        res = jensen_alternative(model, K, x)
+        assert res.primal == 'Infeasible' and res.dual == 'Certificate'
+        assert res.consistent and not res.boundary_tie
+        sep, = solves
+        assert sep.status == 'optimal' and sep.meta["phase1_iterations"] == 0
+        A, b = assemble_jensen_model(model, K, x)
+        assert not highs_feasible(A, b)
+        # min f(x) - t over |a| <= 1 boxwise and |t| <= 1e6, with the
+        # dictionary pairings of a nonnegative and t >= f on K
+        F, n_atoms = len(model.test_family), len(model.atoms)
+        M = np.block([[A[:F, :n_atoms].T, np.zeros((n_atoms, 1))],
+                      [A[:F, n_atoms:].T, np.ones((len(K), 1))]])
+        highs = linprog(np.append(b[:F], 1.0), A_ub=-M,
+                        b_ub=np.zeros(len(M)),
+                        bounds=[(-1.0, 1.0)] * F + [(-1e6, 1e6)],
+                        method="highs")
+        assert highs.status == 0
+        assert abs(sep.obj - highs.fun) <= 1e-9 * abs(highs.fun)
+        a = res.certificate
+        assert res.margin == pytest.approx(-sep.obj / np.linalg.norm(a),
+                                           rel=1e-12)
+
+    def test_criterion_8_starts_in_phase_2(self, monkeypatch):
+        # every separation LP of criterion 8 starts at its feasible origin
+        # (a warm basis that solve_lp rejected would start it cold again,
+        # silently), and every verdict is the cold reference's
+        verdicts = []
+        for name in ("boundary_alternative", "jensen_alternative"):
+            def spy(*args, alternative=getattr(acceptance, name), **kwargs):
+                res = alternative(*args, **kwargs)
+                verdicts.append((res.primal, res.dual, res.consistent,
+                                 res.boundary_tie))
+                return res
+            monkeypatch.setattr(acceptance, name, spy)
+        solves = separation_solves(monkeypatch)
+        assert acceptance.criterion_8_farkas(CRITERION_8_SEED).passed
+        assert len(solves) == 200
+        assert all(s.status == 'optimal' for s in solves)
+        assert all(s.meta["phase1_iterations"] == 0 for s in solves)
+        origin, verdicts[:] = list(verdicts), []
+        monkeypatch.setattr(duality, "_separation", cold_separation)
+        acceptance.criterion_8_farkas(CRITERION_8_SEED)
+        assert len(origin) == 300 and verdicts == origin
 
 
 class TestAtomTable:

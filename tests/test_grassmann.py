@@ -197,9 +197,23 @@ class TestSampling:
         ss = sample_grassmannian(cal, tol=1e-6, count=20, seed=7)
         assert len(ss) == 1
         assert ss.exhausted
+        # the top block is 2-dimensional: one draw is the whole of G(phi)
+        assert ss.multistart_count == 1
         theta, oriented = angular_distance(ss.planes[0],
                                            SimplePlane(np.eye(4)[:2]))
         assert theta < 1e-6 and oriented
+
+    def test_codegree_two_singleton(self):
+        # e345 + 0.5 e125 is the star of lambda_example in R^5: its
+        # phi-planes are the complements of its one complex line
+        cal = Calibration(ExteriorElement(5, 3, {(3, 4, 5): 1.0,
+                                                 (1, 2, 5): 0.5}), "star")
+        ss = sample_grassmannian(cal, count=8, seed=3)
+        assert len(ss) == 1 and ss.multistart_count == 1
+        assert ss.exhausted and ss.exact
+        theta, oriented = angular_distance(ss.planes[0],
+                                           SimplePlane(np.eye(5)[2:]))
+        assert theta < 1e-12 and oriented
 
     def test_volume_singleton(self):
         ss = sample_grassmannian(catalogue("volume", 3), count=5, seed=1)
@@ -254,15 +268,18 @@ class TestDrawnSample:
             [pl.frame.tobytes() for pl in again.planes]
 
     def test_single_plane_exhausts_like_ascent(self):
-        # G(e12) on R^2 is one plane: every draw after the first is a
-        # duplicate, so the sample stops at max_attempts, as the ascent does
+        # G(e12) on R^2 is one plane: the ascent finds it again on every
+        # attempt and stops at max_attempts, while the structure knows the
+        # first draw is the whole of G(phi) and stops there
         cal = catalogue("volume", 2)
         ss = sample_grassmannian(cal, count=5, seed=1)
         ref = _collect_planes(cal, _ascent_source(cal, 1), 1e-6, 5)
         assert ss.exact and not ref.exact
         assert len(ss) == len(ref) == 1
         assert ss.exhausted and ref.exhausted
-        assert ss.multistart_count == ref.multistart_count
+        assert ss.multistart_count == 1 and ref.multistart_count == 160
+        assert np.array_equal(ss.frames, sample_grassmannian(
+            cal, count=1, seed=1).frames)
 
 
 class TestPlaneStack:

@@ -666,26 +666,58 @@ class TestWarmStart:
         assert pivots[0] < pivots[1]
 
 
+def circle_jensen_inputs(x):
+    """kaehler(2,1), its complex structure J, 8 sampled planes and the 12
+    sites on the unit circle of the z1-line followed by x."""
+    omega = catalogue("kaehler", 2, 1)
+    J, _ = kaehler_structure(omega.form)
+    samples = sample_grassmannian(omega, tol=1e-8, count=8, seed=0)
+    t = np.arange(12) * np.pi / 6
+    sites = np.vstack([np.column_stack([np.cos(t), np.sin(t),
+                                        0.0 * t, 0.0 * t]), x])
+    return omega, J, samples, sites
+
+
+def lowest_complex_hessians(model, sites, certificate, J):
+    """The least eigenvalue and its unit eigenvector of the Hermitian part
+    H + J^T H J of the certificate's Hessian H at every site."""
+    I, K = np.triu_indices(4)
+    E = np.eye(4, dtype=int)
+    h = np.einsum("kms,m->sk", model._derivatives(sites, E[I] + E[K]),
+                  certificate)
+    H = np.zeros((len(sites), 4, 4))
+    H[:, I, K] = H[:, K, I] = h
+    lam, V = np.linalg.eigh(H + J.T @ H @ J)
+    return lam[:, 0], V[:, :, 0]
+
+
 class TestSingularBasis:
+    def test_outside_the_disc_first_round_certifies(self):
+        # x = (1.05, 0, 0, 0) lies outside the circle's hull: the first
+        # separating polynomial is psh on every complex line at every site,
+        # so the grown-dictionary loop has nothing to add
+        omega, J, samples, sites = circle_jensen_inputs([1.05, 0.0, 0.0, 0.0])
+        model = build_jensen_model(omega, sites, samples, degree=2,
+                                   dictionary=[list(samples.planes[:4])
+                                               for _ in sites])
+        res = jensen_alternative(model, list(range(12)), 12)
+        assert res.dual == 'Certificate' and res.consistent
+        low, _ = lowest_complex_hessians(model, sites, res.certificate, J)
+        assert low.min() >= -1e-9
+
     def test_grown_jensen_dictionary(self):
         # the Jensen model on kaehler(2,1) with 12 sites on the unit circle
         # of the z1-line and x = (0.5, 0, 0.02, 0), every site starting from
         # 4 sampled planes; each round adds at every site the complex line
         # where the Hessian of the separating polynomial is most negative.
-        # Near-parallel columns pile up until, with 260 atoms, a refactor
-        # of the separation LP's basis is singular: the solve reports it
-        # and the alternative decides nothing, where LinAlgError was raised
-        omega = catalogue("kaehler", 2, 1)
-        J, _ = kaehler_structure(omega.form)
-        samples = sample_grassmannian(omega, tol=1e-8, count=8, seed=0)
-        t = np.arange(12) * np.pi / 6
-        sites = np.vstack([np.column_stack([np.cos(t), np.sin(t),
-                                            0.0 * t, 0.0 * t]),
-                           [0.5, 0.0, 0.02, 0.0]])
+        # Near-parallel columns pile up until, in round 25 with 377 atoms, a
+        # refactor of the separation LP's basis is singular: the solve
+        # reports it and the alternative decides nothing, where LinAlgError
+        # was raised.  The floor of 260 atoms is where the separation LP
+        # went singular when it started cold, below its feasible origin.
+        omega, J, samples, sites = circle_jensen_inputs([0.5, 0.0, 0.02, 0.0])
         dictionary = [list(samples.planes[:4]) for _ in sites]
-        I, K = np.triu_indices(4)
-        E = np.eye(4, dtype=int)
-        for _ in range(17):
+        for _ in range(26):
             model = build_jensen_model(omega, sites, samples, degree=2,
                                        dictionary=dictionary)
             res = jensen_alternative(model, list(range(12)), 12)
@@ -695,13 +727,8 @@ class TestSingularBasis:
                 assert res.certificate is None and not res.consistent
             if res.certificate is None:
                 break
-            # Hessian entries (I, K) of the certificate at every site
-            h = np.einsum("kms,m->sk", model._derivatives(sites, E[I] + E[K]),
-                          res.certificate)
-            H = np.zeros((len(sites), 4, 4))
-            H[:, I, K] = H[:, K, I] = h
-            lam, V = np.linalg.eigh(H + J.T @ H @ J)
-            for site, (low, u) in enumerate(zip(lam[:, 0], V[:, :, 0])):
+            for site, (low, u) in enumerate(zip(*lowest_complex_hessians(
+                    model, sites, res.certificate, J))):
                 if low < -1e-9:
                     dictionary[site].append(SimplePlane(np.array([u, J @ u])))
         assert sum(map(len, dictionary)) >= 260
@@ -728,3 +755,16 @@ class TestPricing:
         new, _ = check_three_ways(c, A, b)
         assert new.status == 'optimal'
         assert new.meta["bland_pivots"] > 0
+
+    def test_counts_are_python_ints(self):
+        # x1 enters first and flips to its upper bound 1 before x3 blocks
+        # (a bound flip, priced against the span of x1's box); every count
+        # stays a Python int, as a report writes it
+        A = np.array([[1.0, 1.0, 1.0]])
+        res = solve_lp(np.array([-2.0, -1.0, 0.0]), A, np.array([10.0]),
+                       upper=np.array([1.0, 1.0, np.inf]))
+        assert res.status == 'optimal' and res.obj == -3.0
+        assert res.iterations >= 2
+        for key, value in res.meta.items():
+            assert type(value) is int, key
+        assert type(res.iterations) is int

@@ -99,6 +99,11 @@ INPUTS = {
         {"exps": [0, 1, 0, 0, 0, 1, 0], "coeff": 0.3},
         {"exps": [0, 0, 2, 0, 0, 0, 0], "coeff": -0.4},
         {"exps": [0, 0, 0, 1, 0, 0, 1], "coeff": 0.6}]},
+    # 16 equispaced sites on the unit circle of the z1-line of omega4, then
+    # x = (1.2, 0, 0, 0), outside their hull (the closed unit disc)
+    "circle17.json": np.column_stack(
+        [np.cos(np.arange(16) * np.pi / 8), np.sin(np.arange(16) * np.pi / 8),
+         np.zeros((16, 2))]).tolist() + [[1.2, 0.0, 0.0, 0.0]],
     # two tetrahedra sharing the face 1 2 3, which cancels from the boundary
     "tets.mesh": "3 3\nv 0 0 0\nv 1 0 0\nv 0 1 0\nv 0 0 1\nv 1 1 1\n"
                  "s 0 1 2 3 1\ns 4 3 2 1 1\n",
@@ -165,8 +170,9 @@ REPORTS = [
     Row("positivity-associative",
         "positivity --cal associative --form ../e124.json --count 8", 1,
         {"report.status": "Outside", "report.exact": False}),
+    # a zero margin is written 0.0, as a float
     Row("lemma25-omega4", "lemma25 --cal omega4 --pvector ../xi4.json", 0,
-        EXACT),
+        {**EXACT, "report.conditions.hull_membership.margin": float}),
     Row("lemma25-lambda",
         "lemma25 --cal lambda:0.5 --pvector ../xi4.json --count 8", 0, EXACT),
     # associative is not Kaehler: membership is sampled and runs NNLS
@@ -234,6 +240,11 @@ REPORTS = [
          "report.model.lambda_threshold": float}),
     Row("jensen-random3", "jensen --cal omega4 --random 3 --seed 3"),
     Row("jensen-random10", "jensen --cal omega4 --random 10 --seed 3"),
+    # the separation LP of x outside the circle's hull, above degree 2
+    *(Row(f"jensen-circle-deg{d}", "jensen --cal omega4 --sites "
+          f"../circle17.json --K {','.join(map(str, range(16)))} --x 16 "
+          f"--deg {d}", 0, {"report.dual": "Certificate",
+                            "report.consistent": True}) for d in (3, 4)),
 ]
 
 
