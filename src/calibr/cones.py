@@ -263,6 +263,8 @@ def mass_norm_estimate(xi: ExteriorElement, generator_samples: PlaneSampleSet,
     saturated = True
     upper = np.inf
     capped = False
+    # the first LP starts cold: the signed coordinate columns are a feasible
+    # basis, but on a degenerate LP they change which optimal dual is priced
     basis = None
     for round_k in range(max_rounds):
         A = np.column_stack(cols)

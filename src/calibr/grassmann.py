@@ -211,9 +211,11 @@ def _ascend_batch(ev, U, gtol=DEFAULT_GTOL, max_iter=600, step0=0.2):
     own line search, with its own step, backtracking count, stage and
     iteration cap; each round evaluates one trial frame for every start
     still running, in one call on the stack of trials, and a start that
-    finishes leaves the stack.  Near a maximizer the Armijo test drowns in
-    floating-point rounding, so a second stage drives the tangent-gradient
-    norm down directly.
+    finishes leaves the stack.  The kernels run batched on the stacks of
+    frames and tangents; the control runs start by start on Python floats,
+    which round as numpy's elementwise operations do.  Near a maximizer the
+    Armijo test drowns in floating-point rounding, so a second stage drives
+    the tangent-gradient norm down directly.
 
     A start whose frame has just moved, and whose Hessian there is negative
     semidefinite, first tries the eigenvalue-truncated Newton step
@@ -225,89 +227,84 @@ def _ascend_batch(ev, U, gtol=DEFAULT_GTOL, max_iter=600, step0=0.2):
     """
     U = np.array(U, dtype=float)
     S = len(U)
-    out = (np.empty_like(U), np.empty(S), np.empty(S), np.empty(S, int))
-    idx = np.arange(S)
+    U_out = np.empty_like(U)
     f, G = ev.value_and_grad(U)
     T = _tangent(U, G)
-    g = _fnorm(T)
-    step = np.full(S, float(step0))
-    it = np.zeros(S, int)
-    backtracks = np.zeros(S, int)   # rejected trials in this outer iteration
-    stage2 = np.zeros(S, bool)
-    accept = np.ones(S, bool)       # the first outer iteration starts now
-    recheck = np.full(S, np.inf)    # g at which to try a Newton step again
-    while len(idx):
+    f, g = f.tolist(), _fnorm(T).tolist()
+    step, it, stage2 = [float(step0)] * S, [0] * S, [False] * S
+    backtracks = [0] * S        # rejected trials in this outer iteration
+    accept = [True] * S         # the first outer iteration starts now
+    recheck = [math.inf] * S    # g at which to try a Newton step again
+    live = list(range(S))       # the running starts, in stack order
+    while live:
         # settle what needs no evaluation: an accepted stage-1 start begins
         # an outer iteration or stops; a stage-1 start whose improvement
         # would be below rounding, or that ran out of backtracking, enters
-        # stage 2; a stage-2 start continues or stops.  In the common round
-        # none of this happens and accepted starts just count an iteration.
-        tiny = step * g * g < 1e-13 * np.maximum(1.0, np.abs(f))
-        if not np.count_nonzero(stage2 | tiny | (g <= gtol)
-                                | (it >= max_iter) | (backtracks >= 50)):
-            it += accept
-        else:
-            outer = accept & ~stage2
-            go = outer & (it < max_iter)
-            it += go
-            done = go & (g <= gtol)
-            enter2 = (outer & ~go) | (backtracks >= 50) | (
-                tiny & ~(stage2 | done))
-            step = np.where(enter2, np.maximum(step, 1e-3), step)
-            stage2 = stage2 | enter2
-            more = stage2 & (it < max_iter) & (g > gtol) & (step > 1e-8)
-            it += more
-            done |= stage2 & ~more
-            if np.count_nonzero(done):
-                for o, a in zip(out, (U, f, g, it)):
-                    o[idx[done]] = a[done]
-                live = ~done
-                (idx, U, f, G, T, g, step, it, backtracks, stage2, accept,
-                 recheck) = (a[live] for a in (idx, U, f, G, T, g, step, it,
-                                               backtracks, stage2, accept,
-                                               recheck))
-                if not len(idx):
-                    break
+        # stage 2; a stage-2 start continues or stops
+        done = []
+        for k in live:
+            tiny = step[k] * g[k] * g[k] < 1e-13 * max(abs(f[k]), 1.0)
+            outer = accept[k] and not stage2[k]
+            go = outer and it[k] < max_iter
+            it[k] += go
+            stop = go and g[k] <= gtol
+            if (outer and not go) or backtracks[k] >= 50 or (
+                    tiny and not (stage2[k] or stop)):
+                step[k], stage2[k] = max(step[k], 1e-3), True
+            if stage2[k]:
+                more = it[k] < max_iter and g[k] > gtol and step[k] > 1e-8
+                it[k] += more
+                stop = stop or not more
+            done.append(stop)
+        if any(done):
+            U_out[[k for k, stop in zip(live, done) if stop]] = U[done]
+            rows = [j for j, stop in enumerate(done) if not stop]
+            live = [live[j] for j in rows]
+            if not live:
+                break
+            U, T = U[rows], T[rows]
         # one trial per running start: the Newton step where a frame that
         # just moved allows one, else the gradient step.  Where the Hessian
         # refused or the Newton trial failed, the next try waits for the
         # gradient norm to halve
-        D = step[:, None, None] * T
-        newton = np.zeros(len(idx), bool)
-        moved = np.flatnonzero(accept & (g <= recheck))
-        if moved.size:
-            ok, D_newton = _newton_steps(ev, U[moved], T[moved])
-            newton[moved[ok]] = True
-            D[moved[ok]] = D_newton[ok]
-            recheck[moved[~ok]] = g[moved[~ok]] / 2.0
+        D = np.array([step[k] for k in live])[:, None, None] * T
+        newton = [False] * len(live)
+        tried = [accept[k] and g[k] <= recheck[k] for k in live]
+        if any(tried):
+            nsd, D_newton = _newton_steps(ev, U[tried], T[tried])
+            moved = [j for j, t in enumerate(tried) if t]
+            for j, semidefinite in zip(moved, nsd.tolist()):
+                newton[j] = semidefinite
+            D[[j for j in moved if newton[j]]] = D_newton[nsd]
         U_try = _retract(U + D)
         f_try, G_try = ev.value_and_grad(U_try)
         T_try = _tangent(U_try, G_try)
-        g_try = _fnorm(T_try)
-        accept = f_try >= f + 1e-4 * step * g * g
-        step_next = np.where(accept, np.minimum(step * 1.8, 4.0), step * 0.4)
-        if np.count_nonzero(stage2):
-            accept = np.where(stage2, g_try < g, accept)
-            step_next = np.where(stage2, np.where(accept, step, step * 0.5),
-                                 step_next)
-        if moved.size:
-            accept = np.where(newton, (g_try < g) & (
-                f_try >= f - 1e-13 * np.maximum(1.0, np.abs(f))), accept)
-            step_next = np.where(newton, step, step_next)
-            recheck = np.where(newton & ~accept, g / 2.0, recheck)
-        step = step_next
-        backtracks = np.where(accept | stage2 | newton, 0, backtracks + 1)
-        accepted = np.count_nonzero(accept)
-        if accepted == len(accept):
-            U, G, T, f, g = U_try, G_try, T_try, f_try, g_try
-        elif accepted:
-            a3 = accept[:, None, None]
-            U = np.where(a3, U_try, U)
-            G = np.where(a3, G_try, G)
-            T = np.where(a3, T_try, T)
-            f = np.where(accept, f_try, f)
-            g = np.where(accept, g_try, g)
-    return out
+        f_try, g_try = f_try.tolist(), _fnorm(T_try).tolist()
+        for j, k in enumerate(live):
+            fk, gk, sk = f[k], g[k], step[k]
+            if newton[j]:
+                ok = g_try[j] < gk and (
+                    f_try[j] >= fk - 1e-13 * max(abs(fk), 1.0))
+            elif stage2[k]:
+                ok = g_try[j] < gk
+                step[k] = sk if ok else sk * 0.5
+            else:
+                ok = f_try[j] >= fk + 1e-4 * sk * gk * gk
+                step[k] = min(sk * 1.8, 4.0) if ok else sk * 0.4
+            if tried[j] and not (newton[j] and ok):
+                recheck[k] = gk / 2.0
+            backtracks[k] = 0 if ok or stage2[k] or newton[j] else (
+                backtracks[k] + 1)
+            accept[k] = ok
+            if ok:
+                f[k], g[k] = f_try[j], g_try[j]
+        took = [accept[k] for k in live]
+        if all(took):
+            U, T = U_try, T_try
+        elif any(took):
+            a3 = np.array(took)[:, None, None]
+            U, T = np.where(a3, U_try, U), np.where(a3, T_try, T)
+    return U_out, np.array(f), np.array(g), np.array(it, dtype=int)
 
 
 @dataclass
@@ -389,9 +386,10 @@ def comass(phi: ExteriorElement, multistarts=60, max_iter=600, tol=DEFAULT_GTOL,
 
 def _random_frames(n, p, seed, keys) -> np.ndarray:
     """(len(keys), n, p) stack of the frames random_frame draws from the
-    streams (seed, key)."""
-    return np.array([random_frame(n, p, rng_stream(seed, k))
-                     for k in keys]).reshape(-1, n, p)
+    streams (seed, key), orthonormalized by one batched QR."""
+    q, r = np.linalg.qr(np.array([rng_stream(seed, k).standard_normal((n, p))
+                                  for k in keys]).reshape(-1, n, p))
+    return q * np.sign(np.diagonal(r, axis1=1, axis2=2))[:, None, :]
 
 
 def _capped(g, iters, gtol, max_iter):

@@ -1,6 +1,7 @@
-"""The batched Stiefel-ascent engine against two references kept here: the
-one-start-at-a-time loop it replaced, and its own projected-gradient form
-from before it took Newton steps."""
+"""The batched Stiefel-ascent engine against three references kept here:
+the one-start-at-a-time loop it replaced, its own projected-gradient form
+from before it took Newton steps, and its form with the per-start control
+in masked arrays, whose steps it must take bit for bit."""
 
 import numpy as np
 import pytest
@@ -12,8 +13,9 @@ from calibr.exterior import (ExteriorElement, SimplePlane, angular_distance,
 from calibr.grassmann import (DEFAULT_GTOL, DEDUP_ANGLE, FormEvaluator,
                               _ascend_batch, _ascent_source, _capped,
                               _collect_planes, _fnorm, _is_duplicate,
-                              _random_frames, _retract, _tangent, comass,
-                              constrained_extremum, random_frame, rng_stream,
+                              _newton_steps, _random_frames, _retract,
+                              _tangent, comass, constrained_extremum,
+                              polish_plane, random_frame, rng_stream,
                               sample_grassmannian)
 
 
@@ -147,6 +149,98 @@ def ref_ascend_batch(value_and_grad, U, gtol=DEFAULT_GTOL, max_iter=600,
                                  step_next)
         step = step_next
         backtracks = np.where(accept | stage2, 0, backtracks + 1)
+        accepted = np.count_nonzero(accept)
+        if accepted == len(accept):
+            U, G, T, f, g = U_try, G_try, T_try, f_try, g_try
+        elif accepted:
+            a3 = accept[:, None, None]
+            U = np.where(a3, U_try, U)
+            G = np.where(a3, G_try, G)
+            T = np.where(a3, T_try, T)
+            f = np.where(accept, f_try, f)
+            g = np.where(accept, g_try, g)
+    return out
+
+
+def ref_masked_ascend_batch(ev, U, gtol=DEFAULT_GTOL, max_iter=600,
+                            step0=0.2):
+    """The engine with its per-start control held in masked numpy arrays of
+    length S, and a gradient stack it carried but never read: every start
+    must take exactly these steps, bit for bit, in the engine."""
+    U = np.array(U, dtype=float)
+    S = len(U)
+    out = (np.empty_like(U), np.empty(S), np.empty(S), np.empty(S, int))
+    idx = np.arange(S)
+    f, G = ev.value_and_grad(U)
+    T = _tangent(U, G)
+    g = _fnorm(T)
+    step = np.full(S, float(step0))
+    it = np.zeros(S, int)
+    backtracks = np.zeros(S, int)   # rejected trials in this outer iteration
+    stage2 = np.zeros(S, bool)
+    accept = np.ones(S, bool)       # the first outer iteration starts now
+    recheck = np.full(S, np.inf)    # g at which to try a Newton step again
+    while len(idx):
+        # settle what needs no evaluation: an accepted stage-1 start begins
+        # an outer iteration or stops; a stage-1 start whose improvement
+        # would be below rounding, or that ran out of backtracking, enters
+        # stage 2; a stage-2 start continues or stops.  In the common round
+        # none of this happens and accepted starts just count an iteration.
+        tiny = step * g * g < 1e-13 * np.maximum(1.0, np.abs(f))
+        if not np.count_nonzero(stage2 | tiny | (g <= gtol)
+                                | (it >= max_iter) | (backtracks >= 50)):
+            it += accept
+        else:
+            outer = accept & ~stage2
+            go = outer & (it < max_iter)
+            it += go
+            done = go & (g <= gtol)
+            enter2 = (outer & ~go) | (backtracks >= 50) | (
+                tiny & ~(stage2 | done))
+            step = np.where(enter2, np.maximum(step, 1e-3), step)
+            stage2 = stage2 | enter2
+            more = stage2 & (it < max_iter) & (g > gtol) & (step > 1e-8)
+            it += more
+            done |= stage2 & ~more
+            if np.count_nonzero(done):
+                for o, a in zip(out, (U, f, g, it)):
+                    o[idx[done]] = a[done]
+                live = ~done
+                (idx, U, f, G, T, g, step, it, backtracks, stage2, accept,
+                 recheck) = (a[live] for a in (idx, U, f, G, T, g, step, it,
+                                               backtracks, stage2, accept,
+                                               recheck))
+                if not len(idx):
+                    break
+        # one trial per running start: the Newton step where a frame that
+        # just moved allows one, else the gradient step.  Where the Hessian
+        # refused or the Newton trial failed, the next try waits for the
+        # gradient norm to halve
+        D = step[:, None, None] * T
+        newton = np.zeros(len(idx), bool)
+        moved = np.flatnonzero(accept & (g <= recheck))
+        if moved.size:
+            ok, D_newton = _newton_steps(ev, U[moved], T[moved])
+            newton[moved[ok]] = True
+            D[moved[ok]] = D_newton[ok]
+            recheck[moved[~ok]] = g[moved[~ok]] / 2.0
+        U_try = _retract(U + D)
+        f_try, G_try = ev.value_and_grad(U_try)
+        T_try = _tangent(U_try, G_try)
+        g_try = _fnorm(T_try)
+        accept = f_try >= f + 1e-4 * step * g * g
+        step_next = np.where(accept, np.minimum(step * 1.8, 4.0), step * 0.4)
+        if np.count_nonzero(stage2):
+            accept = np.where(stage2, g_try < g, accept)
+            step_next = np.where(stage2, np.where(accept, step, step * 0.5),
+                                 step_next)
+        if moved.size:
+            accept = np.where(newton, (g_try < g) & (
+                f_try >= f - 1e-13 * np.maximum(1.0, np.abs(f))), accept)
+            step_next = np.where(newton, step, step_next)
+            recheck = np.where(newton & ~accept, g / 2.0, recheck)
+        step = step_next
+        backtracks = np.where(accept | stage2 | newton, 0, backtracks + 1)
         accepted = np.count_nonzero(accept)
         if accepted == len(accept):
             U, G, T, f, g = U_try, G_try, T_try, f_try, g_try
@@ -330,6 +424,88 @@ class TestEngineAgainstLoop:
             assert isinstance(fk, float) and Gk.shape == (8, 4)
             assert abs(fk - ev.value(U[k])) < 1e-13
             assert f[k] == fk and np.array_equal(G[k], Gk)
+
+
+def random_form(n, p, rng):
+    return ExteriorElement(n, p, {idx: rng.standard_normal()
+                                  for idx in lex_indices(n, p)})
+
+
+def check_same_steps(ev, U0, **kwargs):
+    """The engine and its masked-array form give the same frames, values,
+    gradient norms and iteration counts, bit for bit."""
+    got = _ascend_batch(ev, U0, **kwargs)
+    want = ref_masked_ascend_batch(ev, U0, **kwargs)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+class TestControlAgainstMaskedLoop:
+    @pytest.mark.parametrize("name,params", CATALOGUE_SPECS)
+    @pytest.mark.parametrize("max_iter", [3, 600])
+    def test_catalogue(self, name, params, max_iter):
+        cal = catalogue(name, *params)
+        check_same_steps(FormEvaluator(cal.form), starts(cal.n, cal.p, 60),
+                         max_iter=max_iter)
+
+    @pytest.mark.parametrize("size", [1, 4, 24])
+    def test_mass_loop_sizes(self, size):
+        # the mass-norm loop prices random R^6 3-forms with 4 or 24 starts
+        for j in range(3):
+            ev = FormEvaluator(random_form(6, 3, rng_stream(6, 3, j)))
+            check_same_steps(ev, starts(6, 3, size, seed=j))
+
+    def test_no_newton(self):
+        ev = FormEvaluator(catalogue("cayley").form)
+        check_same_steps(no_newton(ev.value_and_grad), starts(8, 4, 60))
+
+    def test_downhill_gradient(self):
+        ev = FormEvaluator(catalogue("associative").form)
+
+        def vg(U):
+            f, G = ev.value_and_grad(U)
+            return 1e9 * f, -1e9 * G
+
+        check_same_steps(no_newton(vg), starts(7, 3, 60))
+
+    def test_penalty(self):
+        cal = catalogue("associative")
+        ev_a = FormEvaluator(random_form(7, 3, np.random.default_rng(11)))
+        ev_phi = FormEvaluator(cal.form)
+
+        def vg(U):
+            fa, Ga = ev_a.value_and_grad(U)
+            fp, Gp = ev_phi.value_and_grad(U)
+            return -fa + 1e3 * (fp - 1.0), -Ga + 1e3 * Gp
+
+        def hessian(U, Q):
+            return -ev_a.hessian(U, Q) + 1e3 * ev_phi.hessian(U, Q)
+
+        check_same_steps(Objective(vg, hessian), starts(7, 3, 60, seed=3),
+                         gtol=1e-11, max_iter=250)
+
+    @pytest.mark.parametrize("name,params", [("kaehler", (2, 1)),
+                                             ("cayley", ())])
+    def test_rounding_floor(self, name, params):
+        cal = catalogue(name, *params)
+        check_same_steps(FormEvaluator(cal.form), starts(cal.n, cal.p, 60),
+                         gtol=0.0)
+
+    @pytest.mark.parametrize("name,params", [("kaehler", (3, 1)),
+                                             ("associative", ()),
+                                             ("cayley", ())])
+    def test_polish_settings(self, name, params):
+        # polish_plane re-converges one frame near the maximizer manifold
+        cal = catalogue(name, *params)
+        ev = FormEvaluator(cal.form)
+        for k, U in enumerate(starts(cal.n, cal.p, 4)):
+            near = comass(cal.form, seed=k).plane.frame.T
+            for U0 in (U, _retract((near + 1e-3 * U)[None])[0]):
+                check_same_steps(ev, U0[None], gtol=1e-13, max_iter=300,
+                                 step0=0.05)
+                _, want, _, _ = ref_masked_ascend_batch(
+                    ev, U0[None], gtol=1e-13, max_iter=300, step0=0.05)
+                assert polish_plane(cal.form, SimplePlane(U0.T))[1] == want[0]
 
 
 class TestSamplingAgainstLoop:

@@ -316,6 +316,13 @@ class TestPlaneStack:
                          for k in range(7)])
         assert ss.frames.tobytes() == _random_frames(
             6, 3, 9, range(9000, 9007)).tobytes() == loop.tobytes()
+        # one batched QR gives every frame the bits of its own QR
+        for n, p in [(4, 2), (5, 2), (6, 3), (7, 3), (7, 4), (8, 3), (8, 4)]:
+            for seed in range(5):
+                loop = np.array([random_frame(n, p, rng_stream(seed, k))
+                                 for k in range(60)])
+                assert _random_frames(n, p, seed,
+                                      range(60)).tobytes() == loop.tobytes()
         assert len(ss) == 7 and ss.values == [0.0] * 7
         assert random_plane_set(6, 3, count=0, seed=9).frames.shape == \
             (0, 6, 3)
