@@ -3,16 +3,11 @@
 Cone queries on a Kaehler form are exact (one eigendecomposition on its top
 singular block, `grassmann.kaehler_structure`), which covers every
 calibration in degree 2 and codegree 2, and so is the mass norm wherever
-the comass is.  Other cone queries run against a finite sample of
-G(phi), grown for cone membership by column generation (each round prices
-the NNLS residual with one constrained extremum over G(phi): sampled starts
-polished onto G(phi) and refined tangentially), which approximates the
-exact cones from below; every report carries the sample count, the
-tolerances and ``meta["exact"]``.
-Linear programs, Lemma 2.5's hull test among them, go through the in-repo
-bounded-variable simplex (`calibr.lp`); the sampled membership's
-nonnegative least-squares subproblems use scipy's NNLS, which is imported
-on the first call so that the exact routes never load scipy.
+the comass is.  Other cone queries run against a finite sample of G(phi),
+which approximates the exact cones from below; every report carries the
+sample count, the tolerances and ``meta["exact"]``.  The mass norm and
+sampled membership share one column-generation loop, `_generate`.  Every
+LP runs on the in-repo simplex (`calibr.lp`), so no cone query loads scipy.
 """
 
 from __future__ import annotations
@@ -27,7 +22,7 @@ from .exterior import ExteriorElement, SimplePlane, pairing
 from .grassmann import (PlaneSampleSet, _degree_two_skew, comass,
                         constrained_extremum, kaehler_matrix, kaehler_planes,
                         kaehler_structure, polish_plane, span_split)
-from .lp import solve_lp
+from .lp import FEAS_TOL, solve_lp
 
 BOUNDARY_TOL = 1e-6
 MEMBERSHIP_TOL = 1e-6    # relative residual of a member's decomposition
@@ -36,7 +31,8 @@ GAP_TOL = 1e-9      # mass loop: bracket width, or dual comass above one
 
 
 def nnls(A, b):
-    """scipy's NNLS: (x >= 0 minimizing |A x - b|, that residual norm)."""
+    """scipy's NNLS: (x >= 0 minimizing |A x - b|, that residual norm).
+    Kept for the benchmark's tracer, which wraps it by name, and a test."""
     from scipy.optimize import nnls as scipy_nnls
     return scipy_nnls(A, b)
 
@@ -73,52 +69,46 @@ def _member_margin(atom_matrix, coeffs):
 def cone_membership(xi: ExteriorElement, cal: Calibration,
                     samples: PlaneSampleSet, max_rounds=20,
                     seed=0) -> ConeReport:
-    """Nonnegative decomposition of xi over phi-planes.
-
-    On a Kaehler form the atoms are `_kaehler_atoms`, the report is exact
-    and the sample may be empty; otherwise they are the sampled planes
-    grown by column generation (`_sampled_membership`).  Outside when the
-    relative residual exceeds MEMBERSHIP_TOL, with margin minus it,
-    ``meta["separating_form"]`` -r/|r| for the residual r (it pairs
-    negatively with xi, nonnegatively with every atom) and
-    ``meta["separating_min"]`` its `constrained_extremum` minimum over
-    G(phi): exact on the Kaehler route, the loop's last pricing otherwise,
-    a separation certificate when it is nonnegative.  ``meta["capped"]`` is
-    True when the loop stopped at ``max_rounds`` or on a stalled residual
-    while that pricing was still negative.  A member's margin is the
-    largest minimum atom weight relative to |xi|, Interior above
-    BOUNDARY_TOL: exact for the cone of the atoms (meta["planes"]) only, so
-    a sum of three sampled associative planes can read Boundary.
-    """
+    """Nonnegative decomposition of xi over phi-planes: exact on a Kaehler
+    form (`_kaehler_atoms`; the sample may be empty), with r the residual
+    of the nearest point, else over sampled planes (`_sampled_membership`),
+    with r the dual of its L1-residual LP.  Outside when
+    ``meta["residual"]``, |r|/|xi| or the L1 residual over |xi|, exceeds
+    MEMBERSHIP_TOL, with margin minus it and ``meta["separating_form"]``
+    -r/|r|, negative on xi and nonnegative on the atoms; its minimum over
+    G(phi), exact or the loop's last pricing, is ``meta["separating_min"]``,
+    a certificate when nonnegative.  ``meta["capped"]``: the round cap
+    stopped the loop.  A member's margin is its largest minimum atom
+    weight over |xi|, Interior above BOUNDARY_TOL, for the cone of the
+    atoms (meta["planes"]) only: three sampled associative planes can read
+    Boundary."""
     if xi.n != cal.n or xi.p != cal.p:
         raise ValueError("degree/dimension mismatch between xi and calibration")
+    if max_rounds < 0:
+        raise ValueError(f"max_rounds must be at least 0, got {max_rounds}")
     xi_vec = xi.to_coeff_vector()
     scale = max(np.linalg.norm(xi_vec), 1e-300)
     structure = kaehler_structure(cal.form)
     exact = structure is not None
-    if not exact:
-        if len(samples) == 0:
-            raise ValueError("empty sample set")
-        planes, A, coeffs, res, pricing, capped = _sampled_membership(
-            xi, xi_vec, scale, cal, samples, max_rounds, seed)
-    else:
+    if exact:
         planes, coeffs = _kaehler_atoms(xi, cal, *structure)
-        A = np.column_stack([pl.pvector().to_coeff_vector() for pl in planes])
-        capped = False
-    r = xi_vec - A @ coeffs
-    residual = (np.linalg.norm(r) if exact else res) / scale
+        r = xi_vec - _columns(planes) @ coeffs
+        residual, capped = np.linalg.norm(r) / scale, False
+    elif len(samples) == 0:
+        raise ValueError("empty sample set")
+    else:
+        planes, coeffs, residual, r, pricing, capped = _sampled_membership(
+            xi, scale, cal, samples, max_rounds, seed)
     tolerances = {"membership_tol": MEMBERSHIP_TOL,
                   "boundary_tol": BOUNDARY_TOL}
     meta = {"sample_count": len(samples), "atom_count": len(planes),
             "residual": residual, "planes": planes,
             "weights": coeffs, "exact": exact, "capped": capped}
     if residual > MEMBERSHIP_TOL:
-        sep = ExteriorElement.from_coeff_vector(
-            cal.n, cal.p, -r / np.linalg.norm(r), drop_tol=0.0)
-        meta["separating_form"] = sep
-        meta["separating_min"] = (constrained_extremum(sep, cal, samples,
-                                                       "min")
-                                  if exact else pricing)
+        meta["separating_form"] = sep = _unit_form(cal, -r)
+        if exact:
+            pricing = constrained_extremum(sep, cal, samples, "min")
+        meta["separating_min"] = pricing
         return ConeReport("Outside", -residual, None, tolerances, None, meta)
     certificate = None
     if residual <= 1e-8:
@@ -126,9 +116,18 @@ def cone_membership(xi: ExteriorElement, cal: Calibration,
         certificate = {"weights": [c for c, _ in active],
                        "planes": [pl for _, pl in active]}
     margin = (coeffs.min() / scale if exact
-              else _member_margin(A, coeffs / scale))
+              else _member_margin(_columns(planes), coeffs / scale))
     status = "Boundary" if abs(margin) <= BOUNDARY_TOL else "Interior"
     return ConeReport(status, margin, certificate, tolerances, None, meta)
+
+
+def _columns(planes):
+    return np.column_stack([pl.pvector().to_coeff_vector() for pl in planes])
+
+
+def _unit_form(cal, vec):
+    return ExteriorElement.from_coeff_vector(
+        cal.n, cal.p, vec / np.linalg.norm(vec), drop_tol=0.0)
 
 
 def _kaehler_atoms(xi, cal, J, E):
@@ -151,51 +150,72 @@ def _kaehler_atoms(xi, cal, J, E):
             np.maximum(lam[m // 2:], 0.0))
 
 
-def _sampled_membership(xi, xi_vec, scale, cal, samples, max_rounds, seed):
-    """Column generation over the sampled planes.  Each round solves NNLS
-    over the atoms and prices the residual r = xi - A c with one ascent of
-    -r/|r| over G(phi); the priced plane joins the atoms while it pairs
-    positively with r.  Stops on a vanishing residual, a nonnegative
-    pricing (which then separates xi from the cone), ``max_rounds`` added
-    planes or three rounds that shrink the residual by under 0.5%.
-
-    Returns the atoms, their p-vectors as the columns of a matrix, the NNLS
-    weights, the residual norm, the last pricing (None when the residual
-    vanished before any) and whether a cap or a stall ended the loop with
-    that pricing still negative."""
+def _sampled_membership(xi, scale, cal, samples, max_rounds, seed):
+    """Column generation over the sampled planes on the LP min 1.(s+ + s-)
+    subject to A w + s+ - s- = xi, w, s >= 0, whose dual y has A^T y <= 0
+    and |y|_inf <= 1: -y/|y| is nonnegative on the atoms and negative on
+    xi.  Each round prices it over G(phi) by one constrained extremum and
+    adds the plane while the simplex would pivot it in (above FEAS_TOL).
+    Returns the atoms, weights, L1 residual over |xi|, last dual y and
+    pricing (None if no round priced) and whether the cap stopped it."""
     planes = list(samples.planes)
-    cols = [samples.pvectors().T]
-    # when the target is close to a single phi-plane, that plane (found by
-    # aligning with xi and polishing onto the Grassmannian) is the one atom
-    # that matters; add it up front
+    cols = [*samples.pvectors()]
+    # the plane best aligned with xi, if a phi-plane: without it e123 on
+    # associative reads Outside (test_calibrated_plane_off_the_sample) and
+    # a midpoint on omega Boundary (TestSampledRouteOnOmega)
     cm_xi = comass((1.0 / scale) * xi, multistarts=8, seed=seed)
-    polished, val = polish_plane(cal.form, cm_xi.plane)
-    if val >= 1.0 - max(MEMBERSHIP_TOL, samples.tolerance):
-        planes.append(polished)
-        cols.append(polished.pvector().to_coeff_vector())
-    A = np.column_stack(cols)
-    coeffs, res = nnls(A, xi_vec)
-    pricing, stagnant = None, 0
-    for round_k in range(max_rounds + 1):
-        if res <= 1e-10 * scale:
-            break
-        r = xi_vec - A @ coeffs
+    if (pairing(cal.form, cm_xi.plane.pvector())
+            >= 1.0 - max(MEMBERSHIP_TOL, samples.tolerance)):
+        planes.append(polish_plane(cal.form, cm_xi.plane)[0])
+        cols.append(planes[-1].pvector().to_coeff_vector())
+    d = len(cols[0])
+    pricing = None
+
+    def lp(A):
+        return (np.append(np.zeros(A.shape[1]), np.ones(2 * d)),
+                np.hstack([A, np.eye(d), -np.eye(d)]), xi.to_coeff_vector())
+
+    def price(res, round_k):
+        nonlocal pricing
+        if res.obj <= MEMBERSHIP_TOL * scale:
+            return None
         pricing = constrained_extremum(
-            ExteriorElement.from_coeff_vector(
-                cal.n, cal.p, -r / np.linalg.norm(r), drop_tol=0.0),
-            cal, samples, "min", seed=seed + round_k,
+            _unit_form(cal, -res.y), cal, samples, "min", seed=seed + round_k,
             starts_limit=SEPARATION_STARTS, extra_starts=2)
         col = pricing.plane.pvector().to_coeff_vector()
-        if col @ r <= 1e-12 * scale * np.linalg.norm(r):
-            break  # no phi-plane pairs positively with the residual
-        if round_k == max_rounds or stagnant >= 3:
-            return planes, A, coeffs, res, pricing, True
+        # a column closer to zero would join the atoms unused to the cap
+        if col @ res.y <= FEAS_TOL:
+            return None
         planes.append(pricing.plane)
-        A = np.column_stack([A, col])
-        res_prev = res
-        coeffs, res = nnls(A, xi_vec)
-        stagnant = stagnant + 1 if res > 0.995 * res_prev else 0
-    return planes, A, coeffs, res, pricing, False
+        return col
+
+    res, _, capped = _generate(cols, lp, price, max_rounds + 1)
+    m = len(res.x) - 2 * d      # a capped loop priced one plane more
+    return planes[:m], res.x[:m], res.obj / scale, res.y, pricing, capped
+
+
+def _generate(cols, lp, price, max_rounds):
+    """Column generation (Chvatal, Linear Programming, ch. 8): solve the LP
+    (c, M, b) = ``lp(A)``, A = column_stack(cols) and M opening with k
+    copies of A, and append ``price(result, round)`` to cols until None.
+    The first LP starts cold, each later one at the last basis, shifted by
+    q in the q-th copy of A and by k past them (an artificial, past M then,
+    starts it cold).  Returns the last LP, the LPs solved and whether
+    ``max_rounds`` ran out, the last priced column then in no LP."""
+    res = None
+    for round_k in range(max_rounds):
+        A = np.column_stack(cols)
+        c, M, b = lp(A)
+        basis = None if res is None else res.basis + np.minimum(
+            res.basis // (A.shape[1] - 1), M.shape[1] - width)
+        res, width = solve_lp(c, M, b, basis=basis), M.shape[1]
+        if res.status != 'optimal':
+            raise RuntimeError(f"LP failed with status {res.status}")
+        col = price(res, round_k)
+        if col is None:
+            return res, round_k + 1, False
+        cols.append(col)
+    return res, max_rounds, True
 
 
 # ---------------------------------------------------------------------------
@@ -210,19 +230,16 @@ def mass_norm_estimate(xi: ExteriorElement, generator_samples: PlaneSampleSet,
     mass, returned as both ends with ``meta["rounds"]`` 0: |xi| for p = 1,
     n-1, n, else half the nuclear norm of the skew matrix of xi (of *xi).
     Otherwise upper: min sum |c| over signed decompositions into sampled
-    simple unit p-vectors (in-repo simplex), with cutting-plane
-    augmentation driven by the LP dual.  Each round adds one column, so
-    every LP after the first starts from the previous round's optimal
-    basis, which stays feasible (column generation; Chvatal, Linear
-    Programming, ch. 8); the first is solved cold.  Lower: best pairing
-    against a dictionary of forms, each divided by its comass.
+    simple unit p-vectors, grown by `_generate` with the plane of the LP
+    dual's `comass` while that exceeds one.  Lower: best pairing against
+    the dual and other forms, each divided by its comass.
 
     ``meta["lower_certified"]`` is True when the form behind ``lower`` had an
     exact comass, so that ``lower`` is a certified lower bound; otherwise
     it divides by a best-found comass and may overshoot the mass.
     ``meta["capped"]`` is True when the loop stopped at ``max_rounds`` with
-    the bracket still wider than GAP_TOL.  Raises
-    RuntimeError when ``lower`` exceeds ``upper`` beyond rounding.
+    the bracket still wider than GAP_TOL.  Raises RuntimeError when
+    ``lower`` exceeds ``upper`` beyond rounding.
     """
     if generator_samples.frames.shape[1:] != (xi.n, xi.p):
         raise ValueError("degree/dimension mismatch between xi and "
@@ -259,45 +276,34 @@ def mass_norm_estimate(xi: ExteriorElement, generator_samples: PlaneSampleSet,
             cm_xi.plane.pvector().to_coeff_vector()]
     if cm_xi.value > 1e-12:
         offer(xi_unit, cm_xi, cm_xi.value)
-    dual_comass = None
-    saturated = True
-    upper = np.inf
-    capped = False
-    # the first LP starts cold: the signed coordinate columns are a feasible
-    # basis, but on a degenerate LP they change which optimal dual is priced
-    basis = None
-    for round_k in range(max_rounds):
-        A = np.column_stack(cols)
-        m = A.shape[1]
-        res = solve_lp(np.ones(2 * m), np.hstack([A, -A]), xi_vec,
-                       basis=basis)
-        if res.status != 'optimal':
-            raise RuntimeError(f"mass LP failed with status {res.status}")
-        upper = res.obj
-        if upper - lower <= GAP_TOL * max(1.0, upper):
-            break
+    dual_comass, saturated = None, True
+
+    def lp(A):
+        return np.ones(2 * A.shape[1]), np.hstack([A, -A]), xi_vec
+
+    def price(res, round_k):
+        nonlocal dual_comass, saturated
+        if res.obj - lower <= GAP_TOL * max(1.0, res.obj):
+            return None
         dual_form = ExteriorElement.from_coeff_vector(n, p, res.y,
                                                       drop_tol=0.0)
-        if dual_form.norm() == 0.0:
-            break
         cm = comass(dual_form, multistarts=comass_multistarts,
                     seed=seed + round_k)
-        dual_comass = cm.value
-        saturated = cm.saturated
+        dual_comass, saturated = cm.value, cm.saturated
         if dual_comass > 1e-12:
             offer(dual_form, cm, max(dual_comass, 1.0))
         if dual_comass <= 1.0 + GAP_TOL:
-            break
-        cols.append(cm.plane.pvector().to_coeff_vector())
-        # the next LP is [A, a, -A, -a]: the -A columns shift by one and
-        # the artificials by two, so a basis naming one still starts cold
-        basis = res.basis + (res.basis >= m) + (res.basis >= 2 * m)
-    else:
-        capped = True
+            return None
+        return cm.plane.pvector().to_coeff_vector()
+
+    # the first LP starts cold: a basis of signed coordinate columns would
+    # change which optimal dual of a degenerate LP is priced
+    res, rounds, capped = _generate(cols, lp, price, max_rounds)
+    upper = res.obj
     if lower > upper * (1.0 + 1e-12):
         raise RuntimeError(
             f"mass bracket inverted: lower {lower!r} > upper {upper!r}")
-    return upper, lower, {"rounds": round_k + 1, "dual_comass": dual_comass,
+    return upper, lower, {"rounds": rounds, "dual_comass": dual_comass,
                           "saturated": saturated, "atoms": len(cols),
                           "lower_certified": certified, "capped": capped}
 
@@ -361,8 +367,7 @@ def lemma_2_5_check(xi: ExteriorElement, cal: Calibration,
     # convex-hull version: an LP over the atoms found during the membership
     # solve, weights >= 0 summing to one; phase 1 gives the least L1 residual
     xi_vec = xi.to_coeff_vector()
-    planes = rep1.meta["planes"]
-    A = np.column_stack([pl.pvector().to_coeff_vector() for pl in planes])
+    A = _columns(rep1.meta["planes"])
     hull = solve_lp(np.zeros(A.shape[1]), np.vstack([A, np.ones(A.shape[1])]),
                     np.append(xi_vec, 1.0))
     if hull.status in ('maxiter', 'singular'):

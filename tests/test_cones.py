@@ -4,12 +4,14 @@ from scipy.optimize import linprog
 
 import calibr.cones
 from calibr.calibrations import catalogue
-from calibr.cones import (cone_membership, lemma_2_5_check,
+from calibr.cones import (BOUNDARY_TOL, MEMBERSHIP_TOL, SEPARATION_STARTS,
+                          _member_margin, cone_membership, lemma_2_5_check,
                           mass_norm_estimate, positivity_classify)
 from calibr.exterior import (ExteriorElement, SimplePlane, contraction_matrix,
                              hodge_star, interior_product, lex_indices,
                              pairing, simple_from_frame, wedge)
-from calibr.grassmann import (comass, random_plane_set, rng_stream,
+from calibr.grassmann import (comass, constrained_extremum, polish_plane,
+                              random_plane_set, rng_stream,
                               sample_grassmannian, span_split)
 from calibr.lp import solve_lp
 
@@ -166,6 +168,52 @@ class TestConeMembership:
     def test_mismatch_rejected(self, omega, ss_omega):
         with pytest.raises(ValueError):
             cone_membership(ExteriorElement.basis(6, (1, 2)), omega, ss_omega)
+
+
+def ref_nnls_membership(xi, cal, samples, max_rounds=20, seed=0):
+    """The status by the NNLS column generation that sampled membership
+    ran before the L1-residual LP; tests/test_kaehler.py and
+    tests/test_grassmann.py check every sampled-route status against it
+    (the loops price different forms, so their separating_min may differ).
+    Each round solves NNLS over the atoms and prices the residual r = xi -
+    A c with one ascent of -r/|r| over G(phi); the priced plane joins the
+    atoms while it pairs positively with r.  Stops on a residual under
+    1e-10 |xi|, a nonnegative pricing, ``max_rounds`` added planes or
+    three rounds that shrink the residual by under 0.5%."""
+    xi_vec = xi.to_coeff_vector()
+    scale = max(np.linalg.norm(xi_vec), 1e-300)
+    planes = list(samples.planes)
+    cols = [samples.pvectors().T]
+    cm_xi = comass((1.0 / scale) * xi, multistarts=8, seed=seed)
+    polished, val = polish_plane(cal.form, cm_xi.plane)
+    if val >= 1.0 - max(MEMBERSHIP_TOL, samples.tolerance):
+        planes.append(polished)
+        cols.append(polished.pvector().to_coeff_vector())
+    A = np.column_stack(cols)
+    coeffs, res = calibr.cones.nnls(A, xi_vec)
+    stagnant = 0
+    for round_k in range(max_rounds + 1):
+        if res <= 1e-10 * scale:
+            break
+        r = xi_vec - A @ coeffs
+        pricing = constrained_extremum(
+            ExteriorElement.from_coeff_vector(
+                cal.n, cal.p, -r / np.linalg.norm(r), drop_tol=0.0),
+            cal, samples, "min", seed=seed + round_k,
+            starts_limit=SEPARATION_STARTS, extra_starts=2)
+        col = pricing.plane.pvector().to_coeff_vector()
+        if (col @ r <= 1e-12 * scale * np.linalg.norm(r)
+                or round_k == max_rounds or stagnant >= 3):
+            break
+        planes.append(pricing.plane)
+        A = np.column_stack([A, col])
+        res_prev = res
+        coeffs, res = calibr.cones.nnls(A, xi_vec)
+        stagnant = stagnant + 1 if res > 0.995 * res_prev else 0
+    if res / scale > MEMBERSHIP_TOL:
+        return "Outside"
+    margin = _member_margin(A, coeffs / scale)
+    return "Boundary" if abs(margin) <= BOUNDARY_TOL else "Interior"
 
 
 class TestMassNorm:

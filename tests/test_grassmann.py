@@ -23,6 +23,7 @@ from calibr.grassmann import (DEDUP_ANGLE, DEFAULT_GTOL, FormEvaluator,
                               reduce_calibration, rng_stream,
                               sample_grassmannian, span_split)
 from calibr.hessian import normality_check
+from test_cones import ref_nnls_membership
 
 
 def dx(n, *idx):
@@ -771,12 +772,14 @@ class TestStructureMemo:
                 len(lex_indices(cal.n, cal.p))))
         constrained_extremum(alpha, cal, ss, "min", extra_starts=0,
                              starts_limit=2)
-        cone_membership(ss.planes[0].pvector(), cal, ss, seed=3)
+        xi = ss.planes[0].pvector()
+        rep = cone_membership(xi, cal, ss, seed=3)
         key = (cal.n, cal.p, cal.form.to_coeff_vector().tobytes())
         assert detections[key] == 1
         # the member's own comass detects it once too, and nothing else
         # is detected twice
         assert max(detections.values()) == 1
+        assert rep.status == ref_nnls_membership(xi, cal, ss, seed=3)
 
     def test_equal_forms_share_one_structure(self):
         phi = catalogue("cayley").form

@@ -27,6 +27,7 @@ from calibr.grassmann import (FormEvaluator, PlaneSampleSet,
                               kaehler_structure, pullback, random_plane_set,
                               sample_grassmannian)
 from calibr.hessian import phi_flat_check, psh_classify
+from test_cones import ref_nnls_membership
 from test_grassmann import BLOCK_FORMS, block_form
 
 KAEHLER = [(2, 1), (3, 1), (3, 2)]
@@ -150,10 +151,13 @@ class TestSampleAgainstAscent:
 
 class TestMembershipAgainstSampled:
     def verdicts(self, cal, xs, ss, monkeypatch):
-        """Reports on the exact route, then on the sampled route."""
+        """Reports on the exact route, then on the sampled route, whose
+        statuses the NNLS reference loop gives too."""
         exact = [cone_membership(xi, cal, ss, seed=3) for xi in xs]
         force_sampled_route(monkeypatch)
         sampled = [cone_membership(xi, cal, ss, seed=3) for xi in xs]
+        assert [rep.status for rep in sampled] == [
+            ref_nnls_membership(xi, cal, ss, seed=3) for xi in xs]
         return exact, sampled
 
     @staticmethod
@@ -312,14 +316,39 @@ class TestSeparatingForm:
         xi = ExteriorElement.basis(7, (1, 2, 4))
         rep = cone_membership(xi, cal, ss)
         assert rep.status == "Outside" and not rep.meta["exact"]
+        assert ref_nnls_membership(xi, cal, ss) == "Outside"
         sep = rep.meta["separating_form"]
         assert pairing(sep, xi) < 0.0
-        # KKT of the final NNLS: A^T r <= 0 on every atom
+        # dual feasibility of the final LP: A^T y <= 0 on every atom
         for pl in rep.meta["planes"]:
             assert pairing(sep, pl.pvector()) >= -1e-12
         assert not rep.meta["separating_min"].exact
         # the pricing is attained on G(phi)
         assert abs(rep.meta["separating_min"].phi_value - 1.0) <= 1e-6
+
+    def test_sampled_route_certified(self):
+        # from 20 samples the loop ends on a pricing that no longer breaks
+        # the separating form: a certificate, short of the round cap
+        cal = catalogue("associative")
+        ss = sample_grassmannian(cal, count=20, seed=5)
+        xi = ExteriorElement.basis(7, (1, 2, 4))
+        rep = cone_membership(xi, cal, ss)
+        assert rep.status == "Outside" and rep.meta["capped"] is False
+        assert rep.meta["separating_min"].value >= -1e-12
+        assert ref_nnls_membership(xi, cal, ss) == "Outside"
+
+    def test_sampled_route_tail_capped(self):
+        # the pricing tails off slowly here: at the cap the report claims
+        # no certificate
+        cal = catalogue("special_lagrangian", 3)
+        ss = sample_grassmannian(cal, count=20, seed=5)
+        P = ss.pvectors()
+        xi = ExteriorElement.from_coeff_vector(6, 3, -P[0] + 0.5 * P[1])
+        rep = cone_membership(xi, cal, ss, max_rounds=5)
+        assert rep.status == "Outside" and rep.certificate is None
+        assert rep.meta["capped"] is True
+        assert rep.meta["separating_min"].value < 0.0
+        assert ref_nnls_membership(xi, cal, ss, max_rounds=5) == "Outside"
 
     def test_sampled_route_against_lines(self, monkeypatch):
         # the loop's last pricing is the separating_min; on omega it must
@@ -332,6 +361,7 @@ class TestSeparatingForm:
         for xi in xs:
             rep = cone_membership(xi, cal, ss)
             assert rep.status == "Outside" and not rep.meta["exact"]
+            assert ref_nnls_membership(xi, cal, ss) == "Outside"
             sep = rep.meta["separating_form"]
             assert pairing(sep, xi) < 0.0
             for pl in rep.meta["planes"]:
@@ -348,6 +378,7 @@ class TestSeparatingForm:
         force_sampled_route(monkeypatch)
         rep = cone_membership(xi, cal, ss, max_rounds=0)
         assert rep.status == "Outside" and rep.meta["capped"] is True
+        assert ref_nnls_membership(xi, cal, ss, max_rounds=0) == "Outside"
         assert rep.meta["separating_min"].value < 0.0
 
 
@@ -503,6 +534,7 @@ class TestBlockRoutes:
         force_sampled_route(monkeypatch)
         ref = cone_membership(xi, cal, ss, seed=3)
         assert not ref.meta["exact"] and ref.status != "Outside"
+        assert ref.status == ref_nnls_membership(xi, cal, ss, seed=3)
 
     def test_part_outside_the_block_is_outside(self, block, monkeypatch):
         # a 2-vector w ^ v with w orthogonal to E (its star in codegree 2)
@@ -521,6 +553,7 @@ class TestBlockRoutes:
         force_sampled_route(monkeypatch)
         ref = cone_membership(xi, cal, ss, seed=3)
         assert ref.status == "Outside" and not ref.meta["exact"]
+        assert ref_nnls_membership(xi, cal, ss, seed=3) == "Outside"
         # the sampled cone lies inside the exact one
         assert rep.meta["residual"] <= ref.meta["residual"] + 1e-12
 
@@ -555,3 +588,11 @@ def test_mass_norm_needs_a_round():
     with pytest.raises(ValueError, match="max_rounds"):
         mass_norm_estimate(ExteriorElement.basis(4, (1, 2)), gens,
                            max_rounds=0)
+
+
+def test_membership_rejects_negative_rounds():
+    cal = catalogue("associative")
+    ss = sample_grassmannian(cal, count=4, seed=5)
+    with pytest.raises(ValueError, match="max_rounds"):
+        cone_membership(ExteriorElement.basis(7, (1, 2, 4)), cal, ss,
+                        max_rounds=-1)

@@ -175,10 +175,11 @@ REPORTS = [
         {**EXACT, "report.conditions.hull_membership.margin": float}),
     Row("lemma25-lambda",
         "lemma25 --cal lambda:0.5 --pvector ../xi4.json --count 8", 0, EXACT),
-    # associative is not Kaehler: membership is sampled and runs NNLS
+    # associative is not Kaehler: membership is sampled column generation
+    # on the in-repo simplex, so it loads no scipy either
     Row("lemma25-associative",
         "lemma25 --cal associative --pvector ../e124.json --count 8", 0,
-        INEXACT, scipy=True),
+        INEXACT),
     # p = 3 in R^6 has no exact path: all 25 LP rounds run
     Row("massnorm-xi6", "massnorm --pvector ../xi6.json", 0,
         {"report.rounds": 25, "report.capped": True,
