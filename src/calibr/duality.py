@@ -362,8 +362,9 @@ def jensen_alternative(model: FiniteDualityModel, K_indices, x_index,
     K = len(model.test_family)
     n_atoms = A.shape[1] - len(K_indices)
     big = 1e6
-    M = np.block([[A[:K, :n_atoms].T, np.zeros((n_atoms, 1))],
-                  [A[:K, n_atoms:].T, np.ones((len(K_indices), 1))]])
+    M = np.zeros((A.shape[1], K + 1))
+    M[:, :K] = A[:K].T
+    M[n_atoms:, K] = 1.0
     a, have_cert, margin, tie, status = _separation(
         M, np.append(b[:K], 1.0), np.append(-np.ones(K), -big),
         np.append(np.ones(K), big), K, margin_tol)

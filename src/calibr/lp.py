@@ -1,6 +1,7 @@
 """Bounded-variable revised primal simplex: Dantzig pricing, Bland fallback.
 
-Solves  min c.x  subject to  A x = b,  l <= x <= u  (l finite, u may be inf).
+Solves  min c.x  subject to  A x = b,  l <= x <= u  (c, A, b and l finite,
+u may be +inf).
 
 The basis inverse is refactored every 64 pivots and at the end of each
 phase, and updated by a rank-one (eta) step after each basis change.  The
@@ -11,6 +12,13 @@ progress, so a degenerate cycle could only go on under Bland's rule, which
 does not cycle (Bland 1977; Chvatal, Linear Programming, ch. 3).  On
 infeasible problems the phase-1 duals are the Farkas certificate used by
 the alternative theorems.
+
+Across pivots the loop keeps the basic costs, bounds and values in basis
+order and one price sign per variable (-1 at its lower bound, +1 at its
+upper bound, 0 basic), and a pivot updates only the entries it moves; x of
+the basic variables is written back only on exit.
+The arithmetic is that of gathering them at every pivot, so the results
+match that loop (the reference in tests/test_lp.py) bit for bit.
 
 A solve may start from a basis, typically the final basis of an earlier
 solve of the same rows with columns added (column generation, as in the
@@ -29,8 +37,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 FEAS_TOL = 1e-9
-_L, _U, _B = 0, 1, 2        # variable status: at lower, at upper, basic
-_PRICE_SIGN = np.array([-1.0, 1.0, 0.0])    # reduced cost to violation
 
 
 @dataclass
@@ -46,10 +52,12 @@ class LPResult:
 
 
 class _Tableau:
-    def __init__(self, A, c, l, u, basis, status, x, Binv):
+    def __init__(self, A, c, l, u, basis, sign, x, Binv):
         self.A, self.c, self.l, self.u = A, c, l, u
         self.basis = basis          # int array of variable indices, length m
-        self.status = status        # int8 array of _L, _U, _B per variable
+        # price sign per variable, turning its reduced cost into a violation:
+        # -1 at its lower bound, +1 at its upper bound, 0 basic
+        self.sign = sign
         self.x = x
         self.b = A @ x              # fixed right-hand side
         self.Binv = Binv            # inverse of A[:, basis]
@@ -66,7 +74,7 @@ class _Tableau:
             self.Binv = np.linalg.inv(self.A[:, self.basis])
         except np.linalg.LinAlgError:
             return False
-        at_l, at_u = self.status == _L, self.status == _U
+        at_l, at_u = self.sign < 0.0, self.sign > 0.0
         self.x[at_l] = self.l[at_l]
         self.x[at_u] = self.u[at_u]
         nb = at_l | at_u
@@ -74,73 +82,89 @@ class _Tableau:
         return True
 
     def iterate(self, tol, max_iter):
-        lb, ub = self.l[self.basis], self.u[self.basis]   # in basis order
+        A, c, l, u, x = self.A, self.c, self.l, self.u, self.x
+        basis, sign, Binv = self.basis, self.sign, self.Binv
+        # in basis order, updated at each pivot; x[basis] is stale until xb
+        # is written back on exit (a refactor recomputes both from the
+        # nonbasic values)
+        cb, lb, ub, xb = c[basis], l[basis], u[basis], x[basis]
+        unblocked = np.full(len(basis), np.inf)
         it = 0
         bland = False
+        status = 'maxiter'
         while it < max_iter:
             it += 1
-            if it % 64 == 0 and not self._refresh_basics():
-                return 'singular', it
-            z = self.c - self.duals() @ self.A
-            violation = _PRICE_SIGN[self.status] * z
+            if it % 64 == 0:
+                if not self._refresh_basics():
+                    status = 'singular'
+                    break
+                Binv, xb = self.Binv, x[basis]
+            violation = sign * (c - (cb @ Binv) @ A)
             # argmax returns the first maximum: the smallest eligible index
             # under Bland, the lowest index among tied violations otherwise
             if bland:
                 eligible = violation > tol
-                entering = int(np.argmax(eligible))
+                entering = int(eligible.argmax())
                 optimal = not eligible[entering]
             else:
-                entering = int(np.argmax(violation))
+                entering = int(violation.argmax())
                 optimal = violation[entering] <= tol
             if optimal:
-                return ('optimal' if self._refresh_basics() else 'singular'), it
+                status = 'optimal'
+                break
             self.bland_pivots += bland
-            direction = 1.0 if self.status[entering] == _L else -1.0
-            alpha = self.Binv @ self.A[:, entering]
-            d = alpha * direction
+            to_upper = sign[entering] < 0.0
+            alpha = Binv @ A[:, entering]
+            d = alpha if to_upper else -alpha
 
             # ratio test: the blocking step of every basic variable, dividing
             # only where d is clear of zero
-            xb = self.x[self.basis]
-            room = np.where(d > 0.0, xb - lb, ub - xb)
+            falls = d > 0.0
+            room = np.where(falls, xb - lb, ub - xb)
             size = np.abs(d)
-            ratios = np.divide(room, size, out=np.full(len(d), np.inf),
+            ratios = np.divide(room, size, out=unblocked.copy(),
                                where=size > tol)
-            span = float(self.u[entering] - self.l[entering])
-            t_min = min(float(ratios.min()), span)
+            span = float(u[entering] - l[entering])
+            t_min = min(float(ratios.min(initial=math.inf)), span)
             if not math.isfinite(t_min):
-                return 'unbounded', it
+                status = 'unbounded'
+                break
             t_min = max(t_min, 0.0)
             bland = t_min == 0.0
             # Bland leaving rule: among blockers at the minimum ratio, the
             # basic variable with the smallest index leaves
             blockers = (ratios <= t_min + 1e-12).nonzero()[0]
             leave = -1
-            if blockers.size:
-                leave = int(blockers[np.argmin(self.basis[blockers])])
-                if ratios[leave] > span:
-                    leave = -1        # the entering bound flip wins
+            if len(blockers) == 1:
+                leave = int(blockers[0])
+            elif len(blockers):
+                leave = int(blockers[basis[blockers].argmin()])
+            if leave >= 0 and ratios[leave] > span:
+                leave = -1            # the entering bound flip wins
 
-            self.x[entering] += direction * t_min
-            self.x[self.basis] = xb - d * t_min
+            xb -= d * t_min
             if leave < 0:
-                to_upper = self.status[entering] == _L
-                self.status[entering] = _U if to_upper else _L
-                self.x[entering] = (self.u if to_upper else self.l)[entering]
+                sign[entering] = -sign[entering]
+                x[entering] = (u if to_upper else l)[entering]
             else:
-                out = self.basis[leave]
-                hits_lower = d[leave] > 0.0
-                self.x[out] = (self.l if hits_lower else self.u)[out]
-                self.status[out] = _L if hits_lower else _U
-                self.basis[leave] = entering
-                self.status[entering] = _B
-                lb[leave], ub[leave] = self.l[entering], self.u[entering]
+                out = basis[leave]
+                hits_lower = falls[leave]
+                x[out] = (l if hits_lower else u)[out]
+                sign[out] = -1.0 if hits_lower else 1.0
+                xb[leave] = x[entering] + (t_min if to_upper else -t_min)
+                basis[leave] = entering
+                sign[entering] = 0.0
+                cb[leave] = c[entering]
+                lb[leave], ub[leave] = l[entering], u[entering]
                 # eta update: the new inverse maps the entering column to
                 # the unit vector of the pivot row
-                pivot_row = self.Binv[leave] / alpha[leave]
-                self.Binv -= alpha[:, None] * pivot_row
-                self.Binv[leave] = pivot_row
-        return 'maxiter', it
+                pivot_row = Binv[leave] / alpha[leave]
+                Binv -= alpha[:, None] * pivot_row
+                Binv[leave] = pivot_row
+        x[basis] = xb
+        if status == 'optimal' and not self._refresh_basics():
+            status = 'singular'
+        return status, it
 
 
 def _warm_tableau(c, A, b, l, u, basis, feas_tol):
@@ -151,8 +175,11 @@ def _warm_tableau(c, A, b, l, u, basis, feas_tol):
     m, n = A.shape
     basis = np.asarray(basis)
     if (basis.shape != (m,) or basis.dtype.kind not in "iu"
-            or basis.min() < 0 or basis.max() >= n
-            or len(np.unique(basis)) != m):
+            or basis.min(initial=0) < 0 or basis.max(initial=0) >= n):
+        return None
+    nb = np.ones(n, dtype=bool)
+    nb[basis] = False
+    if np.count_nonzero(nb) != n - m:       # a repeated column
         return None
     basis = basis.astype(np.intp)      # a copy: the tableau pivots it
     try:
@@ -160,14 +187,11 @@ def _warm_tableau(c, A, b, l, u, basis, feas_tol):
     except np.linalg.LinAlgError:
         return None
     x = l.copy()
-    nb = np.ones(n, dtype=bool)
-    nb[basis] = False
     x[basis] = Binv @ (b - A[:, nb] @ x[nb])
     if ((x < l - feas_tol).any() or (x > u + feas_tol).any()
-            or np.abs(A @ x - b).max() > feas_tol):
+            or np.abs(A @ x - b).max(initial=0.0) > feas_tol):
         return None
-    status = np.where(nb, _L, _B).astype(np.int8)
-    return _Tableau(A, c, l, u, basis, status, x, Binv)
+    return _Tableau(A, c, l, u, basis, np.where(nb, -1.0, 0.0), x, Binv)
 
 
 def solve_lp(c, A, b, lower=None, upper=None, basis=None):
@@ -194,8 +218,11 @@ def solve_lp(c, A, b, lower=None, upper=None, basis=None):
     c = np.asarray(c, dtype=float).reshape(n)
     l = np.zeros(n) if lower is None else np.asarray(lower, dtype=float).reshape(n)
     u = np.full(n, np.inf) if upper is None else np.asarray(upper, dtype=float).reshape(n)
-    if not np.all(np.isfinite(l)):
-        raise ValueError("lower bounds must be finite")
+    for name, v in (("c", c), ("A", A), ("b", b), ("lower bounds", l)):
+        if not np.isfinite(v).all():
+            raise ValueError(f"{name} must be finite")
+    if np.isnan(u).any():
+        raise ValueError("upper bounds must not be NaN")
     if np.any(u < l):
         raise ValueError("upper bound below lower bound")
     max_iter = 200 * (n + m + 10)
@@ -208,15 +235,14 @@ def solve_lp(c, A, b, lower=None, upper=None, basis=None):
         # start all structural variables at their lower bound, the
         # artificials basic with the +-I inverse
         r = b - A @ l
-        signs = np.where(r >= 0, 1.0, -1.0)
-        A1 = np.hstack([A, np.diag(signs)])
+        D = np.diag(np.where(r >= 0, 1.0, -1.0))
+        A1 = np.hstack([A, D])
         l1 = np.concatenate([l, np.zeros(m)])
         u1 = np.concatenate([u, np.full(m, np.inf)])
         c1 = np.concatenate([np.zeros(n), np.ones(m)])
         x1 = np.concatenate([l, np.abs(r)])
-        status = np.repeat(np.array([_L, _B], dtype=np.int8), [n, m])
-        tab = _Tableau(A1, c1, l1, u1, np.arange(n, n + m), status, x1,
-                       np.diag(signs))
+        tab = _Tableau(A1, c1, l1, u1, np.arange(n, n + m),
+                       np.repeat([-1.0, 0.0], [n, m]), x1, D)
         st, it1 = tab.iterate(FEAS_TOL, max_iter)
         phase1 = float(c1 @ tab.x)
         if st not in ('maxiter', 'singular'):
@@ -226,7 +252,7 @@ def solve_lp(c, A, b, lower=None, upper=None, basis=None):
             tab.u[n:] = 0.0
             tab.x[n:] = 0.0
             tab.c = np.concatenate([c, np.zeros(m)])
-            tab.status[n:][tab.status[n:] != _B] = _L
+            tab.sign[n:][tab.sign[n:] > 0.0] = -1.0
     x = obj = y = None
     it2 = 0
     if st == 'infeasible':

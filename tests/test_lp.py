@@ -61,6 +61,39 @@ class TestBasics:
         # strong duality at optimum with x >= 0: obj = y.b
         assert abs(res.obj - res.y @ b) < 1e-8
 
+    @pytest.mark.parametrize("arg, value, message", [
+        ("c", np.nan, "c must be finite"),
+        ("c", -np.inf, "c must be finite"),
+        ("A", np.nan, "A must be finite"),
+        ("A", np.inf, "A must be finite"),
+        ("b", np.nan, "b must be finite"),
+        ("b", np.inf, "b must be finite"),
+        ("upper", np.nan, "upper bounds must not be NaN"),
+    ])
+    def test_non_finite_input_rejected(self, arg, value, message):
+        # b = nan or inf read optimal at x = 0, and a NaN in c or A read
+        # unbounded; an upper bound may still be +inf
+        lp = {"c": [1.0, 1.0], "A": [[1.0, 2.0]], "b": [4.0],
+              "upper": [1.0, np.inf]}
+        lp[arg] = np.array(lp[arg], dtype=float)
+        lp[arg].flat[0] = value
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            solve_lp(**lp)
+
+    @pytest.mark.parametrize("upper, status, x", [
+        (None, 'unbounded', None), ([2.0], 'optimal', [2.0])])
+    @pytest.mark.parametrize("basis", [None, np.arange(0)])
+    def test_no_rows(self, upper, status, x, basis):
+        # min -x with no constraint rows, cold or from the empty basis:
+        # unbounded, or optimal at the upper bound when it is finite
+        res = solve_lp([-1.0], np.zeros((0, 1)), np.zeros(0), upper=upper,
+                       basis=basis)
+        assert res.status == status
+        assert res.meta["phase1_iterations"] == (basis is None)
+        if x is not None:
+            assert res.x.tolist() == x and res.obj == -x[0]
+            assert res.y.shape == (0,) and res.basis.shape == (0,)
+
 
 class TestAgainstScipy:
     @pytest.mark.parametrize("seed", range(30))
@@ -409,7 +442,198 @@ def eta_solve_lp(c, A, b, lower=None, upper=None, tol=FEAS_TOL, max_iter=None):
     return LPResult(st, x=x, obj=obj, y=y, phase1_obj=phase1,
                     iterations=it1 + it2,
                     meta={"phase1_iterations": it1, "phase2_iterations": it2,
-                          "bland_pivots": tab.bland_pivots})
+                          "bland_pivots": tab.bland_pivots},
+                    basis=tab.basis.copy())
+
+
+# -- the revised simplex before its pivots kept basis-ordered state, kept as
+# -- the bit-for-bit reference of every solve, warm or cold -----------------
+
+class RefTableau:
+    """The loop that gathered c[basis], the price signs and x[basis] and
+    scattered x[basis] back at every pivot."""
+
+    def __init__(self, A, c, l, u, basis, status, x, Binv):
+        self.A, self.c, self.l, self.u = A, c, l, u
+        self.basis = basis          # int array of variable indices, length m
+        self.status = status        # int8 array of L_, U_, B_ per variable
+        self.x = x
+        self.b = A @ x              # fixed right-hand side
+        self.Binv = Binv            # inverse of A[:, basis]
+        self.bland_pivots = 0
+
+    def duals(self):
+        return self.c[self.basis] @ self.Binv
+
+    def _refresh_basics(self):
+        """Refactor the basis inverse and recompute the basic values from
+        the nonbasic bounds (drift control).  False, with nothing changed,
+        when the basis is singular."""
+        try:
+            self.Binv = np.linalg.inv(self.A[:, self.basis])
+        except np.linalg.LinAlgError:
+            return False
+        at_l, at_u = self.status == L_, self.status == U_
+        self.x[at_l] = self.l[at_l]
+        self.x[at_u] = self.u[at_u]
+        nb = at_l | at_u
+        self.x[self.basis] = self.Binv @ (self.b - self.A[:, nb] @ self.x[nb])
+        return True
+
+    def iterate(self, tol, max_iter):
+        lb, ub = self.l[self.basis], self.u[self.basis]   # in basis order
+        it = 0
+        bland = False
+        while it < max_iter:
+            it += 1
+            if it % 64 == 0 and not self._refresh_basics():
+                return 'singular', it
+            z = self.c - self.duals() @ self.A
+            violation = PRICE_SIGN[self.status] * z
+            # argmax returns the first maximum: the smallest eligible index
+            # under Bland, the lowest index among tied violations otherwise
+            if bland:
+                eligible = violation > tol
+                entering = int(np.argmax(eligible))
+                optimal = not eligible[entering]
+            else:
+                entering = int(np.argmax(violation))
+                optimal = violation[entering] <= tol
+            if optimal:
+                return ('optimal' if self._refresh_basics() else 'singular'), it
+            self.bland_pivots += bland
+            direction = 1.0 if self.status[entering] == L_ else -1.0
+            alpha = self.Binv @ self.A[:, entering]
+            d = alpha * direction
+
+            # ratio test: the blocking step of every basic variable, dividing
+            # only where d is clear of zero
+            xb = self.x[self.basis]
+            room = np.where(d > 0.0, xb - lb, ub - xb)
+            size = np.abs(d)
+            ratios = np.divide(room, size, out=np.full(len(d), np.inf),
+                               where=size > tol)
+            span = float(self.u[entering] - self.l[entering])
+            t_min = min(float(ratios.min()), span)
+            if not math.isfinite(t_min):
+                return 'unbounded', it
+            t_min = max(t_min, 0.0)
+            bland = t_min == 0.0
+            # Bland leaving rule: among blockers at the minimum ratio, the
+            # basic variable with the smallest index leaves
+            blockers = (ratios <= t_min + 1e-12).nonzero()[0]
+            leave = -1
+            if blockers.size:
+                leave = int(blockers[np.argmin(self.basis[blockers])])
+                if ratios[leave] > span:
+                    leave = -1        # the entering bound flip wins
+
+            self.x[entering] += direction * t_min
+            self.x[self.basis] = xb - d * t_min
+            if leave < 0:
+                to_upper = self.status[entering] == L_
+                self.status[entering] = U_ if to_upper else L_
+                self.x[entering] = (self.u if to_upper else self.l)[entering]
+            else:
+                out = self.basis[leave]
+                hits_lower = d[leave] > 0.0
+                self.x[out] = (self.l if hits_lower else self.u)[out]
+                self.status[out] = L_ if hits_lower else U_
+                self.basis[leave] = entering
+                self.status[entering] = B_
+                lb[leave], ub[leave] = self.l[entering], self.u[entering]
+                # eta update: the new inverse maps the entering column to
+                # the unit vector of the pivot row
+                pivot_row = self.Binv[leave] / alpha[leave]
+                self.Binv -= alpha[:, None] * pivot_row
+                self.Binv[leave] = pivot_row
+        return 'maxiter', it
+
+
+def ref_warm_tableau(c, A, b, l, u, basis, feas_tol):
+    """The phase-2 tableau at basis, every nonbasic variable at its lower
+    bound, or None unless basis names m distinct columns of A whose matrix
+    is nonsingular and whose basic solution lies within the bounds and
+    solves A x = b, both within feas_tol."""
+    m, n = A.shape
+    basis = np.asarray(basis)
+    if (basis.shape != (m,) or basis.dtype.kind not in "iu"
+            or basis.min() < 0 or basis.max() >= n
+            or len(np.unique(basis)) != m):
+        return None
+    basis = basis.astype(np.intp)      # a copy: the tableau pivots it
+    try:
+        Binv = np.linalg.inv(A[:, basis])
+    except np.linalg.LinAlgError:
+        return None
+    x = l.copy()
+    nb = np.ones(n, dtype=bool)
+    nb[basis] = False
+    x[basis] = Binv @ (b - A[:, nb] @ x[nb])
+    if ((x < l - feas_tol).any() or (x > u + feas_tol).any()
+            or np.abs(A @ x - b).max() > feas_tol):
+        return None
+    status = np.where(nb, L_, B_).astype(np.int8)
+    return RefTableau(A, c, l, u, basis, status, x, Binv)
+
+
+def ref_solve_lp(c, A, b, lower=None, upper=None, basis=None):
+    """The two-phase solve around RefTableau, warm from basis when
+    ref_warm_tableau accepts it."""
+    A = np.atleast_2d(np.asarray(A, dtype=float))
+    m, n = A.shape
+    b = np.asarray(b, dtype=float).reshape(m)
+    c = np.asarray(c, dtype=float).reshape(n)
+    l = np.zeros(n) if lower is None else np.asarray(lower, dtype=float).reshape(n)
+    u = np.full(n, np.inf) if upper is None else np.asarray(upper, dtype=float).reshape(n)
+    if not np.all(np.isfinite(l)):
+        raise ValueError("lower bounds must be finite")
+    if np.any(u < l):
+        raise ValueError("upper bound below lower bound")
+    max_iter = 200 * (n + m + 10)
+    feas_tol = FEAS_TOL * max(1.0, float(np.abs(b).max(initial=0.0)))
+
+    tab = None if basis is None else ref_warm_tableau(c, A, b, l, u, basis,
+                                                      feas_tol)
+    st, it1, phase1 = 'feasible', 0, 0.0
+    if tab is None:
+        # start all structural variables at their lower bound, the
+        # artificials basic with the +-I inverse
+        r = b - A @ l
+        signs = np.where(r >= 0, 1.0, -1.0)
+        A1 = np.hstack([A, np.diag(signs)])
+        l1 = np.concatenate([l, np.zeros(m)])
+        u1 = np.concatenate([u, np.full(m, np.inf)])
+        c1 = np.concatenate([np.zeros(n), np.ones(m)])
+        x1 = np.concatenate([l, np.abs(r)])
+        status = np.repeat(np.array([L_, B_], dtype=np.int8), [n, m])
+        tab = RefTableau(A1, c1, l1, u1, np.arange(n, n + m), status, x1,
+                         np.diag(signs))
+        st, it1 = tab.iterate(FEAS_TOL, max_iter)
+        phase1 = float(c1 @ tab.x)
+        if st not in ('maxiter', 'singular'):
+            st = 'infeasible' if phase1 > feas_tol else 'feasible'
+        if st == 'feasible':
+            # phase 2: freeze the artificials at zero via zero-width bounds
+            tab.u[n:] = 0.0
+            tab.x[n:] = 0.0
+            tab.c = np.concatenate([c, np.zeros(m)])
+            tab.status[n:][tab.status[n:] != B_] = L_
+    x = obj = y = None
+    it2 = 0
+    if st == 'infeasible':
+        y = tab.duals()
+    elif st == 'feasible':
+        st, it2 = tab.iterate(FEAS_TOL, max_iter)
+        x = tab.x[:n].copy()
+        obj = float(c @ x)
+        if st == 'optimal':
+            y = tab.duals()
+    return LPResult(st, x=x, obj=obj, y=y, phase1_obj=phase1,
+                    iterations=it1 + it2,
+                    meta={"phase1_iterations": it1, "phase2_iterations": it2,
+                          "bland_pivots": tab.bland_pivots},
+                    basis=tab.basis.copy())
 
 
 # -- differential tests: the revised simplex against the reference and HiGHS -
@@ -427,8 +651,9 @@ def check_farkas(y, A, b, upper):
 
 
 def check_same_bits(new, old):
-    """Two results with the same status, iterations and meta, and the same
-    x, objective and y bit for bit (signed zeros included)."""
+    """Two results with the same status, iterations and meta, the same x,
+    objective and y bit for bit (signed zeros included) and the same final
+    basis."""
     assert (new.status, new.iterations, new.meta, new.obj, new.phase1_obj) \
         == (old.status, old.iterations, old.meta, old.obj, old.phase1_obj)
     for a, b in ((new.x, old.x), (new.y, old.y)):
@@ -436,14 +661,26 @@ def check_same_bits(new, old):
         if a is not None:
             assert np.array_equal(a, b)
             assert np.array_equal(np.signbit(a), np.signbit(b))
+    assert new.basis.dtype == old.basis.dtype
+    assert np.array_equal(new.basis, old.basis)
+
+
+def check_reference(c, A, b, lower=None, upper=None, basis=None):
+    """The revised simplex returns what the reference loop returns from the
+    same start, bit for bit; returns its result."""
+    new = solve_lp(c, A, b, lower=lower, upper=upper, basis=basis)
+    check_same_bits(new, ref_solve_lp(c, A, b, lower=lower, upper=upper,
+                                      basis=basis))
+    return new
 
 
 def check_three_ways(c, A, b, lower=None, upper=None):
     """The revised simplex agrees with the reference and with HiGHS on the
     status and the objective (1e-9 relative); its x solves A x = b within
     the bounds and its meta splits the iterations by phase.  It pivots as
-    the loop before the trim did, bit for bit."""
-    new = solve_lp(c, A, b, lower=lower, upper=upper)
+    the loop before the trim did and as the loop before it kept
+    basis-ordered state did, bit for bit."""
+    new = check_reference(c, A, b, lower=lower, upper=upper)
     check_same_bits(new, eta_solve_lp(c, A, b, lower=lower, upper=upper))
     ref = bland_solve_lp(c, A, b, lower=lower, upper=upper)
     n = A.shape[1]
@@ -488,12 +725,13 @@ def random_lp(seed):
 
 
 def recorded_lps(monkeypatch, module, run):
-    """Every LP the calls in run() hand to module.solve_lp."""
+    """Every LP the calls in run() hand to module.solve_lp, as (c, A, b,
+    lower, upper, basis)."""
     lps = []
 
-    def record(c, A, b, lower=None, upper=None, **kwargs):
-        lps.append((c, A, b, lower, upper))
-        return solve_lp(c, A, b, lower=lower, upper=upper, **kwargs)
+    def record(c, A, b, lower=None, upper=None, basis=None):
+        lps.append((c, A, b, lower, upper, basis))
+        return solve_lp(c, A, b, lower=lower, upper=upper, basis=basis)
     monkeypatch.setattr(module, "solve_lp", record)
     run()
     monkeypatch.undo()
@@ -537,7 +775,8 @@ class TestRevisedSimplexDifferential:
             xi, gens, max_rounds=10, comass_multistarts=4))
         assert len(lps) == 10
         pivots = np.zeros(2, dtype=int)
-        for c, A, b, _, _ in lps:
+        for c, A, b, _, _, basis in lps:
+            check_reference(c, A, b, basis=basis)     # warm after round 1
             new, ref = check_three_ways(c, A, b)
             assert new.status == 'optimal'
             assert abs(new.obj - ref.obj) <= 1e-12 * abs(ref.obj)
@@ -569,10 +808,13 @@ class TestRevisedSimplexDifferential:
                 jensen_alternative(model, [0, 1, 2, 3], 4)
         lps = recorded_lps(monkeypatch, duality, streams)
         statuses = set()
-        for c, A, b, lower, upper in lps:
+        for c, A, b, lower, upper, basis in lps:
+            check_reference(c, A, b, lower=lower, upper=upper, basis=basis)
             new, _ = check_three_ways(c, A, b, lower=lower, upper=upper)
             statuses.add(new.status)
         assert statuses == {'optimal', 'infeasible'}
+        # the separation LPs start warm at their slack basis
+        assert any(basis is not None for *_, basis in lps)
 
 
 def highs_solve(c, A, b, upper=None):
@@ -692,6 +934,12 @@ def lowest_complex_hessians(model, sites, certificate, J):
 
 
 class TestSingularBasis:
+    @pytest.fixture(autouse=True)
+    def against_the_reference(self, monkeypatch):
+        # every LP of these tests, the singular refactor among them, also
+        # returns what the reference loop returns, bit for bit
+        monkeypatch.setattr(duality, "solve_lp", check_reference)
+
     def test_outside_the_disc_first_round_certifies(self):
         # x = (1.05, 0, 0, 0) lies outside the circle's hull: the first
         # separating polynomial is psh on every complex line at every site,
@@ -761,8 +1009,8 @@ class TestPricing:
         # (a bound flip, priced against the span of x1's box); every count
         # stays a Python int, as a report writes it
         A = np.array([[1.0, 1.0, 1.0]])
-        res = solve_lp(np.array([-2.0, -1.0, 0.0]), A, np.array([10.0]),
-                       upper=np.array([1.0, 1.0, np.inf]))
+        res = check_reference(np.array([-2.0, -1.0, 0.0]), A, np.array([10.0]),
+                              upper=np.array([1.0, 1.0, np.inf]))
         assert res.status == 'optimal' and res.obj == -3.0
         assert res.iterations >= 2
         for key, value in res.meta.items():
