@@ -161,24 +161,32 @@ def evaluate(T: PolyhedralCurrent, alpha) -> float:
     return float(weights @ (rows * means).sum(axis=1))
 
 
+def _phi_violations(T: PolyhedralCurrent, cal: Calibration):
+    """phi on every tangent of T, and the simplices with a negative
+    multiplicity or a phi-value below 1 - 1e-9."""
+    if cal.form.p != T.p or cal.form.n != T.n:
+        raise ValueError("form degree/dimension mismatch")
+    vals = T._tangents @ cal.form.to_coeff_vector()
+    return vals, np.flatnonzero((T._mults < 0.0) | (vals < 1.0 - 1e-9))
+
+
 def phi_positive_check(T: PolyhedralCurrent, cal: Calibration):
     """Positive iff every positively weighted tangent is a phi-plane and no
     multiplicity is negative; violations come back with their phi-values."""
-    vals = T._tangents @ cal.form.to_coeff_vector()
-    bad = np.flatnonzero((T._mults < 0.0) | (vals < 1.0 - 1e-9))
-    violations = [{"index": k, "phi": vals[k].item(),
-                   "multiplicity": T._mults[k].item()} for k in bad.tolist()]
+    vals, bad = _phi_violations(T, cal)
+    rows = zip(bad.tolist(), vals[bad].tolist(), T._mults[bad].tolist())
+    violations = [{"index": k, "phi": v, "multiplicity": m} for k, v, m in rows]
     return {"positive": not violations, "violations": violations}
 
 
 def calibration_gap(T: PolyhedralCurrent, cal: Calibration):
     """T(phi), the mass, and their gap (nonnegative by the comass bound;
-    zero exactly on phi-positive currents)."""
-    tphi = evaluate(T, cal.form)
+    zero exactly on phi-positive currents); T(phi) and ``positive`` come
+    from the phi-values and the test of ``phi_positive_check``."""
+    vals, bad = _phi_violations(T, cal)
+    tphi = float((T._mults * T._volumes) @ vals)
     m = mass(T)
-    gap = m - tphi
-    return {"tphi": tphi, "mass": m, "gap": gap,
-            "positive": phi_positive_check(T, cal)["positive"]}
+    return {"tphi": tphi, "mass": m, "gap": m - tphi, "positive": not bad.size}
 
 
 # ---------------------------------------------------------------------------
@@ -233,10 +241,7 @@ class MeshedSubmanifold:
                 f"1 - {self.flatness_tol:g}")
 
     def boundary_vertices(self):
-        out = set()
-        for face, _ in self.boundary_edges():
-            out.update(face)
-        return sorted(out)
+        return sorted({v for face, _ in self.boundary_edges() for v in face})
 
     def interior_vertices(self):
         bnd = set(self.boundary_vertices())
@@ -522,11 +527,12 @@ def _sector_moments(a, b, degree):
                                            1e-300), R_cap[:, None])
     logR = np.log(R)
     weight = (delta / 2.0)[:, None] * _GAUSS_W
+    pow1, pow2 = ([u ** i for i in range(degree + 1)] for u in (u1, u2))
     out = []
     for k in range(degree + 1):
         kk = k + 2
         radial = weight * R ** kk * (logR / kk - 1.0 / kk ** 2)
-        out += [np.sum(radial * u1 ** i * u2 ** (k - i))
+        out += [np.sum(radial * pow1[i] * pow2[k - i])
                 for i in range(k, -1, -1)]
     return np.array(out)
 
@@ -569,19 +575,16 @@ def green_check(M: MeshedSubmanifold, x_index: int, tests,
     # discrete solve: L G = delta_x with zero boundary values
     import scipy.sparse.linalg as spla
     L, _ = cotan_laplacian(M.vertices, M.simplices)
-    int_pos = {v: k for k, v in enumerate(interior)}
-    L_ii = L[interior, :][:, interior]
-    rhs = np.zeros(len(interior))
-    rhs[int_pos[x_index]] = 1.0
+    rhs = (np.asarray(interior) == x_index).astype(float)
     G = np.zeros(len(M.vertices))
-    G[interior] = spla.spsolve(L_ii.tocsc(), rhs)
+    G[interior] = spla.spsolve(L[interior, :][:, interior].tocsc(), rhs)
     # connectivity sanity: a disconnected interior leaves zeros behind
     if not np.all(np.isfinite(G)):
         raise ValueError("disconnected mesh: Laplace solve failed")
 
     # harmonic measure from the discrete boundary normal derivative
     flux = np.asarray(L @ G).ravel()
-    mu = np.array([-flux[j] for j in boundary_idx])
+    mu = -flux[boundary_idx]
     mu_sum = mu.sum()
     meta = {"mu_min": float(mu.min()), "mu_sum": float(mu_sum),
             "green_min": float(G.min())}
@@ -600,8 +603,8 @@ def green_check(M: MeshedSubmanifold, x_index: int, tests,
         nz = r_all > 1e-300
         S_vals[nz] = -np.log(r_all[nz]) / (2.0 * math.pi)
         H_vals = G - S_vals
-        ring = sorted({int(v) for tri in M.simplices if x_index in tri
-                       for v in tri if v != x_index})
+        star = M.simplices[(M.simplices == x_index).any(axis=1)]
+        ring = np.unique(star[star != x_index])
         H_vals[x_index] = float(np.mean(H_vals[ring]))
         # smooth remainder: the P1 interpolant h = c0 + c1 w1 + c2 w2 of H
         # times w^alpha, from the means of w^alpha, w1 w^alpha and w2 w^alpha
@@ -613,11 +616,12 @@ def green_check(M: MeshedSubmanifold, x_index: int, tests,
         _, area = _simplex_geometry(P)
         moments = moments + np.einsum("t,ts,tsm->m", area, c, means)
 
+    # one stack call per field; the mu-weighted sum stays left to right
     residuals = {}
+    rim = M.vertices[boundary_idx]
     for f, q in zip(tests, qs):
         total = np.array([q.terms.get(e, 0.0) for e in exps]) @ moments
-        rhs_val = sum(w * f(M.vertices[j])
-                      for w, j in zip(mu, boundary_idx)) - f(M.vertices[x_index])
+        rhs_val = sum(mu * f.poly.values_at(rim)) - f.poly(M.vertices[x_index])
         residuals[f.name] = abs(total - rhs_val)
     return GreenResult(residuals, mu, boundary_idx, exact_disc, G, meta)
 

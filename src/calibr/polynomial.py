@@ -87,14 +87,21 @@ class Polynomial:
         return self * -1.0
 
     def __call__(self, x):
-        x = _as_points(x, self.n, 1)
-        total = 0.0
+        """Value at one point of shape (n,): a one-row ``values_at``."""
+        return self.values_at(_as_points(x, self.n, 1)[None])[0]
+
+    def values_at(self, X):
+        """(P,) values at the rows of a (P, n) point stack, term by term;
+        powers are ``np.float_power``, the C pow of a scalar ``x ** e``,
+        where ``np.power`` may take a SIMD pow that differs in the last bit."""
+        X = _as_points(X, self.n, 2)
+        total = np.zeros(len(X))
         for exps, c in self.terms.items():
             v = c
-            for xi, e in zip(x, exps):
+            for j, e in enumerate(exps):
                 if e:
-                    v *= xi ** e
-            total += v
+                    v = v * np.float_power(X[:, j], e)
+            total = total + v
         return total
 
     def partial(self, i):
@@ -187,7 +194,7 @@ def legendre_tables(X, lo, hi, degree):
 
 
 # ---------------------------------------------------------------------------
-# exact integration over simplices and boxes
+# exact integration over simplices
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
@@ -211,14 +218,16 @@ def _collapsed_rule(p, degree):
 def simplex_monomial_means(V, exps):
     """(N, M) mean values of the monomials x^e, e in exps, over each simplex
     of an (N, p+1, n) vertex stack, from one collapsed rule exact up to the
-    highest degree in exps."""
+    highest degree in exps; each node coordinate is raised once to each of
+    its distinct exponents."""
     V = np.asarray(V, dtype=float)
     E = np.asarray(exps, dtype=int).reshape(-1, V.shape[2])
     lam, w = _collapsed_rule(V.shape[1] - 1, int(E.sum(axis=1).max(initial=0)))
     X = lam @ V                                   # (N, K, n) nodes
     vals = np.ones(X.shape[:2] + (len(E),))
     for j, e in enumerate(E.T):
-        vals *= X[..., j, None] ** e
+        powers, col = np.unique(e, return_inverse=True)
+        vals *= (X[..., j, None] ** powers)[..., col]
     return w @ vals
 
 
@@ -243,19 +252,6 @@ def integrate_over_simplex(poly: Polynomial, vertices) -> float:
     means = simplex_monomial_means(np.asarray(vertices, dtype=float)[None],
                                    list(poly.terms))[0]
     return float(np.fromiter(poly.terms.values(), float) @ means * vol)
-
-
-def integrate_over_box(poly: Polynomial, lo, hi) -> float:
-    """Exact integral over the axis box [lo, hi]^n (per-coordinate bounds)."""
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    total = 0.0
-    for exps, c in poly.terms.items():
-        v = c
-        for a, b, e in zip(lo, hi, exps):
-            v *= (b ** (e + 1) - a ** (e + 1)) / (e + 1)
-        total += v
-    return total
 
 
 # ---------------------------------------------------------------------------

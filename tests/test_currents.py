@@ -16,6 +16,7 @@ from calibr.fields import BUILTIN_SET1, ScalarField, builtin_field
 from calibr.grassmann import sample_grassmannian
 from calibr.polynomial import PolyForm, Polynomial
 from test_exterior import _sorted_sign
+from test_polynomial import loop_monomial_means
 
 
 @pytest.fixture(scope="module")
@@ -159,6 +160,26 @@ class TestPositivityAndGap:
         for theta in (0.0, 0.4, 1.2):
             T = tilted_disc_mesh(5, theta).to_current()
             assert calibration_gap(T, omega)["gap"] >= -1e-12
+
+    @pytest.mark.parametrize("make", [
+        lambda: disc_mesh(6).to_current(),
+        lambda: tilted_disc_mesh(8, 0.3).to_current(),
+        lambda: tilted_disc_mesh(12, 1.1).to_current(),
+        lambda: PolyhedralCurrent(4, 2, [
+            (v, -1.0 if k == 7 else 1.0) for k, (v, _) in
+            enumerate(disc_mesh(4).to_current().simplices)])])
+    def test_gap_reads_the_positivity_check(self, omega, make):
+        T = make()
+        g, chk = calibration_gap(T, omega), phi_positive_check(T, omega)
+        assert g["positive"] == chk["positive"]
+        assert g["tphi"] == evaluate(T, omega.form)             # bit for bit
+        assert g["mass"] == mass(T) and g["gap"] == g["mass"] - g["tphi"]
+        # the violation entries as they were built, two .item() calls each
+        vals = T._tangents @ omega.form.to_coeff_vector()
+        bad = np.flatnonzero((T._mults < 0.0) | (vals < 1.0 - 1e-9))
+        assert chk["violations"] == [
+            {"index": k, "phi": vals[k].item(),
+             "multiplicity": T._mults[k].item()} for k in bad.tolist()]
 
     def test_disc_beats_cap_competitor(self, omega):
         # same rim, disc mass below the cap's (homological minimality)
@@ -709,6 +730,97 @@ def poly_field(rng, degree, name, n=4):
     return ScalarField.from_polynomial(Polynomial(n, terms), name)
 
 
+def stepwise_sector_moments(a, b, degree):
+    """``_sector_moments`` raising u1 and u2 once per moment."""
+    na, nb = np.linalg.norm(a, axis=1), np.linalg.norm(b, axis=1)
+    cross = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
+    keep = np.abs(cross) > 1e-13 * (na * nb + 1e-300)
+    a, b, na, nb, cross = a[keep], b[keep], na[keep], nb[keep], cross[keep]
+    alpha = np.arctan2(a[:, 1], a[:, 0])
+    delta = np.arctan2(b[:, 1], b[:, 0]) - alpha
+    delta = np.where(delta <= -math.pi, delta + 2 * math.pi, delta)
+    delta = np.where(delta > math.pi, delta - 2 * math.pi, delta)
+    e = b - a
+    ne = np.linalg.norm(e, axis=1)
+    d = np.abs(cross) / ne
+    nrm = np.column_stack([-e[:, 1], e[:, 0]]) / ne[:, None]
+    nrm[(nrm * a).sum(axis=1) < 0] *= -1.0
+    R_cap = 2.0 * np.maximum(na, nb)
+    theta = alpha[:, None] + delta[:, None] * (GAUSS_24[0] + 1.0) / 2.0
+    u1, u2 = np.cos(theta), np.sin(theta)
+    R = np.minimum(d[:, None] / np.maximum(nrm[:, :1] * u1 + nrm[:, 1:] * u2,
+                                           1e-300), R_cap[:, None])
+    logR = np.log(R)
+    weight = (delta / 2.0)[:, None] * GAUSS_24[1]
+    out = []
+    for k in range(degree + 1):
+        kk = k + 2
+        radial = weight * R ** kk * (logR / kk - 1.0 / kk ** 2)
+        out += [np.sum(radial * u1 ** i * u2 ** (k - i))
+                for i in range(k, -1, -1)]
+    return np.array(out)
+
+
+def stepwise_green_check(M, x_index, tests, cal):
+    """``green_check`` with its per-item loops: the interior positions as a
+    dict, mu one boundary vertex at a time, the pole's ring from a set over
+    every triangle, the boundary term one field call per vertex, and the
+    moment kernels ``stepwise_sector_moments`` (patched in by the caller)
+    and ``loop_monomial_means``.  Returns (residuals, mu, green_values,
+    meta)."""
+    import scipy.sparse.linalg as spla
+    from calibr.currents import (_hessian_pair_poly, _log_moments,
+                                 _plane_coordinates, _simplex_geometry)
+    from calibr.polynomial import monomial_exponents
+    frame, xi_M, coords = _plane_coordinates(M)
+    interior = M.interior_vertices()
+    boundary_idx = M.boundary_vertices()
+    zx = coords[x_index]
+    qs = [_hessian_pair_poly(f, cal, xi_M, frame, M.vertices[0] + zx @ frame)
+          for f in tests]
+    r_bnd = np.linalg.norm(coords[boundary_idx] - zx[None, :], axis=1)
+    exact_disc = bool(np.abs(r_bnd - 1.0).max() < 1e-9)
+    L, _ = cotan_laplacian(M.vertices, M.simplices)
+    int_pos = {v: k for k, v in enumerate(interior)}
+    rhs = np.zeros(len(interior))
+    rhs[int_pos[x_index]] = 1.0
+    G = np.zeros(len(M.vertices))
+    G[interior] = spla.spsolve(L[interior, :][:, interior].tocsc(), rhs)
+    flux = np.asarray(L @ G).ravel()
+    mu = np.array([-flux[j] for j in boundary_idx])
+    meta = {"mu_min": float(mu.min()), "mu_sum": float(mu.sum()),
+            "green_min": float(G.min())}
+    mu = np.maximum(mu, 0.0)
+    mu = mu / mu.sum()
+    degree = max((q.degree() for q in qs), default=0)
+    exps = monomial_exponents(2, degree)
+    P = coords[M.simplices] - zx
+    moments = _log_moments(P, degree)
+    if not exact_disc:
+        S_vals = np.zeros(len(M.vertices))
+        r_all = np.linalg.norm(coords - zx[None, :], axis=1)
+        nz = r_all > 1e-300
+        S_vals[nz] = -np.log(r_all[nz]) / (2.0 * math.pi)
+        H_vals = G - S_vals
+        ring = sorted({int(v) for tri in M.simplices if x_index in tri
+                       for v in tri if v != x_index})
+        H_vals[x_index] = float(np.mean(H_vals[ring]))
+        A = np.concatenate([np.ones(P.shape[:2] + (1,)), P], axis=2)
+        c = np.linalg.solve(A, H_vals[M.simplices][..., None])[..., 0]
+        shifted = [(i + s, j + t) for s, t in ((0, 0), (1, 0), (0, 1))
+                   for i, j in exps]
+        means = loop_monomial_means(P, shifted).reshape(len(P), 3, -1)
+        _, area = _simplex_geometry(P)
+        moments = moments + np.einsum("t,ts,tsm->m", area, c, means)
+    residuals = {}
+    for f, q in zip(tests, qs):
+        total = np.array([q.terms.get(e, 0.0) for e in exps]) @ moments
+        rhs_val = sum(w * f(M.vertices[j])
+                      for w, j in zip(mu, boundary_idx)) - f(M.vertices[x_index])
+        residuals[f.name] = abs(total - rhs_val)
+    return residuals, mu, G, meta
+
+
 class TestArrayKernels:
     @pytest.mark.parametrize("n,p", [(1, 1), (3, 1), (2, 2), (4, 2), (5, 2),
                                      (3, 3), (4, 3), (4, 0)])
@@ -803,6 +915,62 @@ class TestArrayKernels:
             residuals, _, _, _ = loop_green_check(M, x, tests, omega)
             for name, r in residuals.items():
                 assert abs(res.residuals[name] - r) <= 1e-12
+
+    @pytest.mark.parametrize("case", [
+        "disc8-centre", "disc12-centre", "disc8-ring1", "disc8-ring4",
+        "disc12-ring6", "tilted", "d4-d6"])
+    def test_green_check_bitwise_against_the_stepwise_route(self, omega,
+                                                           monkeypatch, case):
+        import calibr.currents as cur
+        set1 = [builtin_field(nm, 4) for nm in BUILTIN_SET1]
+        rng = np.random.default_rng(42)
+        high = [poly_field(rng, 4, "d4"), poly_field(rng, 6, "d6")]
+        if case == "tilted":
+            M, poles, tests = tilted_disc_mesh(3, 0.5), (0, 5), high + set1
+        elif case == "d4-d6":
+            M, poles, tests = disc_mesh(3, cal=omega), (0, 3, 10), high
+        else:
+            size, pole = case[4:].split("-")
+            M = disc_mesh(int(size), cal=omega)
+            poles = (0 if pole == "centre" else int(pole[4:]),)
+            tests = set1
+        for x in poles:
+            res = green_check(M, x, tests, omega)
+            with monkeypatch.context() as mp:
+                mp.setattr(cur, "_sector_moments", stepwise_sector_moments)
+                residuals, mu, G, meta = stepwise_green_check(M, x, tests,
+                                                              omega)
+            assert res.residuals == residuals
+            assert res.mu.tobytes() == mu.tobytes()
+            assert res.green_values.tobytes() == G.tobytes()
+            assert res.meta == meta
+
+    def test_log_moments_bitwise_against_per_moment_powers(self, omega):
+        from calibr.currents import _sector_moments
+        coords = disc_mesh(6, cal=omega).vertices[:, :2]
+        P = coords[disc_mesh(6).simplices] - coords[1]
+        a, b = P.reshape(-1, 2), np.roll(P, -1, axis=1).reshape(-1, 2)
+        for degree in range(7):
+            assert (_sector_moments(a, b, degree).tobytes()
+                    == stepwise_sector_moments(a, b, degree).tobytes())
+
+    def test_green_check_evaluates_each_field_twice(self, omega,
+                                                    monkeypatch):
+        # one stack call over the boundary and one call at the pole per
+        # field: a per-vertex loop coming back fails here
+        calls = {"__call__": 0, "values_at": 0}
+        for name in calls:
+            def counted(self, x, orig=getattr(Polynomial, name), name=name):
+                calls[name] += 1
+                return orig(self, x)
+            monkeypatch.setattr(Polynomial, name, counted)
+        tests = [builtin_field(nm, 4) for nm in BUILTIN_SET1]
+        M = disc_mesh(12, cal=omega)
+        for x in (0, 3):
+            calls.update({"__call__": 0, "values_at": 0})
+            green_check(M, x, tests, omega)
+            assert calls["__call__"] <= len(tests)
+            assert calls["values_at"] <= 2 * len(tests)
 
     def test_non_polynomial_field_rejected(self, omega):
         e1 = np.eye(4)[0]

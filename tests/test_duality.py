@@ -16,11 +16,12 @@ from calibr.exterior import (ExteriorElement, SimplePlane, derivation_extend,
                              derivation_tensor, pairing, wedge)
 from calibr.grassmann import rng_stream, sample_grassmannian
 from calibr.lp import LPResult, solve_lp
-from calibr.polynomial import (PolyForm, Polynomial, integrate_over_box,
-                               legendre_tables, monomial_exponents)
+from calibr.polynomial import (PolyForm, Polynomial, legendre_tables,
+                               monomial_exponents)
 from numpy.polynomial.legendre import leg2poly, leggauss
 from scipy.optimize import linprog
 from test_exterior import _sorted_sign
+from test_polynomial import integrate_over_box
 
 
 @pytest.fixture(scope="module")

@@ -2,11 +2,63 @@ import numpy as np
 import pytest
 
 from calibr.polynomial import (
-    PolyForm, Polynomial, integrate_over_box, integrate_over_simplex,
-    legendre_tables, monomial_exponents, simplex_volume,
+    PolyForm, Polynomial, _collapsed_rule, integrate_over_simplex,
+    legendre_tables, monomial_exponents, simplex_monomial_means,
+    simplex_volume,
 )
 
 rng = np.random.default_rng(11)
+
+
+def integrate_over_box(poly: Polynomial, lo, hi) -> float:
+    """Exact integral over the axis box [lo, hi] (per-coordinate bounds),
+    one monomial at a time."""
+    total = 0.0
+    for exps, c in poly.terms.items():
+        v = c
+        for a, b, e in zip(np.asarray(lo, dtype=float),
+                           np.asarray(hi, dtype=float), exps):
+            v *= (b ** (e + 1) - a ** (e + 1)) / (e + 1)
+        total += v
+    return total
+
+
+# -- the loops the array evaluations replaced, kept as bit-for-bit references
+
+def loop_value(poly, x):
+    """A polynomial's value at one point, term by term, each power a scalar
+    ``x ** e``."""
+    total = 0.0
+    for exps, c in poly.terms.items():
+        v = c
+        for xi, e in zip(np.asarray(x, dtype=float), exps):
+            if e:
+                v *= xi ** e
+        total += v
+    return total
+
+
+def loop_monomial_means(V, exps):
+    """``simplex_monomial_means`` with one power per monomial and
+    coordinate."""
+    V = np.asarray(V, dtype=float)
+    E = np.asarray(exps, dtype=int).reshape(-1, V.shape[2])
+    lam, w = _collapsed_rule(V.shape[1] - 1, int(E.sum(axis=1).max(initial=0)))
+    X = lam @ V
+    vals = np.ones(X.shape[:2] + (len(E),))
+    for j, e in enumerate(E.T):
+        vals *= X[..., j, None] ** e
+    return w @ vals
+
+
+def signed_points(rng, count, n):
+    """Normal points at several scales, with zeros and negative zeros among
+    the coordinates."""
+    X = rng.standard_normal((count, n)) * rng.choice([0.01, 0.7, 1.0, 30.0],
+                                                     size=(count, 1))
+    X[::5, 0] = 0.0
+    X[1::5, -1] = -0.0
+    return X
 
 
 class TestPolynomial:
@@ -46,6 +98,32 @@ class TestPolynomial:
         f = Polynomial(3, {(1, 0, 0): 1.0, (0, 0, 2): 5.0})
         with pytest.raises(ValueError, match="3 coordinates"):
             f(x)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_stack_values_bitwise_against_point_calls(self, n):
+        rng = np.random.default_rng([n, 13])
+        X = signed_points(rng, 200, n)
+        polys = [Polynomial(n), Polynomial.constant(n, -2.5)]
+        for d in range(7):
+            exps = monomial_exponents(n, d)
+            picks = rng.choice(len(exps), size=min(9, len(exps)),
+                               replace=False)
+            polys.append(Polynomial(n, {exps[k]: rng.standard_normal()
+                                        for k in picks}))
+        for f in polys:
+            got = f.values_at(X)
+            assert got.shape == (len(X),)
+            want = np.array([loop_value(f, x) for x in X])
+            assert got.tobytes() == want.tobytes()
+            assert np.array([f(x) for x in X]).tobytes() == want.tobytes()
+            assert f.values_at(X[:0]).shape == (0,)
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 2), (1, 4), (1, 1, 3), ()])
+    def test_point_stack_of_the_wrong_shape_rejected_by_values_at(self,
+                                                                  shape):
+        f = Polynomial(3, {(1, 0, 0): 1.0, (0, 0, 2): 5.0})
+        with pytest.raises(ValueError, match="3 coordinates"):
+            f.values_at(np.ones(shape))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_coefficient_rejected(self, bad):
@@ -100,6 +178,20 @@ class TestSimplexIntegration:
                     total += f(x)
         total *= simplex_volume(tri) / m ** 2
         assert abs(exact - total) < 1e-3 * max(1.0, abs(exact))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("p", [0, 1, 2, 3])
+    def test_monomial_means_bitwise_against_the_monomial_loop(self, n, p):
+        rng = np.random.default_rng([n, p, 17])
+        V = signed_points(rng, 3 * (p + 1), n).reshape(3, p + 1, n)
+        for degree in range(7):
+            exps = monomial_exponents(n, degree)
+            got = simplex_monomial_means(V, exps)
+            assert got.tobytes() == loop_monomial_means(V, exps).tobytes()
+        for W, exps in ((V, []), (V[:0], monomial_exponents(n, 3))):
+            got = simplex_monomial_means(W, exps)
+            assert got.shape == (len(W), len(exps))
+            assert got.tobytes() == loop_monomial_means(W, exps).tobytes()
 
     def test_box_integral(self):
         f = Polynomial(2, {(2, 1): 6.0})
